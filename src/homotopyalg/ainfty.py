@@ -23,20 +23,17 @@ classical cyclic boundary and (-1)^n rotation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .chain import BettiTable, ChainComplex
+from .chain import ChainComplex
 from .coalgebra import Cochain, WeightCap, bracket, extend_coderivation
 from .graded import GradedSpace, act, add_into
-from .rational_linalg import RowReducer, Subspace
 
 __all__ = [
     "AInftyAlgebra",
     "StructureReport",
     "UnitalityReport",
-    "CyclicComplexSlice",
     "check_stasheff",
     "check_strict_unit",
     "from_associative",
@@ -44,9 +41,7 @@ __all__ = [
     "suspend_operations",
     "cyclic_words",
     "rotate_word",
-    "cyclic_lambda",
     "cyclic_boundary",
-    "cyclic_b",
     "rotation_span",
     "cyclic_complex",
     "cyclic_homology",
@@ -308,12 +303,6 @@ def rotate_word(word, space):
     return act(perm, word, degs)
 
 
-def cyclic_lambda(word, space):
-    """The signed cyclic rotation as an element, {rotated word: sign}."""
-    sign, rw = rotate_word(word, space)
-    return {rw: Fraction(sign)}
-
-
 def cyclic_boundary(alg):
     """The cyclic boundary as a function on words: the coderivation terms plus
     wraparound windows (rotate s tail factors to the front, apply m_k there)."""
@@ -340,80 +329,6 @@ def cyclic_boundary(alg):
         return out
 
     return b
-
-
-def cyclic_b(alg, word):
-    """The cyclic boundary of a single word, as an element."""
-    return cyclic_boundary(alg)(tuple(word))
-
-
-class CyclicComplexSlice:
-    """Per-length view of the truncated cyclic complex.
-
-    Slice n holds the words with n+1 tensor factors and total suspended
-    degree within the cap, together with the rotation-difference subspace
-    whose quotient is the cyclic block.  The boundary only respects the
-    length slicing when every operation is binary; the degree grading used
-    by `cyclic_complex` is the chain-level one, and this view exists for
-    inspecting the rotation action length by length.
-    """
-
-    def __init__(self, algebra, cap):
-        self.algebra = algebra
-        self.cap = cap
-        space = algebra.suspended
-        self._by_length = {}
-        max_len = cap.max_degree  # suspended degrees are >= 1
-        if cap.max_weight is not None:
-            max_len = min(max_len, cap.max_weight)
-        for total in range(1, cap.max_degree + 1):
-            for w in cyclic_words(space, total):
-                if len(w) <= max_len:
-                    self._by_length.setdefault(len(w) - 1, []).append(w)
-
-    def words(self, n):
-        """Basis of C_n: the admissible words with n+1 factors."""
-        return list(self._by_length.get(n, []))
-
-    def lambda_image(self, n):
-        """Im(1 - lambda) inside C_n, as a Subspace."""
-        words = self.words(n)
-        index = {w: i for i, w in enumerate(words)}
-        vectors = []
-        for el in rotation_span(self.algebra.suspended, words):
-            vectors.append({index[w]: c for w, c in el.items()})
-        return Subspace.from_vectors(len(words), vectors)
-
-    def quotient_dim(self, n):
-        """Dimension of the cyclic block C_n mod rotation differences."""
-        return len(self.words(n)) - self.lambda_image(n).dim
-
-    def check_lambda_invariance(self, n):
-        """Verify b(Im(1 - lambda)) stays inside Im(1 - lambda), across all
-        the lengths the boundary reaches; returns a violating word or None."""
-        space = self.algebra.suspended
-        targets = []
-        for m in sorted(self._by_length):
-            if m <= n:
-                targets.extend(self._by_length[m])
-        index = {w: i for i, w in enumerate(targets)}
-        red = RowReducer()
-        for el in rotation_span(space, targets):
-            red.insert({index[w]: c for w, c in el.items()})
-        b = cyclic_boundary(self.algebra)
-        for w in self.words(n):
-            sign, rw = rotate_word(w, space)
-            image = b(w)
-            for idx, c in b(rw).items():
-                add_into(image, idx, -Fraction(sign) * c)
-            vec = {}
-            for target, c in image.items():
-                if target not in index:
-                    return w  # boundary left the truncation window
-                vec[index[target]] = c
-            if red.residual(vec):
-                return w
-        return None
 
 
 def rotation_span(space, words):

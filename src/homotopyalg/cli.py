@@ -347,7 +347,7 @@ def _cmd_lqt(args):
             "tables": {},
             "verdicts": {"structure": "ok", "unit": "violation"},
         }, EXIT_VIOLATION
-    report = verify_lqt(alg, sizes, args.max_degree, jobs=args.jobs)
+    report = verify_lqt(alg, sizes, args.max_degree)
     degrees = list(range(args.max_degree + 1))
     left_tables = [{
         "n": n,
@@ -357,7 +357,7 @@ def _cmd_lqt(args):
     payload = {
         "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind,
                    "sizes": report.sizes},
-        "caps": {"max_degree": args.max_degree, "jobs": args.jobs},
+        "caps": {"max_degree": args.max_degree},
         "tables": {
             "matrix_homology": left_tables,
             "exterior_on_cyclic": {
@@ -395,7 +395,7 @@ def build_parser():
                     "JSON structure documents.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, degree_default=4):
+    def common(p):
         p.add_argument("document", help="path to a .alg JSON document")
         p.add_argument("--format", choices=["json", "text"], default="json",
                        help="payload format on standard output")
@@ -438,8 +438,6 @@ def build_parser():
     p.add_argument("--n", default="4",
                    help="comma list of matrix sizes (default 4)")
     p.add_argument("--max-degree", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel workers for per-size builds")
     p.set_defaults(func=_cmd_lqt)
     return parser
 

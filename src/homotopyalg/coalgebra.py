@@ -32,7 +32,6 @@ from .graded import (
     act,
     add_into,
     canonical_sym,
-    sign_of_arrangement,
     unshuffle_splits,
 )
 
@@ -41,7 +40,6 @@ __all__ = [
     "Coderivation",
     "WeightCap",
     "WeightCapExceeded",
-    "deconcatenations",
     "coproduct_tensor",
     "coproduct_sym",
     "extend_coderivation",
@@ -226,16 +224,11 @@ def extend_coderivation(cochain, flavor, max_weight=None):
     return Coderivation(cochain, flavor, max_weight)
 
 
-def deconcatenations(word):
-    """All splits of a tensor word, both counit terms included."""
-    return [(word[:i], word[i:]) for i in range(len(word) + 1)]
-
-
 def coproduct_tensor(word):
     """Deconcatenation coproduct: {(left, right): 1} over all splits."""
     out = {}
-    for lw, rw in deconcatenations(word):
-        add_into(out, (lw, rw), Fraction(1))
+    for i in range(len(word) + 1):
+        add_into(out, (word[:i], word[i:]), Fraction(1))
     return out
 
 

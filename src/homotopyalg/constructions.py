@@ -29,7 +29,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ainfty import AInftyAlgebra, check_stasheff, suspend_operations
+from .ainfty import AInftyAlgebra, check_stasheff
 from .chain import ChainComplex
 from .coalgebra import WeightCap, include_i, read_off
 from .graded import GradedSpace, add_into
@@ -525,16 +525,18 @@ class GLCoinvariantModel:
     operators.  `blocks` holds the zero-weight words per degree and
     `spans` those images; the quotient complex is then isomorphic to the
     generic coinvariant complex, a fact the test suite verifies against
-    the all-generators construction.
+    the all-generators construction.  The reduced complex and the homology
+    coalgebra are each built once and cached.
     """
 
     algebra: LInftyAlgebra
     n: int
-    base_dim: int
+    base: AInftyAlgebra
     max_degree: int
     blocks: dict
     spans: dict
     _cx: object = field(default=None, repr=False)
+    _coalg: object = field(default=None, repr=False)
 
     def complex(self):
         if self._cx is None:
@@ -553,31 +555,30 @@ class GLCoinvariantModel:
         return table
 
     def coproduct(self):
-        """The induced coalgebra on the coinvariant homology; descent of
-        the coproduct to this quotient is verified at computation time."""
-        d = self.algebra.coderivation()
-        result, _ = coalgebra_on_homology(
-            self.algebra.suspended, self.blocks, lambda w: d.eval_word(w),
-            self.max_degree, spans=self.spans)
-        result.table.caps = {"max_degree": self.max_degree,
-                             "coinvariants": "matrix-units"}
-        for q in result.table.dims:
-            result.table.exact[q] = True
-        return result
+        """The induced coalgebra on the coinvariant homology, computed on
+        the reduced complex; descent of the coproduct to this quotient is
+        verified at computation time."""
+        if self._coalg is None:
+            result = coalgebra_on_homology(
+                self.algebra.suspended, self.complex(), self.max_degree,
+                spans=self.spans)
+            result.table.caps = {"max_degree": self.max_degree,
+                                 "coinvariants": "matrix-units"}
+            for q in result.table.dims:
+                result.table.exact[q] = True
+            self._coalg = result
+        return self._coalg
 
 
-def gl_coinvariant_model(base, n, max_degree, algebra=None):
+def gl_coinvariant_model(base, n, max_degree):
     """Build the zero-weight coinvariant model of gl_n(A) through the
     given degree.  The base must carry a strict unit (it provides the
-    copy of gl_n(K) acting by matrix units); `algebra` may supply a
-    prebuilt gl_n(A) to avoid reconstructing it."""
+    copy of gl_n(K) acting by matrix units)."""
     if base.unit is None:
         raise ValueError(
             "the coinvariant model needs a base algebra with a strict unit")
-    L = algebra if algebra is not None else gl(MatrixAlgebraSpec(base, n))
+    L = gl(MatrixAlgebraSpec(base, n))
     base_dim = base.space.dim
-    if L.space.dim != base_dim * n * n:
-        raise ValueError("supplied algebra does not match the matrix size")
     susp = L.suspended
 
     needed = {(0,) * n: None}
@@ -617,7 +618,7 @@ def gl_coinvariant_model(base, n, max_degree, algebra=None):
                     gens.append(img)
         if gens:
             spans[q] = gens
-    return GLCoinvariantModel(L, n, base_dim, max_degree, blocks, spans)
+    return GLCoinvariantModel(L, n, base, max_degree, blocks, spans)
 
 
 def _degree_words(space, total_degree):

@@ -19,10 +19,15 @@ the structure squares to zero, and they act as zero on homology - asserted,
 not assumed, by expressing their images in a computed representative basis.
 
 Coinvariants by a degree-0 sub-Lie-algebra h quotient each block by the span
-of the inner-derivation images of h.  The homology coproduct is induced by
-the shuffle coproduct on cycle representatives; its independence of the
-representative and its descent to the coinvariant quotient are verified at
-computation time rather than assumed.
+S of the inner-derivation images of h.  The homology coproduct is induced by
+the reduced shuffle coproduct, taken on the quotient itself: the pair
+complex is (C/S) (x) (C/S) on pairs of quotient basis words, the canonical
+isomorph of C (x) C modulo S (x) C + C (x) S, and it is built from the
+already-reduced complex rather than rebuilt.  Two facts are verified at
+computation time rather than assumed: the coproduct of every generator of S
+vanishes in (C/S) (x) (C/S) (descent), and the coproduct of the boundary of
+every quotient basis word has zero class (independence of the
+representative).
 """
 
 from __future__ import annotations
@@ -273,20 +278,25 @@ def h_action_spans(alg, h, blocks, max_weight=None):
     return spans
 
 
-def ce_complex(alg, max_degree, max_weight=None, h=None):
-    """ChainComplex of canonical symmetric words in degrees 0..max_degree+1,
-    with blockwise h-coinvariant quotients when a subalgebra is supplied."""
-    space = alg.suspended
+def _ce_complex(alg, max_degree, max_weight, h):
+    """ce_complex together with its quotient generators (None without h)."""
     blocks = {}
     for q in range(0, max_degree + 2):
-        words = ce_words(space, q)
+        words = ce_words(alg.suspended, q)
         if max_weight is not None:
             words = [w for w in words if len(w) <= max_weight]
         if words:
             blocks[q] = words
     spans = h_action_spans(alg, h, blocks, max_weight) if h else None
     d = alg.coderivation(max_weight)
-    return ChainComplex(blocks, lambda q, w: d.eval_word(w), quotient_spans=spans)
+    cx = ChainComplex(blocks, lambda q, w: d.eval_word(w), quotient_spans=spans)
+    return cx, spans
+
+
+def ce_complex(alg, max_degree, max_weight=None, h=None):
+    """ChainComplex of canonical symmetric words in degrees 0..max_degree+1,
+    with blockwise h-coinvariant quotients when a subalgebra is supplied."""
+    return _ce_complex(alg, max_degree, max_weight, h)[0]
 
 
 def lie_homology(alg, max_degree, max_weight=None, h=None, representatives=False):
@@ -387,10 +397,11 @@ class HomologyCoalgebra:
     """Homology with its induced coproduct in a fixed representative basis.
 
     `pair_basis[q]` lists tags (a, b, i, j) for the class of rep i of H_a
-    tensor rep j of H_b; `delta[q]` has one row per representative of H_q
-    giving the reduced coproduct in that tag basis.  Both well-definedness
-    checks (representative independence, descent to the block quotients) ran
-    at construction time.
+    tensor rep j of H_b in the homology of (C/S) (x) (C/S); `delta[q]` has
+    one row per representative of H_q giving its reduced coproduct in that
+    tag basis.  Both well-definedness checks ran at construction time: the
+    coproduct of every span generator vanishes in (C/S) (x) (C/S), and the
+    coproduct of the boundary of every quotient basis word has zero class.
     """
 
     table: BettiTable
@@ -411,175 +422,138 @@ class HomologyCoalgebra:
         return kernel(mat)
 
 
-def _reduced_coproduct(el, space, present):
-    """Shuffle coproduct without counit terms, keeping only split halves that
-    survive in the given blocks (in a graded presentation the absent words
-    are exactly the ones the quotient map kills)."""
-    out = {}
-    for w, c in el.items():
-        for (front, back), sign in coproduct_sym(w, space).items():
-            if not front or not back:
-                continue
-            a = space.word_degree(front)
-            b = space.word_degree(back)
-            if front not in present.get(a, ()) or back not in present.get(b, ()):
-                continue
-            key = (front, back)
-            out[key] = out.get(key, Fraction(0)) + Fraction(c) * sign
-    return {k: v for k, v in out.items() if v}
-
-
-def coalgebra_on_homology(space, blocks, dfun, max_degree, spans=None):
+def coalgebra_on_homology(space, cx, max_degree, spans=None):
     """Homology of a word complex together with its induced coproduct.
 
-    `blocks` maps degree to canonical symmetric words (degrees up to
-    max_degree + 1), `dfun` is the differential on a word, `spans` the
-    optional per-degree quotient generators.  Builds the complex, the
-    two-factor complex on pairs, expresses the reduced coproduct of each
-    representative in the basis of representative pairs, and verifies both
-    representative independence and (when quotients are present) that the
-    coproduct kills the span generators.
+    `cx` is the complex of canonical symmetric words over `space` (degrees
+    up to max_degree + 1), already reduced by its quotient generators;
+    `spans` lists those generators per degree for the descent check.  The
+    reduced shuffle coproduct is taken on (C/S) (x) (C/S): each tensor
+    factor is replaced by its canonical residual in the quotient, and a
+    factor whose word is absent from the complex counts as zero (in a
+    graded presentation the absent words are exactly the ones the quotient
+    map kills).  Verifies that the coproduct of every span generator of
+    degree <= max_degree vanishes there, and that the coproduct of the
+    boundary of every quotient basis word has zero class, before
+    expressing the coproduct of each representative in the basis of
+    representative pairs.
     """
-    cx = ChainComplex(blocks, lambda q, w: dfun(w), quotient_spans=spans)
     table = cx.homology(range(0, max_degree + 1), representatives=True)
-    present = {q: set(ws) for q, ws in blocks.items()}
+    reps = table.representatives
+    basis = {q: [cx.blocks[q][c] for c in cx.quotient_cols(q)]
+             for q in cx.blocks}
+
+    residuals = {}
+
+    def residual(word):
+        """The class of a word in C/S, over the quotient basis words."""
+        if word not in residuals:
+            q = space.word_degree(word)
+            col = cx.index.get(q, {}).get(word)
+            vec = {} if col is None else cx._residual({col: Fraction(1)}, q)
+            residuals[word] = {cx.blocks[q][c]: v for c, v in vec.items()}
+        return residuals[word]
+
+    def residual_of(el):
+        out = {}
+        for w, c in el.items():
+            for w2, c2 in residual(w).items():
+                add_into(out, w2, c * c2)
+        return out
+
+    word_coproducts = {}
+
+    def reduced_coproduct(el):
+        """Shuffle coproduct without counit terms, in (C/S) (x) (C/S)."""
+        out = {}
+        for w, c in el.items():
+            if w not in word_coproducts:
+                terms = {}
+                for (front, back), sign in coproduct_sym(w, space).items():
+                    if not front or not back:
+                        continue
+                    right = residual(back)
+                    for x, c1 in residual(front).items():
+                        for y, c2 in right.items():
+                            add_into(terms, (x, y), sign * c1 * c2)
+                word_coproducts[w] = terms
+            for pair, c2 in word_coproducts[w].items():
+                add_into(out, pair, Fraction(c) * c2)
+        return out
 
     pair_blocks = {}
     for t in range(2, max_degree + 2):
-        pairs = []
-        for a in sorted(blocks):
-            b = t - a
-            if a < 1 or b < 1 or b not in blocks:
-                continue
-            for w1 in blocks[a]:
-                if not w1:
-                    continue
-                for w2 in blocks[b]:
-                    if w2:
-                        pairs.append((w1, w2))
+        pairs = [(x, y) for a in sorted(basis) if 1 <= a < t
+                 for x in basis[a] for y in basis.get(t - a, ())]
         if pairs:
             pair_blocks[t] = pairs
 
-    pair_present = {q: set(ps) for q, ps in pair_blocks.items()}
-
-    def pair_diff(q, pair):
-        w1, w2 = pair
-        a = space.word_degree(w1)
+    def pair_diff(t, pair):
+        x, y = pair
+        a = space.word_degree(x)
+        b = t - a
         out = {}
-        for w, c in dfun(w1).items():
-            if (w, w2) in pair_present.get(q - 1, ()):
-                add_into(out, (w, w2), c)
-        sgn = -1 if a % 2 else 1
-        for w, c in dfun(w2).items():
-            if (w1, w) in pair_present.get(q - 1, ()):
-                add_into(out, (w1, w), sgn * c)
+        # terms with a degree-0 factor lie outside the reduced tensor square
+        if a > 1:
+            for w, c in residual_of(cx.diff(a, x)).items():
+                add_into(out, (w, y), c)
+        if b > 1:
+            sgn = -1 if a % 2 else 1
+            for w, c in residual_of(cx.diff(b, y)).items():
+                add_into(out, (x, w), sgn * c)
         return out
 
-    pair_spans = None
-    if spans:
-        pair_spans = {}
-        for q, pairs in pair_blocks.items():
-            gens = []
-            for a, gen_list in spans.items():
-                for s in gen_list:
-                    for b, words in blocks.items():
-                        if a + b != q:
-                            continue
-                        for w in words:
-                            if not w:
-                                continue
-                            left = {(ws, w): c for ws, c in s.items() if ws}
-                            right = {(w, ws): c for ws, c in s.items() if ws}
-                            if left:
-                                gens.append(left)
-                            if right:
-                                gens.append(right)
-            if gens:
-                pair_spans[q] = gens
+    pair_cx = ChainComplex(pair_blocks, pair_diff)
 
-    pair_cx = ChainComplex(pair_blocks, pair_diff, quotient_spans=pair_spans)
-
-    if spans:
-        for q, gen_list in spans.items():
-            if q > max_degree:
-                continue
-            for s in gen_list:
-                img = _reduced_coproduct(s, space, present)
-                if pair_cx._residual(pair_cx._coords(img, q), q):
-                    raise ValueError(
-                        f"coproduct does not descend to the quotient in degree {q}")
+    for q, gen_list in sorted((spans or {}).items()):
+        if q > max_degree:
+            continue
+        for s in gen_list:
+            if reduced_coproduct(s):
+                raise ValueError(
+                    f"coproduct does not descend to the quotient in degree {q}")
 
     pair_basis, pair_reps = {}, {}
     for q in range(2, max_degree + 1):
-        tags, reps = [], []
+        tags, els = [], []
         for a in range(1, q):
-            b = q - a
-            for i, ra in enumerate(table.representatives.get(a, [])):
-                for j, rb in enumerate(table.representatives.get(b, [])):
-                    tags.append((a, b, i, j))
+            for i, ra in enumerate(reps.get(a, [])):
+                for j, rb in enumerate(reps.get(q - a, [])):
+                    tags.append((a, q - a, i, j))
                     el = {}
                     for w1, c1 in ra.items():
                         for w2, c2 in rb.items():
-                            if (w1, w2) in pair_present.get(q, ()):
-                                add_into(el, (w1, w2), Fraction(c1) * Fraction(c2))
-                    reps.append(el)
+                            add_into(el, (w1, w2), Fraction(c1) * Fraction(c2))
+                    els.append(el)
         pair_basis[q] = tags
-        pair_reps[q] = reps
+        pair_reps[q] = els
+
+    for q in range(2, max_degree + 1):
+        for w in basis.get(q + 1, ()):
+            img = reduced_coproduct(cx.diff(q + 1, w))
+            if pair_cx.class_coefficients(q, img, pair_reps[q]):
+                raise ValueError(
+                    f"coproduct depends on the choice of representative in degree {q}")
 
     delta = {}
     for q in range(0, max_degree + 1):
         rows = []
-        for rep in table.representatives.get(q, []):
-            img = _reduced_coproduct(rep, space, present)
+        for rep in reps.get(q, []):
             if q < 2:
-                if img:
-                    raise ValueError("nonzero reduced coproduct below degree 2")
                 rows.append({})
                 continue
-            combo = pair_cx.class_coefficients(q, img, pair_reps[q])
+            combo = pair_cx.class_coefficients(q, reduced_coproduct(rep),
+                                               pair_reps[q])
             rows.append({pair_basis[q][p]: c for p, c in combo.items()})
         delta[q] = rows
 
-    for q in range(2, max_degree + 1):
-        if q + 1 not in blocks or not table.representatives.get(q, []):
-            continue
-        perturb = {}
-        for w in blocks[q + 1][: 3]:
-            if w:
-                add_into(perturb, w, Fraction(1))
-        boundary = {}
-        for w, c in perturb.items():
-            for w2, c2 in dfun(w).items():
-                add_into(boundary, w2, c * c2)
-        if not boundary:
-            continue
-        for row, rep in zip(delta[q], table.representatives[q]):
-            moved = dict(rep)
-            for w, c in boundary.items():
-                add_into(moved, w, c)
-            img = _reduced_coproduct(moved, space, present)
-            combo = pair_cx.class_coefficients(q, img, pair_reps[q])
-            if {pair_basis[q][p]: c for p, c in combo.items()} != row:
-                raise ValueError(
-                    f"coproduct depends on the choice of representative in degree {q}")
-
-    return HomologyCoalgebra(table=table, pair_basis=pair_basis, delta=delta), cx
+    return HomologyCoalgebra(table=table, pair_basis=pair_basis, delta=delta)
 
 
 def homology_coproduct(alg, max_degree, max_weight=None, h=None):
     """The induced coalgebra structure on Chevalley-Eilenberg homology."""
-    space = alg.suspended
-    blocks = {}
-    for q in range(0, max_degree + 2):
-        words = ce_words(space, q)
-        if max_weight is not None:
-            words = [w for w in words if len(w) <= max_weight]
-        if words:
-            blocks[q] = words
-    spans = h_action_spans(alg, h, blocks, max_weight) if h else None
-    d = alg.coderivation(max_weight)
-    result, _ = coalgebra_on_homology(space, blocks, lambda w: d.eval_word(w),
-                                      max_degree, spans=spans)
+    cx, spans = _ce_complex(alg, max_degree, max_weight, h)
+    result = coalgebra_on_homology(alg.suspended, cx, max_degree, spans=spans)
     result.table.caps = {"max_degree": max_degree, "max_weight": max_weight}
     for q in result.table.dims:
         result.table.exact[q] = max_weight is None or max_weight >= q + 1

@@ -29,7 +29,6 @@ than guessed.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -59,6 +58,10 @@ __all__ = [
 MATCH = "MATCH"
 MISMATCH = "MISMATCH"
 UNSTABLE = "UNSTABLE"
+
+# Largest ambient dimension of the doubled algebra gl_2n(A) for which
+# verify_lqt runs the block-sum product check.
+HOPF_BUDGET = 40
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +172,23 @@ class HopfProductReport:
                 and not self.primitive_product_violations)
 
 
-def hopf_product_on_homology(base, n, max_degree):
+def hopf_product_on_homology(model_n):
     """The product induced by the interleaved block sum on coinvariant
     homology, with its exact structure checks.
 
-    Chains of gl_n are pushed into the odd and even slots of gl_2n,
-    wedged, and expressed in a computed representative basis of the
-    doubled coinvariant homology.  Graded commutativity is compared
-    directly there; associativity is checked after re-expression through
-    the corner inclusion, which on the zero-weight presentation induces
-    the same stabilization map as either slot embedding.  Products of
-    non-scalar primitive classes are additionally checked to leave the
-    primitive subspace whenever they are nonzero.
+    `model_n` is the coinvariant model of gl_n(A); the model of gl_2n(A)
+    is built here through the same degree.  Chains of gl_n are pushed
+    into the odd and even slots of gl_2n, wedged, and expressed in a
+    computed representative basis of the doubled coinvariant homology.
+    Graded commutativity is compared directly there; associativity is
+    checked after re-expression through the corner inclusion, which on the
+    zero-weight presentation induces the same stabilization map as either
+    slot embedding.  Products of non-scalar primitive classes are
+    additionally checked to leave the primitive subspace whenever they are
+    nonzero.
     """
+    base, n, max_degree = model_n.base, model_n.n, model_n.max_degree
     base_dim = base.space.dim
-    model_n = gl_coinvariant_model(base, n, max_degree)
     coalg = model_n.coproduct()
     table_n = coalg.table
     model_2n = gl_coinvariant_model(base, 2 * n, max_degree)
@@ -347,7 +352,7 @@ class LQTReport:
             all(v == MATCH for v in self.primitive_verdicts.values())
 
 
-def verify_lqt(base, sizes, max_degree, jobs=1, hopf_budget=40):
+def verify_lqt(base, sizes, max_degree):
     """Run the full comparison for a unital certified algebra.
 
     Builds the coinvariant homology of gl_n(A) for each size, detects
@@ -367,11 +372,7 @@ def verify_lqt(base, sizes, max_degree, jobs=1, hopf_budget=40):
     if not sizes or sizes[0] < 1:
         raise ValueError("matrix sizes must be integers >= 1")
 
-    def build(n):
-        return gl_coinvariant_model(base, n, max_degree)
-
-    with ThreadPoolExecutor(max_workers=max(1, int(jobs))) as pool:
-        models = dict(zip(sizes, pool.map(build, sizes)))
+    models = {n: gl_coinvariant_model(base, n, max_degree) for n in sizes}
     left = {}
     for n in sizes:
         table = models[n].homology()
@@ -436,14 +437,15 @@ def verify_lqt(base, sizes, max_degree, jobs=1, hopf_budget=40):
         else:
             primitive_verdicts[q] = MISMATCH
 
-    hopf = None
     n_h = min(3, n_big)
     ambient = base.space.dim * (2 * n_h) ** 2
-    if ambient <= hopf_budget:
-        hopf = hopf_product_on_homology(base, n_h, max_degree)
+    if ambient <= HOPF_BUDGET:
+        model_h = (models[n_h] if n_h in models
+                   else gl_coinvariant_model(base, n_h, max_degree))
+        hopf = hopf_product_on_homology(model_h)
     else:
         hopf = (f"skipped: doubled ambient dimension {ambient} exceeds "
-                f"the harness budget {hopf_budget}")
+                f"the harness budget {HOPF_BUDGET}")
 
     return LQTReport(
         algebra=base.name or "A", sizes=sizes, max_degree=max_degree,

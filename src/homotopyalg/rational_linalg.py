@@ -25,7 +25,6 @@ __all__ = [
     "LinearSolver",
     "rank",
     "kernel",
-    "kernel_basis",
     "column_space",
     "row_space",
     "quotient_dim",
@@ -372,9 +371,6 @@ def kernel(matrix: SparseMatrix) -> Subspace:
                 v[p] = -entry
         vectors.append(v)
     return Subspace.from_vectors(matrix.ncols, vectors)
-
-
-kernel_basis = kernel
 
 
 def quotient_dim(big: Subspace, small: Subspace) -> int:

@@ -8,6 +8,7 @@ equality - no tolerances anywhere.
 import copy
 import itertools
 import json
+import os
 import random
 import subprocess
 import sys
@@ -16,7 +17,13 @@ from pathlib import Path
 
 from homotopyalg.cli import main
 from homotopyalg.coalgebra import coproduct_sym
-from homotopyalg.constructions import MatrixAlgebraSpec, gl, gl_index, lie_ify
+from homotopyalg.constructions import (
+    MatrixAlgebraSpec,
+    gl,
+    gl_coinvariant_model,
+    gl_index,
+    lie_ify,
+)
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import add_into, canonical_sym
 from homotopyalg.ainfty import cyclic_homology
@@ -25,7 +32,9 @@ from homotopyalg.lqt import hopf_product_on_homology
 
 from oracles import connes_cyclic_dims, gl_bracket, lie_homology_dims, sl2_bracket
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
 CHECKED_FIXTURES = ("K.alg", "dual_numbers.alg", "ut2.alg", "sl2.alg",
                     "dga2.alg", "m3only.alg")
 
@@ -330,7 +339,7 @@ def test_criterion_7_lqt_comparison_at_desk_scale(capsys):
 
 
 def test_criterion_8_block_sum_product_is_commutative_and_associative(capsys):
-    report = hopf_product_on_homology(algebra("K.alg"), 3, 4)
+    report = hopf_product_on_homology(gl_coinvariant_model(algebra("K.alg"), 3, 4))
     assert report.unit_ok
     assert report.commutative_violations == []
     assert report.associative_violations == []
@@ -346,19 +355,28 @@ def test_criterion_8_block_sum_product_is_commutative_and_associative(capsys):
 
 
 def test_criterion_9_byte_identical_payloads(capsys):
-    commands = [
-        ["check", fixture_path("sl2.alg")],
-        ["lieify", fixture_path("ut2.alg")],
-        ["hc", fixture_path("K.alg"), "--max-degree", "4"],
-        ["ce", fixture_path("sl2.alg"), "--max-degree", "3"],
-        ["lqt", fixture_path("K.alg"), "--n", "2", "--max-degree", "2"],
-    ]
-    for argv in commands:
+    # Run from the repository root with relative paths: the payload echoes
+    # the document path, and the golden files record these exact bytes.
+    commands = {
+        "check_sl2": ["check", "fixtures/sl2.alg"],
+        "lieify_ut2": ["lieify", "fixtures/ut2.alg"],
+        "hc_K": ["hc", "fixtures/K.alg", "--max-degree", "4"],
+        "ce_sl2": ["ce", "fixtures/sl2.alg", "--max-degree", "3"],
+        "lqt_K_n2": ["lqt", "fixtures/K.alg", "--n", "2", "--max-degree", "2"],
+        "lqt_dual_n23": ["lqt", "fixtures/dual_numbers.alg", "--n", "2,3",
+                         "--max-degree", "3"],
+    }
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    for name, argv in commands.items():
         runs = [subprocess.run(
             [sys.executable, "-m", "homotopyalg", *argv],
-            capture_output=True, check=True) for _ in range(2)]
+            capture_output=True, check=True, cwd=ROOT, env=env)
+            for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout, argv
         assert json.loads(runs[0].stdout.decode()), argv
+        assert runs[0].stdout == (GOLDEN / f"{name}.json").read_bytes(), argv
     print("CRITERION 9: PASS - two fresh-process runs of every subcommand "
-          "produce byte-identical JSON payloads")
+          "produce byte-identical JSON payloads, equal to the golden files")
 

@@ -7,7 +7,7 @@ import pytest
 
 from homotopyalg.ainfty import AInftyAlgebra, from_associative, from_dga
 from homotopyalg.graded import GradedSpace
-from homotopyalg.linfty import lie_homology
+from homotopyalg.linfty import homology_coproduct, lie_homology, primitives
 from homotopyalg.constructions import (
     GLCoinvariantModel,
     MatrixAlgebraSpec,
@@ -28,7 +28,6 @@ from homotopyalg.constructions import (
     tensor_with_associative,
     trace,
 )
-from homotopyalg.linfty import primitives
 
 from oracles import gl_bracket, lie_homology_dims
 
@@ -377,10 +376,15 @@ def all_matrix_unit_generators(base, n):
 def test_coinvariant_model_matches_generic_quotient(base_name):
     base = {"K": ground_field, "K[e]": dual_numbers}[base_name]()
     fast = gl_coinvariant_homology(base, 2, 3)
-    generic = lie_homology(gl_cached(base_name, 2), 3,
-                           h=all_matrix_unit_generators(base, 2))
+    h = all_matrix_unit_generators(base, 2)
+    generic = lie_homology(gl_cached(base_name, 2), 3, h=h)
     assert {q: fast.dims[q] for q in range(4)} == \
         {q: generic.dims[q] for q in range(4)}
+    # the coproduct on the zero-weight quotient against the generic one
+    fast_prim = primitives(gl_coinvariant_model(base, 2, 3).coproduct())
+    generic_prim = primitives(homology_coproduct(gl_cached(base_name, 2), 3, h=h))
+    assert {q: fast_prim[q].dim for q in range(4)} == \
+        {q: generic_prim[q].dim for q in range(4)}
 
 
 def test_coinvariant_model_gl3_dims_and_primitives():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import Cochain, WeightCap
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import (
@@ -12,6 +13,7 @@ from homotopyalg.linfty import (
     ce_words,
     check_derivation,
     check_linfty,
+    coalgebra_on_homology,
     homology_coproduct,
     inner_action_on_homology,
     lie_homology,
@@ -306,3 +308,16 @@ def test_coproduct_survives_coinvariant_reduction():
     assert H.table.as_row(range(5)) == (1, 1, 0, 1, 1)
     prim = primitives(H)
     assert [prim[q].dim for q in range(5)] == [0, 1, 0, 1, 0]
+
+
+def test_coproduct_that_does_not_descend_is_refused():
+    # abelian on x0, x1 in degree 0: d = 0 descends to any quotient, but the
+    # reduced coproduct of x0.x1 is x0 (x) x1 - x1 (x) x0, nonzero in C1 (x) C1
+    alg = abelian(2)
+    space = alg.suspended
+    blocks = {q: ce_words(space, q) for q in range(4)}
+    spans = {2: [{(0, 1): Fraction(1)}]}
+    d = alg.coderivation()
+    cx = ChainComplex(blocks, lambda q, w: d.eval_word(w), quotient_spans=spans)
+    with pytest.raises(ValueError, match="does not descend"):
+        coalgebra_on_homology(space, cx, 2, spans=spans)
