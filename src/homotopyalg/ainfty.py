@@ -218,25 +218,48 @@ class StructureReport:
         return self.ok
 
 
+# Structures that passed check_stasheff in this process, keyed on what the
+# certificate depends on: degrees, cap and operations (labels and names are
+# left out).  Only passes are kept, so a failing structure is always
+# recomputed and reported with its witness; the oldest key is dropped first.
+_CERTIFIED = {}
+_CERTIFIED_MAX = 64
+
+
+def _certificate_key(alg, cap):
+    ops = tuple(sorted(
+        (k, tuple(sorted((word, tuple(sorted(val.items())))
+                         for word, val in table.items())))
+        for k, table in alg.ops.items()))
+    return alg.space.degrees, cap, ops
+
+
 def check_stasheff(alg, max_arity=None):
     """Verify the higher associativity tower by squaring the coderivation.
 
     With components up to arity K, the square has components only up to
     2K - 1, so checking that far is a complete proof; a smaller cap yields a
-    partial certificate.  `max_arity` may be an int or a WeightCap.
+    partial certificate.  `max_arity` may be an int or a WeightCap.  A
+    structure with the same degrees and operations as one already certified
+    in this process, at the same cap, is not squared again.
     """
     if isinstance(max_arity, WeightCap):
         max_arity = max_arity.max_weight
     K = alg.max_arity
     full = 2 * K - 1 if K else 0
     cap = full if max_arity is None else min(max_arity, full)
-    d = alg.coderivation()
-    sq = bracket(d, d, cap)
-    for n in sorted(sq.comps):
-        table = sq.comps[n]
-        for word in sorted(table):
-            return StructureReport(False, cap, cap >= full,
-                                   (n, word, dict(table[word])))
+    key = _certificate_key(alg, cap)
+    if key not in _CERTIFIED:
+        d = alg.coderivation()
+        sq = bracket(d, d, cap)
+        for n in sorted(sq.comps):
+            table = sq.comps[n]
+            for word in sorted(table):
+                return StructureReport(False, cap, cap >= full,
+                                       (n, word, dict(table[word])))
+        if len(_CERTIFIED) >= _CERTIFIED_MAX:
+            del _CERTIFIED[next(iter(_CERTIFIED))]
+        _CERTIFIED[key] = None
     return StructureReport(True, cap, cap >= full)
 
 

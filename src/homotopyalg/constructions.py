@@ -18,9 +18,15 @@ coinvariant Chevalley-Eilenberg complex splits over the weight lattice of
 the diagonal torus, and every nonzero-weight summand dies in the
 quotient: the coinvariant complex is isomorphic to the zero-weight words
 modulo the off-diagonal adjoint images of the opposite-weight words.
-`gl_coinvariant_model` materializes that small presentation exactly; its
-agreement with the generic quotient-by-all-generators route is part of
-the test suite, not assumed here.
+When the base has a strict unit, every higher bracket with 1 (x) E
+vanishes, so the matrix units act through a Lie action of gl_n(K); every
+off-diagonal unit is then an iterated commutator of the simple-root units
+E_{r,r+1}, E_{r+1,r}, and their 2(n-1) images already span the quotient.
+`gl_coinvariant_model` materializes that small presentation exactly,
+sorting the words of each degree by torus weight in one enumeration
+pass; its agreement with the generic quotient-by-all-generators route,
+and of its spans with the all-roots spans, is part of the test suite,
+not assumed here.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ainfty import AInftyAlgebra, check_stasheff
+from .ainfty import AInftyAlgebra, check_stasheff, check_strict_unit
 from .chain import ChainComplex
 from .coalgebra import WeightCap, include_i, read_off
 from .graded import GradedSpace, add_into
@@ -502,31 +508,23 @@ def check_block_sum_morphism(gl_left, gl_right, gl_target, pairs):
 # The coinvariant model of gl_n(A) in zero weight
 
 
-def _word_weight(word, n, base_dim):
-    """Net diagonal-torus weight of a basis word, as a length-n tuple."""
-    net = [0] * n
-    for idx in word:
-        _, i, j = gl_entry(idx, n, base_dim)
-        net[i] += 1
-        net[j] -= 1
-    return tuple(net)
-
-
 @dataclass
 class GLCoinvariantModel:
     """The gl_n(K)-coinvariant Chevalley-Eilenberg complex of gl_n(A),
     presented on zero-weight words.
 
-    The full complex splits over the weight lattice of the diagonal
-    matrix units, which act on a word by its total weight; every
-    nonzero-weight summand is killed by its own torus action, and on the
-    zero-weight summand the only surviving quotient generators are the
-    images of opposite-weight words under the off-diagonal adjoint
-    operators.  `blocks` holds the zero-weight words per degree and
-    `spans` those images; the quotient complex is then isomorphic to the
+    The full complex splits over the weight lattice of the diagonal torus,
+    whose matrix units act on a word by its total weight; every
+    nonzero-weight summand is killed by its own torus action.  On the
+    zero-weight summand the quotient is by the images of the simple-root
+    units: E_{r,r+1} on the words of weight e_{r+1} - e_r and E_{r+1,r} on
+    those of weight e_r - e_{r+1}, r = 1..n-1.  These 2(n-1) actions span
+    the same subspace as all n(n-1) off-diagonal ones (see
+    `gl_coinvariant_model`), so the quotient complex is isomorphic to the
     generic coinvariant complex, a fact the test suite verifies against
-    the all-generators construction.  The reduced complex and the homology
-    coalgebra are each built once and cached.
+    the all-generators construction.  `blocks` holds the zero-weight words
+    per degree and `spans` the simple-root images.  The reduced complex
+    and the homology coalgebra are each built once and cached.
     """
 
     algebra: LInftyAlgebra
@@ -570,76 +568,114 @@ class GLCoinvariantModel:
         return self._coalg
 
 
+def _root_weight(n, r, s):
+    """Torus weight e_r - e_s of the matrix unit E_{r+1,s+1}."""
+    wt = [0] * n
+    wt[r] += 1
+    wt[s] -= 1
+    return tuple(wt)
+
+
+def _weight_buckets(space, n, base_dim, total_degree, weights):
+    """The canonical words of one suspended degree whose torus weight is in
+    `weights`, as {weight: [word, ...]}.
+
+    One depth-first pass in `ce_words` order, so each bucket lists its
+    words in that order.  The running weight is updated letter by letter:
+    the letter a (x) E_{i+1,j+1} adds e_i - e_j.  Every target weight has
+    L1 norm at most 2, every letter has suspended degree at least 1 and
+    moves the L1 norm by at most 2, so a prefix whose norm exceeds
+    2 * (remaining degree + 1) is abandoned.
+    """
+    degs = space.degrees
+    dim = space.dim
+    rows, cols = [], []
+    for idx in range(dim):
+        _, i, j = gl_entry(idx, n, base_dim)
+        rows.append(i)
+        cols.append(j)
+    buckets = {wt: [] for wt in weights}
+    net = [0] * n
+    prefix = []
+
+    def extend(start, remaining, norm):
+        for idx in range(start, dim):
+            d = degs[idx]
+            if d > remaining or (prefix and prefix[-1] == idx and d % 2):
+                continue
+            i, j = rows[idx], cols[idx]
+            a, b = net[i], net[j]
+            if i != j:
+                net[i] = a + 1
+                net[j] = b - 1
+                step = abs(a + 1) + abs(b - 1) - abs(a) - abs(b)
+            else:
+                step = 0
+            if d == remaining:
+                if norm + step <= 2:
+                    bucket = buckets.get(tuple(net))
+                    if bucket is not None:
+                        bucket.append((*prefix, idx))
+            elif norm + step <= 2 * (remaining - d) + 2:
+                prefix.append(idx)
+                extend(idx, remaining - d, norm + step)
+                prefix.pop()
+            net[i], net[j] = a, b
+
+    if total_degree == 0 and tuple(net) in buckets:
+        buckets[tuple(net)].append(())
+    extend(0, total_degree, 0)
+    return buckets
+
+
 def gl_coinvariant_model(base, n, max_degree):
     """Build the zero-weight coinvariant model of gl_n(A) through the
-    given degree.  The base must carry a strict unit (it provides the
-    copy of gl_n(K) acting by matrix units)."""
-    if base.unit is None:
+    given degree.
+
+    The base must carry a strict unit: it provides the copy of gl_n(K)
+    acting by matrix units, and strictness makes every higher bracket
+    with 1 (x) E vanish, so x -> [delta_ell, delta_x] is a Lie action of
+    gl_n(K).  Every off-diagonal unit is an iterated commutator of
+    simple-root units, so by induction on the height of a root alpha,
+    E_alpha . C_{-alpha} lies in the sum of E_beta . C_{-beta} over simple
+    roots beta (of either sign); the zero-weight part of gl_n(K) . C is
+    therefore spanned by the 2(n-1) simple-root images alone.
+    """
+    unitality = check_strict_unit(base)
+    if not unitality:
+        reason, _, word = unitality.failures[0]
         raise ValueError(
-            "the coinvariant model needs a base algebra with a strict unit")
+            "the coinvariant model needs a base algebra with a strict unit "
+            f"({reason} at {word})")
     L = gl(MatrixAlgebraSpec(base, n))
     base_dim = base.space.dim
     susp = L.suspended
 
-    needed = {(0,) * n: None}
-    offdiag = []
-    for r, s in itertools.permutations(range(n), 2):
-        wt = [0] * n
-        wt[s] += 1
-        wt[r] -= 1
-        offdiag.append((r, s, tuple(wt)))
-        needed[tuple(wt)] = None
-
-    buckets = {}
-    for q in range(0, max_degree + 2):
-        per_weight = {wt: [] for wt in needed}
-        for word in _degree_words(susp, q):
-            wt = _word_weight(word, n, base_dim)
-            if wt in per_weight:
-                per_weight[wt].append(word)
-        buckets[q] = per_weight
-
     zero = (0,) * n
-    blocks = {q: bw[zero] for q, bw in buckets.items() if bw[zero]}
+    simple = []
+    for r in range(n - 1):
+        for s, t in ((r, r + 1), (r + 1, r)):
+            gen = {gl_index(n, base_dim, base.unit, s, t): Fraction(1)}
+            act = make_inner(L, gen).coderivation()
+            # E_{s+1,t+1} adds e_s - e_t, so it maps the words of weight
+            # e_t - e_s into weight zero
+            simple.append((_root_weight(n, t, s), act))
+    weights = [zero] + [wt for wt, _ in simple]
 
-    actions = {}
-    for r, s, wt in offdiag:
-        gen = {gl_index(n, base_dim, base.unit, r, s): Fraction(1)}
-        actions[(r, s, wt)] = make_inner(L, gen).coderivation()
-
-    spans = {}
-    for q, per_weight in buckets.items():
+    blocks, spans = {}, {}
+    for q in range(0, max_degree + 2):
+        buckets = _weight_buckets(susp, n, base_dim, q, weights)
+        if buckets[zero]:
+            blocks[q] = buckets[zero]
         gens = []
-        for r, s, wt in offdiag:
-            act = actions[(r, s, wt)]
-            for word in per_weight[wt]:
+        for wt, act in simple:
+            for word in buckets[wt]:
                 img = act.eval_word(word)
                 if img:
                     gens.append(img)
         if gens:
             spans[q] = gens
     return GLCoinvariantModel(L, n, base, max_degree, blocks, spans)
-
-
-def _degree_words(space, total_degree):
-    """Canonical symmetric words of one suspended degree, lazily.
-
-    Same order and admissibility as the Chevalley-Eilenberg block
-    builder; suspended degrees are >= 1, so recursion terminates."""
-    degs = space.degrees
-
-    def extend(start, remaining):
-        if remaining == 0:
-            yield ()
-            return
-        for i in range(start, space.dim):
-            d = degs[i]
-            if d > remaining:
-                continue
-            for tail in extend(i if d % 2 == 0 else i + 1, remaining - d):
-                yield (i,) + tail
-
-    yield from extend(0, total_degree)
 
 
 def gl_coinvariant_homology(base, n, max_degree, representatives=False):

@@ -45,6 +45,13 @@ __all__ = [
 ]
 
 
+def _freeze_fields(space):
+    """Store labels and degrees as tuples, so that a frozen space hashes
+    whatever sequences it was built from."""
+    object.__setattr__(space, "labels", tuple(space.labels))
+    object.__setattr__(space, "degrees", tuple(space.degrees))
+
+
 @dataclass(frozen=True)
 class GradedSpace:
     """Finite list of labelled basis elements with unsuspended degrees >= 0."""
@@ -53,6 +60,7 @@ class GradedSpace:
     degrees: tuple
 
     def __post_init__(self):
+        _freeze_fields(self)
         if len(self.labels) != len(self.degrees):
             raise ValueError("labels and degrees must have equal length")
         if len(set(self.labels)) != len(self.labels):
@@ -79,6 +87,9 @@ class Space:
 
     labels: tuple
     degrees: tuple
+
+    def __post_init__(self):
+        _freeze_fields(self)
 
     @property
     def dim(self):

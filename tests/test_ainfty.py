@@ -71,6 +71,38 @@ def test_stasheff_violation_witness():
     assert arity == 3 and word == (0, 0, 0) and defect
 
 
+def test_stasheff_memo_ignores_labels_but_not_coefficients(monkeypatch):
+    from homotopyalg import ainfty
+
+    squarings = []
+    real_bracket = ainfty.bracket
+
+    def counting_bracket(*args, **kwargs):
+        squarings.append(args[-1])
+        return real_bracket(*args, **kwargs)
+
+    monkeypatch.setattr(ainfty, "bracket", counting_bracket)
+    base = upper_triangular()
+    assert check_stasheff(base).ok
+    first = len(squarings)
+    relabelled = AInftyAlgebra(GradedSpace(("u", "x", "y"), (0, 0, 0)),
+                               base.ops, unit=0, name="relabelled")
+    rep = check_stasheff(relabelled)
+    assert rep.ok and rep.complete
+    assert len(squarings) == first  # served from the memo
+
+    ops = {k: {w: dict(v) for w, v in table.items()}
+           for k, table in base.ops.items()}
+    ops[2][(1, 2)] = {1: 2}          # n * p = 2n breaks associativity
+    mutant = AInftyAlgebra(base.space, ops, unit=0)
+    for _ in range(2):
+        rep = check_stasheff(mutant)
+        assert not rep.ok and rep.witness is not None
+        arity, word, defect = rep.witness
+        assert arity == 3 and defect
+    assert len(squarings) == first + 2  # squared every time, never memoized
+
+
 def test_decalage_signs_frozen():
     m = two_term_dga().m
     assert m.comps[1] == {(1,): {0: Fraction(1)}}

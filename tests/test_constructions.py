@@ -6,9 +6,18 @@ from functools import lru_cache
 import pytest
 
 from homotopyalg.ainfty import AInftyAlgebra, from_associative, from_dga
+from homotopyalg.chain import ChainComplex
 from homotopyalg.graded import GradedSpace
-from homotopyalg.linfty import homology_coproduct, lie_homology, primitives
+from homotopyalg.linfty import (
+    ce_words,
+    homology_coproduct,
+    lie_homology,
+    make_inner,
+    primitives,
+)
 from homotopyalg.constructions import (
+    _root_weight,
+    _weight_buckets,
     GLCoinvariantModel,
     MatrixAlgebraSpec,
     MatrixElement,
@@ -372,17 +381,21 @@ def all_matrix_unit_generators(base, n):
             for i, j in itertools.product(range(n), repeat=2)]
 
 
-@pytest.mark.parametrize("base_name", ["K", "K[e]"])
-def test_coinvariant_model_matches_generic_quotient(base_name):
+@pytest.mark.parametrize("base_name,n", [
+    pytest.param("K", 2, id="K"),
+    pytest.param("K[e]", 2, id="K[e]"),
+    pytest.param("K", 3, id="K-n3"),
+])
+def test_coinvariant_model_matches_generic_quotient(base_name, n):
     base = {"K": ground_field, "K[e]": dual_numbers}[base_name]()
-    fast = gl_coinvariant_homology(base, 2, 3)
-    h = all_matrix_unit_generators(base, 2)
-    generic = lie_homology(gl_cached(base_name, 2), 3, h=h)
+    fast = gl_coinvariant_homology(base, n, 3)
+    h = all_matrix_unit_generators(base, n)
+    generic = lie_homology(gl_cached(base_name, n), 3, h=h)
     assert {q: fast.dims[q] for q in range(4)} == \
         {q: generic.dims[q] for q in range(4)}
     # the coproduct on the zero-weight quotient against the generic one
-    fast_prim = primitives(gl_coinvariant_model(base, 2, 3).coproduct())
-    generic_prim = primitives(homology_coproduct(gl_cached(base_name, 2), 3, h=h))
+    fast_prim = primitives(gl_coinvariant_model(base, n, 3).coproduct())
+    generic_prim = primitives(homology_coproduct(gl_cached(base_name, n), 3, h=h))
     assert {q: fast_prim[q].dim for q in range(4)} == \
         {q: generic_prim[q].dim for q in range(4)}
 
@@ -402,3 +415,80 @@ def test_coinvariant_model_needs_unital_base():
     no_unit = AInftyAlgebra(GradedSpace(("1",), (0,)), {2: {(0, 0): {0: 1}}})
     with pytest.raises(ValueError, match="strict unit"):
         gl_coinvariant_model(no_unit, 2, 2)
+
+
+def test_coinvariant_model_refuses_non_strict_unit():
+    # the unit laws of m_2 hold, but m_3(1, 1, 1) = x does not vanish
+    base = two_term_dga()
+    ops = {k: dict(table) for k, table in base.ops.items()}
+    ops[3] = {(0, 0, 0): {1: 1}}
+    lax = AInftyAlgebra(base.space, ops, unit=0)
+    with pytest.raises(ValueError, match="strict unit.*arity 3"):
+        gl_coinvariant_model(lax, 2, 2)
+
+
+def word_weight(word, n, base_dim):
+    net = [0] * n
+    for idx in word:
+        _, i, j = gl_entry(idx, n, base_dim)
+        net[i] += 1
+        net[j] -= 1
+    return tuple(net)
+
+
+@pytest.mark.parametrize("base_name", ["K", "K[e]", "D"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_weight_buckets_filter_ce_words_in_order(base_name, n):
+    base_dim = {"K": 1, "K[e]": 2, "D": 2}[base_name]
+    susp = gl_cached(base_name, n).suspended
+    targets = [(0,) * n] + [_root_weight(n, r, s)
+                            for r, s in itertools.permutations(range(n), 2)]
+    for q in range(0, 5 if n < 4 else 4):
+        buckets = _weight_buckets(susp, n, base_dim, q, targets)
+        words = ce_words(susp, q)
+        for target in targets:
+            expected = [w for w in words
+                        if word_weight(w, n, base_dim) == target]
+            assert buckets[target] == expected, (q, target)
+
+
+@pytest.mark.parametrize("base_name,n,max_degree", [
+    ("K", 3, 4), ("K", 4, 4), ("K[e]", 3, 3), ("D", 3, 3)])
+def test_simple_root_spans_equal_all_root_spans(base_name, n, max_degree):
+    base = {"K": ground_field, "K[e]": dual_numbers,
+            "D": two_term_dga}[base_name]()
+    model = gl_coinvariant_model(base, n, max_degree)
+    L = model.algebra
+    dim = base.space.dim
+    actions = []
+    for r, s in itertools.permutations(range(n), 2):
+        gen = {gl_index(n, dim, base.unit, r, s): Fraction(1)}
+        actions.append((_root_weight(n, s, r),
+                        make_inner(L, gen).coderivation()))
+    spans = {}
+    for q in range(0, max_degree + 2):
+        words = ce_words(L.suspended, q)
+        gens = []
+        for wt, act in actions:
+            for w in words:
+                if word_weight(w, n, dim) == wt:
+                    img = act.eval_word(w)
+                    if img:
+                        gens.append(img)
+        if gens:
+            spans[q] = gens
+    d = L.coderivation()
+    reference = ChainComplex(model.blocks, lambda q, w: d.eval_word(w),
+                             quotient_spans=spans)
+    fast = model.complex()
+    assert sorted(fast.reducers) == sorted(reference.reducers)
+    for q in reference.reducers:
+        assert fast.reducers[q].canonical_rows() == \
+            reference.reducers[q].canonical_rows(), q
+
+
+def test_coinvariant_model_uses_simple_roots_only():
+    model = gl_coinvariant_model(ground_field(), 4, 4)
+    assert sum(len(words) for words in model.blocks.values()) == 323
+    # 2(n-1) = 6 simple-root actions; all n(n-1) = 12 roots would give 2,424
+    assert sum(len(gens) for gens in model.spans.values()) == 1212

@@ -170,3 +170,13 @@ def test_graded_space_validation():
     sp = gs.suspend()
     assert sp.degrees == (1, 3)
     assert sp.word_degree((0, 1, 1)) == 7
+
+
+def test_spaces_normalize_to_tuples_and_hash():
+    gs = GradedSpace(["a"], [0])
+    assert gs.labels == ("a",) and gs.degrees == (0,)
+    assert hash(gs) == hash(GradedSpace(("a",), (0,)))
+    assert gs == GradedSpace(("a",), (0,))
+    sp = Space(["x", "y"], [1, 2])
+    assert sp.degrees == (1, 2)
+    assert {sp, Space(("x", "y"), (1, 2))} == {sp}
