@@ -38,7 +38,7 @@ from .documents import (
     parse_document,
     serialize_document,
 )
-from .coalgebra import WeightCap, WeightCapExceeded
+from .coalgebra import WeightCapExceeded
 from .graded import GradedSpace
 from .linfty import LInftyAlgebra, check_linfty, lie_homology, primitives
 from .lqt import (
@@ -65,7 +65,6 @@ __all__ = [
     "LQTReport",
     "MatrixAlgebraSpec",
     "MatrixElement",
-    "WeightCap",
     "WeightCapExceeded",
     "algebra_to_document",
     "block_plus",

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chain import ChainComplex
-from .coalgebra import Cochain, WeightCap, bracket, extend_coderivation
+from .coalgebra import Cochain, StructureReport, certify, extend_coderivation
 from .graded import GradedSpace, act, add_into
 
 __all__ = [
@@ -48,12 +48,12 @@ __all__ = [
 ]
 
 
-def suspend_operations(space, ops, degree_shift=2, symmetric=False):
+def suspend_operations(space, ops, symmetric=False):
     """Translate unsuspended operations to the odd suspended cochain.
 
     `ops` is {arity: {index word: {index: coeff}}}; arity k must raise
-    unsuspended degree by k - degree_shift (2 for products, matching the
-    degree -1 coderivation).  Raises ValueError on inhomogeneous entries.
+    unsuspended degree by k - 2, matching the degree -1 coderivation.
+    Raises ValueError on inhomogeneous entries.
     With `symmetric`, input words must be canonically sorted and the result
     is a symmetric cochain (the suspended form of antisymmetric brackets).
     """
@@ -110,128 +110,52 @@ class AInftyAlgebra:
         return self.ops.get(k, {}).get(tuple(word), {})
 
 
-def _table_mul(mult, left, right):
-    """Multiply two sparse elements through a table {(i,j): {k: coeff}}."""
-    out = {}
-    for i, a in left.items():
-        for j, b in right.items():
-            for k, c in mult.get((i, j), {}).items():
-                out[k] = out.get(k, Fraction(0)) + Fraction(a) * Fraction(b) * Fraction(c)
-    return {k: v for k, v in out.items() if v}
-
-
-def _clean_table(mult):
-    out = {}
-    for (i, j), val in mult.items():
-        val = {k: Fraction(c) for k, c in val.items() if Fraction(c)}
-        if val:
-            out[(i, j)] = val
-    return out
-
-
-def from_associative(labels, mult, unit=None, name="", validate=True):
+def from_associative(labels, mult, unit=None, name=""):
     """Degree-0 associative algebra as a homotopy algebra with only mu_2.
 
-    `mult` maps basis pairs (i, j) to sparse products {k: coeff}.  Raises
-    ValueError naming a witness triple if the table fails associativity, or a
-    witness pair if the declared unit fails its law.
+    `mult` maps basis pairs (i, j) to sparse products {k: coeff}.  The
+    result is certified with `check_stasheff`, and with `check_strict_unit`
+    when a unit is given; a failure raises ValueError with its witness.
     """
     labels = tuple(labels)
-    dim = len(labels)
-    mult = _clean_table(mult)
-    if validate:
-        for a in range(dim):
-            for b in range(dim):
-                for c in range(dim):
-                    lhs = _table_mul(mult, _table_mul(mult, {a: 1}, {b: 1}), {c: 1})
-                    rhs = _table_mul(mult, {a: 1}, _table_mul(mult, {b: 1}, {c: 1}))
-                    if lhs != rhs:
-                        raise ValueError(
-                            f"multiplication not associative at {(a, b, c)}")
-        if unit is not None:
-            for a in range(dim):
-                if (_table_mul(mult, {unit: 1}, {a: 1}) != {a: Fraction(1)}
-                        or _table_mul(mult, {a: 1}, {unit: 1}) != {a: Fraction(1)}):
-                    raise ValueError(f"unit law fails at {(unit, a)}")
-    space = GradedSpace(labels, (0,) * dim)
-    ops = {2: {(i, j): dict(v) for (i, j), v in mult.items()}}
-    return AInftyAlgebra(space, ops, unit=unit, name=name)
+    alg = AInftyAlgebra(GradedSpace(labels, (0,) * len(labels)),
+                        {2: dict(mult)}, unit=unit, name=name)
+    report = check_stasheff(alg)
+    if not report:
+        raise ValueError(
+            f"multiplication not associative: witness {report.witness}")
+    if unit is not None:
+        unitality = check_strict_unit(alg)
+        if not unitality:
+            _, _, word = unitality.failures[0]
+            raise ValueError(f"unit law fails at {word}")
+    return alg
 
 
-def from_dga(labels, degrees, differential, mult, unit=None, name="", validate=True):
+# What the first nonzero component of the square of mu_1 + mu_2 violates,
+# by its arity.
+_DGA_FAILURES = {1: "differential does not square to zero",
+                 2: "Leibniz rule fails",
+                 3: "multiplication not associative"}
+
+
+def from_dga(labels, degrees, differential, mult, unit=None, name=""):
     """Differential graded algebra as a homotopy algebra with mu_1 and mu_2.
 
     `differential` maps a basis index to its sparse image one degree down.
-    Validates d^2 = 0, the signed Leibniz rule d(ab) = (da)b + (-1)^|a| a(db),
-    and associativity, each with a witness tuple in the error message.
+    The square of the coderivation has components d^2 in arity 1, the
+    signed Leibniz rule d(ab) = (da)b + (-1)^|a| a(db) in arity 2 and
+    associativity in arity 3, so `check_stasheff` certifies all three; a
+    failure raises ValueError naming the identity and its witness.
     """
-    labels, degrees = tuple(labels), tuple(degrees)
-    mult = _clean_table(mult)
-    diff = {i: {j: Fraction(c) for j, c in v.items() if Fraction(c)}
-            for i, v in differential.items()}
-    diff = {i: v for i, v in diff.items() if v}
-
-    def d_of(el):
-        out = {}
-        for i, a in el.items():
-            for j, c in diff.get(i, {}).items():
-                out[j] = out.get(j, Fraction(0)) + Fraction(a) * c
-        return {j: v for j, v in out.items() if v}
-
-    if validate:
-        for i in range(len(labels)):
-            if d_of(d_of({i: 1})):
-                raise ValueError(f"differential does not square to zero at ({i},)")
-        for a in range(len(labels)):
-            for b in range(len(labels)):
-                lhs = d_of(_table_mul(mult, {a: 1}, {b: 1}))
-                rhs = _table_mul(mult, d_of({a: 1}), {b: 1})
-                sgn = -1 if degrees[a] % 2 else 1
-                for k, v in _table_mul(mult, {a: 1}, d_of({b: 1})).items():
-                    rhs[k] = rhs.get(k, Fraction(0)) + sgn * v
-                rhs = {k: v for k, v in rhs.items() if v}
-                if lhs != rhs:
-                    raise ValueError(f"Leibniz rule fails at {(a, b)}")
-                for c in range(len(labels)):
-                    l3 = _table_mul(mult, _table_mul(mult, {a: 1}, {b: 1}), {c: 1})
-                    r3 = _table_mul(mult, {a: 1}, _table_mul(mult, {b: 1}, {c: 1}))
-                    if l3 != r3:
-                        raise ValueError(
-                            f"multiplication not associative at {(a, b, c)}")
-    space = GradedSpace(labels, degrees)
-    ops = {}
-    if diff:
-        ops[1] = {(i,): dict(v) for i, v in diff.items()}
-    if mult:
-        ops[2] = {(i, j): dict(v) for (i, j), v in mult.items()}
-    return AInftyAlgebra(space, ops, unit=unit, name=name)
-
-
-@dataclass
-class StructureReport:
-    ok: bool
-    checked_arity: int
-    complete: bool            # True when the check proves all identities
-    witness: tuple | None = None   # (arity, word, defect element)
-
-    def __bool__(self):
-        return self.ok
-
-
-# Structures that passed check_stasheff in this process, keyed on what the
-# certificate depends on: degrees, cap and operations (labels and names are
-# left out).  Only passes are kept, so a failing structure is always
-# recomputed and reported with its witness; the oldest key is dropped first.
-_CERTIFIED = {}
-_CERTIFIED_MAX = 64
-
-
-def _certificate_key(alg, cap):
-    ops = tuple(sorted(
-        (k, tuple(sorted((word, tuple(sorted(val.items())))
-                         for word, val in table.items())))
-        for k, table in alg.ops.items()))
-    return alg.space.degrees, cap, ops
+    ops = {1: {(i,): v for i, v in differential.items()}, 2: dict(mult)}
+    alg = AInftyAlgebra(GradedSpace(labels, degrees), ops,
+                        unit=unit, name=name)
+    report = check_stasheff(alg)
+    if not report:
+        raise ValueError(f"{_DGA_FAILURES[report.witness[0]]}: "
+                         f"witness {report.witness}")
+    return alg
 
 
 def check_stasheff(alg, max_arity=None):
@@ -239,28 +163,10 @@ def check_stasheff(alg, max_arity=None):
 
     With components up to arity K, the square has components only up to
     2K - 1, so checking that far is a complete proof; a smaller cap yields a
-    partial certificate.  `max_arity` may be an int or a WeightCap.  A
-    structure with the same degrees and operations as one already certified
-    in this process, at the same cap, is not squared again.
+    partial certificate.  Passes are memoized by `certify`.
     """
-    if isinstance(max_arity, WeightCap):
-        max_arity = max_arity.max_weight
-    K = alg.max_arity
-    full = 2 * K - 1 if K else 0
-    cap = full if max_arity is None else min(max_arity, full)
-    key = _certificate_key(alg, cap)
-    if key not in _CERTIFIED:
-        d = alg.coderivation()
-        sq = bracket(d, d, cap)
-        for n in sorted(sq.comps):
-            table = sq.comps[n]
-            for word in sorted(table):
-                return StructureReport(False, cap, cap >= full,
-                                       (n, word, dict(table[word])))
-        if len(_CERTIFIED) >= _CERTIFIED_MAX:
-            del _CERTIFIED[next(iter(_CERTIFIED))]
-        _CERTIFIED[key] = None
-    return StructureReport(True, cap, cap >= full)
+    d = alg.coderivation()
+    return certify(d, d, max(2 * alg.max_arity - 1, 0), max_arity)
 
 
 @dataclass
@@ -366,9 +272,9 @@ def rotation_span(space, words):
     return out
 
 
-def cyclic_complex(alg, max_degree, max_weight=None, coinvariant=True):
+def cyclic_complex(alg, max_degree, max_weight=None):
     """ChainComplex of cyclic words in degrees 0..max_degree+1, with the
-    rotation quotient applied blockwise when `coinvariant`."""
+    rotation quotient applied blockwise."""
     space = alg.suspended
     blocks, spans = {}, {}
     for q in range(0, max_degree + 2):
@@ -378,11 +284,9 @@ def cyclic_complex(alg, max_degree, max_weight=None, coinvariant=True):
         if not words:
             continue
         blocks[q] = words
-        if coinvariant:
-            spans[q] = rotation_span(space, words)
+        spans[q] = rotation_span(space, words)
     b = cyclic_boundary(alg)
-    return ChainComplex(blocks, lambda q, w: b(w),
-                        quotient_spans=spans if coinvariant else None)
+    return ChainComplex(blocks, lambda q, w: b(w), quotient_spans=spans)
 
 
 def cyclic_homology(alg, max_degree, max_weight=None, representatives=False):

@@ -13,6 +13,9 @@ Two flavors are supported on words over a suspended `Space`:
 A coderivation is determined by its corestriction (the weight-1 part of its
 output), and `read_off` inverts `extend_coderivation`; the graded commutator
 of two coderivations is again one, with `bracket` producing its cochain.
+Every identity the package proves (higher associativity, homotopy Jacobi,
+the derivation property) is the vanishing of such a commutator through the
+top arity it can reach, and `certify` is the one routine that decides it.
 
 The symmetrization maps are normalized so that include_i is the full signed
 sum over permutations (no 1/n!), project_p divides by n!, p . i = id, and the
@@ -38,13 +41,14 @@ from .graded import (
 __all__ = [
     "Cochain",
     "Coderivation",
-    "WeightCap",
+    "StructureReport",
     "WeightCapExceeded",
     "coproduct_tensor",
     "coproduct_sym",
     "extend_coderivation",
     "read_off",
     "bracket",
+    "certify",
     "project_p",
     "include_i",
 ]
@@ -52,27 +56,6 @@ __all__ = [
 
 class WeightCapExceeded(Exception):
     """A word was longer than the coderivation's declared weight cap."""
-
-
-@dataclass(frozen=True)
-class WeightCap:
-    """Truncation bounds: words of weight <= max_weight and total suspended
-    degree <= max_degree.  A None weight means no weight restriction (degree
-    truncation alone already makes every block finite over a suspension)."""
-
-    max_weight: int | None
-    max_degree: int
-
-    def __post_init__(self):
-        if self.max_weight is not None and self.max_weight < 1:
-            raise ValueError("max_weight must be >= 1")
-        if self.max_degree < 0:
-            raise ValueError("max_degree must be >= 0")
-
-    def admits(self, word, space):
-        if self.max_weight is not None and len(word) > self.max_weight:
-            return False
-        return space.word_degree(word) <= self.max_degree
 
 
 @dataclass
@@ -244,7 +227,7 @@ def coproduct_sym(word, space):
     return out
 
 
-def read_off(operator, space, arity, words=None, symmetric=False):
+def read_off(operator, space, arity, symmetric=False):
     """Corestriction of a word-level operator at one arity.
 
     `operator` maps a word to an element dict; the component collects the
@@ -252,14 +235,12 @@ def read_off(operator, space, arity, words=None, symmetric=False):
     tuples for tensor flavor, canonical words for symmetric).
     """
     comp = {}
-    if words is None:
-        if symmetric:
-            words = itertools.combinations_with_replacement(range(space.dim), arity)
-            words = [w for w in words if canonical_sym(w, space)[0] != 0]
-        else:
-            words = itertools.product(range(space.dim), repeat=arity)
+    if symmetric:
+        words = itertools.combinations_with_replacement(range(space.dim), arity)
+        words = [w for w in words if canonical_sym(w, space)[0] != 0]
+    else:
+        words = itertools.product(range(space.dim), repeat=arity)
     for word in words:
-        word = tuple(word)
         val = {}
         for w, c in operator(word).items():
             if len(w) == 1:
@@ -293,6 +274,59 @@ def bracket(d1, d2, max_arity):
         if comp:
             result.comps[n] = comp
     return result
+
+
+@dataclass
+class StructureReport:
+    ok: bool
+    checked_arity: int
+    complete: bool            # True when the check proves all identities
+    witness: tuple | None = None   # (arity, word, defect element)
+
+    def __bool__(self):
+        return self.ok
+
+
+# Commutators certified to vanish in this process, keyed on what the
+# certificate depends on: flavor, suspended degrees, cap and both cochains
+# (labels and names are left out).  Only passes are kept, so a failing pair
+# is always recomputed and reported with its witness; the oldest key is
+# dropped first.
+_CERTIFIED = {}
+_CERTIFIED_MAX = 64
+
+
+def _cochain_key(cochain):
+    return cochain.degree, cochain.symmetric, tuple(
+        (k, tuple(sorted((word, tuple(sorted(val.items())))
+                         for word, val in table.items())))
+        for k, table in sorted(cochain.comps.items()) if table)
+
+
+def certify(d1, d2, full, max_arity=None):
+    """Certify that the graded commutator [d1, d2] vanishes.
+
+    `full` is the top arity at which the commutator can have a component,
+    so checking through it is a complete proof; `max_arity` lowers the cap
+    to min(max_arity, full) and yields a partial certificate.  On failure
+    the witness is the first nonzero component in (arity, sorted word)
+    order.  A pair already certified in this process at the same cap is not
+    bracketed again.
+    """
+    cap = full if max_arity is None else min(max_arity, full)
+    key = (d1.flavor, d1.cochain.space.degrees, cap,
+           _cochain_key(d1.cochain), _cochain_key(d2.cochain))
+    if key not in _CERTIFIED:
+        comm = bracket(d1, d2, cap)
+        for n in sorted(comm.comps):
+            table = comm.comps[n]
+            for word in sorted(table):
+                return StructureReport(False, cap, cap >= full,
+                                       (n, word, dict(table[word])))
+        if len(_CERTIFIED) >= _CERTIFIED_MAX:
+            del _CERTIFIED[next(iter(_CERTIFIED))]
+        _CERTIFIED[key] = None
+    return StructureReport(True, cap, cap >= full)
 
 
 def include_i(element, space):

@@ -19,9 +19,12 @@ the diagonal torus, and every nonzero-weight summand dies in the
 quotient: the coinvariant complex is isomorphic to the zero-weight words
 modulo the off-diagonal adjoint images of the opposite-weight words.
 When the base has a strict unit, every higher bracket with 1 (x) E
-vanishes, so the matrix units act through a Lie action of gl_n(K); every
-off-diagonal unit is then an iterated commutator of the simple-root units
-E_{r,r+1}, E_{r+1,r}, and their 2(n-1) images already span the quotient.
+vanishes, so the matrix units act through a Lie action of gl_n(K).  Each
+root alpha then gives an sl2 triple acting on every finite-dimensional
+block, which is completely reducible over Q, so on weight zero
+E_alpha . C_{-alpha} = E_{-alpha} . C_alpha; and every positive root unit
+is an iterated commutator of the positive simple units E_{r,r+1}.  The
+n-1 images of those units therefore already span the quotient.
 `gl_coinvariant_model` materializes that small presentation exactly,
 sorting the words of each degree by torus weight in one enumeration
 pass; its agreement with the generic quotient-by-all-generators route,
@@ -37,7 +40,7 @@ from fractions import Fraction
 
 from .ainfty import AInftyAlgebra, check_stasheff, check_strict_unit
 from .chain import ChainComplex
-from .coalgebra import WeightCap, include_i, read_off
+from .coalgebra import include_i, read_off
 from .graded import GradedSpace, add_into
 from .linfty import (
     LInftyAlgebra,
@@ -101,15 +104,12 @@ def lie_ify(alg, cap=None):
     Symmetrization preserves word length, so only the arities carried by
     `alg.ops` can produce a nonzero bracket and no others are scanned.
     The result is certified with `check_linfty` before being returned;
-    `cap` (an int or a WeightCap) bounds both the arities read off and
-    the certification depth.
+    `cap` bounds both the arities read off and the certification depth.
 
     An associative algebra yields the graded commutator and nothing else;
     a commutative one yields the abelian structure; a differential graded
     algebra yields the differential together with the graded commutator.
     """
-    if isinstance(cap, WeightCap):
-        cap = cap.max_weight
     susp = alg.suspended
     dm = alg.coderivation()
 
@@ -274,30 +274,25 @@ def matrix_units(n):
                          name=f"M{n}(K)")
 
 
-def matrix_algebra(spec, n=None):
+def matrix_algebra(spec):
     """M_n(A): the base tensored with the n x n matrix units.
 
-    Accepts a MatrixAlgebraSpec or a base algebra plus a size.  Basis
-    index layout: a * n^2 + i * n + j for base index a and 0-based matrix
-    position (i, j); n = 1 returns the base itself.
+    Basis index layout: a * n^2 + i * n + j for base index a and 0-based
+    matrix position (i, j); n = 1 returns the base itself.
     """
-    if n is not None:
-        spec = MatrixAlgebraSpec(spec, n)
     result = tensor_with_associative(spec.base, matrix_units(spec.n))
     if result is not spec.base:
         result.name = f"M{spec.n}({spec.base.name or 'A'})"
     return result
 
 
-def gl(spec, cap=None, n=None):
+def gl(spec):
     """gl_n(A): the commutator structure on the matrix algebra M_n(A).
 
     Defined as lie_ify(matrix_algebra(spec)); for n = 1 this is the
     commutator structure on the base itself.
     """
-    if n is not None:
-        spec = MatrixAlgebraSpec(spec, n)
-    result = lie_ify(matrix_algebra(spec), cap)
+    result = lie_ify(matrix_algebra(spec))
     result.name = f"gl{spec.n}({spec.base.name or 'A'})"
     return result
 
@@ -516,15 +511,19 @@ class GLCoinvariantModel:
     The full complex splits over the weight lattice of the diagonal torus,
     whose matrix units act on a word by its total weight; every
     nonzero-weight summand is killed by its own torus action.  On the
-    zero-weight summand the quotient is by the images of the simple-root
-    units: E_{r,r+1} on the words of weight e_{r+1} - e_r and E_{r+1,r} on
-    those of weight e_r - e_{r+1}, r = 1..n-1.  These 2(n-1) actions span
-    the same subspace as all n(n-1) off-diagonal ones (see
-    `gl_coinvariant_model`), so the quotient complex is isomorphic to the
-    generic coinvariant complex, a fact the test suite verifies against
-    the all-generators construction.  `blocks` holds the zero-weight words
-    per degree and `spans` the simple-root images.  The reduced complex
-    and the homology coalgebra are each built once and cached.
+    zero-weight summand the quotient is by the images of the positive
+    simple-root units: E_{r,r+1} on the words of weight e_{r+1} - e_r,
+    r = 1..n-1.  These n-1 actions span the same subspace as all n(n-1)
+    off-diagonal ones: the sl2 triple of a root alpha acts completely
+    reducibly on each finite-dimensional block, so on weight zero
+    E_alpha . C_{-alpha} = E_{-alpha} . C_alpha, and every positive root
+    unit is an iterated commutator of positive simple ones (see
+    `gl_coinvariant_model`).  The quotient complex is therefore
+    isomorphic to the generic coinvariant complex, a fact the test suite
+    verifies against the all-generators construction.  `blocks` holds
+    the zero-weight words per degree and `spans` the simple-root images.
+    The reduced complex and the homology coalgebra are each built once
+    and cached.
     """
 
     algebra: LInftyAlgebra
@@ -635,11 +634,23 @@ def gl_coinvariant_model(base, n, max_degree):
     The base must carry a strict unit: it provides the copy of gl_n(K)
     acting by matrix units, and strictness makes every higher bracket
     with 1 (x) E vanish, so x -> [delta_ell, delta_x] is a Lie action of
-    gl_n(K).  Every off-diagonal unit is an iterated commutator of
-    simple-root units, so by induction on the height of a root alpha,
-    E_alpha . C_{-alpha} lies in the sum of E_beta . C_{-beta} over simple
-    roots beta (of either sign); the zero-weight part of gl_n(K) . C is
-    therefore spanned by the 2(n-1) simple-root images alone.
+    gl_n(K).  The zero-weight part of gl_n(K) . C is the sum of
+    E_alpha . C_{-alpha} over the roots alpha (the torus acts by zero on
+    weight zero), and the n-1 positive simple-root images alone span it:
+
+    * each root alpha gives an sl2 triple (E_alpha, E_{-alpha}, H_alpha)
+      acting on the sum of the weight spaces C_{k alpha} of a degree
+      block, a finite-dimensional representation and so completely
+      reducible over Q.  In each irreducible summand E_alpha maps the
+      H_alpha-weight -2 space onto the weight 0 space exactly when
+      E_{-alpha} maps the weight 2 space onto it, so on weight zero
+      E_alpha . C_{-alpha} = E_{-alpha} . C_alpha, and negative roots
+      add nothing;
+    * every positive root unit is an iterated commutator of positive
+      simple ones, E_{i,j} = [E_{i,i+1}, E_{i+1,j}] for j > i + 1, so by
+      induction on the height of beta = alpha + gamma with alpha simple,
+      E_beta x = E_alpha E_gamma x - E_gamma E_alpha x lies in
+      E_alpha . C_{-alpha} + E_gamma . C_{-gamma} for x in C_{-beta}.
     """
     unitality = check_strict_unit(base)
     if not unitality:
@@ -654,12 +665,11 @@ def gl_coinvariant_model(base, n, max_degree):
     zero = (0,) * n
     simple = []
     for r in range(n - 1):
-        for s, t in ((r, r + 1), (r + 1, r)):
-            gen = {gl_index(n, base_dim, base.unit, s, t): Fraction(1)}
-            act = make_inner(L, gen).coderivation()
-            # E_{s+1,t+1} adds e_s - e_t, so it maps the words of weight
-            # e_t - e_s into weight zero
-            simple.append((_root_weight(n, t, s), act))
+        gen = {gl_index(n, base_dim, base.unit, r, r + 1): Fraction(1)}
+        act = make_inner(L, gen).coderivation()
+        # E_{r+1,r+2} adds e_r - e_{r+1}, so it maps the words of weight
+        # e_{r+1} - e_r into weight zero
+        simple.append((_root_weight(n, r + 1, r), act))
     weights = [zero] + [wt for wt, _ in simple]
 
     blocks, spans = {}, {}
@@ -678,7 +688,7 @@ def gl_coinvariant_model(base, n, max_degree):
     return GLCoinvariantModel(L, n, base, max_degree, blocks, spans)
 
 
-def gl_coinvariant_homology(base, n, max_degree, representatives=False):
+def gl_coinvariant_homology(base, n, max_degree):
     """Homology of the gl_n(K)-coinvariant complex of gl_n(A) in degrees
     0..max_degree, computed on the zero-weight presentation."""
-    return gl_coinvariant_model(base, n, max_degree).homology(representatives)
+    return gl_coinvariant_model(base, n, max_degree).homology()

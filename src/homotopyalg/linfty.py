@@ -36,16 +36,22 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .ainfty import StructureReport, suspend_operations
+from .ainfty import suspend_operations
 from .chain import BettiTable, ChainComplex
-from .coalgebra import Cochain, WeightCap, bracket, coproduct_sym, extend_coderivation
+from .coalgebra import (
+    Cochain,
+    StructureReport,
+    bracket,
+    certify,
+    coproduct_sym,
+    extend_coderivation,
+)
 from .graded import GradedSpace, add_into
 from .rational_linalg import LinearSolver, SparseMatrix, Subspace, kernel
 
 __all__ = [
     "LInftyAlgebra",
     "Derivation",
-    "CEComplexSlice",
     "HomologyCoalgebra",
     "check_linfty",
     "check_derivation",
@@ -113,21 +119,10 @@ def check_linfty(alg, max_arity=None):
     """Verify the homotopy Jacobi tower by squaring the coderivation.
 
     Complete once checked through arity 2K - 1 for top arity K; a smaller
-    cap gives a partial certificate.  `max_arity` may be int or WeightCap.
+    cap gives a partial certificate.  Passes are memoized by `certify`.
     """
-    if isinstance(max_arity, WeightCap):
-        max_arity = max_arity.max_weight
-    K = alg.max_arity
-    full = 2 * K - 1 if K else 0
-    cap = full if max_arity is None else min(max_arity, full)
     d = alg.coderivation()
-    sq = bracket(d, d, cap)
-    for n in sorted(sq.comps):
-        table = sq.comps[n]
-        for word in sorted(table):
-            return StructureReport(False, cap, cap >= full,
-                                   (n, word, dict(table[word])))
-    return StructureReport(True, cap, cap >= full)
+    return certify(d, d, max(2 * alg.max_arity - 1, 0), max_arity)
 
 
 @dataclass
@@ -148,24 +143,16 @@ class Derivation:
         return extend_coderivation(self.cochain, "sym", max_weight)
 
 
-def check_derivation(alg, d, max_arity=None):
+def check_derivation(alg, d):
     """Certify [delta_ell, delta_d] = 0; returns a Derivation on success and
     the failing StructureReport otherwise.
 
     The commutator of cochains with top arities K and K' has components only
-    through arity K + K' - 1, so the default check is a complete proof.
+    through arity K + K' - 1, so the check is a complete proof.
     """
-    if isinstance(max_arity, WeightCap):
-        max_arity = max_arity.max_weight
-    full = max(alg.max_arity + d.max_arity() - 1, 0)
-    cap = full if max_arity is None else min(max_arity, full)
-    comm = bracket(alg.coderivation(), extend_coderivation(d, "sym"), cap)
-    for n in sorted(comm.comps):
-        table = comm.comps[n]
-        for word in sorted(table):
-            return StructureReport(False, cap, cap >= full,
-                                   (n, word, dict(table[word])))
-    return Derivation(d, StructureReport(True, cap, cap >= full))
+    report = certify(alg.coderivation(), extend_coderivation(d, "sym"),
+                     max(alg.max_arity + d.max_arity() - 1, 0))
+    return Derivation(d, report) if report else report
 
 
 def _as_cochain(alg, generator):
@@ -186,20 +173,17 @@ def _as_cochain(alg, generator):
     return c
 
 
-def make_inner(alg, generator, max_arity=None):
+def make_inner(alg, generator):
     """The inner derivation [delta_ell, delta_c] of a cochain or element.
 
     Certification is automatic whenever the structure squares to zero (the
-    graded Jacobi identity of the coderivation bracket), but is recomputed
-    and returned rather than assumed.
+    graded Jacobi identity of the coderivation bracket), but is checked
+    by `check_derivation` and returned rather than assumed.
     """
     c = _as_cochain(alg, generator)
-    if isinstance(max_arity, WeightCap):
-        max_arity = max_arity.max_weight
-    full = max(alg.max_arity + c.max_arity() - 1, 0)
-    cap = full if max_arity is None else min(max_arity, full)
-    inner = bracket(alg.coderivation(), extend_coderivation(c, "sym"), cap)
-    result = check_derivation(alg, inner, max_arity=max_arity)
+    inner = bracket(alg.coderivation(), extend_coderivation(c, "sym"),
+                    max(alg.max_arity + c.max_arity() - 1, 0))
+    result = check_derivation(alg, inner)
     if not result:
         raise ValueError(f"inner construction failed certification: {result.witness}")
     return result
@@ -299,7 +283,7 @@ def ce_complex(alg, max_degree, max_weight=None, h=None):
     return _ce_complex(alg, max_degree, max_weight, h)[0]
 
 
-def lie_homology(alg, max_degree, max_weight=None, h=None, representatives=False):
+def lie_homology(alg, max_degree, max_weight=None, h=None):
     """Homology of the Chevalley-Eilenberg complex in degrees 0..max_degree,
     optionally after coinvariant reduction by a degree-0 subalgebra h.
 
@@ -307,56 +291,11 @@ def lie_homology(alg, max_degree, max_weight=None, h=None, representatives=False
     needs complete words through weight q+1.
     """
     cx = ce_complex(alg, max_degree, max_weight=max_weight, h=h)
-    table = cx.homology(range(0, max_degree + 1), representatives=representatives)
+    table = cx.homology(range(0, max_degree + 1))
     for q in table.dims:
         table.exact[q] = max_weight is None or max_weight >= q + 1
     table.caps = {"max_degree": max_degree, "max_weight": max_weight}
     return table
-
-
-class CEComplexSlice:
-    """Blocks of the truncated Chevalley-Eilenberg complex indexed by (total
-    suspended degree, weight), with the differential between degree blocks."""
-
-    def __init__(self, algebra, cap):
-        self.algebra = algebra
-        self.cap = cap
-        self.blocks = {}
-        for q in range(0, cap.max_degree + 1):
-            for w in ce_words(algebra.suspended, q):
-                if cap.max_weight is None or len(w) <= cap.max_weight:
-                    self.blocks.setdefault((q, len(w)), []).append(w)
-
-    def words(self, degree, weight=None):
-        if weight is not None:
-            return list(self.blocks.get((degree, weight), []))
-        out = []
-        for (q, n) in sorted(self.blocks):
-            if q == degree:
-                out.extend(self.blocks[(q, n)])
-        return out
-
-    def differential_entries(self, degree):
-        """Sparse entries (target word, source word, coeff) of delta_ell from
-        the degree block one step down."""
-        d = self.algebra.coderivation(self.cap.max_weight)
-        entries = []
-        for w in self.words(degree):
-            for w2, c in d.eval_word(w).items():
-                entries.append((w2, w, c))
-        return entries
-
-    def check_square_zero(self, degree):
-        """delta_ell twice on every word of the block; None or a witness."""
-        d = self.algebra.coderivation(self.cap.max_weight)
-        for w in self.words(degree):
-            out = {}
-            for w2, c in d.eval_word(w).items():
-                for w3, c2 in d.eval_word(w2).items():
-                    add_into(out, w3, c * c2)
-            if out:
-                return w
-        return None
 
 
 def inner_action_on_homology(alg, generator, max_degree, max_weight=None, h=None):

@@ -15,19 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-Scalar = Fraction
-
 __all__ = [
-    "Scalar",
     "SparseMatrix",
     "Subspace",
     "RowReducer",
     "LinearSolver",
-    "rank",
     "kernel",
-    "column_space",
-    "row_space",
-    "quotient_dim",
 ]
 
 
@@ -214,53 +207,11 @@ class SparseMatrix:
             seen.add((r, c))
         return SparseMatrix(nrows, ncols, tuple(cleaned))
 
-    @staticmethod
-    def from_rows(rows, ncols=None):
-        """rows: sequence of {col: value} dicts."""
-        nrows = len(rows)
-        width = ncols if ncols is not None else max(
-            (c + 1 for row in rows for c in row), default=0)
-        ents = [(r, c, v) for r, row in enumerate(rows) for c, v in row.items()]
-        return SparseMatrix.from_entries(nrows, width, ents)
-
     def row_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
         for r, c, v in self.entries:
             rows[r][c] = v
         return rows
-
-    def col_dicts(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for r, c, v in self.entries:
-            cols[c][r] = v
-        return cols
-
-    def transpose(self):
-        ents = [(c, r, v) for r, c, v in self.entries]
-        return SparseMatrix.from_entries(self.ncols, self.nrows, ents)
-
-    def apply(self, vec):
-        """Matrix times {col: coeff} vector -> {row: coeff}."""
-        out = {}
-        for r, c, v in self.entries:
-            f = vec.get(c)
-            if f:
-                nv = out.get(r, 0) + v * f
-                if nv:
-                    out[r] = nv
-                else:
-                    out.pop(r, None)
-        return out
-
-    def matmul(self, other):
-        if self.ncols != other.nrows:
-            raise ValueError("shape mismatch")
-        cols = other.col_dicts()
-        ents = []
-        for c, colvec in enumerate(cols):
-            img = self.apply(colvec)
-            ents.extend((r, c, v) for r, v in img.items())
-        return SparseMatrix.from_entries(self.nrows, other.ncols, ents)
 
 
 @dataclass(frozen=True)
@@ -298,12 +249,6 @@ class Subspace:
     def contains(self, vec):
         return self.reducer().contains(vec)
 
-    def contains_subspace(self, other):
-        if other.ambient_dim != self.ambient_dim:
-            return False
-        red = self.reducer()
-        return all(red.contains(dict(row)) for row in other.basis)
-
 
 class LinearSolver:
     """Span membership with coefficient recovery.
@@ -339,21 +284,6 @@ class LinearSolver:
         return {t: v for t, v in coeffs.items() if v}
 
 
-def rank(matrix: SparseMatrix) -> int:
-    red = RowReducer()
-    for row in matrix.row_dicts():
-        red.insert(row)
-    return red.dim
-
-
-def row_space(matrix: SparseMatrix) -> Subspace:
-    return Subspace.from_vectors(matrix.ncols, matrix.row_dicts())
-
-
-def column_space(matrix: SparseMatrix) -> Subspace:
-    return Subspace.from_vectors(matrix.nrows, matrix.col_dicts())
-
-
 def kernel(matrix: SparseMatrix) -> Subspace:
     """Canonical basis of the right null space."""
     red = RowReducer()
@@ -371,12 +301,3 @@ def kernel(matrix: SparseMatrix) -> Subspace:
                 v[p] = -entry
         vectors.append(v)
     return Subspace.from_vectors(matrix.ncols, vectors)
-
-
-def quotient_dim(big: Subspace, small: Subspace) -> int:
-    """dim(big/small); raises ValueError unless small is contained in big."""
-    if big.ambient_dim != small.ambient_dim:
-        raise ValueError("ambient dimensions differ")
-    if not big.contains_subspace(small):
-        raise ValueError("quotient undefined: second subspace not contained in first")
-    return big.dim - small.dim

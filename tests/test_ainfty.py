@@ -13,6 +13,7 @@ from homotopyalg.ainfty import (
     cyclic_complex,
     cyclic_homology,
     cyclic_words,
+    from_dga,
     rotate_word,
     rotation_span,
 )
@@ -72,16 +73,16 @@ def test_stasheff_violation_witness():
 
 
 def test_stasheff_memo_ignores_labels_but_not_coefficients(monkeypatch):
-    from homotopyalg import ainfty
+    from homotopyalg import coalgebra
 
     squarings = []
-    real_bracket = ainfty.bracket
+    real_bracket = coalgebra.bracket
 
     def counting_bracket(*args, **kwargs):
         squarings.append(args[-1])
         return real_bracket(*args, **kwargs)
 
-    monkeypatch.setattr(ainfty, "bracket", counting_bracket)
+    monkeypatch.setattr(coalgebra, "bracket", counting_bracket)
     base = upper_triangular()
     assert check_stasheff(base).ok
     first = len(squarings)
@@ -101,6 +102,18 @@ def test_stasheff_memo_ignores_labels_but_not_coefficients(monkeypatch):
         arity, word, defect = rep.witness
         assert arity == 3 and defect
     assert len(squarings) == first + 2  # squared every time, never memoized
+
+
+def test_from_dga_names_the_failing_identity():
+    # z -> y -> x: d^2 z = x
+    with pytest.raises(ValueError, match="does not square to zero"):
+        from_dga(["x", "y", "z"], [0, 1, 2], {2: {1: 1}, 1: {0: 1}}, {})
+    # d x = 1, but 1 x = 0: d(1 x) = 0 while (d1) x + 1 (dx) = 1
+    with pytest.raises(ValueError, match="Leibniz rule fails"):
+        from_dga(["1", "x"], [0, 1], {1: {0: 1}}, {(0, 0): {0: 1}})
+    # u u = v, u v = u: (u u) u = 0 but u (u u) = u
+    with pytest.raises(ValueError, match="not associative"):
+        from_dga(["u", "v"], [0, 0], {}, {(0, 0): {1: 1}, (0, 1): {0: 1}})
 
 
 def test_decalage_signs_frozen():

@@ -146,7 +146,7 @@ def test_lieify_rejects_non_jacobi_commutator():
     table = {(0, 1): {2: 1}, (1, 2): {3: 1}, (0, 3): {4: 1}}
     with pytest.raises(ValueError, match="not associative"):
         from_associative(list("abcde"), table)
-    alg = from_associative(list("abcde"), table, validate=False)
+    alg = AInftyAlgebra(GradedSpace(tuple("abcde"), (0,) * 5), {2: table})
     with pytest.raises(ValueError, match="failed certification"):
         lie_ify(alg)
 
@@ -490,5 +490,6 @@ def test_simple_root_spans_equal_all_root_spans(base_name, n, max_degree):
 def test_coinvariant_model_uses_simple_roots_only():
     model = gl_coinvariant_model(ground_field(), 4, 4)
     assert sum(len(words) for words in model.blocks.values()) == 323
-    # 2(n-1) = 6 simple-root actions; all n(n-1) = 12 roots would give 2,424
-    assert sum(len(gens) for gens in model.spans.values()) == 1212
+    # n-1 = 3 positive simple-root actions; the 2(n-1) = 6 simple roots of
+    # either sign would give 1,212 and all n(n-1) = 12 roots 2,424
+    assert sum(len(gens) for gens in model.spans.values()) == 606

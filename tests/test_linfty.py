@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from homotopyalg.chain import ChainComplex
-from homotopyalg.coalgebra import Cochain, WeightCap
+from homotopyalg.coalgebra import Cochain
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import (
-    CEComplexSlice,
     LInftyAlgebra,
     Derivation,
     ce_words,
@@ -73,6 +72,53 @@ def test_non_jacobi_violation_at_weight_three():
     assert defect
 
 
+@pytest.fixture
+def squarings(monkeypatch):
+    """Arity caps of every commutator computed through `bracket`."""
+    from homotopyalg import coalgebra, linfty
+
+    caps = []
+    real_bracket = coalgebra.bracket
+
+    def counting_bracket(*args, **kwargs):
+        caps.append(args[-1])
+        return real_bracket(*args, **kwargs)
+
+    for module in (coalgebra, linfty):
+        monkeypatch.setattr(module, "bracket", counting_bracket)
+    return caps
+
+
+def test_linfty_memo_ignores_labels_but_not_coefficients(squarings):
+    base = sl2()
+    assert check_linfty(base).ok
+    first = len(squarings)
+    relabelled = LInftyAlgebra(GradedSpace(("x", "y", "z"), (0, 0, 0)),
+                               base.ops, name="relabelled")
+    report = check_linfty(relabelled)
+    assert report.ok and report.complete
+    assert len(squarings) == first  # served from the memo
+    for _ in range(2):
+        report = check_linfty(non_jacobi())
+        assert not report and report.witness is not None
+        arity, word, defect = report.witness
+        assert arity == 3 and defect
+    assert len(squarings) == first + 2  # squared every time, never memoized
+
+
+def test_non_derivation_is_rechecked_with_a_witness(squarings):
+    # e -> e, h, f -> 0 fails on [e, f] = h
+    alg = sl2()
+    c = Cochain(alg.suspended, 0, symmetric=True)
+    c.set_value((1,), {1: 1})
+    for _ in range(2):
+        report = check_derivation(alg, c)
+        assert not report and not isinstance(report, Derivation)
+        arity, word, defect = report.witness
+        assert arity == 2 and defect
+    assert len(squarings) == 2
+
+
 def test_suspension_is_signless_in_degree_zero():
     assert sl2().ell.comps[2] == {
         (0, 1): {1: Fraction(2)},
@@ -130,16 +176,6 @@ def test_ce_differential_matches_classical_formula_entrywise():
     for q in range(1, 5):
         for w in ce_words(alg.suspended, q):
             assert dict(d.eval_word(w)) == lie_ce_boundary(sl2_bracket, w)
-
-
-def test_ce_slice_blocks_and_square_zero():
-    slc = CEComplexSlice(sl2(), WeightCap(None, 4))
-    assert slc.words(2) == [(0, 1), (0, 2), (1, 2)]
-    assert slc.words(2, weight=2) == [(0, 1), (0, 2), (1, 2)]
-    assert slc.words(2, weight=1) == []
-    for q in range(0, 5):
-        assert slc.check_square_zero(q) is None
-    assert slc.differential_entries(2)
 
 
 def test_weight_cap_flags():
