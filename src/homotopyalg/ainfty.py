@@ -124,12 +124,17 @@ def from_associative(labels, mult, unit=None, name=""):
     if not report:
         raise ValueError(
             f"multiplication not associative: witness {report.witness}")
-    if unit is not None:
+    _require_unit(alg)
+    return alg
+
+
+def _require_unit(alg):
+    """Raise ValueError when a declared unit is not a strict unit."""
+    if alg.unit is not None:
         unitality = check_strict_unit(alg)
         if not unitality:
             _, _, word = unitality.failures[0]
             raise ValueError(f"unit law fails at {word}")
-    return alg
 
 
 # What the first nonzero component of the square of mu_1 + mu_2 violates,
@@ -146,7 +151,9 @@ def from_dga(labels, degrees, differential, mult, unit=None, name=""):
     The square of the coderivation has components d^2 in arity 1, the
     signed Leibniz rule d(ab) = (da)b + (-1)^|a| a(db) in arity 2 and
     associativity in arity 3, so `check_stasheff` certifies all three; a
-    failure raises ValueError naming the identity and its witness.
+    failure raises ValueError naming the identity and its witness.  A
+    declared unit is checked with `check_strict_unit`, as in
+    `from_associative`.
     """
     ops = {1: {(i,): v for i, v in differential.items()}, 2: dict(mult)}
     alg = AInftyAlgebra(GradedSpace(labels, degrees), ops,
@@ -155,6 +162,7 @@ def from_dga(labels, degrees, differential, mult, unit=None, name=""):
     if not report:
         raise ValueError(f"{_DGA_FAILURES[report.witness[0]]}: "
                          f"witness {report.witness}")
+    _require_unit(alg)
     return alg
 
 

@@ -17,11 +17,33 @@ Every identity the package proves (higher associativity, homotopy Jacobi,
 the derivation property) is the vanishing of such a commutator through the
 top arity it can reach, and `certify` is the one routine that decides it.
 
+`bracket` never evaluates a coderivation on basis words.  The corestriction
+of D_f . D_g is a sum of partial compositions of the two cochains, one term
+for each entry g(u) = sum a_y y of the inner cochain and each outer entry v
+that has y as an input letter (Gerstenhaber's pre-Lie composition in the
+tensor flavor, the Nijenhuis-Richardson composition in the symmetric one):
+
+* tensor: v = p.y.s contributes (-1)^(|g| deg p) a_y f(v) on the word p.u.s;
+* symmetric: with back = v minus one copy of y, it contributes
+
+      prod_x C(mult_w(x), mult_u(x)) . eps(u.back -> w) . eps(y.back -> v)
+          . a_y f(v)
+
+  on the canonical word w of u.back, where eps is the Koszul sign of a
+  rearrangement (nothing when w repeats an odd letter).
+  The binomial counts the unshuffles of w whose front is u: equal even
+  letters can be picked in that many ways, all with the same sign.
+
+An arity-0 inner entry (u = ()) inserts its output; an arity-0 outer entry
+has no input letter and never composes.  So the commutator is found from
+the nonzero entries alone, and checking it through the top arity is still
+a complete proof.
+
 The symmetrization maps are normalized so that include_i is the full signed
-sum over permutations (no 1/n!), project_p divides by n!, p . i = id, and the
-shuffle coproduct is exactly the image of deconcatenation under (p (x) p) . i.
-With these choices the arity-2 read-off of p . D_m . i is the plain graded
-commutator, with no stray factor.
+sum over permutations (no 1/n!); its retraction p canonicalizes and divides
+by n!, so p . i = id, and the shuffle coproduct is exactly the image of
+deconcatenation under (p (x) p) . i.  With these choices the arity-2
+read-off of p . D_m . i is the plain graded commutator, with no stray factor.
 """
 
 from __future__ import annotations
@@ -29,6 +51,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, prod
 
 from .graded import (
     Space,
@@ -43,13 +66,11 @@ __all__ = [
     "Coderivation",
     "StructureReport",
     "WeightCapExceeded",
-    "coproduct_tensor",
     "coproduct_sym",
     "extend_coderivation",
     "read_off",
     "bracket",
     "certify",
-    "project_p",
     "include_i",
 ]
 
@@ -146,13 +167,6 @@ class Coderivation:
             return self._eval_tensor(word)
         return self._eval_sym(word)
 
-    def eval(self, element):
-        out = {}
-        for word, coeff in element.items():
-            for w, c in self.eval_word(word).items():
-                add_into(out, w, c * coeff)
-        return out
-
     def _eval_tensor(self, word):
         space = self.cochain.space
         degs = space.degrees
@@ -207,14 +221,6 @@ def extend_coderivation(cochain, flavor, max_weight=None):
     return Coderivation(cochain, flavor, max_weight)
 
 
-def coproduct_tensor(word):
-    """Deconcatenation coproduct: {(left, right): 1} over all splits."""
-    out = {}
-    for i in range(len(word) + 1):
-        add_into(out, (word[:i], word[i:]), Fraction(1))
-    return out
-
-
 def coproduct_sym(word, space):
     """Shuffle coproduct on a canonical word, one term per shuffle, both
     counit terms included: {(left, right): sign}."""
@@ -250,27 +256,81 @@ def read_off(operator, space, arity, symmetric=False):
     return comp
 
 
+def _compose(outer, inner, max_arity, out, scale):
+    """Add `scale` times the corestriction of outer . inner, through
+    `max_arity`, to out = {arity: {word: {index: coeff}}}.
+
+    The corestriction is a sum of partial compositions: for every inner
+    entry u -> a.y and every outer entry v with an input letter y, the
+    inner output is substituted for that y (see the module docstring).
+    Only the entries are visited, never the basis words.
+    """
+    space = outer.cochain.space
+    degs = space.degrees
+    sym = outer.flavor == "sym"
+    odd = inner.degree % 2
+    # outer entries by input letter y, with the word around y and the sign
+    # of taking y out: one record per position (tensor) or per distinct
+    # letter (symmetric; the back word is then v minus one copy of y)
+    by_letter = {}
+    for k, table in outer.cochain.comps.items():
+        if not k:
+            continue
+        for v, b in table.items():
+            prefix = 0
+            for i, y in enumerate(v):
+                if sym:
+                    if not (i and v[i - 1] == y):
+                        sign = -1 if degs[y] % 2 and prefix % 2 else 1
+                        by_letter.setdefault(y, []).append(
+                            (v[:i] + v[i + 1:], sign, b))
+                else:
+                    sign = -1 if odd and prefix % 2 else 1
+                    by_letter.setdefault(y, []).append((v[:i], v[i + 1:], sign, b))
+                prefix += degs[y]
+    for table in inner.cochain.comps.values():
+        for u, a in table.items():
+            room = max_arity - len(u)
+            counts = [(x, u.count(x)) for x in set(u)] if sym else ()
+            for y, ay in a.items():
+                for entry in by_letter.get(y, ()):
+                    if sym:
+                        back, sign, b = entry
+                        if len(back) > room:
+                            continue
+                        s, w = canonical_sym(u + back, space)
+                        if not s:
+                            continue
+                        mult = prod(comb(m + back.count(x), m) for x, m in counts)
+                        coeff = scale * mult * s * sign * ay
+                    else:
+                        head, tail, sign, b = entry
+                        if len(head) + len(tail) > room:
+                            continue
+                        w = head + u + tail
+                        coeff = scale * sign * ay
+                    val = out.setdefault(len(w), {}).setdefault(w, {})
+                    for z, bz in b.items():
+                        add_into(val, z, coeff * bz)
+
+
 def bracket(d1, d2, max_arity):
     """Cochain of the graded commutator [d1, d2] up to the given arity.
 
     Both coderivations must share flavor and space; the result extends (in the
-    same flavor) to the operator d1 . d2 - (-1)^(|d1||d2|) d2 . d1.
+    same flavor) to the operator d1 . d2 - (-1)^(|d1||d2|) d2 . d1.  Its
+    components are built from partial compositions of the two cochains.
     """
     if d1.flavor != d2.flavor:
         raise ValueError("bracket requires coderivations of the same flavor")
-    space = d1.cochain.space
     sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1
-    symmetric = d1.flavor == "sym"
-
-    def commutator(word):
-        out = d1.eval(d2.eval_word(word))
-        for w, c in d2.eval(d1.eval_word(word)).items():
-            add_into(out, w, -sign * c)
-        return out
-
-    result = Cochain(space, d1.degree + d2.degree, symmetric=symmetric)
-    for n in range(0, max_arity + 1):
-        comp = read_off(commutator, space, n, symmetric=symmetric)
+    out = {}
+    _compose(d1, d2, max_arity, out, 1)
+    _compose(d2, d1, max_arity, out, -sign)
+    result = Cochain(d1.cochain.space, d1.degree + d2.degree,
+                     symmetric=d1.flavor == "sym")
+    for n in sorted(out):
+        comp = {w: out[n][w] for w in sorted(out[n]) if out[n][w]}
         if comp:
             result.comps[n] = comp
     return result
@@ -339,22 +399,4 @@ def include_i(element, space):
         for perm in itertools.permutations(range(n)):
             s, w = act(perm, word, degs)
             add_into(out, w, coeff * s)
-    return out
-
-
-def project_p(element, space):
-    """Tensor element -> coinvariant model: canonicalize and divide by n!.
-
-    Retraction of include_i: p . i = id on symmetric elements.
-    """
-    out = {}
-    for word, coeff in element.items():
-        n = len(word)
-        sign, cw = canonical_sym(word, space)
-        if sign == 0:
-            continue
-        norm = Fraction(1)
-        for k in range(2, n + 1):
-            norm /= k
-        add_into(out, cw, coeff * sign * norm)
     return out

@@ -10,7 +10,7 @@ Conventions used throughout the package:
   module's `suspend`).
 * A permutation p acts on the left: the factor in slot i moves to slot p[i],
   and the sign is the product of (-1)^(d_i * d_j) over pairs that invert.
-  act(compose(p, q)) == act(p) . act(q).
+  Acting by q and then by p is acting by the composite p . q.
 * Symmetric words are canonicalized by sorting the indices; the Koszul sign of
   the sorting rearrangement is returned alongside, and a word with a repeated
   odd-degree factor is zero.
@@ -25,23 +25,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 __all__ = [
     "GradedSpace",
     "Space",
-    "koszul_sign",
     "sign_of_arrangement",
     "act",
-    "compose",
     "inverse",
-    "symmetrize",
-    "shuffles",
     "unshuffle_splits",
     "canonical_sym",
     "add_into",
-    "scale",
-    "element_eq",
 ]
 
 
@@ -127,16 +120,6 @@ def inverse(perm):
     return tuple(inv)
 
 
-def compose(p, q):
-    """(p . q)[i] = p[q[i]]: apply q first, then p."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
-def koszul_sign(perm, degrees):
-    """Sign of the left action of perm on factors with the given degrees."""
-    return sign_of_arrangement(degrees, inverse(perm))
-
-
 def act(perm, word, degrees):
     """Left action on a word: slot i content moves to slot perm[i].
 
@@ -146,38 +129,6 @@ def act(perm, word, degrees):
     inv = inverse(perm)
     new_word = tuple(word[inv[j]] for j in range(len(word)))
     return sign_of_arrangement(degrees, inv), new_word
-
-
-def symmetrize(element, space):
-    """Average over all signed permutations: the projector onto symmetric
-    tensors (coefficients in Q, so the 1/n! is exact)."""
-    out = {}
-    for word, coeff in element.items():
-        n = len(word)
-        degs = [space.degrees[i] for i in word]
-        norm = Fraction(1, 1)
-        for k in range(2, n + 1):
-            norm /= k
-        for perm in itertools.permutations(range(n)):
-            sign, new_word = act(perm, word, degs)
-            add_into(out, new_word, coeff * norm * sign)
-    return out
-
-
-def shuffles(p, q):
-    """All (p,q)-shuffles as permutations: slots 0..p-1 and p..p+q-1 keep
-    their relative order in the output."""
-    n = p + q
-    out = []
-    for positions in itertools.combinations(range(n), p):
-        perm = [0] * n
-        rest = [j for j in range(n) if j not in positions]
-        for i, pos in enumerate(positions):
-            perm[i] = pos
-        for i, pos in enumerate(rest):
-            perm[p + i] = pos
-        out.append(tuple(perm))
-    return out
 
 
 def unshuffle_splits(word, degrees, k):
@@ -224,13 +175,3 @@ def add_into(element, word, coeff):
         element[word] = nv
     else:
         del element[word]
-
-
-def scale(element, coeff):
-    if not coeff:
-        return {}
-    return {w: c * coeff for w, c in element.items()}
-
-
-def element_eq(a, b):
-    return {w: c for w, c in a.items() if c} == {w: c for w, c in b.items() if c}

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from homotopyalg.graded import GradedSpace, add_into, element_eq
+from homotopyalg.graded import GradedSpace, add_into
 from homotopyalg.ainfty import (
     AInftyAlgebra,
     check_stasheff,
@@ -13,6 +13,7 @@ from homotopyalg.ainfty import (
     cyclic_complex,
     cyclic_homology,
     cyclic_words,
+    from_associative,
     from_dga,
     rotate_word,
     rotation_span,
@@ -114,6 +115,16 @@ def test_from_dga_names_the_failing_identity():
     # u u = v, u v = u: (u u) u = 0 but u (u u) = u
     with pytest.raises(ValueError, match="not associative"):
         from_dga(["u", "v"], [0, 0], {}, {(0, 0): {1: 1}, (0, 1): {0: 1}})
+
+
+def test_from_dga_checks_a_declared_unit():
+    # the table is associative with unit "1", but "x" is declared the unit
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    with pytest.raises(ValueError, match=r"unit law fails at \(1, 0\)"):
+        from_dga(["1", "x"], [0, 0], {}, mult, unit=1)
+    with pytest.raises(ValueError, match=r"unit law fails at \(1, 0\)"):
+        from_associative(["1", "x"], mult, unit=1)
+    assert from_dga(["1", "x"], [0, 0], {}, mult, unit=0).unit == 0
 
 
 def test_decalage_signs_frozen():

@@ -1,22 +1,92 @@
 import itertools
+import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homotopyalg.graded import GradedSpace, add_into, canonical_sym, element_eq
+from homotopyalg import coalgebra
+from homotopyalg.ainfty import check_stasheff, from_associative
 from homotopyalg.coalgebra import (
     Cochain,
     Coderivation,
     WeightCapExceeded,
     bracket,
+    certify,
     coproduct_sym,
-    coproduct_tensor,
     extend_coderivation,
     include_i,
-    project_p,
     read_off,
 )
+from homotopyalg.constructions import MatrixAlgebraSpec, gl, matrix_algebra
+from homotopyalg.documents import document_to_algebra, parse_document
+from homotopyalg.graded import GradedSpace, add_into, canonical_sym
+from homotopyalg.linfty import check_linfty, make_inner
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+# Element-level helpers that only these tests use.
+
+
+def element_eq(a, b):
+    return {w: c for w, c in a.items() if c} == {w: c for w, c in b.items() if c}
+
+
+def apply_element(D, element):
+    """A coderivation applied to an element {word: coeff}, word by word."""
+    out = {}
+    for word, coeff in element.items():
+        for w, c in D.eval_word(word).items():
+            add_into(out, w, c * coeff)
+    return out
+
+
+def coproduct_tensor(word):
+    """Deconcatenation coproduct: {(left, right): 1} over all splits."""
+    out = {}
+    for i in range(len(word) + 1):
+        add_into(out, (word[:i], word[i:]), Fraction(1))
+    return out
+
+
+def project_p(element, space):
+    """Tensor element -> coinvariant model: canonicalize and divide by n!.
+
+    Retraction of include_i: p . i = id on symmetric elements.
+    """
+    out = {}
+    for word, coeff in element.items():
+        sign, cw = canonical_sym(word, space)
+        if sign:
+            add_into(out, cw, coeff * sign * Fraction(1, math.factorial(len(word))))
+    return out
+
+
+def commutator_by_words(d1, d2, max_arity):
+    """Cochain of [d1, d2] read off word by word: the weight-1 part of
+    d1 . d2 - (-1)^(|d1||d2|) d2 . d1 on every basis word through max_arity.
+    The reference that `bracket` must reproduce exactly."""
+    space = d1.cochain.space
+    sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1
+    symmetric = d1.flavor == "sym"
+
+    def commutator(word):
+        out = apply_element(d1, d2.eval_word(word))
+        for w, c in apply_element(d2, d1.eval_word(word)).items():
+            add_into(out, w, -sign * c)
+        return out
+
+    result = Cochain(space, d1.degree + d2.degree, symmetric=symmetric)
+    for n in range(0, max_arity + 1):
+        comp = read_off(commutator, space, n, symmetric=symmetric)
+        if comp:
+            result.comps[n] = comp
+    return result
 
 
 SP2 = GradedSpace(("x", "y"), (0, 1)).suspend()      # suspended degrees (1, 2)
@@ -142,8 +212,8 @@ def test_bracket_odd_even_is_genuine_commutator():
     d2 = extend_coderivation(c2, "tensor")
     br = extend_coderivation(bracket(d1, d2, 6), "tensor")
     for word in all_words(SP3, 3):
-        direct = d1.eval(d2.eval_word(word))
-        for w, c in d2.eval(d1.eval_word(word)).items():
+        direct = apply_element(d1, d2.eval_word(word))
+        for w, c in apply_element(d2, d1.eval_word(word)).items():
             add_into(direct, w, -c)  # (-1)^(odd*even) = +1
         assert element_eq(br.eval_word(word), direct), word
 
@@ -158,8 +228,8 @@ def test_bracket_extension_matches_commutator_odd_odd(flavor):
     br = extend_coderivation(bracket(d1, d2, 6), flavor)
     words = all_words if flavor == "tensor" else canonical_words
     for word in words(SP3, 3):
-        direct = d1.eval(d2.eval_word(word))
-        for w, c in d2.eval(d1.eval_word(word)).items():
+        direct = apply_element(d1, d2.eval_word(word))
+        for w, c in apply_element(d2, d1.eval_word(word)).items():
             add_into(direct, w, c)  # -(-1)^(odd*odd) = +1
         assert element_eq(br.eval_word(word), direct), word
 
@@ -244,7 +314,7 @@ def test_shuffle_coproduct_matches_deconcatenation_through_i():
 def sandwich(D, space):
     """p . D . i as an operator on canonical words."""
     def op(word):
-        return project_p(D.eval(include_i({word: Fraction(1)}, space)), space)
+        return project_p(apply_element(D, include_i({word: Fraction(1)}, space)), space)
     return op
 
 
@@ -320,3 +390,135 @@ def test_cochain_rejects_inhomogeneous_value():
         c.set_value((0,), {0: 1})  # degree 1 -> 1 is not a degree -1 map
     c.set_value((0,), {0: 0})      # zero coefficients are fine anywhere
     assert c.comps.get(1, {}) == {}
+
+
+# ---------------------------------------------------------------------------
+# `bracket` against the word-by-word commutator
+
+
+def fixture_algebra(path):
+    return document_to_algebra(parse_document(path.read_text(encoding="utf-8")))
+
+
+@lru_cache(maxsize=None)
+def matrix_bases():
+    ground = from_associative(["1"], {(0, 0): {0: 1}}, unit=0, name="K")
+    dual = from_associative(["1", "e"], {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                         (1, 0): {1: 1}}, unit=0, name="K[e]")
+    dga2 = fixture_algebra(FIXTURES / "dga2.alg")
+    return ground, dual, dga2
+
+
+def square_arity(alg):
+    return max(2 * alg.max_arity - 1, 0)
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.alg")),
+                         ids=lambda p: p.name)
+def test_bracket_matches_words_on_fixture_squares(path):
+    alg = fixture_algebra(path)
+    d = alg.coderivation()
+    full = square_arity(alg)
+    assert bracket(d, d, full) == commutator_by_words(d, d, full)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bracket_matches_words_on_matrix_algebras(n):
+    for base in matrix_bases():
+        spec = MatrixAlgebraSpec(base, n)
+        for alg in (matrix_algebra(spec), gl(spec)):
+            d = alg.coderivation()
+            full = square_arity(alg)
+            assert bracket(d, d, full) == commutator_by_words(d, d, full), alg.name
+
+
+def test_bracket_matches_words_on_inner_derivations():
+    for base in matrix_bases():
+        alg = gl(MatrixAlgebraSpec(base, 2))
+        d = alg.coderivation()
+        for i in range(alg.suspended.dim):
+            c = Cochain(alg.suspended, alg.suspended.degrees[i], symmetric=True)
+            c.set_value((), {i: 1})
+            gen = extend_coderivation(c, "sym")
+            cap = max(alg.max_arity - 1, 0)
+            inner = bracket(d, gen, cap)
+            assert inner == commutator_by_words(d, gen, cap), (alg.name, i)
+            assert inner == make_inner(alg, i).cochain
+            # the derivation certificate of the inner derivation
+            der = extend_coderivation(inner, "sym")
+            cap = max(alg.max_arity + inner.max_arity() - 1, 0)
+            assert bracket(d, der, cap) == commutator_by_words(d, der, cap)
+
+
+@st.composite
+def coderivation_pairs(draw):
+    """Two coderivations of one flavor on a small space, and an arity cap.
+
+    Unsuspended degrees 0..2 give suspended letters of both parities, so
+    a symmetric word can repeat an even letter; cochain degrees run over
+    -2..1, and arity-0 components are drawn as well."""
+    flavor = draw(st.sampled_from(["tensor", "sym"]))
+    degrees = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    space = GradedSpace(tuple("abc"[:len(degrees)]), tuple(degrees)).suspend()
+    words = canonical_words if flavor == "sym" else all_words
+    pair = []
+    for _ in range(2):
+        c = Cochain(space, draw(st.integers(-2, 1)), symmetric=flavor == "sym")
+        with_zero = draw(st.booleans())
+        for word in words(space, draw(st.integers(1, 3))):
+            if word or with_zero:
+                target = word_degree(space, word) + c.degree
+                c.set_value(word, {i: draw(st.integers(-2, 2))
+                                   for i in range(space.dim)
+                                   if space.degrees[i] == target})
+        pair.append(extend_coderivation(c, flavor))
+    d1, d2 = pair
+    full = max(d1.cochain.max_arity() + d2.cochain.max_arity() - 1, 0)
+    return d1, d2, draw(st.integers(0, full + 1))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(coderivation_pairs())
+def test_bracket_matches_words_on_drawn_pairs(pair):
+    d1, d2, cap = pair
+    assert bracket(d1, d2, cap) == commutator_by_words(d1, d2, cap)
+
+
+def flip_first_sign(cochain, arity):
+    """A copy of the cochain with its first arity-k entry negated."""
+    comps = {k: {w: dict(v) for w, v in table.items()}
+             for k, table in cochain.comps.items()}
+    word = min(comps[arity])
+    comps[arity][word] = {i: -v for i, v in comps[arity][word].items()}
+    return Cochain(cochain.space, cochain.degree, comps, cochain.symmetric)
+
+
+@pytest.mark.parametrize("make", [matrix_algebra, gl])
+def test_mutant_fails_with_the_oracle_witness(make):
+    alg = make(MatrixAlgebraSpec(matrix_bases()[0], 3))
+    d = alg.coderivation()
+    d = extend_coderivation(flip_first_sign(d.cochain, 2), d.flavor)
+    full = square_arity(alg)
+    report = certify(d, d, full)
+    oracle = commutator_by_words(d, d, full)
+    n = min(oracle.comps)
+    word = min(oracle.comps[n])
+    assert not report.ok and report.complete
+    assert report.witness == (n, word, oracle.comps[n][word])
+
+
+def test_certificates_evaluate_no_word(monkeypatch):
+    spec = MatrixAlgebraSpec(matrix_bases()[0], 4)
+    m4, gl4 = matrix_algebra(spec), gl(spec)
+    words = []
+    real = Coderivation.eval_word
+
+    def counting(self, word):
+        words.append(word)
+        return real(self, word)
+
+    monkeypatch.setattr(Coderivation, "eval_word", counting)
+    monkeypatch.setattr(coalgebra, "_CERTIFIED", {})
+    for report in (check_stasheff(m4), check_linfty(gl4)):
+        assert report.ok and report.complete
+    assert words == []

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,15 +11,52 @@ from homotopyalg.graded import (
     act,
     add_into,
     canonical_sym,
-    compose,
-    element_eq,
     inverse,
-    koszul_sign,
-    shuffles,
     sign_of_arrangement,
-    symmetrize,
     unshuffle_splits,
 )
+
+
+# Permutation and element helpers that only these tests use.
+
+
+def compose(p, q):
+    """(p . q)[i] = p[q[i]]: apply q first, then p."""
+    return tuple(p[q[i]] for i in range(len(q)))
+
+
+def koszul_sign(perm, degrees):
+    """Sign of the left action of perm on factors with the given degrees."""
+    return sign_of_arrangement(degrees, inverse(perm))
+
+
+def symmetrize(element, space):
+    """Average over all signed permutations: the projector onto symmetric
+    tensors (coefficients in Q, so the 1/n! is exact)."""
+    out = {}
+    for word, coeff in element.items():
+        n = len(word)
+        degs = [space.degrees[i] for i in word]
+        norm = Fraction(1, math.factorial(n))
+        for perm in itertools.permutations(range(n)):
+            sign, new_word = act(perm, word, degs)
+            add_into(out, new_word, coeff * norm * sign)
+    return out
+
+
+def shuffles(p, q):
+    """All (p,q)-shuffles as permutations: slots 0..p-1 and p..p+q-1 keep
+    their relative order in the output."""
+    n = p + q
+    out = []
+    for positions in itertools.combinations(range(n), p):
+        rest = [j for j in range(n) if j not in positions]
+        out.append(tuple(positions) + tuple(rest))
+    return out
+
+
+def element_eq(a, b):
+    return {w: c for w, c in a.items() if c} == {w: c for w, c in b.items() if c}
 
 
 def test_identity_sign():
