@@ -24,7 +24,6 @@ from .constructions import (
     MatrixElement,
     block_plus,
     gl,
-    gl_coinvariant_homology,
     gl_coinvariant_model,
     lie_ify,
     matrix_algebra,
@@ -38,7 +37,6 @@ from .documents import (
     parse_document,
     serialize_document,
 )
-from .coalgebra import WeightCapExceeded
 from .graded import GradedSpace
 from .linfty import LInftyAlgebra, check_linfty, lie_homology, primitives
 from .lqt import (
@@ -65,7 +63,6 @@ __all__ = [
     "LQTReport",
     "MatrixAlgebraSpec",
     "MatrixElement",
-    "WeightCapExceeded",
     "algebra_to_document",
     "block_plus",
     "check_linfty",
@@ -77,7 +74,6 @@ __all__ = [
     "from_associative",
     "from_dga",
     "gl",
-    "gl_coinvariant_homology",
     "gl_coinvariant_model",
     "hopf_product_on_homology",
     "lie_homology",

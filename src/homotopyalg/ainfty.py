@@ -102,8 +102,8 @@ class AInftyAlgebra:
     def max_arity(self):
         return max(self.ops, default=0)
 
-    def coderivation(self, max_weight=None):
-        return extend_coderivation(self.m, "tensor", max_weight)
+    def coderivation(self):
+        return extend_coderivation(self.m, "tensor")
 
     def op_value(self, k, word):
         """mu_k on a word of basis indices, {index: Fraction}."""
@@ -297,14 +297,14 @@ def cyclic_complex(alg, max_degree, max_weight=None):
     return ChainComplex(blocks, lambda q, w: b(w), quotient_spans=spans)
 
 
-def cyclic_homology(alg, max_degree, max_weight=None, representatives=False):
+def cyclic_homology(alg, max_degree, max_weight=None):
     """Cyclic homology in degrees 0..max_degree as a BettiTable.
 
     Numbers are exact unless a weight cap actually truncates a contributing
     block, in which case the affected degrees are flagged inexact.
     """
     cx = cyclic_complex(alg, max_degree, max_weight=max_weight)
-    table = cx.homology(range(0, max_degree + 1), representatives=representatives)
+    table = cx.homology(range(0, max_degree + 1))
     for q in table.dims:
         complete = max_weight is None or max_weight >= q + 2
         table.exact[q] = complete

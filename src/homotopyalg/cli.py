@@ -10,7 +10,9 @@ produce byte-identical payloads.
 Exit codes: 0 success; 1 validation failure (unreadable, malformed, or
 unsuitable input); 2 mathematical violation (a certification failed or
 a comparison reported a mismatch); 3 a cap declared in the document is
-exceeded by the request.
+exceeded by the request.  An internal cross-check that fails
+(`InconsistencyError`) is a fault of the package, not of the input, and
+is left to surface as a crash.
 """
 
 from __future__ import annotations

@@ -11,8 +11,8 @@ Two flavors are supported on words over a suspended `Space`:
   cochain output is wedged at the front, then the word is re-canonicalized.
 
 A coderivation is determined by its corestriction (the weight-1 part of its
-output), and `read_off` inverts `extend_coderivation`; the graded commutator
-of two coderivations is again one, with `bracket` producing its cochain.
+output); the graded commutator of two coderivations is again one, with
+`bracket` producing its cochain.
 Every identity the package proves (higher associativity, homotopy Jacobi,
 the derivation property) is the vanishing of such a commutator through the
 top arity it can reach, and `certify` is the one routine that decides it.
@@ -38,24 +38,16 @@ An arity-0 inner entry (u = ()) inserts its output; an arity-0 outer entry
 has no input letter and never composes.  So the commutator is found from
 the nonzero entries alone, and checking it through the top arity is still
 a complete proof.
-
-The symmetrization maps are normalized so that include_i is the full signed
-sum over permutations (no 1/n!); its retraction p canonicalizes and divides
-by n!, so p . i = id, and the shuffle coproduct is exactly the image of
-deconcatenation under (p (x) p) . i.  With these choices the arity-2
-read-off of p . D_m . i is the plain graded commutator, with no stray factor.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, prod
 
 from .graded import (
     Space,
-    act,
     add_into,
     canonical_sym,
     unshuffle_splits,
@@ -65,18 +57,11 @@ __all__ = [
     "Cochain",
     "Coderivation",
     "StructureReport",
-    "WeightCapExceeded",
     "coproduct_sym",
     "extend_coderivation",
-    "read_off",
     "bracket",
     "certify",
-    "include_i",
 ]
-
-
-class WeightCapExceeded(Exception):
-    """A word was longer than the coderivation's declared weight cap."""
 
 
 @dataclass
@@ -149,7 +134,6 @@ class Coderivation:
 
     cochain: Cochain
     flavor: str  # "tensor" or "sym"
-    max_weight: int | None = None
 
     def __post_init__(self):
         if self.flavor not in ("tensor", "sym"):
@@ -160,9 +144,6 @@ class Coderivation:
         return self.cochain.degree
 
     def eval_word(self, word):
-        if self.max_weight is not None and len(word) > self.max_weight:
-            raise WeightCapExceeded(
-                f"word of weight {len(word)} exceeds cap {self.max_weight}")
         if self.flavor == "tensor":
             return self._eval_tensor(word)
         return self._eval_sym(word)
@@ -215,10 +196,10 @@ class Coderivation:
         return out
 
 
-def extend_coderivation(cochain, flavor, max_weight=None):
+def extend_coderivation(cochain, flavor):
     if flavor == "sym" and not cochain.symmetric:
         raise ValueError("symmetric flavor requires a symmetric cochain")
-    return Coderivation(cochain, flavor, max_weight)
+    return Coderivation(cochain, flavor)
 
 
 def coproduct_sym(word, space):
@@ -231,29 +212,6 @@ def coproduct_sym(word, space):
         for sign, front, back in unshuffle_splits(word, degs, k):
             add_into(out, (front, back), Fraction(sign))
     return out
-
-
-def read_off(operator, space, arity, symmetric=False):
-    """Corestriction of a word-level operator at one arity.
-
-    `operator` maps a word to an element dict; the component collects the
-    weight-1 part of its value on every basis word of the given arity (all
-    tuples for tensor flavor, canonical words for symmetric).
-    """
-    comp = {}
-    if symmetric:
-        words = itertools.combinations_with_replacement(range(space.dim), arity)
-        words = [w for w in words if canonical_sym(w, space)[0] != 0]
-    else:
-        words = itertools.product(range(space.dim), repeat=arity)
-    for word in words:
-        val = {}
-        for w, c in operator(word).items():
-            if len(w) == 1:
-                add_into(val, w[0], c)
-        if val:
-            comp[word] = val
-    return comp
 
 
 def _compose(outer, inner, max_arity, out, scale):
@@ -388,15 +346,3 @@ def certify(d1, d2, full, max_arity=None):
         _CERTIFIED[key] = None
     return StructureReport(True, cap, cap >= full)
 
-
-def include_i(element, space):
-    """Coinvariant-model word -> invariant tensor: full signed permutation sum
-    (no 1/n! normalization)."""
-    out = {}
-    for word, coeff in element.items():
-        n = len(word)
-        degs = [space.degrees[i] for i in word]
-        for perm in itertools.permutations(range(n)):
-            s, w = act(perm, word, degs)
-            add_into(out, w, coeff * s)
-    return out

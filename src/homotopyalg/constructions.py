@@ -6,12 +6,15 @@ with a degree-0 associative unital algebra, matrix algebras M_n(A) and
 their Lie forms gl_n(A), corner inclusions, the interleaved block sum of
 matrices, the trace, and the commutator-subspace membership test.
 
-The Lie-ification reads each bracket off as the corestriction of the
-composite "symmetrize, apply the associative coderivation, project to
-weight one".  Symmetrization preserves word length and the coderivation
-lowers it by (arity - 1), so the only arities that can contribute are
-exactly the arities carried by the associative structure; every result
-is re-certified rather than trusted.
+The Lie-ification antisymmetrizes the associative operations entry by
+entry: an entry v -> mu_k(v) adds chi(v -> w) . prod_x mult_w(x)! . mu_k(v)
+to the bracket l_k at the sorted word w, where chi is the sign of the
+sorting permutation times its Koszul sign in unsuspended degrees, and a
+word repeating a letter of even degree is skipped.  This is the full sum
+over permutations l_k = sum_sigma chi(sigma) mu_k . sigma, grouped by the
+entry each permutation reaches, so only the arities carried by the
+associative structure occur; every result is re-certified rather than
+trusted.
 
 gl_n(A) carries the adjoint action of the matrix units of gl_n(K).  The
 coinvariant Chevalley-Eilenberg complex splits over the weight lattice of
@@ -35,13 +38,13 @@ not assumed here.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ainfty import AInftyAlgebra, check_stasheff, check_strict_unit
 from .chain import ChainComplex
-from .coalgebra import include_i, read_off
-from .graded import GradedSpace, add_into
+from .graded import GradedSpace, add_into, sign_of_arrangement
 from .linfty import (
     LInftyAlgebra,
     check_linfty,
@@ -68,65 +71,62 @@ __all__ = [
     "trace",
     "in_commutator_subspace",
     "gl_coinvariant_model",
-    "gl_coinvariant_homology",
+    "InconsistencyError",
 ]
+
+
+class InconsistencyError(Exception):
+    """Two routes of the package that must agree did not: an internal
+    fault, never a property of the input algebra."""
 
 
 # ---------------------------------------------------------------------------
 # Lie-ification
 
 
-def _unsuspend_symmetric(space, comps):
-    """Invert the suspension sign on a symmetric component dictionary.
-
-    The suspension multiplies the arity-k entry at a word by
-    (-1)^(sum (k-t) deg(w_t)); the factor is an involution, so applying it
-    again recovers the unsuspended brackets.
+def _antisymmetrize(space, ops, cap=None):
+    """The brackets l_k = sum_sigma chi(sigma) mu_k . sigma of the
+    unsuspended operations `ops` through arity `cap`, on ascending words,
+    by the entrywise rule of the module docstring: the prod_x mult_w(x)!
+    permutations that carry the sorted word w to an entry v all add the
+    same term chi(v -> w) mu_k(v).
     """
-    ops = {}
-    for k, table in comps.items():
-        entries = {}
-        for word, val in table.items():
-            exp = sum((k - t) * space.degrees[i]
-                      for t, i in enumerate(word, start=1))
-            sgn = -1 if exp % 2 else 1
-            entries[word] = {i: sgn * c for i, c in val.items()}
-        if entries:
-            ops[k] = entries
-    return ops
+    degs = space.degrees
+    out = {}
+    for k, table in ops.items():
+        if cap is not None and k > cap:
+            continue
+        comp = out.setdefault(k, {})
+        for v, val in table.items():
+            order = sorted(range(k), key=v.__getitem__)
+            w = tuple(v[i] for i in order)
+            if any(a == b and degs[a] % 2 == 0 for a, b in zip(w, w[1:])):
+                continue
+            chi = (sign_of_arrangement([degs[i] for i in v], order)
+                   * sign_of_arrangement((1,) * k, order))
+            scale = chi * math.prod(math.factorial(w.count(x)) for x in set(w))
+            target = comp.setdefault(w, {})
+            for i, c in val.items():
+                add_into(target, i, scale * c)
+    return out
 
 
 def lie_ify(alg, cap=None):
     """The homotopy Lie structure underlying a homotopy associative one.
 
-    Each bracket is the corestriction of "symmetrize, apply the
-    associative coderivation, keep the weight-one part" at one arity.
-    Symmetrization preserves word length, so only the arities carried by
-    `alg.ops` can produce a nonzero bracket and no others are scanned.
-    The result is certified with `check_linfty` before being returned;
-    `cap` bounds both the arities read off and the certification depth.
+    Each bracket is the antisymmetrization l_k = sum_sigma chi(sigma)
+    mu_k . sigma, summed entry by entry over `alg.ops` (see
+    `_antisymmetrize`); its suspension is the corestriction of
+    "symmetrize, apply the associative coderivation, keep the weight-one
+    part".  The result is certified with `check_linfty` before being
+    returned; `cap` bounds both the arities built and the certification
+    depth.
 
     An associative algebra yields the graded commutator and nothing else;
     a commutative one yields the abelian structure; a differential graded
     algebra yields the differential together with the graded commutator.
     """
-    susp = alg.suspended
-    dm = alg.coderivation()
-
-    def operator(word):
-        out = {}
-        for tensor_word, c in include_i({tuple(word): Fraction(1)}, susp).items():
-            for w2, c2 in dm.eval_word(tensor_word).items():
-                add_into(out, w2, c * c2)
-        return out
-
-    ops = {}
-    for k in sorted(alg.ops):
-        if cap is not None and k > cap:
-            continue
-        comp = read_off(operator, susp, k, symmetric=True)
-        ops.update(_unsuspend_symmetric(alg.space, {k: comp}))
-    result = LInftyAlgebra(alg.space, ops,
+    result = LInftyAlgebra(alg.space, _antisymmetrize(alg.space, alg.ops, cap),
                            name=f"{alg.name}^Lie" if alg.name else "")
     report = check_linfty(result, max_arity=cap)
     if not report:
@@ -451,7 +451,7 @@ def in_commutator_subspace(x, n=None):
             solver.add(vec, tag)
         explicit = solver.express(x.vector) is not None
         if explicit != by_trace:
-            raise ArithmeticError(
+            raise InconsistencyError(
                 "trace criterion and explicit span membership disagree")
     return by_trace
 
@@ -686,9 +686,3 @@ def gl_coinvariant_model(base, n, max_degree):
         if gens:
             spans[q] = gens
     return GLCoinvariantModel(L, n, base, max_degree, blocks, spans)
-
-
-def gl_coinvariant_homology(base, n, max_degree):
-    """Homology of the gl_n(K)-coinvariant complex of gl_n(A) in degrees
-    0..max_degree, computed on the zero-weight presentation."""
-    return gl_coinvariant_model(base, n, max_degree).homology()

@@ -98,8 +98,8 @@ class LInftyAlgebra:
     def max_arity(self):
         return max(self.ops, default=0)
 
-    def coderivation(self, max_weight=None):
-        return extend_coderivation(self.ell, "sym", max_weight)
+    def coderivation(self):
+        return extend_coderivation(self.ell, "sym")
 
     def op_value(self, k, word):
         """ell_k on a sorted word of basis indices, {index: Fraction}."""
@@ -139,8 +139,8 @@ class Derivation:
     def degree(self):
         return self.cochain.degree
 
-    def coderivation(self, max_weight=None):
-        return extend_coderivation(self.cochain, "sym", max_weight)
+    def coderivation(self):
+        return extend_coderivation(self.cochain, "sym")
 
 
 def check_derivation(alg, d):
@@ -243,12 +243,12 @@ def _check_h_closed(alg, h_els):
                 f"subalgebra not closed under the bracket at generators {(a, b)}")
 
 
-def h_action_spans(alg, h, blocks, max_weight=None):
+def h_action_spans(alg, h, blocks):
     """Per-degree spans of the h-action: images of each block under the inner
     derivations of the h generators."""
     h_els = _h_elements(alg, h)
     _check_h_closed(alg, h_els)
-    actions = [make_inner(alg, el).coderivation(max_weight) for el in h_els]
+    actions = [make_inner(alg, el).coderivation() for el in h_els]
     spans = {}
     for q, words in blocks.items():
         gens = []
@@ -271,8 +271,8 @@ def _ce_complex(alg, max_degree, max_weight, h):
             words = [w for w in words if len(w) <= max_weight]
         if words:
             blocks[q] = words
-    spans = h_action_spans(alg, h, blocks, max_weight) if h else None
-    d = alg.coderivation(max_weight)
+    spans = h_action_spans(alg, h, blocks) if h else None
+    d = alg.coderivation()
     cx = ChainComplex(blocks, lambda q, w: d.eval_word(w), quotient_spans=spans)
     return cx, spans
 
@@ -309,7 +309,7 @@ def inner_action_on_homology(alg, generator, max_degree, max_weight=None, h=None
     shift = der.degree
     cx = ce_complex(alg, max_degree, max_weight=max_weight, h=h)
     table = cx.homology(range(0, max_degree + 1), representatives=True)
-    action = der.coderivation(max_weight)
+    action = der.coderivation()
     induced = {}
     for q in range(0, max_degree + 1):
         reps = table.representatives.get(q, [])

@@ -35,6 +35,7 @@ from fractions import Fraction
 from .ainfty import check_stasheff, check_strict_unit, cyclic_homology
 from .chain import BettiTable
 from .constructions import (
+    InconsistencyError,
     corner_embed_word,
     gl,
     gl_coinvariant_model,
@@ -172,12 +173,12 @@ class HopfProductReport:
                 and not self.primitive_product_violations)
 
 
-def hopf_product_on_homology(model_n):
+def hopf_product_on_homology(model_n, model_2n):
     """The product induced by the interleaved block sum on coinvariant
     homology, with its exact structure checks.
 
-    `model_n` is the coinvariant model of gl_n(A); the model of gl_2n(A)
-    is built here through the same degree.  Chains of gl_n are pushed
+    `model_n` and `model_2n` are the coinvariant models of gl_n(A) and
+    gl_2n(A) over one base and through one degree.  Chains of gl_n are pushed
     into the odd and even slots of gl_2n, wedged, and expressed in a
     computed representative basis of the doubled coinvariant homology.
     Graded commutativity is compared directly there; associativity is
@@ -188,10 +189,15 @@ def hopf_product_on_homology(model_n):
     nonzero.
     """
     base, n, max_degree = model_n.base, model_n.n, model_n.max_degree
+    if (model_2n.n, model_2n.base, model_2n.max_degree) != \
+            (2 * n, base, max_degree):
+        raise ValueError(
+            f"the doubled model must be gl_{2 * n} over the same base through "
+            f"degree {max_degree}, got gl_{model_2n.n} through degree "
+            f"{model_2n.max_degree}")
     base_dim = base.space.dim
     coalg = model_n.coproduct()
     table_n = coalg.table
-    model_2n = gl_coinvariant_model(base, 2 * n, max_degree)
     cx2 = model_2n.complex()
     table_2n = model_2n.homology(representatives=True)
     space_2n = model_2n.algebra.suspended
@@ -385,7 +391,7 @@ def verify_lqt(base, sizes, max_degree):
         full = lie_homology(gl(spec), max_degree)
         for q in range(max_degree + 1):
             if full.dims.get(q, 0) != left[n][q]:
-                raise ArithmeticError(
+                raise InconsistencyError(
                     f"coinvariant reduction changed homology at size {n}, "
                     f"degree {q}: {full.dims.get(q, 0)} != {left[n][q]}")
 
@@ -395,13 +401,13 @@ def verify_lqt(base, sizes, max_degree):
     n_big = max(sizes)
     coalg = models[n_big].coproduct()
     if {q: coalg.table.dims.get(q, 0) for q in range(max_degree + 1)} != left[n_big]:
-        raise ArithmeticError("representative homology disagrees with the "
+        raise InconsistencyError("representative homology disagrees with the "
                               "dimension computation at the largest size")
     prim = primitives(coalg)
     primitive_dims = {q: prim[q].dim for q in sorted(prim)}
     for q, d in primitive_dims.items():
         if d > left[n_big].get(q, 0):
-            raise ArithmeticError(
+            raise InconsistencyError(
                 f"primitive dimension exceeds homology dimension at degree {q}")
 
     stable_from = {}
@@ -440,9 +446,10 @@ def verify_lqt(base, sizes, max_degree):
     n_h = min(3, n_big)
     ambient = base.space.dim * (2 * n_h) ** 2
     if ambient <= HOPF_BUDGET:
-        model_h = (models[n_h] if n_h in models
-                   else gl_coinvariant_model(base, n_h, max_degree))
-        hopf = hopf_product_on_homology(model_h)
+        for n in (n_h, 2 * n_h):
+            if n not in models:
+                models[n] = gl_coinvariant_model(base, n, max_degree)
+        hopf = hopf_product_on_homology(models[n_h], models[2 * n_h])
     else:
         hopf = (f"skipped: doubled ambient dimension {ambient} exceeds "
                 f"the harness budget {HOPF_BUDGET}")

@@ -347,7 +347,9 @@ def test_criterion_7_lqt_comparison_at_desk_scale(capsys):
 
 
 def test_criterion_8_block_sum_product_is_commutative_and_associative(capsys):
-    report = hopf_product_on_homology(gl_coinvariant_model(algebra("K.alg"), 3, 4))
+    base = algebra("K.alg")
+    report = hopf_product_on_homology(gl_coinvariant_model(base, 3, 4),
+                                      gl_coinvariant_model(base, 6, 4))
     assert report.unit_ok
     assert report.commutative_violations == []
     assert report.associative_violations == []

@@ -236,7 +236,8 @@ def test_cyclic_homology_matches_classical_oracle(make):
 
 
 def test_cyclic_homology_representatives():
-    table = cyclic_homology(ground_field(), 2, representatives=True)
+    table = cyclic_complex(ground_field(), 2).homology(range(3),
+                                                       representatives=True)
     assert [len(table.representatives[q]) for q in range(3)] == [1, 0, 1]
     rep0 = table.representatives[0][0]
     assert rep0 == {(0,): Fraction(1)}

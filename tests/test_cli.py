@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from homotopyalg import lqt
+from homotopyalg.chain import BettiTable
 from homotopyalg.cli import main
+from homotopyalg.constructions import InconsistencyError
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -183,6 +186,17 @@ def test_lqt_on_uncertified_document_reports_violation(capsys, tmp_path):
                                 "--n", "2", "--max-degree", "2")
     assert code == 2
     assert payload["verdicts"]["structure"] == "violation"
+
+
+def test_internal_inconsistency_is_not_a_violation(monkeypatch):
+    # a failing cross-check is a fault of the package: it must not be
+    # reported as a mathematical violation (exit 2)
+    def wrong_homology(alg, max_degree):
+        return BettiTable(dims={q: 7 for q in range(max_degree + 1)})
+
+    monkeypatch.setattr(lqt, "lie_homology", wrong_homology)
+    with pytest.raises(InconsistencyError, match="coinvariant reduction"):
+        main(["lqt", fixture("K.alg"), "--n", "1,2", "--max-degree", "2"])
 
 
 def test_lqt_validates_size_list(capsys):

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -13,18 +12,16 @@ from homotopyalg.ainfty import check_stasheff, from_associative
 from homotopyalg.coalgebra import (
     Cochain,
     Coderivation,
-    WeightCapExceeded,
     bracket,
     certify,
     coproduct_sym,
     extend_coderivation,
-    include_i,
-    read_off,
 )
 from homotopyalg.constructions import MatrixAlgebraSpec, gl, matrix_algebra
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace, add_into, canonical_sym
 from homotopyalg.linfty import check_linfty, make_inner
+from word_oracles import include_i, project_p, read_off
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -51,19 +48,6 @@ def coproduct_tensor(word):
     out = {}
     for i in range(len(word) + 1):
         add_into(out, (word[:i], word[i:]), Fraction(1))
-    return out
-
-
-def project_p(element, space):
-    """Tensor element -> coinvariant model: canonicalize and divide by n!.
-
-    Retraction of include_i: p . i = id on symmetric elements.
-    """
-    out = {}
-    for word, coeff in element.items():
-        sign, cw = canonical_sym(word, space)
-        if sign:
-            add_into(out, cw, coeff * sign * Fraction(1, math.factorial(len(word))))
     return out
 
 
@@ -360,15 +344,6 @@ def test_symmetric_cochain_sandwich_rescales_by_factorials(degree):
     ext = extend_coderivation(scaled, "sym")
     for word in canonical_words(SP3, 4):
         assert element_eq(op(word), ext.eval_word(word)), word
-
-
-def test_weight_cap_guard():
-    rng = random.Random(83)
-    c = random_cochain(SP2, rng, False, -1)
-    d = extend_coderivation(c, "tensor", max_weight=2)
-    d.eval_word((0, 1))
-    with pytest.raises(WeightCapExceeded):
-        d.eval_word((0, 1, 0))
 
 
 def test_symmetric_cochain_input_validation():

@@ -2,12 +2,21 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from homotopyalg.ainfty import AInftyAlgebra, from_associative, from_dga
+from homotopyalg.ainfty import (
+    AInftyAlgebra,
+    from_associative,
+    from_dga,
+    suspend_operations,
+)
 from homotopyalg.chain import ChainComplex
-from homotopyalg.graded import GradedSpace
+from homotopyalg.coalgebra import Coderivation, extend_coderivation
+from homotopyalg.documents import document_to_algebra, parse_document
+from homotopyalg.graded import GradedSpace, add_into
 from homotopyalg.linfty import (
     ce_words,
     homology_coproduct,
@@ -16,6 +25,7 @@ from homotopyalg.linfty import (
     primitives,
 )
 from homotopyalg.constructions import (
+    _antisymmetrize,
     _root_weight,
     _weight_buckets,
     GLCoinvariantModel,
@@ -26,7 +36,6 @@ from homotopyalg.constructions import (
     corner_embed,
     corner_embed_word,
     gl,
-    gl_coinvariant_homology,
     gl_coinvariant_model,
     gl_entry,
     gl_index,
@@ -39,6 +48,10 @@ from homotopyalg.constructions import (
 )
 
 from oracles import gl_bracket, lie_homology_dims
+from word_oracles import include_i, read_off
+
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 @lru_cache(maxsize=None)
@@ -149,6 +162,102 @@ def test_lieify_rejects_non_jacobi_commutator():
     alg = AInftyAlgebra(GradedSpace(tuple("abcde"), (0,) * 5), {2: table})
     with pytest.raises(ValueError, match="failed certification"):
         lie_ify(alg)
+
+
+# the entrywise antisymmetrization against the word-level read-off
+
+
+def lie_by_words(space, ops, cap=None):
+    """Suspended brackets read off word by word: the weight-one part of
+    D_m . include_i on every canonical word of each arity of `ops` through
+    `cap`.  The reference that `_antisymmetrize` must reproduce exactly."""
+    susp = space.suspend()
+    dm = extend_coderivation(suspend_operations(space, ops), "tensor")
+
+    def operator(word):
+        out = {}
+        for tensor_word, c in include_i({word: Fraction(1)}, susp).items():
+            for w, c2 in dm.eval_word(tensor_word).items():
+                add_into(out, w, c * c2)
+        return out
+
+    comps = {}
+    for k in sorted(ops):
+        if cap is None or k <= cap:
+            comp = read_off(operator, susp, k, symmetric=True)
+            if comp:
+                comps[k] = comp
+    return comps
+
+
+@st.composite
+def graded_operations(draw):
+    """Homogeneous operations of arities 1-3 on up to three letters, and a
+    cap that may cut below the top arity.
+
+    Unsuspended degrees 0..2 give letters of both parities, so a word can
+    repeat an even letter (no bracket) or an odd one (a bracket)."""
+    degrees = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
+    space = GradedSpace(tuple("abc"[:len(degrees)]), tuple(degrees))
+    ops = {}
+    for k in sorted(draw(st.sets(st.integers(1, 3), min_size=1))):
+        table = {}
+        for word in itertools.product(range(space.dim), repeat=k):
+            target = sum(degrees[i] for i in word) + k - 2
+            val = {i: Fraction(draw(st.integers(-2, 2)))
+                   for i in range(space.dim) if degrees[i] == target}
+            if any(val.values()):
+                table[word] = val
+        ops[k] = table
+    return space, ops, draw(st.one_of(st.none(), st.integers(1, 3)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(graded_operations())
+def test_antisymmetrize_matches_word_read_off(drawn):
+    space, ops, cap = drawn
+    brackets = _antisymmetrize(space, ops, cap)
+    assert suspend_operations(space, brackets, symmetric=True).comps == \
+        lie_by_words(space, ops, cap)
+
+
+def fixture_algebra(name):
+    path = FIXTURES / f"{name}.alg"
+    return document_to_algebra(parse_document(path.read_text(encoding="utf-8")))
+
+
+def test_lieify_matches_word_read_off_on_fixtures():
+    # the comparison is on ell, the suspension of the brackets, which
+    # determines them
+    for path in sorted(FIXTURES.glob("*.alg")):
+        alg = fixture_algebra(path.stem)
+        if not isinstance(alg, AInftyAlgebra):
+            continue
+        for cap in (None, 2):
+            assert lie_ify(alg, cap).ell.comps == \
+                lie_by_words(alg.space, alg.ops, cap), (path.name, cap)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lieify_matches_word_read_off_on_matrix_algebras(n):
+    for name in ("K", "dual_numbers", "dga2", "ut2"):
+        alg = matrix_algebra(MatrixAlgebraSpec(fixture_algebra(name), n))
+        assert lie_ify(alg).ell.comps == lie_by_words(alg.space, alg.ops), \
+            alg.name
+
+
+def test_lieify_evaluates_no_word(monkeypatch):
+    alg = matrix_algebra(MatrixAlgebraSpec(ground_field(), 4))
+    words = []
+    real = Coderivation.eval_word
+
+    def counting(self, word):
+        words.append(word)
+        return real(self, word)
+
+    monkeypatch.setattr(Coderivation, "eval_word", counting)
+    lie_ify(alg)
+    assert words == []
 
 
 # ---------------------------------------------------------------------------
@@ -388,13 +497,14 @@ def all_matrix_unit_generators(base, n):
 ])
 def test_coinvariant_model_matches_generic_quotient(base_name, n):
     base = {"K": ground_field, "K[e]": dual_numbers}[base_name]()
-    fast = gl_coinvariant_homology(base, n, 3)
+    model = gl_coinvariant_model(base, n, 3)
+    fast = model.homology()
     h = all_matrix_unit_generators(base, n)
     generic = lie_homology(gl_cached(base_name, n), 3, h=h)
     assert {q: fast.dims[q] for q in range(4)} == \
         {q: generic.dims[q] for q in range(4)}
     # the coproduct on the zero-weight quotient against the generic one
-    fast_prim = primitives(gl_coinvariant_model(base, n, 3).coproduct())
+    fast_prim = primitives(model.coproduct())
     generic_prim = primitives(homology_coproduct(gl_cached(base_name, n), 3, h=h))
     assert {q: fast_prim[q].dim for q in range(4)} == \
         {q: generic_prim[q].dim for q in range(4)}

@@ -7,6 +7,7 @@ import pytest
 
 from homotopyalg.ainfty import AInftyAlgebra, cyclic_homology, from_associative
 from homotopyalg.chain import BettiTable
+from homotopyalg import lqt
 from homotopyalg.constructions import gl_coinvariant_model
 from homotopyalg.graded import GradedSpace
 from homotopyalg.lqt import (
@@ -87,7 +88,9 @@ def test_expand_exterior_matches_computed_cyclic_homology():
 
 
 def test_hopf_product_over_ground_field():
-    report = hopf_product_on_homology(gl_coinvariant_model(ground_field(), 2, 4))
+    base = ground_field()
+    report = hopf_product_on_homology(gl_coinvariant_model(base, 2, 4),
+                                      gl_coinvariant_model(base, 4, 4))
     assert report.ok
     assert report.unit_ok
     assert report.commutative_violations == []
@@ -103,8 +106,33 @@ def test_hopf_product_over_ground_field():
     assert report.checked_pairs > 0 and report.checked_triples > 0
 
 
+def test_hopf_product_refuses_a_mismatched_doubled_model():
+    model_1 = gl_coinvariant_model(ground_field(), 1, 2)
+    for wrong in (gl_coinvariant_model(ground_field(), 3, 2),
+                  gl_coinvariant_model(ground_field(), 2, 1),
+                  gl_coinvariant_model(dual_numbers(), 2, 2)):
+        with pytest.raises(ValueError, match="doubled model"):
+            hopf_product_on_homology(model_1, wrong)
+
+
+def test_verify_lqt_reuses_the_doubled_model(monkeypatch):
+    built = []
+    real = lqt.gl_coinvariant_model
+
+    def counting(base, n, max_degree):
+        built.append(n)
+        return real(base, n, max_degree)
+
+    monkeypatch.setattr(lqt, "gl_coinvariant_model", counting)
+    report = verify_lqt(ground_field(), [3, 6], 2)
+    assert report.hopf.ok and (report.hopf.n, report.hopf.target) == (3, 6)
+    assert sorted(built) == [3, 6]
+
+
 def test_hopf_product_unit_class_acts_as_stabilization():
-    report = hopf_product_on_homology(gl_coinvariant_model(ground_field(), 2, 3))
+    base = ground_field()
+    report = hopf_product_on_homology(gl_coinvariant_model(base, 2, 3),
+                                      gl_coinvariant_model(base, 4, 3))
     for (x, y), cls in report.products.items():
         if x == (0, 0):
             assert cls == report.stabilized[(x, y)] is not None or cls is not None
