@@ -456,7 +456,7 @@ def main(argv=None):
         return _fail(sys.stderr, EXIT_VALIDATION, [str(exc)])
     except CapExceeded as exc:
         return _fail(sys.stderr, EXIT_CAP, [str(exc)])
-    except (ValueError, ArithmeticError) as exc:
+    except ValueError as exc:
         return _fail(sys.stderr, EXIT_VIOLATION, [str(exc)])
     _emit(payload, args.format, sys.stdout)
     return code

@@ -22,17 +22,21 @@ the diagonal torus, and every nonzero-weight summand dies in the
 quotient: the coinvariant complex is isomorphic to the zero-weight words
 modulo the off-diagonal adjoint images of the opposite-weight words.
 When the base has a strict unit, every higher bracket with 1 (x) E
-vanishes, so the matrix units act through a Lie action of gl_n(K).  Each
-root alpha then gives an sl2 triple acting on every finite-dimensional
-block, which is completely reducible over Q, so on weight zero
-E_alpha . C_{-alpha} = E_{-alpha} . C_alpha; and every positive root unit
-is an iterated commutator of the positive simple units E_{r,r+1}.  The
-n-1 images of those units therefore already span the quotient.
-`gl_coinvariant_model` materializes that small presentation exactly,
-sorting the words of each degree by torus weight in one enumeration
-pass; its agreement with the generic quotient-by-all-generators route,
-and of its spans with the all-roots spans, is part of the test suite,
-not assumed here.
+vanishes, so the matrix units act through a Lie action of gl_n(K), and
+GL_n(Q) acts by conjugation.  An elementary matrix exp(t E_ij) acts
+trivially on the coinvariant quotient and the diagonal torus acts
+trivially on weight zero; every permutation matrix is a product of the
+two, so relabelling the matrix positions of a word, a (x) E_ij ->
+a (x) E_{sigma i, sigma j} followed by the Koszul sign of sorting, fixes
+its class (Weyl, The Classical Groups, for the first fundamental theorem
+of GL_n).  Every root is Weyl-conjugate to e_1 - e_2, so modulo these
+identities the single image E_12 . C_{e_2 - e_1} spans the relations.
+`gl_coinvariant_model` materializes that presentation exactly: one
+representative per S_n-orbit of zero-weight words, an orbit whose
+stabilizer acts by -1 dropped as zero, and the E_12 images rewritten on
+representatives.  Its agreement with the simple-root presentation and
+with the generic quotient-by-all-generators route is part of the test
+suite, not assumed here.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .ainfty import AInftyAlgebra, check_stasheff, check_strict_unit
 from .chain import ChainComplex
 from .graded import GradedSpace, add_into, sign_of_arrangement
 from .linfty import (
+    InconsistencyError,
     LInftyAlgebra,
     check_linfty,
     coalgebra_on_homology,
@@ -73,11 +78,6 @@ __all__ = [
     "gl_coinvariant_model",
     "InconsistencyError",
 ]
-
-
-class InconsistencyError(Exception):
-    """Two routes of the package that must agree did not: an internal
-    fault, never a property of the input algebra."""
 
 
 # ---------------------------------------------------------------------------
@@ -506,24 +506,35 @@ def check_block_sum_morphism(gl_left, gl_right, gl_target, pairs):
 @dataclass
 class GLCoinvariantModel:
     """The gl_n(K)-coinvariant Chevalley-Eilenberg complex of gl_n(A),
-    presented on zero-weight words.
+    presented on S_n-orbits of zero-weight words.
 
     The full complex splits over the weight lattice of the diagonal torus,
     whose matrix units act on a word by its total weight; every
-    nonzero-weight summand is killed by its own torus action.  On the
-    zero-weight summand the quotient is by the images of the positive
-    simple-root units: E_{r,r+1} on the words of weight e_{r+1} - e_r,
-    r = 1..n-1.  These n-1 actions span the same subspace as all n(n-1)
-    off-diagonal ones: the sl2 triple of a root alpha acts completely
-    reducibly on each finite-dimensional block, so on weight zero
-    E_alpha . C_{-alpha} = E_{-alpha} . C_alpha, and every positive root
-    unit is an iterated commutator of positive simple ones (see
-    `gl_coinvariant_model`).  The quotient complex is therefore
-    isomorphic to the generic coinvariant complex, a fact the test suite
-    verifies against the all-generators construction.  `blocks` holds
-    the zero-weight words per degree and `spans` the simple-root images.
-    The reduced complex and the homology coalgebra are each built once
-    and cached.
+    nonzero-weight summand is killed by its own torus action, and the
+    zero-weight summand C_0 is quotiented by S, the sum of the root images
+    E_alpha . C_{-alpha}.  Conjugation by a permutation matrix sigma acts
+    on words letterwise, a (x) E_ij -> a (x) E_{sigma i, sigma j}, followed
+    by the Koszul sign of `canonical_sym`, and it fixes every class of
+    C_0 / S:
+
+    * with a strict unit, exp(t E_ij) (i != j) acts on the complex and
+      trivially on its coinvariants, because E_ij acts there by zero;
+    * the diagonal torus acts trivially on weight zero;
+    * every permutation matrix is a product of these two kinds.
+
+    So w = +-sigma(w) modulo S (Weyl's first fundamental theorem for
+    GL_n is the classical form of this).  `canonical` sends a word to
+    (sign, representative of its orbit); an orbit whose stabilizer acts on
+    it by -1 is zero in the quotient and gets sign 0.  Every root is
+    Weyl-conjugate to e_1 - e_2, so the single image E_12 . C_{e_2 - e_1}
+    spans S modulo these identities.  `blocks[q]` lists the
+    non-vanishing orbit representatives of degree q and `spans[q]` the E_12
+    images written on representatives; the quotient is isomorphic to C_0 / S,
+    which the test suite checks against the simple-root presentation.
+    Every consumer of the complex - its differential, its spans, each tensor
+    factor of the coproduct, and the product check of `lqt` - passes its
+    words through `canonical`.  The reduced complex and the homology
+    coalgebra are each built once and cached.
     """
 
     algebra: LInftyAlgebra
@@ -532,14 +543,45 @@ class GLCoinvariantModel:
     max_degree: int
     blocks: dict
     spans: dict
+    _letters: tuple = field(init=False, repr=False)
+    _canon: dict = field(default_factory=dict, repr=False)
     _cx: object = field(default=None, repr=False)
     _coalg: object = field(default=None, repr=False)
+
+    def __post_init__(self):
+        self._letters = _letter_table(self.n, self.base.space.dim)
+
+    def canonical(self, word):
+        """The class of a canonical word in the quotient, as (sign,
+        representative).  Sign 0 means the word is zero there: either its
+        weight is nonzero (representative None) or its orbit's stabilizer
+        acts on it by -1.  Memoized per model."""
+        hit = self._canon.get(word)
+        if hit is None:
+            hit = self._canon[word] = _orbit_canonical(
+                word, self._letters, self.algebra.suspended.degrees, self.n)
+        return hit
+
+    def reduce(self, element):
+        """An element over canonical words, rewritten on representatives."""
+        out = {}
+        for w, c in element.items():
+            sign, rep = self.canonical(w)
+            if sign:
+                add_into(out, rep, sign * c)
+        return out
 
     def complex(self):
         if self._cx is None:
             d = self.algebra.coderivation()
-            self._cx = ChainComplex(self.blocks, lambda q, w: d.eval_word(w),
-                                    quotient_spans=self.spans)
+            images = {}
+
+            def diff(q, word):
+                if word not in images:
+                    images[word] = self.reduce(d.eval_word(word))
+                return images[word]
+
+            self._cx = ChainComplex(self.blocks, diff, quotient_spans=self.spans)
         return self._cx
 
     def homology(self, representatives=False):
@@ -553,12 +595,13 @@ class GLCoinvariantModel:
 
     def coproduct(self):
         """The induced coalgebra on the coinvariant homology, computed on
-        the reduced complex; descent of the coproduct to this quotient is
-        verified at computation time."""
+        the reduced complex; each tensor factor is canonicalized on its own,
+        since S_n acts trivially on each factor C_0 / S.  Descent of the
+        coproduct to this quotient is verified at computation time."""
         if self._coalg is None:
             result = coalgebra_on_homology(
                 self.algebra.suspended, self.complex(), self.max_degree,
-                spans=self.spans)
+                spans=self.spans, canonical=self.canonical)
             result.table.caps = {"max_degree": self.max_degree,
                                  "coinvariants": "matrix-units"}
             for q in result.table.dims:
@@ -567,90 +610,208 @@ class GLCoinvariantModel:
         return self._coalg
 
 
-def _root_weight(n, r, s):
-    """Torus weight e_r - e_s of the matrix unit E_{r+1,s+1}."""
-    wt = [0] * n
-    wt[r] += 1
-    wt[s] -= 1
-    return tuple(wt)
+def _letter_table(n, base_dim):
+    """(base index, row, column) of every flat index of M_n(A)."""
+    return tuple((a, i, j) for a in range(base_dim)
+                 for i in range(n) for j in range(n))
 
 
-def _weight_buckets(space, n, base_dim, total_degree, weights):
-    """The canonical words of one suspended degree whose torus weight is in
-    `weights`, as {weight: [word, ...]}.
+def _rank(signatures):
+    """Replace each position's signature by its rank among the distinct
+    signatures: an ordered partition that names no position.  Returns the
+    colouring and its number of colours."""
+    order = {s: r for r, s in enumerate(sorted(set(signatures.values())))}
+    return {p: order[s] for p, s in signatures.items()}, len(order)
 
-    One depth-first pass in `ce_words` order, so each bucket lists its
-    words in that order.  The running weight is updated letter by letter:
-    the letter a (x) E_{i+1,j+1} adds e_i - e_j.  Every target weight has
-    L1 norm at most 2, every letter has suspended degree at least 1 and
-    moves the L1 norm by at most 2, so a prefix whose norm exceeds
-    2 * (remaining degree + 1) is abandoned.
+
+def _orbit_canonical(word, letters, degrees, n):
+    """(sign, representative) of a canonical word under relabelling of
+    matrix positions; see `GLCoinvariantModel.canonical`.
+
+    The touched positions are coloured by the base letters on their loops,
+    out-edges and in-edges, and the colours are refined by the colours
+    across each edge until stable.  A colouring that is not yet one
+    position per colour is split by giving each position of its first
+    shared colour, in turn, a colour of its own.  Each fully split colouring
+    relabels the touched positions onto 0..t-1; the representative is the
+    smallest relabelled word.  The construction names no position, so the
+    representative depends only on the orbit, and the relabellings that
+    reach it differ exactly by the stabilizer of the word.  The Koszul
+    sign is taken for those relabellings only; when two of them disagree,
+    the stabilizer acts by -1 and the orbit vanishes.
+
+    Positions that carry only loops are interchangeable within a colour,
+    and exchanging two of them has the sign (-1)^m, m the number of odd
+    letters on either.  Only the first of them is split off: the others
+    give the same words, with the same signs unless m is odd, and then
+    the orbit vanishes.
     """
-    degs = space.degrees
-    dim = space.dim
-    rows, cols = [], []
-    for idx in range(dim):
-        _, i, j = gl_entry(idx, n, base_dim)
-        rows.append(i)
-        cols.append(j)
-    buckets = {wt: [] for wt in weights}
-    net = [0] * n
-    prefix = []
+    entries = [letters[x] for x in word]
+    net = {}
+    loops, outs, ins = {}, {}, {}
+    for x, (a, i, j) in zip(word, entries):
+        if i == j:
+            loops.setdefault(i, []).append((a, degrees[x] % 2))
+            net.setdefault(i, 0)
+        else:
+            net[i] = net.get(i, 0) + 1
+            net[j] = net.get(j, 0) - 1
+            outs.setdefault(i, []).append((a, j))
+            ins.setdefault(j, []).append((a, i))
+    if any(net.values()):
+        return 0, None
+    size = len(net)
 
-    def extend(start, remaining, norm):
-        for idx in range(start, dim):
-            d = degs[idx]
+    def refine(colour, cells):
+        while cells < size:
+            new, count = _rank({
+                p: (colour[p],
+                    tuple(sorted((a, colour[j]) for a, j in outs.get(p, ()))),
+                    tuple(sorted((a, colour[i]) for a, i in ins.get(p, ()))))
+                for p in colour})
+            if count == cells:
+                break
+            colour, cells = new, count
+        return colour, cells
+
+    best, reaching, vanishes = None, [], False
+
+    def search(colour, cells):
+        nonlocal best, reaching, vanishes
+        if cells == size:
+            image = [a * n * n + colour[i] * n + colour[j] for a, i, j in entries]
+            key = tuple(sorted(image))
+            if best is None or key < best:
+                best, reaching = key, [image]
+            elif key == best:
+                reaching.append(image)
+            return
+        members = {}
+        for p, c in colour.items():
+            members.setdefault(c, []).append(p)
+        first = min(c for c, ps in members.items() if len(ps) > 1)
+        choices = members[first]
+        if choices[0] not in outs and choices[0] not in ins:
+            vanishes |= sum(odd for _, odd in loops[choices[0]]) % 2 == 1
+            choices = choices[:1]
+        for p in choices:
+            search(*refine(*_rank({r: (c, r != p) for r, c in colour.items()})))
+
+    search(*refine(*_rank({p: (tuple(sorted(loops.get(p, ()))),
+                               tuple(sorted(a for a, _ in outs.get(p, ()))),
+                               tuple(sorted(a for a, _ in ins.get(p, ()))))
+                           for p in net})))
+    word_degrees = [degrees[x] for x in word]
+    signs = {sign_of_arrangement(word_degrees,
+                                 sorted(range(len(image)), key=image.__getitem__))
+             for image in reaching}
+    return (0 if vanishes or len(signs) > 1 else signs.pop()), best
+
+
+def _segment_words(space, n, base_dim, total_degree, weight):
+    """The canonical words of one suspended degree and torus weight whose
+    touched matrix positions are an initial segment {0, ..., t-1}, in
+    `ce_words` order.
+
+    Every S_n-orbit of zero-weight words has such a member, and so does
+    every orbit of words of weight e_2 - e_1 under the permutations fixing
+    the first two positions.  The letter a (x) E_{i+1,j+1} adds e_i - e_j
+    to the weight, and a word of k letters touches at most k positions
+    beyond those its weight forces, so only rows and columns below that
+    bound are used.  One depth-first pass takes the letters row by row;
+    once a letter of row i is taken, the rows above i are closed, since
+    later letters can only enter them as columns.  A prefix is abandoned
+    when a closed row has too few outgoing letters or is untouched where
+    its weight needs none, when the closed rows need more incoming letters
+    than the remaining degree allows (each letter has degree >= 1), or
+    when its distance to `weight`, or the number of untouched positions
+    below its largest touched one, exceeds twice the remaining degree.
+    """
+    if total_degree == 0:
+        return [()] if not any(weight) else []
+    degs = space.degrees
+    target = list(weight)
+    reach = min(n, total_degree + sum(abs(x) for x in target) // 2)
+    alphabet = sorted((i, idx, j) for idx, (_, i, j)
+                      in enumerate(_letter_table(n, base_dim))
+                      if i < reach and j < reach)
+    alphabet = [(idx, degs[idx], i, j) for i, idx, j in alphabet]
+    excess = [-x for x in target]     # weight so far minus the target
+    hits = [0] * reach
+    prefix = []
+    out = []
+
+    def extend(start, remaining, closed, debt, dist, count, top):
+        # count: touched positions; top: 1 + the largest touched position
+        for pos in range(start, len(alphabet)):
+            idx, d, i, j = alphabet[pos]
+            while closed < i:
+                e = excess[closed]
+                if e < 0 or (not hits[closed] and not target[closed]):
+                    return
+                debt += e
+                closed += 1
+            if debt > remaining:
+                return
             if d > remaining or (prefix and prefix[-1] == idx and d % 2):
                 continue
-            i, j = rows[idx], cols[idx]
-            a, b = net[i], net[j]
-            if i != j:
-                net[i] = a + 1
-                net[j] = b - 1
+            moved = i != j
+            if moved and j < closed and not excess[j]:
+                continue
+            step = 0
+            if moved:
+                a, b = excess[i], excess[j]
                 step = abs(a + 1) + abs(b - 1) - abs(a) - abs(b)
-            else:
-                step = 0
-            if d == remaining:
-                if norm + step <= 2:
-                    bucket = buckets.get(tuple(net))
-                    if bucket is not None:
-                        bucket.append((*prefix, idx))
-            elif norm + step <= 2 * (remaining - d) + 2:
-                prefix.append(idx)
-                extend(idx, remaining - d, norm + step)
-                prefix.pop()
-            net[i], net[j] = a, b
+                excess[i] = a + 1
+                excess[j] = b - 1
+            ends = (i, j) if moved else (i,)
+            grown = count + sum(1 for p in ends if not hits[p])
+            gaps = max(top, i + 1, j + 1) - grown
+            left = remaining - d
+            prefix.append(idx)
+            if left == 0:
+                if dist + step == 0 and gaps == 0:
+                    out.append(tuple(sorted(prefix)))
+            elif dist + step <= 2 * left and gaps <= 2 * left:
+                for p in ends:
+                    hits[p] += 1
+                extend(pos, left, closed, debt - (moved and j < closed),
+                       dist + step, grown, max(top, i + 1, j + 1))
+                for p in ends:
+                    hits[p] -= 1
+            prefix.pop()
+            if moved:
+                excess[i] -= 1
+                excess[j] += 1
 
-    if total_degree == 0 and tuple(net) in buckets:
-        buckets[tuple(net)].append(())
-    extend(0, total_degree, 0)
-    return buckets
+    extend(0, total_degree, 0, 0, sum(abs(x) for x in target), 0, 0)
+    return sorted(out)
 
 
 def gl_coinvariant_model(base, n, max_degree):
-    """Build the zero-weight coinvariant model of gl_n(A) through the
-    given degree.
+    """Build the zero-weight coinvariant model of gl_n(A) on S_n-orbits
+    through the given degree.
 
     The base must carry a strict unit: it provides the copy of gl_n(K)
     acting by matrix units, and strictness makes every higher bracket
     with 1 (x) E vanish, so x -> [delta_ell, delta_x] is a Lie action of
-    gl_n(K).  The zero-weight part of gl_n(K) . C is the sum of
-    E_alpha . C_{-alpha} over the roots alpha (the torus acts by zero on
-    weight zero), and the n-1 positive simple-root images alone span it:
+    gl_n(K) and exp(t E_ij) acts on the complex.  As `GLCoinvariantModel`
+    explains, every permutation of matrix positions then fixes each class
+    of the zero-weight quotient, so the words of one S_n-orbit agree there
+    up to the sign `canonical` returns.  The block of degree q lists one
+    representative per orbit whose stabilizer does not act by -1; every
+    orbit has a member touching an initial segment of positions, so only
+    those words are canonicalized.
 
-    * each root alpha gives an sl2 triple (E_alpha, E_{-alpha}, H_alpha)
-      acting on the sum of the weight spaces C_{k alpha} of a degree
-      block, a finite-dimensional representation and so completely
-      reducible over Q.  In each irreducible summand E_alpha maps the
-      H_alpha-weight -2 space onto the weight 0 space exactly when
-      E_{-alpha} maps the weight 2 space onto it, so on weight zero
-      E_alpha . C_{-alpha} = E_{-alpha} . C_alpha, and negative roots
-      add nothing;
-    * every positive root unit is an iterated commutator of positive
-      simple ones, E_{i,j} = [E_{i,i+1}, E_{i+1,j}] for j > i + 1, so by
-      induction on the height of beta = alpha + gamma with alpha simple,
-      E_beta x = E_alpha E_gamma x - E_gamma E_alpha x lies in
-      E_alpha . C_{-alpha} + E_gamma . C_{-gamma} for x in C_{-beta}.
+    The zero-weight part of gl_n(K) . C is the sum of E_alpha . C_{-alpha}
+    over the roots alpha (the torus acts by zero on weight zero).  For a
+    root e_i - e_j pick tau with tau(1) = i and tau(2) = j; then
+    E_ij . y = tau(E_12 . tau^{-1} y), whose class is that of E_12 .
+    tau^{-1} y.  So the E_12 images of the words of weight e_2 - e_1 span
+    the quotient's relations, and since E_12 . tau x = tau(E_12 . x) for
+    every tau fixing the first two positions, the words touching an
+    initial segment suffice.  At n = 1 there is no root: every word is its
+    own orbit and nothing is quotiented.
     """
     unitality = check_strict_unit(base)
     if not unitality:
@@ -661,28 +822,32 @@ def gl_coinvariant_model(base, n, max_degree):
     L = gl(MatrixAlgebraSpec(base, n))
     base_dim = base.space.dim
     susp = L.suspended
+    model = GLCoinvariantModel(L, n, base, max_degree, {}, {})
 
     zero = (0,) * n
-    simple = []
-    for r in range(n - 1):
-        gen = {gl_index(n, base_dim, base.unit, r, r + 1): Fraction(1)}
-        act = make_inner(L, gen).coderivation()
-        # E_{r+1,r+2} adds e_r - e_{r+1}, so it maps the words of weight
-        # e_{r+1} - e_r into weight zero
-        simple.append((_root_weight(n, r + 1, r), act))
-    weights = [zero] + [wt for wt, _ in simple]
+    root = None
+    if n > 1:
+        # E_12 adds e_1 - e_2, so it maps the words of weight e_2 - e_1
+        # into weight zero
+        gen = {gl_index(n, base_dim, base.unit, 0, 1): Fraction(1)}
+        root = ((-1, 1) + (0,) * (n - 2), make_inner(L, gen).coderivation())
 
-    blocks, spans = {}, {}
     for q in range(0, max_degree + 2):
-        buckets = _weight_buckets(susp, n, base_dim, q, weights)
-        if buckets[zero]:
-            blocks[q] = buckets[zero]
+        reps = set()
+        for word in _segment_words(susp, n, base_dim, q, zero):
+            sign, rep = model.canonical(word)
+            if sign:
+                reps.add(rep)
+        if reps:
+            model.blocks[q] = sorted(reps)
+        if root is None:
+            continue
+        weight, act = root
         gens = []
-        for wt, act in simple:
-            for word in buckets[wt]:
-                img = act.eval_word(word)
-                if img:
-                    gens.append(img)
+        for word in _segment_words(susp, n, base_dim, q, weight):
+            img = model.reduce(act.eval_word(word))
+            if img:
+                gens.append(img)
         if gens:
-            spans[q] = gens
-    return GLCoinvariantModel(L, n, base, max_degree, blocks, spans)
+            model.spans[q] = gens
+    return model

@@ -50,6 +50,7 @@ from .graded import GradedSpace, add_into
 from .rational_linalg import LinearSolver, SparseMatrix, Subspace, kernel
 
 __all__ = [
+    "InconsistencyError",
     "LInftyAlgebra",
     "Derivation",
     "HomologyCoalgebra",
@@ -64,6 +65,11 @@ __all__ = [
     "homology_coproduct",
     "primitives",
 ]
+
+
+class InconsistencyError(Exception):
+    """Two routes of the package that must agree did not: an internal
+    fault, never a property of the input algebra."""
 
 
 @dataclass
@@ -361,21 +367,26 @@ class HomologyCoalgebra:
         return kernel(mat)
 
 
-def coalgebra_on_homology(space, cx, max_degree, spans=None):
+def coalgebra_on_homology(space, cx, max_degree, spans=None, canonical=None):
     """Homology of a word complex together with its induced coproduct.
 
     `cx` is the complex of canonical symmetric words over `space` (degrees
     up to max_degree + 1), already reduced by its quotient generators;
     `spans` lists those generators per degree for the descent check.  The
     reduced shuffle coproduct is taken on (C/S) (x) (C/S): each tensor
-    factor is replaced by its canonical residual in the quotient, and a
-    factor whose word is absent from the complex counts as zero (in a
+    factor is first sent through `canonical` (word -> (sign, key of the
+    complex), sign 0 for a word the quotient kills; the identity when
+    omitted), then replaced by its canonical residual in the quotient, and
+    a factor whose key is absent from the complex counts as zero (in a
     graded presentation the absent words are exactly the ones the quotient
     map kills).  Verifies that the coproduct of every span generator of
     degree <= max_degree vanishes there, and that the coproduct of the
     boundary of every quotient basis word has zero class, before
     expressing the coproduct of each representative in the basis of
-    representative pairs.
+    representative pairs.  Both checks hold whenever the spans are images
+    of inner derivations, as they are for every caller in the package,
+    because inner derivations and the differential are coderivations; a
+    failure is a fault of the package and raises `InconsistencyError`.
     """
     table = cx.homology(range(0, max_degree + 1), representatives=True)
     reps = table.representatives
@@ -388,8 +399,9 @@ def coalgebra_on_homology(space, cx, max_degree, spans=None):
         """The class of a word in C/S, over the quotient basis words."""
         if word not in residuals:
             q = space.word_degree(word)
-            col = cx.index.get(q, {}).get(word)
-            vec = {} if col is None else cx._residual({col: Fraction(1)}, q)
+            sign, key = (1, word) if canonical is None else canonical(word)
+            col = cx.index.get(q, {}).get(key) if sign else None
+            vec = {} if col is None else cx._residual({col: Fraction(sign)}, q)
             residuals[word] = {cx.blocks[q][c]: v for c, v in vec.items()}
         return residuals[word]
 
@@ -449,7 +461,7 @@ def coalgebra_on_homology(space, cx, max_degree, spans=None):
             continue
         for s in gen_list:
             if reduced_coproduct(s):
-                raise ValueError(
+                raise InconsistencyError(
                     f"coproduct does not descend to the quotient in degree {q}")
 
     pair_basis, pair_reps = {}, {}
@@ -471,7 +483,7 @@ def coalgebra_on_homology(space, cx, max_degree, spans=None):
         for w in basis.get(q + 1, ()):
             img = reduced_coproduct(cx.diff(q + 1, w))
             if pair_cx.class_coefficients(q, img, pair_reps[q]):
-                raise ValueError(
+                raise InconsistencyError(
                     f"coproduct depends on the choice of representative in degree {q}")
 
     delta = {}

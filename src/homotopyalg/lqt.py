@@ -35,7 +35,6 @@ from fractions import Fraction
 from .ainfty import check_stasheff, check_strict_unit, cyclic_homology
 from .chain import BettiTable
 from .constructions import (
-    InconsistencyError,
     corner_embed_word,
     gl,
     gl_coinvariant_model,
@@ -44,7 +43,7 @@ from .constructions import (
     MatrixAlgebraSpec,
 )
 from .graded import add_into, canonical_sym
-from .linfty import lie_homology, primitives
+from .linfty import InconsistencyError, lie_homology, primitives
 from .rational_linalg import LinearSolver
 
 __all__ = [
@@ -179,8 +178,10 @@ def hopf_product_on_homology(model_n, model_2n):
 
     `model_n` and `model_2n` are the coinvariant models of gl_n(A) and
     gl_2n(A) over one base and through one degree.  Chains of gl_n are pushed
-    into the odd and even slots of gl_2n, wedged, and expressed in a
-    computed representative basis of the doubled coinvariant homology.
+    into the odd and even slots of gl_2n, wedged, rewritten on the orbit
+    representatives of the doubled model, and expressed in a computed
+    representative basis of the doubled coinvariant homology; the corner
+    inclusion is rewritten on those representatives the same way.
     Graded commutativity is compared directly there; associativity is
     checked after re-expression through the corner inclusion, which on the
     zero-weight presentation induces the same stabilization map as either
@@ -215,7 +216,7 @@ def hopf_product_on_homology(model_n, model_2n):
                 sign, cw = canonical_sym(lw + rw, space_2n)
                 if sign:
                     add_into(out, cw, Fraction(c1) * Fraction(c2) * sign)
-        return out
+        return model_2n.reduce(out)
 
     def class_of(q, chain):
         if not chain:
@@ -231,7 +232,7 @@ def hopf_product_on_homology(model_n, model_2n):
             chain = {}
             for w, c in rep.items():
                 add_into(chain, corner_embed_word(w, n, 2 * n, base_dim), c)
-            cols.append(class_of(q, chain))
+            cols.append(class_of(q, model_2n.reduce(chain)))
         stab_cols[q] = cols
         solver = LinearSolver(len(reps_2n.get(q, [])))
         for i, col in enumerate(cols):

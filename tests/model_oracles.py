@@ -1,0 +1,124 @@
+"""The simple-root presentation of the zero-weight coinvariant model.
+
+Before the orbit presentation, `gl_coinvariant_model` kept every
+zero-weight word and quotiented by the images of the n-1 positive
+simple-root units E_{r,r+1} on the words of weight e_{r+1} - e_r.  Those
+images span the same subspace as all n(n-1) off-diagonal ones: the sl2
+triple of a root acts completely reducibly on each finite-dimensional
+block, so on weight zero E_alpha . C_{-alpha} = E_{-alpha} . C_alpha, and
+every positive root unit is an iterated commutator of positive simple
+ones.  It is kept here as the reference the orbit model is compared with.
+"""
+
+from fractions import Fraction
+
+from homotopyalg.constructions import (
+    GLCoinvariantModel,
+    MatrixAlgebraSpec,
+    gl,
+    gl_entry,
+    gl_index,
+)
+from homotopyalg.linfty import make_inner
+
+
+class SimpleRootModel(GLCoinvariantModel):
+    """Every zero-weight word is its own basis key; a word of nonzero
+    weight is zero in the quotient."""
+
+    def canonical(self, word):
+        net = [0] * self.n
+        for x in word:
+            _, i, j = self._letters[x]
+            net[i] += 1
+            net[j] -= 1
+        return (0, None) if any(net) else (1, word)
+
+
+def _root_weight(n, r, s):
+    """Torus weight e_r - e_s of the matrix unit E_{r+1,s+1}."""
+    wt = [0] * n
+    wt[r] += 1
+    wt[s] -= 1
+    return tuple(wt)
+
+
+def _weight_buckets(space, n, base_dim, total_degree, weights):
+    """The canonical words of one suspended degree whose torus weight is in
+    `weights`, as {weight: [word, ...]}.
+
+    One depth-first pass in `ce_words` order, so each bucket lists its
+    words in that order.  The running weight is updated letter by letter:
+    the letter a (x) E_{i+1,j+1} adds e_i - e_j.  Every target weight has
+    L1 norm at most 2, every letter has suspended degree at least 1 and
+    moves the L1 norm by at most 2, so a prefix whose norm exceeds
+    2 * (remaining degree + 1) is abandoned.
+    """
+    degs = space.degrees
+    dim = space.dim
+    rows, cols = [], []
+    for idx in range(dim):
+        _, i, j = gl_entry(idx, n, base_dim)
+        rows.append(i)
+        cols.append(j)
+    buckets = {wt: [] for wt in weights}
+    net = [0] * n
+    prefix = []
+
+    def extend(start, remaining, norm):
+        for idx in range(start, dim):
+            d = degs[idx]
+            if d > remaining or (prefix and prefix[-1] == idx and d % 2):
+                continue
+            i, j = rows[idx], cols[idx]
+            a, b = net[i], net[j]
+            if i != j:
+                net[i] = a + 1
+                net[j] = b - 1
+                step = abs(a + 1) + abs(b - 1) - abs(a) - abs(b)
+            else:
+                step = 0
+            if d == remaining:
+                if norm + step <= 2:
+                    bucket = buckets.get(tuple(net))
+                    if bucket is not None:
+                        bucket.append((*prefix, idx))
+            elif norm + step <= 2 * (remaining - d) + 2:
+                prefix.append(idx)
+                extend(idx, remaining - d, norm + step)
+                prefix.pop()
+            net[i], net[j] = a, b
+
+    if total_degree == 0 and tuple(net) in buckets:
+        buckets[tuple(net)].append(())
+    extend(0, total_degree, 0)
+    return buckets
+
+
+def simple_root_model(base, n, max_degree):
+    """The zero-weight words of gl_n(A) through the given degree, quotiented
+    by the n-1 positive simple-root images."""
+    L = gl(MatrixAlgebraSpec(base, n))
+    base_dim = base.space.dim
+    zero = (0,) * n
+    simple = []
+    for r in range(n - 1):
+        gen = {gl_index(n, base_dim, base.unit, r, r + 1): Fraction(1)}
+        # E_{r+1,r+2} maps the words of weight e_{r+1} - e_r into weight zero
+        simple.append((_root_weight(n, r + 1, r),
+                       make_inner(L, gen).coderivation()))
+    weights = [zero] + [wt for wt, _ in simple]
+    blocks, spans = {}, {}
+    for q in range(0, max_degree + 2):
+        buckets = _weight_buckets(L.suspended, n, base_dim, q, weights)
+        if buckets[zero]:
+            blocks[q] = buckets[zero]
+        gens = []
+        for wt, act in simple:
+            for word in buckets[wt]:
+                img = act.eval_word(word)
+                if img:
+                    gens.append(img)
+        if gens:
+            spans[q] = gens
+    return SimpleRootModel(L, n, base, max_degree, blocks, spans)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from homotopyalg import lqt
+from homotopyalg import linfty, lqt
 from homotopyalg.chain import BettiTable
 from homotopyalg.cli import main
 from homotopyalg.constructions import InconsistencyError
@@ -197,6 +197,37 @@ def test_internal_inconsistency_is_not_a_violation(monkeypatch):
     monkeypatch.setattr(lqt, "lie_homology", wrong_homology)
     with pytest.raises(InconsistencyError, match="coinvariant reduction"):
         main(["lqt", fixture("K.alg"), "--n", "1,2", "--max-degree", "2"])
+
+
+def test_coproduct_fault_is_not_a_violation(monkeypatch, capsys):
+    # the coproduct descends and is independent of the representative for
+    # every input, so a failed check is a fault of the package
+    real = linfty.coproduct_sym
+
+    def wrong(word, space):
+        out = real(word, space)
+        if len(word) > 1:
+            out[(word[:1], word[1:])] = out.get((word[:1], word[1:]), 0) + 1
+        return out
+
+    monkeypatch.setattr(linfty, "coproduct_sym", wrong)
+    # over K the quotient is zero in degree 2, so through degree 3 the
+    # wrong term never reaches a class: no check fires and nothing fails
+    code, _, _ = run(capsys, "lqt", fixture("K.alg"), "--n", "2,3",
+                     "--max-degree", "3")
+    assert code != 2
+    with pytest.raises(InconsistencyError, match="does not descend"):
+        main(["lqt", fixture("dual_numbers.alg"), "--n", "2,3",
+              "--max-degree", "3"])
+
+
+def test_arithmetic_fault_is_not_a_violation(monkeypatch):
+    def broken(hc, max_degree):
+        return 1 // 0
+
+    monkeypatch.setattr(lqt, "expand_exterior", broken)
+    with pytest.raises(ZeroDivisionError):
+        main(["lqt", fixture("K.alg"), "--n", "2", "--max-degree", "2"])
 
 
 def test_lqt_validates_size_list(capsys):

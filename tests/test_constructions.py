@@ -5,8 +5,9 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from homotopyalg import constructions
 from homotopyalg.ainfty import (
     AInftyAlgebra,
     from_associative,
@@ -16,7 +17,7 @@ from homotopyalg.ainfty import (
 from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import Coderivation, extend_coderivation
 from homotopyalg.documents import document_to_algebra, parse_document
-from homotopyalg.graded import GradedSpace, add_into
+from homotopyalg.graded import GradedSpace, add_into, canonical_sym
 from homotopyalg.linfty import (
     ce_words,
     homology_coproduct,
@@ -26,8 +27,7 @@ from homotopyalg.linfty import (
 )
 from homotopyalg.constructions import (
     _antisymmetrize,
-    _root_weight,
-    _weight_buckets,
+    _segment_words,
     GLCoinvariantModel,
     MatrixAlgebraSpec,
     MatrixElement,
@@ -47,6 +47,7 @@ from homotopyalg.constructions import (
     trace,
 )
 
+from model_oracles import _root_weight, _weight_buckets, simple_root_model
 from oracles import gl_bracket, lie_homology_dims
 from word_oracles import include_i, read_off
 
@@ -512,7 +513,8 @@ def test_coinvariant_model_matches_generic_quotient(base_name, n):
 
 def test_coinvariant_model_gl3_dims_and_primitives():
     model = gl_coinvariant_model(ground_field(), 3, 3)
-    assert [len(model.blocks.get(q, [])) for q in range(2)] == [1, 3]
+    # E_11, E_22 and E_33 form one S_3-orbit in degree 1
+    assert [len(model.blocks.get(q, [])) for q in range(2)] == [1, 1]
     table = model.homology()
     assert [table.dims[q] for q in range(4)] == [1, 1, 0, 1]
     assert all(table.exact.values())
@@ -567,7 +569,7 @@ def test_weight_buckets_filter_ce_words_in_order(base_name, n):
 def test_simple_root_spans_equal_all_root_spans(base_name, n, max_degree):
     base = {"K": ground_field, "K[e]": dual_numbers,
             "D": two_term_dga}[base_name]()
-    model = gl_coinvariant_model(base, n, max_degree)
+    model = simple_root_model(base, n, max_degree)
     L = model.algebra
     dim = base.space.dim
     actions = []
@@ -599,7 +601,160 @@ def test_simple_root_spans_equal_all_root_spans(base_name, n, max_degree):
 
 def test_coinvariant_model_uses_simple_roots_only():
     model = gl_coinvariant_model(ground_field(), 4, 4)
-    assert sum(len(words) for words in model.blocks.values()) == 323
-    # n-1 = 3 positive simple-root actions; the 2(n-1) = 6 simple roots of
-    # either sign would give 1,212 and all n(n-1) = 12 roots 2,424
-    assert sum(len(gens) for gens in model.spans.values()) == 606
+    # one representative per non-vanishing S_4-orbit: 323 zero-weight words
+    # through degree 5 fall into 17 such orbits
+    assert sum(len(words) for words in model.blocks.values()) == 17
+    # the single root E_12 on the words of weight e_2 - e_1 touching an
+    # initial segment of positions; the 3 positive simple roots on every
+    # such word gave 606
+    assert sum(len(gens) for gens in model.spans.values()) == 118
+
+
+# ---------------------------------------------------------------------------
+# the orbit presentation against the simple-root oracle
+
+
+def touched(word, n, base_dim):
+    out = set()
+    for idx in word:
+        _, i, j = gl_entry(idx, n, base_dim)
+        out |= {i, j}
+    return out
+
+
+BASES = {"K": ground_field, "K[e]": dual_numbers, "ut2": upper_triangular,
+         "D": two_term_dga}
+
+
+@pytest.mark.parametrize("base_name", ["K", "K[e]", "D"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_segment_words_filter_ce_words_in_order(base_name, n):
+    base_dim = BASES[base_name]().space.dim
+    susp = gl_cached(base_name, n).suspended
+    targets = [(0,) * n] + ([(-1, 1) + (0,) * (n - 2)] if n > 1 else [])
+    for q in range(0, 5 if n < 4 else 4):
+        words = ce_words(susp, q)
+        for target in targets:
+            expected = [w for w in words
+                        if word_weight(w, n, base_dim) == target
+                        and touched(w, n, base_dim) ==
+                        set(range(len(touched(w, n, base_dim))))]
+            assert _segment_words(susp, n, base_dim, q, target) == expected, \
+                (q, target)
+
+
+@pytest.mark.parametrize("base_name,n,max_degree", [
+    ("K", 1, 4), ("K", 2, 4), ("K", 3, 4), ("K", 4, 5),
+    ("K[e]", 1, 3), ("K[e]", 2, 3), ("K[e]", 3, 3), ("K[e]", 4, 3),
+    ("ut2", 1, 3), ("ut2", 2, 3), ("ut2", 3, 3), ("ut2", 4, 2),
+    ("D", 1, 3), ("D", 2, 3), ("D", 3, 3), ("D", 4, 3)])
+def test_orbit_model_matches_simple_root_oracle(base_name, n, max_degree):
+    base = BASES[base_name]()
+    model = gl_coinvariant_model(base, n, max_degree)
+    oracle = simple_root_model(base, n, max_degree)
+    degrees = range(max_degree + 2)
+    assert [model.complex().dim(q) for q in degrees] == \
+        [oracle.complex().dim(q) for q in degrees]
+    assert model.homology().dims == oracle.homology().dims
+    prim, prim_oracle = primitives(model.coproduct()), \
+        primitives(oracle.coproduct())
+    assert {q: prim[q].dim for q in prim} == \
+        {q: prim_oracle[q].dim for q in prim_oracle}
+
+
+@lru_cache(maxsize=None)
+def orbit_model(base_name, n):
+    return gl_coinvariant_model(BASES[base_name](), n, 0)
+
+
+def relabel(word, perm, n, base_dim):
+    out = []
+    for idx in word:
+        a, i, j = gl_entry(idx, n, base_dim)
+        out.append(gl_index(n, base_dim, a, perm[i], perm[j]))
+    return tuple(out)
+
+
+@st.composite
+def zero_weight_words(draw):
+    """A base, a size n <= 4, a zero-weight word made of closed walks
+    through the matrix positions, and a permutation of the positions."""
+    base_name = draw(st.sampled_from(sorted(BASES)))
+    base_dim = BASES[base_name]().space.dim
+    n = draw(st.integers(1, 4))
+    step = st.tuples(st.integers(0, base_dim - 1), st.integers(0, n - 1))
+    walks = draw(st.lists(st.lists(step, min_size=1, max_size=3),
+                          min_size=1, max_size=3))
+    word = []
+    for walk in walks:
+        for k, (a, i) in enumerate(walk):
+            word.append(gl_index(n, base_dim, a, i, walk[(k + 1) % len(walk)][1]))
+    return base_name, n, tuple(word), draw(st.permutations(range(n)))
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(zero_weight_words())
+def test_canonical_is_a_signed_orbit_invariant(drawn):
+    base_name, n, letters, perm = drawn
+    model = orbit_model(base_name, n)
+    space = model.algebra.suspended
+    base_dim = BASES[base_name]().space.dim
+    koszul, word = canonical_sym(letters, space)
+    assume(koszul)
+    sign, rep = model.canonical(word)
+    assert touched(rep, n, base_dim) == set(range(len(touched(rep, n, base_dim))))
+    # sigma(w) = koszul(sigma, w) . w', and w' has the same representative
+    moved_sign, moved = canonical_sym(relabel(word, perm, n, base_dim), space)
+    assert moved_sign
+    assert model.canonical(moved) == (sign * moved_sign, rep)
+    # brute force over all n! relabellings: the representative lies in the
+    # orbit, and the word vanishes exactly when a stabilizer acts by -1
+    orbit = [canonical_sym(relabel(word, p, n, base_dim), space)
+             for p in itertools.permutations(range(n))]
+    assert rep in {w for _, w in orbit}
+    assert (sign == 0) == any(s == -1 and w == word for s, w in orbit)
+    if sign:
+        assert model.canonical(rep) == (1, rep)
+
+
+def test_orbit_model_work_counts(monkeypatch):
+    counts = {"eval_word": 0, "make_inner": 0}
+    eval_word, make_inner_ = Coderivation.eval_word, constructions.make_inner
+
+    def counting_eval(self, word):
+        counts["eval_word"] += 1
+        return eval_word(self, word)
+
+    def counting_inner(*args):
+        counts["make_inner"] += 1
+        return make_inner_(*args)
+
+    monkeypatch.setattr(Coderivation, "eval_word", counting_eval)
+    monkeypatch.setattr(constructions, "make_inner", counting_inner)
+    model = gl_coinvariant_model(ground_field(), 6, 4)
+    assert [model.homology().dims[q] for q in range(5)] == [1, 1, 0, 1, 1]
+    # one evaluation per representative and per E_12 source word; the
+    # simple-root presentation evaluated about 9,800 words here
+    assert counts["eval_word"] <= 1000
+    assert counts["make_inner"] == 1
+
+
+@pytest.mark.parametrize("base_name,n", [("K", 4), ("K[e]", 3), ("D", 3)])
+def test_orbits_of_degree_at_most_n_do_not_depend_on_n(base_name, n):
+    base = BASES[base_name]()
+    base_dim = base.space.dim
+    small = gl_coinvariant_model(base, n, n - 1)
+    large = gl_coinvariant_model(base, n + 1, n - 1)
+    for q in range(n + 1):
+        orbits = []
+        for model in (small, large):
+            words = _segment_words(model.algebra.suspended, model.n, base_dim,
+                                   q, (0,) * model.n)
+            orbits.append({model.canonical(w)[1] for w in words})
+        assert len(orbits[0]) == len(orbits[1]), q
+        assert {corner_embed_word(w, n, n + 1, base_dim) for w in orbits[0]} \
+            == orbits[1], q
+        assert [corner_embed_word(w, n, n + 1, base_dim)
+                for w in small.blocks.get(q, [])] == large.blocks.get(q, []), q
+    if base_name == "K":
+        assert len(orbits[0]) == 9   # degree 4, at n = 4 and n = 5
