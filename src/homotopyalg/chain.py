@@ -3,9 +3,14 @@
 A complex is a family of finite basis lists indexed by integer degree and a
 differential lowering degree by one, given as a function on basis keys.  Each
 block may additionally be quotiented by the span of supplied generators (the
-differential must descend; `check_quotient_compatible` verifies that).  All
-arithmetic is exact; homology representatives are canonical vectors in the
-echelon coordinates of the quotient.
+differential must descend).  All arithmetic is exact.
+
+Each degree's boundary is evaluated once, as the images of the quotient basis
+in the quotient basis below; ranks, cycles and the per-degree solver that
+holds boundaries, representatives and completing unit vectors all read from
+it.  Reading representative coordinates off that solver is a chain map
+p: C -> H that kills boundaries, so p (x) p gives the class of any cycle of
+a tensor product of such complexes (Kunneth, over a field).
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .rational_linalg import LinearSolver, RowReducer, SparseMatrix, kernel
+from .rational_linalg import LinearSolver, RowReducer, kernel
 
 __all__ = ["BettiTable", "ChainComplex"]
 
@@ -40,7 +45,8 @@ class BettiTable:
 
 class ChainComplex:
     """blocks: {degree: [keys]}; diff(degree, key) -> {key: Fraction} one
-    degree down.  Degrees absent from `blocks` are zero."""
+    degree down.  Degrees absent from `blocks` are zero.  `basis[q]` lists
+    the keys whose classes form the canonical quotient basis of degree q."""
 
     def __init__(self, blocks, diff, quotient_spans=None):
         self.blocks = {q: list(ks) for q, ks in blocks.items() if ks}
@@ -55,6 +61,13 @@ class ChainComplex:
             for el in elements:
                 red.insert(self._coords(el, q))
             self.reducers[q] = red
+        self.basis, self._position = {}, {}
+        for q, ks in self.blocks.items():
+            pivots = self.reducers[q].rows if q in self.reducers else ()
+            cols = [c for c in range(len(ks)) if c not in pivots]
+            self.basis[q] = [ks[c] for c in cols]
+            self._position[q] = {c: p for p, c in enumerate(cols)}
+        self._boundaries, self._ranks, self._solvers = {}, {}, {}
 
     def _coords(self, el, q):
         """Element dict -> {column: Fraction} in block q's coordinates."""
@@ -69,118 +82,100 @@ class ChainComplex:
             vec[idx[k]] = c
         return vec
 
-    def _residual(self, vec, q):
-        """Canonical representative of vec mod the quotient span of block q."""
-        red = self.reducers.get(q)
-        if red is None:
-            return vec
-        return red.residual(vec)
-
-    def quotient_cols(self, q):
-        """Column indices whose classes form the canonical quotient basis."""
-        n = len(self.blocks.get(q, ()))
-        red = self.reducers.get(q)
-        if red is None:
-            return list(range(n))
-        return [i for i in range(n) if i not in red.rows]
-
     def dim(self, q):
-        return len(self.quotient_cols(q))
+        return len(self.basis.get(q, ()))
 
-    def _diff_columns(self, q):
-        """Induced differential on the quotient: one residual dict per
-        quotient basis vector of block q, in full coordinates of block q-1."""
-        if q not in self.blocks:
-            return []
-        block = self.blocks[q]
-        cols = []
-        for c in self.quotient_cols(q):
-            img = self.diff(q, block[c])
-            cols.append(self._residual(self._coords(img, q - 1), q - 1))
-        return cols
+    def _vector(self, q, element):
+        """A chain of degree q in the quotient basis: {position: Fraction}."""
+        vec = self._coords(element, q)
+        if q in self.reducers:
+            vec = self.reducers[q].residual(vec)
+        pos = self._position.get(q)
+        return {pos[c]: v for c, v in vec.items()}
 
-    def _matrix(self, cols, q_target):
-        pos = {col: p for p, col in enumerate(self.quotient_cols(q_target))}
-        entries = []
-        for j, col in enumerate(cols):
-            for r, v in col.items():
-                entries.append((pos[r], j, v))
-        return SparseMatrix.from_entries(len(pos), len(cols), entries)
+    def residual(self, q, element):
+        """The canonical representative of a chain modulo the quotient span,
+        over the quotient basis keys."""
+        return {self.basis[q][p]: v
+                for p, v in self._vector(q, element).items()}
 
-    def check_quotient_compatible(self, q, elements):
-        """Verify d(span generators) stays inside the lower span; returns a
-        violating generator element or None."""
-        for el in elements:
-            image = {}
-            for k, c in el.items():
-                for k2, c2 in self.diff(q, k).items():
-                    image[k2] = image.get(k2, Fraction(0)) + Fraction(c) * c2
-            if self._residual(self._coords(image, q - 1), q - 1):
-                return el
-        return None
+    def _boundary(self, q):
+        """The images of the quotient basis of degree q, in the quotient
+        positions of degree q - 1; `diff` runs once per key and degree."""
+        if q not in self._boundaries:
+            self._boundaries[q] = [self._vector(q - 1, self.diff(q, k))
+                                   for k in self.basis.get(q, ())]
+        return self._boundaries[q]
+
+    def _image(self, q, vec):
+        """The boundary of a quotient vector of degree q."""
+        cols = self._boundary(q)
+        out = {}
+        for p, c in vec.items():
+            for r, v in cols[p].items():
+                out[r] = out.get(r, 0) + c * v
+        return {r: v for r, v in out.items() if v}
+
+    def differential(self, q, element):
+        """The induced differential of a chain of degree q, over the quotient
+        basis keys of degree q - 1."""
+        return {self.basis[q - 1][r]: v
+                for r, v in self._image(q, self._vector(q, element)).items()}
+
+    def _rank(self, q):
+        if q not in self._ranks:
+            red = RowReducer()
+            for col in self._boundary(q):
+                red.insert(col)
+            self._ranks[q] = red.dim
+        return self._ranks[q]
+
+    def _solver(self, q):
+        """(solver, representatives) of degree q: the solver holds the
+        boundaries from degree q + 1, then the representatives, then unit
+        vectors that complete a basis."""
+        if q not in self._solvers:
+            keys = self.basis.get(q, [])
+            solver = LinearSolver(len(keys))
+            for j, col in enumerate(self._boundary(q + 1)):
+                solver.add(col, ("b", j))
+            reps = []
+            for row in kernel(self._boundary(q), self.dim(q - 1)).basis:
+                vec = dict(row)
+                if solver.express(vec) is None:
+                    solver.add(vec, ("r", len(reps)))
+                    reps.append({keys[p]: c for p, c in vec.items()})
+            for p in range(len(keys)):
+                if p not in solver.red.rows:
+                    solver.add({p: Fraction(1)}, ("u", p))
+            self._solvers[q] = solver, reps
+        return self._solvers[q]
 
     def homology(self, qs, representatives=False):
         qs = sorted(qs)
-        dcols, ranks = {}, {}
-        for q in range(qs[0], qs[-1] + 2):
-            dcols[q] = self._diff_columns(q)
-            ranks[q] = _rank_cols(dcols[q], self, q - 1)
         dims, block_dims = {}, {}
-        reps = {} if representatives else None
         for q in qs:
-            n_q = self.dim(q)
-            block_dims[q] = n_q
-            dims[q] = (n_q - ranks[q]) - ranks[q + 1]
-            if representatives:
-                reps[q] = self._representatives(
-                    q, dcols, self._matrix(dcols[q], q - 1))
+            block_dims[q] = self.dim(q)
+            dims[q] = block_dims[q] - self._rank(q) - self._rank(q + 1)
+        reps = {q: self._solver(q)[1] for q in qs} if representatives else None
         return BettiTable(dims=dims, exact={q: True for q in qs},
                           block_dims=block_dims, representatives=reps)
 
-    def class_coefficients(self, q, element, reps):
-        """Express a cycle's homology class in a given representative basis.
-
-        `reps` is a list of cycle elements whose classes span H_q (typically
-        the output of homology(..., representatives=True)); returns the
-        coefficient dict {rep position: Fraction}.  Raises ValueError when
-        the element's class lies outside the span, which for a complete
-        representative basis means the element is not a cycle.
-        """
-        pos = {col: p for p, col in enumerate(self.quotient_cols(q))}
-        solver = LinearSolver(len(pos))
-        for j, img in enumerate(self._diff_columns(q + 1)):
-            solver.add({pos[r]: v for r, v in img.items()}, ("b", j))
-        for j, rep in enumerate(reps):
-            vec = self._residual(self._coords(rep, q), q)
-            solver.add({pos[r]: v for r, v in vec.items()}, ("r", j))
-        target = self._residual(self._coords(element, q), q)
-        combo = solver.express({pos[r]: v for r, v in target.items()})
-        if combo is None:
-            raise ValueError(f"element is not a cycle class in degree {q}")
+    def _read(self, q, vec):
+        combo = self._solver(q)[0].express(vec)
         return {tag[1]: c for tag, c in combo.items() if tag[0] == "r"}
 
-    def _representatives(self, q, dcols, mat_q):
-        cols_q = self.quotient_cols(q)
-        pos = {col: p for p, col in enumerate(cols_q)}
-        red = RowReducer()
-        for img in dcols[q + 1]:
-            red.insert({pos[r]: v for r, v in img.items()})
-        out = []
-        block = self.blocks.get(q, [])
-        for row in kernel(mat_q).basis:
-            vec = dict(row)
-            if red.insert(vec) is not None:
-                out.append({block[cols_q[p]]: c for p, c in vec.items()})
-        return out
+    def project(self, q, element):
+        """The representative coordinates of any chain of degree q:
+        {representative position: Fraction}.  Boundaries and the completing
+        unit vectors read as zero, so this is a chain map onto homology."""
+        return self._read(q, self._vector(q, element))
 
-
-def _rank_cols(cols, cx, q_target):
-    if not cols:
-        return 0
-    pos = {col: p for p, col in enumerate(cx.quotient_cols(q_target))}
-    red = RowReducer()
-    count = 0
-    for col in cols:
-        if red.insert({pos[r]: v for r, v in col.items()}) is not None:
-            count += 1
-    return count
+    def class_coefficients(self, q, element):
+        """Express a cycle's homology class in the representative basis of
+        homology(..., representatives=True); returns {rep position:
+        Fraction}.  Raises ValueError when the element is not a cycle."""
+        vec = self._vector(q, element)
+        if self._image(q, vec):
+            raise ValueError(f"element is not a cycle class in degree {q}")
+        return self._read(q, vec)

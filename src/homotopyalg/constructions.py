@@ -584,14 +584,14 @@ class GLCoinvariantModel:
             self._cx = ChainComplex(self.blocks, diff, quotient_spans=self.spans)
         return self._cx
 
-    def homology(self, representatives=False):
-        table = self.complex().homology(range(0, self.max_degree + 1),
-                                        representatives=representatives)
-        for q in table.dims:
-            table.exact[q] = True
+    def _with_caps(self, table):
         table.caps = {"max_degree": self.max_degree,
                       "coinvariants": "matrix-units"}
         return table
+
+    def homology(self):
+        return self._with_caps(
+            self.complex().homology(range(0, self.max_degree + 1)))
 
     def coproduct(self):
         """The induced coalgebra on the coinvariant homology, computed on
@@ -599,14 +599,10 @@ class GLCoinvariantModel:
         since S_n acts trivially on each factor C_0 / S.  Descent of the
         coproduct to this quotient is verified at computation time."""
         if self._coalg is None:
-            result = coalgebra_on_homology(
+            self._coalg = coalgebra_on_homology(
                 self.algebra.suspended, self.complex(), self.max_degree,
                 spans=self.spans, canonical=self.canonical)
-            result.table.caps = {"max_degree": self.max_degree,
-                                 "coinvariants": "matrix-units"}
-            for q in result.table.dims:
-                result.table.exact[q] = True
-            self._coalg = result
+            self._with_caps(self._coalg.table)
         return self._coalg
 
 

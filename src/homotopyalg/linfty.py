@@ -20,13 +20,15 @@ not assumed, by expressing their images in a computed representative basis.
 
 Coinvariants by a degree-0 sub-Lie-algebra h quotient each block by the span
 S of the inner-derivation images of h.  The homology coproduct is induced by
-the reduced shuffle coproduct, taken on the quotient itself: the pair
-complex is (C/S) (x) (C/S) on pairs of quotient basis words, the canonical
-isomorph of C (x) C modulo S (x) C + C (x) S, and it is built from the
-already-reduced complex rather than rebuilt.  Two facts are verified at
-computation time rather than assumed: the coproduct of every generator of S
-vanishes in (C/S) (x) (C/S) (descent), and the coproduct of the boundary of
-every quotient basis word has zero class (independence of the
+the reduced shuffle coproduct, taken on the quotient itself: on
+(C/S) (x) (C/S), the canonical isomorph of C (x) C modulo S (x) C + C (x) S,
+with no second complex built.  Classes there are read through p (x) p, where
+p is the chain-level projection of the reduced complex onto its homology
+(Kunneth over a field).  Three facts are verified at computation time rather
+than assumed: the coproduct of every generator of S vanishes in
+(C/S) (x) (C/S) (descent), the coproducts of the representatives and of the
+boundaries are cycles of the pair differential, and the coproduct of the
+boundary of every quotient basis word has zero class (independence of the
 representative).
 """
 
@@ -47,7 +49,7 @@ from .coalgebra import (
     extend_coderivation,
 )
 from .graded import GradedSpace, add_into
-from .rational_linalg import LinearSolver, SparseMatrix, Subspace, kernel
+from .rational_linalg import LinearSolver, Subspace, kernel
 
 __all__ = [
     "InconsistencyError",
@@ -326,13 +328,12 @@ def inner_action_on_homology(alg, generator, max_degree, max_weight=None, h=None
                 for w2, c2 in action.eval_word(w).items():
                     add_into(img, w2, c * c2)
             target = q + shift
-            target_reps = table.representatives.get(target, [])
             if not img:
                 rows.append({})
                 continue
             if target < 0 or target > max_degree:
                 raise ValueError(f"induced image leaves the computed range at {q}")
-            rows.append(cx.class_coefficients(target, img, target_reps))
+            rows.append(cx.class_coefficients(target, img))
         induced[q] = rows
     return induced
 
@@ -342,11 +343,14 @@ class HomologyCoalgebra:
     """Homology with its induced coproduct in a fixed representative basis.
 
     `pair_basis[q]` lists tags (a, b, i, j) for the class of rep i of H_a
-    tensor rep j of H_b in the homology of (C/S) (x) (C/S); `delta[q]` has
-    one row per representative of H_q giving its reduced coproduct in that
-    tag basis.  Both well-definedness checks ran at construction time: the
-    coproduct of every span generator vanishes in (C/S) (x) (C/S), and the
-    coproduct of the boundary of every quotient basis word has zero class.
+    tensor rep j of H_b, the Kunneth basis of the degree-q homology of
+    (C/S) (x) (C/S); `delta[q]` has one row per representative of H_q giving
+    its reduced coproduct in that tag basis, read through p (x) p from the
+    chain-level projection p of the factor complex.  Every check ran at
+    construction time: the coproduct of every span generator vanishes in
+    (C/S) (x) (C/S), the coproducts of the representatives and of the
+    boundaries of the quotient basis words are cycles, and the latter have
+    zero class.
     """
 
     table: BettiTable
@@ -356,15 +360,10 @@ class HomologyCoalgebra:
     def primitive_subspace(self, q):
         """Classes with vanishing reduced coproduct, as a Subspace in the
         representative coordinates of H_q."""
-        reps = self.table.representatives.get(q, [])
-        rows = self.delta.get(q, [])
         tags = {t: i for i, t in enumerate(self.pair_basis.get(q, []))}
-        entries = []
-        for j, row in enumerate(rows):
-            for t, c in row.items():
-                entries.append((tags[t], j, c))
-        mat = SparseMatrix.from_entries(len(tags), len(reps), entries)
-        return kernel(mat)
+        columns = [{tags[t]: c for t, c in row.items()}
+                   for row in self.delta.get(q, [])]
+        return kernel(columns, len(tags))
 
 
 def coalgebra_on_homology(space, cx, max_degree, spans=None, canonical=None):
@@ -379,19 +378,23 @@ def coalgebra_on_homology(space, cx, max_degree, spans=None, canonical=None):
     omitted), then replaced by its canonical residual in the quotient, and
     a factor whose key is absent from the complex counts as zero (in a
     graded presentation the absent words are exactly the ones the quotient
-    map kills).  Verifies that the coproduct of every span generator of
-    degree <= max_degree vanishes there, and that the coproduct of the
-    boundary of every quotient basis word has zero class, before
-    expressing the coproduct of each representative in the basis of
-    representative pairs.  Both checks hold whenever the spans are images
-    of inner derivations, as they are for every caller in the package,
-    because inner derivations and the differential are coderivations; a
-    failure is a fault of the package and raises `InconsistencyError`.
+    map kills).  Classes are read through p (x) p, where p = `cx.project`
+    is a chain map onto homology that kills boundaries and sends each
+    representative to its basis vector; by the Kunneth theorem over a
+    field, p (x) p sends a cycle of (C/S) (x) (C/S) to its class in the
+    basis of representative pairs.  Verified before that read-off: the
+    coproduct of every span generator of degree <= max_degree vanishes in
+    (C/S) (x) (C/S) (descent); the coproducts of each representative and
+    of the boundary of each quotient basis word are cycles of the pair
+    differential res(dx) (x) y + (-1)^|x| x (x) res(dy); and the latter
+    have zero class (independence of the representative).  These hold
+    whenever the spans are images of inner derivations, as they are for
+    every caller in the package, because inner derivations and the
+    differential are coderivations; a failure is a fault of the package
+    and raises `InconsistencyError`.
     """
     table = cx.homology(range(0, max_degree + 1), representatives=True)
     reps = table.representatives
-    basis = {q: [cx.blocks[q][c] for c in cx.quotient_cols(q)]
-             for q in cx.blocks}
 
     residuals = {}
 
@@ -400,17 +403,9 @@ def coalgebra_on_homology(space, cx, max_degree, spans=None, canonical=None):
         if word not in residuals:
             q = space.word_degree(word)
             sign, key = (1, word) if canonical is None else canonical(word)
-            col = cx.index.get(q, {}).get(key) if sign else None
-            vec = {} if col is None else cx._residual({col: Fraction(sign)}, q)
-            residuals[word] = {cx.blocks[q][c]: v for c, v in vec.items()}
+            known = sign and key in cx.index.get(q, {})
+            residuals[word] = cx.residual(q, {key: sign}) if known else {}
         return residuals[word]
-
-    def residual_of(el):
-        out = {}
-        for w, c in el.items():
-            for w2, c2 in residual(w).items():
-                add_into(out, w2, c * c2)
-        return out
 
     word_coproducts = {}
 
@@ -432,29 +427,43 @@ def coalgebra_on_homology(space, cx, max_degree, spans=None, canonical=None):
                 add_into(out, pair, Fraction(c) * c2)
         return out
 
-    pair_blocks = {}
-    for t in range(2, max_degree + 2):
-        pairs = [(x, y) for a in sorted(basis) if 1 <= a < t
-                 for x in basis[a] for y in basis.get(t - a, ())]
-        if pairs:
-            pair_blocks[t] = pairs
+    boundaries, projections = {}, {}
 
-    def pair_diff(t, pair):
-        x, y = pair
-        a = space.word_degree(x)
-        b = t - a
+    def boundary(word):
+        if word not in boundaries:
+            boundaries[word] = cx.differential(space.word_degree(word),
+                                               {word: 1})
+        return boundaries[word]
+
+    def project(word):
+        if word not in projections:
+            projections[word] = cx.project(space.word_degree(word), {word: 1})
+        return projections[word]
+
+    def pair_class(q, el, what):
+        """The class of a cycle of (C/S) (x) (C/S), through p (x) p."""
+        image = {}
+        for (x, y), c in el.items():
+            a = space.word_degree(x)
+            # terms with a degree-0 factor lie outside the reduced tensor square
+            if a > 1:
+                for w, c2 in boundary(x).items():
+                    add_into(image, (w, y), c * c2)
+            if q - a > 1:
+                sgn = -1 if a % 2 else 1
+                for w, c2 in boundary(y).items():
+                    add_into(image, (x, w), sgn * c * c2)
+        if image:
+            raise InconsistencyError(
+                f"the coproduct of {what} is not a cycle in degree {q}")
         out = {}
-        # terms with a degree-0 factor lie outside the reduced tensor square
-        if a > 1:
-            for w, c in residual_of(cx.diff(a, x)).items():
-                add_into(out, (w, y), c)
-        if b > 1:
-            sgn = -1 if a % 2 else 1
-            for w, c in residual_of(cx.diff(b, y)).items():
-                add_into(out, (x, w), sgn * c)
+        for (x, y), c in el.items():
+            a = space.word_degree(x)
+            right = project(y)
+            for i, ci in project(x).items():
+                for j, cj in right.items():
+                    add_into(out, (a, q - a, i, j), c * ci * cj)
         return out
-
-    pair_cx = ChainComplex(pair_blocks, pair_diff)
 
     for q, gen_list in sorted((spans or {}).items()):
         if q > max_degree:
@@ -464,39 +473,21 @@ def coalgebra_on_homology(space, cx, max_degree, spans=None, canonical=None):
                 raise InconsistencyError(
                     f"coproduct does not descend to the quotient in degree {q}")
 
-    pair_basis, pair_reps = {}, {}
+    pair_basis = {}
     for q in range(2, max_degree + 1):
-        tags, els = [], []
-        for a in range(1, q):
-            for i, ra in enumerate(reps.get(a, [])):
-                for j, rb in enumerate(reps.get(q - a, [])):
-                    tags.append((a, q - a, i, j))
-                    el = {}
-                    for w1, c1 in ra.items():
-                        for w2, c2 in rb.items():
-                            add_into(el, (w1, w2), Fraction(c1) * Fraction(c2))
-                    els.append(el)
-        pair_basis[q] = tags
-        pair_reps[q] = els
-
-    for q in range(2, max_degree + 1):
-        for w in basis.get(q + 1, ()):
-            img = reduced_coproduct(cx.diff(q + 1, w))
-            if pair_cx.class_coefficients(q, img, pair_reps[q]):
+        pair_basis[q] = [(a, q - a, i, j) for a in range(1, q)
+                         for i in range(len(reps.get(a, [])))
+                         for j in range(len(reps.get(q - a, [])))]
+        for w in cx.basis.get(q + 1, ()):
+            img = reduced_coproduct(boundary(w))
+            if pair_class(q, img, "a boundary"):
                 raise InconsistencyError(
                     f"coproduct depends on the choice of representative in degree {q}")
 
     delta = {}
     for q in range(0, max_degree + 1):
-        rows = []
-        for rep in reps.get(q, []):
-            if q < 2:
-                rows.append({})
-                continue
-            combo = pair_cx.class_coefficients(q, reduced_coproduct(rep),
-                                               pair_reps[q])
-            rows.append({pair_basis[q][p]: c for p, c in combo.items()})
-        delta[q] = rows
+        delta[q] = [pair_class(q, reduced_coproduct(rep), "a representative")
+                    if q >= 2 else {} for rep in reps.get(q, [])]
 
     return HomologyCoalgebra(table=table, pair_basis=pair_basis, delta=delta)
 

@@ -1,7 +1,8 @@
 """Exact sparse linear algebra over the rationals.
 
 Everything downstream (homology ranks, quotient dimensions, canonical subspace
-representatives) reduces to the incremental echelon maintained here.  Rows are
+representatives, null spaces) reduces to the incremental echelon maintained
+here; a null space is the tag part of an echelon of tagged columns.  Rows are
 kept as primitive integer vectors (gcd 1, pivot entry positive) and eliminated
 by integer cross-multiplication, so no rounding can ever occur and coefficient
 growth is controlled by content reduction instead of pivot heuristics.  The
@@ -16,7 +17,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
-    "SparseMatrix",
     "Subspace",
     "RowReducer",
     "LinearSolver",
@@ -182,39 +182,6 @@ class RowReducer:
 
 
 @dataclass(frozen=True)
-class SparseMatrix:
-    """Immutable sparse matrix, entries stored as a sorted (row, col, value)
-    tuple with no explicit zeros.  Equality is structural."""
-
-    nrows: int
-    ncols: int
-    entries: tuple  # ((r, c, Fraction), ...) sorted by (r, c)
-
-    @staticmethod
-    def from_entries(nrows, ncols, entries):
-        cleaned = []
-        for r, c, v in entries:
-            f = Fraction(v)
-            if not (0 <= r < nrows and 0 <= c < ncols):
-                raise ValueError(f"entry ({r},{c}) outside {nrows}x{ncols} shape")
-            if f:
-                cleaned.append((r, c, f))
-        cleaned.sort(key=lambda e: (e[0], e[1]))
-        seen = set()
-        for r, c, _ in cleaned:
-            if (r, c) in seen:
-                raise ValueError(f"duplicate entry at ({r},{c})")
-            seen.add((r, c))
-        return SparseMatrix(nrows, ncols, tuple(cleaned))
-
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for r, c, v in self.entries:
-            rows[r][c] = v
-        return rows
-
-
-@dataclass(frozen=True)
 class Subspace:
     """A subspace of Q^n held by its unique reduced echelon basis.
 
@@ -284,20 +251,22 @@ class LinearSolver:
         return {t: v for t, v in coeffs.items() if v}
 
 
-def kernel(matrix: SparseMatrix) -> Subspace:
-    """Canonical basis of the right null space."""
-    red = RowReducer()
-    for row in matrix.row_dicts():
-        red.insert(row)
-    pivots = red.pivot_columns()
-    pivot_rows = {p: row for p, row in zip(pivots, red.canonical_rows())}
-    free = [c for c in range(matrix.ncols) if c not in red.rows]
-    vectors = []
-    for f in free:
-        v = {f: Fraction(1)}
-        for p in pivots:
-            entry = dict(pivot_rows[p]).get(f)
-            if entry:
-                v[p] = -entry
-        vectors.append(v)
-    return Subspace.from_vectors(matrix.ncols, vectors)
+def kernel(columns, ambient_dim):
+    """Canonical basis of the null space of the map sending the j-th unit
+    vector to columns[j], a vector of Q^ambient_dim.
+
+    The columns are echelonized with tags, as [column_j | e_j]; the rows
+    left with no real entry span the kernel, and their tag parts are its
+    reduced echelon basis.
+    """
+    solver = LinearSolver(ambient_dim)
+    for col in columns:
+        for c in col:
+            if not 0 <= c < ambient_dim:
+                raise ValueError(
+                    f"coordinate {c} outside ambient dim {ambient_dim}")
+        solver.add(col)
+    basis = tuple(tuple((c - ambient_dim, v) for c, v in row)
+                  for row in solver.red.canonical_rows()
+                  if row[0][0] >= ambient_dim)
+    return Subspace(len(columns), basis)

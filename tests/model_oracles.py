@@ -1,4 +1,5 @@
-"""The simple-root presentation of the zero-weight coinvariant model.
+"""Reference models: the simple-root presentation of the zero-weight
+coinvariant model, and the pair-complex homology coproduct.
 
 Before the orbit presentation, `gl_coinvariant_model` kept every
 zero-weight word and quotiented by the images of the n-1 positive
@@ -8,10 +9,17 @@ triple of a root acts completely reducibly on each finite-dimensional
 block, so on weight zero E_alpha . C_{-alpha} = E_{-alpha} . C_alpha, and
 every positive root unit is an iterated commutator of positive simple
 ones.  It is kept here as the reference the orbit model is compared with.
+
+Before the chain-level projection, the homology coproduct built a second
+complex on pairs of quotient basis words and read classes there against the
+tensor products of representatives; `pair_complex_coproduct` keeps that
+route as the reference for `coalgebra_on_homology`.
 """
 
 from fractions import Fraction
 
+from homotopyalg.chain import ChainComplex
+from homotopyalg.coalgebra import coproduct_sym
 from homotopyalg.constructions import (
     GLCoinvariantModel,
     MatrixAlgebraSpec,
@@ -19,7 +27,9 @@ from homotopyalg.constructions import (
     gl_entry,
     gl_index,
 )
+from homotopyalg.graded import add_into
 from homotopyalg.linfty import make_inner
+from homotopyalg.rational_linalg import LinearSolver
 
 
 class SimpleRootModel(GLCoinvariantModel):
@@ -122,3 +132,96 @@ def simple_root_model(base, n, max_degree):
         if gens:
             spans[q] = gens
     return SimpleRootModel(L, n, base, max_degree, blocks, spans)
+
+
+def _class_in(cx, q, element, reps):
+    """Coefficients of a cycle's class over external representatives, from
+    one solver on the boundaries of degree q + 1 and the representatives of
+    an unquotiented complex; raises ValueError outside their span."""
+    index = cx.index.get(q, {})
+    solver = LinearSolver(len(index))
+    for j, key in enumerate(cx.blocks.get(q + 1, ())):
+        solver.add({index[k]: c for k, c in cx.diff(q + 1, key).items()},
+                   ("b", j))
+    for j, rep in enumerate(reps):
+        solver.add({index[k]: c for k, c in rep.items()}, ("r", j))
+    combo = solver.express({index[k]: c for k, c in element.items()})
+    if combo is None:
+        raise ValueError(f"element is not a cycle class in degree {q}")
+    return {tag[1]: c for tag, c in combo.items() if tag[0] == "r"}
+
+
+def pair_complex_coproduct(space, cx, max_degree, canonical=None):
+    """(pair_basis, delta) of the homology coproduct, read in the complex
+    (C/S) (x) (C/S) on pairs of quotient basis words, with differential
+    res(dx) (x) y + (-1)^|x| x (x) res(dy), against the tensor products of
+    the representatives of `cx`."""
+    reps = cx.homology(range(0, max_degree + 1),
+                       representatives=True).representatives
+
+    def residual(word):
+        q = space.word_degree(word)
+        sign, key = (1, word) if canonical is None else canonical(word)
+        if not sign or key not in cx.index.get(q, {}):
+            return {}
+        return cx.residual(q, {key: sign})
+
+    def residual_of(el):
+        out = {}
+        for w, c in el.items():
+            for w2, c2 in residual(w).items():
+                add_into(out, w2, c * c2)
+        return out
+
+    def reduced_coproduct(el):
+        out = {}
+        for w, c in el.items():
+            for (front, back), sign in coproduct_sym(w, space).items():
+                if not front or not back:
+                    continue
+                for x, c1 in residual(front).items():
+                    for y, c2 in residual(back).items():
+                        add_into(out, (x, y), Fraction(c) * sign * c1 * c2)
+        return out
+
+    pair_blocks = {}
+    for t in range(2, max_degree + 2):
+        pairs = [(x, y) for a in range(1, t) for x in cx.basis.get(a, ())
+                 for y in cx.basis.get(t - a, ())]
+        if pairs:
+            pair_blocks[t] = pairs
+
+    def pair_diff(t, pair):
+        x, y = pair
+        a = space.word_degree(x)
+        out = {}
+        if a > 1:
+            for w, c in residual_of(cx.diff(a, x)).items():
+                add_into(out, (w, y), c)
+        if t - a > 1:
+            sgn = -1 if a % 2 else 1
+            for w, c in residual_of(cx.diff(t - a, y)).items():
+                add_into(out, (x, w), sgn * c)
+        return out
+
+    pair_cx = ChainComplex(pair_blocks, pair_diff)
+    pair_basis, delta = {}, {}
+    for q in range(0, max_degree + 1):
+        tags, pair_reps = [], []
+        for a in range(1, q):
+            for i, ra in enumerate(reps.get(a, [])):
+                for j, rb in enumerate(reps.get(q - a, [])):
+                    tags.append((a, q - a, i, j))
+                    el = {}
+                    for w1, c1 in ra.items():
+                        for w2, c2 in rb.items():
+                            add_into(el, (w1, w2), c1 * c2)
+                    pair_reps.append(el)
+        if q >= 2:
+            pair_basis[q] = tags
+        delta[q] = []
+        for rep in reps.get(q, []):
+            combo = _class_in(pair_cx, q, reduced_coproduct(rep), pair_reps) \
+                if q >= 2 else {}
+            delta[q].append({tags[p]: c for p, c in combo.items()})
+    return pair_basis, delta

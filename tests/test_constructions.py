@@ -19,6 +19,7 @@ from homotopyalg.coalgebra import Coderivation, extend_coderivation
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace, add_into, canonical_sym
 from homotopyalg.linfty import (
+    _ce_complex,
     ce_words,
     homology_coproduct,
     lie_homology,
@@ -47,7 +48,12 @@ from homotopyalg.constructions import (
     trace,
 )
 
-from model_oracles import _root_weight, _weight_buckets, simple_root_model
+from model_oracles import (
+    _root_weight,
+    _weight_buckets,
+    pair_complex_coproduct,
+    simple_root_model,
+)
 from oracles import gl_bracket, lie_homology_dims
 from word_oracles import include_i, read_off
 
@@ -660,6 +666,35 @@ def test_orbit_model_matches_simple_root_oracle(base_name, n, max_degree):
         primitives(oracle.coproduct())
     assert {q: prim[q].dim for q in prim} == \
         {q: prim_oracle[q].dim for q in prim_oracle}
+
+
+@pytest.mark.parametrize("base_name,n,max_degree", [
+    ("K", 2, 4), ("K", 3, 4), ("K", 4, 4), ("K[e]", 2, 3), ("K[e]", 3, 3),
+    ("ut2", 2, 3), ("ut2", 3, 3), ("D", 2, 3), ("D", 3, 3)])
+def test_projected_coproduct_matches_pair_complex_oracle(base_name, n,
+                                                         max_degree):
+    model = gl_coinvariant_model(BASES[base_name](), n, max_degree)
+    H = model.coproduct()
+    pair_basis, delta = pair_complex_coproduct(
+        model.algebra.suspended, model.complex(), max_degree,
+        canonical=model.canonical)
+    assert H.pair_basis == pair_basis
+    assert H.delta == delta
+    if (base_name, n) == ("K", 4):
+        assert any(row for rows in delta.values() for row in rows)
+
+
+@pytest.mark.parametrize("alg,h,max_degree", [
+    pytest.param(lambda: fixture_algebra("sl2"), [0], 4, id="sl2-h"),
+    pytest.param(lambda: gl_cached("K", 2),
+                 all_matrix_unit_generators(ground_field(), 2), 4,
+                 id="gl2-units")])
+def test_homology_coproduct_matches_pair_complex_oracle(alg, h, max_degree):
+    alg = alg()
+    H = homology_coproduct(alg, max_degree, h=h)
+    cx, _ = _ce_complex(alg, max_degree, None, h)
+    assert (H.pair_basis, H.delta) == \
+        pair_complex_coproduct(alg.suspended, cx, max_degree)
 
 
 @lru_cache(maxsize=None)

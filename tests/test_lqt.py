@@ -7,9 +7,10 @@ import pytest
 
 from homotopyalg.ainfty import AInftyAlgebra, cyclic_homology, from_associative
 from homotopyalg.chain import BettiTable
-from homotopyalg import lqt
+from homotopyalg import chain, constructions, lqt
 from homotopyalg.constructions import gl_coinvariant_model
 from homotopyalg.graded import GradedSpace
+from homotopyalg.linfty import InconsistencyError
 from homotopyalg.lqt import (
     ExteriorExpansion,
     expand_exterior,
@@ -127,6 +128,35 @@ def test_verify_lqt_reuses_the_doubled_model(monkeypatch):
     report = verify_lqt(ground_field(), [3, 6], 2)
     assert report.hopf.ok and (report.hopf.n, report.hopf.target) == (3, 6)
     assert sorted(built) == [3, 6]
+
+
+def test_verify_lqt_builds_each_gl_once(monkeypatch):
+    # one gl_n(A) per coinvariant model: the unreduced check at sizes <= 2
+    # reads the model's algebra instead of building it again
+    built = []
+    real = constructions.gl
+
+    def counting(spec):
+        built.append(spec.n)
+        return real(spec)
+
+    monkeypatch.setattr(constructions, "gl", counting)
+    monkeypatch.setattr(lqt, "gl", counting, raising=False)
+    report = verify_lqt(ground_field(), [1, 2], 3)
+    assert report.hopf.ok
+    assert sorted(built) == [1, 2, 4]
+
+
+def test_verify_lqt_cross_checks_the_representative_count(monkeypatch):
+    real = chain.kernel
+
+    def drop_last(*args):
+        space = real(*args)
+        return type(space)(space.ambient_dim, space.basis[:-1])
+
+    monkeypatch.setattr(chain, "kernel", drop_last)
+    with pytest.raises(InconsistencyError, match="representative homology"):
+        verify_lqt(ground_field(), [2, 3], 3)
 
 
 def test_hopf_product_unit_class_acts_as_stabilization():

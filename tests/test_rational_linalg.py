@@ -4,25 +4,26 @@ from fractions import Fraction
 from homotopyalg.rational_linalg import (
     LinearSolver,
     RowReducer,
-    SparseMatrix,
     Subspace,
     kernel,
 )
 
 
 def M(rows):
-    """Dense list-of-lists to SparseMatrix."""
-    n = len(rows)
+    """Dense list-of-lists to the arguments of `kernel`: the sparse
+    columns and the number of rows."""
     m = len(rows[0]) if rows else 0
-    ents = [(r, c, v) for r, row in enumerate(rows) for c, v in enumerate(row) if v]
-    return SparseMatrix.from_entries(n, m, ents)
+    columns = [{r: row[c] for r, row in enumerate(rows) if row[c]}
+               for c in range(m)]
+    return columns, len(rows)
 
 
 def rank(mat):
-    """Rank of a SparseMatrix, from the echelon dimension of its rows."""
+    """Rank of a matrix given by M, from the echelon dimension of its
+    columns."""
     red = RowReducer()
-    for row in mat.row_dicts():
-        red.insert(row)
+    for col in mat[0]:
+        red.insert(col)
     return red.dim
 
 
@@ -58,7 +59,7 @@ def test_rank_of_singular_2x2():
 
 def test_kernel_of_row_vector():
     # kernel of [1 1] is spanned by (1, -1) in canonical leading-1 form
-    k = kernel(M([[1, 1]]))
+    k = kernel(*M([[1, 1]]))
     assert k.dim == 1
     assert k.basis == (((0, Fraction(1)), (1, Fraction(-1))),)
 
@@ -81,18 +82,17 @@ def test_rank_nullity():
         m = rng.randint(1, 7)
         rows = [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
         mat = M(rows)
-        assert rank(mat) + kernel(mat).dim == m
+        assert rank(mat) + kernel(*mat).dim == m
 
 
 def test_kernel_vectors_annihilate():
     rng = random.Random(13)
     for _ in range(30):
         rows = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(4)]
-        mat = M(rows)
-        for row in kernel(mat).basis:
+        for row in kernel(*M(rows)).basis:
             vec = dict(row)
-            for mat_row in mat.row_dicts():
-                assert sum(v * vec.get(c, 0) for c, v in mat_row.items()) == 0
+            for mat_row in rows:
+                assert sum(v * vec.get(c, 0) for c, v in enumerate(mat_row)) == 0
 
 
 def test_subspace_canonical_form_is_order_independent():
