@@ -38,13 +38,18 @@ An arity-0 inner entry (u = ()) inserts its output; an arity-0 outer entry
 has no input letter and never composes.  So the commutator is found from
 the nonzero entries alone, and checking it through the top arity is still
 a complete proof.
+
+Every term is bilinear in one value of each cochain, so `bracket` sums the
+compositions on integers: it scales each cochain by D_i, the lcm of its
+value denominators, and divides every result value once by D_1 D_2.  An
+integral cochain has D_i = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, prod
+from math import comb, lcm, prod
 
 from .graded import (
     Space,
@@ -272,23 +277,42 @@ def _compose(outer, inner, max_arity, out, scale):
                         add_into(val, z, coeff * bz)
 
 
+def _integral(d):
+    """(D, the coderivation d with every value scaled by D to an int), where
+    D is the lcm of the value denominators of its cochain."""
+    c = d.cochain
+    D = lcm(*(v.denominator for table in c.comps.values()
+              for val in table.values() for v in val.values()))
+    comps = {k: {w: {i: v.numerator * (D // v.denominator)
+                     for i, v in val.items()}
+                 for w, val in table.items()}
+             for k, table in c.comps.items()}
+    return D, Coderivation(Cochain(c.space, c.degree, comps, c.symmetric),
+                           d.flavor)
+
+
 def bracket(d1, d2, max_arity):
     """Cochain of the graded commutator [d1, d2] up to the given arity.
 
     Both coderivations must share flavor and space; the result extends (in the
     same flavor) to the operator d1 . d2 - (-1)^(|d1||d2|) d2 . d1.  Its
-    components are built from partial compositions of the two cochains.
+    components are built from partial compositions of the two cochains,
+    summed on integers (see the module docstring) and divided once.
     """
     if d1.flavor != d2.flavor:
         raise ValueError("bracket requires coderivations of the same flavor")
     sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1
+    D1, i1 = _integral(d1)
+    D2, i2 = _integral(d2)
+    scale = D1 * D2
     out = {}
-    _compose(d1, d2, max_arity, out, 1)
-    _compose(d2, d1, max_arity, out, -sign)
+    _compose(i1, i2, max_arity, out, 1)
+    _compose(i2, i1, max_arity, out, -sign)
     result = Cochain(d1.cochain.space, d1.degree + d2.degree,
                      symmetric=d1.flavor == "sym")
     for n in sorted(out):
-        comp = {w: out[n][w] for w in sorted(out[n]) if out[n][w]}
+        comp = {w: {z: Fraction(c, scale) for z, c in out[n][w].items()}
+                for w in sorted(out[n]) if out[n][w]}
         if comp:
             result.comps[n] = comp
     return result

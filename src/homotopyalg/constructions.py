@@ -528,9 +528,15 @@ class GLCoinvariantModel:
     it by -1 is zero in the quotient and gets sign 0.  Every root is
     Weyl-conjugate to e_1 - e_2, so the single image E_12 . C_{e_2 - e_1}
     spans S modulo these identities.  `blocks[q]` lists the
-    non-vanishing orbit representatives of degree q and `spans[q]` the E_12
-    images written on representatives; the quotient is isomorphic to C_0 / S,
-    which the test suite checks against the simple-root presentation.
+    non-vanishing orbit representatives of degree q, for q through
+    max_degree + 1, and `spans[q]` the E_12 images written on
+    representatives, for q through max_degree only.  Through max_degree the
+    quotient is isomorphic to C_0 / S, which the test suite checks against
+    the simple-root presentation.  The top block only sources boundaries
+    into degree max_degree, and d commutes with inner derivations, so
+    d(S_{m+1}) lies in S_m: the boundary rank from C_{m+1} into C_m / S_m
+    is that of C_{m+1} / S_{m+1}, and quotienting the top block would
+    change no reported number.
     Every consumer of the complex - its differential, its spans, each tensor
     factor of the coproduct, and the product check of `lqt` - passes its
     words through `canonical`.  The reduced complex and the homology
@@ -808,6 +814,11 @@ def gl_coinvariant_model(base, n, max_degree):
     every tau fixing the first two positions, the words touching an
     initial segment suffice.  At n = 1 there is no root: every word is its
     own orbit and nothing is quotiented.
+
+    Blocks run through max_degree + 1 and spans through max_degree.  The
+    top block feeds only the boundary rank into degree max_degree, which
+    d(S_{m+1}) inside S_m leaves unchanged, so its E_12 images (most of
+    the span generators) are never built.
     """
     unitality = check_strict_unit(base)
     if not unitality:
@@ -836,7 +847,7 @@ def gl_coinvariant_model(base, n, max_degree):
                 reps.add(rep)
         if reps:
             model.blocks[q] = sorted(reps)
-        if root is None:
+        if root is None or q > max_degree:
             continue
         weight, act = root
         gens = []

@@ -69,9 +69,6 @@ class RowReducer:
     def dim(self):
         return len(self.rows)
 
-    def pivot_columns(self):
-        return sorted(self.rows)
-
     def _register(self, pivot, row):
         self.rows[pivot] = row
         for c in row:

@@ -431,11 +431,14 @@ def coderivation_pairs(draw):
 
     Unsuspended degrees 0..2 give suspended letters of both parities, so
     a symmetric word can repeat an even letter; cochain degrees run over
-    -2..1, and arity-0 components are drawn as well."""
+    -2..1, and arity-0 components are drawn as well.  Values are p/q with
+    q in 1..3, so the cochains `bracket` scales to integers have
+    denominators to clear."""
     flavor = draw(st.sampled_from(["tensor", "sym"]))
     degrees = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
     space = GradedSpace(tuple("abc"[:len(degrees)]), tuple(degrees)).suspend()
     words = canonical_words if flavor == "sym" else all_words
+    values = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
     pair = []
     for _ in range(2):
         c = Cochain(space, draw(st.integers(-2, 1)), symmetric=flavor == "sym")
@@ -443,7 +446,7 @@ def coderivation_pairs(draw):
         for word in words(space, draw(st.integers(1, 3))):
             if word or with_zero:
                 target = word_degree(space, word) + c.degree
-                c.set_value(word, {i: draw(st.integers(-2, 2))
+                c.set_value(word, {i: draw(values)
                                    for i in range(space.dim)
                                    if space.degrees[i] == target})
         pair.append(extend_coderivation(c, flavor))
@@ -456,7 +459,18 @@ def coderivation_pairs(draw):
 @given(coderivation_pairs())
 def test_bracket_matches_words_on_drawn_pairs(pair):
     d1, d2, cap = pair
-    assert bracket(d1, d2, cap) == commutator_by_words(d1, d2, cap)
+    comm = bracket(d1, d2, cap)
+    assert comm == commutator_by_words(d1, d2, cap)
+    # an int equals its Fraction, so the value type is checked on its own
+    assert all(type(c) is Fraction for table in comm.comps.values()
+               for val in table.values() for c in val.values())
+    report = certify(d1, d2, cap)
+    assert report.ok == (not comm.comps)
+    if not report.ok:
+        n = min(comm.comps)
+        word = min(comm.comps[n])
+        assert report.witness == (n, word, comm.comps[n][word])
+        assert all(type(c) is Fraction for c in report.witness[2].values())
 
 
 def flip_first_sign(cochain, arity):

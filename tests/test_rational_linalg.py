@@ -113,7 +113,7 @@ def test_echelon_rows_are_inter_reduced():
     red.insert({0: 2, 1: 4, 2: 2})
     red.insert({0: 1, 1: 3, 2: 2})
     red.insert({1: 1, 2: 1, 3: 1})
-    pivots = red.pivot_columns()
+    pivots = sorted(red.rows)
     rows = red.canonical_rows()
     for p, row in zip(pivots, rows):
         d = dict(row)
