@@ -308,5 +308,4 @@ def cyclic_homology(alg, max_degree, max_weight=None):
     for q in table.dims:
         complete = max_weight is None or max_weight >= q + 2
         table.exact[q] = complete
-    table.caps = {"max_degree": max_degree, "max_weight": max_weight}
     return table

@@ -36,7 +36,6 @@ class BettiTable:
     exact: dict = field(default_factory=dict)
     block_dims: dict = field(default_factory=dict)
     representatives: dict | None = None
-    caps: dict = field(default_factory=dict)
 
     def as_row(self, qs=None):
         qs = sorted(self.dims) if qs is None else list(qs)
@@ -140,7 +139,8 @@ class ChainComplex:
             for j, col in enumerate(self._boundary(q + 1)):
                 solver.add(col, ("b", j))
             reps = []
-            for row in kernel(self._boundary(q), self.dim(q - 1)).basis:
+            for row in kernel(self._boundary(q),
+                              self.dim(q - 1)).canonical_rows():
                 vec = dict(row)
                 if solver.express(vec) is None:
                     solver.add(vec, ("r", len(reps)))

@@ -1,6 +1,6 @@
 """Cofree coalgebras at finite weight and their coderivations.
 
-Two flavors are supported on words over a suspended `Space`:
+Two flavors are supported on words over a suspended `GradedSpace`:
 
 * tensor flavor: plain tuples, deconcatenation coproduct; a cochain component
   f_k is applied to every length-k window with the Koszul prefix sign
@@ -52,7 +52,7 @@ from fractions import Fraction
 from math import comb, lcm, prod
 
 from .graded import (
-    Space,
+    GradedSpace,
     add_into,
     canonical_sym,
     unshuffle_splits,
@@ -81,7 +81,7 @@ class Cochain:
     Koszul sign of sorting.
     """
 
-    space: Space
+    space: GradedSpace
     degree: int
     comps: dict = field(default_factory=dict)
     symmetric: bool = False

@@ -47,13 +47,12 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ainfty import AInftyAlgebra, check_stasheff, check_strict_unit
-from .chain import ChainComplex
 from .graded import GradedSpace, add_into, sign_of_arrangement
 from .linfty import (
+    CEModel,
     InconsistencyError,
     LInftyAlgebra,
     check_linfty,
-    coalgebra_on_homology,
     make_inner,
 )
 from .rational_linalg import LinearSolver
@@ -504,7 +503,7 @@ def check_block_sum_morphism(gl_left, gl_right, gl_target, pairs):
 
 
 @dataclass
-class GLCoinvariantModel:
+class GLCoinvariantModel(CEModel):
     """The gl_n(K)-coinvariant Chevalley-Eilenberg complex of gl_n(A),
     presented on S_n-orbits of zero-weight words.
 
@@ -528,31 +527,18 @@ class GLCoinvariantModel:
     it by -1 is zero in the quotient and gets sign 0.  Every root is
     Weyl-conjugate to e_1 - e_2, so the single image E_12 . C_{e_2 - e_1}
     spans S modulo these identities.  `blocks[q]` lists the
-    non-vanishing orbit representatives of degree q, for q through
-    max_degree + 1, and `spans[q]` the E_12 images written on
-    representatives, for q through max_degree only.  Through max_degree the
-    quotient is isomorphic to C_0 / S, which the test suite checks against
-    the simple-root presentation.  The top block only sources boundaries
-    into degree max_degree, and d commutes with inner derivations, so
-    d(S_{m+1}) lies in S_m: the boundary rank from C_{m+1} into C_m / S_m
-    is that of C_{m+1} / S_{m+1}, and quotienting the top block would
-    change no reported number.
-    Every consumer of the complex - its differential, its spans, each tensor
-    factor of the coproduct, and the product check of `lqt` - passes its
-    words through `canonical`.  The reduced complex and the homology
-    coalgebra are each built once and cached.
+    non-vanishing orbit representatives of degree q and `spans[q]` the
+    E_12 images written on representatives, in the degrees `CEModel`
+    states.  Through max_degree the quotient is isomorphic to C_0 / S,
+    which the test suite checks against the simple-root presentation.  The
+    coproduct canonicalizes each tensor factor on its own, since S_n acts
+    trivially on each factor C_0 / S.
     """
 
-    algebra: LInftyAlgebra
-    n: int
-    base: AInftyAlgebra
-    max_degree: int
-    blocks: dict
-    spans: dict
+    n: int = field(kw_only=True)
+    base: AInftyAlgebra = field(kw_only=True)
     _letters: tuple = field(init=False, repr=False)
-    _canon: dict = field(default_factory=dict, repr=False)
-    _cx: object = field(default=None, repr=False)
-    _coalg: object = field(default=None, repr=False)
+    _canon: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self._letters = _letter_table(self.n, self.base.space.dim)
@@ -567,49 +553,6 @@ class GLCoinvariantModel:
             hit = self._canon[word] = _orbit_canonical(
                 word, self._letters, self.algebra.suspended.degrees, self.n)
         return hit
-
-    def reduce(self, element):
-        """An element over canonical words, rewritten on representatives."""
-        out = {}
-        for w, c in element.items():
-            sign, rep = self.canonical(w)
-            if sign:
-                add_into(out, rep, sign * c)
-        return out
-
-    def complex(self):
-        if self._cx is None:
-            d = self.algebra.coderivation()
-            images = {}
-
-            def diff(q, word):
-                if word not in images:
-                    images[word] = self.reduce(d.eval_word(word))
-                return images[word]
-
-            self._cx = ChainComplex(self.blocks, diff, quotient_spans=self.spans)
-        return self._cx
-
-    def _with_caps(self, table):
-        table.caps = {"max_degree": self.max_degree,
-                      "coinvariants": "matrix-units"}
-        return table
-
-    def homology(self):
-        return self._with_caps(
-            self.complex().homology(range(0, self.max_degree + 1)))
-
-    def coproduct(self):
-        """The induced coalgebra on the coinvariant homology, computed on
-        the reduced complex; each tensor factor is canonicalized on its own,
-        since S_n acts trivially on each factor C_0 / S.  Descent of the
-        coproduct to this quotient is verified at computation time."""
-        if self._coalg is None:
-            self._coalg = coalgebra_on_homology(
-                self.algebra.suspended, self.complex(), self.max_degree,
-                spans=self.spans, canonical=self.canonical)
-            self._with_caps(self._coalg.table)
-        return self._coalg
 
 
 def _letter_table(n, base_dim):
@@ -815,10 +758,9 @@ def gl_coinvariant_model(base, n, max_degree):
     initial segment suffice.  At n = 1 there is no root: every word is its
     own orbit and nothing is quotiented.
 
-    Blocks run through max_degree + 1 and spans through max_degree.  The
-    top block feeds only the boundary rank into degree max_degree, which
-    d(S_{m+1}) inside S_m leaves unchanged, so its E_12 images (most of
-    the span generators) are never built.
+    Blocks run through max_degree + 1 and spans through max_degree, as
+    `CEModel` states, so the E_12 images of the top block (most of the span
+    generators) are never built.
     """
     unitality = check_strict_unit(base)
     if not unitality:
@@ -829,7 +771,7 @@ def gl_coinvariant_model(base, n, max_degree):
     L = gl(MatrixAlgebraSpec(base, n))
     base_dim = base.space.dim
     susp = L.suspended
-    model = GLCoinvariantModel(L, n, base, max_degree, {}, {})
+    model = GLCoinvariantModel(L, max_degree, {}, {}, n=n, base=base)
 
     zero = (0,) * n
     root = None

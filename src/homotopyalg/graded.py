@@ -5,9 +5,9 @@ Conventions used throughout the package:
 * A basis element of the underlying space has unsuspended degree >= 0; the
   suspension shifts every degree up by exactly 1, so an ungraded algebra sits
   in suspended degree 1.
-* Words are tuples of basis indices into a `Space`; the degree of a word is
-  the sum of its factor degrees (suspended degrees everywhere past this
-  module's `suspend`).
+* Words are tuples of basis indices into a `GradedSpace`; the degree of a
+  word is the sum of its factor degrees (suspended degrees everywhere past
+  this module's `suspend`).
 * A permutation p acts on the left: the factor in slot i moves to slot p[i],
   and the sign is the product of (-1)^(d_i * d_j) over pairs that invert.
   Acting by q and then by p is acting by the composite p . q.
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 
 __all__ = [
     "GradedSpace",
-    "Space",
     "sign_of_arrangement",
     "act",
     "inverse",
@@ -38,22 +37,20 @@ __all__ = [
 ]
 
 
-def _freeze_fields(space):
-    """Store labels and degrees as tuples, so that a frozen space hashes
-    whatever sequences it was built from."""
-    object.__setattr__(space, "labels", tuple(space.labels))
-    object.__setattr__(space, "degrees", tuple(space.degrees))
-
-
 @dataclass(frozen=True)
 class GradedSpace:
-    """Finite list of labelled basis elements with unsuspended degrees >= 0."""
+    """Finite list of labelled basis elements with degrees >= 0.  An
+    algebra's space holds unsuspended degrees; its `suspend` holds degrees
+    >= 1, and words index into that."""
 
     labels: tuple
     degrees: tuple
 
     def __post_init__(self):
-        _freeze_fields(self)
+        # stored as tuples, so that a frozen space hashes whatever sequences
+        # it was built from
+        object.__setattr__(self, "labels", tuple(self.labels))
+        object.__setattr__(self, "degrees", tuple(self.degrees))
         if len(self.labels) != len(self.degrees):
             raise ValueError("labels and degrees must have equal length")
         if len(set(self.labels)) != len(self.labels):
@@ -71,25 +68,7 @@ class GradedSpace:
 
     def suspend(self):
         """The shifted space: degree d becomes d + 1."""
-        return Space(self.labels, tuple(d + 1 for d in self.degrees))
-
-
-@dataclass(frozen=True)
-class Space:
-    """Suspended basis data: every degree is >= 1.  Words index into this."""
-
-    labels: tuple
-    degrees: tuple
-
-    def __post_init__(self):
-        _freeze_fields(self)
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    def index(self, label):
-        return self.labels.index(label)
+        return GradedSpace(self.labels, tuple(d + 1 for d in self.degrees))
 
     def word_degree(self, word):
         degs = self.degrees

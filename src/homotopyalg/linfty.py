@@ -19,17 +19,22 @@ the structure squares to zero, and they act as zero on homology - asserted,
 not assumed, by expressing their images in a computed representative basis.
 
 Coinvariants by a degree-0 sub-Lie-algebra h quotient each block by the span
-S of the inner-derivation images of h.  The homology coproduct is induced by
-the reduced shuffle coproduct, taken on the quotient itself: on
-(C/S) (x) (C/S), the canonical isomorph of C (x) C modulo S (x) C + C (x) S,
-with no second complex built.  Classes there are read through p (x) p, where
-p is the chain-level projection of the reduced complex onto its homology
-(Kunneth over a field).  Three facts are verified at computation time rather
-than assumed: the coproduct of every generator of S vanishes in
-(C/S) (x) (C/S) (descent), the coproducts of the representatives and of the
-boundaries are cycles of the pair differential, and the coproduct of the
-boundary of every quotient basis word has zero class (independence of the
-representative).
+S of the inner-derivation images of h.  One `CEModel` owns the blocks, the
+quotient generators and the one reduced complex built from them; homology,
+the coproduct and the induced action of an inner derivation all read that
+complex, for a generic h as for the gl_n(A) model of `constructions`, which
+only changes the map of words to the keys of the complex.
+
+The homology coproduct is induced by the reduced shuffle coproduct, taken on
+the quotient itself: on (C/S) (x) (C/S), the canonical isomorph of C (x) C
+modulo S (x) C + C (x) S, with no second complex built.  Classes there are
+read through p (x) p, where p is the chain-level projection of the reduced
+complex onto its homology (Kunneth over a field).  Three facts are verified
+at computation time rather than assumed: the coproduct of every generator of
+S vanishes in (C/S) (x) (C/S) (descent), the coproducts of the
+representatives and of the boundaries are cycles of the pair differential,
+and the coproduct of the boundary of every quotient basis word has zero
+class (independence of the representative).
 """
 
 from __future__ import annotations
@@ -49,7 +54,7 @@ from .coalgebra import (
     extend_coderivation,
 )
 from .graded import GradedSpace, add_into
-from .rational_linalg import LinearSolver, Subspace, kernel
+from .rational_linalg import LinearSolver, RowReducer, kernel
 
 __all__ = [
     "InconsistencyError",
@@ -60,7 +65,8 @@ __all__ = [
     "check_derivation",
     "make_inner",
     "ce_words",
-    "ce_complex",
+    "CEModel",
+    "ce_model",
     "lie_homology",
     "inner_action_on_homology",
     "coalgebra_on_homology",
@@ -270,8 +276,81 @@ def h_action_spans(alg, h, blocks):
     return spans
 
 
-def _ce_complex(alg, max_degree, max_weight, h):
-    """ce_complex together with its quotient generators (None without h)."""
+@dataclass
+class CEModel:
+    """A Chevalley-Eilenberg complex with its quotient generators, owned
+    once: `blocks[q]` lists the keys of degree q for q through
+    max_degree + 1, and `spans[q]` the generators of the quotient S_q, for
+    q through max_degree only.
+
+    Every span is made of images of inner derivations, which commute with
+    the differential d, so d(S_{m+1}) lies in S_m for m = max_degree: the
+    boundary rank from C_{m+1} into C_m / S_m is that of C_{m+1} / S_{m+1},
+    and the top block, which only sources boundaries into degree m, is
+    never quotiented.  `canonical` sends a word to (sign, key of the
+    complex), sign 0 for a word the quotient kills; here it is the
+    identity.  Every consumer - the differential, each tensor factor of the
+    coproduct, and the callers that rewrite chains through `reduce` -
+    passes its words through it.  The reduced complex and the homology
+    coalgebra are each built once and cached.
+    """
+
+    algebra: LInftyAlgebra
+    max_degree: int
+    blocks: dict
+    spans: dict
+    max_weight: int | None = None
+    _cx: object = field(default=None, init=False, repr=False)
+    _coalg: object = field(default=None, init=False, repr=False)
+
+    def canonical(self, word):
+        return 1, word
+
+    def reduce(self, element):
+        """An element over canonical words, rewritten on the keys of the
+        complex."""
+        out = {}
+        for w, c in element.items():
+            sign, key = self.canonical(w)
+            if sign:
+                add_into(out, key, sign * c)
+        return out
+
+    def complex(self):
+        if self._cx is None:
+            d = self.algebra.coderivation()
+            images = {}
+
+            def diff(q, word):
+                if word not in images:
+                    images[word] = self.reduce(d.eval_word(word))
+                return images[word]
+
+            self._cx = ChainComplex(self.blocks, diff, quotient_spans=self.spans)
+        return self._cx
+
+    def homology(self):
+        """Homology in degrees 0..max_degree.  Exact unless the weight cap
+        truncates a contributing block: degree q needs complete words
+        through weight q+1."""
+        table = self.complex().homology(range(0, self.max_degree + 1))
+        for q in table.dims:
+            table.exact[q] = self.max_weight is None or self.max_weight >= q + 1
+        return table
+
+    def coproduct(self):
+        """The induced coalgebra on homology, with the exactness flags of
+        `homology`."""
+        if self._coalg is None:
+            self._coalg = coalgebra_on_homology(self)
+            self._coalg.table.exact = self.homology().exact
+        return self._coalg
+
+
+def ce_model(alg, max_degree, max_weight=None, h=None):
+    """The model of canonical symmetric words in degrees 0..max_degree+1,
+    optionally capped in weight, with the h-coinvariant quotient generators
+    through max_degree when a degree-0 subalgebra h is supplied."""
     blocks = {}
     for q in range(0, max_degree + 2):
         words = ce_words(alg.suspended, q)
@@ -279,31 +358,17 @@ def _ce_complex(alg, max_degree, max_weight, h):
             words = [w for w in words if len(w) <= max_weight]
         if words:
             blocks[q] = words
-    spans = h_action_spans(alg, h, blocks) if h else None
-    d = alg.coderivation()
-    cx = ChainComplex(blocks, lambda q, w: d.eval_word(w), quotient_spans=spans)
-    return cx, spans
-
-
-def ce_complex(alg, max_degree, max_weight=None, h=None):
-    """ChainComplex of canonical symmetric words in degrees 0..max_degree+1,
-    with blockwise h-coinvariant quotients when a subalgebra is supplied."""
-    return _ce_complex(alg, max_degree, max_weight, h)[0]
+    spans = {}
+    if h:
+        spans = h_action_spans(
+            alg, h, {q: ws for q, ws in blocks.items() if q <= max_degree})
+    return CEModel(alg, max_degree, blocks, spans, max_weight)
 
 
 def lie_homology(alg, max_degree, max_weight=None, h=None):
     """Homology of the Chevalley-Eilenberg complex in degrees 0..max_degree,
-    optionally after coinvariant reduction by a degree-0 subalgebra h.
-
-    Exact unless the weight cap truncates a contributing block: degree q
-    needs complete words through weight q+1.
-    """
-    cx = ce_complex(alg, max_degree, max_weight=max_weight, h=h)
-    table = cx.homology(range(0, max_degree + 1))
-    for q in table.dims:
-        table.exact[q] = max_weight is None or max_weight >= q + 1
-    table.caps = {"max_degree": max_degree, "max_weight": max_weight}
-    return table
+    optionally after coinvariant reduction by a degree-0 subalgebra h."""
+    return ce_model(alg, max_degree, max_weight, h).homology()
 
 
 def inner_action_on_homology(alg, generator, max_degree, max_weight=None, h=None):
@@ -315,7 +380,7 @@ def inner_action_on_homology(alg, generator, max_degree, max_weight=None, h=None
     """
     der = make_inner(alg, generator)
     shift = der.degree
-    cx = ce_complex(alg, max_degree, max_weight=max_weight, h=h)
+    cx = ce_model(alg, max_degree, max_weight, h).complex()
     table = cx.homology(range(0, max_degree + 1), representatives=True)
     action = der.coderivation()
     induced = {}
@@ -358,41 +423,38 @@ class HomologyCoalgebra:
     delta: dict
 
     def primitive_subspace(self, q):
-        """Classes with vanishing reduced coproduct, as a Subspace in the
-        representative coordinates of H_q."""
+        """Classes with vanishing reduced coproduct, as a RowReducer
+        spanning them in the representative coordinates of H_q."""
         tags = {t: i for i, t in enumerate(self.pair_basis.get(q, []))}
         columns = [{tags[t]: c for t, c in row.items()}
                    for row in self.delta.get(q, [])]
         return kernel(columns, len(tags))
 
 
-def coalgebra_on_homology(space, cx, max_degree, spans=None, canonical=None):
-    """Homology of a word complex together with its induced coproduct.
+def coalgebra_on_homology(model):
+    """Homology of a `CEModel` together with its induced coproduct.
 
-    `cx` is the complex of canonical symmetric words over `space` (degrees
-    up to max_degree + 1), already reduced by its quotient generators;
-    `spans` lists those generators per degree for the descent check.  The
-    reduced shuffle coproduct is taken on (C/S) (x) (C/S): each tensor
-    factor is first sent through `canonical` (word -> (sign, key of the
-    complex), sign 0 for a word the quotient kills; the identity when
-    omitted), then replaced by its canonical residual in the quotient, and
-    a factor whose key is absent from the complex counts as zero (in a
-    graded presentation the absent words are exactly the ones the quotient
-    map kills).  Classes are read through p (x) p, where p = `cx.project`
-    is a chain map onto homology that kills boundaries and sends each
-    representative to its basis vector; by the Kunneth theorem over a
-    field, p (x) p sends a cycle of (C/S) (x) (C/S) to its class in the
-    basis of representative pairs.  Verified before that read-off: the
-    coproduct of every span generator of degree <= max_degree vanishes in
-    (C/S) (x) (C/S) (descent); the coproducts of each representative and
-    of the boundary of each quotient basis word are cycles of the pair
-    differential res(dx) (x) y + (-1)^|x| x (x) res(dy); and the latter
-    have zero class (independence of the representative).  These hold
-    whenever the spans are images of inner derivations, as they are for
-    every caller in the package, because inner derivations and the
-    differential are coderivations; a failure is a fault of the package
+    The reduced shuffle coproduct is taken on (C/S) (x) (C/S): each tensor
+    factor is first sent through `model.canonical`, then replaced by its
+    canonical residual in the quotient, and a factor whose key is absent
+    from the complex counts as zero (in a graded presentation the absent
+    words are exactly the ones the quotient map kills).  Classes are read
+    through p (x) p, where p = `cx.project` is a chain map onto homology
+    that kills boundaries and sends each representative to its basis
+    vector; by the Kunneth theorem over a field, p (x) p sends a cycle of
+    (C/S) (x) (C/S) to its class in the basis of representative pairs.
+    Verified before that read-off: the coproduct of every span generator
+    vanishes in (C/S) (x) (C/S) (descent); the coproducts of each
+    representative and of the boundary of each quotient basis word are
+    cycles of the pair differential res(dx) (x) y + (-1)^|x| x (x) res(dy);
+    and the latter have zero class (independence of the representative).
+    These hold whenever the spans are images of inner derivations, as they
+    are for every model the package builds, because inner derivations and
+    the differential are coderivations; a failure is a fault of the package
     and raises `InconsistencyError`.
     """
+    space, max_degree = model.algebra.suspended, model.max_degree
+    cx = model.complex()
     table = cx.homology(range(0, max_degree + 1), representatives=True)
     reps = table.representatives
 
@@ -402,7 +464,7 @@ def coalgebra_on_homology(space, cx, max_degree, spans=None, canonical=None):
         """The class of a word in C/S, over the quotient basis words."""
         if word not in residuals:
             q = space.word_degree(word)
-            sign, key = (1, word) if canonical is None else canonical(word)
+            sign, key = model.canonical(word)
             known = sign and key in cx.index.get(q, {})
             residuals[word] = cx.residual(q, {key: sign}) if known else {}
         return residuals[word]
@@ -465,9 +527,7 @@ def coalgebra_on_homology(space, cx, max_degree, spans=None, canonical=None):
                     add_into(out, (a, q - a, i, j), c * ci * cj)
         return out
 
-    for q, gen_list in sorted((spans or {}).items()):
-        if q > max_degree:
-            continue
+    for q, gen_list in sorted(model.spans.items()):
         for s in gen_list:
             if reduced_coproduct(s):
                 raise InconsistencyError(
@@ -494,22 +554,15 @@ def coalgebra_on_homology(space, cx, max_degree, spans=None, canonical=None):
 
 def homology_coproduct(alg, max_degree, max_weight=None, h=None):
     """The induced coalgebra structure on Chevalley-Eilenberg homology."""
-    cx, spans = _ce_complex(alg, max_degree, max_weight, h)
-    result = coalgebra_on_homology(alg.suspended, cx, max_degree, spans=spans)
-    result.table.caps = {"max_degree": max_degree, "max_weight": max_weight}
-    for q in result.table.dims:
-        result.table.exact[q] = max_weight is None or max_weight >= q + 1
-    return result
+    return ce_model(alg, max_degree, max_weight, h).coproduct()
 
 
 def primitives(H):
-    """Primitive classes of a homology coalgebra: {degree: Subspace in the
-    representative coordinates}.  Degree-0 classes are never primitive (the
-    counit splits them off); weight-one generators always are."""
+    """Primitive classes of a homology coalgebra: {degree: RowReducer
+    spanning them in the representative coordinates}.  Degree-0 classes are
+    never primitive (the counit splits them off); weight-one generators
+    always are."""
     out = {}
-    for q, reps in sorted(H.table.representatives.items()):
-        if q == 0:
-            out[q] = Subspace.from_vectors(len(reps), [])
-            continue
-        out[q] = H.primitive_subspace(q)
+    for q in sorted(H.table.representatives):
+        out[q] = RowReducer() if q == 0 else H.primitive_subspace(q)
     return out

@@ -108,8 +108,7 @@ class ExteriorExpansion:
 
     def as_table(self):
         return BettiTable(dims=dict(self.dims),
-                          exact={q: True for q in self.dims},
-                          caps={"max_degree": self.max_degree, "shift": 1})
+                          exact={q: True for q in self.dims})
 
 
 def expand_exterior(hc, max_degree):
@@ -376,7 +375,16 @@ def verify_lqt(base, sizes, max_degree):
     if not sizes or sizes[0] < 1:
         raise ValueError("matrix sizes must be integers >= 1")
 
-    models = {n: gl_coinvariant_model(base, n, max_degree) for n in sizes}
+    def build(n):
+        # the base is certified above, so a refusal or a failed
+        # re-certification while building the model is a fault of the package
+        try:
+            return gl_coinvariant_model(base, n, max_degree)
+        except ValueError as exc:
+            raise InconsistencyError(
+                f"the model of gl_{n} failed on a certified base: {exc}") from exc
+
+    models = {n: build(n) for n in sizes}
     left = {}
     for n in sizes:
         table = models[n].homology()
@@ -446,7 +454,7 @@ def verify_lqt(base, sizes, max_degree):
     if ambient <= HOPF_BUDGET:
         for n in (n_h, 2 * n_h):
             if n not in models:
-                models[n] = gl_coinvariant_model(base, n, max_degree)
+                models[n] = build(n)
         hopf = hopf_product_on_homology(models[n_h], models[2 * n_h])
     else:
         hopf = (f"skipped: doubled ambient dimension {ambient} exceeds "

@@ -5,19 +5,18 @@ representatives, null spaces) reduces to the incremental echelon maintained
 here; a null space is the tag part of an echelon of tagged columns.  Rows are
 kept as primitive integer vectors (gcd 1, pivot entry positive) and eliminated
 by integer cross-multiplication, so no rounding can ever occur and coefficient
-growth is controlled by content reduction instead of pivot heuristics.  The
-public `Subspace` form divides each row by its pivot, giving the unique reduced
-echelon basis; two equal subspaces always compare equal structurally.
+growth is controlled by content reduction instead of pivot heuristics.  A
+subspace is a `RowReducer` holding its span; `canonical_rows` divides each row
+by its pivot, giving the unique reduced echelon basis, so two equal subspaces
+always give equal rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
 __all__ = [
-    "Subspace",
     "RowReducer",
     "LinearSolver",
     "kernel",
@@ -178,42 +177,6 @@ class RowReducer:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of Q^n held by its unique reduced echelon basis.
-
-    `basis` rows are tuples of (col, Fraction) pairs, pivot entry 1, sorted by
-    pivot column; no row meets another row's pivot column.  Structural equality
-    therefore decides subspace equality.
-    """
-
-    ambient_dim: int
-    basis: tuple
-
-    @property
-    def dim(self):
-        return len(self.basis)
-
-    @staticmethod
-    def from_vectors(ambient_dim, vectors):
-        red = RowReducer()
-        for v in vectors:
-            for c in v:
-                if not 0 <= c < ambient_dim:
-                    raise ValueError(f"coordinate {c} outside ambient dim {ambient_dim}")
-            red.insert(v)
-        return Subspace(ambient_dim, red.canonical_rows())
-
-    def reducer(self):
-        red = RowReducer()
-        for row in self.basis:
-            red.insert(dict(row))
-        return red
-
-    def contains(self, vec):
-        return self.reducer().contains(vec)
-
-
 class LinearSolver:
     """Span membership with coefficient recovery.
 
@@ -249,12 +212,12 @@ class LinearSolver:
 
 
 def kernel(columns, ambient_dim):
-    """Canonical basis of the null space of the map sending the j-th unit
-    vector to columns[j], a vector of Q^ambient_dim.
+    """The null space of the map sending the j-th unit vector to columns[j],
+    a vector of Q^ambient_dim, as a RowReducer on Q^len(columns).
 
     The columns are echelonized with tags, as [column_j | e_j]; the rows
-    left with no real entry span the kernel, and their tag parts are its
-    reduced echelon basis.
+    left with no real entry span the kernel.  They are inter-reduced with
+    their pivots leading, so their tag parts are registered as they are.
     """
     solver = LinearSolver(ambient_dim)
     for col in columns:
@@ -263,7 +226,9 @@ def kernel(columns, ambient_dim):
                 raise ValueError(
                     f"coordinate {c} outside ambient dim {ambient_dim}")
         solver.add(col)
-    basis = tuple(tuple((c - ambient_dim, v) for c, v in row)
-                  for row in solver.red.canonical_rows()
-                  if row[0][0] >= ambient_dim)
-    return Subspace(len(columns), basis)
+    null = RowReducer()
+    for pivot, row in solver.red.rows.items():
+        if pivot >= ambient_dim:
+            null._register(pivot - ambient_dim,
+                           {c - ambient_dim: v for c, v in row.items()})
+    return null

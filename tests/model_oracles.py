@@ -131,7 +131,7 @@ def simple_root_model(base, n, max_degree):
                     gens.append(img)
         if gens:
             spans[q] = gens
-    return SimpleRootModel(L, n, base, max_degree, blocks, spans)
+    return SimpleRootModel(L, max_degree, blocks, spans, n=n, base=base)
 
 
 def _class_in(cx, q, element, reps):

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from homotopyalg import linfty, lqt
+from homotopyalg import constructions, linfty, lqt
 from homotopyalg.chain import BettiTable
 from homotopyalg.cli import main
 from homotopyalg.constructions import InconsistencyError
@@ -219,6 +219,18 @@ def test_coproduct_fault_is_not_a_violation(monkeypatch, capsys):
     with pytest.raises(InconsistencyError, match="does not descend"):
         main(["lqt", fixture("dual_numbers.alg"), "--n", "2,3",
               "--max-degree", "3"])
+
+
+def test_model_fault_on_a_certified_base_is_not_a_violation(monkeypatch):
+    # verify_lqt certifies the base before building any model, so a failed
+    # re-certification inside the build is a fault of the package
+    def refuse(alg, cap=None):
+        raise ValueError("inner construction failed certification")
+
+    monkeypatch.setattr(constructions, "lie_ify", refuse)
+    with pytest.raises(InconsistencyError, match="certified base") as info:
+        main(["lqt", fixture("K.alg"), "--n", "1,2", "--max-degree", "2"])
+    assert isinstance(info.value.__cause__, ValueError)
 
 
 def test_arithmetic_fault_is_not_a_violation(monkeypatch):

@@ -19,7 +19,7 @@ from homotopyalg.coalgebra import Coderivation, extend_coderivation
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace, add_into, canonical_sym
 from homotopyalg.linfty import (
-    _ce_complex,
+    ce_model,
     ce_words,
     homology_coproduct,
     lie_homology,
@@ -674,6 +674,40 @@ def test_orbit_model_matches_simple_root_oracle(base_name, n, max_degree):
         {q: prim_oracle[q].dim for q in prim_oracle}
 
 
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ce_model(fixture_algebra("sl2"), 1, h=[0]),
+                 id="sl2-h"),
+    pytest.param(lambda: gl_coinvariant_model(ground_field(), 3, 4),
+                 id="gl3-K")])
+def test_models_quotient_through_max_degree_only(build):
+    # the top block exists but is never quotiented; d(S_{m+1}) lies in S_m
+    model = build()
+    assert max(model.blocks) == model.max_degree + 1
+    assert max(model.spans, default=0) <= model.max_degree
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(lambda: ce_model(fixture_algebra("sl2"), 4, h=[0]),
+                 id="sl2-h"),
+    pytest.param(lambda: gl_coinvariant_model(ground_field(), 3, 4),
+                 id="gl3-K")])
+def test_one_complex_per_model(build, monkeypatch):
+    built = []
+    real = ChainComplex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChainComplex, "__init__", counting)
+    model = build()
+    model.homology()
+    H = model.coproduct()
+    primitives(H)
+    assert model.coproduct() is H
+    assert built == [model.complex()]
+
+
 @pytest.mark.parametrize("base_name,n,max_degree", [
     ("K", 2, 4), ("K", 3, 4), ("K", 4, 4), ("K[e]", 2, 3), ("K[e]", 3, 3),
     ("ut2", 2, 3), ("ut2", 3, 3), ("D", 2, 3), ("D", 3, 3)])
@@ -698,7 +732,7 @@ def test_projected_coproduct_matches_pair_complex_oracle(base_name, n,
 def test_homology_coproduct_matches_pair_complex_oracle(alg, h, max_degree):
     alg = alg()
     H = homology_coproduct(alg, max_degree, h=h)
-    cx, _ = _ce_complex(alg, max_degree, None, h)
+    cx = ce_model(alg, max_degree, h=h).complex()
     assert (H.pair_basis, H.delta) == \
         pair_complex_coproduct(alg.suspended, cx, max_degree)
 

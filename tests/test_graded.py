@@ -7,7 +7,6 @@ import pytest
 
 from homotopyalg.graded import (
     GradedSpace,
-    Space,
     act,
     add_into,
     canonical_sym,
@@ -104,7 +103,7 @@ def test_left_action_composition_law():
 
 
 def test_symmetrize_antisymmetric_pair_fixed():
-    sp = Space(("x", "y"), (1, 1))
+    sp = GradedSpace(("x", "y"), (1, 1))
     e = {(0, 1): Fraction(1)}
     p = symmetrize(e, sp)
     assert p == {(0, 1): Fraction(1, 2), (1, 0): Fraction(-1, 2)}
@@ -114,7 +113,7 @@ def test_symmetrize_antisymmetric_pair_fixed():
 
 def test_symmetrize_idempotent():
     rng = random.Random(3)
-    sp = Space(("a", "b", "c"), (1, 2, 1))
+    sp = GradedSpace(("a", "b", "c"), (1, 2, 1))
     e = {}
     for _ in range(4):
         w = tuple(rng.randrange(3) for _ in range(3))
@@ -149,7 +148,7 @@ def test_shuffles_counts():
 
 
 def test_unshuffle_split_count_and_order():
-    sp = Space(("a", "b", "c", "d"), (1, 1, 1, 1))
+    sp = GradedSpace(("a", "b", "c", "d"), (1, 1, 1, 1))
     word = (0, 1, 2, 3)
     splits = list(unshuffle_splits(word, [1, 1, 1, 1], 2))
     assert len(splits) == 6
@@ -168,7 +167,7 @@ def test_unshuffle_signs_all_odd():
 
 
 def test_canonical_sym_sorts_with_sign():
-    sp = Space(("a", "b"), (1, 1))
+    sp = GradedSpace(("a", "b"), (1, 1))
     sign, w = canonical_sym((1, 0), sp)
     assert (sign, w) == (-1, (0, 1))
     sign, w = canonical_sym((0, 1), sp)
@@ -176,7 +175,7 @@ def test_canonical_sym_sorts_with_sign():
 
 
 def test_canonical_sym_kills_repeated_odd():
-    sp = Space(("a", "b"), (1, 2))
+    sp = GradedSpace(("a", "b"), (1, 2))
     sign, _ = canonical_sym((0, 0), sp)
     assert sign == 0
     # even repeats survive
@@ -186,7 +185,7 @@ def test_canonical_sym_kills_repeated_odd():
 
 def test_canonical_sym_consistent_with_action():
     rng = random.Random(9)
-    sp = Space(("a", "b", "c", "d"), (1, 2, 1, 3))
+    sp = GradedSpace(("a", "b", "c", "d"), (1, 2, 1, 3))
     for _ in range(50):
         word = tuple(rng.randrange(4) for _ in range(rng.randint(1, 4)))
         s0, w0 = canonical_sym(word, sp)
@@ -215,6 +214,6 @@ def test_spaces_normalize_to_tuples_and_hash():
     assert gs.labels == ("a",) and gs.degrees == (0,)
     assert hash(gs) == hash(GradedSpace(("a",), (0,)))
     assert gs == GradedSpace(("a",), (0,))
-    sp = Space(["x", "y"], [1, 2])
+    sp = GradedSpace(["x", "y"], [1, 2])
     assert sp.degrees == (1, 2)
-    assert {sp, Space(("x", "y"), (1, 2))} == {sp}
+    assert {sp, GradedSpace(("x", "y"), (1, 2))} == {sp}

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import Cochain
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import (
+    CEModel,
     InconsistencyError,
     LInftyAlgebra,
     Derivation,
@@ -182,6 +182,9 @@ def test_ce_differential_matches_classical_formula_entrywise():
 def test_weight_cap_flags():
     table = lie_homology(sl2(), 3, max_weight=2)
     assert table.exact == {0: True, 1: True, 2: False, 3: False}
+    # the coproduct reads the same model, so its table carries the same flags
+    H = homology_coproduct(sl2(), 3, max_weight=2)
+    assert H.table.exact == table.exact
 
 
 def random_matrix_cochain(alg, rng):
@@ -356,7 +359,5 @@ def test_coproduct_that_does_not_descend_is_refused():
     space = alg.suspended
     blocks = {q: ce_words(space, q) for q in range(4)}
     spans = {2: [{(0, 1): Fraction(1)}]}
-    d = alg.coderivation()
-    cx = ChainComplex(blocks, lambda q, w: d.eval_word(w), quotient_spans=spans)
     with pytest.raises(InconsistencyError, match="does not descend"):
-        coalgebra_on_homology(space, cx, 2, spans=spans)
+        coalgebra_on_homology(CEModel(alg, 2, blocks, spans))

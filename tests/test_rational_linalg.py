@@ -4,7 +4,6 @@ from fractions import Fraction
 from homotopyalg.rational_linalg import (
     LinearSolver,
     RowReducer,
-    Subspace,
     kernel,
 )
 
@@ -16,6 +15,13 @@ def M(rows):
     columns = [{r: row[c] for r, row in enumerate(rows) if row[c]}
                for c in range(m)]
     return columns, len(rows)
+
+
+def span(vectors):
+    red = RowReducer()
+    for vec in vectors:
+        red.insert(vec)
+    return red
 
 
 def rank(mat):
@@ -61,7 +67,7 @@ def test_kernel_of_row_vector():
     # kernel of [1 1] is spanned by (1, -1) in canonical leading-1 form
     k = kernel(*M([[1, 1]]))
     assert k.dim == 1
-    assert k.basis == (((0, Fraction(1)), (1, Fraction(-1))),)
+    assert k.canonical_rows() == (((0, Fraction(1)), (1, Fraction(-1))),)
 
 
 def test_rank_transpose_equal():
@@ -89,10 +95,21 @@ def test_kernel_vectors_annihilate():
     rng = random.Random(13)
     for _ in range(30):
         rows = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(4)]
-        for row in kernel(*M(rows)).basis:
+        for row in kernel(*M(rows)).canonical_rows():
             vec = dict(row)
             for mat_row in rows:
                 assert sum(v * vec.get(c, 0) for c, v in enumerate(mat_row)) == 0
+
+
+def test_kernel_reducer_equals_one_built_by_insertion():
+    # kernel registers the tag rows of its echelon without eliminating again
+    rng = random.Random(19)
+    for _ in range(30):
+        rows = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(3)]
+        null = kernel(*M(rows))
+        rebuilt = span(dict(row) for row in null.canonical_rows())
+        assert null.rows == rebuilt.rows
+        assert null._touch == rebuilt._touch
 
 
 def test_subspace_canonical_form_is_order_independent():
@@ -100,12 +117,12 @@ def test_subspace_canonical_form_is_order_independent():
     for _ in range(25):
         vecs = [{c: rng.randint(-3, 3) for c in range(5)} for _ in range(4)]
         vecs = [{c: v for c, v in vec.items() if v} for vec in vecs]
-        a = Subspace.from_vectors(5, vecs)
+        a = span(vecs)
         shuffled = vecs[:]
         rng.shuffle(shuffled)
         scaled = [{c: Fraction(3, 2) * v for c, v in vec.items()} for vec in shuffled]
-        b = Subspace.from_vectors(5, scaled)
-        assert a == b
+        b = span(scaled)
+        assert a.canonical_rows() == b.canonical_rows()
 
 
 def test_echelon_rows_are_inter_reduced():
@@ -180,7 +197,6 @@ def test_column_space_dim_equals_rank():
     rng = random.Random(31)
     for _ in range(20):
         rows = [[rng.randint(-2, 2) for _ in range(5)] for _ in range(3)]
-        columns = Subspace.from_vectors(
-            3, [{r: row[c] for r, row in enumerate(rows) if row[c]}
-                for c in range(5)])
+        columns = span([{r: row[c] for r, row in enumerate(rows) if row[c]}
+                        for c in range(5)])
         assert columns.dim == rank(M(rows))
