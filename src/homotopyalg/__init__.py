@@ -21,8 +21,6 @@ from .ainfty import (
 from .chain import BettiTable, ChainComplex
 from .constructions import (
     MatrixAlgebraSpec,
-    MatrixElement,
-    block_plus,
     gl,
     gl_coinvariant_model,
     lie_ify,
@@ -62,9 +60,7 @@ __all__ = [
     "LInftyAlgebra",
     "LQTReport",
     "MatrixAlgebraSpec",
-    "MatrixElement",
     "algebra_to_document",
-    "block_plus",
     "check_linfty",
     "check_stasheff",
     "check_strict_unit",

@@ -1,10 +1,10 @@
-"""Matrix algebras, commutator structures, and stabilization maps.
+"""Matrix algebras, commutator structures, and the coinvariant model.
 
 Builders that turn one structured algebra into another: the commutator
 functor from homotopy-associative to homotopy-Lie structures, tensoring
 with a degree-0 associative unital algebra, matrix algebras M_n(A) and
-their Lie forms gl_n(A), corner inclusions, the interleaved block sum of
-matrices, the trace, and the commutator-subspace membership test.
+their Lie forms gl_n(A), and the zero-weight coinvariant model of the
+Chevalley-Eilenberg complex of gl_n(A).
 
 The Lie-ification antisymmetrizes the associative operations entry by
 entry: an entry v -> mu_k(v) adds chi(v -> w) . prod_x mult_w(x)! . mu_k(v)
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ainfty import AInftyAlgebra, check_stasheff, check_strict_unit
-from .graded import GradedSpace, add_into, sign_of_arrangement
+from .graded import GradedSpace, add_into, canonical_sym, sign_of_arrangement
 from .linfty import (
     CEModel,
     InconsistencyError,
@@ -59,7 +59,6 @@ from .rational_linalg import LinearSolver
 
 __all__ = [
     "MatrixAlgebraSpec",
-    "MatrixElement",
     "GLCoinvariantModel",
     "lie_ify",
     "tensor_with_associative",
@@ -68,12 +67,6 @@ __all__ = [
     "gl",
     "gl_index",
     "gl_entry",
-    "corner_embed",
-    "corner_embed_word",
-    "block_plus",
-    "check_block_sum_morphism",
-    "trace",
-    "in_commutator_subspace",
     "gl_coinvariant_model",
     "InconsistencyError",
 ]
@@ -313,191 +306,6 @@ def gl_entry(idx, n, base_dim):
     return a, i, j
 
 
-def corner_embed(element, p, q, base_dim=1):
-    """Push an element of M_p(A) into the upper-left corner of M_q(A).
-
-    Strict inclusion of structures: it intertwines every bracket and
-    every operation exactly, which the test suite asserts on basis pairs.
-    """
-    if q < p:
-        raise ValueError("corner embedding needs target size >= source size")
-    out = {}
-    for idx, c in element.items():
-        a, i, j = gl_entry(idx, p, base_dim)
-        out[gl_index(q, base_dim, a, i, j)] = Fraction(c)
-    return {k: v for k, v in out.items() if v}
-
-
-def corner_embed_word(word, p, q, base_dim=1):
-    """corner_embed on each letter of a basis word (canonical order is
-    preserved: the index map is strictly monotone on each matrix row
-    block, and rows keep their relative order)."""
-    mapped = []
-    for idx in word:
-        a, i, j = gl_entry(idx, p, base_dim)
-        mapped.append(gl_index(q, base_dim, a, i, j))
-    return tuple(mapped)
-
-
-# ---------------------------------------------------------------------------
-# Matrix elements, block sum, trace
-
-
-@dataclass
-class MatrixElement:
-    """An element of M_n(A), stored sparsely as {(a, i, j): coefficient}.
-
-    Keys are (base index, row, column) with 0-based matrix positions; a
-    two-entry key (i, j) abbreviates base index 0.  `vector` converts to
-    the flat index layout used by the structured algebras.
-    """
-
-    n: int
-    entries: dict
-    base_dim: int = 1
-
-    def __post_init__(self):
-        clean = {}
-        for key, c in self.entries.items():
-            if len(key) == 2:
-                key = (0,) + tuple(key)
-            a, i, j = key
-            gl_index(self.n, self.base_dim, a, i, j)
-            c = Fraction(c)
-            if c:
-                clean[(a, i, j)] = c
-        self.entries = clean
-
-    @classmethod
-    def from_vector(cls, vec, n, base_dim=1):
-        return cls(n, {gl_entry(i, n, base_dim): c for i, c in vec.items()},
-                   base_dim)
-
-    @property
-    def vector(self):
-        """Flat {index: Fraction} over the basis of M_n(A)."""
-        return {gl_index(self.n, self.base_dim, a, i, j): c
-                for (a, i, j), c in self.entries.items()}
-
-
-def block_plus(x, y):
-    """Interleaved block sum of matrix elements.
-
-    In 1-based matrix positions, entry a_ij of x lands at the odd
-    positions (2i-1, 2j-1) and entry b_ij of y at the even positions
-    (2i, 2j) of a square matrix of size 2 max(p, q); every other entry is
-    zero.  The two images commute, traces add, and the map intertwines
-    the commutator brackets entry by entry (see
-    check_block_sum_morphism).
-    """
-    if x.base_dim != y.base_dim:
-        raise ValueError("block sum needs matching base algebras")
-    size = 2 * max(x.n, y.n)
-    entries = {}
-    for (a, i, j), c in x.entries.items():
-        entries[(a, 2 * i, 2 * j)] = c
-    for (a, i, j), c in y.entries.items():
-        entries[(a, 2 * i + 1, 2 * j + 1)] = c
-    return MatrixElement(size, entries, x.base_dim)
-
-
-def trace(x):
-    """The trace of a matrix element: the sum of its diagonal entries, an
-    element of the base algebra as {base index: Fraction}."""
-    out = {}
-    for (a, i, j), c in x.entries.items():
-        if i == j:
-            add_into(out, a, c)
-    return out
-
-
-def _commutator_span_vectors(n, base_dim):
-    """Spanning vectors of [M_n(K), M_n(A)]: commutators of matrix units
-    with the elements a (x) E_ij, written in the flat layout."""
-    vectors = []
-    for k, l in itertools.product(range(n), repeat=2):
-        for a in range(base_dim):
-            for i, j in itertools.product(range(n), repeat=2):
-                vec = {}
-                if l == i:
-                    add_into(vec, gl_index(n, base_dim, a, k, j), Fraction(1))
-                if j == k:
-                    add_into(vec, gl_index(n, base_dim, a, i, l), Fraction(-1))
-                vec = {c: v for c, v in vec.items() if v}
-                if vec:
-                    vectors.append(vec)
-    return vectors
-
-
-def in_commutator_subspace(x, n=None):
-    """Whether x lies in [M_n(K), M_n(A)].
-
-    Decided by the trace criterion - the subspace is exactly the kernel
-    of the trace - and, whenever the ambient dimension is small enough,
-    cross-checked by solving for an explicit combination of commutators
-    of matrix units with basis elements.  A disagreement between the two
-    routes raises instead of picking a side.
-    """
-    if n is None:
-        n = x.n
-    elif n != x.n:
-        raise ValueError(f"element lives in size {x.n}, not {n}")
-    by_trace = not trace(x)
-    ambient = x.base_dim * n * n
-    if ambient <= 100:
-        solver = LinearSolver(ambient)
-        for tag, vec in enumerate(_commutator_span_vectors(n, x.base_dim)):
-            solver.add(vec, tag)
-        explicit = solver.express(x.vector) is not None
-        if explicit != by_trace:
-            raise InconsistencyError(
-                "trace criterion and explicit span membership disagree")
-    return by_trace
-
-
-def check_block_sum_morphism(gl_left, gl_right, gl_target, pairs):
-    """Verify that the block sum intertwines the structure brackets.
-
-    `pairs` is a list of ((x, x2), (y, y2)) with x, y elements of the
-    left matrix size and x2, y2 of the right; for each pair the identity
-
-        block_plus(l(x, y), l(x2, y2)) = l(block_plus(x, x2), block_plus(y, y2))
-
-    is checked exactly for the binary bracket, and the unary bracket is
-    checked to commute with the embedding when one is present.  Returns
-    None on success or a witness tuple (arity, inputs, left, right).
-    """
-    def apply1(algebra, vec):
-        out = {}
-        for i, c in vec.items():
-            for idx, c2 in algebra.ell.apply((i,)).items():
-                add_into(out, idx, Fraction(c) * c2)
-        return {k: v for k, v in out.items() if v}
-
-    for (x, x2), (y, y2) in pairs:
-        lhs = block_plus(
-            MatrixElement.from_vector(
-                gl_left.bracket2(x.vector, y.vector), x.n, x.base_dim),
-            MatrixElement.from_vector(
-                gl_right.bracket2(x2.vector, y2.vector), x2.n, x2.base_dim))
-        rhs = gl_target.bracket2(block_plus(x, x2).vector,
-                                 block_plus(y, y2).vector)
-        if lhs.vector != rhs:
-            return (2, (x, x2, y, y2), lhs.vector, rhs)
-    if 1 in gl_left.ops or 1 in gl_right.ops or 1 in gl_target.ops:
-        for (x, x2), (y, y2) in pairs:
-            for u, u2 in ((x, x2), (y, y2)):
-                lhs = block_plus(
-                    MatrixElement.from_vector(
-                        apply1(gl_left, u.vector), u.n, u.base_dim),
-                    MatrixElement.from_vector(
-                        apply1(gl_right, u2.vector), u2.n, u2.base_dim))
-                rhs = apply1(gl_target, block_plus(u, u2).vector)
-                if lhs.vector != rhs:
-                    return (1, (u, u2), lhs.vector, rhs)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # The coinvariant model of gl_n(A) in zero weight
 
@@ -553,6 +361,20 @@ class GLCoinvariantModel(CEModel):
             hit = self._canon[word] = _orbit_canonical(
                 word, self._letters, self.algebra.suspended.degrees, self.n)
         return hit
+
+    def block_sum(self, left, right):
+        """(sign, representative) of the block sum of two canonical words:
+        `right` moved onto the positions past the largest one `left`
+        touches, the union sorted with its Koszul sign and sent through
+        `canonical`.  Raises ValueError when the two do not fit side by
+        side in n positions."""
+        letters, n = self._letters, self.n
+        shift = 1 + max((max(letters[x][1:]) for x in left), default=-1)
+        moved = tuple(gl_index(n, self.base.space.dim, a, i + shift, j + shift)
+                      for a, i, j in (letters[x] for x in right))
+        sign, word = canonical_sym(left + moved, self.algebra.suspended)
+        orbit_sign, rep = self.canonical(word)
+        return sign * orbit_sign, rep
 
 
 def _letter_table(n, base_dim):

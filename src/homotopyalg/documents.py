@@ -3,7 +3,7 @@
 One schema serves all four kinds (associative, dga, ainfty, linfty);
 the `kind` field selects the validation rules.  Coefficients are exact
 rationals written as strings "p/q" (or "p"), degrees are unsuspended
-integers, and operations are given entrywise: arity, input basis
+integers >= 0, and operations are given entrywise: arity, input basis
 labels, and the output as a list of (coefficient, label) terms.
 
 Parsing either returns a validated document or raises DocumentError
@@ -146,7 +146,10 @@ def document_from_data(data):
             continue
         index_of[label] = len(basis)
         basis.append((label, degree))
-        if kind == "associative" and degree != 0:
+        if degree < 0:
+            diags.append((path, f"degree {degree} is negative; degrees are "
+                                "unsuspended integers >= 0"))
+        elif kind == "associative" and degree != 0:
             diags.append((path, "an associative algebra must be "
                                 "concentrated in degree 0"))
 

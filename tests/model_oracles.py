@@ -14,8 +14,16 @@ Before the chain-level projection, the homology coproduct built a second
 complex on pairs of quotient basis words and read classes there against the
 tensor products of representatives; `pair_complex_coproduct` keeps that
 route as the reference for `coalgebra_on_homology`.
+
+Before the one-model product, the block-sum product was checked in the
+doubled algebra gl_2n(A): chains of gl_n went into its odd and even slots,
+and each product class was re-expressed through the corner inclusion in the
+coordinates of size n.  `doubled_hopf_product` keeps that route as the
+reference for `lqt.hopf_product_on_homology`.
 """
 
+import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 from homotopyalg.chain import ChainComplex
@@ -27,9 +35,11 @@ from homotopyalg.constructions import (
     gl_entry,
     gl_index,
 )
-from homotopyalg.graded import add_into
+from homotopyalg.graded import add_into, canonical_sym
 from homotopyalg.linfty import make_inner
 from homotopyalg.rational_linalg import LinearSolver
+
+from matrix_oracles import corner_embed_word
 
 
 class SimpleRootModel(GLCoinvariantModel):
@@ -225,3 +235,197 @@ def pair_complex_coproduct(space, cx, max_degree, canonical=None):
                 if q >= 2 else {}
             delta[q].append({tags[p]: c for p, c in combo.items()})
     return pair_basis, delta
+
+
+def _interleave_word(word, n, base_dim, side):
+    """Relabel a gl_n word into gl_2n: side 0 takes position (i, j) to
+    (2i, 2j) (the 1-based odd slots), side 1 to (2i+1, 2j+1)."""
+    out = []
+    for idx in word:
+        a, i, j = gl_entry(idx, n, base_dim)
+        out.append(gl_index(2 * n, base_dim, a, 2 * i + side, 2 * j + side))
+    return tuple(out)
+
+
+@dataclass
+class DoubledHopfReport:
+    """Exact verification record for the block-sum product on the
+    gl_n(K)-coinvariant homology of gl_n(A).
+
+    `products` maps ((qa, ia), (qb, ib)) - basis classes of the two
+    factors - to the product class in the representative coordinates of
+    the doubled algebra; `stabilized` re-expresses it through the corner
+    inclusion in the coordinates of size n, or None when that fails
+    (an unstable product).  All checks are exact; empty violation lists
+    mean the property held on everything checked.
+    """
+
+    base: str
+    n: int
+    target: int
+    max_degree: int
+    class_dims: dict
+    products: dict
+    stabilized: dict
+    unit_ok: bool
+    commutative_violations: list
+    associative_violations: list
+    associative_unstable: list
+    primitive_product_violations: list
+    checked_pairs: int
+    checked_triples: int
+
+    @property
+    def ok(self):
+        return (self.unit_ok and not self.commutative_violations
+                and not self.associative_violations
+                and not self.primitive_product_violations)
+
+
+def doubled_hopf_product(model_n, model_2n):
+    """The product induced by the interleaved block sum on coinvariant
+    homology, with its exact structure checks.
+
+    `model_n` and `model_2n` are the coinvariant models of gl_n(A) and
+    gl_2n(A) over one base and through one degree.  Chains of gl_n are pushed
+    into the odd and even slots of gl_2n, wedged, rewritten on the orbit
+    representatives of the doubled model, and expressed in a computed
+    representative basis of the doubled coinvariant homology; the corner
+    inclusion is rewritten on those representatives the same way.
+    Graded commutativity is compared directly there; associativity is
+    checked after re-expression through the corner inclusion, which on the
+    zero-weight presentation induces the same stabilization map as either
+    slot embedding.  Products of non-scalar primitive classes are
+    additionally checked to leave the primitive subspace whenever they are
+    nonzero.
+    """
+    base, n, max_degree = model_n.base, model_n.n, model_n.max_degree
+    if (model_2n.n, model_2n.base, model_2n.max_degree) != \
+            (2 * n, base, max_degree):
+        raise ValueError(
+            f"the doubled model must be gl_{2 * n} over the same base through "
+            f"degree {max_degree}, got gl_{model_2n.n} through degree "
+            f"{model_2n.max_degree}")
+    base_dim = base.space.dim
+    coalg = model_n.coproduct()
+    table_n = coalg.table
+    cx2 = model_2n.complex()
+    table_2n = model_2n.homology()
+    space_2n = model_2n.algebra.suspended
+
+    reps_n = table_n.representatives
+    degrees = sorted(q for q in table_n.dims if table_n.dims[q])
+
+    def wedge(u, v):
+        out = {}
+        for w1, c1 in u.items():
+            lw = _interleave_word(w1, n, base_dim, 0)
+            for w2, c2 in v.items():
+                rw = _interleave_word(w2, n, base_dim, 1)
+                sign, cw = canonical_sym(lw + rw, space_2n)
+                if sign:
+                    add_into(out, cw, Fraction(c1) * Fraction(c2) * sign)
+        return model_2n.reduce(out)
+
+    def class_of(q, chain):
+        if not chain:
+            return {}
+        return cx2.class_coefficients(q, chain)
+
+    # stabilization through the corner inclusion, per degree
+    stab_cols = {}
+    stab_solver = {}
+    for q in range(max_degree + 1):
+        cols = []
+        for rep in reps_n.get(q, []):
+            chain = {}
+            for w, c in rep.items():
+                add_into(chain, corner_embed_word(w, n, 2 * n, base_dim), c)
+            cols.append(class_of(q, model_2n.reduce(chain)))
+        stab_cols[q] = cols
+        solver = LinearSolver(table_2n.dims[q])
+        for i, col in enumerate(cols):
+            solver.add(col, i)
+        stab_solver[q] = solver
+
+    keys = [(q, i) for q in degrees for i in range(table_n.dims[q])]
+    products = {}
+    stabilized = {}
+    for (qa, ia), (qb, ib) in itertools.product(keys, repeat=2):
+        if qa + qb > max_degree:
+            continue
+        cls = class_of(qa + qb, wedge(reps_n[qa][ia], reps_n[qb][ib]))
+        products[((qa, ia), (qb, ib))] = cls
+        stabilized[((qa, ia), (qb, ib))] = stab_solver[qa + qb].express(cls)
+
+    # unit: the degree-0 class multiplies as the stabilization map
+    unit_ok = True
+    u0 = reps_n[0][0]
+    c0 = Fraction(u0.get((), 0))
+    for q, i in keys:
+        expect = {j: c0 * c for j, c in stab_cols[q][i].items() if c0 * c}
+        for key in (((0, 0), (q, i)), ((q, i), (0, 0))):
+            if key in products and products[key] != expect:
+                unit_ok = False
+
+    commutative_violations = []
+    for ((qa, ia), (qb, ib)), cls in sorted(products.items()):
+        twisted = products.get(((qb, ib), (qa, ia)))
+        if twisted is None:
+            continue
+        sign = -1 if (qa * qb) % 2 else 1
+        flipped = {j: sign * c for j, c in twisted.items()}
+        if cls != flipped:
+            commutative_violations.append(
+                ((qa, ia), (qb, ib), cls, flipped))
+
+    def linear_product(coeffs, qc, right_key=None, left_key=None):
+        """Product of sum(coeffs[i] * class (qc, i)) with a basis class."""
+        out = {}
+        for i, lam in coeffs.items():
+            key = ((qc, i), right_key) if right_key else (left_key, (qc, i))
+            for j, c in products[key].items():
+                add_into(out, j, lam * c)
+        return {j: c for j, c in out.items() if c}
+
+    associative_violations = []
+    associative_unstable = []
+    checked_triples = 0
+    for x, y, z in itertools.product(keys, repeat=3):
+        qt = x[0] + y[0] + z[0]
+        if qt > max_degree:
+            continue
+        checked_triples += 1
+        xy = stabilized[(x, y)]
+        yz = stabilized[(y, z)]
+        if xy is None or yz is None:
+            associative_unstable.append((x, y, z))
+            continue
+        left = linear_product(xy, x[0] + y[0], right_key=z)
+        right = linear_product(yz, y[0] + z[0], left_key=x)
+        if left != right:
+            associative_violations.append((x, y, z, left, right))
+
+    prim = {q: coalg.primitive_subspace(q) for q in degrees if q >= 1}
+    primitive_product_violations = []
+    for (x, y), cls in sorted(products.items()):
+        if x[0] < 1 or y[0] < 1 or not cls:
+            continue
+        if not prim[x[0]].contains({x[1]: Fraction(1)}):
+            continue
+        if not prim[y[0]].contains({y[1]: Fraction(1)}):
+            continue
+        back = stabilized[(x, y)]
+        if back and prim.get(x[0] + y[0]) is not None and \
+                prim[x[0] + y[0]].contains(back):
+            primitive_product_violations.append((x, y, back))
+
+    return DoubledHopfReport(
+        base=base.name or "A", n=n, target=2 * n, max_degree=max_degree,
+        class_dims={q: table_n.dims[q] for q in degrees},
+        products=products, stabilized=stabilized, unit_ok=unit_ok,
+        commutative_violations=commutative_violations,
+        associative_violations=associative_violations,
+        associative_unstable=associative_unstable,
+        primitive_product_violations=primitive_product_violations,
+        checked_pairs=len(products), checked_triples=checked_triples)

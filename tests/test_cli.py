@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from homotopyalg import constructions, linfty, lqt
+from homotopyalg import cli, constructions, linfty, lqt
 from homotopyalg.chain import BettiTable
 from homotopyalg.cli import main
 from homotopyalg.constructions import InconsistencyError
@@ -40,7 +40,7 @@ def table_dims(payload, name):
 
 def test_check_passes_on_every_shipped_fixture(capsys):
     for name in ("K.alg", "dual_numbers.alg", "ut2.alg", "sl2.alg",
-                 "dga2.alg", "m3only.alg"):
+                 "dga2.alg", "m3only.alg", "m3unital.alg"):
         code, payload, err = run_json(capsys, "check", fixture(name))
         assert code == 0, (name, err)
         assert payload["verdicts"]["structure"] == "ok"
@@ -146,6 +146,67 @@ def test_lieify_of_commutative_algebra_is_abelian(capsys):
 def test_lieify_rejects_linfty_input(capsys):
     code, _, err = run(capsys, "lieify", fixture("sl2.alg"))
     assert code == 1 and "linfty" in err
+
+
+def test_lieify_certifies_its_input_first(capsys):
+    code, payload, _ = run_json(capsys, "lieify", fixture("nonassoc.alg"))
+    assert code == 2
+    verdicts = payload["verdicts"]
+    assert verdicts["structure"] == "violation"
+    assert verdicts["witness"]["inputs"] == ["u", "u", "u"]
+    assert "document" not in payload
+
+
+def test_lieify_fault_on_a_certified_input_is_not_a_violation(monkeypatch):
+    def refuse(alg, cap=None):
+        raise ValueError("commutator structure failed certification")
+
+    monkeypatch.setattr(cli, "lie_ify", refuse)
+    with pytest.raises(InconsistencyError, match="certified input") as info:
+        main(["lieify", fixture("ut2.alg")])
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+# ---------------------------------------------------------------------------
+# the unital A-infinity fixture: m_2 is the unit action, m_3(a, a, a) = b
+
+
+def test_m3unital_is_a_strictly_unital_ainfty_algebra(capsys):
+    code, payload, err = run_json(capsys, "check", fixture("m3unital.alg"))
+    assert code == 0, err
+    assert payload["verdicts"]["structure"] == "ok"
+    assert payload["verdicts"]["unit"] == "ok"
+    code, payload, err = run_json(capsys, "hc", fixture("m3unital.alg"),
+                                  "--max-degree", "6")
+    assert code == 0, err
+    assert table_dims(payload, "hc") == [2, 0, 2, 0, 2, 0, 2]
+
+
+def test_m3unital_lqt_matches(capsys):
+    code, payload, err = run_json(capsys, "lqt", fixture("m3unital.alg"),
+                                  "--n", "3,4", "--max-degree", "3")
+    assert code == 0, err
+    verdicts = payload["verdicts"]
+    assert all(v == "MATCH" for _, v in verdicts["comparison"])
+    assert all(v == "MATCH" for _, v in verdicts["primitives"])
+    assert verdicts["hopf"] == ("skipped: doubled ambient dimension 108 "
+                                "exceeds the harness budget 40")
+
+
+# ---------------------------------------------------------------------------
+# negative degrees
+
+
+@pytest.mark.parametrize("command", ["check", "hc", "lieify", "lqt"])
+def test_negative_degree_is_a_validation_failure(capsys, tmp_path, command):
+    data = json.loads((FIXTURES / "dga2.alg").read_text())
+    data["basis"].append(["y", -1])
+    path = tmp_path / "negative.alg"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert "basis[2]" in err and "negative" in err
 
 
 # ---------------------------------------------------------------------------

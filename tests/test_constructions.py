@@ -31,23 +31,23 @@ from homotopyalg.constructions import (
     _segment_words,
     GLCoinvariantModel,
     MatrixAlgebraSpec,
+    gl,
+    gl_coinvariant_model,
+    gl_entry,
+    gl_index,
+    lie_ify,
+    matrix_algebra,
+    matrix_units,
+    tensor_with_associative,
+)
+
+from matrix_oracles import (
     MatrixElement,
     block_plus,
     check_block_sum_morphism,
     corner_embed,
     corner_embed_word,
-    gl,
-    gl_coinvariant_model,
-    gl_entry,
-    gl_index,
-    in_commutator_subspace,
-    lie_ify,
-    matrix_algebra,
-    matrix_units,
-    tensor_with_associative,
-    trace,
 )
-
 from model_oracles import (
     _root_weight,
     _weight_buckets,
@@ -380,7 +380,7 @@ def test_corner_embedding_preserves_word_order():
 
 
 # ---------------------------------------------------------------------------
-# block sum, trace, commutator subspace
+# matrix elements and the block sum
 
 
 def test_matrix_element_normalization():
@@ -404,64 +404,6 @@ def test_block_plus_interleaves_one_based_odd_even():
     assert w.entries == {(0, 0, 0): Fraction(5), (0, 3, 1): Fraction(1)}
     with pytest.raises(ValueError, match="matching base"):
         block_plus(x, MatrixElement(1, {(0, 0, 0): 1}, base_dim=2))
-
-
-def test_trace_is_additive_and_symmetric_under_block_sum():
-    rng = random.Random(11)
-    for _ in range(5):
-        x = random_element(rng, 2, 2)
-        y = random_element(rng, 3, 2)
-        tx, ty = trace(x), trace(y)
-        expect = dict(tx)
-        for a, c in ty.items():
-            expect[a] = expect.get(a, Fraction(0)) + c
-        expect = {a: c for a, c in expect.items() if c}
-        assert trace(block_plus(x, y)) == expect
-        assert trace(block_plus(y, x)) == expect
-
-
-def test_trace_of_block_sum_is_associative():
-    rng = random.Random(13)
-    for _ in range(5):
-        a, b, c = (random_element(rng, 2, 1) for _ in range(3))
-        left = trace(block_plus(block_plus(a, b), c))
-        right = trace(block_plus(a, block_plus(b, c)))
-        assert left == right
-
-
-def test_commutator_subspace_examples():
-    e12 = MatrixElement(2, {(0, 0, 1): 1})
-    assert in_commutator_subspace(e12)
-    ident = MatrixElement(2, {(0, 0, 0): 1, (0, 1, 1): 1})
-    assert not in_commutator_subspace(ident)
-    rng = random.Random(17)
-    for _ in range(5):
-        x = random_element(rng, 2, 2)
-        # project away the trace: subtract (tr x / n) * identity per base slot
-        entries = dict(x.entries)
-        for a, t in trace(x).items():
-            for i in range(2):
-                entries[(a, i, i)] = entries.get((a, i, i), Fraction(0)) - Fraction(t, 2)
-        traceless = MatrixElement(2, entries, 2)
-        assert trace(traceless) == {}
-        assert in_commutator_subspace(traceless)
-    eps_trace = MatrixElement(2, {(1, 0, 0): 1}, base_dim=2)
-    assert not in_commutator_subspace(eps_trace)
-    with pytest.raises(ValueError, match="size"):
-        in_commutator_subspace(e12, 3)
-
-
-def test_block_sum_commutator_defect_is_in_commutator_subspace():
-    rng = random.Random(19)
-    for _ in range(3):
-        x = random_element(rng, 2, 2)
-        y = random_element(rng, 2, 2)
-        ab, ba = block_plus(x, y), block_plus(y, x)
-        entries = dict(ab.entries)
-        for key, c in ba.entries.items():
-            entries[key] = entries.get(key, Fraction(0)) - c
-        diff = MatrixElement(ab.n, entries, ab.base_dim)
-        assert in_commutator_subspace(diff)
 
 
 def test_block_sum_intertwines_brackets():

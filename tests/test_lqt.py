@@ -2,13 +2,15 @@
 
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
 from homotopyalg.ainfty import AInftyAlgebra, cyclic_homology, from_associative
 from homotopyalg.chain import BettiTable
 from homotopyalg import chain, constructions, lqt
-from homotopyalg.constructions import gl_coinvariant_model
+from homotopyalg.constructions import gl_coinvariant_model, gl_entry, gl_index
+from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import InconsistencyError
 from homotopyalg.lqt import (
@@ -17,6 +19,10 @@ from homotopyalg.lqt import (
     hopf_product_on_homology,
     verify_lqt,
 )
+
+from model_oracles import doubled_hopf_product
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 @lru_cache(maxsize=None)
@@ -28,6 +34,12 @@ def ground_field():
 def dual_numbers():
     mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (1, 1): {}}
     return from_associative(["1", "e"], mult, unit=0, name="K[e]")
+
+
+@lru_cache(maxsize=None)
+def fixture_algebra(name):
+    return document_to_algebra(
+        parse_document((FIXTURES / f"{name}.alg").read_text()))
 
 
 def exact_table(dims):
@@ -90,33 +102,88 @@ def test_expand_exterior_matches_computed_cyclic_homology():
 
 def test_hopf_product_over_ground_field():
     base = ground_field()
-    report = hopf_product_on_homology(gl_coinvariant_model(base, 2, 4),
-                                      gl_coinvariant_model(base, 4, 4))
+    report = hopf_product_on_homology(gl_coinvariant_model(base, 5, 4))
     assert report.ok
     assert report.unit_ok
     assert report.commutative_violations == []
     assert report.associative_violations == []
-    assert report.associative_unstable == []
     assert report.primitive_product_violations == []
     assert report.class_dims == {0: 1, 1: 1, 3: 1, 4: 1}
     # the two odd primitive classes multiply to a nonzero degree-4 class
-    prod = report.products[((1, 0), (3, 0))]
-    assert prod and report.stabilized[((1, 0), (3, 0))]
+    assert report.products[((1, 0), (3, 0))]
     # an odd class squares to zero
     assert report.products[((1, 0), (1, 0))] == {}
     assert report.checked_pairs > 0 and report.checked_triples > 0
 
 
+def test_block_sum_moves_the_second_word_past_the_first():
+    model = gl_coinvariant_model(dual_numbers(), 4, 3)
+
+    def word(*letters):
+        return tuple(sorted(gl_index(4, 2, a, i, j) for a, i, j in letters))
+
+    # 1 (x) E_11 and e (x) E_11 sit side by side, not on one position
+    assert model.block_sum(word((0, 0, 0)), word((1, 0, 0))) == \
+        model.canonical(word((0, 0, 0), (1, 1, 1)))
+    # the shift is one past the largest position the first word touches
+    left = word((0, 0, 1), (1, 1, 0))
+    assert model.block_sum(left, word((1, 0, 0))) == \
+        model.canonical(word((0, 0, 1), (1, 1, 0), (1, 2, 2)))
+    with pytest.raises(ValueError, match="out of range"):
+        model.block_sum(word((0, 0, 1), (0, 1, 2), (1, 2, 0)),
+                        word((0, 0, 1), (0, 1, 0)))
+
+
+def test_hopf_product_refuses_a_model_below_the_stable_size():
+    for n in (1, 3, 4):
+        with pytest.raises(ValueError, match="n > max_degree"):
+            hopf_product_on_homology(gl_coinvariant_model(ground_field(), n, 4))
+
+
 def test_hopf_product_refuses_a_mismatched_doubled_model():
+    # the doubled-algebra reference validates its second model
     model_1 = gl_coinvariant_model(ground_field(), 1, 2)
     for wrong in (gl_coinvariant_model(ground_field(), 3, 2),
                   gl_coinvariant_model(ground_field(), 2, 1),
                   gl_coinvariant_model(dual_numbers(), 2, 2)):
         with pytest.raises(ValueError, match="doubled model"):
-            hopf_product_on_homology(model_1, wrong)
+            doubled_hopf_product(model_1, wrong)
 
 
-def test_verify_lqt_reuses_the_doubled_model(monkeypatch):
+@pytest.mark.parametrize("base,max_degree", [
+    (ground_field, 4), (dual_numbers, 3)])
+def test_hopf_product_equals_the_doubled_algebra_reference(base, max_degree):
+    # the one-model table, in the coordinates of the stable model, equals
+    # the doubled check at sizes 3 and 6 re-expressed through the corner
+    # inclusion in the coordinates of size 3
+    base = base()
+    one = hopf_product_on_homology(
+        gl_coinvariant_model(base, max_degree + 1, max_degree))
+    ref = doubled_hopf_product(gl_coinvariant_model(base, 3, max_degree),
+                               gl_coinvariant_model(base, 6, max_degree))
+    assert one.ok and ref.ok and ref.associative_unstable == []
+    assert one.checked_pairs == ref.checked_pairs > 0
+    assert one.products == ref.stabilized
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "ut2", "dga2", "m3unital"])
+def test_hopf_product_where_the_cli_skips_it(name):
+    # the lqt command keeps its historical budget and skips these bases;
+    # the product itself runs on their stable models
+    report = hopf_product_on_homology(
+        gl_coinvariant_model(fixture_algebra(name), 4, 3))
+    assert report.ok
+    assert report.checked_pairs > 0
+
+
+@pytest.mark.parametrize("base,sizes,max_degree,expect", [
+    (ground_field, [3, 4], 4, [3, 4, 5]),
+    (dual_numbers, [3, 4], 3, [3, 4]),
+    (ground_field, [4], 4, [4, 5]),
+], ids=["lqt-K", "lqt-dual", "K-default"])
+def test_verify_lqt_builds_one_stable_model(monkeypatch, base, sizes,
+                                            max_degree, expect):
+    # the requested sizes and n = max_degree + 1, each once; no gl_2n
     built = []
     real = lqt.gl_coinvariant_model
 
@@ -125,9 +192,11 @@ def test_verify_lqt_reuses_the_doubled_model(monkeypatch):
         return real(base, n, max_degree)
 
     monkeypatch.setattr(lqt, "gl_coinvariant_model", counting)
-    report = verify_lqt(ground_field(), [3, 6], 2)
-    assert report.hopf.ok and (report.hopf.n, report.hopf.target) == (3, 6)
-    assert sorted(built) == [3, 6]
+    report = verify_lqt(base(), sizes, max_degree)
+    assert sorted(built) == expect
+    assert report.all_match
+    if not isinstance(report.hopf, str):
+        assert report.hopf.ok and report.hopf.n == max_degree + 1
 
 
 def test_verify_lqt_builds_each_gl_once(monkeypatch):
@@ -162,12 +231,57 @@ def test_verify_lqt_cross_checks_the_representative_count(monkeypatch):
 
 
 def test_hopf_product_unit_class_acts_as_stabilization():
-    base = ground_field()
-    report = hopf_product_on_homology(gl_coinvariant_model(base, 2, 3),
-                                      gl_coinvariant_model(base, 4, 3))
+    # on the stable model the stabilization map is the identity
+    model = gl_coinvariant_model(ground_field(), 4, 3)
+    report = hopf_product_on_homology(model)
+    c0 = model.coproduct().table.representatives[0][0][()]
     for (x, y), cls in report.products.items():
         if x == (0, 0):
-            assert cls == report.stabilized[(x, y)] is not None or cls is not None
+            assert cls == {y[1]: c0}
+        if y == (0, 0):
+            assert cls == {x[1]: c0}
+
+
+# ---------------------------------------------------------------------------
+# the stability bound
+
+
+def letters_of(model, word):
+    return tuple(gl_entry(x, model.n, model.base.space.dim) for x in word)
+
+
+def in_entries(model):
+    """Blocks and spans of a model with every word in (a, i, j) letters."""
+    blocks = {q: [letters_of(model, w) for w in words]
+              for q, words in model.blocks.items()}
+    spans = {q: [{letters_of(model, w): c for w, c in gen.items()}
+                 for gen in gens]
+             for q, gens in model.spans.items()}
+    return blocks, spans
+
+
+@pytest.mark.parametrize("name,max_degree", [
+    ("K", 4), ("dual_numbers", 3), ("ut2", 3), ("dga2", 3)])
+def test_model_does_not_depend_on_n_from_max_degree_plus_one(name, max_degree):
+    base = fixture_algebra(name)
+    first, *others = (in_entries(gl_coinvariant_model(base, n, max_degree))
+                      for n in range(max_degree + 1, max_degree + 4))
+    assert max(first[0]) == max_degree + 1
+    assert max(first[1]) <= max_degree
+    for other in others:
+        assert other == first
+
+
+def test_verify_lqt_refuses_a_size_that_disagrees_with_the_stable_model(
+        monkeypatch):
+    real = lqt.gl_coinvariant_model
+
+    def wrong_at_6(base, n, max_degree):
+        return real(dual_numbers() if n == 6 else base, n, max_degree)
+
+    monkeypatch.setattr(lqt, "gl_coinvariant_model", wrong_at_6)
+    with pytest.raises(InconsistencyError, match="gl_6 disagrees"):
+        verify_lqt(ground_field(), [3, 6], 3)
 
 
 # ---------------------------------------------------------------------------
@@ -178,6 +292,7 @@ def test_verify_lqt_ground_field():
     report = verify_lqt(ground_field(), [3, 4], 4)
     assert report.all_match
     assert [report.stable_dims[q] for q in range(5)] == [1, 1, 0, 1, 1]
+    assert report.stable_from == {q: q + 1 for q in range(5)}
     assert report.left[3] == report.left[4]
     assert report.right == {0: 1, 1: 1, 2: 0, 3: 1, 4: 1}
     # primitive dimensions repeat the cyclic homology one degree down
@@ -198,21 +313,20 @@ def test_verify_lqt_dual_numbers():
     assert isinstance(report.hopf, str) and "budget" in report.hopf
 
 
-def test_verify_lqt_reports_unstable_degrees():
+def test_verify_lqt_reports_small_sizes_as_they_are():
     report = verify_lqt(ground_field(), [1, 2], 4)
-    # gl_1 is one-dimensional abelian, so degrees 3 and 4 cannot stabilize
-    assert report.verdicts[3] == "UNSTABLE"
-    assert report.verdicts[4] == "UNSTABLE"
-    assert report.primitive_verdicts[3] == "UNSTABLE"
-    for q in (0, 1, 2):
-        assert report.verdicts[q] == "MATCH"
-    assert "MISMATCH" not in report.verdicts.values()
-    assert not report.all_match
+    # gl_1 is one-dimensional abelian, so its degrees 3 and 4 differ from
+    # the stable table; the verdicts read the stable model at n = 5
+    assert report.left[1] == {0: 1, 1: 1, 2: 0, 3: 0, 4: 0}
+    assert report.left[2] == report.stable_dims == {0: 1, 1: 1, 2: 0, 3: 1, 4: 1}
+    assert all(v == "MATCH" for v in report.verdicts.values())
+    assert report.all_match
 
 
-def test_verify_lqt_single_size_is_never_stable():
+def test_verify_lqt_single_size_gets_verdicts():
     report = verify_lqt(ground_field(), [3], 2)
-    assert all(v == "UNSTABLE" for v in report.verdicts.values())
+    assert all(v == "MATCH" for v in report.verdicts.values())
+    assert report.stable_from == {0: 1, 1: 2, 2: 3}
 
 
 def test_verify_lqt_requires_strict_unit():
