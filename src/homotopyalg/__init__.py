@@ -25,7 +25,6 @@ from .constructions import (
     gl_coinvariant_model,
     lie_ify,
     matrix_algebra,
-    tensor_with_associative,
 )
 from .documents import (
     AlgebraDocument,
@@ -78,7 +77,6 @@ __all__ = [
     "parse_document",
     "primitives",
     "serialize_document",
-    "tensor_with_associative",
     "verify_lqt",
     "__version__",
 ]

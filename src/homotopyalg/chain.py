@@ -66,7 +66,7 @@ class ChainComplex:
             cols = [c for c in range(len(ks)) if c not in pivots]
             self.basis[q] = [ks[c] for c in cols]
             self._position[q] = {c: p for p, c in enumerate(cols)}
-        self._boundaries, self._ranks, self._solvers = {}, {}, {}
+        self._boundaries, self._image_bases, self._solvers = {}, {}, {}
 
     def _coords(self, el, q):
         """Element dict -> {column: Fraction} in block q's coordinates."""
@@ -121,13 +121,18 @@ class ChainComplex:
         return {self.basis[q - 1][r]: v
                 for r, v in self._image(q, self._vector(q, element)).items()}
 
-    def _rank(self, q):
-        if q not in self._ranks:
+    def image_basis(self, q):
+        """The positions in `basis[q]` whose boundary is independent of the
+        boundaries before it: their boundaries form a basis of the image of
+        d_q, so a linear check on boundaries need only run over them."""
+        if q not in self._image_bases:
             red = RowReducer()
-            for col in self._boundary(q):
-                red.insert(col)
-            self._ranks[q] = red.dim
-        return self._ranks[q]
+            self._image_bases[q] = [p for p, col in enumerate(self._boundary(q))
+                                    if red.insert(col) is not None]
+        return self._image_bases[q]
+
+    def _rank(self, q):
+        return len(self.image_basis(q))
 
     def _solver(self, q):
         """(solver, representatives) of degree q: the solver holds the

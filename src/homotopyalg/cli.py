@@ -267,13 +267,17 @@ def _cmd_hc(args):
             "(kind associative, dga, or ainfty)")
     _check_degree_cap(doc, args.max_degree)
     weight = _effective_weight(doc, args.max_weight, args.max_degree + 2)
+    caps = {"max_degree": args.max_degree,
+            **({} if weight is None else {"max_weight": weight})}
     alg = document_to_algebra(doc)
+    structure = check_stasheff(alg)
+    if not structure:
+        return _violation(args, doc, caps, structure)
     table = cyclic_homology(alg, args.max_degree, max_weight=weight)
     degrees = list(range(args.max_degree + 1))
     payload = {
         "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind},
-        "caps": {"max_degree": args.max_degree,
-                 **({} if weight is None else {"max_weight": weight})},
+        "caps": caps,
         "tables": {"hc": {"header": ["degree", "dim", "exact"],
                           "rows": _betti_rows(table, degrees)}},
         "verdicts": {},
@@ -289,7 +293,12 @@ def _cmd_ce(args):
             "derive one from an associative-flavor input with `lieify`")
     _check_degree_cap(doc, args.max_degree)
     weight = _effective_weight(doc, args.max_weight, args.max_degree + 1)
+    caps = {"max_degree": args.max_degree,
+            **({} if weight is None else {"max_weight": weight})}
     alg = document_to_algebra(doc)
+    structure = check_linfty(alg)
+    if not structure:
+        return _violation(args, doc, caps, structure)
     h = None
     if args.coinvariants:
         index_of = {label: i for i, label in enumerate(doc.labels)}
@@ -307,8 +316,7 @@ def _cmd_ce(args):
     degrees = list(range(args.max_degree + 1))
     payload = {
         "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind},
-        "caps": {"max_degree": args.max_degree,
-                 **({} if weight is None else {"max_weight": weight})},
+        "caps": caps,
         "tables": {"ce": {"header": ["degree", "dim", "exact"],
                           "rows": _betti_rows(table, degrees)}},
         "verdicts": {},
@@ -465,6 +473,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    for flag in ("max_degree", "max_weight", "max_arity"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 0:
+            return _fail(sys.stderr, EXIT_VALIDATION, [
+                f"--{flag.replace('_', '-')}: must be a non-negative integer"])
     try:
         payload, code = args.func(args)
     except DocumentError as exc:

@@ -1,10 +1,16 @@
 """Matrix algebras, commutator structures, and the coinvariant model.
 
 Builders that turn one structured algebra into another: the commutator
-functor from homotopy-associative to homotopy-Lie structures, tensoring
-with a degree-0 associative unital algebra, matrix algebras M_n(A) and
-their Lie forms gl_n(A), and the zero-weight coinvariant model of the
-Chevalley-Eilenberg complex of gl_n(A).
+functor from homotopy-associative to homotopy-Lie structures, matrix
+algebras M_n(A) and their Lie forms gl_n(A), and the zero-weight
+coinvariant model of the Chevalley-Eilenberg complex of gl_n(A).
+
+M_n(A) = A (x) M_n(K) is built by the matrix-unit rule: the matrix units
+sit in degree 0 and multiply by E_ij E_jl = E_il, so an operation of A
+on a (x) E letters is the base operation times the product of the
+units, which is E_{i_1 j_k} along a chain of positions j_t = i_{t+1} and
+zero off it.  No sign arises and no unit has to be found; the result is
+re-certified all the same.
 
 The Lie-ification antisymmetrizes the associative operations entry by
 entry: an entry v -> mu_k(v) adds chi(v -> w) . prod_x mult_w(x)! . mu_k(v)
@@ -55,18 +61,14 @@ from .linfty import (
     check_linfty,
     make_inner,
 )
-from .rational_linalg import LinearSolver
 
 __all__ = [
     "MatrixAlgebraSpec",
     "GLCoinvariantModel",
     "lie_ify",
-    "tensor_with_associative",
-    "matrix_units",
     "matrix_algebra",
     "gl",
     "gl_index",
-    "gl_entry",
     "gl_coinvariant_model",
     "InconsistencyError",
 ]
@@ -128,108 +130,6 @@ def lie_ify(alg, cap=None):
 
 
 # ---------------------------------------------------------------------------
-# Tensor with a degree-0 associative unital algebra
-
-
-def _two_sided_unit(alg):
-    """Solve for a two-sided unit element of a degree-0 algebra.
-
-    Returns {index: Fraction} with u * b = b * u = b for every basis b,
-    or None when no such element exists.
-    """
-    dim = alg.space.dim
-    solver = LinearSolver(2 * dim * dim)
-    for j in range(dim):
-        vec = {}
-        for b in range(dim):
-            for out, c in alg.op_value(2, (j, b)).items():
-                add_into(vec, b * dim + out, c)
-            for out, c in alg.op_value(2, (b, j)).items():
-                add_into(vec, dim * dim + b * dim + out, c)
-        solver.add(vec, j)
-    target = {}
-    for b in range(dim):
-        target[b * dim + b] = Fraction(1)
-        target[dim * dim + b * dim + b] = Fraction(1)
-    return solver.express(target)
-
-
-def tensor_with_associative(alg, factor):
-    """Tensor a homotopy associative algebra with an associative unital one.
-
-    The factor must be concentrated in degree 0 with a single binary
-    operation that is associative and admits a two-sided unit (both
-    checked; the unit is solved for, so it need not be a basis vector).
-    The result has basis a (x) b with the operations
-
-        m'_k(a_1 (x) b_1, ..., a_k (x) b_k) = m_k(a_1, ..., a_k) (x) b_1 b_2 ... b_k,
-
-    and no additional signs arise because every b_i sits in degree 0.
-    Tensoring with a one-dimensional factor (the ground field) returns
-    `alg` itself under the canonical identification.  The result is
-    re-certified with check_stasheff.
-    """
-    if any(d != 0 for d in factor.space.degrees):
-        raise ValueError("tensor factor must be concentrated in degree 0")
-    if set(factor.ops) - {2}:
-        raise ValueError("tensor factor must have only a binary operation")
-    report = check_stasheff(factor)
-    if not report:
-        raise ValueError(
-            f"tensor factor is not associative: witness {report.witness}")
-    unit = _two_sided_unit(factor)
-    if unit is None:
-        raise ValueError("tensor factor has no two-sided unit")
-    dim_b = factor.space.dim
-    if dim_b == 1:
-        return alg
-
-    labels = tuple(f"{la}*{lb}" for la in alg.space.labels
-                   for lb in factor.space.labels)
-    degrees = tuple(d for d in alg.space.degrees for _ in range(dim_b))
-    space = GradedSpace(labels, degrees)
-
-    ops = {}
-    for k, table in alg.ops.items():
-        entries = {}
-        for word, val in table.items():
-            for bs in itertools.product(range(dim_b), repeat=k):
-                prod = {bs[0]: Fraction(1)}
-                for b in bs[1:]:
-                    nxt = {}
-                    for i, c in prod.items():
-                        for out, c2 in factor.op_value(2, (i, b)).items():
-                            add_into(nxt, out, c * c2)
-                    prod = nxt
-                    if not prod:
-                        break
-                if not prod:
-                    continue
-                new_word = tuple(a * dim_b + b for a, b in zip(word, bs))
-                out_val = {}
-                for a_out, ca in val.items():
-                    for b_out, cb in prod.items():
-                        add_into(out_val, a_out * dim_b + b_out, ca * cb)
-                if out_val:
-                    entries[new_word] = out_val
-        if entries:
-            ops[k] = entries
-
-    new_unit = None
-    if alg.unit is not None and len(unit) == 1:
-        (b_idx, coeff), = unit.items()
-        if coeff == 1:
-            new_unit = alg.unit * dim_b + b_idx
-    result = AInftyAlgebra(space, ops, unit=new_unit,
-                           name=f"{alg.name or 'A'}(x){factor.name or 'B'}")
-    report = check_stasheff(result)
-    if not report:
-        raise ValueError(
-            f"tensor construction failed certification: {report.witness}")
-    return result
-
-
-# ---------------------------------------------------------------------------
 # Matrix algebras
 
 
@@ -245,36 +145,45 @@ class MatrixAlgebraSpec:
             raise ValueError(f"matrix size must be an integer >= 1, got {self.n!r}")
 
 
-def matrix_units(n):
-    """The associative algebra of n x n matrix units over the rationals.
-
-    E_ij E_kl = [j = k] E_il on the basis E_ij (row-major, 1-based
-    labels).  For n = 1 the unit is the single basis vector; for larger n
-    the unit is the non-basis element sum of the E_ii, which the tensor
-    construction recovers by solving.
-    """
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
-    sep = "" if n <= 9 else "_"
-    labels = tuple(f"E{i + 1}{sep}{j + 1}" for i in range(n) for j in range(n))
-    space = GradedSpace(labels, (0,) * (n * n))
-    table = {}
-    for i, j, k, l in itertools.product(range(n), repeat=4):
-        if j == k:
-            table[(i * n + j, k * n + l)] = {i * n + l: Fraction(1)}
-    return AInftyAlgebra(space, {2: table}, unit=0 if n == 1 else None,
-                         name=f"M{n}(K)")
-
-
 def matrix_algebra(spec):
-    """M_n(A): the base tensored with the n x n matrix units.
+    """M_n(A) = A (x) M_n(K), by the matrix-unit rule.
 
-    Basis index layout: a * n^2 + i * n + j for base index a and 0-based
-    matrix position (i, j); n = 1 returns the base itself.
+    The matrix units sit in degree 0, so no sign arises and
+
+        m_k(a_1 (x) E_{i_1 j_1}, ..., a_k (x) E_{i_k j_k})
+            = m_k(a_1, ..., a_k) (x) E_{i_1 j_k}
+
+    when j_t = i_{t+1} for every t, and 0 otherwise: each entry of the base
+    spreads over the chains of positions (i_1, ..., i_{k+1}).  The basis
+    a (x) E_{i+1,j+1} is labelled "a*E{i+1}{j+1}" (with "_" between the
+    two positions once n > 9) and laid out as a * n^2 + i * n + j, as
+    `gl_index` states.  The unit sum_i 1 (x) E_ii is not a basis vector for
+    n > 1, so none is declared; n = 1 returns the base itself.  The result
+    is re-certified with `check_stasheff`.
     """
-    result = tensor_with_associative(spec.base, matrix_units(spec.n))
-    if result is not spec.base:
-        result.name = f"M{spec.n}({spec.base.name or 'A'})"
+    base, n = spec.base, spec.n
+    if n == 1:
+        return base
+    nn = n * n
+    sep = "" if n <= 9 else "_"
+    labels = tuple(f"{a}*E{i + 1}{sep}{j + 1}" for a in base.space.labels
+                   for i in range(n) for j in range(n))
+    degrees = tuple(d for d in base.space.degrees for _ in range(nn))
+    ops = {}
+    for k, table in base.ops.items():
+        entries = ops[k] = {}
+        for word, val in table.items():
+            for chain in itertools.product(range(n), repeat=k + 1):
+                corner = chain[0] * n + chain[-1]
+                entries[tuple(a * nn + chain[t] * n + chain[t + 1]
+                              for t, a in enumerate(word))] = \
+                    {out * nn + corner: c for out, c in val.items()}
+    result = AInftyAlgebra(GradedSpace(labels, degrees), ops,
+                           name=f"M{n}({base.name or 'A'})")
+    report = check_stasheff(result)
+    if not report:
+        raise ValueError(
+            f"matrix construction failed certification: {report.witness}")
     return result
 
 
@@ -295,15 +204,6 @@ def gl_index(n, base_dim, a, i, j):
         raise ValueError(f"entry ({a}, {i}, {j}) out of range for "
                          f"{n} x {n} matrices over a {base_dim}-dimensional base")
     return a * n * n + i * n + j
-
-
-def gl_entry(idx, n, base_dim):
-    """Inverse of gl_index: flat index -> (base index, row, column)."""
-    a, rest = divmod(idx, n * n)
-    if not 0 <= a < base_dim:
-        raise ValueError(f"index {idx} out of range")
-    i, j = divmod(rest, n)
-    return a, i, j
 
 
 # ---------------------------------------------------------------------------
@@ -475,10 +375,11 @@ def _orbit_canonical(word, letters, degrees, n):
     return (0 if vanishes or len(signs) > 1 else signs.pop()), best
 
 
-def _segment_words(space, n, base_dim, total_degree, weight):
+def _segment_words(space, letters, n, total_degree, weight):
     """The canonical words of one suspended degree and torus weight whose
     touched matrix positions are an initial segment {0, ..., t-1}, in
-    `ce_words` order.
+    `ce_words` order; `letters` is the model's (base index, row, column)
+    table of the flat indices of M_n(A).
 
     Every S_n-orbit of zero-weight words has such a member, and so does
     every orbit of words of weight e_2 - e_1 under the permutations fixing
@@ -499,8 +400,7 @@ def _segment_words(space, n, base_dim, total_degree, weight):
     degs = space.degrees
     target = list(weight)
     reach = min(n, total_degree + sum(abs(x) for x in target) // 2)
-    alphabet = sorted((i, idx, j) for idx, (_, i, j)
-                      in enumerate(_letter_table(n, base_dim))
+    alphabet = sorted((i, idx, j) for idx, (_, i, j) in enumerate(letters)
                       if i < reach and j < reach)
     alphabet = [(idx, degs[idx], i, j) for i, idx, j in alphabet]
     excess = [-x for x in target]     # weight so far minus the target
@@ -605,7 +505,7 @@ def gl_coinvariant_model(base, n, max_degree):
 
     for q in range(0, max_degree + 2):
         reps = set()
-        for word in _segment_words(susp, n, base_dim, q, zero):
+        for word in _segment_words(susp, model._letters, n, q, zero):
             sign, rep = model.canonical(word)
             if sign:
                 reps.add(rep)
@@ -615,7 +515,7 @@ def gl_coinvariant_model(base, n, max_degree):
             continue
         weight, act = root
         gens = []
-        for word in _segment_words(susp, n, base_dim, q, weight):
+        for word in _segment_words(susp, model._letters, n, q, weight):
             img = model.reduce(act.eval_word(word))
             if img:
                 gens.append(img)

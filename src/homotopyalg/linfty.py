@@ -445,9 +445,11 @@ def coalgebra_on_homology(model):
     (C/S) (x) (C/S) to its class in the basis of representative pairs.
     Verified before that read-off: the coproduct of every span generator
     vanishes in (C/S) (x) (C/S) (descent); the coproducts of each
-    representative and of the boundary of each quotient basis word are
-    cycles of the pair differential res(dx) (x) y + (-1)^|x| x (x) res(dy);
-    and the latter have zero class (independence of the representative).
+    representative and of a basis of each boundary image (`image_basis`)
+    are cycles of the pair differential res(dx) (x) y + (-1)^|x| x (x)
+    res(dy); and the latter have zero class (independence of the
+    representative).  Both checks are linear, so that basis makes them
+    complete.
     These hold whenever the spans are images of inner derivations, as they
     are for every model the package builds, because inner derivations and
     the differential are coderivations; a failure is a fault of the package
@@ -538,8 +540,9 @@ def coalgebra_on_homology(model):
         pair_basis[q] = [(a, q - a, i, j) for a in range(1, q)
                          for i in range(len(reps.get(a, [])))
                          for j in range(len(reps.get(q - a, [])))]
-        for w in cx.basis.get(q + 1, ()):
-            img = reduced_coproduct(boundary(w))
+        words = cx.basis.get(q + 1, ())
+        for p in cx.image_basis(q + 1):
+            img = reduced_coproduct(boundary(words[p]))
             if pair_class(q, img, "a boundary"):
                 raise InconsistencyError(
                     f"coproduct depends on the choice of representative in degree {q}")

@@ -1,18 +1,67 @@
-"""Element-level references for matrix algebras over a base: corner
-inclusions, sparse matrix elements and the interleaved block sum.
+"""Element-level references for matrix algebras over a base: M_n(A) entry
+by entry, corner inclusions, sparse matrix elements and the interleaved
+block sum.
 
-They check the brackets that `gl` builds: the corner inclusion
-gl_p(A) -> gl_q(A) and the block sum gl_n(A) x gl_n(A) -> gl_2n(A) must
-intertwine them exactly.  The one-model block-sum product of
+`entrywise_matrix_algebra` is the reference that `matrix_algebra` must
+reproduce.  The others check the brackets that `gl` builds: the corner
+inclusion gl_p(A) -> gl_q(A) and the block sum gl_n(A) x gl_n(A) ->
+gl_2n(A) must intertwine them exactly.  The one-model block-sum product of
 `lqt.hopf_product_on_homology` rests on the second fact in its coinvariant
 form: letters on disjoint matrix positions have zero brackets.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from homotopyalg.constructions import gl_entry, gl_index
-from homotopyalg.graded import add_into
+from homotopyalg.ainfty import AInftyAlgebra
+from homotopyalg.constructions import gl_index
+from homotopyalg.graded import GradedSpace, add_into
+
+
+def gl_entry(idx, n, base_dim):
+    """Inverse of gl_index: flat index -> (base index, row, column)."""
+    a, rest = divmod(idx, n * n)
+    if not 0 <= a < base_dim:
+        raise ValueError(f"index {idx} out of range")
+    i, j = divmod(rest, n)
+    return a, i, j
+
+
+def entrywise_matrix_algebra(base, n):
+    """M_n(A) = A (x) M_n(K) entry by entry, without certification.
+
+    Every operation entry of the base meets every tuple of matrix units;
+    the units are multiplied one at a time, E_ij E_kl = [j = k] E_il, and a
+    tuple whose product vanishes contributes nothing.  Labels and layout
+    are those of `gl_index`; at n = 1 the labels are the base's (M_1(A) is
+    A) and its unit is kept, while for n > 1 the unit sum_i 1 (x) E_ii is
+    not a basis vector and none is declared.
+    """
+    units = list(itertools.product(range(n), repeat=2))
+    sep = "" if n <= 9 else "_"
+    labels = (base.space.labels if n == 1 else
+              tuple(f"{a}*E{i + 1}{sep}{j + 1}" for a in base.space.labels
+                    for i, j in units))
+    degrees = tuple(d for d in base.space.degrees for _ in units)
+    ops = {}
+    for k, table in base.ops.items():
+        for word, val in table.items():
+            for tup in itertools.product(units, repeat=k):
+                prod = tup[0]
+                for i, j in tup[1:]:
+                    prod = (prod[0], j) if prod[1] == i else None
+                    if prod is None:
+                        break
+                if prod is None:
+                    continue
+                letters = tuple(gl_index(n, base.space.dim, a, i, j)
+                                for a, (i, j) in zip(word, tup))
+                out = ops.setdefault(k, {}).setdefault(letters, {})
+                for x, c in val.items():
+                    add_into(out, gl_index(n, base.space.dim, x, *prod), c)
+    return AInftyAlgebra(GradedSpace(labels, degrees), ops,
+                         unit=base.unit if n == 1 else None)
 
 
 def corner_embed(element, p, q, base_dim=1):

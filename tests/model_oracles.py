@@ -32,14 +32,13 @@ from homotopyalg.constructions import (
     GLCoinvariantModel,
     MatrixAlgebraSpec,
     gl,
-    gl_entry,
     gl_index,
 )
 from homotopyalg.graded import add_into, canonical_sym
 from homotopyalg.linfty import make_inner
 from homotopyalg.rational_linalg import LinearSolver
 
-from matrix_oracles import corner_embed_word
+from matrix_oracles import corner_embed_word, gl_entry
 
 
 class SimpleRootModel(GLCoinvariantModel):

@@ -123,6 +123,40 @@ def test_ce_coinvariants_validation(capsys):
     assert code == 1 and "closed" in err
 
 
+def test_hc_certifies_its_input_first(capsys):
+    # b^2 != 0 on nonassoc: without the certificate the table would report
+    # negative dimensions, all flagged exact
+    code, payload, _ = run_json(capsys, "hc", fixture("nonassoc.alg"),
+                                "--max-degree", "3")
+    assert code == 2
+    assert payload["tables"] == {}
+    assert payload["caps"] == {"max_degree": 3}
+    verdicts = payload["verdicts"]
+    assert verdicts["structure"] == "violation"
+    assert verdicts["witness"]["arity"] == 3
+    assert verdicts["witness"]["inputs"] == ["u", "u", "u"]
+
+
+@pytest.mark.parametrize("coinvariants", [(), ("--coinvariants", "h")])
+def test_ce_certifies_its_input_first(capsys, tmp_path, coinvariants):
+    # [e, f] = e breaks the Jacobi identity at arity 3 on (h, e, f); the
+    # failure is the document's, not that of --coinvariants
+    data = json.loads((FIXTURES / "sl2.alg").read_text())
+    for op in data["ops"]:
+        if op["inputs"] == ["e", "f"]:
+            op["output"] = [["1", "e"]]
+    path = tmp_path / "bad_sl2.alg"
+    path.write_text(json.dumps(data))
+    code, payload, err = run_json(capsys, "ce", str(path), "--max-degree", "3",
+                                  *coinvariants)
+    assert code == 2 and err == ""
+    assert payload["tables"] == {}
+    verdicts = payload["verdicts"]
+    assert verdicts["structure"] == "violation"
+    assert verdicts["witness"]["arity"] == 3
+    assert verdicts["witness"]["inputs"] == ["h", "e", "f"]
+
+
 # ---------------------------------------------------------------------------
 # lieify
 
@@ -207,6 +241,23 @@ def test_negative_degree_is_a_validation_failure(capsys, tmp_path, command):
     assert code == 1
     assert out == ""
     assert "basis[2]" in err and "negative" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("lqt", "K.alg", "--max-degree", "-1"),
+    ("hc", "K.alg", "--max-degree", "-1"),
+    ("hc", "K.alg", "--max-weight", "-1"),
+    ("ce", "sl2.alg", "--max-degree", "-1"),
+    ("ce", "sl2.alg", "--max-weight", "-2"),
+    ("check", "K.alg", "--max-arity", "-2"),
+    ("lieify", "ut2.alg", "--max-arity", "-1"),
+])
+def test_negative_flag_is_a_validation_failure(capsys, argv):
+    command, name, flag, value = argv
+    code, out, err = run(capsys, command, fixture(name), flag, value)
+    assert code == 1
+    assert out == ""
+    assert flag in err and "non-negative" in err
 
 
 # ---------------------------------------------------------------------------

@@ -28,17 +28,15 @@ from homotopyalg.linfty import (
 )
 from homotopyalg.constructions import (
     _antisymmetrize,
+    _letter_table,
     _segment_words,
     GLCoinvariantModel,
     MatrixAlgebraSpec,
     gl,
     gl_coinvariant_model,
-    gl_entry,
     gl_index,
     lie_ify,
     matrix_algebra,
-    matrix_units,
-    tensor_with_associative,
 )
 
 from matrix_oracles import (
@@ -47,6 +45,8 @@ from matrix_oracles import (
     check_block_sum_morphism,
     corner_embed,
     corner_embed_word,
+    entrywise_matrix_algebra,
+    gl_entry,
 )
 from model_oracles import (
     _root_weight,
@@ -120,7 +120,7 @@ def random_element(rng, n, base_dim, degree0_only=False, degrees=None):
 
 def test_lieify_associative_gives_commutator_only():
     for make in (ground_field, dual_numbers, upper_triangular,
-                 lambda: matrix_units(2)):
+                 lambda: matrix_algebra(MatrixAlgebraSpec(ground_field(), 2))):
         alg = make()
         lie = lie_ify(alg)
         assert set(lie.ops) <= {2}
@@ -268,56 +268,59 @@ def test_lieify_evaluates_no_word(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# tensor with an associative algebra
+# matrix algebras and gl
+
+
+def ainfty_fixtures():
+    for path in sorted(FIXTURES.glob("*.alg")):
+        alg = fixture_algebra(path.stem)
+        if isinstance(alg, AInftyAlgebra):
+            yield path.stem, alg
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_matrix_algebra_matches_entrywise_reference(n):
+    names = []
+    for name, base in ainfty_fixtures():
+        names.append(name)
+        reference = entrywise_matrix_algebra(base, n)
+        if name == "nonassoc" and n > 1:
+            # the rule is applied, and the result is refused on re-certification
+            with pytest.raises(ValueError, match="failed certification"):
+                matrix_algebra(MatrixAlgebraSpec(base, n))
+            continue
+        result = matrix_algebra(MatrixAlgebraSpec(base, n))
+        assert result.space == reference.space, (name, n)
+        assert result.ops == reference.ops, (name, n)
+        assert result.unit == reference.unit, (name, n)
+        assert result.name == (base.name if n == 1 else f"M{n}({base.name})")
+    assert len(names) == 7
 
 
 def test_tensor_with_ground_field_is_identity():
-    alg = dual_numbers()
-    assert tensor_with_associative(alg, ground_field()) is alg
+    # M_1(A) = A (x) K is the base itself, declared unit included
+    for _, base in ainfty_fixtures():
+        assert matrix_algebra(MatrixAlgebraSpec(base, 1)) is base
 
 
 def test_tensor_ground_field_with_matrix_units():
-    result = tensor_with_associative(ground_field(), matrix_units(2))
+    result = matrix_algebra(MatrixAlgebraSpec(ground_field(), 2))
     assert result.space.labels == ("1*E11", "1*E12", "1*E21", "1*E22")
-    assert result.ops == matrix_units(2).ops
-    assert result.unit is None  # the unit is not a basis vector
+    assert result.ops == {2: {(i * 2 + j, j * 2 + l): {i * 2 + l: Fraction(1)}
+                              for i, j, l in itertools.product(range(2), repeat=3)}}
+    assert result.unit is None  # the unit E11 + E22 is not a basis vector
+    assert matrix_algebra(MatrixAlgebraSpec(ground_field(), 10)).space.labels[:2] \
+        == ("1*E1_1", "1*E1_2")
 
 
 def test_tensor_ternary_with_matrix_units():
-    result = tensor_with_associative(ternary_only(), matrix_units(2))
+    result = matrix_algebra(MatrixAlgebraSpec(ternary_only(), 2))
     # m'_3(a(x)E11, a(x)E11, a(x)E11) = b (x) E11 E11 E11 = b (x) E11
     assert result.op_value(3, (0, 0, 0)) == {4: Fraction(1)}
     # m'_3(a(x)E11, a(x)E12, a(x)E22) = b (x) E12
     assert result.op_value(3, (0, 1, 3)) == {5: Fraction(1)}
     # chains through a vanishing product die: E12 E12 = 0
     assert result.op_value(3, (0, 1, 1)) == {}
-
-
-def test_tensor_factor_validation():
-    bad = AInftyAlgebra(GradedSpace(("u", "v"), (0, 0)),
-                        {2: {(0, 0): {1: 1}, (0, 1): {0: 1}}})
-    with pytest.raises(ValueError, match="not associative"):
-        tensor_with_associative(ground_field(), bad)
-    no_unit = AInftyAlgebra(GradedSpace(("u", "v"), (0, 0)), {2: {}})
-    with pytest.raises(ValueError, match="two-sided unit"):
-        tensor_with_associative(ground_field(), no_unit)
-    with pytest.raises(ValueError, match="degree 0"):
-        tensor_with_associative(ground_field(), two_term_dga())
-    # a degree-0 space can only support binary operations, so non-binary
-    # factors are always caught by the degree guard
-    with pytest.raises(ValueError, match="degree 0"):
-        tensor_with_associative(ground_field(), ternary_only())
-
-
-def test_two_sided_unit_is_solved_not_assumed():
-    # M_2(K)'s unit E11 + E22 is not a basis vector; the construction still
-    # accepts the factor, and rebuilding M_1 keeps the declared basis unit
-    assert tensor_with_associative(dual_numbers(), matrix_units(2)) is not None
-    assert matrix_units(1).unit == 0
-
-
-# ---------------------------------------------------------------------------
-# matrix algebras and gl
 
 
 def test_matrix_algebra_size_one_is_base():
@@ -351,7 +354,7 @@ def test_gl2_homology_matches_classical_oracle():
 def test_gl_equals_tensor_then_lieify():
     spec = MatrixAlgebraSpec(dual_numbers(), 2)
     direct = gl(spec)
-    composed = lie_ify(tensor_with_associative(dual_numbers(), matrix_units(2)))
+    composed = lie_ify(entrywise_matrix_algebra(dual_numbers(), 2))
     assert direct.ops == composed.ops
     assert direct.ell.comps == composed.ell.comps
 
@@ -588,7 +591,8 @@ def test_segment_words_filter_ce_words_in_order(base_name, n):
                         if word_weight(w, n, base_dim) == target
                         and touched(w, n, base_dim) ==
                         set(range(len(touched(w, n, base_dim))))]
-            assert _segment_words(susp, n, base_dim, q, target) == expected, \
+            assert _segment_words(susp, _letter_table(n, base_dim), n, q,
+                                  target) == expected, \
                 (q, target)
 
 
@@ -765,8 +769,8 @@ def test_orbits_of_degree_at_most_n_do_not_depend_on_n(base_name, n):
     for q in range(n + 1):
         orbits = []
         for model in (small, large):
-            words = _segment_words(model.algebra.suspended, model.n, base_dim,
-                                   q, (0,) * model.n)
+            words = _segment_words(model.algebra.suspended, model._letters,
+                                   model.n, q, (0,) * model.n)
             orbits.append({model.canonical(w)[1] for w in words})
         assert len(orbits[0]) == len(orbits[1]), q
         assert {corner_embed_word(w, n, n + 1, base_dim) for w in orbits[0]} \

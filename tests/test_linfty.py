@@ -1,9 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import Cochain
+from homotopyalg.constructions import gl_coinvariant_model
+from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import (
     CEModel,
@@ -361,3 +365,27 @@ def test_coproduct_that_does_not_descend_is_refused():
     spans = {2: [{(0, 1): Fraction(1)}]}
     with pytest.raises(InconsistencyError, match="does not descend"):
         coalgebra_on_homology(CEModel(alg, 2, blocks, spans))
+
+
+def test_representative_independence_runs_over_an_image_basis(monkeypatch):
+    # the check is linear in the boundary, so it differentiates only the
+    # words whose boundaries form a basis of the image: 15 of the 312 words
+    # of degree 4 on the gl_3(ut2) model through degree 3.  Below degree
+    # max_degree - 1 the pair differential also differentiates factors.
+    path = Path(__file__).resolve().parents[1] / "fixtures" / "ut2.alg"
+    base = document_to_algebra(parse_document(path.read_text(encoding="utf-8")))
+    model = gl_coinvariant_model(base, 3, 3)
+    cx = model.complex()
+    seen = {}
+    real = ChainComplex.differential
+
+    def recording(self, q, element):
+        seen.setdefault(q, []).extend(element)
+        return real(self, q, element)
+
+    monkeypatch.setattr(ChainComplex, "differential", recording)
+    coalgebra_on_homology(model)
+    assert (cx.dim(4), cx._rank(4)) == (312, 15)
+    for q in (3, 4):
+        assert len(seen[q]) == cx._rank(q)
+        assert seen[q] == [cx.basis[q][p] for p in cx.image_basis(q)]

@@ -9,7 +9,7 @@ import pytest
 from homotopyalg.ainfty import AInftyAlgebra, cyclic_homology, from_associative
 from homotopyalg.chain import BettiTable
 from homotopyalg import chain, constructions, lqt
-from homotopyalg.constructions import gl_coinvariant_model, gl_entry, gl_index
+from homotopyalg.constructions import gl_coinvariant_model, gl_index
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import InconsistencyError
@@ -20,6 +20,7 @@ from homotopyalg.lqt import (
     verify_lqt,
 )
 
+from matrix_oracles import gl_entry
 from model_oracles import doubled_hopf_product
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
