@@ -40,9 +40,14 @@ identities the single image E_12 . C_{e_2 - e_1} spans the relations.
 `gl_coinvariant_model` materializes that presentation exactly: one
 representative per S_n-orbit of zero-weight words, an orbit whose
 stabilizer acts by -1 dropped as zero, and the E_12 images rewritten on
-representatives.  Its agreement with the simple-root presentation and
-with the generic quotient-by-all-generators route is part of the test
-suite, not assumed here.
+representatives.  It canonicalizes one word per orbit: the relabellings
+of a word touching the positions 0..t-1 are reached by the adjacent
+transpositions of those positions and are all enumerated, so they are
+marked as seen.  Likewise E_12 is evaluated on one word per orbit of the
+permutations fixing the first two positions, whose images agree up to
+sign.  Its agreement with the simple-root presentation, with the
+word-by-word build and with the generic quotient-by-all-generators route
+is part of the test suite, not assumed here.
 """
 
 from __future__ import annotations
@@ -375,6 +380,39 @@ def _orbit_canonical(word, letters, degrees, n):
     return (0 if vanishes or len(signs) > 1 else signs.pop()), best
 
 
+def _position_swaps(letters, n):
+    """For k = 0, ..., n-2, the flat index of every letter once matrix
+    positions k and k+1 are exchanged."""
+    nn = n * n
+    swaps = []
+    for k in range(n - 1):
+        move = list(range(n))
+        move[k], move[k + 1] = k + 1, k
+        swaps.append(tuple(a * nn + move[i] * n + move[j] for a, i, j in letters))
+    return swaps
+
+
+def _relabellings(word, letters, swaps, fixed):
+    """The sorted words reached from a segment word by permuting its
+    touched positions 0..t-1 while fixing the first `fixed` of them.
+
+    The adjacent transpositions (k, k+1) with fixed <= k < t-1 generate
+    those permutations, so closing under them reaches the whole orbit;
+    every member touches the same positions and has the same weight, so it
+    is itself a segment word of the same degree."""
+    top = 1 + max((max(letters[x][1:]) for x in word), default=-1)
+    gens = swaps[fixed:max(fixed, top - 1)]
+    orbit, todo = {word}, [word]
+    while todo:
+        w = todo.pop()
+        for swap in gens:
+            image = tuple(sorted([swap[x] for x in w]))
+            if image not in orbit:
+                orbit.add(image)
+                todo.append(image)
+    return orbit
+
+
 def _segment_words(space, letters, n, total_degree, weight):
     """The canonical words of one suspended degree and torus weight whose
     touched matrix positions are an initial segment {0, ..., t-1}, in
@@ -466,9 +504,13 @@ def gl_coinvariant_model(base, n, max_degree):
     explains, every permutation of matrix positions then fixes each class
     of the zero-weight quotient, so the words of one S_n-orbit agree there
     up to the sign `canonical` returns.  The block of degree q lists one
-    representative per orbit whose stabilizer does not act by -1; every
-    orbit has a member touching an initial segment of positions, so only
-    those words are canonicalized.
+    representative per orbit whose stabilizer does not act by -1.  Every
+    orbit has a member touching an initial segment of positions 0..t-1,
+    and only those words are enumerated.  The permutations of 0..t-1 carry
+    such a word to words of the same kind, and the adjacent transpositions
+    (k, k+1) generate them, so once one word is canonicalized its whole
+    orbit is closed under these transpositions and skipped: `canonical`
+    runs once per orbit.
 
     The zero-weight part of gl_n(K) . C is the sum of E_alpha . C_{-alpha}
     over the roots alpha (the torus acts by zero on weight zero).  For a
@@ -477,8 +519,13 @@ def gl_coinvariant_model(base, n, max_degree):
     tau^{-1} y.  So the E_12 images of the words of weight e_2 - e_1 span
     the quotient's relations, and since E_12 . tau x = tau(E_12 . x) for
     every tau fixing the first two positions, the words touching an
-    initial segment suffice.  At n = 1 there is no root: every word is its
-    own orbit and nothing is quotiented.
+    initial segment suffice.  The same identity gives one image per orbit
+    of those tau: tau(E_12 . x) has the class of E_12 . x, so `reduce`
+    sends the images of one orbit to one vector up to sign.  E_12 is
+    evaluated on one word per orbit, closed under the transpositions
+    (k, k+1) with k >= 2; the span, and so the fully reduced echelon of
+    the quotient, is the same.  At n = 1 there is no root: every word is
+    its own orbit and nothing is quotiented.
 
     Blocks run through max_degree + 1 and spans through max_degree, as
     `CEModel` states, so the E_12 images of the top block (most of the span
@@ -503,9 +550,14 @@ def gl_coinvariant_model(base, n, max_degree):
         gen = {gl_index(n, base_dim, base.unit, 0, 1): Fraction(1)}
         root = ((-1, 1) + (0,) * (n - 2), make_inner(L, gen).coderivation())
 
+    letters = model._letters
+    swaps = _position_swaps(letters, n)
     for q in range(0, max_degree + 2):
-        reps = set()
-        for word in _segment_words(susp, model._letters, n, q, zero):
+        reps, seen = set(), set()
+        for word in _segment_words(susp, letters, n, q, zero):
+            if word in seen:
+                continue
+            seen |= _relabellings(word, letters, swaps, 0)
             sign, rep = model.canonical(word)
             if sign:
                 reps.add(rep)
@@ -514,8 +566,11 @@ def gl_coinvariant_model(base, n, max_degree):
         if root is None or q > max_degree:
             continue
         weight, act = root
-        gens = []
-        for word in _segment_words(susp, model._letters, n, q, weight):
+        gens, seen = [], set()
+        for word in _segment_words(susp, letters, n, q, weight):
+            if word in seen:
+                continue
+            seen |= _relabellings(word, letters, swaps, 2)
             img = model.reduce(act.eval_word(word))
             if img:
                 gens.append(img)

@@ -10,6 +10,12 @@ block, so on weight zero E_alpha . C_{-alpha} = E_{-alpha} . C_alpha, and
 every positive root unit is an iterated commutator of positive simple
 ones.  It is kept here as the reference the orbit model is compared with.
 
+Before orbit closure, `gl_coinvariant_model` canonicalized every segment
+word of weight zero and evaluated E_12 on every segment word of weight
+e_2 - e_1, although the words of one orbit give one representative and,
+up to sign, one image.  `every_word_model` keeps that route as the
+reference for the blocks and span echelons of the orbit model.
+
 Before the chain-level projection, the homology coproduct built a second
 complex on pairs of quotient basis words and read classes there against the
 tensor products of representatives; `pair_complex_coproduct` keeps that
@@ -29,6 +35,7 @@ from fractions import Fraction
 from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import coproduct_sym
 from homotopyalg.constructions import (
+    _segment_words,
     GLCoinvariantModel,
     MatrixAlgebraSpec,
     gl,
@@ -141,6 +148,37 @@ def simple_root_model(base, n, max_degree):
         if gens:
             spans[q] = gens
     return SimpleRootModel(L, max_degree, blocks, spans, n=n, base=base)
+
+
+def every_word_model(base, n, max_degree):
+    """The orbit model built word by word: every zero-weight segment word
+    is canonicalized and E_12 is evaluated on every segment word of weight
+    e_2 - e_1."""
+    L = gl(MatrixAlgebraSpec(base, n))
+    model = GLCoinvariantModel(L, max_degree, {}, {}, n=n, base=base)
+    susp, letters = L.suspended, model._letters
+    act = None
+    if n > 1:
+        gen = {gl_index(n, base.space.dim, base.unit, 0, 1): Fraction(1)}
+        act = make_inner(L, gen).coderivation()
+    for q in range(0, max_degree + 2):
+        reps = set()
+        for word in _segment_words(susp, letters, n, q, (0,) * n):
+            sign, rep = model.canonical(word)
+            if sign:
+                reps.add(rep)
+        if reps:
+            model.blocks[q] = sorted(reps)
+        if act is None or q > max_degree:
+            continue
+        gens = []
+        for word in _segment_words(susp, letters, n, q, _root_weight(n, 1, 0)):
+            img = model.reduce(act.eval_word(word))
+            if img:
+                gens.append(img)
+        if gens:
+            model.spans[q] = gens
+    return model
 
 
 def _class_in(cx, q, element, reps):

@@ -29,6 +29,8 @@ from homotopyalg.linfty import (
 from homotopyalg.constructions import (
     _antisymmetrize,
     _letter_table,
+    _position_swaps,
+    _relabellings,
     _segment_words,
     GLCoinvariantModel,
     MatrixAlgebraSpec,
@@ -51,6 +53,7 @@ from matrix_oracles import (
 from model_oracles import (
     _root_weight,
     _weight_buckets,
+    every_word_model,
     pair_complex_coproduct,
     simple_root_model,
 )
@@ -555,11 +558,16 @@ def test_coinvariant_model_uses_simple_roots_only():
     # one representative per non-vanishing S_4-orbit: 323 zero-weight words
     # through degree 5 fall into 17 such orbits
     assert sum(len(words) for words in model.blocks.values()) == 17
-    # the single root E_12 on the words of weight e_2 - e_1 touching an
-    # initial segment of positions, through degree 4 only: the degree-5
-    # block just sources boundaries
-    assert sum(len(gens) for gens in model.spans.values()) == 34
+    # the single root E_12 on one segment word of weight e_2 - e_1 per orbit
+    # of the permutations fixing positions 1 and 2, through degree 4 only:
+    # 64 source words fall into 47 such orbits, and 34 of the words and 24
+    # of the orbits have a nonzero image.  The degree-5 block just sources
+    # boundaries
+    assert sum(len(gens) for gens in model.spans.values()) == 24
     assert max(model.spans) <= 4
+    oracle = every_word_model(ground_field(), 4, 4)
+    assert {q: red.rows for q, red in model.complex().reducers.items()} == \
+        {q: red.rows for q, red in oracle.complex().reducers.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +626,21 @@ def test_orbit_model_matches_simple_root_oracle(base_name, n, max_degree):
         primitives(oracle.coproduct())
     assert {q: prim[q].dim for q in prim} == \
         {q: prim_oracle[q].dim for q in prim_oracle}
+
+
+@pytest.mark.parametrize("base_name,n,max_degree", [
+    *(("K", n, 4) for n in range(2, 6)),
+    *((name, n, 3) for name in ("K[e]", "ut2", "D", "m3unital")
+      for n in range(2, 5))])
+def test_orbit_closure_matches_every_word_oracle(base_name, n, max_degree):
+    base = fixture_algebra("m3unital") if base_name == "m3unital" \
+        else BASES[base_name]()
+    model = gl_coinvariant_model(base, n, max_degree)
+    oracle = every_word_model(base, n, max_degree)
+    assert model.blocks == oracle.blocks
+    assert {q: red.rows for q, red in model.complex().reducers.items()} == \
+        {q: red.rows for q, red in oracle.complex().reducers.items()}
+    assert model.homology() == oracle.homology()
 
 
 @pytest.mark.parametrize("build", [
@@ -738,9 +761,75 @@ def test_canonical_is_a_signed_orbit_invariant(drawn):
         assert model.canonical(rep) == (1, rep)
 
 
+@lru_cache(maxsize=None)
+def segment_word_list(base_name, n, q, weight):
+    model = orbit_model(base_name, n)
+    return _segment_words(model.algebra.suspended, model._letters, n, q,
+                          weight)
+
+
+@lru_cache(maxsize=None)
+def e12_action(base_name, n):
+    base = BASES[base_name]()
+    gen = {gl_index(n, base.space.dim, base.unit, 0, 1): Fraction(1)}
+    return make_inner(gl_cached(base_name, n), gen).coderivation()
+
+
+@st.composite
+def segment_words(draw, weights=("zero", "root")):
+    """A base, a size 2 <= n <= 5, and a segment word of degree <= 3 whose
+    weight is zero or e_2 - e_1, as drawn from `weights`."""
+    base_name = draw(st.sampled_from(sorted(BASES)))
+    n = draw(st.integers(2, 5))
+    weight = {"zero": (0,) * n, "root": _root_weight(n, 1, 0)}[
+        draw(st.sampled_from(weights))]
+    words = segment_word_list(base_name, n, draw(st.integers(1, 3)), weight)
+    assume(words)
+    return base_name, n, draw(st.sampled_from(words))
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(segment_words())
+def test_relabellings_are_the_brute_force_orbit(drawn):
+    base_name, n, word = drawn
+    base_dim = BASES[base_name]().space.dim
+    letters = orbit_model(base_name, n)._letters
+    t = len(touched(word, n, base_dim))
+    assert touched(word, n, base_dim) == set(range(t))
+    for fixed in (0, 2):
+        brute = {tuple(sorted(relabel(word, p + tuple(range(t, n)), n,
+                                      base_dim)))
+                 for p in itertools.permutations(range(t))
+                 if all(p[k] == k for k in range(min(fixed, t)))}
+        assert _relabellings(word, letters, _position_swaps(letters, n),
+                             fixed) == brute, fixed
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(segment_words(weights=("root",)), st.data())
+def test_e12_images_of_one_orbit_agree_up_to_sign(drawn, data):
+    # E_12 . tau x = tau(E_12 . x) for tau fixing positions 1 and 2, and tau
+    # fixes classes, so one source word per orbit spans the relations
+    base_name, n, word = drawn
+    base_dim = BASES[base_name]().space.dim
+    model, act = orbit_model(base_name, n), e12_action(base_name, n)
+    tau = (0, 1) + tuple(data.draw(st.permutations(range(2, n))))
+    koszul, moved = canonical_sym(relabel(word, tau, n, base_dim),
+                                  model.algebra.suspended)
+    assert koszul
+    image = model.reduce(act.eval_word(word))
+    assert model.reduce(act.eval_word(moved)) == \
+        {key: koszul * c for key, c in image.items()}
+
+
 def test_orbit_model_work_counts(monkeypatch):
-    counts = {"eval_word": 0, "make_inner": 0}
+    counts = {"eval_word": 0, "make_inner": 0, "orbit_canonical": 0}
     eval_word, make_inner_ = Coderivation.eval_word, constructions.make_inner
+    orbit_canonical = constructions._orbit_canonical
+
+    def counting_canonical(*args):
+        counts["orbit_canonical"] += 1
+        return orbit_canonical(*args)
 
     def counting_eval(self, word):
         counts["eval_word"] += 1
@@ -752,11 +841,16 @@ def test_orbit_model_work_counts(monkeypatch):
 
     monkeypatch.setattr(Coderivation, "eval_word", counting_eval)
     monkeypatch.setattr(constructions, "make_inner", counting_inner)
+    monkeypatch.setattr(constructions, "_orbit_canonical", counting_canonical)
     model = gl_coinvariant_model(ground_field(), 6, 4)
     assert [model.homology().dims[q] for q in range(5)] == [1, 1, 0, 1, 1]
-    # one evaluation per representative and per E_12 source word; the
-    # simple-root presentation evaluated about 9,800 words here
-    assert counts["eval_word"] <= 1000
+    # one evaluation per representative and per orbit of E_12 source words;
+    # the simple-root presentation evaluated about 9,800 words here, and
+    # one evaluation per source word took 101
+    assert counts["eval_word"] <= 70
+    # one canonical form per orbit of segment words and per word of an
+    # image or boundary; one per segment word took 403
+    assert counts["orbit_canonical"] <= 130
     assert counts["make_inner"] == 1
 
 
