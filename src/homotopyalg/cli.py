@@ -30,7 +30,13 @@ from .documents import (
     document_to_data,
     parse_document,
 )
-from .linfty import InconsistencyError, check_linfty, lie_homology
+from .linfty import (
+    InconsistencyError,
+    _check_h_closed,
+    _h_elements,
+    check_linfty,
+    lie_homology,
+)
 from .lqt import HopfProductReport, verify_lqt
 
 EXIT_OK = 0
@@ -309,10 +315,17 @@ def _cmd_ce(args):
                 raise DocumentError(
                     [("--coinvariants", f"unknown label {label!r}")])
             h.append(index_of[label])
+        try:
+            _check_h_closed(alg, _h_elements(alg, h))
+        except ValueError as exc:
+            raise DocumentError([("--coinvariants", str(exc))]) from None
     try:
         table = lie_homology(alg, args.max_degree, max_weight=weight, h=h)
     except ValueError as exc:
-        raise DocumentError([("--coinvariants", str(exc))]) from None
+        # the input is certified and h checked above: any other refusal is
+        # a fault of the package
+        raise InconsistencyError(
+            f"lie_homology failed on a certified input: {exc}") from exc
     degrees = list(range(args.max_degree + 1))
     payload = {
         "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind},

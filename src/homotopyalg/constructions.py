@@ -23,31 +23,24 @@ associative structure occur; every result is re-certified rather than
 trusted.
 
 gl_n(A) carries the adjoint action of the matrix units of gl_n(K).  The
-coinvariant Chevalley-Eilenberg complex splits over the weight lattice of
-the diagonal torus, and every nonzero-weight summand dies in the
-quotient: the coinvariant complex is isomorphic to the zero-weight words
-modulo the off-diagonal adjoint images of the opposite-weight words.
-When the base has a strict unit, every higher bracket with 1 (x) E
-vanishes, so the matrix units act through a Lie action of gl_n(K), and
-GL_n(Q) acts by conjugation.  An elementary matrix exp(t E_ij) acts
-trivially on the coinvariant quotient and the diagonal torus acts
-trivially on weight zero; every permutation matrix is a product of the
-two, so relabelling the matrix positions of a word, a (x) E_ij ->
-a (x) E_{sigma i, sigma j} followed by the Koszul sign of sorting, fixes
-its class (Weyl, The Classical Groups, for the first fundamental theorem
-of GL_n).  Every root is Weyl-conjugate to e_1 - e_2, so modulo these
-identities the single image E_12 . C_{e_2 - e_1} spans the relations.
-`gl_coinvariant_model` materializes that presentation exactly: one
-representative per S_n-orbit of zero-weight words, an orbit whose
-stabilizer acts by -1 dropped as zero, and the E_12 images rewritten on
-representatives.  It canonicalizes one word per orbit: the relabellings
-of a word touching the positions 0..t-1 are reached by the adjacent
-transpositions of those positions and are all enumerated, so they are
-marked as seen.  Likewise E_12 is evaluated on one word per orbit of the
-permutations fixing the first two positions, whose images agree up to
-sign.  Its agreement with the simple-root presentation, with the
-word-by-word build and with the generic quotient-by-all-generators route
-is part of the test suite, not assumed here.
+coinvariant Chevalley-Eilenberg complex is isomorphic to the zero-weight
+words modulo the off-diagonal adjoint images of the opposite-weight
+words.  With a strict unit in the base, relabelling the matrix positions
+of a word fixes its class up to the Koszul sign of sorting, and modulo
+these identities the single image E_12 . C_{e_2 - e_1} spans the
+relations, for the reasons `GLCoinvariantModel` gives (Weyl, The
+Classical Groups, for the first fundamental theorem of GL_n).
+`gl_coinvariant_model` keeps one
+representative per S_n-orbit of zero-weight words, drops an orbit whose
+stabilizer acts by -1, and rewrites the E_12 images on representatives.
+One walk along adjacent transpositions, carrying Koszul signs, visits
+each orbit once: it signs every member against the representative and
+finds a stabilizer acting by -1, and with the first two positions fixed
+it picks one E_12 source word per orbit of those permutations, whose
+images agree up to sign.  Its agreement with the simple-root
+presentation, with the word-by-word build and with the generic
+quotient-by-all-generators route is part of the test suite, not assumed
+here.
 """
 
 from __future__ import annotations
@@ -236,36 +229,115 @@ class GLCoinvariantModel(CEModel):
 
     So w = +-sigma(w) modulo S (Weyl's first fundamental theorem for
     GL_n is the classical form of this).  `canonical` sends a word to
-    (sign, representative of its orbit); an orbit whose stabilizer acts on
-    it by -1 is zero in the quotient and gets sign 0.  Every root is
-    Weyl-conjugate to e_1 - e_2, so the single image E_12 . C_{e_2 - e_1}
-    spans S modulo these identities.  `blocks[q]` lists the
-    non-vanishing orbit representatives of degree q and `spans[q]` the
-    E_12 images written on representatives, in the degrees `CEModel`
-    states.  Through max_degree the quotient is isomorphic to C_0 / S,
-    which the test suite checks against the simple-root presentation.  The
-    coproduct canonicalizes each tensor factor on its own, since S_n acts
-    trivially on each factor C_0 / S.
+    (sign, representative of its orbit): the representative is the
+    smallest member touching the positions 0..t-1, in (base, row, column)
+    order, and an orbit whose stabilizer acts on it by -1 is zero in the
+    quotient and gets sign 0.  Every root is Weyl-conjugate to e_1 - e_2,
+    so the single image E_12 . C_{e_2 - e_1} spans S modulo these
+    identities.  `blocks[q]` lists the non-vanishing orbit representatives
+    of degree q and `spans[q]` the E_12 images written on representatives,
+    in the degrees `CEModel` states.  Through max_degree the quotient is
+    isomorphic to C_0 / S, which the test suite checks against the
+    simple-root presentation.  The coproduct canonicalizes each tensor
+    factor on its own, since S_n acts trivially on each factor C_0 / S.
     """
 
     n: int = field(kw_only=True)
     base: AInftyAlgebra = field(kw_only=True)
     _letters: tuple = field(init=False, repr=False)
+    _swaps: list = field(init=False, repr=False)
+    _codes: tuple = field(init=False, repr=False)
     _canon: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        self._letters = _letter_table(self.n, self.base.space.dim)
+        n, dim = self.n, self.base.space.dim
+        # (base index, row, column) of every flat index of M_n(A)
+        self._letters = tuple((a, i, j) for a in range(dim)
+                              for i in range(n) for j in range(n))
+        # the flat index of every letter once positions k and k+1 swap
+        self._swaps = []
+        for k in range(n - 1):
+            move = list(range(n))
+            move[k], move[k + 1] = k + 1, k
+            self._swaps.append(tuple(a * n * n + move[i] * n + move[j]
+                                     for a, i, j in self._letters))
+        # one layer of dim * (n + 1) bits per position: an odd letter
+        # (a, i, j) sets bit a of layer i and bit dim + a * n + i of layer j
+        degrees, width = self.algebra.suspended.degrees, dim * (n + 1)
+        self._codes = tuple(
+            (1 << (i * width + a)) | (1 << (j * width + dim + a * n + i))
+            if degrees[x] % 2 else 0
+            for x, (a, i, j) in enumerate(self._letters))
 
     def canonical(self, word):
         """The class of a canonical word in the quotient, as (sign,
         representative).  Sign 0 means the word is zero there: either its
         weight is nonzero (representative None) or its orbit's stabilizer
-        acts on it by -1.  Memoized per model."""
-        hit = self._canon.get(word)
-        if hit is None:
-            hit = self._canon[word] = _orbit_canonical(
-                word, self._letters, self.algebra.suspended.degrees, self.n)
-        return hit
+        acts on it by -1.  A zero-weight word is relabelled onto positions
+        0..t-1 in their order, which keeps its letters sorted; the first
+        such word of an orbit is walked by `_orbit`, and the answer for
+        every member is memoized."""
+        canon, letters, n = self._canon, self._letters, self.n
+        if word not in canon:
+            net = {}
+            for x in word:
+                _, i, j = letters[x]
+                net[i] = net.get(i, 0) + 1
+                net[j] = net.get(j, 0) - 1
+            if any(net.values()):
+                canon[word] = (0, None)
+            else:
+                place = {p: r for r, p in enumerate(sorted(net))}
+                segment = tuple(a * n * n + place[i] * n + place[j]
+                                for a, i, j in (letters[x] for x in word))
+                if segment not in canon:
+                    signs, vanishes = self._orbit(segment, 0)
+                    rep = min(signs)
+                    for member, sign in signs.items():
+                        canon[member] = \
+                            (0 if vanishes else sign * signs[rep], rep)
+                canon[word] = canon[segment]
+        return canon[word]
+
+    def _orbit(self, word, fixed):
+        """The orbit of a segment word under the permutations of its
+        touched positions 0..t-1 that fix the first `fixed` of them, as
+        ({member: sign}, vanishes): word = sign . member in the quotient,
+        and `vanishes` says that a stabilizer acts by -1.
+
+        The walk steps along the adjacent transpositions (k, k+1), fixed <=
+        k < t-1, which generate those permutations.  A step carries the
+        Koszul sign of re-sorting: in (base, row, column) order, (k, k+1)
+        reverses the pairs of letters with one base letter whose rows are
+        {k, k+1}, or whose rows agree and whose columns are {k, k+1}.  In
+        the XOR of the letters' codes, layer k holds the parity of the odd
+        letters of each base in row k and the odd letters of each (base,
+        row) in column k, so the bits of layer k of code & (code >> width)
+        count the pairs of odd letters that (k, k+1) reverses, modulo 2.
+        A step onto a member already signed the other way closes a loop
+        acting by -1."""
+        letters, swaps, codes = self._letters, self._swaps, self._codes
+        width = self.base.space.dim * (self.n + 1)
+        layer = (1 << width) - 1
+        top = 1 + max((max(letters[x][1:]) for x in word), default=-1)
+        signs, todo, vanishes = {word: 1}, [word], False
+        while todo:
+            u = todo.pop()
+            here, code = signs[u], 0
+            for x in u:
+                code ^= codes[x]
+            pairs = code & (code >> width)
+            for k in range(fixed, top - 1):
+                flips = ((pairs >> k * width) & layer).bit_count()
+                sign = -here if flips % 2 else here
+                image = tuple(sorted([swaps[k][x] for x in u]))
+                known = signs.get(image)
+                if known is None:
+                    signs[image] = sign
+                    todo.append(image)
+                elif known != sign:
+                    vanishes = True
+        return signs, vanishes
 
     def block_sum(self, left, right):
         """(sign, representative) of the block sum of two canonical words:
@@ -280,137 +352,6 @@ class GLCoinvariantModel(CEModel):
         sign, word = canonical_sym(left + moved, self.algebra.suspended)
         orbit_sign, rep = self.canonical(word)
         return sign * orbit_sign, rep
-
-
-def _letter_table(n, base_dim):
-    """(base index, row, column) of every flat index of M_n(A)."""
-    return tuple((a, i, j) for a in range(base_dim)
-                 for i in range(n) for j in range(n))
-
-
-def _rank(signatures):
-    """Replace each position's signature by its rank among the distinct
-    signatures: an ordered partition that names no position.  Returns the
-    colouring and its number of colours."""
-    order = {s: r for r, s in enumerate(sorted(set(signatures.values())))}
-    return {p: order[s] for p, s in signatures.items()}, len(order)
-
-
-def _orbit_canonical(word, letters, degrees, n):
-    """(sign, representative) of a canonical word under relabelling of
-    matrix positions; see `GLCoinvariantModel.canonical`.
-
-    The touched positions are coloured by the base letters on their loops,
-    out-edges and in-edges, and the colours are refined by the colours
-    across each edge until stable.  A colouring that is not yet one
-    position per colour is split by giving each position of its first
-    shared colour, in turn, a colour of its own.  Each fully split colouring
-    relabels the touched positions onto 0..t-1; the representative is the
-    smallest relabelled word.  The construction names no position, so the
-    representative depends only on the orbit, and the relabellings that
-    reach it differ exactly by the stabilizer of the word.  The Koszul
-    sign is taken for those relabellings only; when two of them disagree,
-    the stabilizer acts by -1 and the orbit vanishes.
-
-    Positions that carry only loops are interchangeable within a colour,
-    and exchanging two of them has the sign (-1)^m, m the number of odd
-    letters on either.  Only the first of them is split off: the others
-    give the same words, with the same signs unless m is odd, and then
-    the orbit vanishes.
-    """
-    entries = [letters[x] for x in word]
-    net = {}
-    loops, outs, ins = {}, {}, {}
-    for x, (a, i, j) in zip(word, entries):
-        if i == j:
-            loops.setdefault(i, []).append((a, degrees[x] % 2))
-            net.setdefault(i, 0)
-        else:
-            net[i] = net.get(i, 0) + 1
-            net[j] = net.get(j, 0) - 1
-            outs.setdefault(i, []).append((a, j))
-            ins.setdefault(j, []).append((a, i))
-    if any(net.values()):
-        return 0, None
-    size = len(net)
-
-    def refine(colour, cells):
-        while cells < size:
-            new, count = _rank({
-                p: (colour[p],
-                    tuple(sorted((a, colour[j]) for a, j in outs.get(p, ()))),
-                    tuple(sorted((a, colour[i]) for a, i in ins.get(p, ()))))
-                for p in colour})
-            if count == cells:
-                break
-            colour, cells = new, count
-        return colour, cells
-
-    best, reaching, vanishes = None, [], False
-
-    def search(colour, cells):
-        nonlocal best, reaching, vanishes
-        if cells == size:
-            image = [a * n * n + colour[i] * n + colour[j] for a, i, j in entries]
-            key = tuple(sorted(image))
-            if best is None or key < best:
-                best, reaching = key, [image]
-            elif key == best:
-                reaching.append(image)
-            return
-        members = {}
-        for p, c in colour.items():
-            members.setdefault(c, []).append(p)
-        first = min(c for c, ps in members.items() if len(ps) > 1)
-        choices = members[first]
-        if choices[0] not in outs and choices[0] not in ins:
-            vanishes |= sum(odd for _, odd in loops[choices[0]]) % 2 == 1
-            choices = choices[:1]
-        for p in choices:
-            search(*refine(*_rank({r: (c, r != p) for r, c in colour.items()})))
-
-    search(*refine(*_rank({p: (tuple(sorted(loops.get(p, ()))),
-                               tuple(sorted(a for a, _ in outs.get(p, ()))),
-                               tuple(sorted(a for a, _ in ins.get(p, ()))))
-                           for p in net})))
-    word_degrees = [degrees[x] for x in word]
-    signs = {sign_of_arrangement(word_degrees,
-                                 sorted(range(len(image)), key=image.__getitem__))
-             for image in reaching}
-    return (0 if vanishes or len(signs) > 1 else signs.pop()), best
-
-
-def _position_swaps(letters, n):
-    """For k = 0, ..., n-2, the flat index of every letter once matrix
-    positions k and k+1 are exchanged."""
-    nn = n * n
-    swaps = []
-    for k in range(n - 1):
-        move = list(range(n))
-        move[k], move[k + 1] = k + 1, k
-        swaps.append(tuple(a * nn + move[i] * n + move[j] for a, i, j in letters))
-    return swaps
-
-
-def _relabellings(word, letters, swaps, fixed):
-    """The sorted words reached from a segment word by permuting its
-    touched positions 0..t-1 while fixing the first `fixed` of them.
-
-    The adjacent transpositions (k, k+1) with fixed <= k < t-1 generate
-    those permutations, so closing under them reaches the whole orbit;
-    every member touches the same positions and has the same weight, so it
-    is itself a segment word of the same degree."""
-    top = 1 + max((max(letters[x][1:]) for x in word), default=-1)
-    gens = swaps[fixed:max(fixed, top - 1)]
-    orbit, todo = {word}, [word]
-    while todo:
-        w = todo.pop()
-        for swap in gens:
-            image = tuple(sorted([swap[x] for x in w]))
-            if image not in orbit:
-                orbit.add(image)
-                todo.append(image)
-    return orbit
 
 
 def _segment_words(space, letters, n, total_degree, weight):
@@ -501,16 +442,11 @@ def gl_coinvariant_model(base, n, max_degree):
     acting by matrix units, and strictness makes every higher bracket
     with 1 (x) E vanish, so x -> [delta_ell, delta_x] is a Lie action of
     gl_n(K) and exp(t E_ij) acts on the complex.  As `GLCoinvariantModel`
-    explains, every permutation of matrix positions then fixes each class
-    of the zero-weight quotient, so the words of one S_n-orbit agree there
-    up to the sign `canonical` returns.  The block of degree q lists one
-    representative per orbit whose stabilizer does not act by -1.  Every
-    orbit has a member touching an initial segment of positions 0..t-1,
-    and only those words are enumerated.  The permutations of 0..t-1 carry
-    such a word to words of the same kind, and the adjacent transpositions
-    (k, k+1) generate them, so once one word is canonicalized its whole
-    orbit is closed under these transpositions and skipped: `canonical`
-    runs once per orbit.
+    explains, the words of one S_n-orbit then agree in the quotient up to
+    the sign `canonical` returns.  Every orbit has a member touching the
+    positions 0..t-1, and only those words are enumerated and sent through
+    `canonical`; the block of degree q lists the representatives of the
+    orbits whose stabilizer does not act by -1.
 
     The zero-weight part of gl_n(K) . C is the sum of E_alpha . C_{-alpha}
     over the roots alpha (the torus acts by zero on weight zero).  For a
@@ -522,10 +458,10 @@ def gl_coinvariant_model(base, n, max_degree):
     initial segment suffice.  The same identity gives one image per orbit
     of those tau: tau(E_12 . x) has the class of E_12 . x, so `reduce`
     sends the images of one orbit to one vector up to sign.  E_12 is
-    evaluated on one word per orbit, closed under the transpositions
-    (k, k+1) with k >= 2; the span, and so the fully reduced echelon of
-    the quotient, is the same.  At n = 1 there is no root: every word is
-    its own orbit and nothing is quotiented.
+    evaluated on one word per orbit, which `_orbit` finds with positions 0
+    and 1 fixed; the span, and so the fully reduced echelon of the
+    quotient, is the same.  At n = 1 there is no root: every word is its
+    own orbit and nothing is quotiented.
 
     Blocks run through max_degree + 1 and spans through max_degree, as
     `CEModel` states, so the E_12 images of the top block (most of the span
@@ -551,13 +487,9 @@ def gl_coinvariant_model(base, n, max_degree):
         root = ((-1, 1) + (0,) * (n - 2), make_inner(L, gen).coderivation())
 
     letters = model._letters
-    swaps = _position_swaps(letters, n)
     for q in range(0, max_degree + 2):
-        reps, seen = set(), set()
+        reps = set()
         for word in _segment_words(susp, letters, n, q, zero):
-            if word in seen:
-                continue
-            seen |= _relabellings(word, letters, swaps, 0)
             sign, rep = model.canonical(word)
             if sign:
                 reps.add(rep)
@@ -570,7 +502,7 @@ def gl_coinvariant_model(base, n, max_degree):
         for word in _segment_words(susp, letters, n, q, weight):
             if word in seen:
                 continue
-            seen |= _relabellings(word, letters, swaps, 2)
+            seen.update(model._orbit(word, 2)[0])
             img = model.reduce(act.eval_word(word))
             if img:
                 gens.append(img)

@@ -19,7 +19,8 @@ degree q has at most q letters and touches at most q matrix positions, and
 an E_12 source word (weight e_2 - e_1) of degree q touches at most q + 1.
 Degree q of the homology reads the blocks through q + 1 and the quotient
 generators of degrees q - 1 and q, brackets of matrix units do not see n,
-and `canonical` orders letters by (base, row, column) whatever n is.  So
+and `canonical` picks as representative the smallest member of an orbit in
+(base, row, column) order, an order that does not see n either.  So
 through degree q the quotient complex is the same for every n >= q + 1, and
 one model at n = max_degree + 1 carries every verdict; the tables of the
 requested sizes are cross-checks against it.

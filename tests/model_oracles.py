@@ -10,11 +10,13 @@ block, so on weight zero E_alpha . C_{-alpha} = E_{-alpha} . C_alpha, and
 every positive root unit is an iterated commutator of positive simple
 ones.  It is kept here as the reference the orbit model is compared with.
 
-Before orbit closure, `gl_coinvariant_model` canonicalized every segment
-word of weight zero and evaluated E_12 on every segment word of weight
-e_2 - e_1, although the words of one orbit give one representative and,
-up to sign, one image.  `every_word_model` keeps that route as the
-reference for the blocks and span echelons of the orbit model.
+Before orbit closure, `gl_coinvariant_model` evaluated E_12 on every
+segment word of weight e_2 - e_1, although the words of one orbit under the
+permutations fixing the first two positions give, up to sign, one image.
+`every_word_model` keeps that route as the reference for the span
+echelons of the orbit model.  Its zero-weight blocks are built as the
+model builds them, every segment word sent through `canonical`, so the two
+differ only on the E_12 source words.
 
 Before the chain-level projection, the homology coproduct built a second
 complex on pairs of quotient basis words and read classes there against the
@@ -151,9 +153,8 @@ def simple_root_model(base, n, max_degree):
 
 
 def every_word_model(base, n, max_degree):
-    """The orbit model built word by word: every zero-weight segment word
-    is canonicalized and E_12 is evaluated on every segment word of weight
-    e_2 - e_1."""
+    """The orbit model with E_12 evaluated on every segment word of weight
+    e_2 - e_1, not on one per orbit."""
     L = gl(MatrixAlgebraSpec(base, n))
     model = GLCoinvariantModel(L, max_degree, {}, {}, n=n, base=base)
     susp, letters = L.suspended, model._letters

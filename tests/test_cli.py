@@ -123,6 +123,31 @@ def test_ce_coinvariants_validation(capsys):
     assert code == 1 and "closed" in err
 
 
+def test_ce_coinvariants_of_nonzero_degree_are_refused(capsys, tmp_path):
+    code, payload, _ = run_json(capsys, "lieify", fixture("dga2.alg"))
+    assert code == 0
+    path = tmp_path / "dga2_lie.alg"
+    path.write_text(json.dumps(payload["document"]))
+    code, out, err = run(capsys, "ce", str(path), "--coinvariants", "x")
+    assert code == 1 and out == ""
+    assert "--coinvariants" in err and "degree 0" in err
+
+
+@pytest.mark.parametrize("coinvariants", [(), ("--coinvariants", "h")])
+def test_ce_fault_on_a_certified_input_is_not_a_diagnostic(
+        monkeypatch, capsys, coinvariants):
+    # a refusal after the input and h are checked is the package's fault,
+    # not a validation failure of --coinvariants
+    def refuse(self):
+        raise ValueError("induced image leaves the computed range")
+
+    monkeypatch.setattr(linfty.CEModel, "homology", refuse)
+    with pytest.raises(InconsistencyError, match="certified input") as info:
+        main(["ce", fixture("sl2.alg"), "--max-degree", "3", *coinvariants])
+    assert isinstance(info.value.__cause__, ValueError)
+    assert capsys.readouterr().out == ""
+
+
 def test_hc_certifies_its_input_first(capsys):
     # b^2 != 0 on nonassoc: without the certificate the table would report
     # negative dimensions, all flagged exact

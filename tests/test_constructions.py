@@ -5,7 +5,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from homotopyalg import constructions
 from homotopyalg.ainfty import (
@@ -28,9 +28,6 @@ from homotopyalg.linfty import (
 )
 from homotopyalg.constructions import (
     _antisymmetrize,
-    _letter_table,
-    _position_swaps,
-    _relabellings,
     _segment_words,
     GLCoinvariantModel,
     MatrixAlgebraSpec,
@@ -599,8 +596,8 @@ def test_segment_words_filter_ce_words_in_order(base_name, n):
                         if word_weight(w, n, base_dim) == target
                         and touched(w, n, base_dim) ==
                         set(range(len(touched(w, n, base_dim))))]
-            assert _segment_words(susp, _letter_table(n, base_dim), n, q,
-                                  target) == expected, \
+            assert _segment_words(susp, orbit_model(base_name, n)._letters,
+                                  n, q, target) == expected, \
                 (q, target)
 
 
@@ -776,33 +773,47 @@ def e12_action(base_name, n):
 
 
 @st.composite
-def segment_words(draw, weights=("zero", "root")):
-    """A base, a size 2 <= n <= 5, and a segment word of degree <= 3 whose
-    weight is zero or e_2 - e_1, as drawn from `weights`."""
+def segment_words(draw, weights=("zero", "root"), max_degree=3):
+    """A base, a size 2 <= n <= 5, and a segment word of degree at most
+    `max_degree` whose weight is zero or e_2 - e_1, as drawn from
+    `weights`."""
     base_name = draw(st.sampled_from(sorted(BASES)))
     n = draw(st.integers(2, 5))
     weight = {"zero": (0,) * n, "root": _root_weight(n, 1, 0)}[
         draw(st.sampled_from(weights))]
-    words = segment_word_list(base_name, n, draw(st.integers(1, 3)), weight)
+    words = segment_word_list(base_name, n, draw(st.integers(1, max_degree)),
+                              weight)
     assume(words)
     return base_name, n, draw(st.sampled_from(words))
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(segment_words())
-def test_relabellings_are_the_brute_force_orbit(drawn):
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(segment_words(max_degree=4))
+# orbits that vanish under the permutations fixing positions 0 and 1: odd
+# loops on positions 2 and 3, and a 2-cycle on 3, 4 next to a loop on 2
+@example(("K", 5, (0, 5, 12, 18)))
+@example(("K", 5, (5, 12, 19, 23)))
+def test_orbit_walk_is_the_signed_brute_force_orbit(drawn):
     base_name, n, word = drawn
     base_dim = BASES[base_name]().space.dim
-    letters = orbit_model(base_name, n)._letters
+    model = orbit_model(base_name, n)
+    space = model.algebra.suspended
     t = len(touched(word, n, base_dim))
     assert touched(word, n, base_dim) == set(range(t))
     for fixed in (0, 2):
-        brute = {tuple(sorted(relabel(word, p + tuple(range(t, n)), n,
-                                      base_dim)))
+        # relabelling(word) = s . v as symmetric words, and word = s . v in
+        # the quotient
+        brute = {canonical_sym(relabel(word, p + tuple(range(t, n)), n,
+                                       base_dim), space)
                  for p in itertools.permutations(range(t))
                  if all(p[k] == k for k in range(min(fixed, t)))}
-        assert _relabellings(word, letters, _position_swaps(letters, n),
-                             fixed) == brute, fixed
+        signs, vanishes = model._orbit(word, fixed)
+        walked = {(s, v) for v, s in signs.items()}
+        assert set(signs) == {v for _, v in brute}, fixed
+        assert walked <= brute, fixed
+        assert vanishes == ((-1, word) in brute), fixed
+        if not vanishes:
+            assert walked == brute, fixed
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -823,13 +834,13 @@ def test_e12_images_of_one_orbit_agree_up_to_sign(drawn, data):
 
 
 def test_orbit_model_work_counts(monkeypatch):
-    counts = {"eval_word": 0, "make_inner": 0, "orbit_canonical": 0}
+    counts = {"eval_word": 0, "make_inner": 0, "walks": 0}
     eval_word, make_inner_ = Coderivation.eval_word, constructions.make_inner
-    orbit_canonical = constructions._orbit_canonical
+    orbit = GLCoinvariantModel._orbit
 
-    def counting_canonical(*args):
-        counts["orbit_canonical"] += 1
-        return orbit_canonical(*args)
+    def counting_orbit(self, word, fixed):
+        counts["walks"] += 1
+        return orbit(self, word, fixed)
 
     def counting_eval(self, word):
         counts["eval_word"] += 1
@@ -841,16 +852,18 @@ def test_orbit_model_work_counts(monkeypatch):
 
     monkeypatch.setattr(Coderivation, "eval_word", counting_eval)
     monkeypatch.setattr(constructions, "make_inner", counting_inner)
-    monkeypatch.setattr(constructions, "_orbit_canonical", counting_canonical)
+    monkeypatch.setattr(GLCoinvariantModel, "_orbit", counting_orbit)
     model = gl_coinvariant_model(ground_field(), 6, 4)
     assert [model.homology().dims[q] for q in range(5)] == [1, 1, 0, 1, 1]
     # one evaluation per representative and per orbit of E_12 source words;
     # the simple-root presentation evaluated about 9,800 words here, and
     # one evaluation per source word took 101
     assert counts["eval_word"] <= 70
-    # one canonical form per orbit of segment words and per word of an
-    # image or boundary; one per segment word took 403
-    assert counts["orbit_canonical"] <= 130
+    # one walk per orbit of zero-weight segment words and per orbit of E_12
+    # source words; every boundary and image word is then a memo lookup.
+    # A colour-refinement canonical form per orbit and per image word, next
+    # to an orbit closure, took 120 + 88
+    assert counts["walks"] <= 88
     assert counts["make_inner"] == 1
 
 
