@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .chain import ChainComplex
 from .coalgebra import Cochain, StructureReport, certify, extend_coderivation
-from .graded import GradedSpace, act, add_into
+from .graded import GradedSpace, act, add_into, exact
 
 __all__ = [
     "AInftyAlgebra",
@@ -69,7 +69,7 @@ def suspend_operations(space, ops, symmetric=False):
             exp = sum((k - t) * space.degrees[i]
                       for t, i in enumerate(word, start=1))
             sgn = -1 if exp % 2 else 1
-            m.set_value(word, {i: sgn * Fraction(c) for i, c in val.items()})
+            m.set_value(word, {i: sgn * exact(c) for i, c in val.items()})
     return m
 
 
@@ -78,7 +78,7 @@ class AInftyAlgebra:
     """Finite-dimensional homotopy-associative algebra over Q."""
 
     space: GradedSpace            # unsuspended
-    ops: dict                     # {arity: {word: {index: Fraction}}}
+    ops: dict                     # {arity: {word: {index: int | Fraction}}}
     unit: int | None = None       # basis index of a strict unit, if any
     name: str = ""
     suspended: object = field(init=False)
@@ -87,7 +87,7 @@ class AInftyAlgebra:
     def __post_init__(self):
         clean = {}
         for k, table in self.ops.items():
-            entries = {tuple(w): {i: Fraction(c) for i, c in v.items() if Fraction(c)}
+            entries = {tuple(w): {i: e for i, c in v.items() if (e := exact(c))}
                        for w, v in table.items()}
             entries = {w: v for w, v in entries.items() if v}
             if entries:
@@ -106,7 +106,7 @@ class AInftyAlgebra:
         return extend_coderivation(self.m, "tensor")
 
     def op_value(self, k, word):
-        """mu_k on a word of basis indices, {index: Fraction}."""
+        """mu_k on a word of basis indices, {index: int | Fraction}."""
         return self.ops.get(k, {}).get(tuple(word), {})
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .graded import exact
 from .rational_linalg import LinearSolver, RowReducer, kernel
 
 __all__ = ["BettiTable", "ChainComplex"]
@@ -43,7 +44,7 @@ class BettiTable:
 
 
 class ChainComplex:
-    """blocks: {degree: [keys]}; diff(degree, key) -> {key: Fraction} one
+    """blocks: {degree: [keys]}; diff(degree, key) -> {key: coefficient} one
     degree down.  Degrees absent from `blocks` are zero.  `basis[q]` lists
     the keys whose classes form the canonical quotient basis of degree q."""
 
@@ -69,10 +70,10 @@ class ChainComplex:
         self._boundaries, self._image_bases, self._solvers = {}, {}, {}
 
     def _coords(self, el, q):
-        """Element dict -> {column: Fraction} in block q's coordinates."""
+        """Element dict -> {column: int | Fraction} in block q's coordinates."""
         vec = {}
         for k, c in el.items():
-            c = Fraction(c)
+            c = exact(c)
             if not c:
                 continue
             idx = self.index.get(q)
@@ -85,7 +86,7 @@ class ChainComplex:
         return len(self.basis.get(q, ()))
 
     def _vector(self, q, element):
-        """A chain of degree q in the quotient basis: {position: Fraction}."""
+        """A chain of degree q in the quotient basis: {position: coefficient}."""
         vec = self._coords(element, q)
         if q in self.reducers:
             vec = self.reducers[q].residual(vec)

@@ -55,6 +55,7 @@ from .graded import (
     GradedSpace,
     add_into,
     canonical_sym,
+    exact,
     unshuffle_splits,
 )
 
@@ -71,7 +72,8 @@ __all__ = [
 
 @dataclass
 class Cochain:
-    """Multilinear components {arity: {input word: {basis index: Fraction}}}.
+    """Multilinear components {arity: {input word: {basis index: value}}},
+    each value exact: an int when integral, else a Fraction.
 
     `degree` is the operator's (suspended) degree, enforced on set_value:
     every output index must sit in degree (input degree) + degree.  The sign
@@ -98,20 +100,24 @@ class Cochain:
             if sign != 1 or cw != word:
                 raise ValueError(f"symmetric cochain values must be given on sorted inputs, got {word}")
         in_deg = sum(self.space.degrees[i] for i in word)
-        for i in value:
-            if Fraction(value[i]) and self.space.degrees[i] != in_deg + self.degree:
+        clean = {}
+        for i, v in value.items():
+            v = exact(v)
+            if not v:
+                continue
+            if self.space.degrees[i] != in_deg + self.degree:
                 raise ValueError(
                     f"inhomogeneous value: component at {word} (degree {in_deg}) hits "
                     f"basis index {i} of degree {self.space.degrees[i]}, but the "
                     f"operator has degree {self.degree}")
-        clean = {i: Fraction(v) for i, v in value.items() if Fraction(v)}
+            clean[i] = v
         if clean:
             self.comps.setdefault(len(word), {})[word] = clean
         else:
             self.comps.get(len(word), {}).pop(word, None)
 
     def apply(self, word):
-        """Value on a word, {basis index: Fraction}; {} when absent/zero."""
+        """Value on a word, {basis index: value}; {} when absent/zero."""
         table = self.comps.get(len(word))
         if not table:
             return {}
@@ -215,7 +221,7 @@ def coproduct_sym(word, space):
     out = {}
     for k in range(n + 1):
         for sign, front, back in unshuffle_splits(word, degs, k):
-            add_into(out, (front, back), Fraction(sign))
+            add_into(out, (front, back), sign)
     return out
 
 
@@ -297,17 +303,24 @@ def bracket(d1, d2, max_arity):
     Both coderivations must share flavor and space; the result extends (in the
     same flavor) to the operator d1 . d2 - (-1)^(|d1||d2|) d2 . d1.  Its
     components are built from partial compositions of the two cochains,
-    summed on integers (see the module docstring) and divided once.
+    summed on integers (see the module docstring) and divided once.  When
+    d1 is d2 the two compositions agree, so [d, d] = (1 - (-1)^(|d||d|))
+    d . d is composed once, and not at all for an even d.
     """
     if d1.flavor != d2.flavor:
         raise ValueError("bracket requires coderivations of the same flavor")
     sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1
     D1, i1 = _integral(d1)
-    D2, i2 = _integral(d2)
-    scale = D1 * D2
     out = {}
-    _compose(i1, i2, max_arity, out, 1)
-    _compose(i2, i1, max_arity, out, -sign)
+    if d1 is d2:
+        scale = D1 * D1
+        if 1 - sign:
+            _compose(i1, i1, max_arity, out, 1 - sign)
+    else:
+        D2, i2 = _integral(d2)
+        scale = D1 * D2
+        _compose(i1, i2, max_arity, out, 1)
+        _compose(i2, i1, max_arity, out, -sign)
     result = Cochain(d1.cochain.space, d1.degree + d2.degree,
                      symmetric=d1.flavor == "sym")
     for n in sorted(out):

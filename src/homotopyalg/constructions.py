@@ -1,9 +1,11 @@
-"""Matrix algebras, commutator structures, and the coinvariant model.
+"""Matrix algebras, commutator structures, and the coinvariant models.
 
 Builders that turn one structured algebra into another: the commutator
 functor from homotopy-associative to homotopy-Lie structures, matrix
-algebras M_n(A) and their Lie forms gl_n(A), and the zero-weight
-coinvariant model of the Chevalley-Eilenberg complex of gl_n(A).
+algebras M_n(A) and their Lie forms gl_n(A), and two presentations of the
+coinvariant Chevalley-Eilenberg complex of gl_n(A): on zero-weight words
+modulo the E_12 images, for any n, and on permutation words alone, at the
+stable size n = max_degree + 1.
 
 M_n(A) = A (x) M_n(K) is built by the matrix-unit rule: the matrix units
 sit in degree 0 and multiply by E_ij E_jl = E_il, so an operation of A
@@ -41,6 +43,12 @@ images agree up to sign.  Its agreement with the simple-root
 presentation, with the word-by-word build and with the generic
 quotient-by-all-generators route is part of the test suite, not assumed
 here.
+
+Once n is at least the number of letters, no E_12 image is needed: at n =
+max_degree + 1, `PermutationModel` presents the same quotient on the
+orbits of permutation words alone, enumerated directly and canonicalized
+by their cycles instead of by an orbit walk.  Its agreement with
+`gl_coinvariant_model` at that size is part of the test suite.
 """
 
 from __future__ import annotations
@@ -68,6 +76,8 @@ __all__ = [
     "gl",
     "gl_index",
     "gl_coinvariant_model",
+    "PermutationModel",
+    "gl_permutation_model",
     "InconsistencyError",
 ]
 
@@ -209,7 +219,37 @@ def gl_index(n, base_dim, a, i, j):
 
 
 @dataclass
-class GLCoinvariantModel(CEModel):
+class _MatrixWordModel(CEModel):
+    """What both presentations of the coinvariant complex of gl_n(A) share:
+    the (base index, row, column) table of the flat indices of M_n(A), the
+    memo of `canonical`, and the block sum of two canonical words."""
+
+    n: int = field(kw_only=True)
+    base: AInftyAlgebra = field(kw_only=True)
+    _letters: tuple = field(init=False, repr=False)
+    _canon: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        n, dim = self.n, self.base.space.dim
+        self._letters = tuple((a, i, j) for a in range(dim)
+                              for i in range(n) for j in range(n))
+
+    def block_sum(self, left, right):
+        """(sign, representative) of the block sum of two canonical words:
+        `right` moved onto the positions past the largest one `left`
+        touches, the union sorted with its Koszul sign and sent through
+        `canonical`.  Raises ValueError when the two do not fit side by
+        side in n positions."""
+        letters, n = self._letters, self.n
+        shift = 1 + max((max(letters[x][1:]) for x in left), default=-1)
+        moved = tuple(gl_index(n, self.base.space.dim, a, i + shift, j + shift)
+                      for a, i, j in (letters[x] for x in right))
+        sign, word = canonical_sym(left + moved, self.algebra.suspended)
+        orbit_sign, rep = self.canonical(word)
+        return sign * orbit_sign, rep
+
+
+class GLCoinvariantModel(_MatrixWordModel):
     """The gl_n(K)-coinvariant Chevalley-Eilenberg complex of gl_n(A),
     presented on S_n-orbits of zero-weight words.
 
@@ -242,18 +282,9 @@ class GLCoinvariantModel(CEModel):
     factor on its own, since S_n acts trivially on each factor C_0 / S.
     """
 
-    n: int = field(kw_only=True)
-    base: AInftyAlgebra = field(kw_only=True)
-    _letters: tuple = field(init=False, repr=False)
-    _swaps: list = field(init=False, repr=False)
-    _codes: tuple = field(init=False, repr=False)
-    _canon: dict = field(default_factory=dict, init=False, repr=False)
-
     def __post_init__(self):
+        super().__post_init__()
         n, dim = self.n, self.base.space.dim
-        # (base index, row, column) of every flat index of M_n(A)
-        self._letters = tuple((a, i, j) for a in range(dim)
-                              for i in range(n) for j in range(n))
         # the flat index of every letter once positions k and k+1 swap
         self._swaps = []
         for k in range(n - 1):
@@ -339,20 +370,6 @@ class GLCoinvariantModel(CEModel):
                     vanishes = True
         return signs, vanishes
 
-    def block_sum(self, left, right):
-        """(sign, representative) of the block sum of two canonical words:
-        `right` moved onto the positions past the largest one `left`
-        touches, the union sorted with its Koszul sign and sent through
-        `canonical`.  Raises ValueError when the two do not fit side by
-        side in n positions."""
-        letters, n = self._letters, self.n
-        shift = 1 + max((max(letters[x][1:]) for x in left), default=-1)
-        moved = tuple(gl_index(n, self.base.space.dim, a, i + shift, j + shift)
-                      for a, i, j in (letters[x] for x in right))
-        sign, word = canonical_sym(left + moved, self.algebra.suspended)
-        orbit_sign, rep = self.canonical(word)
-        return sign * orbit_sign, rep
-
 
 def _segment_words(space, letters, n, total_degree, weight):
     """The canonical words of one suspended degree and torus weight whose
@@ -434,6 +451,15 @@ def _segment_words(space, letters, n, total_degree, weight):
     return sorted(out)
 
 
+def _require_strict_unit(base):
+    unitality = check_strict_unit(base)
+    if not unitality:
+        reason, _, word = unitality.failures[0]
+        raise ValueError(
+            "the coinvariant model needs a base algebra with a strict unit "
+            f"({reason} at {word})")
+
+
 def gl_coinvariant_model(base, n, max_degree):
     """Build the zero-weight coinvariant model of gl_n(A) on S_n-orbits
     through the given degree.
@@ -467,12 +493,7 @@ def gl_coinvariant_model(base, n, max_degree):
     `CEModel` states, so the E_12 images of the top block (most of the span
     generators) are never built.
     """
-    unitality = check_strict_unit(base)
-    if not unitality:
-        reason, _, word = unitality.failures[0]
-        raise ValueError(
-            "the coinvariant model needs a base algebra with a strict unit "
-            f"({reason} at {word})")
+    _require_strict_unit(base)
     L = gl(MatrixAlgebraSpec(base, n))
     base_dim = base.space.dim
     susp = L.suspended
@@ -508,4 +529,188 @@ def gl_coinvariant_model(base, n, max_degree):
                 gens.append(img)
         if gens:
             model.spans[q] = gens
+    return model
+
+
+# ---------------------------------------------------------------------------
+# The stable model on permutation words
+
+
+class PermutationModel(_MatrixWordModel):
+    """The coinvariant complex of gl_n(A) at n = max_degree + 1, presented
+    on permutation words, with no quotient left to take.
+
+    A permutation word uses each position it touches exactly once as a row
+    and once as a column: its letters are a_p (x) E_{p, sigma(p)} for a
+    permutation sigma of the touched positions.  Its S_n-orbit is a multiset
+    of cyclic words of base letters, one per cycle of sigma, read along the
+    cycle.  For n >= k the gl_n(K)-coinvariants of k letters have a basis of
+    such orbits (the first and second fundamental theorems for GL_n;
+    Procesi, Adv. Math. 19 (1976); Loday-Quillen, Comment. Math. Helv. 59
+    (1984)), and a word of degree q has at most q letters, so through
+    max_degree + 1 every block of C_0 / S is spanned, without relations, by
+    the non-vanishing orbit representatives: `spans` is empty.  The
+    differential, the coproduct factors that have zero weight and the block
+    sum all stay on permutation words, since a bracket merges letters only
+    along a chain of sigma.  A zero-weight word that is not a permutation
+    word reaching `canonical` is a fault of the package.
+    """
+
+    def canonical(self, word):
+        """The class of a canonical word, as (sign, representative): the
+        cycle form of a permutation word, (0, None) on nonzero weight.
+
+        The cycles of sigma are read from their smallest position, each
+        rotated to its smallest reading, sorted by reading (stably), and
+        their positions relabelled 0..t-1 in that order; the sign is the
+        Koszul sign of re-sorting the relabelled letters.  The word is
+        zero when its stabilizer acts by -1, that is when turning a
+        periodic cycle onto itself (`_least_rotation`), or swapping two
+        equal cycles of odd degree, has sign -1.  Memoized."""
+        canon = self._canon
+        if word in canon:
+            return canon[word]
+        letters, n = self._letters, self.n
+        rows = [letters[x][1] for x in word]
+        cols = [letters[x][2] for x in word]
+        if sorted(rows) != sorted(cols):
+            canon[word] = 0, None
+            return canon[word]
+        if len(set(rows)) < len(rows):
+            raise InconsistencyError(
+                f"the zero-weight word {word} of the permutation model is "
+                "not a permutation word")
+        degrees = self.algebra.suspended.degrees
+        slot = {i: t for t, i in enumerate(rows)}
+        cycles, seen, vanishes = [], set(), False
+        for start in sorted(rows):
+            if start in seen:
+                continue
+            path, i = [], start
+            while i not in seen:
+                seen.add(i)
+                path.append(slot[i])
+                i = cols[slot[i]]
+            odd = sum(degrees[word[t]] % 2 for t in path)
+            key, s, flips = _least_rotation(
+                [letters[word[t]][0] for t in path], odd)
+            vanishes = vanishes or flips
+            cycles.append((key, odd, path[s:] + path[:s]))
+        cycles.sort(key=lambda c: c[0])
+        if any(a[0] == b[0] and a[1] % 2 for a, b in zip(cycles, cycles[1:])):
+            vanishes = True
+        place = {}
+        for _, _, path in cycles:
+            for t in path:
+                place[rows[t]] = len(place)
+        nn = n * n
+        sign, rep = canonical_sym(
+            tuple(letters[x][0] * nn + place[i] * n + place[j]
+                  for x, i, j in zip(word, rows, cols)),
+            self.algebra.suspended)
+        canon[word] = (0 if vanishes else sign), rep
+        return canon[word]
+
+    def relations(self):
+        """For each representative of degree <= max_degree and each adjacent
+        transposition (k, k+1) of its touched positions: the relabelled
+        word w minus its class sign . target, whose coproduct must vanish.
+
+        These are the identifications the presentation makes at its
+        representatives only, a generating set of the relabellings there;
+        the check is not complete over all words."""
+        letters, n = self._letters, self.n
+        nn, susp = n * n, self.algebra.suspended
+        for q in range(self.max_degree + 1):
+            for rep in self.blocks.get(q, ()):
+                top = 1 + max((max(letters[x][1:]) for x in rep), default=-1)
+                for k in range(top - 1):
+                    move = {k: k + 1, k + 1: k}
+                    _, w = canonical_sym(
+                        tuple(a * nn + move.get(i, i) * n + move.get(j, j)
+                              for a, i, j in (letters[x] for x in rep)), susp)
+                    sign, target = self.canonical(w)
+                    relation = {w: 1}
+                    if sign:
+                        add_into(relation, target, -sign)
+                    if relation:
+                        yield q, relation
+
+
+def _least_rotation(reading, odd):
+    """(smallest rotation of a cyclic word, where it starts, whether turning
+    the word onto itself acts by -1); `odd` counts its odd letters.  A word
+    whose reading repeats r times turns onto itself by permuting each
+    residue class of its odd letters in an r-cycle."""
+    turns = [tuple(reading[s:] + reading[:s]) for s in range(len(reading))]
+    key = min(turns)
+    r = turns.count(key)
+    return key, turns.index(key), (r - 1) * (odd // r) % 2 == 1
+
+
+def _necklaces(degrees, top):
+    """The cyclic words of base letters of total degree <= top, each as its
+    smallest rotation, in sorted order, as (reading, degree) pairs; a
+    cyclic word whose rotation onto itself acts by -1 is left out."""
+    out = []
+    reading = []
+
+    def extend(degree):
+        if reading:
+            odd = sum(degrees[a] % 2 for a in reading)
+            key, start, flips = _least_rotation(reading, odd)
+            if not start and not flips:
+                out.append((key, degree))
+        for a, d in enumerate(degrees):
+            if degree + d <= top:
+                reading.append(a)
+                extend(degree + d)
+                reading.pop()
+
+    extend(0)
+    return sorted(out)
+
+
+def gl_permutation_model(base, max_degree):
+    """Build the stable coinvariant model of gl_n(A), n = max_degree + 1,
+    on permutation words (see `PermutationModel`).
+
+    The base must carry a strict unit, as for `gl_coinvariant_model`.
+    gl_n(A) is built and certified by `gl`.  The orbits are enumerated
+    directly: a block of degree q lists, for every multiset of cyclic words
+    of total degree q whose stabilizer does not act by -1, the word that
+    puts the cycles in sorted order on consecutive positions, each read
+    from its first position.  That word is its own cycle form, with sign 1.
+    """
+    _require_strict_unit(base)
+    n = max_degree + 1
+    L = gl(MatrixAlgebraSpec(base, n))
+    model = PermutationModel(L, max_degree, {}, {}, n=n, base=base)
+    necklaces = _necklaces(base.suspended.degrees, n)
+    nn = n * n
+
+    def extend(start, room, cycles, out):
+        if not room:
+            word, offset = [], 0
+            for reading in cycles:
+                size = len(reading)
+                word.extend(a * nn + (offset + s) * n + offset + (s + 1) % size
+                            for s, a in enumerate(reading))
+                offset += size
+            out.append(tuple(sorted(word)))
+            return
+        for p in range(start, len(necklaces)):
+            reading, d = necklaces[p]
+            # two equal cycles of odd degree swap with sign -1
+            if d > room or (cycles and cycles[-1] == reading and d % 2):
+                continue
+            cycles.append(reading)
+            extend(p, room - d, cycles, out)
+            cycles.pop()
+
+    for q in range(max_degree + 2):
+        reps = []
+        extend(0, q, [], reps)
+        if reps:
+            model.blocks[q] = sorted(reps)
     return model

@@ -17,14 +17,16 @@ Conventions used throughout the package:
 * Operators passing a tensor factor pick up (-1)^(|op| * |factor|); tensor
   products of operators follow (F (x) G)(x (x) y) = (-1)^(|G||x|) F x (x) G y.
 
-Elements are plain dicts {word: Fraction}; helpers here keep them normalized
-(no zero coefficients).
+Elements are plain dicts {word: coefficient}; helpers here keep them
+normalized (no zero coefficients).  Coefficients are exact: an int when
+integral, a Fraction otherwise (`exact`).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 
 __all__ = [
     "GradedSpace",
@@ -34,6 +36,7 @@ __all__ = [
     "unshuffle_splits",
     "canonical_sym",
     "add_into",
+    "exact",
 ]
 
 
@@ -130,19 +133,22 @@ def canonical_sym(word, space):
     """Canonical representative of a symmetric word: indices sorted ascending.
 
     Returns (sign, sorted_word); sign 0 means the word vanishes (a repeated
-    factor of odd suspended degree).
+    factor of odd suspended degree).  Only odd factors pass each other with
+    a sign, so the sign is the parity of the inversions among them.
     """
-    n = len(word)
-    if n <= 1:
-        return 1, tuple(word)
+    sorted_word = tuple(sorted(word))
     degs = space.degrees
-    order = sorted(range(n), key=lambda i: word[i])
-    sorted_word = tuple(word[i] for i in order)
-    for a in range(n - 1):
-        if sorted_word[a] == sorted_word[a + 1] and degs[sorted_word[a]] % 2:
-            return 0, sorted_word
-    word_degs = [degs[i] for i in word]
-    return sign_of_arrangement(word_degs, order), sorted_word
+    odd = [x for x in word if degs[x] % 2]
+    if len(odd) < 2:
+        return 1, sorted_word
+    if len(set(odd)) < len(odd):
+        return 0, sorted_word
+    flips = 0
+    for a, x in enumerate(odd):
+        for y in odd[a + 1:]:
+            if x > y:
+                flips += 1
+    return (-1 if flips % 2 else 1), sorted_word
 
 
 def add_into(element, word, coeff):
@@ -154,3 +160,12 @@ def add_into(element, word, coeff):
         element[word] = nv
     else:
         del element[word]
+
+
+def exact(c):
+    """A coefficient as an exact number: an int when it is integral, a
+    Fraction otherwise (a float is read as the binary fraction it is)."""
+    if type(c) is int:
+        return c
+    f = Fraction(c)
+    return f.numerator if f.denominator == 1 else f

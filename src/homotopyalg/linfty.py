@@ -30,11 +30,12 @@ the quotient itself: on (C/S) (x) (C/S), the canonical isomorph of C (x) C
 modulo S (x) C + C (x) S, with no second complex built.  Classes there are
 read through p (x) p, where p is the chain-level projection of the reduced
 complex onto its homology (Kunneth over a field).  Three facts are verified
-at computation time rather than assumed: the coproduct of every generator of
-S vanishes in (C/S) (x) (C/S) (descent), the coproducts of the
-representatives and of the boundaries are cycles of the pair differential,
-and the coproduct of the boundary of every quotient basis word has zero
-class (independence of the representative).
+at computation time rather than assumed: the coproduct of every relation of
+the model (each generator of S, or for a model with no S the identifications
+its `canonical` makes) vanishes in (C/S) (x) (C/S) (descent), the
+coproducts of the representatives and of the boundaries are cycles of the
+pair differential, and the coproduct of the boundary of every quotient basis
+word has zero class (independence of the representative).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .coalgebra import (
     coproduct_sym,
     extend_coderivation,
 )
-from .graded import GradedSpace, add_into
+from .graded import GradedSpace, add_into, exact
 from .rational_linalg import LinearSolver, RowReducer, kernel
 
 __all__ = [
@@ -85,7 +86,7 @@ class LInftyAlgebra:
     """Finite-dimensional strongly homotopy Lie algebra over Q."""
 
     space: GradedSpace            # unsuspended
-    ops: dict                     # {arity: {ascending word: {index: Fraction}}}
+    ops: dict                     # {arity: {ascending word: {index: int | Fraction}}}
     name: str = ""
     suspended: object = field(init=False)
     ell: Cochain = field(init=False)
@@ -99,7 +100,7 @@ class LInftyAlgebra:
                 if tuple(sorted(w)) != w:
                     raise ValueError(
                         f"bracket entries must use ascending index words, got {w}")
-                val = {i: Fraction(c) for i, c in v.items() if Fraction(c)}
+                val = {i: e for i, c in v.items() if (e := exact(c))}
                 if val:
                     entries[w] = val
             if entries:
@@ -116,7 +117,7 @@ class LInftyAlgebra:
         return extend_coderivation(self.ell, "sym")
 
     def op_value(self, k, word):
-        """ell_k on a sorted word of basis indices, {index: Fraction}."""
+        """ell_k on a sorted word of basis indices, {index: int | Fraction}."""
         return self.ops.get(k, {}).get(tuple(word), {})
 
     def bracket2(self, x, y):
@@ -306,6 +307,14 @@ class CEModel:
     def canonical(self, word):
         return 1, word
 
+    def relations(self):
+        """(degree, element) pairs that are zero in the quotient, whose
+        coproducts `coalgebra_on_homology` checks: here every span
+        generator."""
+        for q, gens in sorted(self.spans.items()):
+            for s in gens:
+                yield q, s
+
     def reduce(self, element):
         """An element over canonical words, rewritten on the keys of the
         complex."""
@@ -412,10 +421,10 @@ class HomologyCoalgebra:
     (C/S) (x) (C/S); `delta[q]` has one row per representative of H_q giving
     its reduced coproduct in that tag basis, read through p (x) p from the
     chain-level projection p of the factor complex.  Every check ran at
-    construction time: the coproduct of every span generator vanishes in
-    (C/S) (x) (C/S), the coproducts of the representatives and of the
-    boundaries of the quotient basis words are cycles, and the latter have
-    zero class.
+    construction time: the coproduct of every relation of the model
+    vanishes in (C/S) (x) (C/S), the coproducts of the representatives and
+    of the boundaries of the quotient basis words are cycles, and the
+    latter have zero class.
     """
 
     table: BettiTable
@@ -443,17 +452,19 @@ def coalgebra_on_homology(model):
     that kills boundaries and sends each representative to its basis
     vector; by the Kunneth theorem over a field, p (x) p sends a cycle of
     (C/S) (x) (C/S) to its class in the basis of representative pairs.
-    Verified before that read-off: the coproduct of every span generator
-    vanishes in (C/S) (x) (C/S) (descent); the coproducts of each
+    Verified before that read-off: the coproduct of every element of
+    `model.relations()` - every span generator, unless the model says
+    otherwise - vanishes in (C/S) (x) (C/S) (descent); the coproducts of each
     representative and of a basis of each boundary image (`image_basis`)
     are cycles of the pair differential res(dx) (x) y + (-1)^|x| x (x)
     res(dy); and the latter have zero class (independence of the
     representative).  Both checks are linear, so that basis makes them
     complete.
-    These hold whenever the spans are images of inner derivations, as they
-    are for every model the package builds, because inner derivations and
-    the differential are coderivations; a failure is a fault of the package
-    and raises `InconsistencyError`.
+    These hold whenever the relations are images of inner derivations or
+    of relabellings by permutation matrices, as they are for every model
+    the package builds, because inner derivations and the differential are
+    coderivations and a relabelling is a coalgebra automorphism; a failure
+    is a fault of the package and raises `InconsistencyError`.
     """
     space, max_degree = model.algebra.suspended, model.max_degree
     cx = model.complex()
@@ -529,11 +540,10 @@ def coalgebra_on_homology(model):
                     add_into(out, (a, q - a, i, j), c * ci * cj)
         return out
 
-    for q, gen_list in sorted(model.spans.items()):
-        for s in gen_list:
-            if reduced_coproduct(s):
-                raise InconsistencyError(
-                    f"coproduct does not descend to the quotient in degree {q}")
+    for q, relation in model.relations():
+        if reduced_coproduct(relation):
+            raise InconsistencyError(
+                f"coproduct does not descend to the quotient in degree {q}")
 
     pair_basis = {}
     for q in range(2, max_degree + 1):

@@ -4,8 +4,10 @@ Two independently built sides of one classical comparison, checked
 degree by degree:
 
 * the left side computes Chevalley-Eilenberg homology of gl_n(A) with
-  coefficients reduced by the adjoint gl_n(K)-action, on the zero-weight
-  coinvariant presentation of `gl_coinvariant_model`;
+  coefficients reduced by the adjoint gl_n(K)-action: at the stable size
+  on the permutation words of `gl_permutation_model`, at the other
+  requested sizes on the zero-weight presentation of
+  `gl_coinvariant_model`;
 * the right side computes the cyclic homology of A by the Connes
   complex and expands the free graded-commutative coalgebra on its
   shift, Lambda(HC(A)[1]), by exact Poincare-series multiplication.
@@ -14,16 +16,16 @@ The two paths share no differential code, so their agreement is evidence
 rather than tautology.
 
 Stability is proved by a degree bound, not detected.  Unsuspended degrees
-are >= 0, so every letter has suspended degree >= 1: a zero-weight word of
-degree q has at most q letters and touches at most q matrix positions, and
-an E_12 source word (weight e_2 - e_1) of degree q touches at most q + 1.
-Degree q of the homology reads the blocks through q + 1 and the quotient
-generators of degrees q - 1 and q, brackets of matrix units do not see n,
-and `canonical` picks as representative the smallest member of an orbit in
-(base, row, column) order, an order that does not see n either.  So
-through degree q the quotient complex is the same for every n >= q + 1, and
-one model at n = max_degree + 1 carries every verdict; the tables of the
-requested sizes are cross-checks against it.
+are >= 0, so every letter has suspended degree >= 1 and a word of degree q
+has at most q letters.  For n >= k the gl_n(K)-coinvariants of k letters
+have a basis of the non-vanishing S_n-orbits of permutation words, each a
+multiset of cyclic words of base letters (the first and second fundamental
+theorems for GL_n), and neither these orbits nor the brackets of matrix
+units see n.  Degree q of the homology reads the blocks through q + 1, so
+through degree q the complex is the same for every n >= q + 1, and one
+model at n = max_degree + 1, `gl_permutation_model`, carries every verdict;
+the tables of the other requested sizes, built on the E_12 presentation,
+are cross-checks against it.
 
 The block-sum product on coinvariant homology is computed in that same
 model.  Representatives of degrees q_a + q_b <= max_degree touch at most
@@ -44,7 +46,7 @@ from fractions import Fraction
 
 from .ainfty import check_stasheff, check_strict_unit, cyclic_homology
 from .chain import BettiTable
-from .constructions import gl_coinvariant_model
+from .constructions import gl_coinvariant_model, gl_permutation_model
 from .graded import add_into
 from .linfty import InconsistencyError, lie_homology, primitives
 
@@ -297,18 +299,18 @@ class LQTReport:
 def verify_lqt(base, sizes, max_degree):
     """Run the full comparison for a unital certified algebra.
 
-    Builds the coinvariant model of gl_n(A) at n = max_degree + 1, which is
+    Builds the permutation model of gl_n(A) at n = max_degree + 1, which is
     stable through max_degree by the degree bound of the module docstring.
     The bound needs every letter to have suspended degree >= 1, which holds
     because documents and `GradedSpace` refuse negative unsuspended degrees.
     The verdicts, the primitives and - when the historical budget allows -
-    the block-sum product are read from that one model.  The requested sizes
-    are built as cross-checks (reusing the stable model when max_degree + 1
-    is among them): a size n must agree with the stable model in every
-    degree q with n >= q + 1, or `InconsistencyError` is raised; below that
-    its table is reported as it is.  For sizes <= 2 the coinvariant
-    reduction is additionally checked against the full (unreduced)
-    homology, which reductivity makes equal.
+    the block-sum product are read from that one model.  The other requested
+    sizes are built with `gl_coinvariant_model` as cross-checks (the stable
+    model serves max_degree + 1 when it is requested): a size n must agree
+    with the stable model in every degree q with n >= q + 1, or
+    `InconsistencyError` is raised; below that its table is reported as it
+    is.  For sizes <= 2 the coinvariant reduction is additionally checked
+    against the full (unreduced) homology, which reductivity makes equal.
     """
     if base.unit is None or not check_strict_unit(base):
         raise ValueError("the comparison needs a strictly unital algebra")
@@ -324,6 +326,8 @@ def verify_lqt(base, sizes, max_degree):
         # the base is certified above, so a refusal or a failed
         # re-certification while building the model is a fault of the package
         try:
+            if n == n_stable:
+                return gl_permutation_model(base, max_degree)
             return gl_coinvariant_model(base, n, max_degree)
         except ValueError as exc:
             raise InconsistencyError(

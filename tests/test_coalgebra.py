@@ -473,6 +473,30 @@ def test_bracket_matches_words_on_drawn_pairs(pair):
         assert all(type(c) is Fraction for c in report.witness[2].values())
 
 
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(coderivation_pairs())
+def test_bracket_of_a_coderivation_with_itself_matches_words(pair):
+    # [d, d] is composed once, scaled by 1 - (-1)^(|d||d|)
+    d, _, cap = pair
+    assert bracket(d, d, cap) == commutator_by_words(d, d, cap)
+
+
+def test_check_linfty_composes_once(monkeypatch):
+    L = gl(MatrixAlgebraSpec(matrix_bases()[0], 3))
+    calls = []
+    real = coalgebra._compose
+
+    def counting(*args):
+        calls.append(args[0] is args[1])
+        return real(*args)
+
+    monkeypatch.setattr(coalgebra, "_compose", counting)
+    monkeypatch.setattr(coalgebra, "_CERTIFIED", {})
+    report = check_linfty(L)
+    assert report.ok and report.complete
+    assert calls == [True]
+
+
 def flip_first_sign(cochain, arity):
     """A copy of the cochain with its first arity-k entry negated."""
     comps = {k: {w: dict(v) for w, v in table.items()}

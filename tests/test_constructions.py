@@ -34,6 +34,7 @@ from homotopyalg.constructions import (
     gl,
     gl_coinvariant_model,
     gl_index,
+    gl_permutation_model,
     lie_ify,
     matrix_algebra,
 )
@@ -478,6 +479,8 @@ def test_coinvariant_model_needs_unital_base():
     no_unit = AInftyAlgebra(GradedSpace(("1",), (0,)), {2: {(0, 0): {0: 1}}})
     with pytest.raises(ValueError, match="strict unit"):
         gl_coinvariant_model(no_unit, 2, 2)
+    with pytest.raises(ValueError, match="strict unit"):
+        gl_permutation_model(no_unit, 2)
 
 
 def test_coinvariant_model_refuses_non_strict_unit():
@@ -886,3 +889,33 @@ def test_orbits_of_degree_at_most_n_do_not_depend_on_n(base_name, n):
                 for w in small.blocks.get(q, [])] == large.blocks.get(q, []), q
     if base_name == "K":
         assert len(orbits[0]) == 9   # degree 4, at n = 4 and n = 5
+
+
+# ---------------------------------------------------------------------------
+# exact values
+
+
+def stored_values(alg):
+    cochain = alg.m if isinstance(alg, AInftyAlgebra) else alg.ell
+    for ops in (alg.ops, cochain.comps):
+        for table in ops.values():
+            for val in table.values():
+                yield from val.values()
+
+
+def test_no_stored_value_is_a_float():
+    # K[h] / (h^2 - h/2), given with float and Fraction values
+    base = AInftyAlgebra(
+        GradedSpace(("1", "h"), (0, 0)),
+        {2: {(0, 0): {0: 1.0}, (0, 1): {1: Fraction(2, 2)}, (1, 0): {1: 1},
+             (1, 1): {1: 0.5}}}, unit=0, name="half")
+    spec = MatrixAlgebraSpec(base, 2)
+    model = gl_permutation_model(base, 2)
+    values = [v for alg in (base, matrix_algebra(spec), gl(spec), model.algebra)
+              for v in stored_values(alg)]
+    values += [v for q in range(1, 4) for col in model.complex()._boundary(q)
+               for v in col.values()]
+    assert Fraction(1, 2) in values and Fraction(-1, 2) in values
+    assert {type(v) for v in values} == {int, Fraction}
+    # an integral value is stored as an int
+    assert all(type(v) is int for v in values if v.denominator == 1)

@@ -4,16 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homotopyalg.graded import (
     GradedSpace,
     act,
     add_into,
     canonical_sym,
+    exact,
     inverse,
     sign_of_arrangement,
     unshuffle_splits,
 )
+
+from word_oracles import canonical_sym_by_arrangement
 
 
 # Permutation and element helpers that only these tests use.
@@ -196,6 +200,30 @@ def test_canonical_sym_consistent_with_action():
         assert w0 == w1
         # canonicalizing before or after a permutation agrees (cocycle law)
         assert s0 == s_act * s1 or (s0 == 0 and s1 == 0)
+
+
+@st.composite
+def graded_words(draw):
+    """A space of one to four letters of both parities, and a word of up to
+    eight letters over it, so that even and odd letters repeat."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    space = GradedSpace(tuple("abcd"[:len(degrees)]), tuple(degrees))
+    word = draw(st.lists(st.integers(0, len(degrees) - 1), max_size=8))
+    return space, tuple(word)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(graded_words())
+def test_canonical_sym_matches_the_arrangement_sign(drawn):
+    space, word = drawn
+    assert canonical_sym(word, space) == \
+        canonical_sym_by_arrangement(word, space)
+
+
+def test_exact_keeps_integers_as_int():
+    assert [type(exact(c)) for c in (3, Fraction(4, 2), 2.0, True)] == [int] * 4
+    assert exact(Fraction(1, 3)) == Fraction(1, 3)
+    assert exact(0.5) == Fraction(1, 2) and type(exact(0.5)) is Fraction
 
 
 def test_graded_space_validation():

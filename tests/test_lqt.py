@@ -178,23 +178,31 @@ def test_hopf_product_where_the_cli_skips_it(name):
 
 
 @pytest.mark.parametrize("base,sizes,max_degree,expect", [
-    (ground_field, [3, 4], 4, [3, 4, 5]),
-    (dual_numbers, [3, 4], 3, [3, 4]),
-    (ground_field, [4], 4, [4, 5]),
+    (ground_field, [3, 4], 4, [3, 4]),
+    (dual_numbers, [3, 4], 3, [3]),
+    (ground_field, [4], 4, [4]),
 ], ids=["lqt-K", "lqt-dual", "K-default"])
 def test_verify_lqt_builds_one_stable_model(monkeypatch, base, sizes,
                                             max_degree, expect):
-    # the requested sizes and n = max_degree + 1, each once; no gl_2n
-    built = []
-    real = lqt.gl_coinvariant_model
+    # one permutation model at n = max_degree + 1, which also serves that
+    # size when it is requested, and an E_12 model for each other requested
+    # size, each once; no gl_2n
+    built, stable = [], []
+    real, real_stable = lqt.gl_coinvariant_model, lqt.gl_permutation_model
 
     def counting(base, n, max_degree):
         built.append(n)
         return real(base, n, max_degree)
 
+    def counting_stable(base, max_degree):
+        stable.append(max_degree + 1)
+        return real_stable(base, max_degree)
+
     monkeypatch.setattr(lqt, "gl_coinvariant_model", counting)
+    monkeypatch.setattr(lqt, "gl_permutation_model", counting_stable)
     report = verify_lqt(base(), sizes, max_degree)
     assert sorted(built) == expect
+    assert stable == [max_degree + 1]
     assert report.all_match
     if not isinstance(report.hopf, str):
         assert report.hopf.ok and report.hopf.n == max_degree + 1

@@ -8,13 +8,33 @@ sum over permutations (no 1/n!); its retraction p canonicalizes and divides
 by n!, so p . i = id, and the shuffle coproduct is exactly the image of
 deconcatenation under (p (x) p) . i.  With these choices the arity-2
 read-off of p . D_m . i is the plain graded commutator, with no stray factor.
+
+`canonical_sym_by_arrangement` is the earlier form of `canonical_sym`: it
+sorts the positions by letter and takes the Koszul sign of that arrangement
+over every pair of factors.  It is kept as the reference for the
+odd-letter inversion count.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from homotopyalg.graded import act, add_into, canonical_sym
+from homotopyalg.graded import act, add_into, canonical_sym, sign_of_arrangement
+
+
+def canonical_sym_by_arrangement(word, space):
+    """(sign, sorted word) of a symmetric word, sign 0 on a repeated odd
+    factor, by the Koszul sign of the sorting arrangement."""
+    n = len(word)
+    if n <= 1:
+        return 1, tuple(word)
+    degs = space.degrees
+    order = sorted(range(n), key=lambda i: word[i])
+    sorted_word = tuple(word[i] for i in order)
+    for a in range(n - 1):
+        if sorted_word[a] == sorted_word[a + 1] and degs[sorted_word[a]] % 2:
+            return 0, sorted_word
+    return sign_of_arrangement([degs[i] for i in word], order), sorted_word
 
 
 def include_i(element, space):
