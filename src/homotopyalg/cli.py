@@ -476,8 +476,9 @@ def build_parser():
                             "exterior coalgebra on shifted cyclic homology")
     common(p)
     p.add_argument("--n", default="4",
-                   help="comma list of matrix sizes whose tables are "
-                        "cross-checked against the stable model (default 4)")
+                   help="comma list of matrix sizes whose tables are read "
+                        "off the stable model through the corner inclusion "
+                        "and cross-checked against it (default 4)")
     p.add_argument("--max-degree", type=int, default=4)
     p.set_defaults(func=_cmd_lqt)
     return parser

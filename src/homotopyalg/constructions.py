@@ -2,10 +2,9 @@
 
 Builders that turn one structured algebra into another: the commutator
 functor from homotopy-associative to homotopy-Lie structures, matrix
-algebras M_n(A) and their Lie forms gl_n(A), and two presentations of the
-coinvariant Chevalley-Eilenberg complex of gl_n(A): on zero-weight words
-modulo the E_12 images, for any n, and on permutation words alone, at the
-stable size n = max_degree + 1.
+algebras M_n(A) and their Lie forms gl_n(A), and the coinvariant
+Chevalley-Eilenberg complex of gl_n(A) for every n, all read off one
+stable model.
 
 M_n(A) = A (x) M_n(K) is built by the matrix-unit rule: the matrix units
 sit in degree 0 and multiply by E_ij E_jl = E_il, so an operation of A
@@ -24,31 +23,25 @@ entry each permutation reaches, so only the arities carried by the
 associative structure occur; every result is re-certified rather than
 trusted.
 
-gl_n(A) carries the adjoint action of the matrix units of gl_n(K).  The
-coinvariant Chevalley-Eilenberg complex is isomorphic to the zero-weight
-words modulo the off-diagonal adjoint images of the opposite-weight
-words.  With a strict unit in the base, relabelling the matrix positions
-of a word fixes its class up to the Koszul sign of sorting, and modulo
-these identities the single image E_12 . C_{e_2 - e_1} spans the
-relations, for the reasons `GLCoinvariantModel` gives (Weyl, The
-Classical Groups, for the first fundamental theorem of GL_n).
-`gl_coinvariant_model` keeps one
-representative per S_n-orbit of zero-weight words, drops an orbit whose
-stabilizer acts by -1, and rewrites the E_12 images on representatives.
-One walk along adjacent transpositions, carrying Koszul signs, visits
-each orbit once: it signs every member against the representative and
-finds a stabilizer acting by -1, and with the first two positions fixed
-it picks one E_12 source word per orbit of those permutations, whose
-images agree up to sign.  Its agreement with the simple-root
-presentation, with the word-by-word build and with the generic
-quotient-by-all-generators route is part of the test suite, not assumed
-here.
+gl_n(A) carries the adjoint action of the matrix units of gl_n(K).  At
+N = max_degree + 1, `PermutationModel` presents the coinvariants of its
+Chevalley-Eilenberg complex on the orbits of permutation words: a word of
+degree q has at most q letters, and for N >= k the coinvariants of k
+letters have a basis of such orbits (the first and second fundamental
+theorems for GL_N).
 
-Once n is at least the number of letters, no E_12 image is needed: at n =
-max_degree + 1, `PermutationModel` presents the same quotient on the
-orbits of permutation words alone, enumerated directly and canonicalized
-by their cycles instead of by an orbit walk.  Its agreement with
-`gl_coinvariant_model` at that size is part of the test suite.
+Every other size is a subcomplex of that one, not a quotient.  The corner
+inclusion gl_n(A) -> gl_N(A) is a strict L-infinity map, and it is
+injective on coinvariants: its dual restricts the trace invariants
+tr_sigma of gl_N to gl_n, which by the first fundamental theorem for GL_n
+span the invariants of gl_n (Procesi, Adv. Math. 19 (1976); Loday-Quillen,
+Comment. Math. Helv. 59 (1984)).  So `gl_coinvariant_model` presents gl_n(A)
+as the span of the classes of the words on the positions below n.  By the
+splitting identity (`_split`), the class of a word is the sum over its
+matchings - the bijections that send each letter to a letter whose row is
+its column - of the permutation words that give each letter a position of
+its own, with Koszul signs.  No root image, orbit walk or quotient echelon
+is needed; the E_12 presentation is the test suite's oracle.
 """
 
 from __future__ import annotations
@@ -56,17 +49,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .ainfty import AInftyAlgebra, check_stasheff, check_strict_unit
+from .chain import BettiTable
 from .graded import GradedSpace, add_into, canonical_sym, sign_of_arrangement
-from .linfty import (
-    CEModel,
-    InconsistencyError,
-    LInftyAlgebra,
-    check_linfty,
-    make_inner,
-)
+from .linfty import CEModel, InconsistencyError, LInftyAlgebra, check_linfty
+from .rational_linalg import RowReducer
 
 __all__ = [
     "MatrixAlgebraSpec",
@@ -215,14 +203,41 @@ def gl_index(n, base_dim, a, i, j):
 
 
 # ---------------------------------------------------------------------------
-# The coinvariant model of gl_n(A) in zero weight
+# The stable model on permutation words
+
+
+def _require_strict_unit(base):
+    unitality = check_strict_unit(base)
+    if not unitality:
+        reason, _, word = unitality.failures[0]
+        raise ValueError(
+            "the coinvariant model needs a base algebra with a strict unit "
+            f"({reason} at {word})")
 
 
 @dataclass
-class _MatrixWordModel(CEModel):
-    """What both presentations of the coinvariant complex of gl_n(A) share:
-    the (base index, row, column) table of the flat indices of M_n(A), the
-    memo of `canonical`, and the block sum of two canonical words."""
+class PermutationModel(CEModel):
+    """The coinvariant complex of gl_n(A) at n = max_degree + 1, presented
+    on permutation words, with no quotient left to take.
+
+    A permutation word uses each position it touches exactly once as a row
+    and once as a column: its letters are a_p (x) E_{p, sigma(p)} for a
+    permutation sigma of the touched positions.  Its S_n-orbit is a multiset
+    of cyclic words of base letters, one per cycle of sigma, read along the
+    cycle.  For n >= k the gl_n(K)-coinvariants of k letters have a basis of
+    such orbits (the first and second fundamental theorems for GL_n;
+    Procesi, Adv. Math. 19 (1976); Loday-Quillen, Comment. Math. Helv. 59
+    (1984)), and a word of degree q has at most q letters, so through
+    max_degree + 1 every block of the coinvariant complex has a basis of
+    the non-vanishing orbit representatives: `spans` is empty.  The
+    differential, the coproduct factors that have zero weight and the block
+    sum all stay on permutation words, since a bracket merges letters only
+    along a chain of sigma.  A zero-weight word that is not a permutation
+    word reaching `canonical` is a fault of the package.
+
+    `_letters` is the (base index, row, column) table of the flat indices
+    of M_n(A), and `_canon` the memo of `canonical`.
+    """
 
     n: int = field(kw_only=True)
     base: AInftyAlgebra = field(kw_only=True)
@@ -247,314 +262,6 @@ class _MatrixWordModel(CEModel):
         sign, word = canonical_sym(left + moved, self.algebra.suspended)
         orbit_sign, rep = self.canonical(word)
         return sign * orbit_sign, rep
-
-
-class GLCoinvariantModel(_MatrixWordModel):
-    """The gl_n(K)-coinvariant Chevalley-Eilenberg complex of gl_n(A),
-    presented on S_n-orbits of zero-weight words.
-
-    The full complex splits over the weight lattice of the diagonal torus,
-    whose matrix units act on a word by its total weight; every
-    nonzero-weight summand is killed by its own torus action, and the
-    zero-weight summand C_0 is quotiented by S, the sum of the root images
-    E_alpha . C_{-alpha}.  Conjugation by a permutation matrix sigma acts
-    on words letterwise, a (x) E_ij -> a (x) E_{sigma i, sigma j}, followed
-    by the Koszul sign of `canonical_sym`, and it fixes every class of
-    C_0 / S:
-
-    * with a strict unit, exp(t E_ij) (i != j) acts on the complex and
-      trivially on its coinvariants, because E_ij acts there by zero;
-    * the diagonal torus acts trivially on weight zero;
-    * every permutation matrix is a product of these two kinds.
-
-    So w = +-sigma(w) modulo S (Weyl's first fundamental theorem for
-    GL_n is the classical form of this).  `canonical` sends a word to
-    (sign, representative of its orbit): the representative is the
-    smallest member touching the positions 0..t-1, in (base, row, column)
-    order, and an orbit whose stabilizer acts on it by -1 is zero in the
-    quotient and gets sign 0.  Every root is Weyl-conjugate to e_1 - e_2,
-    so the single image E_12 . C_{e_2 - e_1} spans S modulo these
-    identities.  `blocks[q]` lists the non-vanishing orbit representatives
-    of degree q and `spans[q]` the E_12 images written on representatives,
-    in the degrees `CEModel` states.  Through max_degree the quotient is
-    isomorphic to C_0 / S, which the test suite checks against the
-    simple-root presentation.  The coproduct canonicalizes each tensor
-    factor on its own, since S_n acts trivially on each factor C_0 / S.
-    """
-
-    def __post_init__(self):
-        super().__post_init__()
-        n, dim = self.n, self.base.space.dim
-        # the flat index of every letter once positions k and k+1 swap
-        self._swaps = []
-        for k in range(n - 1):
-            move = list(range(n))
-            move[k], move[k + 1] = k + 1, k
-            self._swaps.append(tuple(a * n * n + move[i] * n + move[j]
-                                     for a, i, j in self._letters))
-        # one layer of dim * (n + 1) bits per position: an odd letter
-        # (a, i, j) sets bit a of layer i and bit dim + a * n + i of layer j
-        degrees, width = self.algebra.suspended.degrees, dim * (n + 1)
-        self._codes = tuple(
-            (1 << (i * width + a)) | (1 << (j * width + dim + a * n + i))
-            if degrees[x] % 2 else 0
-            for x, (a, i, j) in enumerate(self._letters))
-
-    def canonical(self, word):
-        """The class of a canonical word in the quotient, as (sign,
-        representative).  Sign 0 means the word is zero there: either its
-        weight is nonzero (representative None) or its orbit's stabilizer
-        acts on it by -1.  A zero-weight word is relabelled onto positions
-        0..t-1 in their order, which keeps its letters sorted; the first
-        such word of an orbit is walked by `_orbit`, and the answer for
-        every member is memoized."""
-        canon, letters, n = self._canon, self._letters, self.n
-        if word not in canon:
-            net = {}
-            for x in word:
-                _, i, j = letters[x]
-                net[i] = net.get(i, 0) + 1
-                net[j] = net.get(j, 0) - 1
-            if any(net.values()):
-                canon[word] = (0, None)
-            else:
-                place = {p: r for r, p in enumerate(sorted(net))}
-                segment = tuple(a * n * n + place[i] * n + place[j]
-                                for a, i, j in (letters[x] for x in word))
-                if segment not in canon:
-                    signs, vanishes = self._orbit(segment, 0)
-                    rep = min(signs)
-                    for member, sign in signs.items():
-                        canon[member] = \
-                            (0 if vanishes else sign * signs[rep], rep)
-                canon[word] = canon[segment]
-        return canon[word]
-
-    def _orbit(self, word, fixed):
-        """The orbit of a segment word under the permutations of its
-        touched positions 0..t-1 that fix the first `fixed` of them, as
-        ({member: sign}, vanishes): word = sign . member in the quotient,
-        and `vanishes` says that a stabilizer acts by -1.
-
-        The walk steps along the adjacent transpositions (k, k+1), fixed <=
-        k < t-1, which generate those permutations.  A step carries the
-        Koszul sign of re-sorting: in (base, row, column) order, (k, k+1)
-        reverses the pairs of letters with one base letter whose rows are
-        {k, k+1}, or whose rows agree and whose columns are {k, k+1}.  In
-        the XOR of the letters' codes, layer k holds the parity of the odd
-        letters of each base in row k and the odd letters of each (base,
-        row) in column k, so the bits of layer k of code & (code >> width)
-        count the pairs of odd letters that (k, k+1) reverses, modulo 2.
-        A step onto a member already signed the other way closes a loop
-        acting by -1."""
-        letters, swaps, codes = self._letters, self._swaps, self._codes
-        width = self.base.space.dim * (self.n + 1)
-        layer = (1 << width) - 1
-        top = 1 + max((max(letters[x][1:]) for x in word), default=-1)
-        signs, todo, vanishes = {word: 1}, [word], False
-        while todo:
-            u = todo.pop()
-            here, code = signs[u], 0
-            for x in u:
-                code ^= codes[x]
-            pairs = code & (code >> width)
-            for k in range(fixed, top - 1):
-                flips = ((pairs >> k * width) & layer).bit_count()
-                sign = -here if flips % 2 else here
-                image = tuple(sorted([swaps[k][x] for x in u]))
-                known = signs.get(image)
-                if known is None:
-                    signs[image] = sign
-                    todo.append(image)
-                elif known != sign:
-                    vanishes = True
-        return signs, vanishes
-
-
-def _segment_words(space, letters, n, total_degree, weight):
-    """The canonical words of one suspended degree and torus weight whose
-    touched matrix positions are an initial segment {0, ..., t-1}, in
-    `ce_words` order; `letters` is the model's (base index, row, column)
-    table of the flat indices of M_n(A).
-
-    Every S_n-orbit of zero-weight words has such a member, and so does
-    every orbit of words of weight e_2 - e_1 under the permutations fixing
-    the first two positions.  The letter a (x) E_{i+1,j+1} adds e_i - e_j
-    to the weight, and a word of k letters touches at most k positions
-    beyond those its weight forces, so only rows and columns below that
-    bound are used.  One depth-first pass takes the letters row by row;
-    once a letter of row i is taken, the rows above i are closed, since
-    later letters can only enter them as columns.  A prefix is abandoned
-    when a closed row has too few outgoing letters or is untouched where
-    its weight needs none, when the closed rows need more incoming letters
-    than the remaining degree allows (each letter has degree >= 1), or
-    when its distance to `weight`, or the number of untouched positions
-    below its largest touched one, exceeds twice the remaining degree.
-    """
-    if total_degree == 0:
-        return [()] if not any(weight) else []
-    degs = space.degrees
-    target = list(weight)
-    reach = min(n, total_degree + sum(abs(x) for x in target) // 2)
-    alphabet = sorted((i, idx, j) for idx, (_, i, j) in enumerate(letters)
-                      if i < reach and j < reach)
-    alphabet = [(idx, degs[idx], i, j) for i, idx, j in alphabet]
-    excess = [-x for x in target]     # weight so far minus the target
-    hits = [0] * reach
-    prefix = []
-    out = []
-
-    def extend(start, remaining, closed, debt, dist, count, top):
-        # count: touched positions; top: 1 + the largest touched position
-        for pos in range(start, len(alphabet)):
-            idx, d, i, j = alphabet[pos]
-            while closed < i:
-                e = excess[closed]
-                if e < 0 or (not hits[closed] and not target[closed]):
-                    return
-                debt += e
-                closed += 1
-            if debt > remaining:
-                return
-            if d > remaining or (prefix and prefix[-1] == idx and d % 2):
-                continue
-            moved = i != j
-            if moved and j < closed and not excess[j]:
-                continue
-            step = 0
-            if moved:
-                a, b = excess[i], excess[j]
-                step = abs(a + 1) + abs(b - 1) - abs(a) - abs(b)
-                excess[i] = a + 1
-                excess[j] = b - 1
-            ends = (i, j) if moved else (i,)
-            grown = count + sum(1 for p in ends if not hits[p])
-            gaps = max(top, i + 1, j + 1) - grown
-            left = remaining - d
-            prefix.append(idx)
-            if left == 0:
-                if dist + step == 0 and gaps == 0:
-                    out.append(tuple(sorted(prefix)))
-            elif dist + step <= 2 * left and gaps <= 2 * left:
-                for p in ends:
-                    hits[p] += 1
-                extend(pos, left, closed, debt - (moved and j < closed),
-                       dist + step, grown, max(top, i + 1, j + 1))
-                for p in ends:
-                    hits[p] -= 1
-            prefix.pop()
-            if moved:
-                excess[i] -= 1
-                excess[j] += 1
-
-    extend(0, total_degree, 0, 0, sum(abs(x) for x in target), 0, 0)
-    return sorted(out)
-
-
-def _require_strict_unit(base):
-    unitality = check_strict_unit(base)
-    if not unitality:
-        reason, _, word = unitality.failures[0]
-        raise ValueError(
-            "the coinvariant model needs a base algebra with a strict unit "
-            f"({reason} at {word})")
-
-
-def gl_coinvariant_model(base, n, max_degree):
-    """Build the zero-weight coinvariant model of gl_n(A) on S_n-orbits
-    through the given degree.
-
-    The base must carry a strict unit: it provides the copy of gl_n(K)
-    acting by matrix units, and strictness makes every higher bracket
-    with 1 (x) E vanish, so x -> [delta_ell, delta_x] is a Lie action of
-    gl_n(K) and exp(t E_ij) acts on the complex.  As `GLCoinvariantModel`
-    explains, the words of one S_n-orbit then agree in the quotient up to
-    the sign `canonical` returns.  Every orbit has a member touching the
-    positions 0..t-1, and only those words are enumerated and sent through
-    `canonical`; the block of degree q lists the representatives of the
-    orbits whose stabilizer does not act by -1.
-
-    The zero-weight part of gl_n(K) . C is the sum of E_alpha . C_{-alpha}
-    over the roots alpha (the torus acts by zero on weight zero).  For a
-    root e_i - e_j pick tau with tau(1) = i and tau(2) = j; then
-    E_ij . y = tau(E_12 . tau^{-1} y), whose class is that of E_12 .
-    tau^{-1} y.  So the E_12 images of the words of weight e_2 - e_1 span
-    the quotient's relations, and since E_12 . tau x = tau(E_12 . x) for
-    every tau fixing the first two positions, the words touching an
-    initial segment suffice.  The same identity gives one image per orbit
-    of those tau: tau(E_12 . x) has the class of E_12 . x, so `reduce`
-    sends the images of one orbit to one vector up to sign.  E_12 is
-    evaluated on one word per orbit, which `_orbit` finds with positions 0
-    and 1 fixed; the span, and so the fully reduced echelon of the
-    quotient, is the same.  At n = 1 there is no root: every word is its
-    own orbit and nothing is quotiented.
-
-    Blocks run through max_degree + 1 and spans through max_degree, as
-    `CEModel` states, so the E_12 images of the top block (most of the span
-    generators) are never built.
-    """
-    _require_strict_unit(base)
-    L = gl(MatrixAlgebraSpec(base, n))
-    base_dim = base.space.dim
-    susp = L.suspended
-    model = GLCoinvariantModel(L, max_degree, {}, {}, n=n, base=base)
-
-    zero = (0,) * n
-    root = None
-    if n > 1:
-        # E_12 adds e_1 - e_2, so it maps the words of weight e_2 - e_1
-        # into weight zero
-        gen = {gl_index(n, base_dim, base.unit, 0, 1): Fraction(1)}
-        root = ((-1, 1) + (0,) * (n - 2), make_inner(L, gen).coderivation())
-
-    letters = model._letters
-    for q in range(0, max_degree + 2):
-        reps = set()
-        for word in _segment_words(susp, letters, n, q, zero):
-            sign, rep = model.canonical(word)
-            if sign:
-                reps.add(rep)
-        if reps:
-            model.blocks[q] = sorted(reps)
-        if root is None or q > max_degree:
-            continue
-        weight, act = root
-        gens, seen = [], set()
-        for word in _segment_words(susp, letters, n, q, weight):
-            if word in seen:
-                continue
-            seen.update(model._orbit(word, 2)[0])
-            img = model.reduce(act.eval_word(word))
-            if img:
-                gens.append(img)
-        if gens:
-            model.spans[q] = gens
-    return model
-
-
-# ---------------------------------------------------------------------------
-# The stable model on permutation words
-
-
-class PermutationModel(_MatrixWordModel):
-    """The coinvariant complex of gl_n(A) at n = max_degree + 1, presented
-    on permutation words, with no quotient left to take.
-
-    A permutation word uses each position it touches exactly once as a row
-    and once as a column: its letters are a_p (x) E_{p, sigma(p)} for a
-    permutation sigma of the touched positions.  Its S_n-orbit is a multiset
-    of cyclic words of base letters, one per cycle of sigma, read along the
-    cycle.  For n >= k the gl_n(K)-coinvariants of k letters have a basis of
-    such orbits (the first and second fundamental theorems for GL_n;
-    Procesi, Adv. Math. 19 (1976); Loday-Quillen, Comment. Math. Helv. 59
-    (1984)), and a word of degree q has at most q letters, so through
-    max_degree + 1 every block of C_0 / S is spanned, without relations, by
-    the non-vanishing orbit representatives: `spans` is empty.  The
-    differential, the coproduct factors that have zero weight and the block
-    sum all stay on permutation words, since a bracket merges letters only
-    along a chain of sigma.  A zero-weight word that is not a permutation
-    word reaching `canonical` is a fault of the package.
-    """
 
     def canonical(self, word):
         """The class of a canonical word, as (sign, representative): the
@@ -675,12 +382,13 @@ def gl_permutation_model(base, max_degree):
     """Build the stable coinvariant model of gl_n(A), n = max_degree + 1,
     on permutation words (see `PermutationModel`).
 
-    The base must carry a strict unit, as for `gl_coinvariant_model`.
-    gl_n(A) is built and certified by `gl`.  The orbits are enumerated
-    directly: a block of degree q lists, for every multiset of cyclic words
-    of total degree q whose stabilizer does not act by -1, the word that
-    puts the cycles in sorted order on consecutive positions, each read
-    from its first position.  That word is its own cycle form, with sign 1.
+    The base must carry a strict unit, so that its matrix units act on
+    the complex as gl_n(K).  gl_n(A) is built and certified by `gl`.  The
+    orbits are enumerated directly: a block of degree q lists, for every
+    multiset of cyclic words of total degree q whose stabilizer does not act
+    by -1, the word that puts the cycles in sorted order on consecutive
+    positions, each read from its first position.  That word is its own
+    cycle form, with sign 1.
     """
     _require_strict_unit(base)
     n = max_degree + 1
@@ -714,3 +422,142 @@ def gl_permutation_model(base, max_degree):
         if reps:
             model.blocks[q] = sorted(reps)
     return model
+
+
+# ---------------------------------------------------------------------------
+# Every size through the corner inclusion
+
+
+@dataclass
+class GLCoinvariantModel:
+    """The coinvariant complex of gl_n(A) through degree max_degree + 1, as
+    the image U of the corner inclusion in the stable model: `blocks[q]` is
+    a basis of U_q, each vector a chain over the stable keys (the columns
+    of its echelon), and `spans` is empty, since nothing is quotiented."""
+
+    stable: PermutationModel
+    n: int
+    blocks: dict
+    spans: dict = field(default_factory=dict)
+
+    @property
+    def max_degree(self):
+        return self.stable.max_degree
+
+    def homology(self):
+        """Exact homology in degrees 0..max_degree.  U is a subcomplex, so
+        dim H_q = dim U_q - rank d(U_q) - rank d(U_{q+1}), with d the
+        memoized boundary of the stable complex."""
+        cx, rank = self.stable.complex(), {}
+        for q, chains in self.blocks.items():
+            red = RowReducer()
+            for chain in chains:
+                red.insert(cx.differential(q, chain))
+            rank[q] = red.dim
+        degrees = range(self.max_degree + 1)
+        return BettiTable(
+            dims={q: len(self.blocks.get(q, ())) - rank.get(q, 0)
+                  - rank.get(q + 1, 0) for q in degrees},
+            exact=dict.fromkeys(degrees, True))
+
+
+def gl_coinvariant_model(stable, n):
+    """The coinvariant complex of gl_n(A), n >= 1, inside the stable model
+    of `gl_permutation_model` (see the module docstring): a basis of the
+    span of the classes `_corner_classes` yields.  For n >= stable.n every
+    word of degree <= stable.n has at most n letters, so U is the whole
+    stable complex."""
+    if n < 1:
+        raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
+    blocks = {}
+    for q in range(stable.max_degree + 2):
+        red, basis = RowReducer(), []
+        for _, chain in _corner_classes(stable, n, q):
+            if red.insert(chain) is not None:
+                basis.append(chain)
+        if basis:
+            blocks[q] = basis
+    return GLCoinvariantModel(stable, n, blocks)
+
+
+def _corner_classes(stable, n, q):
+    """(word, class) pairs whose classes span U_q: words of degree q on the
+    positions below n, with their classes over the stable keys.
+
+    Every zero-weight word of gl_n(A) is a collapse of a stable
+    representative rho of k letters: its positions glued along a partition.
+    Coarser collapses are sums of finer ones, so the partitions into
+    min(k, n) blocks suffice; for k <= n that is rho itself.  A collapse
+    with a repeated odd letter is zero, and one whose
+    `_first_appearance_form` was seen lies in the S_n-orbit of an earlier
+    one."""
+    letters, N = stable._letters, stable.n
+    nn, susp = N * N, stable.algebra.suspended
+    seen = set()
+    for rho in stable.blocks.get(q, ()):
+        entries = [letters[x] for x in rho]
+        for part in _set_partitions(len(rho), min(len(rho), n)):
+            sign, word = canonical_sym(
+                tuple(a * nn + part[i] * N + part[j] for a, i, j in entries),
+                susp)
+            key = _first_appearance_form(word, letters, N)
+            if sign and key not in seen:
+                seen.add(key)
+                yield word, {rep: sign * c for rep, c in
+                             _split(stable, entries, part).items()}
+
+
+def _split(stable, entries, part):
+    """The splitting identity: the class, over the stable keys, of the
+    letters `entries` of a permutation word rho in the order given, with
+    their positions glued along `part`.  Its matchings are the
+    permutations tau keeping each block of `part`, and it is the sum of rho
+    with its columns moved by tau, each term sent through `canonical`.  The
+    rows of rho are distinct, so moving columns keeps its letters sorted and
+    no Koszul sign arises."""
+    N = stable.n
+    blocks = [[p for p, c in enumerate(part) if c == b]
+              for b in set(part)]
+    chain = {}
+    for images in itertools.product(*map(itertools.permutations, blocks)):
+        tau = {}
+        for block, image in zip(blocks, images):
+            tau.update(zip(block, image))
+        sign, rep = stable.canonical(
+            tuple((a * N + i) * N + tau[j] for a, i, j in entries))
+        add_into(chain, rep, sign)
+    return chain
+
+
+def _set_partitions(k, n, part=()):
+    """The partitions of the positions 0..k-1 into exactly n blocks that
+    extend `part`, each as the tuple of the block of every position, blocks
+    numbered by first appearance."""
+    used = max(part, default=-1) + 1
+    if len(part) == k:
+        if used == n:
+            yield part
+    # every block not yet opened needs a position of its own
+    elif n - used <= k - len(part):
+        for b in range(min(used + 1, n)):
+            yield from _set_partitions(k, n, part + (b,))
+
+
+def _first_appearance_form(word, letters, N):
+    """The word with its positions renumbered by first appearance along its
+    letters and re-sorted, until nothing changes: a relabelling, so words
+    of two S_N-orbits never share it.  A pass that moves a letter fixes the
+    letters before the first one it moves and lowers that one, so the
+    sorted word decreases and the passes end."""
+    nn = N * N
+    while True:
+        place = {}
+        for x in word:
+            _, i, j = letters[x]
+            place.setdefault(i, len(place))
+            place.setdefault(j, len(place))
+        moved = tuple(sorted(a * nn + place[i] * N + place[j]
+                             for a, i, j in (letters[x] for x in word)))
+        if moved == word:
+            return word
+        word = moved

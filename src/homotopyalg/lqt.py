@@ -5,9 +5,9 @@ degree by degree:
 
 * the left side computes Chevalley-Eilenberg homology of gl_n(A) with
   coefficients reduced by the adjoint gl_n(K)-action: at the stable size
-  on the permutation words of `gl_permutation_model`, at the other
-  requested sizes on the zero-weight presentation of
-  `gl_coinvariant_model`;
+  on the permutation words of `gl_permutation_model`, and at every
+  requested size as the subcomplex `gl_coinvariant_model` reads off that
+  stable model through the corner inclusion;
 * the right side computes the cyclic homology of A by the Connes
   complex and expands the free graded-commutative coalgebra on its
   shift, Lambda(HC(A)[1]), by exact Poincare-series multiplication.
@@ -23,16 +23,18 @@ multiset of cyclic words of base letters (the first and second fundamental
 theorems for GL_n), and neither these orbits nor the brackets of matrix
 units see n.  Degree q of the homology reads the blocks through q + 1, so
 through degree q the complex is the same for every n >= q + 1, and one
-model at n = max_degree + 1, `gl_permutation_model`, carries every verdict;
-the tables of the other requested sizes, built on the E_12 presentation,
-are cross-checks against it.
+model at N = max_degree + 1, `gl_permutation_model`, carries every verdict.
 
-The block-sum product on coinvariant homology is computed in that same
+A requested size n is not built again: the corner inclusion embeds its
+coinvariant complex in the stable one (see `constructions`), and its table
+is the homology of that subcomplex.
+
+The block-sum product on coinvariant homology is computed in the stable
 model.  Representatives of degrees q_a + q_b <= max_degree touch at most
-max_degree < n positions together, so the block sum of two words is the
+max_degree < N positions together, so the block sum of two words is the
 canonical form of their union after the positions of the second are
 shifted past those of the first.  Brackets between letters on disjoint
-positions vanish, so this is a chain map, and S_n acts trivially on the
+positions vanish, so this is a chain map, and S_N acts trivially on the
 quotient, so the class does not depend on where the blocks sit.  Unit,
 graded commutativity, associativity and the products of primitives are
 checked exactly on one product table.
@@ -46,7 +48,12 @@ from fractions import Fraction
 
 from .ainfty import check_stasheff, check_strict_unit, cyclic_homology
 from .chain import BettiTable
-from .constructions import gl_coinvariant_model, gl_permutation_model
+from .constructions import (
+    MatrixAlgebraSpec,
+    gl,
+    gl_coinvariant_model,
+    gl_permutation_model,
+)
 from .graded import add_into
 from .linfty import InconsistencyError, lie_homology, primitives
 
@@ -169,7 +176,7 @@ def hopf_product_on_homology(model):
     The model must have n > max_degree, so that two representatives whose
     degrees add up to at most max_degree fit side by side (see the module
     docstring).  Each pair of words is multiplied by
-    `GLCoinvariantModel.block_sum`.  The unit class must multiply as
+    `PermutationModel.block_sum`.  The unit class must multiply as
     the identity, products must be graded-commutative and associative, and
     a nonzero product of two primitive classes of positive degree must not
     be primitive.
@@ -299,18 +306,18 @@ class LQTReport:
 def verify_lqt(base, sizes, max_degree):
     """Run the full comparison for a unital certified algebra.
 
-    Builds the permutation model of gl_n(A) at n = max_degree + 1, which is
+    Builds the permutation model of gl_N(A) at N = max_degree + 1, which is
     stable through max_degree by the degree bound of the module docstring.
     The bound needs every letter to have suspended degree >= 1, which holds
     because documents and `GradedSpace` refuse negative unsuspended degrees.
     The verdicts, the primitives and - when the historical budget allows -
-    the block-sum product are read from that one model.  The other requested
-    sizes are built with `gl_coinvariant_model` as cross-checks (the stable
-    model serves max_degree + 1 when it is requested): a size n must agree
+    the block-sum product are read from that one model, and each requested
+    size from its subcomplex `gl_coinvariant_model`: a size n must agree
     with the stable model in every degree q with n >= q + 1, or
     `InconsistencyError` is raised; below that its table is reported as it
-    is.  For sizes <= 2 the coinvariant reduction is additionally checked
-    against the full (unreduced) homology, which reductivity makes equal.
+    is.  For sizes <= 2 the table is also checked against the full
+    (unreduced) homology of gl_n(A), built on its own, which reductivity
+    makes equal.
     """
     if base.unit is None or not check_strict_unit(base):
         raise ValueError("the comparison needs a strictly unital algebra")
@@ -322,29 +329,25 @@ def verify_lqt(base, sizes, max_degree):
     if not sizes or sizes[0] < 1:
         raise ValueError("matrix sizes must be integers >= 1")
 
-    def build(n):
+    try:
+        stable = gl_permutation_model(base, max_degree)
+        unreduced = {n: stable.algebra if n == stable.n else
+                     gl(MatrixAlgebraSpec(base, n))
+                     for n in set(sizes) | {stable.n} if n <= 2}
+    except ValueError as exc:
         # the base is certified above, so a refusal or a failed
-        # re-certification while building the model is a fault of the package
-        try:
-            if n == n_stable:
-                return gl_permutation_model(base, max_degree)
-            return gl_coinvariant_model(base, n, max_degree)
-        except ValueError as exc:
-            raise InconsistencyError(
-                f"the model of gl_{n} failed on a certified base: {exc}") from exc
+        # re-certification while building is a fault of the package
+        raise InconsistencyError(
+            f"a model of gl_n failed on a certified base: {exc}") from exc
 
     degrees = range(max_degree + 1)
-    n_stable = max_degree + 1
-    models = {n: build(n) for n in sorted(set(sizes) | {n_stable})}
-    dims = {}
-    for n, model in models.items():
-        table = model.homology()
-        dims[n] = {q: table.dims.get(q, 0) for q in degrees}
-    stable = models[n_stable]
-    stable_dims = dims[n_stable]
+    table = stable.homology()
+    stable_dims = {q: table.dims.get(q, 0) for q in degrees}
     stable_from = {q: q + 1 for q in degrees}
-    left = {n: dims[n] for n in sizes}
+    left = {}
     for n in sizes:
+        table = gl_coinvariant_model(stable, n).homology()
+        left[n] = {q: table.dims.get(q, 0) for q in degrees}
         for q in degrees:
             if n >= stable_from[q] and left[n][q] != stable_dims[q]:
                 raise InconsistencyError(
@@ -352,15 +355,13 @@ def verify_lqt(base, sizes, max_degree):
                     f"which is stable from n = {stable_from[q]}: "
                     f"{left[n][q]} != {stable_dims[q]}")
 
-    for n, model in models.items():
-        if n > 2:
-            continue
-        full = lie_homology(model.algebra, max_degree)
+    for n, L in sorted(unreduced.items()):
+        dims, full = left.get(n, stable_dims), lie_homology(L, max_degree)
         for q in degrees:
-            if full.dims.get(q, 0) != dims[n][q]:
+            if full.dims.get(q, 0) != dims[q]:
                 raise InconsistencyError(
                     f"coinvariant reduction changed homology at size {n}, "
-                    f"degree {q}: {full.dims.get(q, 0)} != {dims[n][q]}")
+                    f"degree {q}: {full.dims.get(q, 0)} != {dims[q]}")
 
     hc = cyclic_homology(base, max_degree - 1 if max_degree else 0)
     right = expand_exterior(hc, max_degree)

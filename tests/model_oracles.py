@@ -1,17 +1,37 @@
-"""Reference models: the simple-root presentation of the zero-weight
-coinvariant model, and the pair-complex homology coproduct.
+"""Reference models: the E_12 presentation of the coinvariant model, its
+simple-root and every-word variants, and the pair-complex homology
+coproduct.
 
-Before the orbit presentation, `gl_coinvariant_model` kept every
-zero-weight word and quotiented by the images of the n-1 positive
-simple-root units E_{r,r+1} on the words of weight e_{r+1} - e_r.  Those
-images span the same subspace as all n(n-1) off-diagonal ones: the sl2
-triple of a root acts completely reducibly on each finite-dimensional
-block, so on weight zero E_alpha . C_{-alpha} = E_{-alpha} . C_alpha, and
-every positive root unit is an iterated commutator of positive simple
-ones.  It is kept here as the reference the orbit model is compared with.
+`E12Model` and `e12_model` present the coinvariant Chevalley-Eilenberg
+complex of gl_n(A), for any n, on zero-weight words modulo the adjoint
+images of the opposite-weight words.  With a strict unit in the base,
+relabelling the matrix positions of a word fixes its class up to the
+Koszul sign of sorting, and modulo these identities the single image E_12
+. C_{e_2 - e_1} spans the relations, for the reasons `E12Model` gives
+(Weyl, The Classical Groups, for the first fundamental theorem of GL_n).
+`e12_model` keeps one representative per S_n-orbit of zero-weight words,
+drops an orbit whose stabilizer acts by -1, and rewrites the E_12 images
+on representatives.  One walk along adjacent transpositions, carrying
+Koszul signs, visits each orbit once: it signs every member against the
+representative and finds a stabilizer acting by -1, and with the first two
+positions fixed it picks one E_12 source word per orbit of those
+permutations, whose images agree up to sign.  It is the oracle for both
+models of the package: the permutation model at the stable size, and the
+corner-inclusion subcomplex at every other size.  It keeps its own letter
+table and block sum, so it shares no code with what it checks.
 
-Before orbit closure, `gl_coinvariant_model` evaluated E_12 on every
-segment word of weight e_2 - e_1, although the words of one orbit under the
+Before the orbit presentation, the E_12 build kept every zero-weight word
+and quotiented by the images of the n-1 positive simple-root units
+E_{r,r+1} on the words of weight e_{r+1} - e_r.  Those images span the
+same subspace as all n(n-1) off-diagonal ones: the sl2 triple of a root
+acts completely reducibly on each finite-dimensional block, so on weight
+zero E_alpha . C_{-alpha} = E_{-alpha} . C_alpha, and every positive root
+unit is an iterated commutator of positive simple ones.
+`simple_root_model` keeps it as the reference the orbit model is compared
+with.
+
+Before orbit closure, the E_12 build evaluated E_12 on every segment word
+of weight e_2 - e_1, although the words of one orbit under the
 permutations fixing the first two positions give, up to sign, one image.
 `every_word_model` keeps that route as the reference for the span
 echelons of the orbit model.  Its zero-weight blocks are built as the
@@ -31,26 +51,331 @@ reference for `lqt.hopf_product_on_homology`.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
+from homotopyalg.ainfty import AInftyAlgebra
 from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import coproduct_sym
 from homotopyalg.constructions import (
-    _segment_words,
-    GLCoinvariantModel,
+    _require_strict_unit,
     MatrixAlgebraSpec,
     gl,
     gl_index,
 )
 from homotopyalg.graded import add_into, canonical_sym
-from homotopyalg.linfty import make_inner
+from homotopyalg.linfty import CEModel, make_inner
 from homotopyalg.rational_linalg import LinearSolver
 
 from matrix_oracles import corner_embed_word, gl_entry
 
 
-class SimpleRootModel(GLCoinvariantModel):
+# ---------------------------------------------------------------------------
+# The E_12 presentation
+
+
+@dataclass
+class E12Model(CEModel):
+    """The gl_n(K)-coinvariant Chevalley-Eilenberg complex of gl_n(A),
+    presented on S_n-orbits of zero-weight words.
+
+    The full complex splits over the weight lattice of the diagonal torus,
+    whose matrix units act on a word by its total weight; every
+    nonzero-weight summand is killed by its own torus action, and the
+    zero-weight summand C_0 is quotiented by S, the sum of the root images
+    E_alpha . C_{-alpha}.  Conjugation by a permutation matrix sigma acts
+    on words letterwise, a (x) E_ij -> a (x) E_{sigma i, sigma j}, followed
+    by the Koszul sign of `canonical_sym`, and it fixes every class of
+    C_0 / S:
+
+    * with a strict unit, exp(t E_ij) (i != j) acts on the complex and
+      trivially on its coinvariants, because E_ij acts there by zero;
+    * the diagonal torus acts trivially on weight zero;
+    * every permutation matrix is a product of these two kinds.
+
+    So w = +-sigma(w) modulo S (Weyl's first fundamental theorem for
+    GL_n is the classical form of this).  `canonical` sends a word to
+    (sign, representative of its orbit): the representative is the
+    smallest member touching the positions 0..t-1, in (base, row, column)
+    order, and an orbit whose stabilizer acts on it by -1 is zero in the
+    quotient and gets sign 0.  Every root is Weyl-conjugate to e_1 - e_2,
+    so the single image E_12 . C_{e_2 - e_1} spans S modulo these
+    identities.  `blocks[q]` lists the non-vanishing orbit representatives
+    of degree q and `spans[q]` the E_12 images written on representatives,
+    in the degrees `CEModel` states.  Through max_degree the quotient is
+    isomorphic to C_0 / S, which the test suite checks against the
+    simple-root presentation.  The coproduct canonicalizes each tensor
+    factor on its own, since S_n acts trivially on each factor C_0 / S.
+
+    `_letters` is the (base index, row, column) table of the flat indices
+    of M_n(A), and `_canon` the memo of `canonical`.
+    """
+
+    n: int = field(kw_only=True)
+    base: AInftyAlgebra = field(kw_only=True)
+    _letters: tuple = field(init=False, repr=False)
+    _canon: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        n, dim = self.n, self.base.space.dim
+        self._letters = tuple((a, i, j) for a in range(dim)
+                              for i in range(n) for j in range(n))
+        # the flat index of every letter once positions k and k+1 swap
+        self._swaps = []
+        for k in range(n - 1):
+            move = list(range(n))
+            move[k], move[k + 1] = k + 1, k
+            self._swaps.append(tuple(a * n * n + move[i] * n + move[j]
+                                     for a, i, j in self._letters))
+        # one layer of dim * (n + 1) bits per position: an odd letter
+        # (a, i, j) sets bit a of layer i and bit dim + a * n + i of layer j
+        degrees, width = self.algebra.suspended.degrees, dim * (n + 1)
+        self._codes = tuple(
+            (1 << (i * width + a)) | (1 << (j * width + dim + a * n + i))
+            if degrees[x] % 2 else 0
+            for x, (a, i, j) in enumerate(self._letters))
+
+    def block_sum(self, left, right):
+        """(sign, representative) of the block sum of two canonical words:
+        `right` moved onto the positions past the largest one `left`
+        touches, the union sorted with its Koszul sign and sent through
+        `canonical`.  Raises ValueError when the two do not fit side by
+        side in n positions."""
+        letters, n = self._letters, self.n
+        shift = 1 + max((max(letters[x][1:]) for x in left), default=-1)
+        moved = tuple(gl_index(n, self.base.space.dim, a, i + shift, j + shift)
+                      for a, i, j in (letters[x] for x in right))
+        sign, word = canonical_sym(left + moved, self.algebra.suspended)
+        orbit_sign, rep = self.canonical(word)
+        return sign * orbit_sign, rep
+
+    def canonical(self, word):
+        """The class of a canonical word in the quotient, as (sign,
+        representative).  Sign 0 means the word is zero there: either its
+        weight is nonzero (representative None) or its orbit's stabilizer
+        acts on it by -1.  A zero-weight word is relabelled onto positions
+        0..t-1 in their order, which keeps its letters sorted; the first
+        such word of an orbit is walked by `_orbit`, and the answer for
+        every member is memoized."""
+        canon, letters, n = self._canon, self._letters, self.n
+        if word not in canon:
+            net = {}
+            for x in word:
+                _, i, j = letters[x]
+                net[i] = net.get(i, 0) + 1
+                net[j] = net.get(j, 0) - 1
+            if any(net.values()):
+                canon[word] = (0, None)
+            else:
+                place = {p: r for r, p in enumerate(sorted(net))}
+                segment = tuple(a * n * n + place[i] * n + place[j]
+                                for a, i, j in (letters[x] for x in word))
+                if segment not in canon:
+                    signs, vanishes = self._orbit(segment, 0)
+                    rep = min(signs)
+                    for member, sign in signs.items():
+                        canon[member] = \
+                            (0 if vanishes else sign * signs[rep], rep)
+                canon[word] = canon[segment]
+        return canon[word]
+
+    def _orbit(self, word, fixed):
+        """The orbit of a segment word under the permutations of its
+        touched positions 0..t-1 that fix the first `fixed` of them, as
+        ({member: sign}, vanishes): word = sign . member in the quotient,
+        and `vanishes` says that a stabilizer acts by -1.
+
+        The walk steps along the adjacent transpositions (k, k+1), fixed <=
+        k < t-1, which generate those permutations.  A step carries the
+        Koszul sign of re-sorting: in (base, row, column) order, (k, k+1)
+        reverses the pairs of letters with one base letter whose rows are
+        {k, k+1}, or whose rows agree and whose columns are {k, k+1}.  In
+        the XOR of the letters' codes, layer k holds the parity of the odd
+        letters of each base in row k and the odd letters of each (base,
+        row) in column k, so the bits of layer k of code & (code >> width)
+        count the pairs of odd letters that (k, k+1) reverses, modulo 2.
+        A step onto a member already signed the other way closes a loop
+        acting by -1."""
+        letters, swaps, codes = self._letters, self._swaps, self._codes
+        width = self.base.space.dim * (self.n + 1)
+        layer = (1 << width) - 1
+        top = 1 + max((max(letters[x][1:]) for x in word), default=-1)
+        signs, todo, vanishes = {word: 1}, [word], False
+        while todo:
+            u = todo.pop()
+            here, code = signs[u], 0
+            for x in u:
+                code ^= codes[x]
+            pairs = code & (code >> width)
+            for k in range(fixed, top - 1):
+                flips = ((pairs >> k * width) & layer).bit_count()
+                sign = -here if flips % 2 else here
+                image = tuple(sorted([swaps[k][x] for x in u]))
+                known = signs.get(image)
+                if known is None:
+                    signs[image] = sign
+                    todo.append(image)
+                elif known != sign:
+                    vanishes = True
+        return signs, vanishes
+
+
+def _segment_words(space, letters, n, total_degree, weight):
+    """The canonical words of one suspended degree and torus weight whose
+    touched matrix positions are an initial segment {0, ..., t-1}, in
+    `ce_words` order; `letters` is the model's (base index, row, column)
+    table of the flat indices of M_n(A).
+
+    Every S_n-orbit of zero-weight words has such a member, and so does
+    every orbit of words of weight e_2 - e_1 under the permutations fixing
+    the first two positions.  The letter a (x) E_{i+1,j+1} adds e_i - e_j
+    to the weight, and a word of k letters touches at most k positions
+    beyond those its weight forces, so only rows and columns below that
+    bound are used.  One depth-first pass takes the letters row by row;
+    once a letter of row i is taken, the rows above i are closed, since
+    later letters can only enter them as columns.  A prefix is abandoned
+    when a closed row has too few outgoing letters or is untouched where
+    its weight needs none, when the closed rows need more incoming letters
+    than the remaining degree allows (each letter has degree >= 1), or
+    when its distance to `weight`, or the number of untouched positions
+    below its largest touched one, exceeds twice the remaining degree.
+    """
+    if total_degree == 0:
+        return [()] if not any(weight) else []
+    degs = space.degrees
+    target = list(weight)
+    reach = min(n, total_degree + sum(abs(x) for x in target) // 2)
+    alphabet = sorted((i, idx, j) for idx, (_, i, j) in enumerate(letters)
+                      if i < reach and j < reach)
+    alphabet = [(idx, degs[idx], i, j) for i, idx, j in alphabet]
+    excess = [-x for x in target]     # weight so far minus the target
+    hits = [0] * reach
+    prefix = []
+    out = []
+
+    def extend(start, remaining, closed, debt, dist, count, top):
+        # count: touched positions; top: 1 + the largest touched position
+        for pos in range(start, len(alphabet)):
+            idx, d, i, j = alphabet[pos]
+            while closed < i:
+                e = excess[closed]
+                if e < 0 or (not hits[closed] and not target[closed]):
+                    return
+                debt += e
+                closed += 1
+            if debt > remaining:
+                return
+            if d > remaining or (prefix and prefix[-1] == idx and d % 2):
+                continue
+            moved = i != j
+            if moved and j < closed and not excess[j]:
+                continue
+            step = 0
+            if moved:
+                a, b = excess[i], excess[j]
+                step = abs(a + 1) + abs(b - 1) - abs(a) - abs(b)
+                excess[i] = a + 1
+                excess[j] = b - 1
+            ends = (i, j) if moved else (i,)
+            grown = count + sum(1 for p in ends if not hits[p])
+            gaps = max(top, i + 1, j + 1) - grown
+            left = remaining - d
+            prefix.append(idx)
+            if left == 0:
+                if dist + step == 0 and gaps == 0:
+                    out.append(tuple(sorted(prefix)))
+            elif dist + step <= 2 * left and gaps <= 2 * left:
+                for p in ends:
+                    hits[p] += 1
+                extend(pos, left, closed, debt - (moved and j < closed),
+                       dist + step, grown, max(top, i + 1, j + 1))
+                for p in ends:
+                    hits[p] -= 1
+            prefix.pop()
+            if moved:
+                excess[i] -= 1
+                excess[j] += 1
+
+    extend(0, total_degree, 0, 0, sum(abs(x) for x in target), 0, 0)
+    return sorted(out)
+
+def e12_model(base, n, max_degree):
+    """Build the zero-weight coinvariant model of gl_n(A) on S_n-orbits
+    through the given degree.
+
+    The base must carry a strict unit: it provides the copy of gl_n(K)
+    acting by matrix units, and strictness makes every higher bracket
+    with 1 (x) E vanish, so x -> [delta_ell, delta_x] is a Lie action of
+    gl_n(K) and exp(t E_ij) acts on the complex.  As `E12Model`
+    explains, the words of one S_n-orbit then agree in the quotient up to
+    the sign `canonical` returns.  Every orbit has a member touching the
+    positions 0..t-1, and only those words are enumerated and sent through
+    `canonical`; the block of degree q lists the representatives of the
+    orbits whose stabilizer does not act by -1.
+
+    The zero-weight part of gl_n(K) . C is the sum of E_alpha . C_{-alpha}
+    over the roots alpha (the torus acts by zero on weight zero).  For a
+    root e_i - e_j pick tau with tau(1) = i and tau(2) = j; then
+    E_ij . y = tau(E_12 . tau^{-1} y), whose class is that of E_12 .
+    tau^{-1} y.  So the E_12 images of the words of weight e_2 - e_1 span
+    the quotient's relations, and since E_12 . tau x = tau(E_12 . x) for
+    every tau fixing the first two positions, the words touching an
+    initial segment suffice.  The same identity gives one image per orbit
+    of those tau: tau(E_12 . x) has the class of E_12 . x, so `reduce`
+    sends the images of one orbit to one vector up to sign.  E_12 is
+    evaluated on one word per orbit, which `_orbit` finds with positions 0
+    and 1 fixed; the span, and so the fully reduced echelon of the
+    quotient, is the same.  At n = 1 there is no root: every word is its
+    own orbit and nothing is quotiented.
+
+    Blocks run through max_degree + 1 and spans through max_degree, as
+    `CEModel` states, so the E_12 images of the top block (most of the span
+    generators) are never built.
+    """
+    _require_strict_unit(base)
+    L = gl(MatrixAlgebraSpec(base, n))
+    base_dim = base.space.dim
+    susp = L.suspended
+    model = E12Model(L, max_degree, {}, {}, n=n, base=base)
+
+    zero = (0,) * n
+    root = None
+    if n > 1:
+        # E_12 adds e_1 - e_2, so it maps the words of weight e_2 - e_1
+        # into weight zero
+        gen = {gl_index(n, base_dim, base.unit, 0, 1): Fraction(1)}
+        root = ((-1, 1) + (0,) * (n - 2), make_inner(L, gen).coderivation())
+
+    letters = model._letters
+    for q in range(0, max_degree + 2):
+        reps = set()
+        for word in _segment_words(susp, letters, n, q, zero):
+            sign, rep = model.canonical(word)
+            if sign:
+                reps.add(rep)
+        if reps:
+            model.blocks[q] = sorted(reps)
+        if root is None or q > max_degree:
+            continue
+        weight, act = root
+        gens, seen = [], set()
+        for word in _segment_words(susp, letters, n, q, weight):
+            if word in seen:
+                continue
+            seen.update(model._orbit(word, 2)[0])
+            img = model.reduce(act.eval_word(word))
+            if img:
+                gens.append(img)
+        if gens:
+            model.spans[q] = gens
+    return model
+
+
+# ---------------------------------------------------------------------------
+# Its simple-root and every-word variants
+
+
+class SimpleRootModel(E12Model):
     """Every zero-weight word is its own basis key; a word of nonzero
     weight is zero in the quotient."""
 
@@ -156,7 +481,7 @@ def every_word_model(base, n, max_degree):
     """The orbit model with E_12 evaluated on every segment word of weight
     e_2 - e_1, not on one per orbit."""
     L = gl(MatrixAlgebraSpec(base, n))
-    model = GLCoinvariantModel(L, max_degree, {}, {}, n=n, base=base)
+    model = E12Model(L, max_degree, {}, {}, n=n, base=base)
     susp, letters = L.suspended, model._letters
     act = None
     if n > 1:

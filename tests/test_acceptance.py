@@ -20,8 +20,8 @@ from homotopyalg.coalgebra import coproduct_sym
 from homotopyalg.constructions import (
     MatrixAlgebraSpec,
     gl,
-    gl_coinvariant_model,
     gl_index,
+    gl_permutation_model,
     lie_ify,
 )
 from homotopyalg.documents import document_to_algebra, parse_document
@@ -348,7 +348,7 @@ def test_criterion_7_lqt_comparison_at_desk_scale(capsys):
 
 def test_criterion_8_block_sum_product_is_commutative_and_associative(capsys):
     base = algebra("K.alg")
-    report = hopf_product_on_homology(gl_coinvariant_model(base, 5, 4))
+    report = hopf_product_on_homology(gl_permutation_model(base, 4))
     assert report.unit_ok
     assert report.commutative_violations == []
     assert report.associative_violations == []

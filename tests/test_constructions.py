@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from homotopyalg import constructions
 from homotopyalg.ainfty import (
     AInftyAlgebra,
     from_associative,
@@ -28,11 +27,8 @@ from homotopyalg.linfty import (
 )
 from homotopyalg.constructions import (
     _antisymmetrize,
-    _segment_words,
-    GLCoinvariantModel,
     MatrixAlgebraSpec,
     gl,
-    gl_coinvariant_model,
     gl_index,
     gl_permutation_model,
     lie_ify,
@@ -48,9 +44,13 @@ from matrix_oracles import (
     entrywise_matrix_algebra,
     gl_entry,
 )
+import model_oracles
 from model_oracles import (
     _root_weight,
+    _segment_words,
     _weight_buckets,
+    E12Model,
+    e12_model,
     every_word_model,
     pair_complex_coproduct,
     simple_root_model,
@@ -450,7 +450,7 @@ def all_matrix_unit_generators(base, n):
 ])
 def test_coinvariant_model_matches_generic_quotient(base_name, n):
     base = {"K": ground_field, "K[e]": dual_numbers}[base_name]()
-    model = gl_coinvariant_model(base, n, 3)
+    model = e12_model(base, n, 3)
     fast = model.homology()
     h = all_matrix_unit_generators(base, n)
     generic = lie_homology(gl_cached(base_name, n), 3, h=h)
@@ -464,7 +464,7 @@ def test_coinvariant_model_matches_generic_quotient(base_name, n):
 
 
 def test_coinvariant_model_gl3_dims_and_primitives():
-    model = gl_coinvariant_model(ground_field(), 3, 3)
+    model = e12_model(ground_field(), 3, 3)
     # E_11, E_22 and E_33 form one S_3-orbit in degree 1
     assert [len(model.blocks.get(q, [])) for q in range(2)] == [1, 1]
     table = model.homology()
@@ -478,7 +478,7 @@ def test_coinvariant_model_gl3_dims_and_primitives():
 def test_coinvariant_model_needs_unital_base():
     no_unit = AInftyAlgebra(GradedSpace(("1",), (0,)), {2: {(0, 0): {0: 1}}})
     with pytest.raises(ValueError, match="strict unit"):
-        gl_coinvariant_model(no_unit, 2, 2)
+        e12_model(no_unit, 2, 2)
     with pytest.raises(ValueError, match="strict unit"):
         gl_permutation_model(no_unit, 2)
 
@@ -490,7 +490,9 @@ def test_coinvariant_model_refuses_non_strict_unit():
     ops[3] = {(0, 0, 0): {1: 1}}
     lax = AInftyAlgebra(base.space, ops, unit=0)
     with pytest.raises(ValueError, match="strict unit.*arity 3"):
-        gl_coinvariant_model(lax, 2, 2)
+        e12_model(lax, 2, 2)
+    with pytest.raises(ValueError, match="strict unit.*arity 3"):
+        gl_permutation_model(lax, 2)
 
 
 def word_weight(word, n, base_dim):
@@ -554,7 +556,7 @@ def test_simple_root_spans_equal_all_root_spans(base_name, n, max_degree):
 
 
 def test_coinvariant_model_uses_simple_roots_only():
-    model = gl_coinvariant_model(ground_field(), 4, 4)
+    model = e12_model(ground_field(), 4, 4)
     # one representative per non-vanishing S_4-orbit: 323 zero-weight words
     # through degree 5 fall into 17 such orbits
     assert sum(len(words) for words in model.blocks.values()) == 17
@@ -611,7 +613,7 @@ def test_segment_words_filter_ce_words_in_order(base_name, n):
     ("D", 1, 3), ("D", 2, 3), ("D", 3, 3), ("D", 4, 3)])
 def test_orbit_model_matches_simple_root_oracle(base_name, n, max_degree):
     base = BASES[base_name]()
-    model = gl_coinvariant_model(base, n, max_degree)
+    model = e12_model(base, n, max_degree)
     oracle = simple_root_model(base, n, max_degree)
     assert all(q <= max_degree for q in model.spans)
     degrees = range(max_degree + 1)
@@ -635,7 +637,7 @@ def test_orbit_model_matches_simple_root_oracle(base_name, n, max_degree):
 def test_orbit_closure_matches_every_word_oracle(base_name, n, max_degree):
     base = fixture_algebra("m3unital") if base_name == "m3unital" \
         else BASES[base_name]()
-    model = gl_coinvariant_model(base, n, max_degree)
+    model = e12_model(base, n, max_degree)
     oracle = every_word_model(base, n, max_degree)
     assert model.blocks == oracle.blocks
     assert {q: red.rows for q, red in model.complex().reducers.items()} == \
@@ -646,7 +648,7 @@ def test_orbit_closure_matches_every_word_oracle(base_name, n, max_degree):
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: ce_model(fixture_algebra("sl2"), 1, h=[0]),
                  id="sl2-h"),
-    pytest.param(lambda: gl_coinvariant_model(ground_field(), 3, 4),
+    pytest.param(lambda: e12_model(ground_field(), 3, 4),
                  id="gl3-K")])
 def test_models_quotient_through_max_degree_only(build):
     # the top block exists but is never quotiented; d(S_{m+1}) lies in S_m
@@ -658,7 +660,7 @@ def test_models_quotient_through_max_degree_only(build):
 @pytest.mark.parametrize("build", [
     pytest.param(lambda: ce_model(fixture_algebra("sl2"), 4, h=[0]),
                  id="sl2-h"),
-    pytest.param(lambda: gl_coinvariant_model(ground_field(), 3, 4),
+    pytest.param(lambda: e12_model(ground_field(), 3, 4),
                  id="gl3-K")])
 def test_one_complex_per_model(build, monkeypatch):
     built = []
@@ -682,7 +684,7 @@ def test_one_complex_per_model(build, monkeypatch):
     ("ut2", 2, 3), ("ut2", 3, 3), ("D", 2, 3), ("D", 3, 3)])
 def test_projected_coproduct_matches_pair_complex_oracle(base_name, n,
                                                          max_degree):
-    model = gl_coinvariant_model(BASES[base_name](), n, max_degree)
+    model = e12_model(BASES[base_name](), n, max_degree)
     H = model.coproduct()
     pair_basis, delta = pair_complex_coproduct(
         model.algebra.suspended, model.complex(), max_degree,
@@ -708,7 +710,7 @@ def test_homology_coproduct_matches_pair_complex_oracle(alg, h, max_degree):
 
 @lru_cache(maxsize=None)
 def orbit_model(base_name, n):
-    return gl_coinvariant_model(BASES[base_name](), n, 0)
+    return e12_model(BASES[base_name](), n, 0)
 
 
 def relabel(word, perm, n, base_dim):
@@ -838,8 +840,8 @@ def test_e12_images_of_one_orbit_agree_up_to_sign(drawn, data):
 
 def test_orbit_model_work_counts(monkeypatch):
     counts = {"eval_word": 0, "make_inner": 0, "walks": 0}
-    eval_word, make_inner_ = Coderivation.eval_word, constructions.make_inner
-    orbit = GLCoinvariantModel._orbit
+    eval_word, make_inner_ = Coderivation.eval_word, model_oracles.make_inner
+    orbit = E12Model._orbit
 
     def counting_orbit(self, word, fixed):
         counts["walks"] += 1
@@ -854,9 +856,9 @@ def test_orbit_model_work_counts(monkeypatch):
         return make_inner_(*args)
 
     monkeypatch.setattr(Coderivation, "eval_word", counting_eval)
-    monkeypatch.setattr(constructions, "make_inner", counting_inner)
-    monkeypatch.setattr(GLCoinvariantModel, "_orbit", counting_orbit)
-    model = gl_coinvariant_model(ground_field(), 6, 4)
+    monkeypatch.setattr(model_oracles, "make_inner", counting_inner)
+    monkeypatch.setattr(E12Model, "_orbit", counting_orbit)
+    model = e12_model(ground_field(), 6, 4)
     assert [model.homology().dims[q] for q in range(5)] == [1, 1, 0, 1, 1]
     # one evaluation per representative and per orbit of E_12 source words;
     # the simple-root presentation evaluated about 9,800 words here, and
@@ -874,8 +876,8 @@ def test_orbit_model_work_counts(monkeypatch):
 def test_orbits_of_degree_at_most_n_do_not_depend_on_n(base_name, n):
     base = BASES[base_name]()
     base_dim = base.space.dim
-    small = gl_coinvariant_model(base, n, n - 1)
-    large = gl_coinvariant_model(base, n + 1, n - 1)
+    small = e12_model(base, n, n - 1)
+    large = e12_model(base, n + 1, n - 1)
     for q in range(n + 1):
         orbits = []
         for model in (small, large):

@@ -6,7 +6,6 @@ import pytest
 
 from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import Cochain
-from homotopyalg.constructions import gl_coinvariant_model
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import (
@@ -33,6 +32,7 @@ from oracles import (
     lie_homology_dims,
     sl2_bracket,
 )
+from model_oracles import e12_model
 
 
 def abelian(dim=1):
@@ -374,7 +374,7 @@ def test_representative_independence_runs_over_an_image_basis(monkeypatch):
     # max_degree - 1 the pair differential also differentiates factors.
     path = Path(__file__).resolve().parents[1] / "fixtures" / "ut2.alg"
     base = document_to_algebra(parse_document(path.read_text(encoding="utf-8")))
-    model = gl_coinvariant_model(base, 3, 3)
+    model = e12_model(base, 3, 3)
     cx = model.complex()
     seen = {}
     real = ChainComplex.differential

@@ -8,8 +8,8 @@ import pytest
 
 from homotopyalg.ainfty import AInftyAlgebra, cyclic_homology, from_associative
 from homotopyalg.chain import BettiTable
-from homotopyalg import chain, constructions, lqt
-from homotopyalg.constructions import gl_coinvariant_model, gl_index
+from homotopyalg import chain, constructions, linfty, lqt
+from homotopyalg.constructions import gl_index, gl_permutation_model
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import InconsistencyError
@@ -21,7 +21,7 @@ from homotopyalg.lqt import (
 )
 
 from matrix_oracles import gl_entry
-from model_oracles import doubled_hopf_product
+from model_oracles import doubled_hopf_product, e12_model
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -103,7 +103,7 @@ def test_expand_exterior_matches_computed_cyclic_homology():
 
 def test_hopf_product_over_ground_field():
     base = ground_field()
-    report = hopf_product_on_homology(gl_coinvariant_model(base, 5, 4))
+    report = hopf_product_on_homology(gl_permutation_model(base, 4))
     assert report.ok
     assert report.unit_ok
     assert report.commutative_violations == []
@@ -118,7 +118,7 @@ def test_hopf_product_over_ground_field():
 
 
 def test_block_sum_moves_the_second_word_past_the_first():
-    model = gl_coinvariant_model(dual_numbers(), 4, 3)
+    model = gl_permutation_model(dual_numbers(), 3)
 
     def word(*letters):
         return tuple(sorted(gl_index(4, 2, a, i, j) for a, i, j in letters))
@@ -138,15 +138,15 @@ def test_block_sum_moves_the_second_word_past_the_first():
 def test_hopf_product_refuses_a_model_below_the_stable_size():
     for n in (1, 3, 4):
         with pytest.raises(ValueError, match="n > max_degree"):
-            hopf_product_on_homology(gl_coinvariant_model(ground_field(), n, 4))
+            hopf_product_on_homology(e12_model(ground_field(), n, 4))
 
 
 def test_hopf_product_refuses_a_mismatched_doubled_model():
     # the doubled-algebra reference validates its second model
-    model_1 = gl_coinvariant_model(ground_field(), 1, 2)
-    for wrong in (gl_coinvariant_model(ground_field(), 3, 2),
-                  gl_coinvariant_model(ground_field(), 2, 1),
-                  gl_coinvariant_model(dual_numbers(), 2, 2)):
+    model_1 = e12_model(ground_field(), 1, 2)
+    for wrong in (e12_model(ground_field(), 3, 2),
+                  e12_model(ground_field(), 2, 1),
+                  e12_model(dual_numbers(), 2, 2)):
         with pytest.raises(ValueError, match="doubled model"):
             doubled_hopf_product(model_1, wrong)
 
@@ -158,10 +158,9 @@ def test_hopf_product_equals_the_doubled_algebra_reference(base, max_degree):
     # the doubled check at sizes 3 and 6 re-expressed through the corner
     # inclusion in the coordinates of size 3
     base = base()
-    one = hopf_product_on_homology(
-        gl_coinvariant_model(base, max_degree + 1, max_degree))
-    ref = doubled_hopf_product(gl_coinvariant_model(base, 3, max_degree),
-                               gl_coinvariant_model(base, 6, max_degree))
+    one = hopf_product_on_homology(gl_permutation_model(base, max_degree))
+    ref = doubled_hopf_product(e12_model(base, 3, max_degree),
+                               e12_model(base, 6, max_degree))
     assert one.ok and ref.ok and ref.associative_unstable == []
     assert one.checked_pairs == ref.checked_pairs > 0
     assert one.products == ref.stabilized
@@ -172,27 +171,26 @@ def test_hopf_product_where_the_cli_skips_it(name):
     # the lqt command keeps its historical budget and skips these bases;
     # the product itself runs on their stable models
     report = hopf_product_on_homology(
-        gl_coinvariant_model(fixture_algebra(name), 4, 3))
+        gl_permutation_model(fixture_algebra(name), 3))
     assert report.ok
     assert report.checked_pairs > 0
 
 
 @pytest.mark.parametrize("base,sizes,max_degree,expect", [
     (ground_field, [3, 4], 4, [3, 4]),
-    (dual_numbers, [3, 4], 3, [3]),
+    (dual_numbers, [3, 4], 3, [3, 4]),
     (ground_field, [4], 4, [4]),
 ], ids=["lqt-K", "lqt-dual", "K-default"])
 def test_verify_lqt_builds_one_stable_model(monkeypatch, base, sizes,
                                             max_degree, expect):
-    # one permutation model at n = max_degree + 1, which also serves that
-    # size when it is requested, and an E_12 model for each other requested
-    # size, each once; no gl_2n
+    # one permutation model at n = max_degree + 1, and every requested
+    # size read off it once through the corner inclusion; no gl_2n
     built, stable = [], []
     real, real_stable = lqt.gl_coinvariant_model, lqt.gl_permutation_model
 
-    def counting(base, n, max_degree):
+    def counting(stable_model, n):
         built.append(n)
-        return real(base, n, max_degree)
+        return real(stable_model, n)
 
     def counting_stable(base, max_degree):
         stable.append(max_degree + 1)
@@ -209,20 +207,35 @@ def test_verify_lqt_builds_one_stable_model(monkeypatch, base, sizes,
 
 
 def test_verify_lqt_builds_each_gl_once(monkeypatch):
-    # one gl_n(A) per coinvariant model: the unreduced check at sizes <= 2
-    # reads the model's algebra instead of building it again
-    built = []
-    real = constructions.gl
+    # gl_n(A) is built for the stable model and, for the unreduced check,
+    # at the requested sizes <= 2; no size is built again for its table,
+    # and no inner derivation is made
+    built, inner = [], []
+    real, real_inner = constructions.gl, linfty.make_inner
 
     def counting(spec):
         built.append(spec.n)
         return real(spec)
 
+    def counting_inner(*args):
+        inner.append(args)
+        return real_inner(*args)
+
     monkeypatch.setattr(constructions, "gl", counting)
     monkeypatch.setattr(lqt, "gl", counting, raising=False)
-    report = verify_lqt(ground_field(), [1, 2], 3)
-    assert report.hopf.ok
-    assert sorted(built) == [1, 2, 4]
+    for module in (linfty, constructions, lqt):
+        monkeypatch.setattr(module, "make_inner", counting_inner,
+                            raising=False)
+    # K at sizes 1 and 2, then the sizes and degrees of lqt-K and lqt-dual
+    for base, sizes, max_degree, expect in [
+            (ground_field, [1, 2], 3, [1, 2, 4]),
+            (ground_field, [3, 4], 4, [5]),
+            (dual_numbers, [3, 4], 3, [4])]:
+        built.clear()
+        report = verify_lqt(base(), sizes, max_degree)
+        assert report.all_match
+        assert sorted(built) == expect, sizes
+    assert inner == []
 
 
 def test_verify_lqt_cross_checks_the_representative_count(monkeypatch):
@@ -241,7 +254,7 @@ def test_verify_lqt_cross_checks_the_representative_count(monkeypatch):
 
 def test_hopf_product_unit_class_acts_as_stabilization():
     # on the stable model the stabilization map is the identity
-    model = gl_coinvariant_model(ground_field(), 4, 3)
+    model = gl_permutation_model(ground_field(), 3)
     report = hopf_product_on_homology(model)
     c0 = model.coproduct().table.representatives[0][0][()]
     for (x, y), cls in report.products.items():
@@ -273,7 +286,7 @@ def in_entries(model):
     ("K", 4), ("dual_numbers", 3), ("ut2", 3), ("dga2", 3)])
 def test_model_does_not_depend_on_n_from_max_degree_plus_one(name, max_degree):
     base = fixture_algebra(name)
-    first, *others = (in_entries(gl_coinvariant_model(base, n, max_degree))
+    first, *others = (in_entries(e12_model(base, n, max_degree))
                       for n in range(max_degree + 1, max_degree + 4))
     assert max(first[0]) == max_degree + 1
     assert max(first[1]) <= max_degree
@@ -284,9 +297,10 @@ def test_model_does_not_depend_on_n_from_max_degree_plus_one(name, max_degree):
 def test_verify_lqt_refuses_a_size_that_disagrees_with_the_stable_model(
         monkeypatch):
     real = lqt.gl_coinvariant_model
+    wrong = gl_permutation_model(dual_numbers(), 3)
 
-    def wrong_at_6(base, n, max_degree):
-        return real(dual_numbers() if n == 6 else base, n, max_degree)
+    def wrong_at_6(stable, n):
+        return real(wrong if n == 6 else stable, n)
 
     monkeypatch.setattr(lqt, "gl_coinvariant_model", wrong_at_6)
     with pytest.raises(InconsistencyError, match="gl_6 disagrees"):
