@@ -23,7 +23,6 @@ classical cyclic boundary and (-1)^n rotation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .chain import ChainComplex
@@ -73,20 +72,15 @@ def suspend_operations(space, ops, symmetric=False):
     return m
 
 
-@dataclass
 class AInftyAlgebra:
     """Finite-dimensional homotopy-associative algebra over Q."""
 
-    space: GradedSpace            # unsuspended
-    ops: dict                     # {arity: {word: {index: int | Fraction}}}
-    unit: int | None = None       # basis index of a strict unit, if any
-    name: str = ""
-    suspended: object = field(init=False)
-    m: Cochain = field(init=False)
-
-    def __post_init__(self):
-        clean = {}
-        for k, table in self.ops.items():
+    def __init__(self, space, ops, unit=None, name=""):
+        self.space = space  # unsuspended
+        self.unit = unit    # basis index of a strict unit, if any
+        self.name = name
+        clean = {}          # {arity: {word: {index: int | Fraction}}}
+        for k, table in ops.items():
             entries = {tuple(w): {i: e for i, c in v.items() if (e := exact(c))}
                        for w, v in table.items()}
             entries = {w: v for w, v in entries.items() if v}
@@ -177,10 +171,11 @@ def check_stasheff(alg, max_arity=None):
     return certify(d, d, max(2 * alg.max_arity - 1, 0), max_arity)
 
 
-@dataclass
 class UnitalityReport:
-    ok: bool
-    failures: list = field(default_factory=list)  # (description, arity, word)
+    def __init__(self, ok, failures=None):
+        self.ok = ok
+        # (description, arity, word)
+        self.failures = [] if failures is None else failures
 
     def __bool__(self):
         return self.ok

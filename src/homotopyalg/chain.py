@@ -15,7 +15,6 @@ a tensor product of such complexes (Kunneth, over a field).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graded import exact
@@ -24,19 +23,29 @@ from .rational_linalg import LinearSolver, RowReducer, kernel
 __all__ = ["BettiTable", "ChainComplex"]
 
 
-@dataclass
 class BettiTable:
     """Homology dimensions by degree, with per-degree certification flags.
 
     `exact[q]` records whether dims[q] is complete as stated (no truncation
     artifact); callers that cap weights or degrees clear it accordingly.
     `block_dims[q]` is the chain-level dimension (after any quotient).
+    Tables compare by value.
     """
 
-    dims: dict
-    exact: dict = field(default_factory=dict)
-    block_dims: dict = field(default_factory=dict)
-    representatives: dict | None = None
+    def __init__(self, dims, exact=None, block_dims=None,
+                 representatives=None):
+        self.dims = dims
+        self.exact = {} if exact is None else exact
+        self.block_dims = {} if block_dims is None else block_dims
+        self.representatives = representatives
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.dims, self.exact, self.block_dims,
+                self.representatives) == (other.dims, other.exact,
+                                          other.block_dims,
+                                          other.representatives)
 
     def as_row(self, qs=None):
         qs = sorted(self.dims) if qs is None else list(qs)

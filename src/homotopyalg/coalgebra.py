@@ -47,12 +47,10 @@ integral cochain has D_i = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, lcm, prod
 
 from .graded import (
-    GradedSpace,
     add_into,
     canonical_sym,
     exact,
@@ -70,7 +68,6 @@ __all__ = [
 ]
 
 
-@dataclass
 class Cochain:
     """Multilinear components {arity: {input word: {basis index: value}}},
     each value exact: an int when integral, else a Fraction.
@@ -80,13 +77,20 @@ class Cochain:
     rules (and the fact that a commutator of coderivations is again one) are
     only sound for homogeneous operators.  Symmetric cochains store values on
     canonically sorted inputs only and extend to arbitrary inputs by the
-    Koszul sign of sorting.
+    Koszul sign of sorting.  Cochains compare by value.
     """
 
-    space: GradedSpace
-    degree: int
-    comps: dict = field(default_factory=dict)
-    symmetric: bool = False
+    def __init__(self, space, degree, comps=None, symmetric=False):
+        self.space = space
+        self.degree = degree
+        self.comps = {} if comps is None else comps
+        self.symmetric = symmetric
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.space, self.degree, self.comps, self.symmetric) == \
+            (other.space, other.degree, other.comps, other.symmetric)
 
     def arities(self):
         return sorted(k for k, table in self.comps.items() if table)
@@ -139,16 +143,14 @@ class Cochain:
         return ars[-1] if ars else 0
 
 
-@dataclass
 class Coderivation:
     """Coderivation of the weight-graded cofree coalgebra in either flavor."""
 
-    cochain: Cochain
-    flavor: str  # "tensor" or "sym"
-
-    def __post_init__(self):
-        if self.flavor not in ("tensor", "sym"):
-            raise ValueError(f"unknown flavor {self.flavor!r}")
+    def __init__(self, cochain, flavor):
+        if flavor not in ("tensor", "sym"):
+            raise ValueError(f"unknown flavor {flavor!r}")
+        self.cochain = cochain
+        self.flavor = flavor
 
     @property
     def degree(self):
@@ -331,12 +333,12 @@ def bracket(d1, d2, max_arity):
     return result
 
 
-@dataclass
 class StructureReport:
-    ok: bool
-    checked_arity: int
-    complete: bool            # True when the check proves all identities
-    witness: tuple | None = None   # (arity, word, defect element)
+    def __init__(self, ok, checked_arity, complete, witness=None):
+        self.ok = ok
+        self.checked_arity = checked_arity
+        self.complete = complete  # True when the check proves all identities
+        self.witness = witness    # (arity, word, defect element)
 
     def __bool__(self):
         return self.ok

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from .ainfty import AInftyAlgebra, check_stasheff, check_strict_unit
 from .chain import BettiTable
@@ -129,16 +128,14 @@ def lie_ify(alg, cap=None):
 # Matrix algebras
 
 
-@dataclass(frozen=True)
 class MatrixAlgebraSpec:
     """A base algebra together with a matrix size n >= 1."""
 
-    base: AInftyAlgebra
-    n: int
-
-    def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"matrix size must be an integer >= 1, got {self.n!r}")
+    def __init__(self, base, n):
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
+        self.base = base
+        self.n = n
 
 
 def matrix_algebra(spec):
@@ -215,7 +212,6 @@ def _require_strict_unit(base):
             f"({reason} at {word})")
 
 
-@dataclass
 class PermutationModel(CEModel):
     """The coinvariant complex of gl_n(A) at n = max_degree + 1, presented
     on permutation words, with no quotient left to take.
@@ -239,15 +235,15 @@ class PermutationModel(CEModel):
     of M_n(A), and `_canon` the memo of `canonical`.
     """
 
-    n: int = field(kw_only=True)
-    base: AInftyAlgebra = field(kw_only=True)
-    _letters: tuple = field(init=False, repr=False)
-    _canon: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        n, dim = self.n, self.base.space.dim
+    def __init__(self, algebra, max_degree, blocks, spans, max_weight=None,
+                 *, n, base):
+        super().__init__(algebra, max_degree, blocks, spans, max_weight)
+        self.n = n
+        self.base = base
+        dim = base.space.dim
         self._letters = tuple((a, i, j) for a in range(dim)
                               for i in range(n) for j in range(n))
+        self._canon = {}
 
     def block_sum(self, left, right):
         """(sign, representative) of the block sum of two canonical words:
@@ -358,24 +354,39 @@ def _least_rotation(reading, odd):
 def _necklaces(degrees, top):
     """The cyclic words of base letters of total degree <= top, each as its
     smallest rotation, in sorted order, as (reading, degree) pairs; a
-    cyclic word whose rotation onto itself acts by -1 is left out."""
-    out = []
-    reading = []
+    cyclic word whose rotation onto itself acts by -1 is left out.
 
-    def extend(degree):
-        if reading:
-            odd = sum(degrees[a] % 2 for a in reading)
-            key, start, flips = _least_rotation(reading, odd)
-            if not start and not flips:
-                out.append((key, degree))
-        for a, d in enumerate(degrees):
+    Generated directly (Fredricksen-Kessler-Maiorana; Ruskey, Savage and
+    Wang, J. Algorithms 13 (1992)): a prefix of a smallest rotation, of
+    length t with a longest Lyndon prefix of length p, extends only by the
+    letters b >= reading[t - p]; p stays when b equals that letter and
+    becomes t + 1 otherwise, and the prefix is itself a smallest rotation
+    exactly when p divides t.  Depth first in increasing letters, the
+    prefixes come in sorted order.  A word of period p repeats r = t / p
+    times, and its rotation by p permutes each residue class of its odd
+    letters in an r-cycle, as in `_least_rotation`."""
+    out, reading = [], []
+
+    def extend(degree, odd, p):
+        t = len(reading)
+        if not t % p:
+            r = t // p
+            if not (r - 1) * (odd // r) % 2:
+                out.append((tuple(reading), degree))
+        low = reading[t - p]
+        for b in range(low, len(degrees)):
+            d = degrees[b]
             if degree + d <= top:
-                reading.append(a)
-                extend(degree + d)
+                reading.append(b)
+                extend(degree + d, odd + d % 2, p if b == low else t + 1)
                 reading.pop()
 
-    extend(0)
-    return sorted(out)
+    for a, d in enumerate(degrees):
+        if d <= top:
+            reading.append(a)
+            extend(d, d % 2, 1)
+            reading.pop()
+    return out
 
 
 def gl_permutation_model(base, max_degree):
@@ -428,17 +439,17 @@ def gl_permutation_model(base, max_degree):
 # Every size through the corner inclusion
 
 
-@dataclass
 class GLCoinvariantModel:
     """The coinvariant complex of gl_n(A) through degree max_degree + 1, as
     the image U of the corner inclusion in the stable model: `blocks[q]` is
     a basis of U_q, each vector a chain over the stable keys (the columns
     of its echelon), and `spans` is empty, since nothing is quotiented."""
 
-    stable: PermutationModel
-    n: int
-    blocks: dict
-    spans: dict = field(default_factory=dict)
+    def __init__(self, stable, n, blocks):
+        self.stable = stable
+        self.n = n
+        self.blocks = blocks
+        self.spans = {}
 
     @property
     def max_degree(self):
@@ -500,8 +511,10 @@ def _corner_classes(stable, n, q):
             sign, word = canonical_sym(
                 tuple(a * nn + part[i] * N + part[j] for a, i, j in entries),
                 susp)
+            if not sign:
+                continue
             key = _first_appearance_form(word, letters, N)
-            if sign and key not in seen:
+            if key not in seen:
                 seen.add(key)
                 yield word, {rep: sign * c for rep, c in
                              _split(stable, entries, part).items()}

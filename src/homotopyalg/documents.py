@@ -18,7 +18,6 @@ byte-identical text.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ainfty import AInftyAlgebra
@@ -56,31 +55,45 @@ class DocumentError(ValueError):
         super().__init__("; ".join(f"{p}: {m}" for p, m in self.diagnostics))
 
 
-@dataclass(frozen=True)
 class OpEntry:
-    """One operation entry: m_arity(inputs) = sum of coeff * label."""
+    """One operation entry: m_arity(inputs) = sum of coeff * label.
+    Entries compare by value."""
 
-    arity: int
-    inputs: tuple
-    output: tuple  # of (Fraction, label)
+    def __init__(self, arity, inputs, output):
+        self.arity = arity
+        self.inputs = inputs
+        self.output = output  # of (Fraction, label)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.arity, self.inputs, self.output) == \
+            (other.arity, other.inputs, other.output)
 
 
-@dataclass
 class AlgebraDocument:
     """A validated structure description.
 
     Invariants established at construction time: every label resolves,
     no operation entry repeats, coefficients are exact rationals, and
     every output term raises the total unsuspended input degree by
-    exactly arity - 2.
+    exactly arity - 2.  Documents compare by value.
     """
 
-    name: str
-    kind: str
-    basis: tuple          # of (label, degree)
-    unit: str | None = None
-    ops: tuple = ()       # of OpEntry
-    caps: dict = field(default_factory=dict)
+    def __init__(self, name, kind, basis, unit=None, ops=(), caps=None):
+        self.name = name
+        self.kind = kind
+        self.basis = basis    # of (label, degree)
+        self.unit = unit
+        self.ops = ops        # of OpEntry
+        self.caps = {} if caps is None else caps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.name, self.kind, self.basis, self.unit, self.ops,
+                self.caps) == (other.name, other.kind, other.basis,
+                               other.unit, other.ops, other.caps)
 
     @property
     def labels(self):

@@ -25,7 +25,6 @@ integral, a Fraction otherwise (`exact`).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -40,20 +39,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class GradedSpace:
     """Finite list of labelled basis elements with degrees >= 0.  An
     algebra's space holds unsuspended degrees; its `suspend` holds degrees
-    >= 1, and words index into that."""
+    >= 1, and words index into that.  Spaces compare and hash by value."""
 
-    labels: tuple
-    degrees: tuple
-
-    def __post_init__(self):
-        # stored as tuples, so that a frozen space hashes whatever sequences
-        # it was built from
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "degrees", tuple(self.degrees))
+    def __init__(self, labels, degrees):
+        # stored as tuples, so that a space hashes whatever sequences it was
+        # built from
+        self.labels = tuple(labels)
+        self.degrees = tuple(degrees)
         if len(self.labels) != len(self.degrees):
             raise ValueError("labels and degrees must have equal length")
         if len(set(self.labels)) != len(self.labels):
@@ -61,6 +56,14 @@ class GradedSpace:
         for d in self.degrees:
             if not isinstance(d, int) or d < 0:
                 raise ValueError(f"unsuspended degrees must be integers >= 0, got {d!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels and self.degrees == other.degrees
+
+    def __hash__(self):
+        return hash((self.labels, self.degrees))
 
     @property
     def dim(self):

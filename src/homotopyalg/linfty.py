@@ -41,20 +41,18 @@ word has zero class (independence of the representative).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ainfty import suspend_operations
-from .chain import BettiTable, ChainComplex
+from .chain import ChainComplex
 from .coalgebra import (
     Cochain,
-    StructureReport,
     bracket,
     certify,
     coproduct_sym,
     extend_coderivation,
 )
-from .graded import GradedSpace, add_into, exact
+from .graded import add_into, exact
 from .rational_linalg import LinearSolver, RowReducer, kernel
 
 __all__ = [
@@ -81,19 +79,14 @@ class InconsistencyError(Exception):
     fault, never a property of the input algebra."""
 
 
-@dataclass
 class LInftyAlgebra:
     """Finite-dimensional strongly homotopy Lie algebra over Q."""
 
-    space: GradedSpace            # unsuspended
-    ops: dict                     # {arity: {ascending word: {index: int | Fraction}}}
-    name: str = ""
-    suspended: object = field(init=False)
-    ell: Cochain = field(init=False)
-
-    def __post_init__(self):
-        clean = {}
-        for k, table in self.ops.items():
+    def __init__(self, space, ops, name=""):
+        self.space = space  # unsuspended
+        self.name = name
+        clean = {}          # {arity: {ascending word: {index: int | Fraction}}}
+        for k, table in ops.items():
             entries = {}
             for w, v in table.items():
                 w = tuple(w)
@@ -140,12 +133,12 @@ def check_linfty(alg, max_arity=None):
     return certify(d, d, max(2 * alg.max_arity - 1, 0), max_arity)
 
 
-@dataclass
 class Derivation:
     """A symmetric cochain whose coderivation commutes with the structure."""
 
-    cochain: Cochain
-    certificate: StructureReport
+    def __init__(self, cochain, certificate):
+        self.cochain = cochain
+        self.certificate = certificate
 
     def __bool__(self):
         return bool(self.certificate)
@@ -277,7 +270,6 @@ def h_action_spans(alg, h, blocks):
     return spans
 
 
-@dataclass
 class CEModel:
     """A Chevalley-Eilenberg complex with its quotient generators, owned
     once: `blocks[q]` lists the keys of degree q for q through
@@ -296,13 +288,13 @@ class CEModel:
     coalgebra are each built once and cached.
     """
 
-    algebra: LInftyAlgebra
-    max_degree: int
-    blocks: dict
-    spans: dict
-    max_weight: int | None = None
-    _cx: object = field(default=None, init=False, repr=False)
-    _coalg: object = field(default=None, init=False, repr=False)
+    def __init__(self, algebra, max_degree, blocks, spans, max_weight=None):
+        self.algebra = algebra
+        self.max_degree = max_degree
+        self.blocks = blocks
+        self.spans = spans
+        self.max_weight = max_weight
+        self._cx = self._coalg = None
 
     def canonical(self, word):
         return 1, word
@@ -412,7 +404,6 @@ def inner_action_on_homology(alg, generator, max_degree, max_weight=None, h=None
     return induced
 
 
-@dataclass
 class HomologyCoalgebra:
     """Homology with its induced coproduct in a fixed representative basis.
 
@@ -427,9 +418,10 @@ class HomologyCoalgebra:
     latter have zero class.
     """
 
-    table: BettiTable
-    pair_basis: dict
-    delta: dict
+    def __init__(self, table, pair_basis, delta):
+        self.table = table
+        self.pair_basis = pair_basis
+        self.delta = delta
 
     def primitive_subspace(self, q):
         """Classes with vanishing reduced coproduct, as a RowReducer

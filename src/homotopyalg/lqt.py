@@ -43,7 +43,6 @@ checked exactly on one product table.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .ainfty import check_stasheff, check_strict_unit, cyclic_homology
@@ -81,7 +80,6 @@ HOPF_BUDGET = 40
 # The right side: Lambda(HC[1]) by Poincare series
 
 
-@dataclass
 class ExteriorExpansion:
     """Dimensions of the free graded-commutative coalgebra on a shifted
     homology table.
@@ -92,20 +90,16 @@ class ExteriorExpansion:
     1 / (1 - t^d).  All coefficients are exact integers.
     """
 
-    source: BettiTable
-    max_degree: int
-    generator_dims: dict = field(init=False)
-    dims: dict = field(init=False)
-
-    def __post_init__(self):
-        D = self.max_degree
+    def __init__(self, source, max_degree):
+        self.source = source
+        self.max_degree = D = max_degree
         gens = {}
         for k in range(0, D):
-            if k not in self.source.dims or not self.source.exact.get(k, False):
+            if k not in source.dims or not source.exact.get(k, False):
                 raise ValueError(
                     f"the source table must be exact through degree {D - 1}; "
                     f"degree {k} is missing or truncated")
-            count = self.source.dims[k]
+            count = source.dims[k]
             if count:
                 gens[k + 1] = count
         series = [0] * (D + 1)
@@ -139,7 +133,6 @@ def expand_exterior(hc, max_degree):
 # The block-sum product on coinvariant homology
 
 
-@dataclass
 class HopfProductReport:
     """Exact verification record for the block-sum product on the
     gl_n(K)-coinvariant homology of gl_n(A), for n > max_degree.
@@ -150,17 +143,21 @@ class HopfProductReport:
     property held on everything checked.
     """
 
-    base: str
-    n: int
-    max_degree: int
-    class_dims: dict
-    products: dict
-    unit_ok: bool
-    commutative_violations: list
-    associative_violations: list
-    primitive_product_violations: list
-    checked_pairs: int
-    checked_triples: int
+    def __init__(self, base, n, max_degree, class_dims, products, unit_ok,
+                 commutative_violations, associative_violations,
+                 primitive_product_violations, checked_pairs,
+                 checked_triples):
+        self.base = base
+        self.n = n
+        self.max_degree = max_degree
+        self.class_dims = class_dims
+        self.products = products
+        self.unit_ok = unit_ok
+        self.commutative_violations = commutative_violations
+        self.associative_violations = associative_violations
+        self.primitive_product_violations = primitive_product_violations
+        self.checked_pairs = checked_pairs
+        self.checked_triples = checked_triples
 
     @property
     def ok(self):
@@ -270,7 +267,6 @@ def hopf_product_on_homology(model):
 # The degree-by-degree comparison
 
 
-@dataclass
 class LQTReport:
     """Degree-by-degree comparison of coinvariant matrix homology with
     the exterior expansion of cyclic homology.
@@ -284,18 +280,21 @@ class LQTReport:
     Every equality is exact.
     """
 
-    algebra: str
-    sizes: list
-    max_degree: int
-    left: dict
-    right: dict
-    hc_dims: dict
-    primitive_dims: dict
-    stable_from: dict
-    stable_dims: dict
-    verdicts: dict
-    primitive_verdicts: dict
-    hopf: object = None
+    def __init__(self, algebra, sizes, max_degree, left, right, hc_dims,
+                 primitive_dims, stable_from, stable_dims, verdicts,
+                 primitive_verdicts, hopf=None):
+        self.algebra = algebra
+        self.sizes = sizes
+        self.max_degree = max_degree
+        self.left = left
+        self.right = right
+        self.hc_dims = hc_dims
+        self.primitive_dims = primitive_dims
+        self.stable_from = stable_from
+        self.stable_dims = stable_dims
+        self.verdicts = verdicts
+        self.primitive_verdicts = primitive_verdicts
+        self.hopf = hopf
 
     @property
     def all_match(self):

@@ -51,10 +51,9 @@ reference for `lqt.hopf_product_on_homology`.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from homotopyalg.ainfty import AInftyAlgebra
 from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import coproduct_sym
 from homotopyalg.constructions import (
@@ -74,7 +73,6 @@ from matrix_oracles import corner_embed_word, gl_entry
 # The E_12 presentation
 
 
-@dataclass
 class E12Model(CEModel):
     """The gl_n(K)-coinvariant Chevalley-Eilenberg complex of gl_n(A),
     presented on S_n-orbits of zero-weight words.
@@ -111,15 +109,15 @@ class E12Model(CEModel):
     of M_n(A), and `_canon` the memo of `canonical`.
     """
 
-    n: int = field(kw_only=True)
-    base: AInftyAlgebra = field(kw_only=True)
-    _letters: tuple = field(init=False, repr=False)
-    _canon: dict = field(default_factory=dict, init=False, repr=False)
-
-    def __post_init__(self):
-        n, dim = self.n, self.base.space.dim
+    def __init__(self, algebra, max_degree, blocks, spans, max_weight=None,
+                 *, n, base):
+        super().__init__(algebra, max_degree, blocks, spans, max_weight)
+        self.n = n
+        self.base = base
+        dim = base.space.dim
         self._letters = tuple((a, i, j) for a in range(dim)
                               for i in range(n) for j in range(n))
+        self._canon = {}
         # the flat index of every letter once positions k and k+1 swap
         self._swaps = []
         for k in range(n - 1):

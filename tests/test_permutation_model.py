@@ -9,16 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from homotopyalg import linfty
 from homotopyalg.ainfty import from_associative, from_dga
-from homotopyalg.constructions import gl_index, gl_permutation_model
+from homotopyalg.constructions import _necklaces, gl_index, gl_permutation_model
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import canonical_sym
 from homotopyalg.linfty import InconsistencyError, ce_words, primitives
 from homotopyalg.lqt import hopf_product_on_homology
 
 from model_oracles import e12_model
+from word_oracles import necklaces_by_walk
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 UNITAL = ["K", "dual_numbers", "ut2", "dga2", "m3unital"]
+FIXTURE_NAMES = sorted(p.stem for p in FIXTURES.glob("*.alg"))
 
 
 @lru_cache(maxsize=None)
@@ -156,6 +158,28 @@ def test_canonical_refuses_what_is_not_a_permutation_word():
     # 1 (x) E_11 and e (x) E_11: weight zero, position 0 twice a row
     with pytest.raises(InconsistencyError, match="not a permutation word"):
         model.canonical((0, nn))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_necklaces_match_the_walk_on_fixture_degrees(name):
+    degrees = fixture_algebra(name).suspended.degrees
+    assert _necklaces(degrees, 8) == necklaces_by_walk(degrees, 8)
+
+
+@pytest.mark.parametrize("degrees,top", [
+    ((1, 1, 1), 9), ((1, 1, 1, 1), 8), ((1, 2, 3), 9), ((2, 1), 8)])
+def test_necklaces_match_the_walk(degrees, top):
+    assert _necklaces(degrees, top) == necklaces_by_walk(degrees, top)
+
+
+def test_necklaces_drop_what_their_rotation_negates():
+    # letter 0 is odd and letter 1 even; a word of period p repeated r
+    # times with o odd letters per period turns onto itself with sign
+    # (-1)^((r - 1) o)
+    kept = {reading for reading, _ in _necklaces((1, 2), 8)}
+    assert (0,) in kept and (1, 1) in kept and (0, 0, 0) in kept
+    assert (0, 1, 0, 1) not in kept and (0, 0) not in kept
+    assert (0, 0, 1, 0, 0, 1) in kept and (0, 0, 0, 0) not in kept
 
 
 def test_stable_build_has_no_quotient():

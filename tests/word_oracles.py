@@ -84,3 +84,28 @@ def read_off(operator, space, arity, symmetric=False):
         if val:
             comp[word] = val
     return comp
+
+
+def necklaces_by_walk(degrees, top):
+    """The reference for `constructions._necklaces`: every word of letters
+    of total degree <= top is walked, the ones equal to their smallest
+    rotation are kept, and so is each whose rotation by its period onto
+    itself has Koszul sign +1."""
+    out = []
+
+    def extend(reading, degree):
+        if reading:
+            n = len(reading)
+            turns = [reading[s:] + reading[:s] for s in range(1, n + 1)]
+            if reading == min(turns):
+                period = turns.index(reading) + 1
+                order = tuple(range(period, n)) + tuple(range(period))
+                if sign_of_arrangement([degrees[a] for a in reading],
+                                       order) == 1:
+                    out.append((reading, degree))
+        for a, d in enumerate(degrees):
+            if degree + d <= top:
+                extend(reading + (a,), degree + d)
+
+    extend((), 0)
+    return sorted(out)
