@@ -8,42 +8,48 @@ homology of L-infinity algebras (optionally reduced to coinvariants),
 and verifies a Loday-Quillen-Tsygan-type comparison between stable
 matrix homology and the exterior coalgebra on shifted cyclic homology,
 degree by degree at finite matrix size.
+
+The names in `__all__` resolve on first use: `import homotopyalg` loads
+no submodule, and reading `homotopyalg.cyclic_homology` imports
+`homotopyalg.ainfty` then, so that each command line entry point loads
+only the modules it runs.
 """
 
-from .ainfty import (
-    AInftyAlgebra,
-    check_stasheff,
-    check_strict_unit,
-    cyclic_homology,
-    from_associative,
-    from_dga,
-)
-from .chain import BettiTable, ChainComplex
-from .constructions import (
-    MatrixAlgebraSpec,
-    gl,
-    gl_coinvariant_model,
-    lie_ify,
-    matrix_algebra,
-)
-from .documents import (
-    AlgebraDocument,
-    DocumentError,
-    algebra_to_document,
-    document_to_algebra,
-    parse_document,
-    serialize_document,
-)
-from .graded import GradedSpace
-from .linfty import LInftyAlgebra, check_linfty, lie_homology, primitives
-from .lqt import (
-    ExteriorExpansion,
-    HopfProductReport,
-    LQTReport,
-    expand_exterior,
-    hopf_product_on_homology,
-    verify_lqt,
-)
+import importlib
+
+# Each exported name and the submodule that defines it.
+_EXPORTS = {
+    "AInftyAlgebra": "ainfty",
+    "check_stasheff": "ainfty",
+    "check_strict_unit": "ainfty",
+    "cyclic_homology": "ainfty",
+    "from_associative": "ainfty",
+    "from_dga": "ainfty",
+    "BettiTable": "chain",
+    "ChainComplex": "chain",
+    "MatrixAlgebraSpec": "constructions",
+    "gl": "constructions",
+    "gl_coinvariant_model": "constructions",
+    "lie_ify": "constructions",
+    "matrix_algebra": "constructions",
+    "AlgebraDocument": "documents",
+    "DocumentError": "documents",
+    "algebra_to_document": "documents",
+    "document_to_algebra": "documents",
+    "parse_document": "documents",
+    "serialize_document": "documents",
+    "GradedSpace": "graded",
+    "LInftyAlgebra": "linfty",
+    "check_linfty": "linfty",
+    "lie_homology": "linfty",
+    "primitives": "linfty",
+    "ExteriorExpansion": "lqt",
+    "HopfProductReport": "lqt",
+    "LQTReport": "lqt",
+    "expand_exterior": "lqt",
+    "hopf_product_on_homology": "lqt",
+    "verify_lqt": "lqt",
+}
 
 __version__ = "0.1.0"
 
@@ -80,3 +86,12 @@ __all__ = [
     "verify_lqt",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module("." + module, __name__), name)
+    globals()[name] = value
+    return value

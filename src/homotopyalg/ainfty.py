@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .chain import ChainComplex
 from .coalgebra import Cochain, StructureReport, certify, extend_coderivation
 from .graded import GradedSpace, act, add_into, exact
 
@@ -278,6 +277,8 @@ def rotation_span(space, words):
 def cyclic_complex(alg, max_degree, max_weight=None):
     """ChainComplex of cyclic words in degrees 0..max_degree+1, with the
     rotation quotient applied blockwise."""
+    from .chain import ChainComplex
+
     space = alg.suspended
     blocks, spans = {}, {}
     for q in range(0, max_degree + 2):

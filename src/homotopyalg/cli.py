@@ -21,8 +21,9 @@ import argparse
 import json
 import sys
 
+# documents imports ainfty for every command; each handler imports the
+# other modules it runs, so that a command compiles only those
 from .ainfty import check_stasheff, check_strict_unit, cyclic_homology
-from .constructions import lie_ify
 from .documents import (
     DocumentError,
     algebra_to_document,
@@ -30,14 +31,6 @@ from .documents import (
     document_to_data,
     parse_document,
 )
-from .linfty import (
-    InconsistencyError,
-    _check_h_closed,
-    _h_elements,
-    check_linfty,
-    lie_homology,
-)
-from .lqt import HopfProductReport, verify_lqt
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -205,8 +198,11 @@ def _cmd_check(args):
     alg = document_to_algebra(doc)
     labels = doc.labels
     cap = _arity_cap(doc, args.max_arity)
-    checker = check_linfty if doc.kind == "linfty" else check_stasheff
-    report = checker(alg, cap)
+    if doc.kind == "linfty":
+        from .linfty import check_linfty
+        report = check_linfty(alg, cap)
+    else:
+        report = check_stasheff(alg, cap)
     verdicts = {
         "structure": "ok" if report.ok else "violation",
         "complete": report.complete,
@@ -239,6 +235,9 @@ def _cmd_check(args):
 
 
 def _cmd_lieify(args):
+    from .constructions import lie_ify
+    from .linfty import InconsistencyError
+
     doc = _load(args)
     if doc.kind == "linfty":
         raise InputUnsuitable("the document is already of kind linfty")
@@ -292,6 +291,14 @@ def _cmd_hc(args):
 
 
 def _cmd_ce(args):
+    from .linfty import (
+        InconsistencyError,
+        _check_h_closed,
+        _h_elements,
+        check_linfty,
+        lie_homology,
+    )
+
     doc = _load(args)
     if doc.kind != "linfty":
         raise InputUnsuitable(
@@ -340,6 +347,8 @@ def _cmd_ce(args):
 
 
 def _hopf_data(hopf):
+    from .lqt import HopfProductReport
+
     if isinstance(hopf, HopfProductReport):
         return {
             "ok": hopf.ok,
@@ -359,6 +368,8 @@ def _hopf_data(hopf):
 
 
 def _cmd_lqt(args):
+    from .lqt import HopfProductReport, verify_lqt
+
     doc = _load(args)
     if doc.kind == "linfty":
         raise InputUnsuitable(

@@ -458,9 +458,13 @@ class GLCoinvariantModel:
     def homology(self):
         """Exact homology in degrees 0..max_degree.  U is a subcomplex, so
         dim H_q = dim U_q - rank d(U_q) - rank d(U_{q+1}), with d the
-        memoized boundary of the stable complex."""
+        memoized boundary of the stable complex; a block as long as the
+        stable one is all of it and takes the stable rank."""
         cx, rank = self.stable.complex(), {}
         for q, chains in self.blocks.items():
+            if len(chains) == len(self.stable.blocks[q]):
+                rank[q] = cx._rank(q)
+                continue
             red = RowReducer()
             for chain in chains:
                 red.insert(cx.differential(q, chain))
@@ -475,13 +479,18 @@ class GLCoinvariantModel:
 def gl_coinvariant_model(stable, n):
     """The coinvariant complex of gl_n(A), n >= 1, inside the stable model
     of `gl_permutation_model` (see the module docstring): a basis of the
-    span of the classes `_corner_classes` yields.  For n >= stable.n every
-    word of degree <= stable.n has at most n letters, so U is the whole
-    stable complex."""
+    span of the classes `_corner_classes` yields.  A block whose
+    representatives have at most n letters each is all of U_q: each is its
+    own class.  For n >= stable.n every word of degree <= stable.n has at
+    most n letters, so U is the whole stable complex."""
     if n < 1:
         raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
     blocks = {}
     for q in range(stable.max_degree + 2):
+        reps = stable.blocks.get(q, ())
+        if reps and all(len(rho) <= n for rho in reps):
+            blocks[q] = [{rho: 1} for rho in reps]
+            continue
         red, basis = RowReducer(), []
         for _, chain in _corner_classes(stable, n, q):
             if red.insert(chain) is not None:

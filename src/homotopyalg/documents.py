@@ -22,7 +22,6 @@ from fractions import Fraction
 
 from .ainfty import AInftyAlgebra
 from .graded import GradedSpace
-from .linfty import LInftyAlgebra
 
 __all__ = [
     "AlgebraDocument",
@@ -338,12 +337,15 @@ def document_to_algebra(doc):
         ops.setdefault(entry.arity, {})[word] = value
     space = GradedSpace(doc.labels, doc.degrees)
     if doc.kind == "linfty":
+        from .linfty import LInftyAlgebra
         return LInftyAlgebra(space, ops, name=doc.name)
     unit = index_of[doc.unit] if doc.unit is not None else None
     return AInftyAlgebra(space, ops, unit=unit, name=doc.name)
 
 
 def _classify(alg):
+    from .linfty import LInftyAlgebra
+
     if isinstance(alg, LInftyAlgebra):
         return "linfty"
     arities = set(alg.ops)

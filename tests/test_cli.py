@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from homotopyalg import cli, constructions, linfty, lqt
+from homotopyalg import constructions, linfty, lqt
 from homotopyalg.chain import BettiTable
 from homotopyalg.cli import main
 from homotopyalg.constructions import InconsistencyError
@@ -220,7 +220,7 @@ def test_lieify_fault_on_a_certified_input_is_not_a_violation(monkeypatch):
     def refuse(alg, cap=None):
         raise ValueError("commutator structure failed certification")
 
-    monkeypatch.setattr(cli, "lie_ify", refuse)
+    monkeypatch.setattr(constructions, "lie_ify", refuse)
     with pytest.raises(InconsistencyError, match="certified input") as info:
         main(["lieify", fixture("ut2.alg")])
     assert isinstance(info.value.__cause__, ValueError)

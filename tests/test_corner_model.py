@@ -24,6 +24,7 @@ from homotopyalg.constructions import (
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import add_into, canonical_sym
 from homotopyalg.linfty import lie_homology
+from homotopyalg.rational_linalg import RowReducer
 
 from model_oracles import e12_model
 
@@ -80,6 +81,32 @@ def test_from_the_stable_size_on_the_image_is_the_whole_complex(name):
         assert {q: len(chains) for q, chains in model.blocks.items()} == \
             {q: len(words) for q, words in stable.blocks.items()}
         assert model.homology().dims == stable.homology().dims
+
+
+def test_from_the_stable_size_on_no_class_is_split(monkeypatch):
+    # every block is the stable one, each representative its own class,
+    # and no matching is summed to find that out
+    stable = stable_model("m3unital", 3)
+    echelon = {n: {q: basis_of_classes(stable, n, q) for q in stable.blocks}
+               for n in (stable.n, stable.n + 1)}
+
+    def refuse(*args):
+        raise AssertionError("a class was split")
+
+    monkeypatch.setattr(constructions, "_split", refuse)
+    for n, blocks in echelon.items():
+        model = gl_coinvariant_model(stable, n)
+        assert model.blocks == blocks
+        assert model.homology().dims == stable.homology().dims
+
+
+def basis_of_classes(stable, n, q):
+    """The basis of U_q that the echelon of the corner classes keeps."""
+    red, basis = RowReducer(), []
+    for _, chain in _corner_classes(stable, n, q):
+        if red.insert(chain) is not None:
+            basis.append(chain)
+    return basis
 
 
 def test_the_image_below_the_stable_size_is_a_proper_subcomplex():
