@@ -27,7 +27,6 @@ _EXPORTS = {
     "from_dga": "ainfty",
     "BettiTable": "chain",
     "ChainComplex": "chain",
-    "MatrixAlgebraSpec": "constructions",
     "gl": "constructions",
     "gl_coinvariant_model": "constructions",
     "lie_ify": "constructions",
@@ -43,7 +42,6 @@ _EXPORTS = {
     "check_linfty": "linfty",
     "lie_homology": "linfty",
     "primitives": "linfty",
-    "ExteriorExpansion": "lqt",
     "HopfProductReport": "lqt",
     "LQTReport": "lqt",
     "expand_exterior": "lqt",
@@ -53,39 +51,7 @@ _EXPORTS = {
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AInftyAlgebra",
-    "AlgebraDocument",
-    "BettiTable",
-    "ChainComplex",
-    "DocumentError",
-    "ExteriorExpansion",
-    "GradedSpace",
-    "HopfProductReport",
-    "LInftyAlgebra",
-    "LQTReport",
-    "MatrixAlgebraSpec",
-    "algebra_to_document",
-    "check_linfty",
-    "check_stasheff",
-    "check_strict_unit",
-    "cyclic_homology",
-    "document_to_algebra",
-    "expand_exterior",
-    "from_associative",
-    "from_dga",
-    "gl",
-    "gl_coinvariant_model",
-    "hopf_product_on_homology",
-    "lie_homology",
-    "lie_ify",
-    "matrix_algebra",
-    "parse_document",
-    "primitives",
-    "serialize_document",
-    "verify_lqt",
-    "__version__",
-]
+__all__ = [*sorted(_EXPORTS), "__version__"]
 
 
 def __getattr__(name):

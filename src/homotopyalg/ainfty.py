@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coalgebra import Cochain, StructureReport, certify, extend_coderivation
+from .coalgebra import Cochain, Coderivation, StructureReport, certify
 from .graded import GradedSpace, act, add_into, exact
 
 __all__ = [
@@ -96,7 +96,7 @@ class AInftyAlgebra:
         return max(self.ops, default=0)
 
     def coderivation(self):
-        return extend_coderivation(self.m, "tensor")
+        return Coderivation(self.m)
 
     def op_value(self, k, word):
         """mu_k on a word of basis indices, {index: int | Fraction}."""
@@ -104,21 +104,15 @@ class AInftyAlgebra:
 
 
 def from_associative(labels, mult, unit=None, name=""):
-    """Degree-0 associative algebra as a homotopy algebra with only mu_2.
+    """Degree-0 associative algebra as a homotopy algebra with only mu_2:
+    `from_dga` with every degree 0 and no differential.
 
-    `mult` maps basis pairs (i, j) to sparse products {k: coeff}.  The
-    result is certified with `check_stasheff`, and with `check_strict_unit`
-    when a unit is given; a failure raises ValueError with its witness.
+    `mult` maps basis pairs (i, j) to sparse products {k: coeff}.  A failure
+    of associativity or of a declared unit raises ValueError with its
+    witness.
     """
     labels = tuple(labels)
-    alg = AInftyAlgebra(GradedSpace(labels, (0,) * len(labels)),
-                        {2: dict(mult)}, unit=unit, name=name)
-    report = check_stasheff(alg)
-    if not report:
-        raise ValueError(
-            f"multiplication not associative: witness {report.witness}")
-    _require_unit(alg)
-    return alg
+    return from_dga(labels, (0,) * len(labels), {}, mult, unit, name)
 
 
 def _require_unit(alg):
@@ -145,8 +139,7 @@ def from_dga(labels, degrees, differential, mult, unit=None, name=""):
     signed Leibniz rule d(ab) = (da)b + (-1)^|a| a(db) in arity 2 and
     associativity in arity 3, so `check_stasheff` certifies all three; a
     failure raises ValueError naming the identity and its witness.  A
-    declared unit is checked with `check_strict_unit`, as in
-    `from_associative`.
+    declared unit is checked with `check_strict_unit`.
     """
     ops = {1: {(i,): v for i, v in differential.items()}, 2: dict(mult)}
     alg = AInftyAlgebra(GradedSpace(labels, degrees), ops,
@@ -164,7 +157,7 @@ def check_stasheff(alg, max_arity=None):
 
     With components up to arity K, the square has components only up to
     2K - 1, so checking that far is a complete proof; a smaller cap yields a
-    partial certificate.  Passes are memoized by `certify`.
+    partial certificate.
     """
     d = alg.coderivation()
     return certify(d, d, max(2 * alg.max_arity - 1, 0), max_arity)

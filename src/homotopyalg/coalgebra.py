@@ -1,11 +1,12 @@
 """Cofree coalgebras at finite weight and their coderivations.
 
-Two flavors are supported on words over a suspended `GradedSpace`:
+Two coalgebras are supported on words over a suspended `GradedSpace`, and a
+cochain's `symmetric` flag says which one its coderivation acts on:
 
-* tensor flavor: plain tuples, deconcatenation coproduct; a cochain component
+* tensor: plain tuples, deconcatenation coproduct; a cochain component
   f_k is applied to every length-k window with the Koszul prefix sign
   (-1)^(|f| * (deg of factors left of the window)).
-* symmetric flavor: canonically sorted words (the coinvariant model of the
+* symmetric: canonically sorted words (the coinvariant model of the
   symmetric coalgebra on the suspension), shuffle coproduct with one term per
   shuffle, and the coderivation extension with one term per unshuffle; the
   cochain output is wedged at the front, then the word is re-canonicalized.
@@ -20,8 +21,8 @@ top arity it can reach, and `certify` is the one routine that decides it.
 `bracket` never evaluates a coderivation on basis words.  The corestriction
 of D_f . D_g is a sum of partial compositions of the two cochains, one term
 for each entry g(u) = sum a_y y of the inner cochain and each outer entry v
-that has y as an input letter (Gerstenhaber's pre-Lie composition in the
-tensor flavor, the Nijenhuis-Richardson composition in the symmetric one):
+that has y as an input letter (Gerstenhaber's pre-Lie composition on the
+tensor coalgebra, the Nijenhuis-Richardson composition on the symmetric one):
 
 * tensor: v = p.y.s contributes (-1)^(|g| deg p) a_y f(v) on the word p.u.s;
 * symmetric: with back = v minus one copy of y, it contributes
@@ -62,7 +63,6 @@ __all__ = [
     "Coderivation",
     "StructureReport",
     "coproduct_sym",
-    "extend_coderivation",
     "bracket",
     "certify",
 ]
@@ -144,22 +144,21 @@ class Cochain:
 
 
 class Coderivation:
-    """Coderivation of the weight-graded cofree coalgebra in either flavor."""
+    """Coderivation of the weight-graded cofree coalgebra extending a
+    cochain: on the symmetric coalgebra when the cochain is symmetric, on
+    the tensor coalgebra otherwise."""
 
-    def __init__(self, cochain, flavor):
-        if flavor not in ("tensor", "sym"):
-            raise ValueError(f"unknown flavor {flavor!r}")
+    def __init__(self, cochain):
         self.cochain = cochain
-        self.flavor = flavor
 
     @property
     def degree(self):
         return self.cochain.degree
 
     def eval_word(self, word):
-        if self.flavor == "tensor":
-            return self._eval_tensor(word)
-        return self._eval_sym(word)
+        if self.cochain.symmetric:
+            return self._eval_sym(word)
+        return self._eval_tensor(word)
 
     def _eval_tensor(self, word):
         space = self.cochain.space
@@ -209,12 +208,6 @@ class Coderivation:
         return out
 
 
-def extend_coderivation(cochain, flavor):
-    if flavor == "sym" and not cochain.symmetric:
-        raise ValueError("symmetric flavor requires a symmetric cochain")
-    return Coderivation(cochain, flavor)
-
-
 def coproduct_sym(word, space):
     """Shuffle coproduct on a canonical word, one term per shuffle, both
     counit terms included: {(left, right): sign}."""
@@ -238,7 +231,7 @@ def _compose(outer, inner, max_arity, out, scale):
     """
     space = outer.cochain.space
     degs = space.degrees
-    sym = outer.flavor == "sym"
+    sym = outer.cochain.symmetric
     odd = inner.degree % 2
     # outer entries by input letter y, with the word around y and the sign
     # of taking y out: one record per position (tensor) or per distinct
@@ -295,22 +288,21 @@ def _integral(d):
                      for i, v in val.items()}
                  for w, val in table.items()}
              for k, table in c.comps.items()}
-    return D, Coderivation(Cochain(c.space, c.degree, comps, c.symmetric),
-                           d.flavor)
+    return D, Coderivation(Cochain(c.space, c.degree, comps, c.symmetric))
 
 
 def bracket(d1, d2, max_arity):
     """Cochain of the graded commutator [d1, d2] up to the given arity.
 
-    Both coderivations must share flavor and space; the result extends (in the
-    same flavor) to the operator d1 . d2 - (-1)^(|d1||d2|) d2 . d1.  Its
+    Both coderivations must act on one coalgebra over one space; the result
+    extends to the operator d1 . d2 - (-1)^(|d1||d2|) d2 . d1 there.  Its
     components are built from partial compositions of the two cochains,
     summed on integers (see the module docstring) and divided once.  When
     d1 is d2 the two compositions agree, so [d, d] = (1 - (-1)^(|d||d|))
     d . d is composed once, and not at all for an even d.
     """
-    if d1.flavor != d2.flavor:
-        raise ValueError("bracket requires coderivations of the same flavor")
+    if d1.cochain.symmetric != d2.cochain.symmetric:
+        raise ValueError("bracket cannot mix tensor and symmetric coderivations")
     sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1
     D1, i1 = _integral(d1)
     out = {}
@@ -324,7 +316,7 @@ def bracket(d1, d2, max_arity):
         _compose(i1, i2, max_arity, out, 1)
         _compose(i2, i1, max_arity, out, -sign)
     result = Cochain(d1.cochain.space, d1.degree + d2.degree,
-                     symmetric=d1.flavor == "sym")
+                     symmetric=d1.cochain.symmetric)
     for n in sorted(out):
         comp = {w: {z: Fraction(c, scale) for z, c in out[n][w].items()}
                 for w in sorted(out[n]) if out[n][w]}
@@ -344,22 +336,6 @@ class StructureReport:
         return self.ok
 
 
-# Commutators certified to vanish in this process, keyed on what the
-# certificate depends on: flavor, suspended degrees, cap and both cochains
-# (labels and names are left out).  Only passes are kept, so a failing pair
-# is always recomputed and reported with its witness; the oldest key is
-# dropped first.
-_CERTIFIED = {}
-_CERTIFIED_MAX = 64
-
-
-def _cochain_key(cochain):
-    return cochain.degree, cochain.symmetric, tuple(
-        (k, tuple(sorted((word, tuple(sorted(val.items())))
-                         for word, val in table.items())))
-        for k, table in sorted(cochain.comps.items()) if table)
-
-
 def certify(d1, d2, full, max_arity=None):
     """Certify that the graded commutator [d1, d2] vanishes.
 
@@ -367,21 +343,13 @@ def certify(d1, d2, full, max_arity=None):
     so checking through it is a complete proof; `max_arity` lowers the cap
     to min(max_arity, full) and yields a partial certificate.  On failure
     the witness is the first nonzero component in (arity, sorted word)
-    order.  A pair already certified in this process at the same cap is not
-    bracketed again.
+    order.
     """
     cap = full if max_arity is None else min(max_arity, full)
-    key = (d1.flavor, d1.cochain.space.degrees, cap,
-           _cochain_key(d1.cochain), _cochain_key(d2.cochain))
-    if key not in _CERTIFIED:
-        comm = bracket(d1, d2, cap)
-        for n in sorted(comm.comps):
-            table = comm.comps[n]
-            for word in sorted(table):
-                return StructureReport(False, cap, cap >= full,
-                                       (n, word, dict(table[word])))
-        if len(_CERTIFIED) >= _CERTIFIED_MAX:
-            del _CERTIFIED[next(iter(_CERTIFIED))]
-        _CERTIFIED[key] = None
+    comm = bracket(d1, d2, cap)
+    for n in sorted(comm.comps):
+        table = comm.comps[n]
+        for word in sorted(table):
+            return StructureReport(False, cap, cap >= full,
+                                   (n, word, dict(table[word])))
     return StructureReport(True, cap, cap >= full)
-

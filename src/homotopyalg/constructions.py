@@ -52,11 +52,16 @@ import math
 from .ainfty import AInftyAlgebra, check_stasheff, check_strict_unit
 from .chain import BettiTable
 from .graded import GradedSpace, add_into, canonical_sym, sign_of_arrangement
-from .linfty import CEModel, InconsistencyError, LInftyAlgebra, check_linfty
+from .linfty import (
+    CEModel,
+    InconsistencyError,
+    LInftyAlgebra,
+    ce_words,
+    check_linfty,
+)
 from .rational_linalg import RowReducer
 
 __all__ = [
-    "MatrixAlgebraSpec",
     "GLCoinvariantModel",
     "lie_ify",
     "matrix_algebra",
@@ -128,18 +133,8 @@ def lie_ify(alg, cap=None):
 # Matrix algebras
 
 
-class MatrixAlgebraSpec:
-    """A base algebra together with a matrix size n >= 1."""
-
-    def __init__(self, base, n):
-        if not isinstance(n, int) or n < 1:
-            raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
-        self.base = base
-        self.n = n
-
-
-def matrix_algebra(spec):
-    """M_n(A) = A (x) M_n(K), by the matrix-unit rule.
+def matrix_algebra(base, n):
+    """M_n(A) = A (x) M_n(K), by the matrix-unit rule, for an integer n >= 1.
 
     The matrix units sit in degree 0, so no sign arises and
 
@@ -154,7 +149,8 @@ def matrix_algebra(spec):
     n > 1, so none is declared; n = 1 returns the base itself.  The result
     is re-certified with `check_stasheff`.
     """
-    base, n = spec.base, spec.n
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
     if n == 1:
         return base
     nn = n * n
@@ -180,14 +176,14 @@ def matrix_algebra(spec):
     return result
 
 
-def gl(spec):
+def gl(base, n):
     """gl_n(A): the commutator structure on the matrix algebra M_n(A).
 
-    Defined as lie_ify(matrix_algebra(spec)); for n = 1 this is the
+    Defined as lie_ify(matrix_algebra(base, n)); for n = 1 this is the
     commutator structure on the base itself.
     """
-    result = lie_ify(matrix_algebra(spec))
-    result.name = f"gl{spec.n}({spec.base.name or 'A'})"
+    result = lie_ify(matrix_algebra(base, n))
+    result.name = f"gl{n}({base.name or 'A'})"
     return result
 
 
@@ -403,33 +399,24 @@ def gl_permutation_model(base, max_degree):
     """
     _require_strict_unit(base)
     n = max_degree + 1
-    L = gl(MatrixAlgebraSpec(base, n))
+    L = gl(base, n)
     model = PermutationModel(L, max_degree, {}, {}, n=n, base=base)
     necklaces = _necklaces(base.suspended.degrees, n)
     nn = n * n
-
-    def extend(start, room, cycles, out):
-        if not room:
+    # the multisets are the canonical symmetric words over the necklaces:
+    # two equal cycles of odd degree swap with sign -1
+    degrees = [d for _, d in necklaces]
+    for q in range(max_degree + 2):
+        reps = []
+        for picks in ce_words(degrees, q):
             word, offset = [], 0
-            for reading in cycles:
+            for p in picks:
+                reading = necklaces[p][0]
                 size = len(reading)
                 word.extend(a * nn + (offset + s) * n + offset + (s + 1) % size
                             for s, a in enumerate(reading))
                 offset += size
-            out.append(tuple(sorted(word)))
-            return
-        for p in range(start, len(necklaces)):
-            reading, d = necklaces[p]
-            # two equal cycles of odd degree swap with sign -1
-            if d > room or (cycles and cycles[-1] == reading and d % 2):
-                continue
-            cycles.append(reading)
-            extend(p, room - d, cycles, out)
-            cycles.pop()
-
-    for q in range(max_degree + 2):
-        reps = []
-        extend(0, q, [], reps)
+            reps.append(tuple(sorted(word)))
         if reps:
             model.blocks[q] = sorted(reps)
     return model

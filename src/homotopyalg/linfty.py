@@ -45,20 +45,13 @@ from fractions import Fraction
 
 from .ainfty import suspend_operations
 from .chain import ChainComplex
-from .coalgebra import (
-    Cochain,
-    bracket,
-    certify,
-    coproduct_sym,
-    extend_coderivation,
-)
+from .coalgebra import Cochain, Coderivation, bracket, certify, coproduct_sym
 from .graded import add_into, exact
 from .rational_linalg import LinearSolver, RowReducer, kernel
 
 __all__ = [
     "InconsistencyError",
     "LInftyAlgebra",
-    "Derivation",
     "HomologyCoalgebra",
     "check_linfty",
     "check_derivation",
@@ -107,7 +100,7 @@ class LInftyAlgebra:
         return max(self.ops, default=0)
 
     def coderivation(self):
-        return extend_coderivation(self.ell, "sym")
+        return Coderivation(self.ell)
 
     def op_value(self, k, word):
         """ell_k on a sorted word of basis indices, {index: int | Fraction}."""
@@ -127,40 +120,21 @@ def check_linfty(alg, max_arity=None):
     """Verify the homotopy Jacobi tower by squaring the coderivation.
 
     Complete once checked through arity 2K - 1 for top arity K; a smaller
-    cap gives a partial certificate.  Passes are memoized by `certify`.
+    cap gives a partial certificate.
     """
     d = alg.coderivation()
     return certify(d, d, max(2 * alg.max_arity - 1, 0), max_arity)
 
 
-class Derivation:
-    """A symmetric cochain whose coderivation commutes with the structure."""
-
-    def __init__(self, cochain, certificate):
-        self.cochain = cochain
-        self.certificate = certificate
-
-    def __bool__(self):
-        return bool(self.certificate)
-
-    @property
-    def degree(self):
-        return self.cochain.degree
-
-    def coderivation(self):
-        return extend_coderivation(self.cochain, "sym")
-
-
 def check_derivation(alg, d):
-    """Certify [delta_ell, delta_d] = 0; returns a Derivation on success and
-    the failing StructureReport otherwise.
+    """Certify that the symmetric cochain d is a derivation, [delta_ell,
+    delta_d] = 0; returns the StructureReport.
 
     The commutator of cochains with top arities K and K' has components only
     through arity K + K' - 1, so the check is a complete proof.
     """
-    report = certify(alg.coderivation(), extend_coderivation(d, "sym"),
-                     max(alg.max_arity + d.max_arity() - 1, 0))
-    return Derivation(d, report) if report else report
+    return certify(alg.coderivation(), Coderivation(d),
+                   max(alg.max_arity + d.max_arity() - 1, 0))
 
 
 def _as_cochain(alg, generator):
@@ -182,33 +156,33 @@ def _as_cochain(alg, generator):
 
 
 def make_inner(alg, generator):
-    """The inner derivation [delta_ell, delta_c] of a cochain or element.
+    """The coderivation of the inner derivation [delta_ell, delta_c] of a
+    cochain or element.
 
     Certification is automatic whenever the structure squares to zero (the
     graded Jacobi identity of the coderivation bracket), but is checked
-    by `check_derivation` and returned rather than assumed.
+    by `check_derivation` rather than assumed.
     """
     c = _as_cochain(alg, generator)
-    inner = bracket(alg.coderivation(), extend_coderivation(c, "sym"),
+    inner = bracket(alg.coderivation(), Coderivation(c),
                     max(alg.max_arity + c.max_arity() - 1, 0))
-    result = check_derivation(alg, inner)
-    if not result:
-        raise ValueError(f"inner construction failed certification: {result.witness}")
-    return result
+    report = check_derivation(alg, inner)
+    if not report:
+        raise ValueError(f"inner construction failed certification: {report.witness}")
+    return Coderivation(inner)
 
 
-def ce_words(space, total_degree):
-    """Canonical symmetric words of the given total suspended degree, in
-    lexicographic order: ascending indices, repeats only on even degrees.
-    Includes the empty word at degree 0."""
-    degs = space.degrees
+def ce_words(degs, total_degree):
+    """Canonical symmetric words of the given total degree over letters of
+    (positive) degrees `degs`, in lexicographic order: ascending indices,
+    repeats only on even degrees.  Includes the empty word at degree 0."""
     out = []
 
     def extend(prefix, start, remaining):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        for i in range(start, space.dim):
+        for i in range(start, len(degs)):
             d = degs[i]
             if d > remaining:
                 continue
@@ -256,7 +230,7 @@ def h_action_spans(alg, h, blocks):
     derivations of the h generators."""
     h_els = _h_elements(alg, h)
     _check_h_closed(alg, h_els)
-    actions = [make_inner(alg, el).coderivation() for el in h_els]
+    actions = [make_inner(alg, el) for el in h_els]
     spans = {}
     for q, words in blocks.items():
         gens = []
@@ -354,7 +328,7 @@ def ce_model(alg, max_degree, max_weight=None, h=None):
     through max_degree when a degree-0 subalgebra h is supplied."""
     blocks = {}
     for q in range(0, max_degree + 2):
-        words = ce_words(alg.suspended, q)
+        words = ce_words(alg.suspended.degrees, q)
         if max_weight is not None:
             words = [w for w in words if len(w) <= max_weight]
         if words:
@@ -379,11 +353,10 @@ def inner_action_on_homology(alg, generator, max_degree, max_weight=None, h=None
     the target degree}; the content of the inner-derivations-act-trivially
     lemma is that every dict is empty, which callers assert.
     """
-    der = make_inner(alg, generator)
-    shift = der.degree
+    action = make_inner(alg, generator)
+    shift = action.degree
     cx = ce_model(alg, max_degree, max_weight, h).complex()
     table = cx.homology(range(0, max_degree + 1), representatives=True)
-    action = der.coderivation()
     induced = {}
     for q in range(0, max_degree + 1):
         reps = table.representatives.get(q, [])

@@ -47,17 +47,11 @@ from fractions import Fraction
 
 from .ainfty import check_stasheff, check_strict_unit, cyclic_homology
 from .chain import BettiTable
-from .constructions import (
-    MatrixAlgebraSpec,
-    gl,
-    gl_coinvariant_model,
-    gl_permutation_model,
-)
+from .constructions import gl, gl_coinvariant_model, gl_permutation_model
 from .graded import add_into
 from .linfty import InconsistencyError, lie_homology, primitives
 
 __all__ = [
-    "ExteriorExpansion",
     "HopfProductReport",
     "LQTReport",
     "expand_exterior",
@@ -80,53 +74,34 @@ HOPF_BUDGET = 40
 # The right side: Lambda(HC[1]) by Poincare series
 
 
-class ExteriorExpansion:
-    """Dimensions of the free graded-commutative coalgebra on a shifted
-    homology table.
+def expand_exterior(hc, max_degree):
+    """BettiTable of Lambda(H[1]) truncated at max_degree: the free
+    graded-commutative coalgebra on the shifted homology table.
 
-    A class in HC_k becomes a generator in degree k + 1; odd-degree
+    A class in H_k becomes a generator in degree k + 1; odd-degree
     generators contribute an exterior factor (1 + t^d) to the Poincare
     series, even-degree generators a truncated polynomial factor
-    1 / (1 - t^d).  All coefficients are exact integers.
+    1 / (1 - t^d).  All coefficients are exact integers.  The input table
+    must be exact in degrees 0..max_degree-1 (those are the classes whose
+    shifted generators can reach the truncation).
     """
-
-    def __init__(self, source, max_degree):
-        self.source = source
-        self.max_degree = D = max_degree
-        gens = {}
-        for k in range(0, D):
-            if k not in source.dims or not source.exact.get(k, False):
-                raise ValueError(
-                    f"the source table must be exact through degree {D - 1}; "
-                    f"degree {k} is missing or truncated")
-            count = source.dims[k]
-            if count:
-                gens[k + 1] = count
-        series = [0] * (D + 1)
-        series[0] = 1
-        for d, count in sorted(gens.items()):
-            for _ in range(count):
-                if d % 2:
-                    for i in range(D, d - 1, -1):
-                        series[i] += series[i - d]
-                else:
-                    for i in range(d, D + 1):
-                        series[i] += series[i - d]
-        self.generator_dims = gens
-        self.dims = {q: series[q] for q in range(D + 1)}
-
-    def as_table(self):
-        return BettiTable(dims=dict(self.dims),
-                          exact={q: True for q in self.dims})
-
-
-def expand_exterior(hc, max_degree):
-    """BettiTable of Lambda(H[1]) truncated at max_degree.
-
-    The input table must be exact in degrees 0..max_degree-1 (those are
-    the classes whose shifted generators can reach the truncation).
-    """
-    return ExteriorExpansion(hc, max_degree).as_table()
+    D = max_degree
+    series = [1] + [0] * D
+    for k in range(0, D):
+        if k not in hc.dims or not hc.exact.get(k, False):
+            raise ValueError(
+                f"the source table must be exact through degree {D - 1}; "
+                f"degree {k} is missing or truncated")
+        d = k + 1
+        for _ in range(hc.dims[k]):
+            if d % 2:
+                for i in range(D, d - 1, -1):
+                    series[i] += series[i - d]
+            else:
+                for i in range(d, D + 1):
+                    series[i] += series[i - d]
+    return BettiTable(dims={q: series[q] for q in range(D + 1)},
+                      exact=dict.fromkeys(range(D + 1), True))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +305,7 @@ def verify_lqt(base, sizes, max_degree):
 
     try:
         stable = gl_permutation_model(base, max_degree)
-        unreduced = {n: stable.algebra if n == stable.n else
-                     gl(MatrixAlgebraSpec(base, n))
+        unreduced = {n: stable.algebra if n == stable.n else gl(base, n)
                      for n in set(sizes) | {stable.n} if n <= 2}
     except ValueError as exc:
         # the base is certified above, so a refusal or a failed

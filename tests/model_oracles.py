@@ -58,7 +58,6 @@ from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import coproduct_sym
 from homotopyalg.constructions import (
     _require_strict_unit,
-    MatrixAlgebraSpec,
     gl,
     gl_index,
 )
@@ -331,7 +330,7 @@ def e12_model(base, n, max_degree):
     generators) are never built.
     """
     _require_strict_unit(base)
-    L = gl(MatrixAlgebraSpec(base, n))
+    L = gl(base, n)
     base_dim = base.space.dim
     susp = L.suspended
     model = E12Model(L, max_degree, {}, {}, n=n, base=base)
@@ -342,7 +341,7 @@ def e12_model(base, n, max_degree):
         # E_12 adds e_1 - e_2, so it maps the words of weight e_2 - e_1
         # into weight zero
         gen = {gl_index(n, base_dim, base.unit, 0, 1): Fraction(1)}
-        root = ((-1, 1) + (0,) * (n - 2), make_inner(L, gen).coderivation())
+        root = ((-1, 1) + (0,) * (n - 2), make_inner(L, gen))
 
     letters = model._letters
     for q in range(0, max_degree + 2):
@@ -449,7 +448,7 @@ def _weight_buckets(space, n, base_dim, total_degree, weights):
 def simple_root_model(base, n, max_degree):
     """The zero-weight words of gl_n(A) through the given degree, quotiented
     by the n-1 positive simple-root images."""
-    L = gl(MatrixAlgebraSpec(base, n))
+    L = gl(base, n)
     base_dim = base.space.dim
     zero = (0,) * n
     simple = []
@@ -457,7 +456,7 @@ def simple_root_model(base, n, max_degree):
         gen = {gl_index(n, base_dim, base.unit, r, r + 1): Fraction(1)}
         # E_{r+1,r+2} maps the words of weight e_{r+1} - e_r into weight zero
         simple.append((_root_weight(n, r + 1, r),
-                       make_inner(L, gen).coderivation()))
+                       make_inner(L, gen)))
     weights = [zero] + [wt for wt, _ in simple]
     blocks, spans = {}, {}
     for q in range(0, max_degree + 2):
@@ -478,13 +477,13 @@ def simple_root_model(base, n, max_degree):
 def every_word_model(base, n, max_degree):
     """The orbit model with E_12 evaluated on every segment word of weight
     e_2 - e_1, not on one per orbit."""
-    L = gl(MatrixAlgebraSpec(base, n))
+    L = gl(base, n)
     model = E12Model(L, max_degree, {}, {}, n=n, base=base)
     susp, letters = L.suspended, model._letters
     act = None
     if n > 1:
         gen = {gl_index(n, base.space.dim, base.unit, 0, 1): Fraction(1)}
-        act = make_inner(L, gen).coderivation()
+        act = make_inner(L, gen)
     for q in range(0, max_degree + 2):
         reps = set()
         for word in _segment_words(susp, letters, n, q, (0,) * n):

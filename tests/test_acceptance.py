@@ -18,7 +18,6 @@ from pathlib import Path
 from homotopyalg.cli import main
 from homotopyalg.coalgebra import coproduct_sym
 from homotopyalg.constructions import (
-    MatrixAlgebraSpec,
     gl,
     gl_index,
     gl_permutation_model,
@@ -266,7 +265,7 @@ def test_criterion_4_ce_homology_matches_classical_oracle(capsys):
     assert sl2_dims == [oracle[q] for q in range(4)]
     assert sl2_dims == [1, 0, 0, 1]
 
-    gl2 = gl(MatrixAlgebraSpec(algebra("K.alg"), 2))
+    gl2 = gl(algebra("K.alg"), 2)
     table = lie_homology(gl2, 3)
     gl2_dims = [table.dims[q] for q in range(4)]
     oracle = lie_homology_dims(gl_bracket(2), 4, 3)
@@ -279,7 +278,7 @@ def test_criterion_5_inner_derivations_act_trivially(capsys):
     rng = random.Random(2026)
     checked = 0
     for alg in (algebra("sl2.alg"),
-                gl(MatrixAlgebraSpec(algebra("dual_numbers.alg"), 2))):
+                gl(algebra("dual_numbers.alg"), 2)):
         dim = alg.space.dim
         for _ in range(10):
             gen = {i: Fraction(rng.randint(-3, 3)) for i in range(dim)}
@@ -298,7 +297,7 @@ def test_criterion_6_reductive_coinvariants_preserve_homology(capsys):
     dims = {}
     for name in ("K.alg", "dual_numbers.alg"):
         base = algebra(name)
-        g2 = gl(MatrixAlgebraSpec(base, 2))
+        g2 = gl(base, 2)
         full = lie_homology(g2, 3)
         h = [gl_index(2, base.space.dim, base.unit, r, s)
              for r in range(2) for s in range(2)]

@@ -73,38 +73,6 @@ def test_stasheff_violation_witness():
     assert arity == 3 and word == (0, 0, 0) and defect
 
 
-def test_stasheff_memo_ignores_labels_but_not_coefficients(monkeypatch):
-    from homotopyalg import coalgebra
-
-    squarings = []
-    real_bracket = coalgebra.bracket
-
-    def counting_bracket(*args, **kwargs):
-        squarings.append(args[-1])
-        return real_bracket(*args, **kwargs)
-
-    monkeypatch.setattr(coalgebra, "bracket", counting_bracket)
-    base = upper_triangular()
-    assert check_stasheff(base).ok
-    first = len(squarings)
-    relabelled = AInftyAlgebra(GradedSpace(("u", "x", "y"), (0, 0, 0)),
-                               base.ops, unit=0, name="relabelled")
-    rep = check_stasheff(relabelled)
-    assert rep.ok and rep.complete
-    assert len(squarings) == first  # served from the memo
-
-    ops = {k: {w: dict(v) for w, v in table.items()}
-           for k, table in base.ops.items()}
-    ops[2][(1, 2)] = {1: 2}          # n * p = 2n breaks associativity
-    mutant = AInftyAlgebra(base.space, ops, unit=0)
-    for _ in range(2):
-        rep = check_stasheff(mutant)
-        assert not rep.ok and rep.witness is not None
-        arity, word, defect = rep.witness
-        assert arity == 3 and defect
-    assert len(squarings) == first + 2  # squared every time, never memoized
-
-
 def test_from_dga_names_the_failing_identity():
     # z -> y -> x: d^2 z = x
     with pytest.raises(ValueError, match="does not square to zero"):
@@ -125,6 +93,23 @@ def test_from_dga_checks_a_declared_unit():
     with pytest.raises(ValueError, match=r"unit law fails at \(1, 0\)"):
         from_associative(["1", "x"], mult, unit=1)
     assert from_dga(["1", "x"], [0, 0], {}, mult, unit=0).unit == 0
+
+
+def test_from_associative_agrees_with_from_dga_in_degree_zero():
+    # u u = v, u v = u: both constructors refuse with the same message
+    bad = {(0, 0): {1: 1}, (0, 1): {0: 1}}
+    messages = []
+    for build in (lambda: from_associative(["u", "v"], bad),
+                  lambda: from_dga(["u", "v"], [0, 0], {}, bad)):
+        with pytest.raises(ValueError) as caught:
+            build()
+        messages.append(str(caught.value))
+    assert messages == ["multiplication not associative: witness "
+                        "(3, (0, 0, 0), {0: Fraction(-2, 1)})"] * 2
+    mult = {(0, 0): {0: 1}}
+    ring = from_associative(["1"], mult, unit=0, name="K")
+    dga = from_dga(["1"], [0], {}, mult, unit=0, name="K")
+    assert (ring.ops, ring.unit, ring.space) == (dga.ops, dga.unit, dga.space)
 
 
 def test_decalage_signs_frozen():

@@ -15,9 +15,8 @@ from homotopyalg.coalgebra import (
     bracket,
     certify,
     coproduct_sym,
-    extend_coderivation,
 )
-from homotopyalg.constructions import MatrixAlgebraSpec, gl, matrix_algebra
+from homotopyalg.constructions import gl, matrix_algebra
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace, add_into, canonical_sym
 from homotopyalg.linfty import check_linfty, make_inner
@@ -57,7 +56,7 @@ def commutator_by_words(d1, d2, max_arity):
     The reference that `bracket` must reproduce exactly."""
     space = d1.cochain.space
     sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1
-    symmetric = d1.flavor == "sym"
+    symmetric = d1.cochain.symmetric
 
     def commutator(word):
         out = apply_element(d1, d2.eval_word(word))
@@ -140,8 +139,8 @@ def coproduct_of_element(element, space, flavor):
 def test_co_leibniz(flavor, space):
     rng = random.Random(101 if flavor == "tensor" else 102)
     for degree in (-1, 0, 1):
-        D = extend_coderivation(
-            random_cochain(space, rng, flavor == "sym", degree, with_zero=True), flavor)
+        D = Coderivation(
+            random_cochain(space, rng, flavor == "sym", degree, with_zero=True))
         words = all_words if flavor == "tensor" else canonical_words
         for word in words(space, 4 if space is SP2 else 3):
             lhs = coproduct_of_element(D.eval_word(word), space, flavor)
@@ -159,7 +158,7 @@ def test_square_zero_dual_numbers_tensor():
     m.set_value((0, 0), {0: 1})
     m.set_value((0, 1), {1: 1})
     m.set_value((1, 0), {1: 1})
-    d = extend_coderivation(m, "tensor")
+    d = Coderivation(m)
     sq = bracket(d, d, 5)
     assert sq.comps == {}
 
@@ -172,7 +171,7 @@ def test_square_zero_with_differential_tensor():
     m.set_value((0, 0), {0: 1})
     m.set_value((0, 1), {1: 1})
     m.set_value((1, 0), {1: -1})
-    d = extend_coderivation(m, "tensor")
+    d = Coderivation(m)
     sq = bracket(d, d, 5)
     assert sq.comps == {}
 
@@ -183,7 +182,7 @@ def test_square_zero_sl2_sym():
     ell.set_value((0, 1), {1: 2})
     ell.set_value((0, 2), {2: -2})
     ell.set_value((1, 2), {0: 1})
-    d = extend_coderivation(ell, "sym")
+    d = Coderivation(ell)
     sq = bracket(d, d, 5)
     assert sq.comps == {}
 
@@ -192,9 +191,9 @@ def test_bracket_odd_even_is_genuine_commutator():
     rng = random.Random(7)
     c1 = random_cochain(SP3, rng, False, -1)
     c2 = random_cochain(SP3, rng, False, 0)
-    d1 = extend_coderivation(c1, "tensor")
-    d2 = extend_coderivation(c2, "tensor")
-    br = extend_coderivation(bracket(d1, d2, 6), "tensor")
+    d1 = Coderivation(c1)
+    d2 = Coderivation(c2)
+    br = Coderivation(bracket(d1, d2, 6))
     for word in all_words(SP3, 3):
         direct = apply_element(d1, d2.eval_word(word))
         for w, c in apply_element(d2, d1.eval_word(word)).items():
@@ -207,9 +206,9 @@ def test_bracket_extension_matches_commutator_odd_odd(flavor):
     rng = random.Random(19)
     c1 = random_cochain(SP3, rng, flavor == "sym", -1)
     c2 = random_cochain(SP3, rng, flavor == "sym", 1, with_zero=True)
-    d1 = extend_coderivation(c1, flavor)
-    d2 = extend_coderivation(c2, flavor)
-    br = extend_coderivation(bracket(d1, d2, 6), flavor)
+    d1 = Coderivation(c1)
+    d2 = Coderivation(c2)
+    br = Coderivation(bracket(d1, d2, 6))
     words = all_words if flavor == "tensor" else canonical_words
     for word in words(SP3, 3):
         direct = apply_element(d1, d2.eval_word(word))
@@ -218,11 +217,20 @@ def test_bracket_extension_matches_commutator_odd_odd(flavor):
         assert element_eq(br.eval_word(word), direct), word
 
 
+def test_bracket_refuses_to_mix_tensor_and_symmetric():
+    rng = random.Random(5)
+    tensor = Coderivation(random_cochain(SP3, rng, False, -1))
+    sym = Coderivation(random_cochain(SP3, rng, True, -1))
+    for d1, d2 in ((tensor, sym), (sym, tensor)):
+        with pytest.raises(ValueError, match="cannot mix"):
+            bracket(d1, d2, 3)
+
+
 @pytest.mark.parametrize("flavor", ["tensor", "sym"])
 def test_extension_readoff_roundtrip(flavor):
     rng = random.Random(31 if flavor == "tensor" else 37)
     c = random_cochain(SP3, rng, flavor == "sym", -1, with_zero=True)
-    D = extend_coderivation(c, flavor)
+    D = Coderivation(c)
     for n in range(0, 4):
         comp = read_off(D.eval_word, SP3, n, symmetric=(flavor == "sym"))
         assert comp == c.comps.get(n, {}), n
@@ -308,13 +316,13 @@ def test_symmetrized_tensor_extension_is_sym_coderivation(degree):
     # the symmetric extension of its own arity read-off everywhere.
     rng = random.Random(61 + degree)
     c = random_cochain(SP3, rng, False, degree, with_zero=True)
-    op = sandwich(extend_coderivation(c, "tensor"), SP3)
+    op = sandwich(Coderivation(c), SP3)
     g = Cochain(SP3, degree, symmetric=True)
     for n in range(0, 4):
         comp = read_off(op, SP3, n, symmetric=True)
         if comp:
             g.comps[n] = comp
-    ext = extend_coderivation(g, "sym")
+    ext = Coderivation(g)
     for word in canonical_words(SP3, 3):
         assert element_eq(op(word), ext.eval_word(word)), word
 
@@ -331,7 +339,7 @@ def test_symmetric_cochain_sandwich_rescales_by_factorials(degree):
             val = f.apply(word)
             if val:
                 tensor_version.comps.setdefault(k, {})[word] = dict(val)
-    op = sandwich(extend_coderivation(tensor_version, "tensor"), SP3)
+    op = sandwich(Coderivation(tensor_version), SP3)
     scaled = Cochain(SP3, degree, symmetric=True)
     fact = 1
     for k in range(0, 4):
@@ -341,7 +349,7 @@ def test_symmetric_cochain_sandwich_rescales_by_factorials(degree):
         if table:
             scaled.comps[k] = {w: {i: fact * v for i, v in val.items()}
                                for w, val in table.items()}
-    ext = extend_coderivation(scaled, "sym")
+    ext = Coderivation(scaled)
     for word in canonical_words(SP3, 4):
         assert element_eq(op(word), ext.eval_word(word)), word
 
@@ -400,8 +408,7 @@ def test_bracket_matches_words_on_fixture_squares(path):
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_bracket_matches_words_on_matrix_algebras(n):
     for base in matrix_bases():
-        spec = MatrixAlgebraSpec(base, n)
-        for alg in (matrix_algebra(spec), gl(spec)):
+        for alg in (matrix_algebra(base, n), gl(base, n)):
             d = alg.coderivation()
             full = square_arity(alg)
             assert bracket(d, d, full) == commutator_by_words(d, d, full), alg.name
@@ -409,18 +416,18 @@ def test_bracket_matches_words_on_matrix_algebras(n):
 
 def test_bracket_matches_words_on_inner_derivations():
     for base in matrix_bases():
-        alg = gl(MatrixAlgebraSpec(base, 2))
+        alg = gl(base, 2)
         d = alg.coderivation()
         for i in range(alg.suspended.dim):
             c = Cochain(alg.suspended, alg.suspended.degrees[i], symmetric=True)
             c.set_value((), {i: 1})
-            gen = extend_coderivation(c, "sym")
+            gen = Coderivation(c)
             cap = max(alg.max_arity - 1, 0)
             inner = bracket(d, gen, cap)
             assert inner == commutator_by_words(d, gen, cap), (alg.name, i)
             assert inner == make_inner(alg, i).cochain
             # the derivation certificate of the inner derivation
-            der = extend_coderivation(inner, "sym")
+            der = Coderivation(inner)
             cap = max(alg.max_arity + inner.max_arity() - 1, 0)
             assert bracket(d, der, cap) == commutator_by_words(d, der, cap)
 
@@ -449,7 +456,7 @@ def coderivation_pairs(draw):
                 c.set_value(word, {i: draw(values)
                                    for i in range(space.dim)
                                    if space.degrees[i] == target})
-        pair.append(extend_coderivation(c, flavor))
+        pair.append(Coderivation(c))
     d1, d2 = pair
     full = max(d1.cochain.max_arity() + d2.cochain.max_arity() - 1, 0)
     return d1, d2, draw(st.integers(0, full + 1))
@@ -482,7 +489,7 @@ def test_bracket_of_a_coderivation_with_itself_matches_words(pair):
 
 
 def test_check_linfty_composes_once(monkeypatch):
-    L = gl(MatrixAlgebraSpec(matrix_bases()[0], 3))
+    L = gl(matrix_bases()[0], 3)
     calls = []
     real = coalgebra._compose
 
@@ -491,7 +498,6 @@ def test_check_linfty_composes_once(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(coalgebra, "_compose", counting)
-    monkeypatch.setattr(coalgebra, "_CERTIFIED", {})
     report = check_linfty(L)
     assert report.ok and report.complete
     assert calls == [True]
@@ -508,9 +514,9 @@ def flip_first_sign(cochain, arity):
 
 @pytest.mark.parametrize("make", [matrix_algebra, gl])
 def test_mutant_fails_with_the_oracle_witness(make):
-    alg = make(MatrixAlgebraSpec(matrix_bases()[0], 3))
+    alg = make(matrix_bases()[0], 3)
     d = alg.coderivation()
-    d = extend_coderivation(flip_first_sign(d.cochain, 2), d.flavor)
+    d = Coderivation(flip_first_sign(d.cochain, 2))
     full = square_arity(alg)
     report = certify(d, d, full)
     oracle = commutator_by_words(d, d, full)
@@ -521,8 +527,8 @@ def test_mutant_fails_with_the_oracle_witness(make):
 
 
 def test_certificates_evaluate_no_word(monkeypatch):
-    spec = MatrixAlgebraSpec(matrix_bases()[0], 4)
-    m4, gl4 = matrix_algebra(spec), gl(spec)
+    base = matrix_bases()[0]
+    m4, gl4 = matrix_algebra(base, 4), gl(base, 4)
     words = []
     real = Coderivation.eval_word
 
@@ -531,7 +537,6 @@ def test_certificates_evaluate_no_word(monkeypatch):
         return real(self, word)
 
     monkeypatch.setattr(Coderivation, "eval_word", counting)
-    monkeypatch.setattr(coalgebra, "_CERTIFIED", {})
     for report in (check_stasheff(m4), check_linfty(gl4)):
         assert report.ok and report.complete
     assert words == []

@@ -15,7 +15,6 @@ from homotopyalg.constructions import (
     _corner_classes,
     _first_appearance_form,
     _set_partitions,
-    MatrixAlgebraSpec,
     gl,
     gl_coinvariant_model,
     gl_index,
@@ -303,7 +302,7 @@ def tables_of(kind, order):
                       dims(e12_model(base, n, m).homology(), m)]
             if n <= 2:
                 tables.append(
-                    dims(lie_homology(gl(MatrixAlgebraSpec(base, n)), m), m))
+                    dims(lie_homology(gl(base, n), m), m))
             out[(n, m)] = tables
     return out
 

@@ -81,7 +81,7 @@ def test_blocks_are_the_cycle_forms_of_every_permutation_word(name, max_degree):
     susp = model.algebra.suspended
     for q in range(max_degree + 2):
         forms = set()
-        for word in ce_words(susp, q):
+        for word in ce_words(susp.degrees, q):
             rows = [model._letters[x][1] for x in word]
             cols = [model._letters[x][2] for x in word]
             if len(set(rows)) == len(rows) and set(rows) == set(cols):
