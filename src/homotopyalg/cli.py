@@ -127,52 +127,64 @@ def _witness_data(labels, witness):
     }
 
 
+def _payload(args, doc, caps, tables, verdicts, body="tables", **inputs):
+    """A command's payload: the inputs echo (file, name, kind and any extra
+    keys), the caps it ran under, its tables under `body` (lieify puts its
+    document there) and its verdicts."""
+    return {
+        "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind,
+                   **inputs},
+        "caps": caps,
+        body: tables,
+        "verdicts": verdicts,
+    }
+
+
 def _violation(args, doc, caps, structure):
     """The payload and exit code of a document whose structure failed
     certification, with the witness."""
-    return {
-        "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind},
-        "caps": caps,
-        "tables": {},
-        "verdicts": {"structure": "violation",
-                     "witness": _witness_data(doc.labels, structure.witness)},
-    }, EXIT_VIOLATION
+    return _payload(args, doc, caps, {}, {
+        "structure": "violation",
+        "witness": _witness_data(doc.labels, structure.witness),
+    }), EXIT_VIOLATION
 
 
-def _betti_rows(table, degrees):
-    return [[q, table.dims.get(q, 0), bool(table.exact.get(q, False))]
-            for q in degrees]
+def _betti_payload(args, doc, caps, name, table, **inputs):
+    """The payload of a Betti table through the requested degree."""
+    rows = [[q, table.dims.get(q, 0), bool(table.exact.get(q, False))]
+            for q in range(args.max_degree + 1)]
+    tables = {name: {"header": ["degree", "dim", "exact"], "rows": rows}}
+    return _payload(args, doc, caps, tables, {}, **inputs), EXIT_OK
 
 
-def _check_degree_cap(doc, max_degree):
+def _degree_caps(doc, max_degree, flag_weight, needed):
+    """The weight cap to compute under and the caps echo, or a CapExceeded.
+
+    The requested degree may not exceed the document's degree cap.  An
+    explicit --max-weight is honored as long as the document allows it
+    (exactness flags report any truncation honestly); without the flag, a
+    document whose declared weight cap is below the weight `needed` for an
+    exact answer at the requested degree refuses the request.
+    """
     cap = doc.caps.get("max_degree")
     if cap is not None and max_degree > cap:
         raise CapExceeded(
             f"requested degree {max_degree} exceeds the document cap "
             f"max_degree={cap}")
-
-
-def _effective_weight(doc, flag_weight, needed):
-    """The weight cap to compute under, or a CapExceeded.
-
-    An explicit --max-weight is honored as long as the document allows
-    it (exactness flags report any truncation honestly); without the
-    flag, a document whose declared weight cap cannot support an exact
-    answer at the requested degree refuses the request.
-    """
     doc_cap = doc.caps.get("max_weight")
     if flag_weight is not None:
         if doc_cap is not None and flag_weight > doc_cap:
             raise CapExceeded(
                 f"--max-weight {flag_weight} exceeds the document cap "
                 f"max_weight={doc_cap}")
-        return flag_weight
+        return flag_weight, {"max_degree": max_degree,
+                             "max_weight": flag_weight}
     if doc_cap is not None and doc_cap < needed:
         raise CapExceeded(
             f"an exact answer at this degree needs words of weight "
             f"{needed}, but the document caps weight at {doc_cap}; pass "
             f"--max-weight {doc_cap} to accept a truncated computation")
-    return None
+    return None, {"max_degree": max_degree}
 
 
 def _arity_cap(doc, flag_arity):
@@ -209,9 +221,7 @@ def _cmd_check(args):
         "witness": _witness_data(labels, report.witness),
     }
     ok = report.ok
-    if doc.kind == "linfty":
-        verdicts["unit"] = "absent"
-    elif doc.unit is None:
+    if doc.unit is None:
         verdicts["unit"] = "absent"
     else:
         unit_report = check_strict_unit(alg)
@@ -225,13 +235,9 @@ def _cmd_check(args):
                 "inputs": [labels[i] for i in word],
             }
             ok = False
-    payload = {
-        "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind},
-        "caps": {} if cap is None else {"max_arity": cap},
-        "tables": {},
-        "verdicts": verdicts,
-    }
-    return payload, EXIT_OK if ok else EXIT_VIOLATION
+    caps = {} if cap is None else {"max_arity": cap}
+    return (_payload(args, doc, caps, {}, verdicts),
+            EXIT_OK if ok else EXIT_VIOLATION)
 
 
 def _cmd_lieify(args):
@@ -254,14 +260,9 @@ def _cmd_lieify(args):
         # commutator structure is a fault of the package
         raise InconsistencyError(
             f"lie_ify failed on a certified input: {exc}") from exc
-    out_doc = algebra_to_document(lie, caps=doc.caps)
-    payload = {
-        "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind},
-        "caps": caps,
-        "document": document_to_data(out_doc),
-        "verdicts": {"structure": "ok"},
-    }
-    return payload, EXIT_OK
+    out_doc = document_to_data(algebra_to_document(lie, caps=doc.caps))
+    return _payload(args, doc, caps, out_doc, {"structure": "ok"},
+                    body="document"), EXIT_OK
 
 
 def _cmd_hc(args):
@@ -270,24 +271,14 @@ def _cmd_hc(args):
         raise InputUnsuitable(
             "cyclic homology takes an associative-flavor document "
             "(kind associative, dga, or ainfty)")
-    _check_degree_cap(doc, args.max_degree)
-    weight = _effective_weight(doc, args.max_weight, args.max_degree + 2)
-    caps = {"max_degree": args.max_degree,
-            **({} if weight is None else {"max_weight": weight})}
+    weight, caps = _degree_caps(doc, args.max_degree, args.max_weight,
+                                args.max_degree + 2)
     alg = document_to_algebra(doc)
     structure = check_stasheff(alg)
     if not structure:
         return _violation(args, doc, caps, structure)
     table = cyclic_homology(alg, args.max_degree, max_weight=weight)
-    degrees = list(range(args.max_degree + 1))
-    payload = {
-        "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind},
-        "caps": caps,
-        "tables": {"hc": {"header": ["degree", "dim", "exact"],
-                          "rows": _betti_rows(table, degrees)}},
-        "verdicts": {},
-    }
-    return payload, EXIT_OK
+    return _betti_payload(args, doc, caps, "hc", table)
 
 
 def _cmd_ce(args):
@@ -304,10 +295,8 @@ def _cmd_ce(args):
         raise InputUnsuitable(
             "Chevalley-Eilenberg homology takes a kind-linfty document; "
             "derive one from an associative-flavor input with `lieify`")
-    _check_degree_cap(doc, args.max_degree)
-    weight = _effective_weight(doc, args.max_weight, args.max_degree + 1)
-    caps = {"max_degree": args.max_degree,
-            **({} if weight is None else {"max_weight": weight})}
+    weight, caps = _degree_caps(doc, args.max_degree, args.max_weight,
+                                args.max_degree + 1)
     alg = document_to_algebra(doc)
     structure = check_linfty(alg)
     if not structure:
@@ -333,42 +322,32 @@ def _cmd_ce(args):
         # a fault of the package
         raise InconsistencyError(
             f"lie_homology failed on a certified input: {exc}") from exc
-    degrees = list(range(args.max_degree + 1))
-    payload = {
-        "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind},
-        "caps": caps,
-        "tables": {"ce": {"header": ["degree", "dim", "exact"],
-                          "rows": _betti_rows(table, degrees)}},
-        "verdicts": {},
-    }
-    if h is not None:
-        payload["inputs"]["coinvariants"] = args.coinvariants
-    return payload, EXIT_OK
+    return _betti_payload(args, doc, caps, "ce", table,
+                          **({} if h is None
+                             else {"coinvariants": args.coinvariants}))
 
 
 def _hopf_data(hopf):
-    from .lqt import HopfProductReport
-
-    if isinstance(hopf, HopfProductReport):
-        return {
-            "ok": hopf.ok,
-            "sizes": [hopf.n],
-            "unit": "ok" if hopf.unit_ok else "violation",
-            "checked_pairs": hopf.checked_pairs,
-            "checked_triples": hopf.checked_triples,
-            "commutative_violations": len(hopf.commutative_violations),
-            "associative_violations": len(hopf.associative_violations),
-            # the product runs on a stable model, so no triple is unstable;
-            # the key stays so that the payload keeps its shape
-            "unstable_triples": 0,
-            "primitive_product_violations":
-                len(hopf.primitive_product_violations),
-        }
-    return hopf
+    if isinstance(hopf, str):
+        return hopf
+    return {
+        "ok": hopf.ok,
+        "sizes": [hopf.n],
+        "unit": "ok" if hopf.unit_ok else "violation",
+        "checked_pairs": hopf.checked_pairs,
+        "checked_triples": hopf.checked_triples,
+        "commutative_violations": len(hopf.commutative_violations),
+        "associative_violations": len(hopf.associative_violations),
+        # the product runs on a stable model, so no triple is unstable;
+        # the key stays so that the payload keeps its shape
+        "unstable_triples": 0,
+        "primitive_product_violations":
+            len(hopf.primitive_product_violations),
+    }
 
 
 def _cmd_lqt(args):
-    from .lqt import HopfProductReport, verify_lqt
+    from .lqt import verify_lqt
 
     doc = _load(args)
     if doc.kind == "linfty":
@@ -382,22 +361,14 @@ def _cmd_lqt(args):
         raise DocumentError([("--n", f"not a comma list of sizes: {args.n!r}")])
     if not sizes or sizes[0] < 1:
         raise DocumentError([("--n", "matrix sizes must be integers >= 1")])
-    _check_degree_cap(doc, args.max_degree)
-    _effective_weight(doc, None, args.max_degree + 2)
+    _, caps = _degree_caps(doc, args.max_degree, None, args.max_degree + 2)
     alg = document_to_algebra(doc)
     structure = check_stasheff(alg)
     if not structure:
-        return _violation(args, doc, {"max_degree": args.max_degree},
-                          structure)
-    unit_report = check_strict_unit(alg)
-    if not unit_report:
-        return {
-            "inputs": {"file": args.document, "name": doc.name,
-                       "kind": doc.kind},
-            "caps": {"max_degree": args.max_degree},
-            "tables": {},
-            "verdicts": {"structure": "ok", "unit": "violation"},
-        }, EXIT_VIOLATION
+        return _violation(args, doc, caps, structure)
+    if not check_strict_unit(alg):
+        return _payload(args, doc, caps, {}, {
+            "structure": "ok", "unit": "violation"}), EXIT_VIOLATION
     report = verify_lqt(alg, sizes, args.max_degree)
     degrees = list(range(args.max_degree + 1))
     left_tables = [{
@@ -405,38 +376,30 @@ def _cmd_lqt(args):
         "header": ["degree", "dim"],
         "rows": [[q, report.left[n][q]] for q in degrees],
     } for n in report.sizes]
-    payload = {
-        "inputs": {"file": args.document, "name": doc.name, "kind": doc.kind,
-                   "sizes": report.sizes},
-        "caps": {"max_degree": args.max_degree},
-        "tables": {
-            "matrix_homology": left_tables,
-            "exterior_on_cyclic": {
-                "header": ["degree", "dim"],
-                "rows": [[q, report.right[q]] for q in degrees]},
-            "cyclic_homology": {
-                "header": ["degree", "dim"],
-                "rows": [[q, report.hc_dims.get(q, 0)]
-                         for q in sorted(report.hc_dims)]},
-            "primitives": {
-                "header": ["degree", "dim"],
-                "rows": [[q, report.primitive_dims.get(q, 0)]
-                         for q in degrees]},
-        },
-        "verdicts": {
-            "comparison": [[q, report.verdicts[q]] for q in degrees],
-            "primitives": [[q, report.primitive_verdicts[q]]
-                           for q in degrees if q >= 1],
-            "stable_from": [[q, report.stable_from[q]] for q in degrees],
-            "hopf": _hopf_data(report.hopf),
-            "all_match": report.all_match,
-        },
+    tables = {
+        "matrix_homology": left_tables,
+        "exterior_on_cyclic": {
+            "header": ["degree", "dim"],
+            "rows": [[q, report.right[q]] for q in degrees]},
+        "cyclic_homology": {
+            "header": ["degree", "dim"],
+            "rows": [[q, report.hc_dims.get(q, 0)]
+                     for q in sorted(report.hc_dims)]},
+        "primitives": {
+            "header": ["degree", "dim"],
+            "rows": [[q, report.primitive_dims.get(q, 0)] for q in degrees]},
     }
-    mismatch = ("MISMATCH" in report.verdicts.values()
-                or "MISMATCH" in report.primitive_verdicts.values()
-                or (isinstance(report.hopf, HopfProductReport)
-                    and not report.hopf.ok))
-    return payload, EXIT_VIOLATION if mismatch else EXIT_OK
+    verdicts = {
+        "comparison": [[q, report.verdicts[q]] for q in degrees],
+        "primitives": [[q, report.primitive_verdicts[q]]
+                       for q in degrees if q >= 1],
+        "stable_from": [[q, report.stable_from[q]] for q in degrees],
+        "hopf": _hopf_data(report.hopf),
+        "all_match": report.all_match,
+    }
+    ok = report.all_match and (isinstance(report.hopf, str) or report.hopf.ok)
+    return (_payload(args, doc, caps, tables, verdicts, sizes=report.sizes),
+            EXIT_OK if ok else EXIT_VIOLATION)
 
 
 def build_parser():

@@ -395,14 +395,18 @@ class HomologyCoalgebra:
         self.table = table
         self.pair_basis = pair_basis
         self.delta = delta
+        self._primitives = {}
 
     def primitive_subspace(self, q):
         """Classes with vanishing reduced coproduct, as a RowReducer
-        spanning them in the representative coordinates of H_q."""
-        tags = {t: i for i, t in enumerate(self.pair_basis.get(q, []))}
-        columns = [{tags[t]: c for t, c in row.items()}
-                   for row in self.delta.get(q, [])]
-        return kernel(columns, len(tags))
+        spanning them in the representative coordinates of H_q.  It is
+        computed once per degree and shared, so callers only read it."""
+        if q not in self._primitives:
+            tags = {t: i for i, t in enumerate(self.pair_basis.get(q, []))}
+            columns = [{tags[t]: c for t, c in row.items()}
+                       for row in self.delta.get(q, [])]
+            self._primitives[q] = kernel(columns, len(tags))
+        return self._primitives[q]
 
 
 def coalgebra_on_homology(model):

@@ -15,6 +15,9 @@ from homotopyalg.constructions import InconsistencyError
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
+PAYLOAD_KEYS = ["caps", "inputs", "tables", "verdicts"]
+
+
 def fixture(name):
     return str(FIXTURES / name)
 
@@ -57,16 +60,34 @@ def test_check_reports_violation_with_witness(capsys):
     assert witness["defect"]
 
 
-def test_check_unit_violation(capsys, tmp_path):
+def bad_unit_doc(tmp_path):
+    """K[e] with the nilpotent e declared as its unit."""
     data = json.loads((FIXTURES / "dual_numbers.alg").read_text())
     data["unit"] = "e"
     path = tmp_path / "badunit.alg"
     path.write_text(json.dumps(data))
-    code, payload, _ = run_json(capsys, "check", str(path))
+    return str(path)
+
+
+def test_check_unit_violation(capsys, tmp_path):
+    code, payload, _ = run_json(capsys, "check", bad_unit_doc(tmp_path))
     assert code == 2
     assert payload["verdicts"]["structure"] == "ok"
     assert payload["verdicts"]["unit"] == "violation"
     assert payload["verdicts"]["unit_witness"]
+
+
+def test_lqt_unit_violation(capsys, tmp_path):
+    path = bad_unit_doc(tmp_path)
+    code, payload, err = run_json(capsys, "lqt", path,
+                                  "--n", "2", "--max-degree", "2")
+    assert code == 2 and err == ""
+    assert payload == {
+        "caps": {"max_degree": 2},
+        "inputs": {"file": path, "name": "K[e]", "kind": "associative"},
+        "tables": {},
+        "verdicts": {"structure": "ok", "unit": "violation"},
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +175,7 @@ def test_hc_certifies_its_input_first(capsys):
     code, payload, _ = run_json(capsys, "hc", fixture("nonassoc.alg"),
                                 "--max-degree", "3")
     assert code == 2
+    assert sorted(payload) == PAYLOAD_KEYS
     assert payload["tables"] == {}
     assert payload["caps"] == {"max_degree": 3}
     verdicts = payload["verdicts"]
@@ -175,6 +197,7 @@ def test_ce_certifies_its_input_first(capsys, tmp_path, coinvariants):
     code, payload, err = run_json(capsys, "ce", str(path), "--max-degree", "3",
                                   *coinvariants)
     assert code == 2 and err == ""
+    assert sorted(payload) == PAYLOAD_KEYS
     assert payload["tables"] == {}
     verdicts = payload["verdicts"]
     assert verdicts["structure"] == "violation"
@@ -213,7 +236,7 @@ def test_lieify_certifies_its_input_first(capsys):
     verdicts = payload["verdicts"]
     assert verdicts["structure"] == "violation"
     assert verdicts["witness"]["inputs"] == ["u", "u", "u"]
-    assert "document" not in payload
+    assert sorted(payload) == PAYLOAD_KEYS and payload["tables"] == {}
 
 
 def test_lieify_fault_on_a_certified_input_is_not_a_violation(monkeypatch):
@@ -322,6 +345,7 @@ def test_lqt_on_uncertified_document_reports_violation(capsys, tmp_path):
     code, payload, _ = run_json(capsys, "lqt", str(path),
                                 "--n", "2", "--max-degree", "2")
     assert code == 2
+    assert sorted(payload) == PAYLOAD_KEYS and payload["tables"] == {}
     assert payload["verdicts"]["structure"] == "violation"
 
 
@@ -390,8 +414,8 @@ def test_lqt_validates_size_list(capsys):
 # caps, errors, determinism
 
 
-def capped_doc(tmp_path, caps):
-    data = json.loads((FIXTURES / "K.alg").read_text())
+def capped_doc(tmp_path, caps, name="K.alg"):
+    data = json.loads((FIXTURES / name).read_text())
     data["caps"] = caps
     path = tmp_path / "capped.alg"
     path.write_text(json.dumps(data))
@@ -420,6 +444,16 @@ def test_document_degree_cap(tmp_path, capsys):
     assert code == 3 and "max_degree" in err
     code, payload, _ = run_json(capsys, "hc", path, "--max-degree", "2")
     assert code == 0 and table_dims(payload, "hc") == [1, 0, 1]
+
+
+@pytest.mark.parametrize("command,name", [("ce", "sl2.alg"), ("lqt", "K.alg")])
+def test_document_degree_cap_binds_every_degree_command(tmp_path, capsys,
+                                                        command, name):
+    path = capped_doc(tmp_path, {"max_degree": 2}, name)
+    code, out, err = run(capsys, command, path, "--max-degree", "3")
+    assert code == 3 and out == ""
+    assert err == ("error: requested degree 3 exceeds the document cap "
+                   "max_degree=2\n")
 
 
 def test_missing_and_malformed_files(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from homotopyalg import constructions
-from homotopyalg.ainfty import from_associative
+from homotopyalg.ainfty import cyclic_homology, from_associative
 from homotopyalg.constructions import (
     _corner_classes,
     _first_appearance_form,
@@ -19,6 +19,7 @@ from homotopyalg.constructions import (
     gl_coinvariant_model,
     gl_index,
     gl_permutation_model,
+    matrix_algebra,
 )
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import add_into, canonical_sym
@@ -313,3 +314,24 @@ def test_corner_tables_match_the_oracles_on_drawn_bases(drawn):
     for (n, m), (corner, *oracles) in tables_of(*drawn).items():
         for oracle in oracles:
             assert corner == oracle, (n, m)
+
+
+# HC_0, HC_1, HC_2 in characteristic 0: K[x]/(x^k) has k classes in each
+# even degree, and T_2 the cyclic homology of K x K
+MORITA_CLOSED_FORMS = {"x2": [2, 0, 2], "x3": [3, 0, 3], "T2": [2, 0, 2]}
+
+
+@pytest.mark.parametrize("kind", sorted(BUILDERS))
+@settings(derandomize=True, deadline=None, max_examples=1)
+@given(st.data())
+def test_cyclic_homology_is_morita_invariant_on_drawn_bases(kind, data):
+    # HC(M_2(A)) = HC(A) through degree 2, on a basis order whose first
+    # vector is not the unit; degree 3 costs more than ten times as much
+    labels, _, unit = BUILDERS[kind]()
+    order = data.draw(st.permutations(range(len(labels)))
+                      .filter(lambda p: p[0] != unit))
+    base = drawn_base(kind, tuple(order))
+    for alg in (base, matrix_algebra(base, 2)):
+        table = cyclic_homology(alg, 2)
+        assert dims(table, 2) == MORITA_CLOSED_FORMS[kind]
+        assert all(table.exact[q] for q in range(3))

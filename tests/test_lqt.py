@@ -51,10 +51,11 @@ def exact_table(dims):
 
 
 def test_expand_exterior_on_cyclic_homology_of_field():
-    # classes in even degrees 0, 2, 4 -> odd generators in degrees 1, 3, 5
+    # (1 + t)(1 + t^3)(1 + t^5): the classes in even degrees 0, 2, 4 become
+    # odd generators in degrees 1, 3 and 5, and nothing else
     hc = exact_table({q: 1 - q % 2 for q in range(5)})
     table = expand_exterior(hc, 5)
-    assert [table.dims[q] for q in range(6)] == [1, 1, 0, 1, 1, 1]
+    assert table.dims == {0: 1, 1: 1, 2: 0, 3: 1, 4: 1, 5: 1}
     assert all(table.exact[q] for q in range(6))
 
 
@@ -72,13 +73,6 @@ def test_expand_exterior_single_odd_class_gives_polynomial_factor():
     # a degree-1 class shifts to an even generator in degree 2
     table = expand_exterior(exact_table({0: 0, 1: 1, 2: 0, 3: 0}), 4)
     assert [table.dims[q] for q in range(5)] == [1, 0, 1, 0, 1]
-
-
-def test_expand_exterior_generator_bookkeeping():
-    # (1 + t)(1 + t^3)(1 + t^5): the classes become odd generators in
-    # degrees 1, 3 and 5, and nothing else
-    table = expand_exterior(exact_table({q: 1 - q % 2 for q in range(5)}), 5)
-    assert table.dims == {0: 1, 1: 1, 2: 0, 3: 1, 4: 1, 5: 1}
 
 
 def test_expand_exterior_rejects_truncated_input():
@@ -237,6 +231,32 @@ def test_verify_lqt_builds_each_gl_once(monkeypatch):
         assert report.all_match
         assert sorted(built) == expect, sizes
     assert inner == []
+
+
+def test_verify_lqt_computes_each_primitive_subspace_once(monkeypatch):
+    # the verdicts and the block-sum product read the primitives of the
+    # same stable model; each degree's kernel is taken once
+    computed, current = [], []
+    real, real_kernel = linfty.HomologyCoalgebra.primitive_subspace, \
+        linfty.kernel
+
+    def tracking(self, q):
+        current.append(q)
+        try:
+            return real(self, q)
+        finally:
+            current.pop()
+
+    def counting_kernel(*args):
+        computed.append(current[-1])
+        return real_kernel(*args)
+
+    monkeypatch.setattr(linfty.HomologyCoalgebra, "primitive_subspace",
+                        tracking)
+    monkeypatch.setattr(linfty, "kernel", counting_kernel)
+    report = verify_lqt(ground_field(), [3, 4], 4)
+    assert report.all_match and report.hopf.ok
+    assert sorted(computed) == [1, 2, 3, 4]
 
 
 def test_verify_lqt_cross_checks_the_representative_count(monkeypatch):
