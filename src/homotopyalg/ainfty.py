@@ -34,6 +34,7 @@ __all__ = [
     "UnitalityReport",
     "check_stasheff",
     "check_strict_unit",
+    "require_strict_unit",
     "from_associative",
     "from_dga",
     "suspend_operations",
@@ -115,15 +116,6 @@ def from_associative(labels, mult, unit=None, name=""):
     return from_dga(labels, (0,) * len(labels), {}, mult, unit, name)
 
 
-def _require_unit(alg):
-    """Raise ValueError when a declared unit is not a strict unit."""
-    if alg.unit is not None:
-        unitality = check_strict_unit(alg)
-        if not unitality:
-            _, _, word = unitality.failures[0]
-            raise ValueError(f"unit law fails at {word}")
-
-
 # What the first nonzero component of the square of mu_1 + mu_2 violates,
 # by its arity.
 _DGA_FAILURES = {1: "differential does not square to zero",
@@ -139,7 +131,7 @@ def from_dga(labels, degrees, differential, mult, unit=None, name=""):
     signed Leibniz rule d(ab) = (da)b + (-1)^|a| a(db) in arity 2 and
     associativity in arity 3, so `check_stasheff` certifies all three; a
     failure raises ValueError naming the identity and its witness.  A
-    declared unit is checked with `check_strict_unit`.
+    declared unit is checked with `require_strict_unit`.
     """
     ops = {1: {(i,): v for i, v in differential.items()}, 2: dict(mult)}
     alg = AInftyAlgebra(GradedSpace(labels, degrees), ops,
@@ -148,7 +140,8 @@ def from_dga(labels, degrees, differential, mult, unit=None, name=""):
     if not report:
         raise ValueError(f"{_DGA_FAILURES[report.witness[0]]}: "
                          f"witness {report.witness}")
-    _require_unit(alg)
+    if alg.unit is not None:
+        require_strict_unit(alg)
     return alg
 
 
@@ -194,6 +187,16 @@ def check_strict_unit(alg):
                 failures.append(
                     (f"arity {k} operation must vanish on the unit", k, word))
     return UnitalityReport(not failures, failures)
+
+
+def require_strict_unit(alg):
+    """Raise ValueError naming the first failure of `check_strict_unit`
+    unless `alg` has a strict unit."""
+    unitality = check_strict_unit(alg)
+    if not unitality:
+        reason, _, word = unitality.failures[0]
+        raise ValueError(
+            f"no strict unit (not strictly unital): {reason} at {word}")
 
 
 def cyclic_words(space, total_degree):

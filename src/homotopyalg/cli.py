@@ -205,10 +205,23 @@ def _load(args):
     return parse_document(text)
 
 
+def _unit_verdicts(doc, alg):
+    """The unit verdict of a document: absent, ok, or a violation with the
+    first failure of `check_strict_unit` as its witness."""
+    if doc.unit is None:
+        return {"unit": "absent"}
+    unitality = check_strict_unit(alg)
+    if unitality:
+        return {"unit": "ok"}
+    reason, arity, word = unitality.failures[0]
+    return {"unit": "violation", "unit_witness": {
+        "reason": reason, "arity": arity,
+        "inputs": [doc.labels[i] for i in word]}}
+
+
 def _cmd_check(args):
     doc = _load(args)
     alg = document_to_algebra(doc)
-    labels = doc.labels
     cap = _arity_cap(doc, args.max_arity)
     if doc.kind == "linfty":
         from .linfty import check_linfty
@@ -218,23 +231,11 @@ def _cmd_check(args):
     verdicts = {
         "structure": "ok" if report.ok else "violation",
         "complete": report.complete,
-        "witness": _witness_data(labels, report.witness),
+        "witness": _witness_data(doc.labels, report.witness),
     }
-    ok = report.ok
-    if doc.unit is None:
-        verdicts["unit"] = "absent"
-    else:
-        unit_report = check_strict_unit(alg)
-        if unit_report.ok:
-            verdicts["unit"] = "ok"
-        else:
-            verdicts["unit"] = "violation"
-            desc, arity, word = unit_report.failures[0]
-            verdicts["unit_witness"] = {
-                "reason": desc, "arity": arity,
-                "inputs": [labels[i] for i in word],
-            }
-            ok = False
+    unit = _unit_verdicts(doc, alg)
+    verdicts.update(unit)
+    ok = report.ok and "unit_witness" not in unit
     caps = {} if cap is None else {"max_arity": cap}
     return (_payload(args, doc, caps, {}, verdicts),
             EXIT_OK if ok else EXIT_VIOLATION)
@@ -366,9 +367,10 @@ def _cmd_lqt(args):
     structure = check_stasheff(alg)
     if not structure:
         return _violation(args, doc, caps, structure)
-    if not check_strict_unit(alg):
+    unit = _unit_verdicts(doc, alg)
+    if "unit_witness" in unit:
         return _payload(args, doc, caps, {}, {
-            "structure": "ok", "unit": "violation"}), EXIT_VIOLATION
+            "structure": "ok", **unit}), EXIT_VIOLATION
     report = verify_lqt(alg, sizes, args.max_degree)
     degrees = list(range(args.max_degree + 1))
     left_tables = [{

@@ -49,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .ainfty import AInftyAlgebra, check_stasheff, check_strict_unit
+from .ainfty import AInftyAlgebra, check_stasheff, require_strict_unit
 from .chain import BettiTable
 from .graded import GradedSpace, add_into, canonical_sym, sign_of_arrangement
 from .linfty import (
@@ -199,15 +199,6 @@ def gl_index(n, base_dim, a, i, j):
 # The stable model on permutation words
 
 
-def _require_strict_unit(base):
-    unitality = check_strict_unit(base)
-    if not unitality:
-        reason, _, word = unitality.failures[0]
-        raise ValueError(
-            "the coinvariant model needs a base algebra with a strict unit "
-            f"({reason} at {word})")
-
-
 class PermutationModel(CEModel):
     """The coinvariant complex of gl_n(A) at n = max_degree + 1, presented
     on permutation words, with no quotient left to take.
@@ -231,9 +222,8 @@ class PermutationModel(CEModel):
     of M_n(A), and `_canon` the memo of `canonical`.
     """
 
-    def __init__(self, algebra, max_degree, blocks, spans, max_weight=None,
-                 *, n, base):
-        super().__init__(algebra, max_degree, blocks, spans, max_weight)
+    def __init__(self, algebra, max_degree, n, base):
+        super().__init__(algebra, max_degree, {}, {})
         self.n = n
         self.base = base
         dim = base.space.dim
@@ -397,10 +387,10 @@ def gl_permutation_model(base, max_degree):
     positions, each read from its first position.  That word is its own
     cycle form, with sign 1.
     """
-    _require_strict_unit(base)
+    require_strict_unit(base)
     n = max_degree + 1
     L = gl(base, n)
-    model = PermutationModel(L, max_degree, {}, {}, n=n, base=base)
+    model = PermutationModel(L, max_degree, n, base)
     necklaces = _necklaces(base.suspended.degrees, n)
     nn = n * n
     # the multisets are the canonical symmetric words over the necklaces:

@@ -62,7 +62,6 @@ __all__ = [
     "lie_homology",
     "inner_action_on_homology",
     "coalgebra_on_homology",
-    "homology_coproduct",
     "primitives",
 ]
 
@@ -294,14 +293,9 @@ class CEModel:
     def complex(self):
         if self._cx is None:
             d = self.algebra.coderivation()
-            images = {}
-
-            def diff(q, word):
-                if word not in images:
-                    images[word] = self.reduce(d.eval_word(word))
-                return images[word]
-
-            self._cx = ChainComplex(self.blocks, diff, quotient_spans=self.spans)
+            self._cx = ChainComplex(
+                self.blocks, lambda q, w: self.reduce(d.eval_word(w)),
+                quotient_spans=self.spans)
         return self._cx
 
     def homology(self):
@@ -532,11 +526,6 @@ def coalgebra_on_homology(model):
                     if q >= 2 else {} for rep in reps.get(q, [])]
 
     return HomologyCoalgebra(table=table, pair_basis=pair_basis, delta=delta)
-
-
-def homology_coproduct(alg, max_degree, max_weight=None, h=None):
-    """The induced coalgebra structure on Chevalley-Eilenberg homology."""
-    return ce_model(alg, max_degree, max_weight, h).coproduct()
 
 
 def primitives(H):

@@ -45,7 +45,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .ainfty import check_stasheff, check_strict_unit, cyclic_homology
+from .ainfty import check_stasheff, cyclic_homology, require_strict_unit
 from .chain import BettiTable
 from .constructions import gl, gl_coinvariant_model, gl_permutation_model
 from .graded import add_into
@@ -293,8 +293,7 @@ def verify_lqt(base, sizes, max_degree):
     (unreduced) homology of gl_n(A), built on its own, which reductivity
     makes equal.
     """
-    if base.unit is None or not check_strict_unit(base):
-        raise ValueError("the comparison needs a strictly unital algebra")
+    require_strict_unit(base)
     report = check_stasheff(base)
     if not report:
         raise ValueError(

@@ -23,31 +23,13 @@ __all__ = [
 ]
 
 
-def _to_primitive_int(vec):
-    """Scale a {col: Fraction|int} vector to a primitive integer vector.
-
-    Returns a new dict with gcd-1 integer entries and the leading (smallest
-    column) entry positive.  Zero vector maps to {}.
-    """
-    clean = {}
-    denom = 1
-    for c, v in vec.items():
-        f = Fraction(v)
-        if f:
-            clean[c] = f
-            denom = lcm(denom, f.denominator)
-    if not clean:
-        return {}
-    ints = {c: int(f * denom) for c, f in clean.items()}
-    g = 0
-    for v in ints.values():
-        g = gcd(g, v)
-    lead = min(ints)
-    if ints[lead] < 0:
+def _primitive(ints):
+    """An integer vector with nonzero entries divided by its content, signed
+    so that its leading (smallest column) entry is positive."""
+    g = gcd(*ints.values())
+    if ints[min(ints)] < 0:
         g = -g
-    if g not in (1, 0):
-        ints = {c: v // g for c, v in ints.items()}
-    return ints
+    return ints if g == 1 else {c: v // g for c, v in ints.items()}
 
 
 class RowReducer:
@@ -108,35 +90,24 @@ class RowReducer:
     def insert(self, vec):
         """Add a vector to the span.  Returns the new pivot column, or None
         if the vector was already in the span."""
-        iv = _to_primitive_int(vec)
-        if not iv:
+        clean = {c: f for c, v in vec.items() if (f := Fraction(v))}
+        if not clean:
             return None
+        denom = lcm(*(f.denominator for f in clean.values()))
+        iv = _primitive({c: int(f * denom) for c, f in clean.items()})
         rows = self.rows
         for c in sorted(iv):
             if c in rows and iv.get(c):
                 self._eliminate_int(iv, c, rows[c])
         if not iv:
             return None
-        g = 0
-        for v in iv.values():
-            g = gcd(g, v)
+        iv = _primitive(iv)
         p = min(iv)
-        if iv[p] < 0:
-            g = -g
-        if g != 1:
-            iv = {c: v // g for c, v in iv.items()}
-        # back-reduce existing rows that touch the new pivot column
+        # back-reduce existing rows that touch the new pivot column; each
+        # keeps its pivot, which lies left of p
         for q in list(self._touch.get(p, ())):
             row = self._unregister(q)
-            self._eliminate_int(row, p, iv)
-            g2 = 0
-            for v in row.values():
-                g2 = gcd(g2, v)
-            if row[q] < 0:
-                g2 = -g2
-            if g2 != 1:
-                row = {c: v // g2 for c, v in row.items()}
-            self._register(q, row)
+            self._register(q, _primitive(self._eliminate_int(row, p, iv)))
         self._register(p, iv)
         return p
 

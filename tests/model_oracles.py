@@ -54,13 +54,10 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
+from homotopyalg.ainfty import require_strict_unit
 from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import coproduct_sym
-from homotopyalg.constructions import (
-    _require_strict_unit,
-    gl,
-    gl_index,
-)
+from homotopyalg.constructions import gl, gl_index
 from homotopyalg.graded import add_into, canonical_sym
 from homotopyalg.linfty import CEModel, make_inner
 from homotopyalg.rational_linalg import LinearSolver
@@ -329,7 +326,7 @@ def e12_model(base, n, max_degree):
     `CEModel` states, so the E_12 images of the top block (most of the span
     generators) are never built.
     """
-    _require_strict_unit(base)
+    require_strict_unit(base)
     L = gl(base, n)
     base_dim = base.space.dim
     susp = L.suspended

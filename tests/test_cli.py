@@ -86,7 +86,9 @@ def test_lqt_unit_violation(capsys, tmp_path):
         "caps": {"max_degree": 2},
         "inputs": {"file": path, "name": "K[e]", "kind": "associative"},
         "tables": {},
-        "verdicts": {"structure": "ok", "unit": "violation"},
+        "verdicts": {"structure": "ok", "unit": "violation",
+                     "unit_witness": {"arity": 2, "inputs": ["e", "1"],
+                                      "reason": "left unit law fails"}},
     }
 
 

@@ -20,7 +20,6 @@ from homotopyalg.graded import GradedSpace, add_into, canonical_sym
 from homotopyalg.linfty import (
     ce_model,
     ce_words,
-    homology_coproduct,
     lie_homology,
     make_inner,
     primitives,
@@ -456,7 +455,8 @@ def test_coinvariant_model_matches_generic_quotient(base_name, n):
         {q: generic.dims[q] for q in range(4)}
     # the coproduct on the zero-weight quotient against the generic one
     fast_prim = primitives(model.coproduct())
-    generic_prim = primitives(homology_coproduct(gl_cached(base_name, n), 3, h=h))
+    generic_prim = primitives(
+        ce_model(gl_cached(base_name, n), 3, h=h).coproduct())
     assert {q: fast_prim[q].dim for q in range(4)} == \
         {q: generic_prim[q].dim for q in range(4)}
 
@@ -700,8 +700,8 @@ def test_projected_coproduct_matches_pair_complex_oracle(base_name, n,
                  id="gl2-units")])
 def test_homology_coproduct_matches_pair_complex_oracle(alg, h, max_degree):
     alg = alg()
-    H = homology_coproduct(alg, max_degree, h=h)
-    cx = ce_model(alg, max_degree, h=h).complex()
+    model = ce_model(alg, max_degree, h=h)
+    H, cx = model.coproduct(), model.complex()
     assert (H.pair_basis, H.delta) == \
         pair_complex_coproduct(alg.suspended, cx, max_degree)
 

@@ -1,12 +1,16 @@
-"""Every name that the package or one of its modules exports resolves.
+"""Every name that the package or one of its modules exports resolves, and
+every function or class a module exports is used.
 
 The stage tracer of the bench harness (`perfbench/traced.py`) reads each
 module's `__all__` and looks every name up, so a stale entry breaks it as
 surely as it breaks `from homotopyalg.<module> import *`.
 """
 
+import ast
 import importlib
+import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +21,14 @@ MODULES = ["homotopyalg"] + [
     for info in pkgutil.iter_modules(homotopyalg.__path__)
     if info.name not in ("__main__", "cli")]
 
+# Exported definitions that nothing in the package refers to, each with the
+# reason it stays public.
+UNREFERENCED = {
+    "inner_action_on_homology":
+        "acceptance criterion 5 calls it to show that inner derivations act "
+        "as zero on homology",
+}
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
@@ -24,3 +36,28 @@ def test_every_exported_name_resolves(name):
     exported = module.__all__
     assert len(set(exported)) == len(exported), "repeated name"
     assert [attr for attr in exported if not hasattr(module, attr)] == []
+
+
+def test_every_exported_definition_is_referenced():
+    # a public helper that nothing calls is code to delete: each function
+    # or class a module defines and exports must be named (not merely
+    # mentioned in a docstring) somewhere in the package, or be exported by
+    # the package itself
+    referenced = set()
+    for path in Path(homotopyalg.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    unreferenced = set()
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for attr in module.__all__:
+            value = getattr(module, attr)
+            if (inspect.isfunction(value) or inspect.isclass(value)) \
+                    and value.__module__ == name \
+                    and attr not in referenced \
+                    and attr not in homotopyalg._EXPORTS:
+                unreferenced.add(attr)
+    assert unreferenced == set(UNREFERENCED)

@@ -12,11 +12,11 @@ from homotopyalg.linfty import (
     CEModel,
     InconsistencyError,
     LInftyAlgebra,
+    ce_model,
     ce_words,
     check_derivation,
     check_linfty,
     coalgebra_on_homology,
-    homology_coproduct,
     inner_action_on_homology,
     lie_homology,
     make_inner,
@@ -169,7 +169,7 @@ def test_weight_cap_flags():
     table = lie_homology(sl2(), 3, max_weight=2)
     assert table.exact == {0: True, 1: True, 2: False, 3: False}
     # the coproduct reads the same model, so its table carries the same flags
-    H = homology_coproduct(sl2(), 3, max_weight=2)
+    H = ce_model(sl2(), 3, max_weight=2).coproduct()
     assert H.table.exact == table.exact
 
 
@@ -304,12 +304,12 @@ def test_subalgebra_closure_is_checked():
 
 
 def test_primitives_of_small_coalgebras():
-    H = homology_coproduct(abelian(1), 3)
+    H = ce_model(abelian(1), 3).coproduct()
     prim = primitives(H)
     assert prim[1].dim == 1
     assert prim[0].dim == 0
 
-    H = homology_coproduct(sl2(), 3)
+    H = ce_model(sl2(), 3).coproduct()
     prim = primitives(H)
     assert H.table.as_row(range(4)) == (1, 0, 0, 1)
     assert prim[3].dim == 1
@@ -318,7 +318,7 @@ def test_primitives_of_small_coalgebras():
 def test_exterior_square_is_not_primitive():
     # H(gl2) = exterior on generators in degrees 1 and 3; the degree-4
     # class is their product, with a visible mixed coproduct term
-    H = homology_coproduct(gl(2), 4)
+    H = ce_model(gl(2), 4).coproduct()
     assert H.table.as_row(range(5)) == (1, 1, 0, 1, 1)
     prim = primitives(H)
     assert prim[1].dim == 1
@@ -332,7 +332,7 @@ def test_exterior_square_is_not_primitive():
 def test_coproduct_survives_coinvariant_reduction():
     # same homology and primitives computed on the gl2-coinvariant complex
     galg = gl(2)
-    H = homology_coproduct(galg, 4, h=list(range(4)))
+    H = ce_model(galg, 4, h=list(range(4))).coproduct()
     assert H.table.as_row(range(5)) == (1, 1, 0, 1, 1)
     prim = primitives(H)
     assert [prim[q].dim for q in range(5)] == [0, 1, 0, 1, 0]

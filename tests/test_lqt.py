@@ -6,7 +6,12 @@ from pathlib import Path
 
 import pytest
 
-from homotopyalg.ainfty import AInftyAlgebra, cyclic_homology, from_associative
+from homotopyalg.ainfty import (
+    AInftyAlgebra,
+    cyclic_homology,
+    from_associative,
+    from_dga,
+)
 from homotopyalg.chain import BettiTable
 from homotopyalg import chain, constructions, linfty, lqt
 from homotopyalg.constructions import gl_index, gl_permutation_model
@@ -377,6 +382,22 @@ def test_verify_lqt_requires_strict_unit():
     no_unit = from_associative(["x"], {(0, 0): {}}, name="null")
     with pytest.raises(ValueError, match="unital"):
         verify_lqt(no_unit, [2, 3], 2)
+
+
+def test_one_refusal_of_a_unit_that_is_not_strict():
+    # "x" is declared the unit of an associative table whose unit is "1"
+    labels = ("1", "x")
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
+    lax = AInftyAlgebra(GradedSpace(labels, (0, 0)), {2: mult}, unit=1)
+    messages = set()
+    for refuse in (lambda: from_dga(labels, (0, 0), {}, mult, unit=1),
+                   lambda: gl_permutation_model(lax, 2),
+                   lambda: verify_lqt(lax, [2], 2)):
+        with pytest.raises(ValueError) as excinfo:
+            refuse()
+        messages.add(str(excinfo.value))
+    assert messages == {"no strict unit (not strictly unital): "
+                        "left unit law fails at (1, 0)"}
 
 
 def test_verify_lqt_rejects_uncertified_algebra():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -141,6 +142,25 @@ def test_echelon_rows_are_inter_reduced():
                 assert q not in d
     # residuals of span members vanish
     assert red.contains({0: 3, 1: 7, 2: 4})
+
+
+def test_stored_rows_stay_primitive_through_back_reduction():
+    # every stored row has content 1, its pivot as its smallest column and
+    # a positive pivot entry, also after a later insert back-reduces it
+    rng = random.Random(37)
+    back_reduced = []
+    for _ in range(20):
+        red = RowReducer()
+        unregister = red._unregister
+        red._unregister = lambda q: back_reduced.append(q) or unregister(q)
+        for _ in range(6):
+            red.insert({c: Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                        for c in rng.sample(range(8), 4)})
+            for p, row in red.rows.items():
+                assert all(type(v) is int for v in row.values())
+                assert math.gcd(*row.values()) == 1
+                assert min(row) == p and row[p] > 0
+    assert back_reduced
 
 
 def test_residual_is_projection():
