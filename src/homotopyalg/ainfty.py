@@ -1,9 +1,10 @@
 """Homotopy-associative structures and their cyclic complexes.
 
-An algebra is stored twice: the input-level operations mu_k on the unsuspended
-graded space (mu_k raises degree by k-2), and the induced odd cochain m on the
-suspension, where all mu_k collapse to a single degree -1 coderivation of the
-tensor coalgebra.  The sign of the translation on basis elements is
+An algebra is stored twice (the layout of `coalgebra.HomotopyAlgebra`): the
+input-level operations mu_k on the unsuspended graded space (mu_k raises
+degree by k-2), and the coderivation m = `alg.coderivation` on the
+suspension, where all mu_k collapse to a single degree -1 coderivation of
+the tensor coalgebra.  The sign of the translation on basis elements is
 
     m_k(s a_1, ..., s a_k) = (-1)^(sum_t (k-t) |a_t|) s mu_k(a_1, ..., a_k)
 
@@ -25,8 +26,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .coalgebra import Cochain, Coderivation, StructureReport, certify
-from .graded import GradedSpace, act, add_into, exact
+from .coalgebra import HomotopyAlgebra, StructureReport, certify
+from .graded import GradedSpace, act, add_into
 
 __all__ = [
     "AInftyAlgebra",
@@ -37,7 +38,6 @@ __all__ = [
     "require_strict_unit",
     "from_associative",
     "from_dga",
-    "suspend_operations",
     "cyclic_words",
     "rotate_word",
     "cyclic_boundary",
@@ -47,61 +47,15 @@ __all__ = [
 ]
 
 
-def suspend_operations(space, ops, symmetric=False):
-    """Translate unsuspended operations to the odd suspended cochain.
-
-    `ops` is {arity: {index word: {index: coeff}}}; arity k must raise
-    unsuspended degree by k - 2, matching the degree -1 coderivation.
-    Raises ValueError on inhomogeneous entries.
-    With `symmetric`, input words must be canonically sorted and the result
-    is a symmetric cochain (the suspended form of antisymmetric brackets).
-    """
-    susp = space.suspend()
-    m = Cochain(susp, -1, symmetric=symmetric)
-    for k, table in sorted(ops.items()):
-        if k < 1:
-            raise ValueError("operations must have arity >= 1")
-        for word, val in table.items():
-            word = tuple(word)
-            if len(word) != k:
-                raise ValueError(f"arity {k} entry has {len(word)} inputs")
-            exp = sum((k - t) * space.degrees[i]
-                      for t, i in enumerate(word, start=1))
-            sgn = -1 if exp % 2 else 1
-            m.set_value(word, {i: sgn * exact(c) for i, c in val.items()})
-    return m
-
-
-class AInftyAlgebra:
-    """Finite-dimensional homotopy-associative algebra over Q."""
+class AInftyAlgebra(HomotopyAlgebra):
+    """Finite-dimensional homotopy-associative algebra over Q, with the basis
+    index of a strict unit, if any, in `unit`."""
 
     def __init__(self, space, ops, unit=None, name=""):
-        self.space = space  # unsuspended
-        self.unit = unit    # basis index of a strict unit, if any
-        self.name = name
-        clean = {}          # {arity: {word: {index: int | Fraction}}}
-        for k, table in ops.items():
-            entries = {tuple(w): {i: e for i, c in v.items() if (e := exact(c))}
-                       for w, v in table.items()}
-            entries = {w: v for w, v in entries.items() if v}
-            if entries:
-                clean[int(k)] = entries
-        self.ops = clean
-        if self.unit is not None and not (0 <= self.unit < self.space.dim):
-            raise ValueError(f"unit index {self.unit} out of range")
-        self.suspended = self.space.suspend()
-        self.m = suspend_operations(self.space, self.ops)
-
-    @property
-    def max_arity(self):
-        return max(self.ops, default=0)
-
-    def coderivation(self):
-        return Coderivation(self.m)
-
-    def op_value(self, k, word):
-        """mu_k on a word of basis indices, {index: int | Fraction}."""
-        return self.ops.get(k, {}).get(tuple(word), {})
+        super().__init__(space, ops, name)
+        if unit is not None and not (0 <= unit < space.dim):
+            raise ValueError(f"unit index {unit} out of range")
+        self.unit = unit
 
 
 def from_associative(labels, mult, unit=None, name=""):
@@ -152,7 +106,7 @@ def check_stasheff(alg, max_arity=None):
     2K - 1, so checking that far is a complete proof; a smaller cap yields a
     partial certificate.
     """
-    d = alg.coderivation()
+    d = alg.coderivation
     return certify(d, d, max(2 * alg.max_arity - 1, 0), max_arity)
 
 
@@ -233,13 +187,12 @@ def rotate_word(word, space):
 def cyclic_boundary(alg):
     """The cyclic boundary as a function on words: the coderivation terms plus
     wraparound windows (rotate s tail factors to the front, apply m_k there)."""
-    m = alg.m
+    m = alg.coderivation
     space = alg.suspended
-    d = alg.coderivation()
     arities = m.arities()
 
     def b(word):
-        out = d.eval_word(word)
+        out = m.eval_word(word)
         n = len(word)
         degs = [space.degrees[i] for i in word]
         for k in arities:

@@ -47,10 +47,6 @@ class BettiTable:
                                           other.block_dims,
                                           other.representatives)
 
-    def as_row(self, qs=None):
-        qs = sorted(self.dims) if qs is None else list(qs)
-        return tuple(self.dims.get(q, 0) for q in qs)
-
 
 class ChainComplex:
     """blocks: {degree: [keys]}; diff(degree, key) -> {key: coefficient} one

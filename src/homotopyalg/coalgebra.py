@@ -1,26 +1,29 @@
 """Cofree coalgebras at finite weight and their coderivations.
 
 Two coalgebras are supported on words over a suspended `GradedSpace`, and a
-cochain's `symmetric` flag says which one its coderivation acts on:
+`Coderivation`'s `symmetric` flag says which one it acts on:
 
-* tensor: plain tuples, deconcatenation coproduct; a cochain component
+* tensor: plain tuples, deconcatenation coproduct; a component
   f_k is applied to every length-k window with the Koszul prefix sign
   (-1)^(|f| * (deg of factors left of the window)).
 * symmetric: canonically sorted words (the coinvariant model of the
   symmetric coalgebra on the suspension), shuffle coproduct with one term per
   shuffle, and the coderivation extension with one term per unshuffle; the
-  cochain output is wedged at the front, then the word is re-canonicalized.
+  component's output is wedged at the front, then the word is re-canonicalized.
 
 A coderivation is determined by its corestriction (the weight-1 part of its
-output); the graded commutator of two coderivations is again one, with
-`bracket` producing its cochain.
+output), and `Coderivation` stores just those components; the graded
+commutator of two coderivations is again one, and `bracket` produces it.
+A homotopy algebra (`HomotopyAlgebra`, shared by the A-infinity and
+L-infinity structures) is one odd coderivation, built from operations on the
+unsuspended space by `suspend_operations`.
 Every identity the package proves (higher associativity, homotopy Jacobi,
 the derivation property) is the vanishing of such a commutator through the
 top arity it can reach, and `certify` is the one routine that decides it.
 
 `bracket` never evaluates a coderivation on basis words.  The corestriction
-of D_f . D_g is a sum of partial compositions of the two cochains, one term
-for each entry g(u) = sum a_y y of the inner cochain and each outer entry v
+of D_f . D_g is a sum of partial compositions of their components, one
+term for each entry g(u) = sum a_y y of the inner one and each outer entry v
 that has y as an input letter (Gerstenhaber's pre-Lie composition on the
 tensor coalgebra, the Nijenhuis-Richardson composition on the symmetric one):
 
@@ -40,10 +43,10 @@ has no input letter and never composes.  So the commutator is found from
 the nonzero entries alone, and checking it through the top arity is still
 a complete proof.
 
-Every term is bilinear in one value of each cochain, so `bracket` sums the
-compositions on integers: it scales each cochain by D_i, the lcm of its
-value denominators, and divides every result value once by D_1 D_2.  An
-integral cochain has D_i = 1.
+Every term is bilinear in one value of each coderivation, so `bracket` sums
+the compositions on integers: it scales each by D_i, the lcm of its value
+denominators, and divides every result value once by D_1 D_2.  An integral
+coderivation has D_i = 1.
 """
 
 from __future__ import annotations
@@ -59,25 +62,29 @@ from .graded import (
 )
 
 __all__ = [
-    "Cochain",
     "Coderivation",
+    "HomotopyAlgebra",
     "StructureReport",
+    "suspend_operations",
     "coproduct_sym",
     "bracket",
     "certify",
 ]
 
 
-class Cochain:
-    """Multilinear components {arity: {input word: {basis index: value}}},
-    each value exact: an int when integral, else a Fraction.
+class Coderivation:
+    """Coderivation of the weight-graded cofree coalgebra on `space`: on the
+    symmetric coalgebra when `symmetric`, on the tensor coalgebra otherwise.
 
+    It is stored as its corestriction, multilinear components
+    {arity: {input word: {basis index: value}}}, each value exact: an int
+    when integral, else a Fraction, and `eval_word` extends it to words.
     `degree` is the operator's (suspended) degree, enforced on set_value:
     every output index must sit in degree (input degree) + degree.  The sign
     rules (and the fact that a commutator of coderivations is again one) are
-    only sound for homogeneous operators.  Symmetric cochains store values on
-    canonically sorted inputs only and extend to arbitrary inputs by the
-    Koszul sign of sorting.  Cochains compare by value.
+    only sound for homogeneous operators.  Symmetric components are stored
+    on canonically sorted inputs only and extend to arbitrary inputs by the
+    Koszul sign of sorting.  Coderivations compare by value.
     """
 
     def __init__(self, space, degree, comps=None, symmetric=False):
@@ -102,7 +109,7 @@ class Cochain:
             if sign == 0:
                 raise ValueError(f"input {word} has a repeated odd factor, value is forced zero")
             if sign != 1 or cw != word:
-                raise ValueError(f"symmetric cochain values must be given on sorted inputs, got {word}")
+                raise ValueError(f"symmetric coderivation values must be given on sorted inputs, got {word}")
         in_deg = sum(self.space.degrees[i] for i in word)
         clean = {}
         for i, v in value.items():
@@ -142,41 +149,24 @@ class Cochain:
         ars = self.arities()
         return ars[-1] if ars else 0
 
-
-class Coderivation:
-    """Coderivation of the weight-graded cofree coalgebra extending a
-    cochain: on the symmetric coalgebra when the cochain is symmetric, on
-    the tensor coalgebra otherwise."""
-
-    def __init__(self, cochain):
-        self.cochain = cochain
-
-    @property
-    def degree(self):
-        return self.cochain.degree
-
     def eval_word(self, word):
-        if self.cochain.symmetric:
+        if self.symmetric:
             return self._eval_sym(word)
         return self._eval_tensor(word)
 
     def _eval_tensor(self, word):
-        space = self.cochain.space
-        degs = space.degrees
-        odd = self.cochain.degree % 2
+        degs = self.space.degrees
+        odd = self.degree % 2
         out = {}
         n = len(word)
-        zero_comp = self.cochain.comps.get(0, {}).get((), None)
         prefix = 0
         for j in range(n + 1):
             sign = -1 if (odd and prefix % 2) else 1
-            if zero_comp:
-                for idx, coeff in zero_comp.items():
-                    add_into(out, word[:j] + (idx,) + word[j:], sign * coeff)
-            for k in self.cochain.arities():
-                if k == 0 or j + k > n:
+            # an arity-0 component inserts its output at every position j
+            for k in self.arities():
+                if j + k > n:
                     continue
-                val = self.cochain.apply(word[j:j + k])
+                val = self.apply(word[j:j + k])
                 if not val:
                     continue
                 head, tail = word[:j], word[j + k:]
@@ -187,18 +177,14 @@ class Coderivation:
         return out
 
     def _eval_sym(self, word):
-        space = self.cochain.space
+        space = self.space
         degs = [space.degrees[i] for i in word]
         out = {}
-        for k in self.cochain.arities():
+        for k in self.arities():
             if k > len(word):
                 continue
-            if k == 0:
-                splits = [(1, (), tuple(word))]
-            else:
-                splits = unshuffle_splits(word, degs, k)
-            for sign, front, back in splits:
-                val = self.cochain.apply(front)
+            for sign, front, back in unshuffle_splits(word, degs, k):
+                val = self.apply(front)
                 if not val:
                     continue
                 for idx, coeff in val.items():
@@ -206,6 +192,67 @@ class Coderivation:
                     if s2:
                         add_into(out, cw, sign * s2 * coeff)
         return out
+
+
+def suspend_operations(space, ops, symmetric=False):
+    """Translate unsuspended operations to the odd suspended coderivation.
+
+    `ops` is {arity: {index word: {index: coeff}}}; arity k must raise
+    unsuspended degree by k - 2, matching the degree -1 coderivation.
+    Raises ValueError on inhomogeneous entries.
+    With `symmetric`, input words must be canonically sorted and the result
+    acts on the symmetric coalgebra (the suspended form of antisymmetric
+    brackets).
+    """
+    m = Coderivation(space.suspend(), -1, symmetric=symmetric)
+    for k, table in sorted(ops.items()):
+        if k < 1:
+            raise ValueError("operations must have arity >= 1")
+        for word, val in table.items():
+            word = tuple(word)
+            if len(word) != k:
+                raise ValueError(f"arity {k} entry has {len(word)} inputs")
+            exp = sum((k - t) * space.degrees[i]
+                      for t, i in enumerate(word, start=1))
+            sgn = -1 if exp % 2 else 1
+            m.set_value(word, {i: sgn * exact(c) for i, c in val.items()})
+    return m
+
+
+class HomotopyAlgebra:
+    """Finite-dimensional homotopy algebra over Q: the operations `ops`,
+    {arity: {index word: {index: int | Fraction}}} with nonzero values
+    only, on the unsuspended `space`, and `coderivation`, the odd
+    coderivation they induce on `suspended` by `suspend_operations`.  It
+    acts on the symmetric coalgebra when the class sets `symmetric`.
+    """
+
+    symmetric = False
+
+    def __init__(self, space, ops, name=""):
+        self.space = space
+        self.name = name
+        clean = {}
+        for k, table in ops.items():
+            entries = {tuple(w): {i: e for i, c in v.items() if (e := exact(c))}
+                       for w, v in table.items()}
+            entries = {w: v for w, v in entries.items() if v}
+            if entries:
+                clean[int(k)] = entries
+        self.ops = clean
+        # built from every entry, zero ones included, so that an unsorted
+        # word of a symmetric structure is refused whatever its value
+        self.coderivation = suspend_operations(space, ops, self.symmetric)
+        self.suspended = self.coderivation.space
+
+    @property
+    def max_arity(self):
+        return max(self.ops, default=0)
+
+    def op_value(self, k, word):
+        """The arity-k operation on a word of basis indices (a sorted word
+        for a symmetric structure), {index: int | Fraction}."""
+        return self.ops.get(k, {}).get(tuple(word), {})
 
 
 def coproduct_sym(word, space):
@@ -229,15 +276,15 @@ def _compose(outer, inner, max_arity, out, scale):
     inner output is substituted for that y (see the module docstring).
     Only the entries are visited, never the basis words.
     """
-    space = outer.cochain.space
+    space = outer.space
     degs = space.degrees
-    sym = outer.cochain.symmetric
+    sym = outer.symmetric
     odd = inner.degree % 2
     # outer entries by input letter y, with the word around y and the sign
     # of taking y out: one record per position (tensor) or per distinct
     # letter (symmetric; the back word is then v minus one copy of y)
     by_letter = {}
-    for k, table in outer.cochain.comps.items():
+    for k, table in outer.comps.items():
         if not k:
             continue
         for v, b in table.items():
@@ -252,7 +299,7 @@ def _compose(outer, inner, max_arity, out, scale):
                     sign = -1 if odd and prefix % 2 else 1
                     by_letter.setdefault(y, []).append((v[:i], v[i + 1:], sign, b))
                 prefix += degs[y]
-    for table in inner.cochain.comps.values():
+    for table in inner.comps.values():
         for u, a in table.items():
             room = max_arity - len(u)
             counts = [(x, u.count(x)) for x in set(u)] if sym else ()
@@ -280,28 +327,27 @@ def _compose(outer, inner, max_arity, out, scale):
 
 def _integral(d):
     """(D, the coderivation d with every value scaled by D to an int), where
-    D is the lcm of the value denominators of its cochain."""
-    c = d.cochain
-    D = lcm(*(v.denominator for table in c.comps.values()
+    D is the lcm of the value denominators of its components."""
+    D = lcm(*(v.denominator for table in d.comps.values()
               for val in table.values() for v in val.values()))
     comps = {k: {w: {i: v.numerator * (D // v.denominator)
                      for i, v in val.items()}
                  for w, val in table.items()}
-             for k, table in c.comps.items()}
-    return D, Coderivation(Cochain(c.space, c.degree, comps, c.symmetric))
+             for k, table in d.comps.items()}
+    return D, Coderivation(d.space, d.degree, comps, d.symmetric)
 
 
 def bracket(d1, d2, max_arity):
-    """Cochain of the graded commutator [d1, d2] up to the given arity.
+    """The graded commutator [d1, d2], a coderivation, up to the given arity.
 
     Both coderivations must act on one coalgebra over one space; the result
     extends to the operator d1 . d2 - (-1)^(|d1||d2|) d2 . d1 there.  Its
-    components are built from partial compositions of the two cochains,
+    components are built from partial compositions of the two,
     summed on integers (see the module docstring) and divided once.  When
     d1 is d2 the two compositions agree, so [d, d] = (1 - (-1)^(|d||d|))
     d . d is composed once, and not at all for an even d.
     """
-    if d1.cochain.symmetric != d2.cochain.symmetric:
+    if d1.symmetric != d2.symmetric:
         raise ValueError("bracket cannot mix tensor and symmetric coderivations")
     sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1
     D1, i1 = _integral(d1)
@@ -315,8 +361,8 @@ def bracket(d1, d2, max_arity):
         scale = D1 * D2
         _compose(i1, i2, max_arity, out, 1)
         _compose(i2, i1, max_arity, out, -sign)
-    result = Cochain(d1.cochain.space, d1.degree + d2.degree,
-                     symmetric=d1.cochain.symmetric)
+    result = Coderivation(d1.space, d1.degree + d2.degree,
+                          symmetric=d1.symmetric)
     for n in sorted(out):
         comp = {w: {z: Fraction(c, scale) for z, c in out[n][w].items()}
                 for w in sorted(out[n]) if out[n][w]}

@@ -344,9 +344,7 @@ def document_to_algebra(doc):
 
 
 def _classify(alg):
-    from .linfty import LInftyAlgebra
-
-    if isinstance(alg, LInftyAlgebra):
+    if alg.coderivation.symmetric:
         return "linfty"
     arities = set(alg.ops)
     if arities <= {2} and set(alg.space.degrees) <= {0}:

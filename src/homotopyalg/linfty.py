@@ -2,8 +2,9 @@
 
 A structure is stored as unsuspended antisymmetric brackets on canonically
 sorted index words (ascending; a repeated index is legal only when its
-unsuspended degree is odd) and as the induced symmetric degree -1 cochain ell
-on the suspension, using the same suspension sign as the associative side.
+unsuspended degree is odd) and as the induced symmetric degree -1
+coderivation ell = `alg.coderivation` on the suspension, with the layout
+and the suspension sign of the associative side (`coalgebra.HomotopyAlgebra`).
 Squaring the symmetric coderivation is the full tower of homotopy Jacobi
 identities.
 
@@ -13,10 +14,10 @@ the empty word at q = 0.  Suspended degrees are positive, so every block is
 finite with no weight cap; an optional cap is a speed filter whose effect on
 each degree is flagged honestly.
 
-Derivations are symmetric cochains d with [delta_ell, delta_d] = 0; inner
-ones are brackets [delta_ell, delta_c], automatically derivations whenever
-the structure squares to zero, and they act as zero on homology - asserted,
-not assumed, by expressing their images in a computed representative basis.
+Derivations are symmetric coderivations d with [ell, d] = 0; inner ones
+are brackets [ell, c], automatically derivations whenever the structure
+squares to zero, and they act as zero on homology - asserted, not assumed,
+by expressing their images in a computed representative basis.
 
 Coinvariants by a degree-0 sub-Lie-algebra h quotient each block by the span
 S of the inner-derivation images of h.  One `CEModel` owns the blocks, the
@@ -43,14 +44,20 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .ainfty import suspend_operations
 from .chain import ChainComplex
-from .coalgebra import Cochain, Coderivation, bracket, certify, coproduct_sym
-from .graded import add_into, exact
+from .coalgebra import (
+    Coderivation,
+    HomotopyAlgebra,
+    bracket,
+    certify,
+    coproduct_sym,
+)
+from .graded import add_into
 from .rational_linalg import LinearSolver, RowReducer, kernel
 
 __all__ = [
     "InconsistencyError",
+    "SubalgebraError",
     "LInftyAlgebra",
     "HomologyCoalgebra",
     "check_linfty",
@@ -71,46 +78,23 @@ class InconsistencyError(Exception):
     fault, never a property of the input algebra."""
 
 
-class LInftyAlgebra:
-    """Finite-dimensional strongly homotopy Lie algebra over Q."""
+class SubalgebraError(ValueError):
+    """A coinvariant subalgebra refused: a generator of nonzero degree, or
+    a span not closed under the bracket."""
 
-    def __init__(self, space, ops, name=""):
-        self.space = space  # unsuspended
-        self.name = name
-        clean = {}          # {arity: {ascending word: {index: int | Fraction}}}
-        for k, table in ops.items():
-            entries = {}
-            for w, v in table.items():
-                w = tuple(w)
-                if tuple(sorted(w)) != w:
-                    raise ValueError(
-                        f"bracket entries must use ascending index words, got {w}")
-                val = {i: e for i, c in v.items() if (e := exact(c))}
-                if val:
-                    entries[w] = val
-            if entries:
-                clean[int(k)] = entries
-        self.ops = clean
-        self.suspended = self.space.suspend()
-        self.ell = suspend_operations(self.space, self.ops, symmetric=True)
 
-    @property
-    def max_arity(self):
-        return max(self.ops, default=0)
+class LInftyAlgebra(HomotopyAlgebra):
+    """Finite-dimensional strongly homotopy Lie algebra over Q, its
+    brackets stored on ascending index words."""
 
-    def coderivation(self):
-        return Coderivation(self.ell)
-
-    def op_value(self, k, word):
-        """ell_k on a sorted word of basis indices, {index: int | Fraction}."""
-        return self.ops.get(k, {}).get(tuple(word), {})
+    symmetric = True
 
     def bracket2(self, x, y):
         """The binary bracket of two elements of the suspension."""
         out = {}
         for i, a in x.items():
             for j, b in y.items():
-                for idx, c in self.ell.apply((i, j)).items():
+                for idx, c in self.coderivation.apply((i, j)).items():
                     out[idx] = out.get(idx, Fraction(0)) + Fraction(a) * Fraction(b) * c
         return {i: v for i, v in out.items() if v}
 
@@ -121,25 +105,26 @@ def check_linfty(alg, max_arity=None):
     Complete once checked through arity 2K - 1 for top arity K; a smaller
     cap gives a partial certificate.
     """
-    d = alg.coderivation()
+    d = alg.coderivation
     return certify(d, d, max(2 * alg.max_arity - 1, 0), max_arity)
 
 
 def check_derivation(alg, d):
-    """Certify that the symmetric cochain d is a derivation, [delta_ell,
-    delta_d] = 0; returns the StructureReport.
+    """Certify that the symmetric coderivation d is a derivation,
+    [ell, d] = 0; returns the StructureReport.
 
-    The commutator of cochains with top arities K and K' has components only
-    through arity K + K' - 1, so the check is a complete proof.
+    The commutator of coderivations with top arities K and K' has
+    components only through arity K + K' - 1, so the check is a complete
+    proof.
     """
-    return certify(alg.coderivation(), Coderivation(d),
+    return certify(alg.coderivation, d,
                    max(alg.max_arity + d.max_arity() - 1, 0))
 
 
-def _as_cochain(alg, generator):
-    """Coerce an inner-derivation generator to a symmetric cochain: either a
-    cochain already, a basis index, or an element dict (arity 0)."""
-    if isinstance(generator, Cochain):
+def _as_coderivation(alg, generator):
+    """Coerce an inner-derivation generator to a symmetric coderivation:
+    either one already, a basis index, or an element dict (arity 0)."""
+    if isinstance(generator, Coderivation):
         return generator
     if isinstance(generator, int):
         generator = {generator: 1}
@@ -149,26 +134,25 @@ def _as_cochain(alg, generator):
     degs = {alg.suspended.degrees[i] for i in el}
     if len(degs) > 1:
         raise ValueError("generator must be homogeneous in suspended degree")
-    c = Cochain(alg.suspended, degs.pop(), symmetric=True)
+    c = Coderivation(alg.suspended, degs.pop(), symmetric=True)
     c.set_value((), el)
     return c
 
 
 def make_inner(alg, generator):
-    """The coderivation of the inner derivation [delta_ell, delta_c] of a
-    cochain or element.
+    """The inner derivation [ell, c] of a coderivation or an element c.
 
     Certification is automatic whenever the structure squares to zero (the
     graded Jacobi identity of the coderivation bracket), but is checked
     by `check_derivation` rather than assumed.
     """
-    c = _as_cochain(alg, generator)
-    inner = bracket(alg.coderivation(), Coderivation(c),
+    c = _as_coderivation(alg, generator)
+    inner = bracket(alg.coderivation, c,
                     max(alg.max_arity + c.max_arity() - 1, 0))
     report = check_derivation(alg, inner)
     if not report:
         raise ValueError(f"inner construction failed certification: {report.witness}")
-    return Coderivation(inner)
+    return inner
 
 
 def ce_words(degs, total_degree):
@@ -206,7 +190,7 @@ def _h_elements(alg, h):
             continue
         for i in el:
             if alg.space.degrees[i] != 0:
-                raise ValueError(
+                raise SubalgebraError(
                     f"subalgebra generators must have degree 0, index {i} does not")
         out.append(el)
     return out
@@ -220,7 +204,7 @@ def _check_h_closed(alg, h_els):
     for a, b in itertools.combinations_with_replacement(range(len(h_els)), 2):
         val = alg.bracket2(h_els[a], h_els[b])
         if val and solver.express(val) is None:
-            raise ValueError(
+            raise SubalgebraError(
                 f"subalgebra not closed under the bracket at generators {(a, b)}")
 
 
@@ -292,7 +276,7 @@ class CEModel:
 
     def complex(self):
         if self._cx is None:
-            d = self.algebra.coderivation()
+            d = self.algebra.coderivation
             self._cx = ChainComplex(
                 self.blocks, lambda q, w: self.reduce(d.eval_word(w)),
                 quotient_spans=self.spans)

@@ -166,7 +166,7 @@ def check_block_sum_morphism(gl_left, gl_right, gl_target, pairs):
     def apply1(algebra, vec):
         out = {}
         for i, c in vec.items():
-            for idx, c2 in algebra.ell.apply((i,)).items():
+            for idx, c2 in algebra.coderivation.apply((i,)).items():
                 add_into(out, idx, Fraction(c) * c2)
         return {k: v for k, v in out.items() if v}
 

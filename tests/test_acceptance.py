@@ -224,7 +224,7 @@ def test_criterion_2_co_leibniz_and_square_zero_to_weight_4(capsys):
     cases.append(("sl2.alg", "sym", algebra("sl2.alg")))
     checked = 0
     for name, flavor, alg in cases:
-        d = alg.coderivation()
+        d = alg.coderivation
         space = alg.suspended
         for word in _words_up_to_weight(space, flavor, 4):
             assert _square(d, word) == {}, (name, word)
@@ -372,6 +372,13 @@ def test_criterion_9_byte_identical_payloads(capsys):
         "lqt_K_n2": ["lqt", "fixtures/K.alg", "--n", "2", "--max-degree", "2"],
         "lqt_dual_n23": ["lqt", "fixtures/dual_numbers.alg", "--n", "2,3",
                          "--max-degree", "3"],
+        "lqt_K_n34": ["lqt", "fixtures/K.alg", "--n", "3,4",
+                      "--max-degree", "4"],
+        "lqt_dual_n34": ["lqt", "fixtures/dual_numbers.alg", "--n", "3,4",
+                         "--max-degree", "3"],
+        "check_m3only": ["check", "fixtures/m3only.alg"],
+        "ce_sl2_coinv_h": ["ce", "fixtures/sl2.alg", "--coinvariants", "h",
+                           "--max-degree", "4"],
     }
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

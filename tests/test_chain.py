@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from homotopyalg.ainfty import from_associative
 from homotopyalg.chain import ChainComplex
-from homotopyalg.coalgebra import Cochain
+from homotopyalg.coalgebra import Coderivation
 from homotopyalg.constructions import gl_permutation_model
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import LInftyAlgebra, inner_action_on_homology
@@ -131,7 +131,7 @@ def test_each_boundary_is_evaluated_once_per_complex(monkeypatch):
         {2: {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}})
     # an arity-2 generator: the inner derivation lowers degree by 2 and
     # sends the degree-3 class to a nonzero boundary, read off once
-    c = Cochain(sl2.suspended, -1, symmetric=True)
+    c = Coderivation(sl2.suspended, -1, symmetric=True)
     c.set_value((0, 1), {0: 1, 2: 1})
     c.set_value((1, 2), {1: 1})
     induced = inner_action_on_homology(sl2, c, 4)

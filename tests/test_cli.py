@@ -156,6 +156,22 @@ def test_ce_coinvariants_of_nonzero_degree_are_refused(capsys, tmp_path):
     assert "--coinvariants" in err and "degree 0" in err
 
 
+def test_ce_coinvariants_check_the_subalgebra_once(monkeypatch, capsys):
+    # `ce` leaves the closure check to the homology it runs, with no
+    # second check of its own
+    calls = []
+    real = linfty._check_h_closed
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(linfty, "_check_h_closed", counting)
+    code, _, _ = run(capsys, "ce", fixture("sl2.alg"), "--max-degree", "2",
+                     "--coinvariants", "h")
+    assert code == 0 and len(calls) == 1
+
+
 @pytest.mark.parametrize("coinvariants", [(), ("--coinvariants", "h")])
 def test_ce_fault_on_a_certified_input_is_not_a_diagnostic(
         monkeypatch, capsys, coinvariants):

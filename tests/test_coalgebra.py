@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from homotopyalg import coalgebra
 from homotopyalg.ainfty import check_stasheff, from_associative
 from homotopyalg.coalgebra import (
-    Cochain,
     Coderivation,
     bracket,
     certify,
@@ -51,12 +50,12 @@ def coproduct_tensor(word):
 
 
 def commutator_by_words(d1, d2, max_arity):
-    """Cochain of [d1, d2] read off word by word: the weight-1 part of
+    """Components of [d1, d2] read off word by word: the weight-1 part of
     d1 . d2 - (-1)^(|d1||d2|) d2 . d1 on every basis word through max_arity.
     The reference that `bracket` must reproduce exactly."""
-    space = d1.cochain.space
+    space = d1.space
     sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1
-    symmetric = d1.cochain.symmetric
+    symmetric = d1.symmetric
 
     def commutator(word):
         out = apply_element(d1, d2.eval_word(word))
@@ -64,7 +63,7 @@ def commutator_by_words(d1, d2, max_arity):
             add_into(out, w, -sign * c)
         return out
 
-    result = Cochain(space, d1.degree + d2.degree, symmetric=symmetric)
+    result = Coderivation(space, d1.degree + d2.degree, symmetric=symmetric)
     for n in range(0, max_arity + 1):
         comp = read_off(commutator, space, n, symmetric=symmetric)
         if comp:
@@ -88,9 +87,11 @@ def canonical_words(space, max_weight):
                 yield w
 
 
-def random_cochain(space, rng, symmetric, degree, max_arity=3, with_zero=False):
-    """Random homogeneous cochain: outputs restricted to the right degree."""
-    c = Cochain(space, degree, symmetric=symmetric)
+def random_coderivation(space, rng, symmetric, degree, max_arity=3,
+                        with_zero=False):
+    """Random homogeneous coderivation: outputs restricted to the right
+    degree."""
+    c = Coderivation(space, degree, symmetric=symmetric)
     words = canonical_words if symmetric else all_words
     for word in words(space, max_arity):
         if not word and not with_zero:
@@ -112,7 +113,7 @@ def apply_on_pairs(D, pairs, side):
     """(D (x) 1) or (1 (x) D) on a {(left, right): coeff} element."""
     out = {}
     odd = D.degree % 2
-    space = D.cochain.space
+    space = D.space
     for (lw, rw), coeff in pairs.items():
         if side == "left":
             for w, c in D.eval_word(lw).items():
@@ -139,8 +140,8 @@ def coproduct_of_element(element, space, flavor):
 def test_co_leibniz(flavor, space):
     rng = random.Random(101 if flavor == "tensor" else 102)
     for degree in (-1, 0, 1):
-        D = Coderivation(
-            random_cochain(space, rng, flavor == "sym", degree, with_zero=True))
+        D = random_coderivation(space, rng, flavor == "sym", degree,
+                                with_zero=True)
         words = all_words if flavor == "tensor" else canonical_words
         for word in words(space, 4 if space is SP2 else 3):
             lhs = coproduct_of_element(D.eval_word(word), space, flavor)
@@ -154,11 +155,10 @@ def test_co_leibniz(flavor, space):
 def test_square_zero_dual_numbers_tensor():
     # basis 1, e with e^2 = 0: associative, so the product coderivation squares to zero
     sp = GradedSpace(("1", "e"), (0, 0)).suspend()
-    m = Cochain(sp, -1)
-    m.set_value((0, 0), {0: 1})
-    m.set_value((0, 1), {1: 1})
-    m.set_value((1, 0), {1: 1})
-    d = Coderivation(m)
+    d = Coderivation(sp, -1)
+    d.set_value((0, 0), {0: 1})
+    d.set_value((0, 1), {1: 1})
+    d.set_value((1, 0), {1: 1})
     sq = bracket(d, d, 5)
     assert sq.comps == {}
 
@@ -166,34 +166,30 @@ def test_square_zero_dual_numbers_tensor():
 def test_square_zero_with_differential_tensor():
     # basis 1, x with |x| = 1, d(x) = 1, x^2 = 0: the mixed m1/m2 terms must cancel
     sp = GradedSpace(("1", "x"), (0, 1)).suspend()
-    m = Cochain(sp, -1)
-    m.set_value((1,), {0: 1})
-    m.set_value((0, 0), {0: 1})
-    m.set_value((0, 1), {1: 1})
-    m.set_value((1, 0), {1: -1})
-    d = Coderivation(m)
+    d = Coderivation(sp, -1)
+    d.set_value((1,), {0: 1})
+    d.set_value((0, 0), {0: 1})
+    d.set_value((0, 1), {1: 1})
+    d.set_value((1, 0), {1: -1})
     sq = bracket(d, d, 5)
     assert sq.comps == {}
 
 
 def test_square_zero_sl2_sym():
     sp = GradedSpace(("h", "e", "f"), (0, 0, 0)).suspend()
-    ell = Cochain(sp, -1, symmetric=True)
-    ell.set_value((0, 1), {1: 2})
-    ell.set_value((0, 2), {2: -2})
-    ell.set_value((1, 2), {0: 1})
-    d = Coderivation(ell)
+    d = Coderivation(sp, -1, symmetric=True)
+    d.set_value((0, 1), {1: 2})
+    d.set_value((0, 2), {2: -2})
+    d.set_value((1, 2), {0: 1})
     sq = bracket(d, d, 5)
     assert sq.comps == {}
 
 
 def test_bracket_odd_even_is_genuine_commutator():
     rng = random.Random(7)
-    c1 = random_cochain(SP3, rng, False, -1)
-    c2 = random_cochain(SP3, rng, False, 0)
-    d1 = Coderivation(c1)
-    d2 = Coderivation(c2)
-    br = Coderivation(bracket(d1, d2, 6))
+    d1 = random_coderivation(SP3, rng, False, -1)
+    d2 = random_coderivation(SP3, rng, False, 0)
+    br = bracket(d1, d2, 6)
     for word in all_words(SP3, 3):
         direct = apply_element(d1, d2.eval_word(word))
         for w, c in apply_element(d2, d1.eval_word(word)).items():
@@ -204,11 +200,9 @@ def test_bracket_odd_even_is_genuine_commutator():
 @pytest.mark.parametrize("flavor", ["tensor", "sym"])
 def test_bracket_extension_matches_commutator_odd_odd(flavor):
     rng = random.Random(19)
-    c1 = random_cochain(SP3, rng, flavor == "sym", -1)
-    c2 = random_cochain(SP3, rng, flavor == "sym", 1, with_zero=True)
-    d1 = Coderivation(c1)
-    d2 = Coderivation(c2)
-    br = Coderivation(bracket(d1, d2, 6))
+    d1 = random_coderivation(SP3, rng, flavor == "sym", -1)
+    d2 = random_coderivation(SP3, rng, flavor == "sym", 1, with_zero=True)
+    br = bracket(d1, d2, 6)
     words = all_words if flavor == "tensor" else canonical_words
     for word in words(SP3, 3):
         direct = apply_element(d1, d2.eval_word(word))
@@ -219,8 +213,8 @@ def test_bracket_extension_matches_commutator_odd_odd(flavor):
 
 def test_bracket_refuses_to_mix_tensor_and_symmetric():
     rng = random.Random(5)
-    tensor = Coderivation(random_cochain(SP3, rng, False, -1))
-    sym = Coderivation(random_cochain(SP3, rng, True, -1))
+    tensor = random_coderivation(SP3, rng, False, -1)
+    sym = random_coderivation(SP3, rng, True, -1)
     for d1, d2 in ((tensor, sym), (sym, tensor)):
         with pytest.raises(ValueError, match="cannot mix"):
             bracket(d1, d2, 3)
@@ -229,11 +223,10 @@ def test_bracket_refuses_to_mix_tensor_and_symmetric():
 @pytest.mark.parametrize("flavor", ["tensor", "sym"])
 def test_extension_readoff_roundtrip(flavor):
     rng = random.Random(31 if flavor == "tensor" else 37)
-    c = random_cochain(SP3, rng, flavor == "sym", -1, with_zero=True)
-    D = Coderivation(c)
+    D = random_coderivation(SP3, rng, flavor == "sym", -1, with_zero=True)
     for n in range(0, 4):
         comp = read_off(D.eval_word, SP3, n, symmetric=(flavor == "sym"))
-        assert comp == c.comps.get(n, {}), n
+        assert comp == D.comps.get(n, {}), n
 
 
 def test_coassociativity_both_flavors():
@@ -315,14 +308,13 @@ def test_symmetrized_tensor_extension_is_sym_coderivation(degree):
     # p . D_c . i is itself a shuffle-coproduct coderivation: it agrees with
     # the symmetric extension of its own arity read-off everywhere.
     rng = random.Random(61 + degree)
-    c = random_cochain(SP3, rng, False, degree, with_zero=True)
-    op = sandwich(Coderivation(c), SP3)
-    g = Cochain(SP3, degree, symmetric=True)
+    c = random_coderivation(SP3, rng, False, degree, with_zero=True)
+    op = sandwich(c, SP3)
+    ext = Coderivation(SP3, degree, symmetric=True)
     for n in range(0, 4):
         comp = read_off(op, SP3, n, symmetric=True)
         if comp:
-            g.comps[n] = comp
-    ext = Coderivation(g)
+            ext.comps[n] = comp
     for word in canonical_words(SP3, 3):
         assert element_eq(op(word), ext.eval_word(word)), word
 
@@ -332,43 +324,42 @@ def test_symmetric_cochain_sandwich_rescales_by_factorials(degree):
     # for already-symmetric components,  p . (tensor extension) . i  equals the
     # symmetric extension after scaling the arity-k component by k!
     rng = random.Random(71 + degree)
-    f = random_cochain(SP3, rng, True, degree)
-    tensor_version = Cochain(SP3, degree)
+    f = random_coderivation(SP3, rng, True, degree)
+    tensor_version = Coderivation(SP3, degree)
     for k in f.arities():
         for word in itertools.product(range(SP3.dim), repeat=k) if k else [()]:
             val = f.apply(word)
             if val:
                 tensor_version.comps.setdefault(k, {})[word] = dict(val)
-    op = sandwich(Coderivation(tensor_version), SP3)
-    scaled = Cochain(SP3, degree, symmetric=True)
+    op = sandwich(tensor_version, SP3)
+    ext = Coderivation(SP3, degree, symmetric=True)
     fact = 1
     for k in range(0, 4):
         if k:
             fact *= k
         table = f.comps.get(k, {})
         if table:
-            scaled.comps[k] = {w: {i: fact * v for i, v in val.items()}
-                               for w, val in table.items()}
-    ext = Coderivation(scaled)
+            ext.comps[k] = {w: {i: fact * v for i, v in val.items()}
+                            for w, val in table.items()}
     for word in canonical_words(SP3, 4):
         assert element_eq(op(word), ext.eval_word(word)), word
 
 
 def test_symmetric_cochain_input_validation():
-    c = Cochain(SP3, -1, symmetric=True)
+    c = Coderivation(SP3, -1, symmetric=True)
     with pytest.raises(ValueError):
         c.set_value((1, 0), {2: 1})   # not sorted
     sp_odd = GradedSpace(("u",), (0,)).suspend()
-    c2 = Cochain(sp_odd, -1, symmetric=True)
+    c2 = Coderivation(sp_odd, -1, symmetric=True)
     with pytest.raises(ValueError):
         c2.set_value((0, 0), {0: 1})  # repeated odd factor
-    c3 = Cochain(SP3, -1, symmetric=True)
+    c3 = Coderivation(SP3, -1, symmetric=True)
     c3.set_value((0, 1), {0: Fraction(3)})
     assert c3.apply((1, 0)) == {0: Fraction(-3)}  # two odd factors swap
 
 
 def test_cochain_rejects_inhomogeneous_value():
-    c = Cochain(SP3, -1)
+    c = Coderivation(SP3, -1)
     with pytest.raises(ValueError):
         c.set_value((0,), {0: 1})  # degree 1 -> 1 is not a degree -1 map
     c.set_value((0,), {0: 0})      # zero coefficients are fine anywhere
@@ -400,7 +391,7 @@ def square_arity(alg):
                          ids=lambda p: p.name)
 def test_bracket_matches_words_on_fixture_squares(path):
     alg = fixture_algebra(path)
-    d = alg.coderivation()
+    d = alg.coderivation
     full = square_arity(alg)
     assert bracket(d, d, full) == commutator_by_words(d, d, full)
 
@@ -409,7 +400,7 @@ def test_bracket_matches_words_on_fixture_squares(path):
 def test_bracket_matches_words_on_matrix_algebras(n):
     for base in matrix_bases():
         for alg in (matrix_algebra(base, n), gl(base, n)):
-            d = alg.coderivation()
+            d = alg.coderivation
             full = square_arity(alg)
             assert bracket(d, d, full) == commutator_by_words(d, d, full), alg.name
 
@@ -417,19 +408,18 @@ def test_bracket_matches_words_on_matrix_algebras(n):
 def test_bracket_matches_words_on_inner_derivations():
     for base in matrix_bases():
         alg = gl(base, 2)
-        d = alg.coderivation()
+        d = alg.coderivation
         for i in range(alg.suspended.dim):
-            c = Cochain(alg.suspended, alg.suspended.degrees[i], symmetric=True)
-            c.set_value((), {i: 1})
-            gen = Coderivation(c)
+            gen = Coderivation(alg.suspended, alg.suspended.degrees[i],
+                               symmetric=True)
+            gen.set_value((), {i: 1})
             cap = max(alg.max_arity - 1, 0)
             inner = bracket(d, gen, cap)
             assert inner == commutator_by_words(d, gen, cap), (alg.name, i)
-            assert inner == make_inner(alg, i).cochain
+            assert inner == make_inner(alg, i)
             # the derivation certificate of the inner derivation
-            der = Coderivation(inner)
             cap = max(alg.max_arity + inner.max_arity() - 1, 0)
-            assert bracket(d, der, cap) == commutator_by_words(d, der, cap)
+            assert bracket(d, inner, cap) == commutator_by_words(d, inner, cap)
 
 
 @st.composite
@@ -437,9 +427,9 @@ def coderivation_pairs(draw):
     """Two coderivations of one flavor on a small space, and an arity cap.
 
     Unsuspended degrees 0..2 give suspended letters of both parities, so
-    a symmetric word can repeat an even letter; cochain degrees run over
-    -2..1, and arity-0 components are drawn as well.  Values are p/q with
-    q in 1..3, so the cochains `bracket` scales to integers have
+    a symmetric word can repeat an even letter; coderivation degrees run
+    over -2..1, and arity-0 components are drawn as well.  Values are p/q
+    with q in 1..3, so the coderivations `bracket` scales to integers have
     denominators to clear."""
     flavor = draw(st.sampled_from(["tensor", "sym"]))
     degrees = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3))
@@ -448,7 +438,8 @@ def coderivation_pairs(draw):
     values = st.builds(Fraction, st.integers(-2, 2), st.integers(1, 3))
     pair = []
     for _ in range(2):
-        c = Cochain(space, draw(st.integers(-2, 1)), symmetric=flavor == "sym")
+        c = Coderivation(space, draw(st.integers(-2, 1)),
+                         symmetric=flavor == "sym")
         with_zero = draw(st.booleans())
         for word in words(space, draw(st.integers(1, 3))):
             if word or with_zero:
@@ -456,9 +447,9 @@ def coderivation_pairs(draw):
                 c.set_value(word, {i: draw(values)
                                    for i in range(space.dim)
                                    if space.degrees[i] == target})
-        pair.append(Coderivation(c))
+        pair.append(c)
     d1, d2 = pair
-    full = max(d1.cochain.max_arity() + d2.cochain.max_arity() - 1, 0)
+    full = max(d1.max_arity() + d2.max_arity() - 1, 0)
     return d1, d2, draw(st.integers(0, full + 1))
 
 
@@ -503,20 +494,19 @@ def test_check_linfty_composes_once(monkeypatch):
     assert calls == [True]
 
 
-def flip_first_sign(cochain, arity):
-    """A copy of the cochain with its first arity-k entry negated."""
+def flip_first_sign(d, arity):
+    """A copy of the coderivation with its first arity-k entry negated."""
     comps = {k: {w: dict(v) for w, v in table.items()}
-             for k, table in cochain.comps.items()}
+             for k, table in d.comps.items()}
     word = min(comps[arity])
     comps[arity][word] = {i: -v for i, v in comps[arity][word].items()}
-    return Cochain(cochain.space, cochain.degree, comps, cochain.symmetric)
+    return Coderivation(d.space, d.degree, comps, d.symmetric)
 
 
 @pytest.mark.parametrize("make", [matrix_algebra, gl])
 def test_mutant_fails_with_the_oracle_witness(make):
     alg = make(matrix_bases()[0], 3)
-    d = alg.coderivation()
-    d = Coderivation(flip_first_sign(d.cochain, 2))
+    d = flip_first_sign(alg.coderivation, 2)
     full = square_arity(alg)
     report = certify(d, d, full)
     oracle = commutator_by_words(d, d, full)

@@ -7,14 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from homotopyalg.ainfty import (
-    AInftyAlgebra,
-    from_associative,
-    from_dga,
-    suspend_operations,
-)
+from homotopyalg.ainfty import AInftyAlgebra, from_associative, from_dga
 from homotopyalg.chain import ChainComplex
-from homotopyalg.coalgebra import Coderivation
+from homotopyalg.coalgebra import Coderivation, suspend_operations
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace, add_into, canonical_sym
 from homotopyalg.linfty import (
@@ -178,7 +173,7 @@ def lie_by_words(space, ops, cap=None):
     D_m . include_i on every canonical word of each arity of `ops` through
     `cap`.  The reference that `_antisymmetrize` must reproduce exactly."""
     susp = space.suspend()
-    dm = Coderivation(suspend_operations(space, ops))
+    dm = suspend_operations(space, ops)
 
     def operator(word):
         out = {}
@@ -233,14 +228,14 @@ def fixture_algebra(name):
 
 
 def test_lieify_matches_word_read_off_on_fixtures():
-    # the comparison is on ell, the suspension of the brackets, which
-    # determines them
+    # the comparison is on the coderivation, the suspension of the
+    # brackets, which determines them
     for path in sorted(FIXTURES.glob("*.alg")):
         alg = fixture_algebra(path.stem)
         if not isinstance(alg, AInftyAlgebra):
             continue
         for cap in (None, 2):
-            assert lie_ify(alg, cap).ell.comps == \
+            assert lie_ify(alg, cap).coderivation.comps == \
                 lie_by_words(alg.space, alg.ops, cap), (path.name, cap)
 
 
@@ -248,8 +243,8 @@ def test_lieify_matches_word_read_off_on_fixtures():
 def test_lieify_matches_word_read_off_on_matrix_algebras(n):
     for name in ("K", "dual_numbers", "dga2", "ut2"):
         alg = matrix_algebra(fixture_algebra(name), n)
-        assert lie_ify(alg).ell.comps == lie_by_words(alg.space, alg.ops), \
-            alg.name
+        assert lie_ify(alg).coderivation.comps == \
+            lie_by_words(alg.space, alg.ops), alg.name
 
 
 def test_lieify_evaluates_no_word(monkeypatch):
@@ -354,7 +349,7 @@ def test_gl_equals_tensor_then_lieify():
     direct = gl(dual_numbers(), 2)
     composed = lie_ify(entrywise_matrix_algebra(dual_numbers(), 2))
     assert direct.ops == composed.ops
-    assert direct.ell.comps == composed.ell.comps
+    assert direct.coderivation.comps == composed.coderivation.comps
 
 
 def test_corner_embedding_is_strict_morphism():
@@ -543,7 +538,7 @@ def test_simple_root_spans_equal_all_root_spans(base_name, n, max_degree):
                         gens.append(img)
         if gens:
             spans[q] = gens
-    d = L.coderivation()
+    d = L.coderivation
     reference = ChainComplex(model.blocks, lambda q, w: d.eval_word(w),
                              quotient_spans=spans)
     fast = model.complex()
@@ -896,8 +891,7 @@ def test_orbits_of_degree_at_most_n_do_not_depend_on_n(base_name, n):
 
 
 def stored_values(alg):
-    cochain = alg.m if isinstance(alg, AInftyAlgebra) else alg.ell
-    for ops in (alg.ops, cochain.comps):
+    for ops in (alg.ops, alg.coderivation.comps):
         for table in ops.values():
             for val in table.values():
                 yield from val.values()

@@ -1,5 +1,6 @@
 """Every name that the package or one of its modules exports resolves, and
-every function or class a module exports is used.
+every function or class a module exports, and every public method of a
+class the package defines, is used.
 
 The stage tracer of the bench harness (`perfbench/traced.py`) reads each
 module's `__all__` and looks every name up, so a stale entry breaks it as
@@ -42,7 +43,8 @@ def test_every_exported_definition_is_referenced():
     # a public helper that nothing calls is code to delete: each function
     # or class a module defines and exports must be named (not merely
     # mentioned in a docstring) somewhere in the package, or be exported by
-    # the package itself
+    # the package itself; so must each public method or property of a class
+    # a module defines
     referenced = set()
     for path in Path(homotopyalg.__file__).parent.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -60,4 +62,12 @@ def test_every_exported_definition_is_referenced():
                     and attr not in referenced \
                     and attr not in homotopyalg._EXPORTS:
                 unreferenced.add(attr)
+        for cls in vars(module).values():
+            if inspect.isclass(cls) and cls.__module__ == name:
+                unreferenced.update(
+                    f"{cls.__name__}.{attr}"
+                    for attr, value in vars(cls).items()
+                    if not attr.startswith("_") and attr not in referenced
+                    and (inspect.isfunction(value)
+                         or isinstance(value, property)))
     assert unreferenced == set(UNREFERENCED)
