@@ -103,18 +103,20 @@ def check_stasheff(alg, max_arity=None):
     """Verify the higher associativity tower by squaring the coderivation.
 
     With components up to arity K, the square has components only up to
-    2K - 1, so checking that far is a complete proof; a smaller cap yields a
-    partial certificate.
+    2K - 1, so `certify` checks that far for a complete proof; a smaller
+    cap yields a partial certificate.
     """
     d = alg.coderivation
-    return certify(d, d, max(2 * alg.max_arity - 1, 0), max_arity)
+    return certify(d, d, max_arity)
 
 
 class UnitalityReport:
-    def __init__(self, ok, failures=None):
-        self.ok = ok
-        # (description, arity, word)
-        self.failures = [] if failures is None else failures
+    def __init__(self, failures):
+        self.failures = failures  # (description, arity, word)
+
+    @property
+    def ok(self):
+        return not self.failures
 
     def __bool__(self):
         return self.ok
@@ -125,7 +127,7 @@ def check_strict_unit(alg):
     mu_2(a, e), and every other arity vanishes whenever e is an argument."""
     e = alg.unit
     if e is None:
-        return UnitalityReport(False, [("no unit declared", 0, ())])
+        return UnitalityReport([("no unit declared", 0, ())])
     failures = []
     dim = alg.space.dim
     for a in range(dim):
@@ -140,7 +142,7 @@ def check_strict_unit(alg):
             if e in word and val:
                 failures.append(
                     (f"arity {k} operation must vanish on the unit", k, word))
-    return UnitalityReport(not failures, failures)
+    return UnitalityReport(failures)
 
 
 def require_strict_unit(alg):
@@ -199,8 +201,6 @@ def cyclic_boundary(alg):
             if k > n:
                 continue
             for s in range(1, k):
-                if s > n - 1:
-                    break
                 perm = tuple((i + s) % n for i in range(n))
                 sign, w = act(perm, word, degs)
                 val = m.apply(w[:k])

@@ -28,24 +28,19 @@ class BettiTable:
 
     `exact[q]` records whether dims[q] is complete as stated (no truncation
     artifact); callers that cap weights or degrees clear it accordingly.
-    `block_dims[q]` is the chain-level dimension (after any quotient).
     Tables compare by value.
     """
 
-    def __init__(self, dims, exact=None, block_dims=None,
-                 representatives=None):
+    def __init__(self, dims, exact=None, representatives=None):
         self.dims = dims
         self.exact = {} if exact is None else exact
-        self.block_dims = {} if block_dims is None else block_dims
         self.representatives = representatives
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.dims, self.exact, self.block_dims,
-                self.representatives) == (other.dims, other.exact,
-                                          other.block_dims,
-                                          other.representatives)
+        return (self.dims, self.exact, self.representatives) == \
+            (other.dims, other.exact, other.representatives)
 
 
 class ChainComplex:
@@ -164,13 +159,10 @@ class ChainComplex:
 
     def homology(self, qs, representatives=False):
         qs = sorted(qs)
-        dims, block_dims = {}, {}
-        for q in qs:
-            block_dims[q] = self.dim(q)
-            dims[q] = block_dims[q] - self._rank(q) - self._rank(q + 1)
+        dims = {q: self.dim(q) - self._rank(q) - self._rank(q + 1) for q in qs}
         reps = {q: self._solver(q)[1] for q in qs} if representatives else None
         return BettiTable(dims=dims, exact={q: True for q in qs},
-                          block_dims=block_dims, representatives=reps)
+                          representatives=reps)
 
     def _read(self, q, vec):
         combo = self._solver(q)[0].express(vec)

@@ -11,8 +11,9 @@ Exit codes: 0 success; 1 validation failure (unreadable, malformed, or
 unsuitable input); 2 mathematical violation (a certification failed or
 a comparison reported a mismatch); 3 a cap declared in the document is
 exceeded by the request.  An internal cross-check that fails
-(`InconsistencyError`) is a fault of the package, not of the input, and
-is left to surface as a crash.
+(`InconsistencyError`), or any other exception past validation, is a
+fault of the package, not of the input, and is left to surface as a
+crash.
 """
 
 from __future__ import annotations
@@ -202,6 +203,8 @@ def _load(args):
             text = fh.read()
     except OSError as exc:
         raise DocumentError([(args.document, exc.strerror or str(exc))])
+    except UnicodeDecodeError as exc:
+        raise DocumentError([(args.document, f"not UTF-8 text: {exc}")])
     return parse_document(text)
 
 
@@ -474,8 +477,6 @@ def main(argv=None):
         return _fail(sys.stderr, EXIT_VALIDATION, [str(exc)])
     except CapExceeded as exc:
         return _fail(sys.stderr, EXIT_CAP, [str(exc)])
-    except ValueError as exc:
-        return _fail(sys.stderr, EXIT_VIOLATION, [str(exc)])
     _emit(payload, args.format, sys.stdout)
     return code
 

@@ -52,7 +52,7 @@ coderivation has D_i = 1.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm, prod
+from math import comb, inf, lcm, prod
 
 from .graded import (
     add_into,
@@ -245,10 +245,6 @@ class HomotopyAlgebra:
         self.coderivation = suspend_operations(space, ops, self.symmetric)
         self.suspended = self.coderivation.space
 
-    @property
-    def max_arity(self):
-        return max(self.ops, default=0)
-
     def op_value(self, k, word):
         """The arity-k operation on a word of basis indices (a sorted word
         for a symmetric structure), {index: int | Fraction}."""
@@ -269,7 +265,7 @@ def coproduct_sym(word, space):
 
 def _compose(outer, inner, max_arity, out, scale):
     """Add `scale` times the corestriction of outer . inner, through
-    `max_arity`, to out = {arity: {word: {index: coeff}}}.
+    `max_arity` or whole, to out = {arity: {word: {index: coeff}}}.
 
     The corestriction is a sum of partial compositions: for every inner
     entry u -> a.y and every outer entry v with an input letter y, the
@@ -301,7 +297,7 @@ def _compose(outer, inner, max_arity, out, scale):
                 prefix += degs[y]
     for table in inner.comps.values():
         for u, a in table.items():
-            room = max_arity - len(u)
+            room = inf if max_arity is None else max_arity - len(u)
             counts = [(x, u.count(x)) for x in set(u)] if sym else ()
             for y, ay in a.items():
                 for entry in by_letter.get(y, ()):
@@ -337,8 +333,9 @@ def _integral(d):
     return D, Coderivation(d.space, d.degree, comps, d.symmetric)
 
 
-def bracket(d1, d2, max_arity):
-    """The graded commutator [d1, d2], a coderivation, up to the given arity.
+def bracket(d1, d2, max_arity=None):
+    """The graded commutator [d1, d2], a coderivation, through `max_arity`
+    when given, else whole (it reaches no further than K + K' - 1).
 
     Both coderivations must act on one coalgebra over one space; the result
     extends to the operator d1 . d2 - (-1)^(|d1||d2|) d2 . d1 there.  Its
@@ -372,30 +369,34 @@ def bracket(d1, d2, max_arity):
 
 
 class StructureReport:
-    def __init__(self, ok, checked_arity, complete, witness=None):
-        self.ok = ok
+    def __init__(self, checked_arity, complete, witness=None):
         self.checked_arity = checked_arity
         self.complete = complete  # True when the check proves all identities
-        self.witness = witness    # (arity, word, defect element)
+        self.witness = witness    # (arity, word, defect element) or None
+
+    @property
+    def ok(self):
+        return self.witness is None
 
     def __bool__(self):
         return self.ok
 
 
-def certify(d1, d2, full, max_arity=None):
+def certify(d1, d2, max_arity=None):
     """Certify that the graded commutator [d1, d2] vanishes.
 
-    `full` is the top arity at which the commutator can have a component,
-    so checking through it is a complete proof; `max_arity` lowers the cap
-    to min(max_arity, full) and yields a partial certificate.  On failure
-    the witness is the first nonzero component in (arity, sorted word)
-    order.
+    The commutator has components only through its reach, max(K1 + K2 - 1,
+    0) for top arities K1 and K2, so checking through it is a complete
+    proof; `max_arity` lowers the cap to min(max_arity, reach) and yields a
+    partial certificate.  On failure the witness is the first nonzero
+    component in (arity, sorted word) order.
     """
+    full = max(d1.max_arity() + d2.max_arity() - 1, 0)
     cap = full if max_arity is None else min(max_arity, full)
     comm = bracket(d1, d2, cap)
-    for n in sorted(comm.comps):
-        table = comm.comps[n]
-        for word in sorted(table):
-            return StructureReport(False, cap, cap >= full,
-                                   (n, word, dict(table[word])))
-    return StructureReport(True, cap, cap >= full)
+    witness = None
+    if comm.comps:
+        n = min(comm.comps)
+        word = min(comm.comps[n])
+        witness = n, word, dict(comm.comps[n][word])
+    return StructureReport(cap, cap >= full, witness)

@@ -222,9 +222,9 @@ class PermutationModel(CEModel):
     of M_n(A), and `_canon` the memo of `canonical`.
     """
 
-    def __init__(self, algebra, max_degree, n, base):
-        super().__init__(algebra, max_degree, {}, {})
-        self.n = n
+    def __init__(self, algebra, max_degree, base, blocks):
+        super().__init__(algebra, max_degree, blocks, {})
+        self.n = n = max_degree + 1
         self.base = base
         dim = base.space.dim
         self._letters = tuple((a, i, j) for a in range(dim)
@@ -389,13 +389,12 @@ def gl_permutation_model(base, max_degree):
     """
     require_strict_unit(base)
     n = max_degree + 1
-    L = gl(base, n)
-    model = PermutationModel(L, max_degree, n, base)
     necklaces = _necklaces(base.suspended.degrees, n)
     nn = n * n
     # the multisets are the canonical symmetric words over the necklaces:
     # two equal cycles of odd degree swap with sign -1
     degrees = [d for _, d in necklaces]
+    blocks = {}
     for q in range(max_degree + 2):
         reps = []
         for picks in ce_words(degrees, q):
@@ -408,8 +407,8 @@ def gl_permutation_model(base, max_degree):
                 offset += size
             reps.append(tuple(sorted(word)))
         if reps:
-            model.blocks[q] = sorted(reps)
-    return model
+            blocks[q] = sorted(reps)
+    return PermutationModel(gl(base, n), max_degree, base, blocks)
 
 
 # ---------------------------------------------------------------------------

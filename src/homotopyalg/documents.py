@@ -74,9 +74,10 @@ class AlgebraDocument:
     """A validated structure description.
 
     Invariants established at construction time: every label resolves,
-    no operation entry repeats, coefficients are exact rationals, and
-    every output term raises the total unsuspended input degree by
-    exactly arity - 2.  Documents compare by value.
+    no operation entry repeats, the inputs of a linfty bracket are in
+    basis order and repeat only labels of odd degree, coefficients are
+    exact rationals, and every output term raises the total unsuspended
+    input degree by exactly arity - 2.  Documents compare by value.
     """
 
     def __init__(self, name, kind, basis, unit=None, ops=(), caps=None):
@@ -217,6 +218,11 @@ def document_from_data(data):
             diags.append((f"{path}.inputs",
                           "bracket inputs must be listed in basis order"))
             continue
+        if kind == "linfty" and any(a == b and basis[a][1] % 2 == 0
+                                    for a, b in zip(word, word[1:])):
+            diags.append((f"{path}.inputs", "a bracket input may repeat "
+                          "only when its degree is odd"))
+            continue
         key = (arity, word)
         if key in seen:
             diags.append((path, f"duplicate op entry: already given at "
@@ -289,6 +295,9 @@ def parse_document(text):
     except json.JSONDecodeError as exc:
         raise DocumentError(
             [(f"line {exc.lineno}, column {exc.colno}", exc.msg)]) from None
+    except ValueError as exc:
+        # an integer literal too long for the interpreter to convert
+        raise DocumentError([("$", str(exc))]) from None
     return document_from_data(data)
 
 

@@ -69,9 +69,6 @@ class GradedSpace:
     def dim(self):
         return len(self.labels)
 
-    def index(self, label):
-        return self.labels.index(label)
-
     def suspend(self):
         """The shifted space: degree d becomes d + 1."""
         return GradedSpace(self.labels, tuple(d + 1 for d in self.degrees))

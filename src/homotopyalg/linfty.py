@@ -106,19 +106,14 @@ def check_linfty(alg, max_arity=None):
     cap gives a partial certificate.
     """
     d = alg.coderivation
-    return certify(d, d, max(2 * alg.max_arity - 1, 0), max_arity)
+    return certify(d, d, max_arity)
 
 
 def check_derivation(alg, d):
     """Certify that the symmetric coderivation d is a derivation,
-    [ell, d] = 0; returns the StructureReport.
-
-    The commutator of coderivations with top arities K and K' has
-    components only through arity K + K' - 1, so the check is a complete
-    proof.
+    [ell, d] = 0; returns the StructureReport, a complete proof.
     """
-    return certify(alg.coderivation, d,
-                   max(alg.max_arity + d.max_arity() - 1, 0))
+    return certify(alg.coderivation, d)
 
 
 def _as_coderivation(alg, generator):
@@ -147,8 +142,7 @@ def make_inner(alg, generator):
     by `check_derivation` rather than assumed.
     """
     c = _as_coderivation(alg, generator)
-    inner = bracket(alg.coderivation, c,
-                    max(alg.max_arity + c.max_arity() - 1, 0))
+    inner = bracket(alg.coderivation, c)
     report = check_derivation(alg, inner)
     if not report:
         raise ValueError(f"inner construction failed certification: {report.witness}")
@@ -324,7 +318,7 @@ def lie_homology(alg, max_degree, max_weight=None, h=None):
     return ce_model(alg, max_degree, max_weight, h).homology()
 
 
-def inner_action_on_homology(alg, generator, max_degree, max_weight=None, h=None):
+def inner_action_on_homology(alg, generator, max_degree):
     """The induced map of an inner derivation on homology, degree by degree.
 
     Returns {q: list of coefficient dicts over the representative basis of
@@ -333,7 +327,7 @@ def inner_action_on_homology(alg, generator, max_degree, max_weight=None, h=None
     """
     action = make_inner(alg, generator)
     shift = action.degree
-    cx = ce_model(alg, max_degree, max_weight, h).complex()
+    cx = ce_model(alg, max_degree).complex()
     table = cx.homology(range(0, max_degree + 1), representatives=True)
     induced = {}
     for q in range(0, max_degree + 1):
@@ -376,14 +370,17 @@ class HomologyCoalgebra:
         self._primitives = {}
 
     def primitive_subspace(self, q):
-        """Classes with vanishing reduced coproduct, as a RowReducer
-        spanning them in the representative coordinates of H_q.  It is
-        computed once per degree and shared, so callers only read it."""
+        """Primitive classes of H_q, as a RowReducer spanning them in its
+        representative coordinates: the classes with vanishing reduced
+        coproduct, and none in degree 0, where the counit splits them off.
+        It is computed once per degree and shared, so callers only read
+        it."""
         if q not in self._primitives:
             tags = {t: i for i, t in enumerate(self.pair_basis.get(q, []))}
             columns = [{tags[t]: c for t, c in row.items()}
                        for row in self.delta.get(q, [])]
-            self._primitives[q] = kernel(columns, len(tags))
+            self._primitives[q] = (kernel(columns, len(tags)) if q
+                                   else RowReducer())
         return self._primitives[q]
 
 
@@ -514,10 +511,8 @@ def coalgebra_on_homology(model):
 
 def primitives(H):
     """Primitive classes of a homology coalgebra: {degree: RowReducer
-    spanning them in the representative coordinates}.  Degree-0 classes are
-    never primitive (the counit splits them off); weight-one generators
-    always are."""
-    out = {}
-    for q in sorted(H.table.representatives):
-        out[q] = RowReducer() if q == 0 else H.primitive_subspace(q)
-    return out
+    spanning them in the representative coordinates}, by
+    `HomologyCoalgebra.primitive_subspace`.  Weight-one generators are
+    always primitive."""
+    return {q: H.primitive_subspace(q)
+            for q in sorted(H.table.representatives)}

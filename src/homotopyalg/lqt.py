@@ -114,14 +114,13 @@ class HopfProductReport:
 
     `products` maps ((qa, ia), (qb, ib)) - basis classes of the two
     factors - to the product class in the representative coordinates of
-    the same model.  All checks are exact; empty violation lists mean the
+    the same model, and `checked_pairs` counts them.  All checks are exact; empty violation lists mean the
     property held on everything checked.
     """
 
     def __init__(self, base, n, max_degree, class_dims, products, unit_ok,
                  commutative_violations, associative_violations,
-                 primitive_product_violations, checked_pairs,
-                 checked_triples):
+                 primitive_product_violations, checked_triples):
         self.base = base
         self.n = n
         self.max_degree = max_degree
@@ -131,8 +130,11 @@ class HopfProductReport:
         self.commutative_violations = commutative_violations
         self.associative_violations = associative_violations
         self.primitive_product_violations = primitive_product_violations
-        self.checked_pairs = checked_pairs
         self.checked_triples = checked_triples
+
+    @property
+    def checked_pairs(self):
+        return len(self.products)
 
     @property
     def ok(self):
@@ -235,7 +237,7 @@ def hopf_product_on_homology(model):
         commutative_violations=commutative_violations,
         associative_violations=associative_violations,
         primitive_product_violations=primitive_product_violations,
-        checked_pairs=len(products), checked_triples=checked_triples)
+        checked_triples=checked_triples)
 
 
 # ---------------------------------------------------------------------------

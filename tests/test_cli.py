@@ -248,6 +248,18 @@ def test_lieify_rejects_linfty_input(capsys):
     assert code == 1 and "linfty" in err
 
 
+@pytest.mark.parametrize("command", ["check", "lieify"])
+def test_max_arity_above_the_document_cap_is_refused(capsys, tmp_path,
+                                                     command):
+    path = capped_doc(tmp_path, {"max_arity": 2})
+    code, out, err = run(capsys, command, path, "--max-arity", "3")
+    assert code == 3 and out == ""
+    assert err == ("error: --max-arity 3 exceeds the document cap "
+                   "max_arity=2\n")
+    code, _, _ = run(capsys, command, path, "--max-arity", "2")
+    assert code == 0
+
+
 def test_lieify_certifies_its_input_first(capsys):
     code, payload, _ = run_json(capsys, "lieify", fixture("nonassoc.alg"))
     assert code == 2
@@ -421,6 +433,23 @@ def test_arithmetic_fault_is_not_a_violation(monkeypatch):
         main(["lqt", fixture("K.alg"), "--n", "2", "--max-degree", "2"])
 
 
+def test_package_value_error_is_not_a_violation(monkeypatch):
+    # past validation, a ValueError can only come from the package: it
+    # surfaces, and is not reported as a mathematical violation (exit 2)
+    def broken(base, sizes, max_degree):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(lqt, "verify_lqt", broken)
+    with pytest.raises(ValueError, match="broken"):
+        main(["lqt", fixture("K.alg"), "--n", "2", "--max-degree", "2"])
+
+
+def test_lqt_rejects_linfty_documents(capsys):
+    code, out, err = run(capsys, "lqt", fixture("sl2.alg"))
+    assert code == 1 and out == ""
+    assert err == "error: the comparison takes an associative-flavor document\n"
+
+
 def test_lqt_validates_size_list(capsys):
     code, _, err = run(capsys, "lqt", fixture("K.alg"), "--n", "two")
     assert code == 1 and "--n" in err
@@ -483,6 +512,32 @@ def test_missing_and_malformed_files(tmp_path, capsys):
     assert code == 1 and "line 1" in err
 
 
+def repeated_even_input_doc(tmp_path, coeff):
+    path = tmp_path / "repeated.alg"
+    path.write_text(json.dumps({
+        "kind": "linfty", "basis": [["a", 0], ["b", 0]],
+        "ops": [{"arity": 2, "inputs": ["a", "a"],
+                 "output": [[coeff, "b"]]}]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check", "ce"])
+@pytest.mark.parametrize("coeff", ["1", "0"])
+def test_repeated_even_bracket_input_is_a_validation_failure(
+        capsys, tmp_path, command, coeff):
+    code, out, err = run(capsys, command,
+                         repeated_even_input_doc(tmp_path, coeff))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ops[0].inputs: ") and "repeat" in err
+
+
+def test_undecodable_document_is_a_validation_failure(capsys, tmp_path):
+    path = tmp_path / "latin1.alg"
+    path.write_bytes(b'{"name": "\xe9"}')
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and out == "" and "not UTF-8" in err
+
+
 def test_diagnostics_go_to_stderr_payload_to_stdout(capsys):
     code, out, err = run(capsys, "hc", fixture("sl2.alg"))
     assert out == "" and err.startswith("error:")
@@ -504,6 +559,35 @@ def test_text_format_renders_aligned_table(capsys):
                          "--max-degree", "2", "--format", "text")
     assert code == 0
     assert "degree  dim  exact" in out and "------" in out
+
+
+def test_lqt_text_format_renders_each_size_and_the_verdicts(capsys):
+    argv = ("lqt", fixture("K.alg"), "--n", "1,2", "--max-degree", "2")
+    code, payload, _ = run_json(capsys, *argv)
+    text_code, out, err = run(capsys, *argv, "--format", "text")
+    assert code == text_code == 0 and err == ""
+    rows = "degree  dim\n------  ---\n0       1\n1       1\n2       0\n"
+    assert f"\nmatrix_homology\n  n=1\n{rows}  n=2\n{rows}\n" in out
+    verdicts = payload["verdicts"]
+    assert out.endswith("\nverdicts\n" + "".join([
+        "  all_match: true\n",
+        *(f"  comparison[{q}]: MATCH\n" for q in range(3)),
+        "  hopf: " + json.dumps(verdicts["hopf"], sort_keys=True) + "\n",
+        *(f"  primitives[{q}]: MATCH\n" for q in (1, 2)),
+        *(f"  stable_from[{q}]: {q + 1}\n" for q in range(3))]))
+
+
+def test_lieify_text_format_renders_the_document(capsys):
+    code, payload, _ = run_json(capsys, "lieify", fixture("ut2.alg"))
+    text_code, out, err = run(capsys, "lieify", fixture("ut2.alg"),
+                              "--format", "text")
+    assert code == text_code == 0 and err == ""
+    header, rest = out.split("\n", 1)
+    assert header == "file={} kind=associative name={}".format(
+        fixture("ut2.alg"), payload["inputs"]["name"])
+    body, verdicts = rest.split("\n\nverdicts\n")
+    assert json.loads(body) == payload["document"]
+    assert verdicts == '  structure: "ok"\n'
 
 
 def test_console_entry_point_runs(tmp_path):

@@ -159,7 +159,7 @@ def test_square_zero_dual_numbers_tensor():
     d.set_value((0, 0), {0: 1})
     d.set_value((0, 1), {1: 1})
     d.set_value((1, 0), {1: 1})
-    sq = bracket(d, d, 5)
+    sq = bracket(d, d)
     assert sq.comps == {}
 
 
@@ -171,7 +171,7 @@ def test_square_zero_with_differential_tensor():
     d.set_value((0, 0), {0: 1})
     d.set_value((0, 1), {1: 1})
     d.set_value((1, 0), {1: -1})
-    sq = bracket(d, d, 5)
+    sq = bracket(d, d)
     assert sq.comps == {}
 
 
@@ -181,7 +181,7 @@ def test_square_zero_sl2_sym():
     d.set_value((0, 1), {1: 2})
     d.set_value((0, 2), {2: -2})
     d.set_value((1, 2), {0: 1})
-    sq = bracket(d, d, 5)
+    sq = bracket(d, d)
     assert sq.comps == {}
 
 
@@ -189,7 +189,7 @@ def test_bracket_odd_even_is_genuine_commutator():
     rng = random.Random(7)
     d1 = random_coderivation(SP3, rng, False, -1)
     d2 = random_coderivation(SP3, rng, False, 0)
-    br = bracket(d1, d2, 6)
+    br = bracket(d1, d2)
     for word in all_words(SP3, 3):
         direct = apply_element(d1, d2.eval_word(word))
         for w, c in apply_element(d2, d1.eval_word(word)).items():
@@ -202,7 +202,7 @@ def test_bracket_extension_matches_commutator_odd_odd(flavor):
     rng = random.Random(19)
     d1 = random_coderivation(SP3, rng, flavor == "sym", -1)
     d2 = random_coderivation(SP3, rng, flavor == "sym", 1, with_zero=True)
-    br = bracket(d1, d2, 6)
+    br = bracket(d1, d2)
     words = all_words if flavor == "tensor" else canonical_words
     for word in words(SP3, 3):
         direct = apply_element(d1, d2.eval_word(word))
@@ -217,7 +217,7 @@ def test_bracket_refuses_to_mix_tensor_and_symmetric():
     sym = random_coderivation(SP3, rng, True, -1)
     for d1, d2 in ((tensor, sym), (sym, tensor)):
         with pytest.raises(ValueError, match="cannot mix"):
-            bracket(d1, d2, 3)
+            bracket(d1, d2)
 
 
 @pytest.mark.parametrize("flavor", ["tensor", "sym"])
@@ -383,8 +383,9 @@ def matrix_bases():
     return ground, dual, dga2
 
 
-def square_arity(alg):
-    return max(2 * alg.max_arity - 1, 0)
+def reach(d1, d2):
+    """The top arity at which [d1, d2] can have a component."""
+    return max(d1.max_arity() + d2.max_arity() - 1, 0)
 
 
 @pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.alg")),
@@ -392,8 +393,7 @@ def square_arity(alg):
 def test_bracket_matches_words_on_fixture_squares(path):
     alg = fixture_algebra(path)
     d = alg.coderivation
-    full = square_arity(alg)
-    assert bracket(d, d, full) == commutator_by_words(d, d, full)
+    assert bracket(d, d) == commutator_by_words(d, d, reach(d, d))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -401,8 +401,8 @@ def test_bracket_matches_words_on_matrix_algebras(n):
     for base in matrix_bases():
         for alg in (matrix_algebra(base, n), gl(base, n)):
             d = alg.coderivation
-            full = square_arity(alg)
-            assert bracket(d, d, full) == commutator_by_words(d, d, full), alg.name
+            assert bracket(d, d) == commutator_by_words(d, d, reach(d, d)), \
+                alg.name
 
 
 def test_bracket_matches_words_on_inner_derivations():
@@ -413,13 +413,13 @@ def test_bracket_matches_words_on_inner_derivations():
             gen = Coderivation(alg.suspended, alg.suspended.degrees[i],
                                symmetric=True)
             gen.set_value((), {i: 1})
-            cap = max(alg.max_arity - 1, 0)
-            inner = bracket(d, gen, cap)
-            assert inner == commutator_by_words(d, gen, cap), (alg.name, i)
+            inner = bracket(d, gen)
+            assert inner == commutator_by_words(d, gen, reach(d, gen)), \
+                (alg.name, i)
             assert inner == make_inner(alg, i)
             # the derivation certificate of the inner derivation
-            cap = max(alg.max_arity + inner.max_arity() - 1, 0)
-            assert bracket(d, inner, cap) == commutator_by_words(d, inner, cap)
+            assert bracket(d, inner) == \
+                commutator_by_words(d, inner, reach(d, inner))
 
 
 @st.composite
@@ -449,8 +449,7 @@ def coderivation_pairs(draw):
                                    if space.degrees[i] == target})
         pair.append(c)
     d1, d2 = pair
-    full = max(d1.max_arity() + d2.max_arity() - 1, 0)
-    return d1, d2, draw(st.integers(0, full + 1))
+    return d1, d2, draw(st.integers(0, reach(d1, d2) + 1))
 
 
 @settings(derandomize=True, deadline=None, max_examples=300)
@@ -462,8 +461,11 @@ def test_bracket_matches_words_on_drawn_pairs(pair):
     # an int equals its Fraction, so the value type is checked on its own
     assert all(type(c) is Fraction for table in comm.comps.values()
                for val in table.values() for c in val.values())
-    report = certify(d1, d2, cap)
+    report = certify(d1, d2, max_arity=cap)
     assert report.ok == (not comm.comps)
+    full = reach(d1, d2)
+    assert report.checked_arity == min(cap, full)
+    assert report.complete == (cap >= full)
     if not report.ok:
         n = min(comm.comps)
         word = min(comm.comps[n])
@@ -507,9 +509,8 @@ def flip_first_sign(d, arity):
 def test_mutant_fails_with_the_oracle_witness(make):
     alg = make(matrix_bases()[0], 3)
     d = flip_first_sign(alg.coderivation, 2)
-    full = square_arity(alg)
-    report = certify(d, d, full)
-    oracle = commutator_by_words(d, d, full)
+    report = certify(d, d)
+    oracle = commutator_by_words(d, d, reach(d, d))
     n = min(oracle.comps)
     word = min(oracle.comps[n])
     assert not report.ok and report.complete

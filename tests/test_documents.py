@@ -191,6 +191,38 @@ def test_linfty_rejects_unit_and_unordered_inputs():
     assert any("basis order" in m for _, m in diags)
 
 
+@pytest.mark.parametrize("coeff", ["1", "0"])
+def test_linfty_refuses_a_repeated_input_of_even_degree(coeff):
+    # a bracket is antisymmetric in inputs of even degree, so its value on
+    # a repeated one is forced to vanish: the entry is refused, whatever
+    # value it states
+    data = {
+        "name": "g", "kind": "linfty",
+        "basis": [["a", 0], ["b", 0]],
+        "ops": [{"arity": 2, "inputs": ["a", "a"], "output": [[coeff, "b"]]}],
+    }
+    diags = diagnostics_of(data)
+    assert len(diags) == 1
+    assert diags[0][0] == "ops[0].inputs" and "repeat" in diags[0][1]
+
+
+def test_linfty_accepts_a_repeated_input_of_odd_degree():
+    data = {
+        "name": "g", "kind": "linfty",
+        "basis": [["x", 1], ["y", 2]],
+        "ops": [{"arity": 2, "inputs": ["x", "x"], "output": [["1", "y"]]}],
+    }
+    alg = document_to_algebra(parse_document(json.dumps(data)))
+    assert alg.op_value(2, (0, 0)) == {1: 1}
+
+
+def test_overlong_integer_is_a_document_error():
+    text = '{"kind": "associative", "basis": [["a", ' + "1" * 5000 + ']]}'
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert [p for p, _ in err.value.diagnostics] == ["$"]
+
+
 def test_unknown_kind_and_fields():
     assert any(p == "kind" for p, _ in diagnostics_of(
         {"name": "x", "kind": "group", "basis": [["1", 0]]}))

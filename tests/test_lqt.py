@@ -117,6 +117,28 @@ def test_hopf_product_over_ground_field():
     assert report.checked_pairs > 0 and report.checked_triples > 0
 
 
+def test_hopf_report_catches_a_noncommutative_product(monkeypatch):
+    # a mutant block sum that flips the sign only when the left word has
+    # the lower positive degree: a flip on both orders would cancel out of
+    # graded commutativity, and one on the empty word would break the unit
+    model = gl_permutation_model(ground_field(), 4)
+    degree = model.algebra.suspended.word_degree
+    real = constructions.PermutationModel.block_sum
+
+    def flipped(self, left, right):
+        sign, rep = real(self, left, right)
+        if 0 < degree(left) < degree(right):
+            sign = -sign
+        return sign, rep
+
+    monkeypatch.setattr(constructions.PermutationModel, "block_sum", flipped)
+    report = hopf_product_on_homology(model)
+    assert report.unit_ok
+    assert report.commutative_violations
+    assert ((1, 0), (3, 0)) in [v[:2] for v in report.commutative_violations]
+    assert not report.ok
+
+
 def test_block_sum_moves_the_second_word_past_the_first():
     model = gl_permutation_model(dual_numbers(), 3)
 
