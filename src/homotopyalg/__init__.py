@@ -41,7 +41,6 @@ _EXPORTS = {
     "LInftyAlgebra": "linfty",
     "check_linfty": "linfty",
     "lie_homology": "linfty",
-    "primitives": "linfty",
     "HopfProductReport": "lqt",
     "LQTReport": "lqt",
     "expand_exterior": "lqt",

@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coalgebra import HomotopyAlgebra, StructureReport, certify
-from .graded import GradedSpace, act, add_into
+from .graded import GradedSpace, add_into
 
 __all__ = [
     "AInftyAlgebra",
@@ -176,33 +176,35 @@ def cyclic_words(space, total_degree):
     return out
 
 
+def _rotate(word, degrees, s):
+    """Move the last s factors of a word to the front, (sign, word): the
+    moved block passes the rest as a whole, so the Koszul sign is
+    (-1)^(|moved| |rest|) with `degrees` indexed by letter."""
+    cut = len(word) - s
+    moved = sum(degrees[i] for i in word[cut:])
+    rest = sum(degrees[i] for i in word[:cut])
+    return -1 if moved * rest % 2 else 1, word[cut:] + word[:cut]
+
+
 def rotate_word(word, space):
     """Cyclic rotation: last factor to the front, with its Koszul sign."""
-    n = len(word)
-    if n <= 1:
-        return 1, tuple(word)
-    degs = [space.degrees[i] for i in word]
-    perm = tuple((i + 1) % n for i in range(n))
-    return act(perm, word, degs)
+    return _rotate(tuple(word), space.degrees, 1)
 
 
 def cyclic_boundary(alg):
     """The cyclic boundary as a function on words: the coderivation terms plus
     wraparound windows (rotate s tail factors to the front, apply m_k there)."""
     m = alg.coderivation
-    space = alg.suspended
+    degrees = alg.suspended.degrees
     arities = m.arities()
 
     def b(word):
         out = m.eval_word(word)
-        n = len(word)
-        degs = [space.degrees[i] for i in word]
         for k in arities:
-            if k > n:
+            if k > len(word):
                 continue
             for s in range(1, k):
-                perm = tuple((i + s) % n for i in range(n))
-                sign, w = act(perm, word, degs)
+                sign, w = _rotate(word, degrees, s)
                 val = m.apply(w[:k])
                 for idx, c in val.items():
                     add_into(out, (idx,) + w[k:], sign * c)

@@ -15,8 +15,8 @@ A coderivation is determined by its corestriction (the weight-1 part of its
 output), and `Coderivation` stores just those components; the graded
 commutator of two coderivations is again one, and `bracket` produces it.
 A homotopy algebra (`HomotopyAlgebra`, shared by the A-infinity and
-L-infinity structures) is one odd coderivation, built from operations on the
-unsuspended space by `suspend_operations`.
+L-infinity structures) is one odd coderivation, built in one pass from its
+operations on the unsuspended space by the decalage sign.
 Every identity the package proves (higher associativity, homotopy Jacobi,
 the derivation property) is the vanishing of such a commutator through the
 top arity it can reach, and `certify` is the one routine that decides it.
@@ -65,7 +65,6 @@ __all__ = [
     "Coderivation",
     "HomotopyAlgebra",
     "StructureReport",
-    "suspend_operations",
     "coproduct_sym",
     "bracket",
     "certify",
@@ -103,6 +102,8 @@ class Coderivation:
         return sorted(k for k, table in self.comps.items() if table)
 
     def set_value(self, word, value):
+        """Store the component on `word`, its value made exact and cleared
+        of zeros, and return what was stored ({} removes the entry)."""
         word = tuple(word)
         if self.symmetric:
             sign, cw = canonical_sym(word, self.space)
@@ -126,6 +127,7 @@ class Coderivation:
             self.comps.setdefault(len(word), {})[word] = clean
         else:
             self.comps.get(len(word), {}).pop(word, None)
+        return clean
 
     def apply(self, word):
         """Value on a word, {basis index: value}; {} when absent/zero."""
@@ -194,37 +196,19 @@ class Coderivation:
         return out
 
 
-def suspend_operations(space, ops, symmetric=False):
-    """Translate unsuspended operations to the odd suspended coderivation.
-
-    `ops` is {arity: {index word: {index: coeff}}}; arity k must raise
-    unsuspended degree by k - 2, matching the degree -1 coderivation.
-    Raises ValueError on inhomogeneous entries.
-    With `symmetric`, input words must be canonically sorted and the result
-    acts on the symmetric coalgebra (the suspended form of antisymmetric
-    brackets).
-    """
-    m = Coderivation(space.suspend(), -1, symmetric=symmetric)
-    for k, table in sorted(ops.items()):
-        if k < 1:
-            raise ValueError("operations must have arity >= 1")
-        for word, val in table.items():
-            word = tuple(word)
-            if len(word) != k:
-                raise ValueError(f"arity {k} entry has {len(word)} inputs")
-            exp = sum((k - t) * space.degrees[i]
-                      for t, i in enumerate(word, start=1))
-            sgn = -1 if exp % 2 else 1
-            m.set_value(word, {i: sgn * exact(c) for i, c in val.items()})
-    return m
-
-
 class HomotopyAlgebra:
     """Finite-dimensional homotopy algebra over Q: the operations `ops`,
     {arity: {index word: {index: int | Fraction}}} with nonzero values
     only, on the unsuspended `space`, and `coderivation`, the odd
-    coderivation they induce on `suspended` by `suspend_operations`.  It
-    acts on the symmetric coalgebra when the class sets `symmetric`.
+    coderivation they induce on `suspended`.  It acts on the symmetric
+    coalgebra when the class sets `symmetric`.
+
+    Arity k must raise unsuspended degree by k - 2, so that every
+    component has degree -1; an entry on the word a_1 ... a_k enters it
+    with the decalage sign (-1)^(sum_t (k - t) |a_t|), unsuspended degrees
+    in the exponent.  A symmetric structure takes its entries on sorted
+    words only.  ValueError refuses an arity below 1, an entry whose length
+    is not its arity, and what `Coderivation.set_value` refuses.
     """
 
     symmetric = False
@@ -232,18 +216,28 @@ class HomotopyAlgebra:
     def __init__(self, space, ops, name=""):
         self.space = space
         self.name = name
-        clean = {}
+        self.suspended = space.suspend()
+        m = self.coderivation = Coderivation(self.suspended, -1,
+                                             symmetric=self.symmetric)
+        degs = space.degrees
+        self.ops = {}
         for k, table in ops.items():
-            entries = {tuple(w): {i: e for i, c in v.items() if (e := exact(c))}
-                       for w, v in table.items()}
-            entries = {w: v for w, v in entries.items() if v}
+            if k < 1:
+                raise ValueError("operations must have arity >= 1")
+            entries = {}
+            for word, val in table.items():
+                word = tuple(word)
+                if len(word) != k:
+                    raise ValueError(f"arity {k} entry has {len(word)} inputs")
+                sign = -1 if sum((k - t) * degs[i] for t, i in
+                                 enumerate(word, start=1)) % 2 else 1
+                # every entry, zero ones included, so that an unsorted word
+                # of a symmetric structure is refused whatever its value
+                value = m.set_value(word, {i: sign * c for i, c in val.items()})
+                if value:
+                    entries[word] = {i: sign * c for i, c in value.items()}
             if entries:
-                clean[int(k)] = entries
-        self.ops = clean
-        # built from every entry, zero ones included, so that an unsorted
-        # word of a symmetric structure is refused whatever its value
-        self.coderivation = suspend_operations(space, ops, self.symmetric)
-        self.suspended = self.coderivation.space
+                self.ops[k] = entries
 
     def op_value(self, k, word):
         """The arity-k operation on a word of basis indices (a sorted word

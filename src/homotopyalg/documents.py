@@ -288,7 +288,9 @@ def parse_document(text):
     """Parse JSON text into a validated AlgebraDocument.
 
     Raises DocumentError with line/column diagnostics for malformed
-    JSON and JSON-path diagnostics for semantic violations.
+    JSON, a diagnostic at `$` for JSON the interpreter cannot read (an
+    overlong integer literal, nesting deeper than its recursion limit) and
+    JSON-path diagnostics for semantic violations.
     """
     try:
         data = json.loads(text)
@@ -298,6 +300,9 @@ def parse_document(text):
     except ValueError as exc:
         # an integer literal too long for the interpreter to convert
         raise DocumentError([("$", str(exc))]) from None
+    except RecursionError:
+        raise DocumentError([("$", "arrays or objects nested too deeply")]) \
+            from None
     return document_from_data(data)
 
 

@@ -8,9 +8,6 @@ Conventions used throughout the package:
 * Words are tuples of basis indices into a `GradedSpace`; the degree of a
   word is the sum of its factor degrees (suspended degrees everywhere past
   this module's `suspend`).
-* A permutation p acts on the left: the factor in slot i moves to slot p[i],
-  and the sign is the product of (-1)^(d_i * d_j) over pairs that invert.
-  Acting by q and then by p is acting by the composite p . q.
 * Symmetric words are canonicalized by sorting the indices; the Koszul sign of
   the sorting rearrangement is returned alongside, and a word with a repeated
   odd-degree factor is zero.
@@ -30,8 +27,6 @@ from fractions import Fraction
 __all__ = [
     "GradedSpace",
     "sign_of_arrangement",
-    "act",
-    "inverse",
     "unshuffle_splits",
     "canonical_sym",
     "add_into",
@@ -93,24 +88,6 @@ def sign_of_arrangement(degrees, order):
                 if (degrees[order[a]] * degrees[order[b]]) % 2:
                     sign = -sign
     return sign
-
-
-def inverse(perm):
-    inv = [0] * len(perm)
-    for i, p in enumerate(perm):
-        inv[p] = i
-    return tuple(inv)
-
-
-def act(perm, word, degrees):
-    """Left action on a word: slot i content moves to slot perm[i].
-
-    Returns (sign, new_word) where degrees are those of the word's factors
-    (not of the whole space).
-    """
-    inv = inverse(perm)
-    new_word = tuple(word[inv[j]] for j in range(len(word)))
-    return sign_of_arrangement(degrees, inv), new_word
 
 
 def unshuffle_splits(word, degrees, k):

@@ -16,8 +16,7 @@ each degree is flagged honestly.
 
 Derivations are symmetric coderivations d with [ell, d] = 0; inner ones
 are brackets [ell, c], automatically derivations whenever the structure
-squares to zero, and they act as zero on homology - asserted, not assumed,
-by expressing their images in a computed representative basis.
+squares to zero, and they act as zero on homology.
 
 Coinvariants by a degree-0 sub-Lie-algebra h quotient each block by the span
 S of the inner-derivation images of h.  One `CEModel` owns the blocks, the
@@ -61,15 +60,12 @@ __all__ = [
     "LInftyAlgebra",
     "HomologyCoalgebra",
     "check_linfty",
-    "check_derivation",
     "make_inner",
     "ce_words",
     "CEModel",
     "ce_model",
     "lie_homology",
-    "inner_action_on_homology",
     "coalgebra_on_homology",
-    "primitives",
 ]
 
 
@@ -109,13 +105,6 @@ def check_linfty(alg, max_arity=None):
     return certify(d, d, max_arity)
 
 
-def check_derivation(alg, d):
-    """Certify that the symmetric coderivation d is a derivation,
-    [ell, d] = 0; returns the StructureReport, a complete proof.
-    """
-    return certify(alg.coderivation, d)
-
-
 def _as_coderivation(alg, generator):
     """Coerce an inner-derivation generator to a symmetric coderivation:
     either one already, a basis index, or an element dict (arity 0)."""
@@ -138,12 +127,12 @@ def make_inner(alg, generator):
     """The inner derivation [ell, c] of a coderivation or an element c.
 
     Certification is automatic whenever the structure squares to zero (the
-    graded Jacobi identity of the coderivation bracket), but is checked
-    by `check_derivation` rather than assumed.
+    graded Jacobi identity of the coderivation bracket), but [ell, [ell, c]]
+    = 0 is certified rather than assumed.
     """
     c = _as_coderivation(alg, generator)
     inner = bracket(alg.coderivation, c)
-    report = check_derivation(alg, inner)
+    report = certify(alg.coderivation, inner)
     if not report:
         raise ValueError(f"inner construction failed certification: {report.witness}")
     return inner
@@ -318,37 +307,6 @@ def lie_homology(alg, max_degree, max_weight=None, h=None):
     return ce_model(alg, max_degree, max_weight, h).homology()
 
 
-def inner_action_on_homology(alg, generator, max_degree):
-    """The induced map of an inner derivation on homology, degree by degree.
-
-    Returns {q: list of coefficient dicts over the representative basis of
-    the target degree}; the content of the inner-derivations-act-trivially
-    lemma is that every dict is empty, which callers assert.
-    """
-    action = make_inner(alg, generator)
-    shift = action.degree
-    cx = ce_model(alg, max_degree).complex()
-    table = cx.homology(range(0, max_degree + 1), representatives=True)
-    induced = {}
-    for q in range(0, max_degree + 1):
-        reps = table.representatives.get(q, [])
-        rows = []
-        for rep in reps:
-            img = {}
-            for w, c in rep.items():
-                for w2, c2 in action.eval_word(w).items():
-                    add_into(img, w2, c * c2)
-            target = q + shift
-            if not img:
-                rows.append({})
-                continue
-            if target < 0 or target > max_degree:
-                raise ValueError(f"induced image leaves the computed range at {q}")
-            rows.append(cx.class_coefficients(target, img))
-        induced[q] = rows
-    return induced
-
-
 class HomologyCoalgebra:
     """Homology with its induced coproduct in a fixed representative basis.
 
@@ -508,11 +466,3 @@ def coalgebra_on_homology(model):
 
     return HomologyCoalgebra(table=table, pair_basis=pair_basis, delta=delta)
 
-
-def primitives(H):
-    """Primitive classes of a homology coalgebra: {degree: RowReducer
-    spanning them in the representative coordinates}, by
-    `HomologyCoalgebra.primitive_subspace`.  Weight-one generators are
-    always primitive."""
-    return {q: H.primitive_subspace(q)
-            for q in sorted(H.table.representatives)}

@@ -49,7 +49,7 @@ from .ainfty import check_stasheff, cyclic_homology, require_strict_unit
 from .chain import BettiTable
 from .constructions import gl, gl_coinvariant_model, gl_permutation_model
 from .graded import add_into
-from .linfty import InconsistencyError, lie_homology, primitives
+from .linfty import InconsistencyError, lie_homology
 
 __all__ = [
     "HopfProductReport",
@@ -258,7 +258,7 @@ class LQTReport:
     """
 
     def __init__(self, algebra, sizes, max_degree, left, right, hc_dims,
-                 primitive_dims, stable_from, stable_dims, verdicts,
+                 primitive_dims, stable_dims, verdicts,
                  primitive_verdicts, hopf=None):
         self.algebra = algebra
         self.sizes = sizes
@@ -267,11 +267,14 @@ class LQTReport:
         self.right = right
         self.hc_dims = hc_dims
         self.primitive_dims = primitive_dims
-        self.stable_from = stable_from
         self.stable_dims = stable_dims
         self.verdicts = verdicts
         self.primitive_verdicts = primitive_verdicts
         self.hopf = hopf
+
+    @property
+    def stable_from(self):
+        return {q: q + 1 for q in range(self.max_degree + 1)}
 
     @property
     def all_match(self):
@@ -317,16 +320,15 @@ def verify_lqt(base, sizes, max_degree):
     degrees = range(max_degree + 1)
     table = stable.homology()
     stable_dims = {q: table.dims.get(q, 0) for q in degrees}
-    stable_from = {q: q + 1 for q in degrees}
     left = {}
     for n in sizes:
         table = gl_coinvariant_model(stable, n).homology()
         left[n] = {q: table.dims.get(q, 0) for q in degrees}
         for q in degrees:
-            if n >= stable_from[q] and left[n][q] != stable_dims[q]:
+            if n > q and left[n][q] != stable_dims[q]:
                 raise InconsistencyError(
                     f"gl_{n} disagrees with the stable model in degree {q}, "
-                    f"which is stable from n = {stable_from[q]}: "
+                    f"which is stable from n = {q + 1}: "
                     f"{left[n][q]} != {stable_dims[q]}")
 
     for n, L in sorted(unreduced.items()):
@@ -345,8 +347,8 @@ def verify_lqt(base, sizes, max_degree):
     if {q: len(reps.get(q, [])) for q in degrees} != stable_dims:
         raise InconsistencyError("representative homology disagrees with the "
                                  "dimension computation of the stable model")
-    prim = primitives(coalg)
-    primitive_dims = {q: prim[q].dim for q in sorted(prim)}
+    primitive_dims = {q: coalg.primitive_subspace(q).dim
+                      for q in sorted(reps)}
     for q, d in primitive_dims.items():
         if d > stable_dims.get(q, 0):
             raise InconsistencyError(
@@ -371,6 +373,6 @@ def verify_lqt(base, sizes, max_degree):
         left=left, right={q: right.dims.get(q, 0) for q in degrees},
         hc_dims={q: hc.dims.get(q, 0) for q in sorted(hc.dims)},
         primitive_dims=primitive_dims,
-        stable_from=stable_from, stable_dims=stable_dims,
+        stable_dims=stable_dims,
         verdicts=verdicts, primitive_verdicts=primitive_verdicts,
         hopf=hopf)

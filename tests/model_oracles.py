@@ -48,6 +48,11 @@ doubled algebra gl_2n(A): chains of gl_n went into its odd and even slots,
 and each product class was re-expressed through the corner inclusion in the
 coordinates of size n.  `doubled_hopf_product` keeps that route as the
 reference for `lqt.hopf_product_on_homology`.
+
+Two read-offs of homology that only the tests use: `inner_action_on_homology`,
+the induced map of an inner derivation, which the
+inner-derivations-act-trivially lemma says is zero, and `primitive_dims`,
+the dimension of every primitive subspace of a homology coalgebra.
 """
 
 import itertools
@@ -59,7 +64,7 @@ from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import coproduct_sym
 from homotopyalg.constructions import gl, gl_index
 from homotopyalg.graded import add_into, canonical_sym
-from homotopyalg.linfty import CEModel, make_inner
+from homotopyalg.linfty import CEModel, ce_model, make_inner
 from homotopyalg.rational_linalg import LinearSolver
 
 from matrix_oracles import corner_embed_word, gl_entry
@@ -786,3 +791,45 @@ def doubled_hopf_product(model_n, model_2n):
         associative_unstable=associative_unstable,
         primitive_product_violations=primitive_product_violations,
         checked_pairs=len(products), checked_triples=checked_triples)
+
+
+# ---------------------------------------------------------------------------
+# Read-offs of homology
+
+
+def inner_action_on_homology(alg, generator, max_degree):
+    """The induced map of an inner derivation on homology, degree by degree.
+
+    Returns {q: list of coefficient dicts over the representative basis of
+    the target degree}; the content of the inner-derivations-act-trivially
+    lemma is that every dict is empty, which callers assert.
+    """
+    action = make_inner(alg, generator)
+    shift = action.degree
+    cx = ce_model(alg, max_degree).complex()
+    table = cx.homology(range(0, max_degree + 1), representatives=True)
+    induced = {}
+    for q in range(0, max_degree + 1):
+        reps = table.representatives.get(q, [])
+        rows = []
+        for rep in reps:
+            img = {}
+            for w, c in rep.items():
+                for w2, c2 in action.eval_word(w).items():
+                    add_into(img, w2, c * c2)
+            target = q + shift
+            if not img:
+                rows.append({})
+                continue
+            if target < 0 or target > max_degree:
+                raise ValueError(f"induced image leaves the computed range at {q}")
+            rows.append(cx.class_coefficients(target, img))
+        induced[q] = rows
+    return induced
+
+
+def primitive_dims(coalg):
+    """{degree: dimension of the primitive subspace} of a homology
+    coalgebra, in every degree that has representatives."""
+    return {q: coalg.primitive_subspace(q).dim
+            for q in sorted(coalg.table.representatives)}

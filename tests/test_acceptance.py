@@ -26,9 +26,10 @@ from homotopyalg.constructions import (
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import add_into, canonical_sym
 from homotopyalg.ainfty import cyclic_homology
-from homotopyalg.linfty import inner_action_on_homology, lie_homology
+from homotopyalg.linfty import lie_homology
 from homotopyalg.lqt import hopf_product_on_homology
 
+from model_oracles import inner_action_on_homology
 from oracles import connes_cyclic_dims, gl_bracket, lie_homology_dims, sl2_bracket
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -3,9 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homotopyalg.graded import GradedSpace, add_into
 from homotopyalg.ainfty import (
+    _rotate,
     AInftyAlgebra,
     check_stasheff,
     check_strict_unit,
@@ -20,6 +22,7 @@ from homotopyalg.ainfty import (
 )
 
 from oracles import connes_cyclic_dims
+from word_oracles import act
 
 
 def ground_field():
@@ -173,6 +176,33 @@ def test_rotation_has_full_cyclic_order():
             s, cur = rotate_word(cur, sp)
             sign *= s
         assert cur == w and sign == 1
+
+
+@st.composite
+def suspended_words(draw):
+    """A suspended space of one to four letters of both parities, and a
+    word of up to seven letters over it."""
+    degrees = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    space = GradedSpace(tuple("abcd"[:len(degrees)]), tuple(degrees))
+    word = draw(st.lists(st.integers(0, len(degrees) - 1), max_size=7))
+    return space, tuple(word)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(suspended_words())
+def test_rotation_is_the_left_action_of_the_cycle(drawn):
+    # moving the last s factors to the front is the left action of
+    # i -> i + s mod n, sign included, and s single rotations compose to it
+    space, word = drawn
+    n = len(word)
+    degs = [space.degrees[i] for i in word]
+    sign, cur = 1, word
+    for s in range(n + 1):
+        perm = tuple((i + s) % n for i in range(n))
+        assert _rotate(word, space.degrees, s) == act(perm, word, degs)
+        assert (sign, cur) == act(perm, word, degs)
+        step, cur = rotate_word(cur, space)
+        sign *= step
 
 
 @pytest.mark.parametrize("make", FIXTURES + [nonassociative])

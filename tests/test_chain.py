@@ -8,8 +8,10 @@ from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import Coderivation
 from homotopyalg.constructions import gl_permutation_model
 from homotopyalg.graded import GradedSpace
-from homotopyalg.linfty import LInftyAlgebra, inner_action_on_homology
+from homotopyalg.linfty import LInftyAlgebra
 from homotopyalg.lqt import hopf_product_on_homology
+
+from model_oracles import inner_action_on_homology
 
 
 def unimodular(draw, m):

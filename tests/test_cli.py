@@ -538,6 +538,14 @@ def test_undecodable_document_is_a_validation_failure(capsys, tmp_path):
     assert code == 1 and out == "" and "not UTF-8" in err
 
 
+def test_deeply_nested_document_is_a_validation_failure(capsys, tmp_path):
+    path = tmp_path / "nested.alg"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: $: ")
+
+
 def test_diagnostics_go_to_stderr_payload_to_stdout(capsys):
     code, out, err = run(capsys, "hc", fixture("sl2.alg"))
     assert out == "" and err.startswith("error:")

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from homotopyalg.ainfty import AInftyAlgebra, from_associative, from_dga
 from homotopyalg.chain import ChainComplex
-from homotopyalg.coalgebra import Coderivation, suspend_operations
+from homotopyalg.coalgebra import Coderivation
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace, add_into, canonical_sym
 from homotopyalg.linfty import (
@@ -17,7 +17,6 @@ from homotopyalg.linfty import (
     ce_words,
     lie_homology,
     make_inner,
-    primitives,
 )
 from homotopyalg.constructions import (
     _antisymmetrize,
@@ -46,10 +45,11 @@ from model_oracles import (
     e12_model,
     every_word_model,
     pair_complex_coproduct,
+    primitive_dims,
     simple_root_model,
 )
 from oracles import gl_bracket, lie_homology_dims
-from word_oracles import include_i, read_off
+from word_oracles import decalage_components, include_i, read_off
 
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -173,7 +173,7 @@ def lie_by_words(space, ops, cap=None):
     D_m . include_i on every canonical word of each arity of `ops` through
     `cap`.  The reference that `_antisymmetrize` must reproduce exactly."""
     susp = space.suspend()
-    dm = suspend_operations(space, ops)
+    dm = Coderivation(susp, -1, decalage_components(space, ops))
 
     def operator(word):
         out = {}
@@ -218,13 +218,29 @@ def graded_operations(draw):
 def test_antisymmetrize_matches_word_read_off(drawn):
     space, ops, cap = drawn
     brackets = _antisymmetrize(space, ops, cap)
-    assert suspend_operations(space, brackets, symmetric=True).comps == \
+    assert decalage_components(space, brackets) == \
         lie_by_words(space, ops, cap)
 
 
 def fixture_algebra(name):
     path = FIXTURES / f"{name}.alg"
     return document_to_algebra(parse_document(path.read_text(encoding="utf-8")))
+
+
+def test_structure_map_is_the_decalage_of_the_operations():
+    # each fixture, and the brackets of each associative one, against the
+    # entry-by-entry suspension; Lie brackets sit on sorted words
+    for path in sorted(FIXTURES.glob("*.alg")):
+        alg = fixture_algebra(path.stem)
+        algebras = [alg]
+        if isinstance(alg, AInftyAlgebra):
+            algebras.append(lie_ify(alg))
+        for alg in algebras:
+            assert alg.coderivation.comps == \
+                decalage_components(alg.space, alg.ops), alg.name
+            if alg.coderivation.symmetric:
+                assert all(list(w) == sorted(w)
+                           for table in alg.ops.values() for w in table)
 
 
 def test_lieify_matches_word_read_off_on_fixtures():
@@ -449,11 +465,11 @@ def test_coinvariant_model_matches_generic_quotient(base_name, n):
     assert {q: fast.dims[q] for q in range(4)} == \
         {q: generic.dims[q] for q in range(4)}
     # the coproduct on the zero-weight quotient against the generic one
-    fast_prim = primitives(model.coproduct())
-    generic_prim = primitives(
+    fast_prim = primitive_dims(model.coproduct())
+    generic_prim = primitive_dims(
         ce_model(gl_cached(base_name, n), 3, h=h).coproduct())
-    assert {q: fast_prim[q].dim for q in range(4)} == \
-        {q: generic_prim[q].dim for q in range(4)}
+    assert {q: fast_prim[q] for q in range(4)} == \
+        {q: generic_prim[q] for q in range(4)}
 
 
 def test_coinvariant_model_gl3_dims_and_primitives():
@@ -464,8 +480,8 @@ def test_coinvariant_model_gl3_dims_and_primitives():
     assert [table.dims[q] for q in range(4)] == [1, 1, 0, 1]
     assert all(table.exact.values())
     H = model.coproduct()
-    prim = primitives(H)
-    assert [prim[q].dim for q in range(4)] == [0, 1, 0, 1]
+    prim = primitive_dims(H)
+    assert [prim[q] for q in range(4)] == [0, 1, 0, 1]
 
 
 def test_coinvariant_model_needs_unital_base():
@@ -617,10 +633,8 @@ def test_orbit_model_matches_simple_root_oracle(base_name, n, max_degree):
     assert model.complex()._rank(max_degree + 1) == \
         oracle.complex()._rank(max_degree + 1)
     assert model.homology().dims == oracle.homology().dims
-    prim, prim_oracle = primitives(model.coproduct()), \
-        primitives(oracle.coproduct())
-    assert {q: prim[q].dim for q in prim} == \
-        {q: prim_oracle[q].dim for q in prim_oracle}
+    assert primitive_dims(model.coproduct()) == \
+        primitive_dims(oracle.coproduct())
 
 
 @pytest.mark.parametrize("base_name,n,max_degree", [
@@ -667,7 +681,7 @@ def test_one_complex_per_model(build, monkeypatch):
     model = build()
     model.homology()
     H = model.coproduct()
-    primitives(H)
+    primitive_dims(H)
     assert model.coproduct() is H
     assert built == [model.complex()]
 

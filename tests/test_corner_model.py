@@ -66,6 +66,51 @@ def test_every_size_matches_the_e12_model(name, max_degree):
             dims(oracle_model(name, n, max_degree).homology(), max_degree), n
 
 
+# the closed forms: H(gl_n(K)) is exterior on classes of degrees 1, 3, ...,
+# 2n - 1 (Chevalley-Eilenberg; Koszul), and gl_n(T_2), a parabolic
+# subalgebra of gl_2n with Levi factor gl_n x gl_n, has the homology of that
+# factor (Hochschild-Serre; Kostant): the tensor square of the same table.
+# Each base is taken through the largest m that costs well under a second.
+CLOSED_FORM_REACH = {"K": 7, "ut2": 4}
+
+
+def odd_exterior(n, top):
+    """Poincare coefficients of Lambda(x_1, x_3, ..., x_{2n-1}) through
+    degree top."""
+    series = [1] + [0] * top
+    for d in range(1, 2 * n, 2):
+        for q in range(top, d - 1, -1):
+            series[q] += series[q - d]
+    return series
+
+
+def closed_form(name, n, top):
+    series = odd_exterior(n, top)
+    if name == "K":
+        return series
+    return [sum(series[a] * series[q - a] for a in range(q + 1))
+            for q in range(top + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM_REACH))
+def test_every_size_has_its_classical_homology(name):
+    for m in range(1, CLOSED_FORM_REACH[name] + 1):
+        stable = stable_model(name, m)
+        for n in range(1, m + 2):
+            table = gl_coinvariant_model(stable, n).homology()
+            assert dims(table, m) == closed_form(name, n, m), (m, n)
+
+
+@settings(derandomize=True, deadline=None, max_examples=10)
+@given(st.data())
+def test_drawn_sizes_have_their_classical_homology(data):
+    name = data.draw(st.sampled_from(sorted(CLOSED_FORM_REACH)))
+    m = data.draw(st.integers(1, CLOSED_FORM_REACH[name]))
+    n = data.draw(st.integers(1, m + 1))
+    table = gl_coinvariant_model(stable_model(name, m), n).homology()
+    assert dims(table, m) == closed_form(name, n, m)
+
+
 def test_an_unstable_size_keeps_its_own_table():
     # m3unital at n = 2, degree 4: 5 classes against a stable 4
     stable = stable_model("m3unital", 4)

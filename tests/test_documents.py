@@ -223,6 +223,13 @@ def test_overlong_integer_is_a_document_error():
     assert [p for p, _ in err.value.diagnostics] == ["$"]
 
 
+def test_nesting_beyond_the_recursion_limit_is_a_document_error():
+    text = "[" * 100_000 + "]" * 100_000
+    with pytest.raises(DocumentError) as err:
+        parse_document(text)
+    assert [p for p, _ in err.value.diagnostics] == ["$"]
+
+
 def test_unknown_kind_and_fields():
     assert any(p == "kind" for p, _ in diagnostics_of(
         {"name": "x", "kind": "group", "basis": [["1", 0]]}))

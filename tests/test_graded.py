@@ -8,16 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from homotopyalg.graded import (
     GradedSpace,
-    act,
     add_into,
     canonical_sym,
     exact,
-    inverse,
     sign_of_arrangement,
     unshuffle_splits,
 )
 
-from word_oracles import canonical_sym_by_arrangement
+from word_oracles import act, canonical_sym_by_arrangement, inverse
 
 
 # Permutation and element helpers that only these tests use.

@@ -13,13 +13,55 @@ read-off of p . D_m . i is the plain graded commutator, with no stray factor.
 sorts the positions by letter and takes the Koszul sign of that arrangement
 over every pair of factors.  It is kept as the reference for the
 odd-letter inversion count.
+
+`act` is the general left action of a permutation on a word, with its
+Koszul sign; the package only ever moves a tail of a word to its front, and
+this is the reference for that rule.  `decalage_components` suspends
+operations entry by entry by the decalage sign, the reference for the
+structure map of `coalgebra.HomotopyAlgebra`.
 """
 
 import itertools
 import math
 from fractions import Fraction
 
-from homotopyalg.graded import act, add_into, canonical_sym, sign_of_arrangement
+from homotopyalg.graded import add_into, canonical_sym, sign_of_arrangement
+
+
+def inverse(perm):
+    inv = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inv[p] = i
+    return tuple(inv)
+
+
+def act(perm, word, degrees):
+    """Left action on a word: slot i content moves to slot perm[i].
+
+    Returns (sign, new_word) where degrees are those of the word's factors
+    (not of the whole space); the sign is the product of (-1)^(d_i * d_j)
+    over the pairs that invert.  Acting by q and then by p is acting by the
+    composite p . q.
+    """
+    inv = inverse(perm)
+    new_word = tuple(word[inv[j]] for j in range(len(word)))
+    return sign_of_arrangement(degrees, inv), new_word
+
+
+def decalage_components(space, ops):
+    """The suspended components of operations on the unsuspended `space`:
+    the entry of arity k on a_1 ... a_k, times (-1)^(sum_t (k - t) deg a_t),
+    with zero values and empty entries left out."""
+    comps = {}
+    for k, table in ops.items():
+        for word, value in table.items():
+            exponent = sum((k - t) * space.degrees[a]
+                           for t, a in enumerate(word, start=1))
+            sign = (-1) ** exponent
+            value = {i: sign * Fraction(c) for i, c in value.items() if c}
+            if value:
+                comps.setdefault(k, {})[tuple(word)] = value
+    return comps
 
 
 def canonical_sym_by_arrangement(word, space):
