@@ -146,7 +146,7 @@ def _violation(args, doc, caps, structure):
     certification, with the witness."""
     return _payload(args, doc, caps, {}, {
         "structure": "violation",
-        "witness": _witness_data(doc.labels, structure.witness),
+        "witness": _witness_data(doc.space.labels, structure.witness),
     }), EXIT_VIOLATION
 
 
@@ -219,7 +219,7 @@ def _unit_verdicts(doc, alg):
     reason, arity, word = unitality.failures[0]
     return {"unit": "violation", "unit_witness": {
         "reason": reason, "arity": arity,
-        "inputs": [doc.labels[i] for i in word]}}
+        "inputs": [doc.space.labels[i] for i in word]}}
 
 
 def _cmd_check(args):
@@ -234,7 +234,7 @@ def _cmd_check(args):
     verdicts = {
         "structure": "ok" if report.ok else "violation",
         "complete": report.complete,
-        "witness": _witness_data(doc.labels, report.witness),
+        "witness": _witness_data(doc.space.labels, report.witness),
     }
     unit = _unit_verdicts(doc, alg)
     verdicts.update(unit)
@@ -306,7 +306,7 @@ def _cmd_ce(args):
         return _violation(args, doc, caps, structure)
     h = None
     if args.coinvariants:
-        index_of = {label: i for i, label in enumerate(doc.labels)}
+        index_of = {label: i for i, label in enumerate(doc.space.labels)}
         h = []
         for label in args.coinvariants.split(","):
             label = label.strip()

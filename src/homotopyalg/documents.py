@@ -6,6 +6,12 @@ rationals written as strings "p/q" (or "p"), degrees are unsuspended
 integers >= 0, and operations are given entrywise: arity, input basis
 labels, and the output as a list of (coefficient, label) terms.
 
+A parsed document holds its basis as a `GradedSpace`, its unit as a basis
+index and its operations in the layout `coalgebra.HomotopyAlgebra` takes,
+{arity: {index word: {index: Fraction}}}, so building the algebra and
+reading one back translate nothing.  An entry whose output is empty (or
+all zero) is kept, as {}, and the algebra drops it.
+
 Parsing either returns a validated document or raises DocumentError
 carrying a list of (position, message) diagnostics - JSON syntax errors
 point at a line and column, semantic errors at the JSON path of the
@@ -26,7 +32,6 @@ from .graded import GradedSpace
 __all__ = [
     "AlgebraDocument",
     "DocumentError",
-    "OpEntry",
     "algebra_to_document",
     "document_to_algebra",
     "parse_document",
@@ -54,54 +59,33 @@ class DocumentError(ValueError):
         super().__init__("; ".join(f"{p}: {m}" for p, m in self.diagnostics))
 
 
-class OpEntry:
-    """One operation entry: m_arity(inputs) = sum of coeff * label.
-    Entries compare by value."""
-
-    def __init__(self, arity, inputs, output):
-        self.arity = arity
-        self.inputs = inputs
-        self.output = output  # of (Fraction, label)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.arity, self.inputs, self.output) == \
-            (other.arity, other.inputs, other.output)
-
-
 class AlgebraDocument:
-    """A validated structure description.
+    """A validated structure description: `space` is a `GradedSpace`,
+    `unit` a basis index or None, and `ops` the entries by arity,
+    {arity: {index word: {index: Fraction}}}, in ascending order.
 
     Invariants established at construction time: every label resolves,
-    no operation entry repeats, the inputs of a linfty bracket are in
-    basis order and repeat only labels of odd degree, coefficients are
-    exact rationals, and every output term raises the total unsuspended
-    input degree by exactly arity - 2.  Documents compare by value.
+    no operation entry repeats and no output names a label twice, the
+    inputs of a linfty bracket are in basis order and repeat only labels
+    of odd degree, coefficients are exact rationals, and every output term
+    raises the total unsuspended input degree by exactly arity - 2.
+    Documents compare by value.
     """
 
-    def __init__(self, name, kind, basis, unit=None, ops=(), caps=None):
+    def __init__(self, name, kind, space, unit=None, ops=None, caps=None):
         self.name = name
         self.kind = kind
-        self.basis = basis    # of (label, degree)
+        self.space = space
         self.unit = unit
-        self.ops = ops        # of OpEntry
+        self.ops = {} if ops is None else ops
         self.caps = {} if caps is None else caps
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return (self.name, self.kind, self.basis, self.unit, self.ops,
-                self.caps) == (other.name, other.kind, other.basis,
+        return (self.name, self.kind, self.space, self.unit, self.ops,
+                self.caps) == (other.name, other.kind, other.space,
                                other.unit, other.ops, other.caps)
-
-    @property
-    def labels(self):
-        return tuple(label for label, _ in self.basis)
-
-    @property
-    def degrees(self):
-        return tuple(deg for _, deg in self.basis)
 
 
 def _parse_rational(value, path, diags):
@@ -140,8 +124,7 @@ def document_from_data(data):
         diags.append(("kind", f"must be one of {', '.join(KINDS)}"))
         raise DocumentError(diags)
 
-    basis = []
-    index_of = {}
+    degrees, index_of = [], {}
     raw_basis = data.get("basis")
     if not isinstance(raw_basis, list) or not raw_basis:
         diags.append(("basis", "must be a non-empty list of [label, degree]"))
@@ -157,8 +140,8 @@ def document_from_data(data):
         if label in index_of:
             diags.append((path, f"duplicate basis label {label!r}"))
             continue
-        index_of[label] = len(basis)
-        basis.append((label, degree))
+        index_of[label] = len(degrees)
+        degrees.append(degree)
         if degree < 0:
             diags.append((path, f"degree {degree} is negative; degrees are "
                                 "unsuspended integers >= 0"))
@@ -174,11 +157,10 @@ def document_from_data(data):
         elif kind == "linfty":
             diags.append(("unit", "a unit is not meaningful for kind linfty"))
             unit = None
-        elif basis[index_of[unit]][1] != 0:
+        elif degrees[index_of[unit]] != 0:
             diags.append(("unit", "the unit must have degree 0"))
 
-    ops = []
-    seen = {}
+    ops, seen = {}, {}
     raw_ops = data.get("ops", [])
     if not isinstance(raw_ops, list):
         diags.append(("ops", "must be a list of operation entries"))
@@ -218,7 +200,7 @@ def document_from_data(data):
             diags.append((f"{path}.inputs",
                           "bracket inputs must be listed in basis order"))
             continue
-        if kind == "linfty" and any(a == b and basis[a][1] % 2 == 0
+        if kind == "linfty" and any(a == b and degrees[a] % 2 == 0
                                     for a, b in zip(word, word[1:])):
             diags.append((f"{path}.inputs", "a bracket input may repeat "
                           "only when its degree is odd"))
@@ -229,13 +211,13 @@ def document_from_data(data):
                                 f"ops[{seen[key]}]"))
             continue
         seen[key] = i
-        in_degree = sum(basis[t][1] for t in word)
+        in_degree = sum(degrees[t] for t in word)
         raw_output = entry.get("output")
         if not isinstance(raw_output, list):
             diags.append((f"{path}.output",
                           "must be a list of [coefficient, label] terms"))
             continue
-        output = []
+        output, given = {}, {}
         for j, term in enumerate(raw_output):
             tpath = f"{path}.output[{j}]"
             if not isinstance(term, (list, tuple)) or len(term) != 2:
@@ -248,7 +230,14 @@ def document_from_data(data):
             if not isinstance(label, str) or label not in index_of:
                 diags.append((tpath, f"unknown label {label!r}"))
                 continue
-            out_degree = basis[index_of[label]][1]
+            t = index_of[label]
+            if t in given:
+                diags.append((tpath, f"repeated output label {label!r}: "
+                                     f"already given at {path}.output"
+                                     f"[{given[t]}]"))
+                continue
+            given[t] = j
+            out_degree = degrees[t]
             if out_degree != in_degree + arity - 2:
                 diags.append((tpath,
                               f"degree-parity violation: an arity-{arity} "
@@ -257,8 +246,8 @@ def document_from_data(data):
                               f"total input degree {in_degree}"))
                 continue
             if coeff:
-                output.append((coeff, label))
-        ops.append(OpEntry(arity, tuple(inputs), tuple(output)))
+                output[t] = coeff
+        ops.setdefault(arity, {})[word] = output
 
     caps = data.get("caps", {})
     if caps is None:
@@ -273,15 +262,14 @@ def document_from_data(data):
             elif isinstance(caps[key], bool) or not isinstance(caps[key], int) \
                     or caps[key] < 0:
                 diags.append((f"caps.{key}", "must be a non-negative integer"))
-        caps = {k: v for k, v in caps.items()
-                if k in {"max_weight", "max_degree", "max_arity"}
-                and isinstance(v, int) and not isinstance(v, bool) and v >= 0}
 
     if diags:
         raise DocumentError(diags)
-    ops.sort(key=lambda e: (e.arity, tuple(index_of[s] for s in e.inputs)))
-    return AlgebraDocument(name=name, kind=kind, basis=tuple(basis),
-                           unit=unit, ops=tuple(ops), caps=dict(caps))
+    return AlgebraDocument(
+        name=name, kind=kind, space=GradedSpace(tuple(index_of), degrees),
+        unit=None if unit is None else index_of[unit],
+        ops={k: dict(sorted(ops[k].items())) for k in sorted(ops)},
+        caps=dict(caps))
 
 
 def parse_document(text):
@@ -308,22 +296,21 @@ def parse_document(text):
 
 def document_to_data(doc):
     """The canonical JSON-compatible form of a document."""
-    index_of = {label: i for i, (label, _) in enumerate(doc.basis)}
-    ops = sorted(doc.ops,
-                 key=lambda e: (e.arity, tuple(index_of[s] for s in e.inputs)))
+    labels = doc.space.labels
     data = {
         "name": doc.name,
         "kind": doc.kind,
-        "basis": [[label, degree] for label, degree in doc.basis],
+        "basis": [[label, degree] for label, degree
+                  in zip(labels, doc.space.degrees)],
         "ops": [{
-            "arity": entry.arity,
-            "inputs": list(entry.inputs),
-            "output": [[str(c), label] for c, label in sorted(
-                entry.output, key=lambda t: index_of[t[1]])],
-        } for entry in ops],
+            "arity": arity,
+            "inputs": [labels[i] for i in word],
+            "output": [[str(c), labels[i]] for i, c in sorted(value.items())],
+        } for arity in sorted(doc.ops)
+            for word, value in sorted(doc.ops[arity].items())],
     }
     if doc.unit is not None:
-        data["unit"] = doc.unit
+        data["unit"] = labels[doc.unit]
     if doc.caps:
         data["caps"] = {k: doc.caps[k] for k in sorted(doc.caps)}
     return data
@@ -343,18 +330,10 @@ def document_to_algebra(doc):
     structure that fails its defining identities, and discovering that
     is the job of the checking command.
     """
-    index_of = {label: i for i, (label, _) in enumerate(doc.basis)}
-    ops = {}
-    for entry in doc.ops:
-        word = tuple(index_of[s] for s in entry.inputs)
-        value = {index_of[label]: coeff for coeff, label in entry.output}
-        ops.setdefault(entry.arity, {})[word] = value
-    space = GradedSpace(doc.labels, doc.degrees)
     if doc.kind == "linfty":
         from .linfty import LInftyAlgebra
-        return LInftyAlgebra(space, ops, name=doc.name)
-    unit = index_of[doc.unit] if doc.unit is not None else None
-    return AInftyAlgebra(space, ops, unit=unit, name=doc.name)
+        return LInftyAlgebra(doc.space, doc.ops, name=doc.name)
+    return AInftyAlgebra(doc.space, doc.ops, unit=doc.unit, name=doc.name)
 
 
 def _classify(alg):
@@ -370,22 +349,8 @@ def _classify(alg):
 
 def algebra_to_document(alg, caps=None):
     """Express an algebra back in the document schema."""
-    labels = alg.space.labels
-    basis = tuple((label, alg.space.degrees[i])
-                  for i, label in enumerate(labels))
-    entries = []
-    for arity in sorted(alg.ops):
-        for word in sorted(alg.ops[arity]):
-            value = alg.ops[arity][word]
-            output = tuple(sorted(((Fraction(c), labels[i])
-                                   for i, c in value.items() if Fraction(c)),
-                                  key=lambda t: labels.index(t[1])))
-            if output:
-                entries.append(OpEntry(arity,
-                                       tuple(labels[i] for i in word), output))
-    unit = None
-    if getattr(alg, "unit", None) is not None:
-        unit = labels[alg.unit]
-    return AlgebraDocument(name=alg.name, kind=_classify(alg), basis=basis,
-                           unit=unit, ops=tuple(entries),
-                           caps=dict(caps or {}))
+    ops = {k: {word: dict(alg.ops[k][word]) for word in sorted(alg.ops[k])}
+           for k in sorted(alg.ops)}
+    return AlgebraDocument(name=alg.name, kind=_classify(alg),
+                           space=alg.space, unit=getattr(alg, "unit", None),
+                           ops=ops, caps=dict(caps or {}))

@@ -52,7 +52,7 @@ from .coalgebra import (
     coproduct_sym,
 )
 from .graded import add_into
-from .rational_linalg import LinearSolver, RowReducer, kernel
+from .rational_linalg import RowReducer, kernel
 
 __all__ = [
     "InconsistencyError",
@@ -105,14 +105,20 @@ def check_linfty(alg, max_arity=None):
     return certify(d, d, max_arity)
 
 
+def _element(generator):
+    """A generator given as a basis index or a sparse dict, as an element
+    {index: Fraction} with its zero coefficients dropped."""
+    if isinstance(generator, int):
+        return {generator: Fraction(1)}
+    return {i: f for i, c in generator.items() if (f := Fraction(c))}
+
+
 def _as_coderivation(alg, generator):
     """Coerce an inner-derivation generator to a symmetric coderivation:
     either one already, a basis index, or an element dict (arity 0)."""
     if isinstance(generator, Coderivation):
         return generator
-    if isinstance(generator, int):
-        generator = {generator: 1}
-    el = {i: Fraction(c) for i, c in generator.items() if Fraction(c)}
+    el = _element(generator)
     if not el:
         raise ValueError("zero generator has no well-defined degree")
     degs = {alg.suspended.degrees[i] for i in el}
@@ -165,12 +171,7 @@ def ce_words(degs, total_degree):
 def _h_elements(alg, h):
     """Normalize a subalgebra spec to a list of degree-0 element dicts."""
     out = []
-    for item in h:
-        if isinstance(item, int):
-            item = {item: 1}
-        el = {i: Fraction(c) for i, c in item.items() if Fraction(c)}
-        if not el:
-            continue
+    for el in filter(None, map(_element, h)):
         for i in el:
             if alg.space.degrees[i] != 0:
                 raise SubalgebraError(
@@ -181,12 +182,11 @@ def _h_elements(alg, h):
 
 def _check_h_closed(alg, h_els):
     """Closure of the span under the binary bracket; raises on failure."""
-    solver = LinearSolver(alg.space.dim)
-    for j, el in enumerate(h_els):
-        solver.add(el, j)
+    span = RowReducer()
+    for el in h_els:
+        span.insert(el)
     for a, b in itertools.combinations_with_replacement(range(len(h_els)), 2):
-        val = alg.bracket2(h_els[a], h_els[b])
-        if val and solver.express(val) is None:
+        if not span.contains(alg.bracket2(h_els[a], h_els[b])):
             raise SubalgebraError(
                 f"subalgebra not closed under the bracket at generators {(a, b)}")
 

@@ -114,16 +114,15 @@ class HopfProductReport:
 
     `products` maps ((qa, ia), (qb, ib)) - basis classes of the two
     factors - to the product class in the representative coordinates of
-    the same model, and `checked_pairs` counts them.  All checks are exact; empty violation lists mean the
-    property held on everything checked.
+    the same model, and `checked_pairs` counts them.  All checks are
+    exact; empty violation lists mean the property held on everything
+    checked.
     """
 
-    def __init__(self, base, n, max_degree, class_dims, products, unit_ok,
+    def __init__(self, n, class_dims, products, unit_ok,
                  commutative_violations, associative_violations,
                  primitive_product_violations, checked_triples):
-        self.base = base
         self.n = n
-        self.max_degree = max_degree
         self.class_dims = class_dims
         self.products = products
         self.unit_ok = unit_ok
@@ -155,7 +154,7 @@ def hopf_product_on_homology(model):
     a nonzero product of two primitive classes of positive degree must not
     be primitive.
     """
-    base, n, max_degree = model.base, model.n, model.max_degree
+    n, max_degree = model.n, model.max_degree
     if n <= max_degree:
         raise ValueError(
             f"the block-sum product needs a model with n > max_degree = "
@@ -231,8 +230,7 @@ def hopf_product_on_homology(model):
             primitive_product_violations.append((x, y, cls))
 
     return HopfProductReport(
-        base=base.name or "A", n=n, max_degree=max_degree,
-        class_dims={q: table.dims[q] for q in degrees},
+        n=n, class_dims={q: table.dims[q] for q in degrees},
         products=products, unit_ok=unit_ok,
         commutative_violations=commutative_violations,
         associative_violations=associative_violations,

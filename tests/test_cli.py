@@ -531,6 +531,19 @@ def test_repeated_even_bracket_input_is_a_validation_failure(
     assert err.startswith("error: ops[0].inputs: ") and "repeat" in err
 
 
+def test_repeated_output_label_is_a_validation_failure(capsys, tmp_path):
+    # m(1, 1) = 1 + 1 is the unit violation m(1, 1) = 2, not m(1, 1) = 1
+    path = tmp_path / "repeated.alg"
+    path.write_text(json.dumps({
+        "kind": "associative", "basis": [["1", 0]], "unit": "1",
+        "ops": [{"arity": 2, "inputs": ["1", "1"],
+                 "output": [["1", "1"], ["1", "1"]]}]}))
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 1 and out == ""
+    assert err == ("error: ops[0].output[1]: repeated output label '1': "
+                   "already given at ops[0].output[0]\n")
+
+
 def test_undecodable_document_is_a_validation_failure(capsys, tmp_path):
     path = tmp_path / "latin1.alg"
     path.write_bytes(b'{"name": "\xe9"}')

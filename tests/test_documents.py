@@ -1,10 +1,12 @@
 """Tests for the JSON structure-document format."""
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homotopyalg.ainfty import AInftyAlgebra
 from homotopyalg.constructions import lie_ify
@@ -16,6 +18,7 @@ from homotopyalg.documents import (
     parse_document,
     serialize_document,
 )
+from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import LInftyAlgebra, check_linfty
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -49,10 +52,15 @@ def test_ground_field_fixture_parses_clean():
     doc = parse_document(load("K.alg"))
     assert doc.name == "K"
     assert doc.kind == "associative"
-    assert doc.basis == (("1", 0),)
-    assert doc.unit == "1"
-    assert len(doc.ops) == 1
-    assert doc.ops[0].output == ((Fraction(1), "1"),)
+    assert doc.space == GradedSpace(("1",), (0,))
+    assert doc.unit == 0
+    assert doc.ops == {2: {(0, 0): {0: Fraction(1)}}}
+
+
+def nonempty(ops):
+    """An operation table without its empty entries and empty arities."""
+    ops = {k: {w: v for w, v in table.items() if v} for k, table in ops.items()}
+    return {k: table for k, table in ops.items() if table}
 
 
 def test_every_fixture_round_trips():
@@ -60,6 +68,79 @@ def test_every_fixture_round_trips():
         doc = parse_document(path.read_text(encoding="utf-8"))
         again = parse_document(serialize_document(doc))
         assert again == doc, path.name
+
+
+def test_every_fixture_builds_from_its_own_table():
+    for path in sorted(FIXTURES.glob("*.alg")):
+        doc = parse_document(path.read_text(encoding="utf-8"))
+        alg = document_to_algebra(doc)
+        assert alg.space == doc.space, path.name
+        assert alg.ops == nonempty(doc.ops), path.name
+
+
+LABELS = ("e", "x", "1", "é")
+ARITIES = {"associative": (2,), "dga": (1, 2),
+           "ainfty": (1, 2, 3), "linfty": (1, 2, 3)}
+COEFFICIENTS = st.one_of(st.just(Fraction(0)),
+                         st.fractions(-3, 3, max_denominator=4))
+
+
+@st.composite
+def drawn_documents(draw, kind):
+    """A valid document of the kind on up to three basis elements, as JSON
+    data with its entries and their terms in a drawn order, and the same
+    data with both reversed.
+
+    Degrees 0..2 give letters of both parities; an entry is drawn on each
+    admissible word (ascending, repeating only odd letters, for linfty),
+    with a term on every label of the right degree, whose rational
+    coefficient may vanish."""
+    labels = draw(st.permutations(LABELS))[:draw(st.integers(1, 3))]
+    top = 0 if kind == "associative" else 2
+    degrees = [draw(st.integers(0, top)) for _ in labels]
+    entries = []
+    for k in draw(st.sets(st.sampled_from(ARITIES[kind]), min_size=1)):
+        if kind == "linfty":
+            words = [w for w in itertools.combinations_with_replacement(
+                range(len(labels)), k)
+                if all(a != b or degrees[a] % 2 for a, b in zip(w, w[1:]))]
+        else:
+            words = itertools.product(range(len(labels)), repeat=k)
+        for word in words:
+            if not draw(st.booleans()):
+                continue
+            target = sum(degrees[i] for i in word) + k - 2
+            hits = [i for i in range(len(labels)) if degrees[i] == target]
+            entries.append({"arity": k,
+                            "inputs": [labels[i] for i in word],
+                            "output": [[str(draw(COEFFICIENTS)), labels[i]]
+                                       for i in draw(st.permutations(hits))]})
+    data = {"name": "drawn", "kind": kind,
+            "basis": [[label, d] for label, d in zip(labels, degrees)],
+            "ops": draw(st.permutations(entries))}
+    units = [label for label, d in zip(labels, degrees) if d == 0]
+    if kind != "linfty" and units and draw(st.booleans()):
+        data["unit"] = draw(st.sampled_from(units))
+    data["caps"] = draw(st.dictionaries(
+        st.sampled_from(["max_weight", "max_degree", "max_arity"]),
+        st.integers(0, 5), max_size=2))
+    return data, dict(data, ops=[dict(entry, output=entry["output"][::-1])
+                                 for entry in data["ops"][::-1]])
+
+
+@pytest.mark.parametrize("kind", sorted(ARITIES))
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(drawn=st.data())
+def test_drawn_documents_have_one_table(kind, drawn):
+    data, reordered = drawn.draw(drawn_documents(kind))
+    doc = parse_document(json.dumps(data))
+    text = serialize_document(doc)
+    assert parse_document(text) == doc
+    assert serialize_document(parse_document(json.dumps(reordered))) == text
+    alg = document_to_algebra(doc)
+    assert alg.space == doc.space
+    assert alg.ops == nonempty(doc.ops)
+    assert getattr(alg, "unit", None) == doc.unit
 
 
 def test_serialization_is_canonical_under_op_reordering():
@@ -82,7 +163,7 @@ def test_rational_coefficients_parse_exactly():
     data = base_doc()
     data["ops"][0]["output"] = [["-3/7", "1"]]
     doc = parse_document(json.dumps(data))
-    assert doc.ops[0].output == ((Fraction(-3, 7), "1"),)
+    assert doc.ops[2][(0, 0)] == {0: Fraction(-3, 7)}
     assert '"-3/7"' in serialize_document(doc)
 
 
@@ -90,7 +171,7 @@ def test_integer_coefficients_accepted():
     data = base_doc()
     data["ops"][0]["output"] = [[2, "1"]]
     doc = parse_document(json.dumps(data))
-    assert doc.ops[0].output == ((Fraction(2), "1"),)
+    assert doc.ops[2][(0, 0)] == {0: Fraction(2)}
 
 
 # ---------------------------------------------------------------------------
@@ -124,6 +205,20 @@ def test_duplicate_op_entry():
                         "output": [["2", "1"]]})
     diags = diagnostics_of(data)
     assert any("duplicate op" in m for _, m in diags)
+
+
+@pytest.mark.parametrize("output", [
+    [["1", "1"], ["1", "1"]],
+    [["0", "1"], ["1", "1"]],
+])
+def test_repeated_output_label(output):
+    # two terms on one label would be summed by one reading and overwritten
+    # by another, so a label may appear once per output
+    data = base_doc()
+    data["ops"][0]["output"] = output
+    assert diagnostics_of(data) == [
+        ("ops[0].output[1]",
+         "repeated output label '1': already given at ops[0].output[0]")]
 
 
 def test_non_rational_coefficient():
@@ -292,6 +387,6 @@ def test_lieified_structure_exports_as_valid_document():
 def test_document_equality_is_structural():
     a = parse_document(load("m3only.alg"))
     b = AlgebraDocument(name="m3only", kind="ainfty",
-                        basis=(("a", 0), ("b", 1)),
+                        space=GradedSpace(("a", "b"), (0, 1)),
                         ops=a.ops, caps={})
     assert a == b

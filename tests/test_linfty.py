@@ -302,6 +302,22 @@ def test_abelian_coinvariants_leave_complex_unchanged():
         [plain.dim(q) for q in range(2)]
 
 
+def test_generator_forms_give_one_element():
+    # an index and the sparse dicts of its unit vector, with any coefficient
+    # type, are one generator for an inner derivation and for coinvariants
+    galg = gl(2)
+    forms = [3, {3: 1}, {3: "1"}, {3: Fraction(1)}]
+    inners = [make_inner(galg, g) for g in forms]
+    assert all(inner == inners[0] for inner in inners)
+    tables = [lie_homology(galg, 3, h=[g]) for g in forms]
+    assert all(table == tables[0] for table in tables)
+    # each caller keeps its policy on a zero generator: an inner derivation
+    # refuses it, coinvariants skip it
+    with pytest.raises(ValueError):
+        make_inner(galg, {3: 0})
+    assert lie_homology(galg, 3, h=[{3: 0}, 3]) == tables[0]
+
+
 def test_subalgebra_closure_is_checked():
     with pytest.raises(ValueError):
         lie_homology(sl2(), 2, h=[{1: 1}, {2: 1}])
