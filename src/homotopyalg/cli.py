@@ -13,7 +13,8 @@ a comparison reported a mismatch); 3 a cap declared in the document is
 exceeded by the request.  An internal cross-check that fails
 (`InconsistencyError`), or any other exception past validation, is a
 fault of the package, not of the input, and is left to surface as a
-crash.
+crash; `main` re-raises a `ValueError` from a computation as
+`InconsistencyError`.
 """
 
 from __future__ import annotations
@@ -158,15 +159,18 @@ def _betti_payload(args, doc, caps, name, table, **inputs):
     return _payload(args, doc, caps, tables, {}, **inputs), EXIT_OK
 
 
-def _degree_caps(doc, max_degree, flag_weight, needed):
+def _degree_caps(args, doc, needed):
     """The weight cap to compute under and the caps echo, or a CapExceeded.
 
     The requested degree may not exceed the document's degree cap.  An
     explicit --max-weight is honored as long as the document allows it
     (exactness flags report any truncation honestly); without the flag, a
     document whose declared weight cap is below the weight `needed` for an
-    exact answer at the requested degree refuses the request.
+    exact answer at the requested degree refuses the request, and offers
+    the flag only to a command that has it.
     """
+    max_degree = args.max_degree
+    flag_weight = getattr(args, "max_weight", None)
     cap = doc.caps.get("max_degree")
     if cap is not None and max_degree > cap:
         raise CapExceeded(
@@ -181,10 +185,11 @@ def _degree_caps(doc, max_degree, flag_weight, needed):
         return flag_weight, {"max_degree": max_degree,
                              "max_weight": flag_weight}
     if doc_cap is not None and doc_cap < needed:
+        advice = (f"; pass --max-weight {doc_cap} to accept a truncated "
+                  "computation" if hasattr(args, "max_weight") else "")
         raise CapExceeded(
             f"an exact answer at this degree needs words of weight "
-            f"{needed}, but the document caps weight at {doc_cap}; pass "
-            f"--max-weight {doc_cap} to accept a truncated computation")
+            f"{needed}, but the document caps weight at {doc_cap}{advice}")
     return None, {"max_degree": max_degree}
 
 
@@ -246,7 +251,6 @@ def _cmd_check(args):
 
 def _cmd_lieify(args):
     from .constructions import lie_ify
-    from .linfty import InconsistencyError
 
     doc = _load(args)
     if doc.kind == "linfty":
@@ -257,13 +261,7 @@ def _cmd_lieify(args):
     structure = check_stasheff(alg, cap)
     if not structure:
         return _violation(args, doc, caps, structure)
-    try:
-        lie = lie_ify(alg, cap=cap)
-    except ValueError as exc:
-        # the input is certified above: a failed certification of its
-        # commutator structure is a fault of the package
-        raise InconsistencyError(
-            f"lie_ify failed on a certified input: {exc}") from exc
+    lie = lie_ify(alg, cap=cap)
     out_doc = document_to_data(algebra_to_document(lie, caps=doc.caps))
     return _payload(args, doc, caps, out_doc, {"structure": "ok"},
                     body="document"), EXIT_OK
@@ -275,8 +273,7 @@ def _cmd_hc(args):
         raise InputUnsuitable(
             "cyclic homology takes an associative-flavor document "
             "(kind associative, dga, or ainfty)")
-    weight, caps = _degree_caps(doc, args.max_degree, args.max_weight,
-                                args.max_degree + 2)
+    weight, caps = _degree_caps(args, doc, args.max_degree + 2)
     alg = document_to_algebra(doc)
     structure = check_stasheff(alg)
     if not structure:
@@ -286,20 +283,14 @@ def _cmd_hc(args):
 
 
 def _cmd_ce(args):
-    from .linfty import (
-        InconsistencyError,
-        SubalgebraError,
-        check_linfty,
-        lie_homology,
-    )
+    from .linfty import SubalgebraError, check_linfty, lie_homology
 
     doc = _load(args)
     if doc.kind != "linfty":
         raise InputUnsuitable(
             "Chevalley-Eilenberg homology takes a kind-linfty document; "
             "derive one from an associative-flavor input with `lieify`")
-    weight, caps = _degree_caps(doc, args.max_degree, args.max_weight,
-                                args.max_degree + 1)
+    weight, caps = _degree_caps(args, doc, args.max_degree + 1)
     alg = document_to_algebra(doc)
     structure = check_linfty(alg)
     if not structure:
@@ -318,11 +309,6 @@ def _cmd_ce(args):
         table = lie_homology(alg, args.max_degree, max_weight=weight, h=h)
     except SubalgebraError as exc:
         raise DocumentError([("--coinvariants", str(exc))]) from None
-    except ValueError as exc:
-        # the input is certified and h is a subalgebra: any other refusal
-        # is a fault of the package
-        raise InconsistencyError(
-            f"lie_homology failed on a certified input: {exc}") from exc
     return _betti_payload(args, doc, caps, "ce", table,
                           **({} if h is None
                              else {"coinvariants": args.coinvariants}))
@@ -362,7 +348,9 @@ def _cmd_lqt(args):
         raise DocumentError([("--n", f"not a comma list of sizes: {args.n!r}")])
     if not sizes or sizes[0] < 1:
         raise DocumentError([("--n", "matrix sizes must be integers >= 1")])
-    _, caps = _degree_caps(doc, args.max_degree, None, args.max_degree + 2)
+    # the stable blocks, the Connes complex through HC_{m-1} and the
+    # unreduced check read words of at most m + 1 letters; HC_0 reads 2
+    _, caps = _degree_caps(args, doc, max(args.max_degree + 1, 2))
     alg = document_to_algebra(doc)
     structure = check_stasheff(alg)
     if not structure:
@@ -473,6 +461,12 @@ def main(argv=None):
     except DocumentError as exc:
         return _fail(sys.stderr, EXIT_VALIDATION,
                      [f"{pos}: {msg}" for pos, msg in exc.diagnostics])
+    except ValueError as exc:
+        # past validation, a refusal is a fault of the package; linfty is
+        # imported here so that `check` and `hc` do not load it
+        from .linfty import InconsistencyError
+        raise InconsistencyError(f"{args.command} failed on a validated or "
+                                 f"certified input: {exc}") from exc
     except InputUnsuitable as exc:
         return _fail(sys.stderr, EXIT_VALIDATION, [str(exc)])
     except CapExceeded as exc:

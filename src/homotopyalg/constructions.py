@@ -24,11 +24,11 @@ associative structure occur; every result is re-certified rather than
 trusted.
 
 gl_n(A) carries the adjoint action of the matrix units of gl_n(K).  At
-N = max_degree + 1, `PermutationModel` presents the coinvariants of its
-Chevalley-Eilenberg complex on the orbits of permutation words: a word of
-degree q has at most q letters, and for N >= k the coinvariants of k
-letters have a basis of such orbits (the first and second fundamental
-theorems for GL_N).
+N = max_degree + 1, `PermutationModel(base, max_degree)` presents the
+coinvariants of its Chevalley-Eilenberg complex on the orbits of
+permutation words: a word of degree q has at most q letters, and for
+N >= k the coinvariants of k letters have a basis of such orbits (the
+first and second fundamental theorems for GL_N).
 
 Every other size is a subcomplex of that one, not a quotient.  The corner
 inclusion gl_n(A) -> gl_N(A) is a strict L-infinity map, and it is
@@ -69,7 +69,6 @@ __all__ = [
     "gl_index",
     "gl_coinvariant_model",
     "PermutationModel",
-    "gl_permutation_model",
     "InconsistencyError",
 ]
 
@@ -218,16 +217,44 @@ class PermutationModel(CEModel):
     along a chain of sigma.  A zero-weight word that is not a permutation
     word reaching `canonical` is a fault of the package.
 
+    The base must carry a strict unit, so that its matrix units act on
+    the complex as gl_n(K); gl_n(A) is built and certified by `gl`.  The
+    orbits are enumerated directly: a block of degree q lists, for every
+    multiset of cyclic words of total degree q whose stabilizer does not act
+    by -1, the word that puts the cycles in sorted order on consecutive
+    positions, each read from its first position.  That word is its own
+    cycle form, with sign 1.
+
     `_letters` is the (base index, row, column) table of the flat indices
     of M_n(A), and `_canon` the memo of `canonical`.
     """
 
-    def __init__(self, algebra, max_degree, base, blocks):
-        super().__init__(algebra, max_degree, blocks, {})
+    def __init__(self, base, max_degree):
+        require_strict_unit(base)
         self.n = n = max_degree + 1
         self.base = base
-        dim = base.space.dim
-        self._letters = tuple((a, i, j) for a in range(dim)
+        necklaces = _necklaces(base.suspended.degrees, n)
+        nn = n * n
+        # the multisets are the canonical symmetric words over the
+        # necklaces: two equal cycles of odd degree swap with sign -1
+        degrees = [d for _, d in necklaces]
+        blocks = {}
+        for q in range(max_degree + 2):
+            reps = []
+            for picks in ce_words(degrees, q):
+                word, offset = [], 0
+                for p in picks:
+                    reading = necklaces[p][0]
+                    size = len(reading)
+                    word.extend(a * nn + (offset + s) * n
+                                + offset + (s + 1) % size
+                                for s, a in enumerate(reading))
+                    offset += size
+                reps.append(tuple(sorted(word)))
+            if reps:
+                blocks[q] = sorted(reps)
+        super().__init__(gl(base, n), max_degree, blocks, {})
+        self._letters = tuple((a, i, j) for a in range(base.space.dim)
                               for i in range(n) for j in range(n))
         self._canon = {}
 
@@ -375,42 +402,6 @@ def _necklaces(degrees, top):
     return out
 
 
-def gl_permutation_model(base, max_degree):
-    """Build the stable coinvariant model of gl_n(A), n = max_degree + 1,
-    on permutation words (see `PermutationModel`).
-
-    The base must carry a strict unit, so that its matrix units act on
-    the complex as gl_n(K).  gl_n(A) is built and certified by `gl`.  The
-    orbits are enumerated directly: a block of degree q lists, for every
-    multiset of cyclic words of total degree q whose stabilizer does not act
-    by -1, the word that puts the cycles in sorted order on consecutive
-    positions, each read from its first position.  That word is its own
-    cycle form, with sign 1.
-    """
-    require_strict_unit(base)
-    n = max_degree + 1
-    necklaces = _necklaces(base.suspended.degrees, n)
-    nn = n * n
-    # the multisets are the canonical symmetric words over the necklaces:
-    # two equal cycles of odd degree swap with sign -1
-    degrees = [d for _, d in necklaces]
-    blocks = {}
-    for q in range(max_degree + 2):
-        reps = []
-        for picks in ce_words(degrees, q):
-            word, offset = [], 0
-            for p in picks:
-                reading = necklaces[p][0]
-                size = len(reading)
-                word.extend(a * nn + (offset + s) * n + offset + (s + 1) % size
-                            for s, a in enumerate(reading))
-                offset += size
-            reps.append(tuple(sorted(word)))
-        if reps:
-            blocks[q] = sorted(reps)
-    return PermutationModel(gl(base, n), max_degree, base, blocks)
-
-
 # ---------------------------------------------------------------------------
 # Every size through the corner inclusion
 
@@ -453,9 +444,9 @@ class GLCoinvariantModel:
 
 
 def gl_coinvariant_model(stable, n):
-    """The coinvariant complex of gl_n(A), n >= 1, inside the stable model
-    of `gl_permutation_model` (see the module docstring): a basis of the
-    span of the classes `_corner_classes` yields.  A block whose
+    """The coinvariant complex of gl_n(A), n >= 1, inside the stable
+    `PermutationModel` (see the module docstring): a basis of the span of
+    the classes `_corner_classes` yields.  A block whose
     representatives have at most n letters each is all of U_q: each is its
     own class.  For n >= stable.n every word of degree <= stable.n has at
     most n letters, so U is the whole stable complex."""

@@ -5,7 +5,7 @@ degree by degree:
 
 * the left side computes Chevalley-Eilenberg homology of gl_n(A) with
   coefficients reduced by the adjoint gl_n(K)-action: at the stable size
-  on the permutation words of `gl_permutation_model`, and at every
+  on the permutation words of `PermutationModel`, and at every
   requested size as the subcomplex `gl_coinvariant_model` reads off that
   stable model through the corner inclusion;
 * the right side computes the cyclic homology of A by the Connes
@@ -23,7 +23,8 @@ multiset of cyclic words of base letters (the first and second fundamental
 theorems for GL_n), and neither these orbits nor the brackets of matrix
 units see n.  Degree q of the homology reads the blocks through q + 1, so
 through degree q the complex is the same for every n >= q + 1, and one
-model at N = max_degree + 1, `gl_permutation_model`, carries every verdict.
+model at N = max_degree + 1, `PermutationModel(A, max_degree)`, carries
+every verdict.
 
 A requested size n is not built again: the corner inclusion embeds its
 coinvariant complex in the stable one (see `constructions`), and its table
@@ -47,7 +48,7 @@ from fractions import Fraction
 
 from .ainfty import check_stasheff, cyclic_homology, require_strict_unit
 from .chain import BettiTable
-from .constructions import gl, gl_coinvariant_model, gl_permutation_model
+from .constructions import PermutationModel, gl, gl_coinvariant_model
 from .graded import add_into
 from .linfty import InconsistencyError, lie_homology
 
@@ -250,15 +251,14 @@ class LQTReport:
     those of the stable model at n = max_degree + 1, `right` the expansion
     of the cyclic homology table, and `primitive_dims` the dimensions of the
     primitive subspaces of the stable model.  Degree q is stable from
-    `stable_from[q]` = q + 1 by the degree bound of the module docstring;
-    `verdicts` and `primitive_verdicts` carry MATCH / MISMATCH per degree.
-    Every equality is exact.
+    `stable_from[q]` = q + 1 by the degree bound of the module docstring.
+    The verdicts are MATCH / MISMATCH per degree: `verdicts` read
+    `stable_dims` against `right`, and `primitive_verdicts` each
+    `primitive_dims[q]` against `hc_dims[q - 1]`.  Every equality is exact.
     """
 
-    def __init__(self, algebra, sizes, max_degree, left, right, hc_dims,
-                 primitive_dims, stable_dims, verdicts,
-                 primitive_verdicts, hopf=None):
-        self.algebra = algebra
+    def __init__(self, sizes, max_degree, left, right, hc_dims,
+                 primitive_dims, stable_dims, hopf=None):
         self.sizes = sizes
         self.max_degree = max_degree
         self.left = left
@@ -266,13 +266,22 @@ class LQTReport:
         self.hc_dims = hc_dims
         self.primitive_dims = primitive_dims
         self.stable_dims = stable_dims
-        self.verdicts = verdicts
-        self.primitive_verdicts = primitive_verdicts
         self.hopf = hopf
 
     @property
     def stable_from(self):
         return {q: q + 1 for q in range(self.max_degree + 1)}
+
+    @property
+    def verdicts(self):
+        return {q: MATCH if d == self.right[q] else MISMATCH
+                for q, d in self.stable_dims.items()}
+
+    @property
+    def primitive_verdicts(self):
+        return {q: MATCH if self.primitive_dims.get(q, 0)
+                == self.hc_dims.get(q - 1, 0) else MISMATCH
+                for q in range(1, self.max_degree + 1)}
 
     @property
     def all_match(self):
@@ -283,18 +292,19 @@ class LQTReport:
 def verify_lqt(base, sizes, max_degree):
     """Run the full comparison for a unital certified algebra.
 
-    Builds the permutation model of gl_N(A) at N = max_degree + 1, which is
-    stable through max_degree by the degree bound of the module docstring.
-    The bound needs every letter to have suspended degree >= 1, which holds
-    because documents and `GradedSpace` refuse negative unsuspended degrees.
-    The verdicts, the primitives and - when the historical budget allows -
-    the block-sum product are read from that one model, and each requested
-    size from its subcomplex `gl_coinvariant_model`: a size n must agree
-    with the stable model in every degree q with n >= q + 1, or
-    `InconsistencyError` is raised; below that its table is reported as it
-    is.  For sizes <= 2 the table is also checked against the full
-    (unreduced) homology of gl_n(A), built on its own, which reductivity
-    makes equal.
+    Builds `PermutationModel(base, max_degree)`, the model of gl_N(A) at
+    N = max_degree + 1, stable through max_degree by the degree bound of
+    the module docstring.  The bound needs every letter to have suspended
+    degree >= 1, which holds because documents and `GradedSpace` refuse
+    negative unsuspended degrees.  The stable table, the primitives and -
+    when the historical budget allows - the block-sum product are read
+    from that one model, and each requested size from its subcomplex
+    `gl_coinvariant_model`: a size n must agree with the stable model in
+    every degree q with n >= q + 1, or `InconsistencyError` is raised;
+    below that its table is reported as it is.  For sizes <= 2 the table
+    is also checked against the full (unreduced) homology of gl_n(A),
+    built on its own, which reductivity makes equal.  The report derives
+    its verdicts from these tables.
     """
     require_strict_unit(base)
     report = check_stasheff(base)
@@ -306,7 +316,7 @@ def verify_lqt(base, sizes, max_degree):
         raise ValueError("matrix sizes must be integers >= 1")
 
     try:
-        stable = gl_permutation_model(base, max_degree)
+        stable = PermutationModel(base, max_degree)
         unreduced = {n: stable.algebra if n == stable.n else gl(base, n)
                      for n in set(sizes) | {stable.n} if n <= 2}
     except ValueError as exc:
@@ -347,16 +357,6 @@ def verify_lqt(base, sizes, max_degree):
                                  "dimension computation of the stable model")
     primitive_dims = {q: coalg.primitive_subspace(q).dim
                       for q in sorted(reps)}
-    for q, d in primitive_dims.items():
-        if d > stable_dims.get(q, 0):
-            raise InconsistencyError(
-                f"primitive dimension exceeds homology dimension at degree {q}")
-
-    verdicts = {q: MATCH if stable_dims[q] == right.dims.get(q, 0)
-                else MISMATCH for q in degrees}
-    primitive_verdicts = {
-        q: MATCH if primitive_dims.get(q, 0) == hc.dims.get(q - 1, 0)
-        else MISMATCH for q in degrees if q >= 1}
 
     n_h = min(3, max(sizes))
     ambient = base.space.dim * (2 * n_h) ** 2
@@ -367,10 +367,7 @@ def verify_lqt(base, sizes, max_degree):
                 f"the harness budget {HOPF_BUDGET}")
 
     return LQTReport(
-        algebra=base.name or "A", sizes=sizes, max_degree=max_degree,
-        left=left, right={q: right.dims.get(q, 0) for q in degrees},
+        sizes=sizes, max_degree=max_degree, left=left,
+        right={q: right.dims.get(q, 0) for q in degrees},
         hc_dims={q: hc.dims.get(q, 0) for q in sorted(hc.dims)},
-        primitive_dims=primitive_dims,
-        stable_dims=stable_dims,
-        verdicts=verdicts, primitive_verdicts=primitive_verdicts,
-        hopf=hopf)
+        primitive_dims=primitive_dims, stable_dims=stable_dims, hopf=hopf)

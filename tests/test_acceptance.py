@@ -17,12 +17,7 @@ from pathlib import Path
 
 from homotopyalg.cli import main
 from homotopyalg.coalgebra import coproduct_sym
-from homotopyalg.constructions import (
-    gl,
-    gl_index,
-    gl_permutation_model,
-    lie_ify,
-)
+from homotopyalg.constructions import PermutationModel, gl, gl_index, lie_ify
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import add_into, canonical_sym
 from homotopyalg.ainfty import cyclic_homology
@@ -348,7 +343,7 @@ def test_criterion_7_lqt_comparison_at_desk_scale(capsys):
 
 def test_criterion_8_block_sum_product_is_commutative_and_associative(capsys):
     base = algebra("K.alg")
-    report = hopf_product_on_homology(gl_permutation_model(base, 4))
+    report = hopf_product_on_homology(PermutationModel(base, 4))
     assert report.unit_ok
     assert report.commutative_violations == []
     assert report.associative_violations == []

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from homotopyalg.ainfty import from_associative
 from homotopyalg.chain import ChainComplex
 from homotopyalg.coalgebra import Coderivation
-from homotopyalg.constructions import gl_permutation_model
+from homotopyalg.constructions import PermutationModel
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import LInftyAlgebra
 from homotopyalg.lqt import hopf_product_on_homology
@@ -140,7 +140,7 @@ def test_each_boundary_is_evaluated_once_per_complex(monkeypatch):
     assert induced[3] == [{}]
 
     K = from_associative(["1"], {(0, 0): {0: 1}}, unit=0, name="K")
-    report = hopf_product_on_homology(gl_permutation_model(K, 4))
+    report = hopf_product_on_homology(PermutationModel(K, 4))
     assert report.ok
     assert len(counters) >= 2
     for seen in counters:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from homotopyalg import constructions, linfty, lqt
+from homotopyalg import cli, constructions, linfty, lqt
 from homotopyalg.chain import BettiTable
 from homotopyalg.cli import main
 from homotopyalg.constructions import InconsistencyError
@@ -435,13 +435,38 @@ def test_arithmetic_fault_is_not_a_violation(monkeypatch):
 
 def test_package_value_error_is_not_a_violation(monkeypatch):
     # past validation, a ValueError can only come from the package: it
-    # surfaces, and is not reported as a mathematical violation (exit 2)
+    # surfaces as an inconsistency, and is not reported as a mathematical
+    # violation (exit 2)
     def broken(base, sizes, max_degree):
         raise ValueError("broken")
 
     monkeypatch.setattr(lqt, "verify_lqt", broken)
-    with pytest.raises(ValueError, match="broken"):
+    with pytest.raises(InconsistencyError, match="broken") as info:
         main(["lqt", fixture("K.alg"), "--n", "2", "--max-degree", "2"])
+    assert isinstance(info.value.__cause__, ValueError)
+
+
+@pytest.mark.parametrize("argv,module,name", [
+    (["check", "K.alg"], cli, "check_stasheff"),
+    (["hc", "K.alg", "--max-degree", "2"], cli, "cyclic_homology"),
+    (["ce", "sl2.alg", "--max-degree", "2"], linfty, "lie_homology"),
+    (["lieify", "ut2.alg"], constructions, "lie_ify"),
+    (["lqt", "K.alg", "--n", "2", "--max-degree", "2"], lqt, "verify_lqt"),
+], ids=["check", "hc", "ce", "lieify", "lqt"])
+def test_a_value_error_past_validation_is_one_fault_rule(
+        monkeypatch, capsys, argv, module, name):
+    # every command maps a ValueError from its computation to the same
+    # InconsistencyError, in `main`, and prints no payload
+    def broken(*args, **kwargs):
+        raise ValueError("broken")
+
+    monkeypatch.setattr(module, name, broken)
+    command, document, *flags = argv
+    with pytest.raises(InconsistencyError, match="broken") as info:
+        main([command, fixture(document), *flags])
+    assert isinstance(info.value.__cause__, ValueError)
+    assert str(info.value.__cause__) == "broken"
+    assert capsys.readouterr().out == ""
 
 
 def test_lqt_rejects_linfty_documents(capsys):
@@ -473,6 +498,8 @@ def test_document_weight_cap_refuses_inexact_request(tmp_path, capsys):
     path = capped_doc(tmp_path, {"max_weight": 4})
     code, out, err = run(capsys, "hc", path, "--max-degree", "4")
     assert code == 3 and out == "" and "cap" in err
+    assert err.endswith("; pass --max-weight 4 to accept a truncated "
+                        "computation\n")
     # an explicit flag within the cap degrades exactness instead
     code, payload, _ = run_json(capsys, "hc", path, "--max-degree", "4",
                                 "--max-weight", "4")
@@ -483,6 +510,39 @@ def test_document_weight_cap_refuses_inexact_request(tmp_path, capsys):
     code, _, err = run(capsys, "hc", path, "--max-degree", "4",
                        "--max-weight", "9")
     assert code == 3
+
+
+@pytest.mark.parametrize("name,max_degree", [
+    ("K.alg", 0), ("K.alg", 4), ("dual_numbers.alg", 3)])
+def test_lqt_runs_under_a_weight_cap_of_its_longest_word(tmp_path, capsys,
+                                                         name, max_degree):
+    # `lqt` reads words of at most max(m + 1, 2) letters, so a cap of that
+    # weight changes nothing
+    needed = max(max_degree + 1, 2)
+    argv = ["--n", "3", "--max-degree", str(max_degree)]
+    code, plain, _ = run_json(capsys, "lqt", fixture(name), *argv)
+    assert code == 0
+    path = capped_doc(tmp_path, {"max_weight": needed}, name)
+    code, payload, err = run_json(capsys, "lqt", path, *argv)
+    assert code == 0 and err == ""
+    assert payload["tables"] == plain["tables"]
+    assert payload["verdicts"] == plain["verdicts"]
+    assert payload["caps"] == {"max_degree": max_degree}
+
+
+@pytest.mark.parametrize("name,max_degree", [
+    ("K.alg", 0), ("K.alg", 4), ("dual_numbers.alg", 3)])
+def test_lqt_refuses_a_weight_cap_below_its_longest_word(tmp_path, capsys,
+                                                         name, max_degree):
+    # `lqt` has no --max-weight, so the refusal names no flag
+    needed = max(max_degree + 1, 2)
+    path = capped_doc(tmp_path, {"max_weight": needed - 1}, name)
+    code, out, err = run(capsys, "lqt", path, "--n", "3",
+                         "--max-degree", str(max_degree))
+    assert code == 3 and out == ""
+    assert err == (f"error: an exact answer at this degree needs words of "
+                   f"weight {needed}, but the document caps weight at "
+                   f"{needed - 1}\n")
 
 
 def test_document_degree_cap(tmp_path, capsys):

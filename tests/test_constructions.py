@@ -19,10 +19,10 @@ from homotopyalg.linfty import (
     make_inner,
 )
 from homotopyalg.constructions import (
+    PermutationModel,
     _antisymmetrize,
     gl,
     gl_index,
-    gl_permutation_model,
     lie_ify,
     matrix_algebra,
 )
@@ -489,7 +489,7 @@ def test_coinvariant_model_needs_unital_base():
     with pytest.raises(ValueError, match="strict unit"):
         e12_model(no_unit, 2, 2)
     with pytest.raises(ValueError, match="strict unit"):
-        gl_permutation_model(no_unit, 2)
+        PermutationModel(no_unit, 2)
 
 
 def test_coinvariant_model_refuses_non_strict_unit():
@@ -501,7 +501,7 @@ def test_coinvariant_model_refuses_non_strict_unit():
     with pytest.raises(ValueError, match="strict unit.*arity 3"):
         e12_model(lax, 2, 2)
     with pytest.raises(ValueError, match="strict unit.*arity 3"):
-        gl_permutation_model(lax, 2)
+        PermutationModel(lax, 2)
 
 
 def word_weight(word, n, base_dim):
@@ -917,7 +917,7 @@ def test_no_stored_value_is_a_float():
         GradedSpace(("1", "h"), (0, 0)),
         {2: {(0, 0): {0: 1.0}, (0, 1): {1: Fraction(2, 2)}, (1, 0): {1: 1},
              (1, 1): {1: 0.5}}}, unit=0, name="half")
-    model = gl_permutation_model(base, 2)
+    model = PermutationModel(base, 2)
     values = [v for alg in (base, matrix_algebra(base, 2), gl(base, 2),
                             model.algebra)
               for v in stored_values(alg)]

@@ -12,13 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 from homotopyalg import constructions
 from homotopyalg.ainfty import cyclic_homology, from_associative
 from homotopyalg.constructions import (
+    PermutationModel,
     _corner_classes,
     _first_appearance_form,
     _set_partitions,
     gl,
     gl_coinvariant_model,
     gl_index,
-    gl_permutation_model,
     matrix_algebra,
 )
 from homotopyalg.documents import document_to_algebra, parse_document
@@ -39,7 +39,7 @@ def fixture_algebra(name):
 
 @lru_cache(maxsize=None)
 def stable_model(name, max_degree):
-    return gl_permutation_model(fixture_algebra(name), max_degree)
+    return PermutationModel(fixture_algebra(name), max_degree)
 
 
 @lru_cache(maxsize=None)
@@ -222,7 +222,7 @@ def test_the_identity_check_catches_an_antisymmetrized_sum(monkeypatch):
     # homology in every size, so the tables cannot tell it apart; the
     # identity check can
     monkeypatch.setattr(constructions, "_split", antisymmetrized_split)
-    stable = gl_permutation_model(fixture_algebra("dual_numbers"), 3)
+    stable = PermutationModel(fixture_algebra("dual_numbers"), 3)
     failures, collapsed = splitting_residuals(
         stable, oracle_model("dual_numbers", stable.n, stable.n))
     assert 0 < failures <= collapsed
@@ -269,7 +269,7 @@ def zero_weight_words(draw):
 
 @lru_cache(maxsize=None)
 def dual_stable(n):
-    return gl_permutation_model(fixture_algebra("dual_numbers"), n - 1)
+    return PermutationModel(fixture_algebra("dual_numbers"), n - 1)
 
 
 @settings(derandomize=True, deadline=None, max_examples=100)
@@ -342,7 +342,7 @@ def tables_of(kind, order):
     base = drawn_base(kind, order)
     out = {}
     for m in range(1, 4):
-        stable = gl_permutation_model(base, m)
+        stable = PermutationModel(base, m)
         for n in range(1, m + 1):
             tables = [dims(gl_coinvariant_model(stable, n).homology(), m),
                       dims(e12_model(base, n, m).homology(), m)]

@@ -13,8 +13,8 @@ from homotopyalg.ainfty import (
     from_dga,
 )
 from homotopyalg.chain import BettiTable
-from homotopyalg import chain, constructions, linfty, lqt
-from homotopyalg.constructions import gl_index, gl_permutation_model
+from homotopyalg import ainfty, chain, constructions, linfty, lqt
+from homotopyalg.constructions import PermutationModel, gl_index
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import InconsistencyError
@@ -103,7 +103,7 @@ def test_expand_exterior_matches_computed_cyclic_homology():
 
 def test_hopf_product_over_ground_field():
     base = ground_field()
-    report = hopf_product_on_homology(gl_permutation_model(base, 4))
+    report = hopf_product_on_homology(PermutationModel(base, 4))
     assert report.ok
     assert report.unit_ok
     assert report.commutative_violations == []
@@ -121,7 +121,7 @@ def test_hopf_report_catches_a_noncommutative_product(monkeypatch):
     # a mutant block sum that flips the sign only when the left word has
     # the lower positive degree: a flip on both orders would cancel out of
     # graded commutativity, and one on the empty word would break the unit
-    model = gl_permutation_model(ground_field(), 4)
+    model = PermutationModel(ground_field(), 4)
     degree = model.algebra.suspended.word_degree
     real = constructions.PermutationModel.block_sum
 
@@ -140,7 +140,7 @@ def test_hopf_report_catches_a_noncommutative_product(monkeypatch):
 
 
 def test_block_sum_moves_the_second_word_past_the_first():
-    model = gl_permutation_model(dual_numbers(), 3)
+    model = PermutationModel(dual_numbers(), 3)
 
     def word(*letters):
         return tuple(sorted(gl_index(4, 2, a, i, j) for a, i, j in letters))
@@ -180,7 +180,7 @@ def test_hopf_product_equals_the_doubled_algebra_reference(base, max_degree):
     # the doubled check at sizes 3 and 6 re-expressed through the corner
     # inclusion in the coordinates of size 3
     base = base()
-    one = hopf_product_on_homology(gl_permutation_model(base, max_degree))
+    one = hopf_product_on_homology(PermutationModel(base, max_degree))
     ref = doubled_hopf_product(e12_model(base, 3, max_degree),
                                e12_model(base, 6, max_degree))
     assert one.ok and ref.ok and ref.associative_unstable == []
@@ -193,7 +193,7 @@ def test_hopf_product_where_the_cli_skips_it(name):
     # the lqt command keeps its historical budget and skips these bases;
     # the product itself runs on their stable models
     report = hopf_product_on_homology(
-        gl_permutation_model(fixture_algebra(name), 3))
+        PermutationModel(fixture_algebra(name), 3))
     assert report.ok
     assert report.checked_pairs > 0
 
@@ -208,7 +208,7 @@ def test_verify_lqt_builds_one_stable_model(monkeypatch, base, sizes,
     # one permutation model at n = max_degree + 1, and every requested
     # size read off it once through the corner inclusion; no gl_2n
     built, stable = [], []
-    real, real_stable = lqt.gl_coinvariant_model, lqt.gl_permutation_model
+    real, real_stable = lqt.gl_coinvariant_model, lqt.PermutationModel
 
     def counting(stable_model, n):
         built.append(n)
@@ -219,7 +219,7 @@ def test_verify_lqt_builds_one_stable_model(monkeypatch, base, sizes,
         return real_stable(base, max_degree)
 
     monkeypatch.setattr(lqt, "gl_coinvariant_model", counting)
-    monkeypatch.setattr(lqt, "gl_permutation_model", counting_stable)
+    monkeypatch.setattr(lqt, "PermutationModel", counting_stable)
     report = verify_lqt(base(), sizes, max_degree)
     assert sorted(built) == expect
     assert stable == [max_degree + 1]
@@ -302,7 +302,7 @@ def test_verify_lqt_cross_checks_the_representative_count(monkeypatch):
 
 def test_hopf_product_unit_class_acts_as_stabilization():
     # on the stable model the stabilization map is the identity
-    model = gl_permutation_model(ground_field(), 3)
+    model = PermutationModel(ground_field(), 3)
     report = hopf_product_on_homology(model)
     c0 = model.coproduct().table.representatives[0][0][()]
     for (x, y), cls in report.products.items():
@@ -345,7 +345,7 @@ def test_model_does_not_depend_on_n_from_max_degree_plus_one(name, max_degree):
 def test_verify_lqt_refuses_a_size_that_disagrees_with_the_stable_model(
         monkeypatch):
     real = lqt.gl_coinvariant_model
-    wrong = gl_permutation_model(dual_numbers(), 3)
+    wrong = PermutationModel(dual_numbers(), 3)
 
     def wrong_at_6(stable, n):
         return real(wrong if n == 6 else stable, n)
@@ -400,6 +400,80 @@ def test_verify_lqt_single_size_gets_verdicts():
     assert report.stable_from == {0: 1, 1: 2, 2: 3}
 
 
+def stable_report(**changes):
+    # the report of `verify_lqt(ground_field(), [3], 4)`, with some
+    # evidence replaced
+    fields = dict(
+        sizes=[3], max_degree=4, left={3: {0: 1, 1: 1, 2: 0, 3: 1, 4: 1}},
+        right={0: 1, 1: 1, 2: 0, 3: 1, 4: 1},
+        hc_dims={0: 1, 1: 0, 2: 1, 3: 0},
+        primitive_dims={0: 0, 1: 1, 2: 0, 3: 1, 4: 0},
+        stable_dims={0: 1, 1: 1, 2: 0, 3: 1, 4: 1})
+    fields.update(changes)
+    return lqt.LQTReport(**fields)
+
+
+def test_report_verdicts_are_derived_from_its_evidence():
+    report = stable_report()
+    assert report.verdicts == dict.fromkeys(range(5), "MATCH")
+    assert report.primitive_verdicts == dict.fromkeys(range(1, 5), "MATCH")
+    assert report.all_match
+    real = verify_lqt(ground_field(), [3], 4)
+    assert vars(real) == {**vars(report), "hopf": real.hopf}
+
+
+def test_report_comparison_mismatch_in_one_degree():
+    report = stable_report(stable_dims={0: 1, 1: 1, 2: 1, 3: 1, 4: 1})
+    assert report.verdicts == {0: "MATCH", 1: "MATCH", 2: "MISMATCH",
+                               3: "MATCH", 4: "MATCH"}
+    assert report.primitive_verdicts == dict.fromkeys(range(1, 5), "MATCH")
+    assert not report.all_match
+
+
+def test_report_primitive_mismatch_in_one_degree():
+    # primitive_dims[q] is read against hc_dims[q - 1]
+    report = stable_report(primitive_dims={0: 0, 1: 1, 2: 0, 3: 2, 4: 0})
+    assert report.primitive_verdicts == {1: "MATCH", 2: "MATCH",
+                                         3: "MISMATCH", 4: "MATCH"}
+    assert report.verdicts == dict.fromkeys(range(5), "MATCH")
+    assert not report.all_match
+
+
+@pytest.mark.parametrize("max_degree", range(5))
+@pytest.mark.parametrize("base", [ground_field, dual_numbers],
+                         ids=["K", "dual_numbers"])
+def test_verify_lqt_reads_words_of_at_most_max_degree_plus_one_letters(
+        monkeypatch, base, max_degree):
+    # the weight the `lqt` command asks of a document's cap: the stable
+    # blocks, the Connes complex through HC_{m-1} and the unreduced check
+    # read at most m + 1 letters, and HC_0 reads 2
+    lengths = []
+
+    def watch(module, name, letters=len):
+        real = getattr(module, name)
+
+        def wrapped(*args):
+            words = real(*args)
+            lengths.extend(letters(word) for word in words)
+            return words
+        monkeypatch.setattr(module, name, wrapped)
+
+    real_model = lqt.PermutationModel
+
+    def watched_model(base, max_degree):
+        model = real_model(base, max_degree)
+        lengths.extend(len(word) for words in model.blocks.values()
+                       for word in words)
+        return model
+
+    watch(ainfty, "cyclic_words")
+    watch(linfty, "ce_words")
+    watch(constructions, "_necklaces", lambda necklace: len(necklace[0]))
+    monkeypatch.setattr(lqt, "PermutationModel", watched_model)
+    verify_lqt(base(), [1, 2, max_degree + 1], max_degree)
+    assert max(lengths) == max(max_degree + 1, 2)
+
+
 def test_verify_lqt_requires_strict_unit():
     no_unit = from_associative(["x"], {(0, 0): {}}, name="null")
     with pytest.raises(ValueError, match="unital"):
@@ -413,7 +487,7 @@ def test_one_refusal_of_a_unit_that_is_not_strict():
     lax = AInftyAlgebra(GradedSpace(labels, (0, 0)), {2: mult}, unit=1)
     messages = set()
     for refuse in (lambda: from_dga(labels, (0, 0), {}, mult, unit=1),
-                   lambda: gl_permutation_model(lax, 2),
+                   lambda: PermutationModel(lax, 2),
                    lambda: verify_lqt(lax, [2], 2)):
         with pytest.raises(ValueError) as excinfo:
             refuse()

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from homotopyalg import linfty
 from homotopyalg.ainfty import from_associative, from_dga
-from homotopyalg.constructions import _necklaces, gl_index, gl_permutation_model
+from homotopyalg.constructions import PermutationModel, _necklaces, gl, gl_index
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import canonical_sym
 from homotopyalg.linfty import InconsistencyError, ce_words
@@ -31,7 +31,7 @@ def fixture_algebra(name):
 
 @lru_cache(maxsize=None)
 def permutation_model(name, max_degree):
-    return gl_permutation_model(fixture_algebra(name), max_degree)
+    return PermutationModel(fixture_algebra(name), max_degree)
 
 
 @lru_cache(maxsize=None)
@@ -107,7 +107,7 @@ BASES = {
 def models_at(base_name, n):
     """The permutation model and the E_12 model of gl_n over one base."""
     base = BASES[base_name]()
-    return gl_permutation_model(base, n - 1), e12_model(base, n, 0)
+    return PermutationModel(base, n - 1), e12_model(base, n, 0)
 
 
 @st.composite
@@ -183,12 +183,24 @@ def test_necklaces_drop_what_their_rotation_negates():
 def test_stable_build_has_no_quotient():
     base = from_associative(["1", "e"], {(0, 0): {0: 1}, (0, 1): {1: 1},
                                          (1, 0): {1: 1}}, unit=0, name="K[e]")
-    model = gl_permutation_model(base, 3)
+    model = PermutationModel(base, 3)
     assert model.spans == {}
     cx = model.complex()
     assert cx.reducers == {}
     assert [model.homology().dims[q] for q in range(4)] == [1, 2, 1, 2]
     assert hopf_product_on_homology(model).ok
+
+
+@pytest.mark.parametrize("max_degree", [0, 2, 3])
+@pytest.mark.parametrize("name", ["dual_numbers", "dga2"])
+def test_model_is_built_from_its_base_and_degree(name, max_degree):
+    # the stable size and gl_n(A) are worked out from (base, max_degree)
+    base = fixture_algebra(name)
+    model = PermutationModel(base, max_degree)
+    assert model.n == max_degree + 1 and model.base is base
+    expected = gl(base, max_degree + 1)
+    assert model.algebra.coderivation == expected.coderivation
+    assert model.algebra.space == expected.space
 
 
 @pytest.mark.parametrize("name", ["dual_numbers", "dga2"])
@@ -232,4 +244,4 @@ def test_a_coproduct_fault_fails_the_descent_check(monkeypatch):
     monkeypatch.setattr(linfty, "coproduct_sym", wrong)
     base = fixture_algebra("dual_numbers")
     with pytest.raises(InconsistencyError, match="does not descend"):
-        gl_permutation_model(base, 3).coproduct()
+        PermutationModel(base, 3).coproduct()
