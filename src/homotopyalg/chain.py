@@ -55,8 +55,6 @@ class ChainComplex:
         self.diff = diff
         self.reducers = {}
         for q, elements in (quotient_spans or {}).items():
-            if q not in self.blocks:
-                continue
             red = RowReducer()
             for el in elements:
                 red.insert(self._coords(el, q))

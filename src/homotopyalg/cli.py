@@ -8,13 +8,13 @@ dictionaries are emitted with sorted keys, so identical invocations
 produce byte-identical payloads.
 
 Exit codes: 0 success; 1 validation failure (unreadable, malformed, or
-unsuitable input); 2 mathematical violation (a certification failed or
-a comparison reported a mismatch); 3 a cap declared in the document is
-exceeded by the request.  An internal cross-check that fails
-(`InconsistencyError`), or any other exception past validation, is a
-fault of the package, not of the input, and is left to surface as a
-crash; `main` re-raises a `ValueError` from a computation as
-`InconsistencyError`.
+unsuitable input, or a usage error), always a `DocumentError`; 2
+mathematical violation (a certification failed or a comparison reported
+a mismatch); 3 a cap declared in the document is exceeded by the
+request.  An internal cross-check that fails (`InconsistencyError`), or
+any other exception past validation, is a fault of the package, not of
+the input, and is left to surface as a crash; `main` re-raises a
+`ValueError` from a computation as `InconsistencyError`.
 """
 
 from __future__ import annotations
@@ -42,10 +42,6 @@ EXIT_CAP = 3
 
 class CapExceeded(Exception):
     """The request needs more than the document's declared caps allow."""
-
-
-class InputUnsuitable(Exception):
-    """The document is valid but not of a kind this command accepts."""
 
 
 def _fail(stream, code, messages):
@@ -254,7 +250,8 @@ def _cmd_lieify(args):
 
     doc = _load(args)
     if doc.kind == "linfty":
-        raise InputUnsuitable("the document is already of kind linfty")
+        raise DocumentError(
+            [("kind", "the document is already of kind linfty")])
     alg = document_to_algebra(doc)
     cap = _arity_cap(doc, args.max_arity)
     caps = {} if cap is None else {"max_arity": cap}
@@ -270,9 +267,9 @@ def _cmd_lieify(args):
 def _cmd_hc(args):
     doc = _load(args)
     if doc.kind == "linfty":
-        raise InputUnsuitable(
+        raise DocumentError([("kind",
             "cyclic homology takes an associative-flavor document "
-            "(kind associative, dga, or ainfty)")
+            "(kind associative, dga, or ainfty)")])
     weight, caps = _degree_caps(args, doc, args.max_degree + 2)
     alg = document_to_algebra(doc)
     structure = check_stasheff(alg)
@@ -287,9 +284,9 @@ def _cmd_ce(args):
 
     doc = _load(args)
     if doc.kind != "linfty":
-        raise InputUnsuitable(
+        raise DocumentError([("kind",
             "Chevalley-Eilenberg homology takes a kind-linfty document; "
-            "derive one from an associative-flavor input with `lieify`")
+            "derive one from an associative-flavor input with `lieify`")])
     weight, caps = _degree_caps(args, doc, args.max_degree + 1)
     alg = document_to_algebra(doc)
     structure = check_linfty(alg)
@@ -338,10 +335,11 @@ def _cmd_lqt(args):
 
     doc = _load(args)
     if doc.kind == "linfty":
-        raise InputUnsuitable(
-            "the comparison takes an associative-flavor document")
+        raise DocumentError(
+            [("kind", "the comparison takes an associative-flavor document")])
     if doc.unit is None:
-        raise InputUnsuitable("the comparison needs a document with a unit")
+        raise DocumentError(
+            [("unit", "the comparison needs a document with a unit")])
     try:
         sizes = sorted({int(part) for part in args.n.split(",") if part})
     except ValueError:
@@ -361,23 +359,17 @@ def _cmd_lqt(args):
             "structure": "ok", **unit}), EXIT_VIOLATION
     report = verify_lqt(alg, sizes, args.max_degree)
     degrees = list(range(args.max_degree + 1))
-    left_tables = [{
-        "n": n,
-        "header": ["degree", "dim"],
-        "rows": [[q, report.left[n][q]] for q in degrees],
-    } for n in report.sizes]
+
+    def dims(table, qs):
+        return {"header": ["degree", "dim"],
+                "rows": [[q, table.get(q, 0)] for q in qs]}
+
     tables = {
-        "matrix_homology": left_tables,
-        "exterior_on_cyclic": {
-            "header": ["degree", "dim"],
-            "rows": [[q, report.right[q]] for q in degrees]},
-        "cyclic_homology": {
-            "header": ["degree", "dim"],
-            "rows": [[q, report.hc_dims.get(q, 0)]
-                     for q in sorted(report.hc_dims)]},
-        "primitives": {
-            "header": ["degree", "dim"],
-            "rows": [[q, report.primitive_dims.get(q, 0)] for q in degrees]},
+        "matrix_homology": [{"n": n, **dims(report.left[n], degrees)}
+                            for n in report.sizes],
+        "exterior_on_cyclic": dims(report.right, degrees),
+        "cyclic_homology": dims(report.hc_dims, sorted(report.hc_dims)),
+        "primitives": dims(report.primitive_dims, degrees),
     }
     verdicts = {
         "comparison": [[q, report.verdicts[q]] for q in degrees],
@@ -392,8 +384,15 @@ def _cmd_lqt(args):
             EXIT_OK if ok else EXIT_VIOLATION)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a usage error as a DocumentError, not with argparse's exit 2."""
+
+    def error(self, message):
+        raise DocumentError([(self.prog, message)])
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="homotopyalg",
         description="Exact homology of homotopy algebras described by "
                     "JSON structure documents.")
@@ -449,14 +448,13 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for flag in ("max_degree", "max_weight", "max_arity"):
-        value = getattr(args, flag, None)
-        if value is not None and value < 0:
-            return _fail(sys.stderr, EXIT_VALIDATION, [
-                f"--{flag.replace('_', '-')}: must be a non-negative integer"])
     try:
+        args = build_parser().parse_args(argv)
+        for flag in ("max_degree", "max_weight", "max_arity"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 0:
+                raise DocumentError([(f"--{flag.replace('_', '-')}",
+                                      "must be a non-negative integer")])
         payload, code = args.func(args)
     except DocumentError as exc:
         return _fail(sys.stderr, EXIT_VALIDATION,
@@ -467,8 +465,6 @@ def main(argv=None):
         from .linfty import InconsistencyError
         raise InconsistencyError(f"{args.command} failed on a validated or "
                                  f"certified input: {exc}") from exc
-    except InputUnsuitable as exc:
-        return _fail(sys.stderr, EXIT_VALIDATION, [str(exc)])
     except CapExceeded as exc:
         return _fail(sys.stderr, EXIT_CAP, [str(exc)])
     _emit(payload, args.format, sys.stdout)

@@ -375,6 +375,11 @@ class StructureReport:
     def __bool__(self):
         return self.ok
 
+    def require(self, refusal):
+        """Unless ok, raise ValueError naming `refusal` and the witness."""
+        if not self.ok:
+            raise ValueError(f"{refusal}: witness {self.witness}")
+
 
 def certify(d1, d2, max_arity=None):
     """Certify that the graded commutator [d1, d2] vanishes.

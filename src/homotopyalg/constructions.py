@@ -121,10 +121,8 @@ def lie_ify(alg, cap=None):
     """
     result = LInftyAlgebra(alg.space, _antisymmetrize(alg.space, alg.ops, cap),
                            name=f"{alg.name}^Lie" if alg.name else "")
-    report = check_linfty(result, max_arity=cap)
-    if not report:
-        raise ValueError(
-            f"commutator structure failed certification: {report.witness}")
+    check_linfty(result, max_arity=cap).require(
+        "commutator structure failed certification")
     return result
 
 
@@ -168,10 +166,7 @@ def matrix_algebra(base, n):
                     {out * nn + corner: c for out, c in val.items()}
     result = AInftyAlgebra(GradedSpace(labels, degrees), ops,
                            name=f"M{n}({base.name or 'A'})")
-    report = check_stasheff(result)
-    if not report:
-        raise ValueError(
-            f"matrix construction failed certification: {report.witness}")
+    check_stasheff(result).require("matrix construction failed certification")
     return result
 
 

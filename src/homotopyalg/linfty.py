@@ -138,9 +138,8 @@ def make_inner(alg, generator):
     """
     c = _as_coderivation(alg, generator)
     inner = bracket(alg.coderivation, c)
-    report = certify(alg.coderivation, inner)
-    if not report:
-        raise ValueError(f"inner construction failed certification: {report.witness}")
+    certify(alg.coderivation, inner).require(
+        "inner construction failed certification")
     return inner
 
 

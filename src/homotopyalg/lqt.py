@@ -307,10 +307,7 @@ def verify_lqt(base, sizes, max_degree):
     its verdicts from these tables.
     """
     require_strict_unit(base)
-    report = check_stasheff(base)
-    if not report:
-        raise ValueError(
-            f"the base algebra is not certified: witness {report.witness}")
+    check_stasheff(base).require("the base algebra is not certified")
     sizes = sorted(set(int(n) for n in sizes))
     if not sizes or sizes[0] < 1:
         raise ValueError("matrix sizes must be integers >= 1")

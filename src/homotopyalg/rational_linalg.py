@@ -67,14 +67,14 @@ class RowReducer:
 
     @staticmethod
     def _eliminate_int(vec, col, row):
-        """vec := a*vec - b*row with a,b chosen so vec[col] becomes 0 (ints)."""
+        """vec := a*vec - b*row with a,b chosen so vec[col] becomes 0 (ints).
+        row[col] is the pivot of a primitive row, hence positive, and so is
+        the multiplier of vec."""
         a = vec[col]
         b = row[col]
         g = gcd(a, b)
         mul_vec = b // g
         mul_row = a // g
-        if mul_vec < 0:
-            mul_vec, mul_row = -mul_vec, -mul_row
         for c, rv in row.items():
             nv = mul_vec * vec.get(c, 0) - mul_row * rv
             if nv:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from homotopyalg import cli, constructions, linfty, lqt
+from homotopyalg import chain, cli, constructions, linfty, lqt
 from homotopyalg.chain import BettiTable
 from homotopyalg.cli import main
 from homotopyalg.constructions import InconsistencyError
@@ -338,6 +338,30 @@ def test_negative_flag_is_a_validation_failure(capsys, argv):
     assert flag in err and "non-negative" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("lqt", fixture("K.alg"), "--bogus"),
+    ("lqt", fixture("K.alg"), "--max-degree", "x"),
+    ("lqt", fixture("K.alg"), "--max-weight", "3"),
+    ("frobnicate", fixture("K.alg")),
+    (),
+], ids=["unknown-flag", "bad-value", "flag-of-another-command",
+        "unknown-command", "no-command"])
+def test_a_usage_error_is_a_validation_failure(capsys, argv):
+    # argparse's own exit code, 2, is the code of a mathematical violation
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_help_prints_the_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["lqt", "--help"])
+    assert info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: homotopyalg lqt")
+    assert captured.err == ""
+
+
 # ---------------------------------------------------------------------------
 # lqt
 
@@ -412,6 +436,45 @@ def test_coproduct_fault_is_not_a_violation(monkeypatch, capsys):
               "--max-degree", "3"])
 
 
+def test_coproduct_that_is_no_chain_map_is_not_a_violation(monkeypatch,
+                                                            capsys):
+    # weighting each split by the length of its front keeps it natural under
+    # relabelling, so it descends, but it no longer commutes with the
+    # differential: the coproduct of a boundary is not a cycle
+    real = linfty.coproduct_sym
+
+    def weighted(word, space):
+        return {split: len(split[0]) * c
+                for split, c in real(word, space).items()}
+
+    monkeypatch.setattr(linfty, "coproduct_sym", weighted)
+    with pytest.raises(InconsistencyError,
+                       match="coproduct of a boundary is not a cycle"):
+        main(["lqt", fixture("ut2.alg"), "--n", "2", "--max-degree", "3"])
+    assert capsys.readouterr().out == ""
+
+
+def test_projection_that_keeps_boundaries_is_not_a_violation(monkeypatch,
+                                                             capsys):
+    # a projection that reads the coefficient sum of a chain into the first
+    # class does not kill boundaries, so the class of the coproduct of a
+    # boundary is not zero
+    real = chain.ChainComplex.project
+
+    def leaky(self, q, element):
+        out = dict(real(self, q, element))
+        if self.dim(q) and element:
+            out[0] = out.get(0, 0) + sum(element.values())
+        return out
+
+    monkeypatch.setattr(chain.ChainComplex, "project", leaky)
+    with pytest.raises(InconsistencyError,
+                       match="depends on the choice of representative"):
+        main(["lqt", fixture("dual_numbers.alg"), "--n", "2,3",
+              "--max-degree", "3"])
+    assert capsys.readouterr().out == ""
+
+
 def test_model_fault_on_a_certified_base_is_not_a_violation(monkeypatch):
     # verify_lqt certifies the base before building any model, so a failed
     # re-certification inside the build is a fault of the package
@@ -472,7 +535,8 @@ def test_a_value_error_past_validation_is_one_fault_rule(
 def test_lqt_rejects_linfty_documents(capsys):
     code, out, err = run(capsys, "lqt", fixture("sl2.alg"))
     assert code == 1 and out == ""
-    assert err == "error: the comparison takes an associative-flavor document\n"
+    assert err == ("error: kind: the comparison takes an associative-flavor "
+                   "document\n")
 
 
 def test_lqt_validates_size_list(capsys):

@@ -517,6 +517,17 @@ def test_mutant_fails_with_the_oracle_witness(make):
     assert report.witness == (n, word, oracle.comps[n][word])
 
 
+def test_require_refuses_only_a_failed_report_with_its_witness():
+    alg = gl(matrix_bases()[0], 3)
+    assert certify(alg.coderivation, alg.coderivation).require("no") is None
+    d = flip_first_sign(alg.coderivation, 2)
+    report = certify(d, d)
+    with pytest.raises(ValueError) as info:
+        report.require("the mutant failed certification")
+    assert str(info.value) == (
+        f"the mutant failed certification: witness {report.witness}")
+
+
 def test_certificates_evaluate_no_word(monkeypatch):
     base = matrix_bases()[0]
     m4, gl4 = matrix_algebra(base, 4), gl(base, 4)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homotopyalg.ainfty import AInftyAlgebra
+from homotopyalg.cli import main
 from homotopyalg.constructions import lie_ify
 from homotopyalg.documents import (
     AlgebraDocument,
@@ -332,6 +333,56 @@ def test_unknown_kind_and_fields():
     data["flavor"] = "strong"
     assert any(p == "flavor" and "unknown field" in m
                for p, m in diagnostics_of(data))
+
+
+def replaced(path, value):
+    """The base document with the value at `path`, a sequence of keys and
+    indices, replaced by `value`; the empty path replaces the document."""
+    if not path:
+        return value
+    data = target = base_doc()
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize("path,value,position,message", [
+    (("ops", 0, "output", 0, 0), True, "ops[0].output[0]",
+     "non-rational coefficient"),
+    ((), [base_doc()], "$", "the document must be a JSON object"),
+    (("name",), 5, "name", "must be a string"),
+    (("basis",), "1", "basis", "must be a non-empty list of [label, degree]"),
+    (("basis",), [["1", 0], ["x"]], "basis[1]",
+     "must be a [label, integer degree] pair"),
+    (("ops",), {}, "ops", "must be a list of operation entries"),
+    (("ops", 0), 5, "ops[0]", "must be an object with arity, inputs, output"),
+    (("ops", 0, "label"), "m", "ops[0].label", "unknown field"),
+    (("ops", 0, "arity"), 0, "ops[0].arity", "must be an integer >= 1"),
+    (("ops", 0, "inputs"), ["1"], "ops[0].inputs",
+     "must list exactly 2 basis labels"),
+    (("ops", 0, "output"), "1", "ops[0].output",
+     "must be a list of [coefficient, label] terms"),
+    (("ops", 0, "output"), [["1"]], "ops[0].output[0]",
+     "must be a [coefficient, label] pair"),
+    (("caps",), [], "caps", "must be an object"),
+])
+def test_malformed_document_is_refused_at_its_position(
+        capsys, tmp_path, path, value, position, message):
+    data = replaced(path, value)
+    assert (position, message) in diagnostics_of(data)
+    doc = tmp_path / "malformed.alg"
+    doc.write_text(json.dumps(data))
+    assert main(["check", str(doc)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {position}: {message}\n" in captured.err
+
+
+def test_null_caps_read_as_none():
+    data = base_doc()
+    data["caps"] = None
+    assert parse_document(json.dumps(data)).caps == {}
 
 
 def test_caps_validated():

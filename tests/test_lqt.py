@@ -23,6 +23,7 @@ from homotopyalg.lqt import (
     hopf_product_on_homology,
     verify_lqt,
 )
+from homotopyalg.rational_linalg import RowReducer
 
 from matrix_oracles import gl_entry
 from model_oracles import doubled_hopf_product, e12_model
@@ -136,6 +137,73 @@ def test_hopf_report_catches_a_noncommutative_product(monkeypatch):
     assert report.unit_ok
     assert report.commutative_violations
     assert ((1, 0), (3, 0)) in [v[:2] for v in report.commutative_violations]
+    assert not report.ok
+
+
+@lru_cache(maxsize=None)
+def three_points():
+    """K x K x K: the unit 1 and two orthogonal idempotents e and f."""
+    mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}, (0, 2): {2: 1},
+            (2, 0): {2: 1}, (1, 1): {1: 1}, (2, 2): {2: 1}}
+    return from_associative(["1", "e", "f"], mult, unit=0, name="K3")
+
+
+def test_hopf_product_skips_a_factor_that_is_not_primitive():
+    # HC(K3) is 3, 0, 3: H_1 is primitive, and H_2, the exterior square
+    # of H_1, has no primitive class
+    model = PermutationModel(three_points(), 3)
+    report = hopf_product_on_homology(model)
+    assert report.ok
+    assert report.class_dims == {0: 1, 1: 3, 2: 3, 3: 4}
+    prim = model.coproduct().primitive_subspace
+    assert (prim(1).dim, prim(2).dim) == (3, 0)
+
+    def primitive(key):
+        return prim(key[0]).contains({key[1]: Fraction(1)})
+
+    # the nonzero products of positive degree with a factor that is not
+    # primitive: x in H_1 times y in H_2, either way round
+    skipped = [(x, y) for (x, y), cls in report.products.items()
+               if cls and x[0] >= 1 and y[0] >= 1
+               and not (primitive(x) and primitive(y))]
+    assert len(skipped) == 6
+    assert {(x[0], y[0]) for x, y in skipped} == {(1, 2), (2, 1)}
+
+
+def test_hopf_report_catches_a_primitive_product(monkeypatch):
+    # a mutant coalgebra whose every degree-2 class is primitive: the
+    # products of two degree-1 primitives become primitive
+    real = linfty.HomologyCoalgebra.primitive_subspace
+
+    def everything_in_degree_2(self, q):
+        if q != 2:
+            return real(self, q)
+        red = RowReducer()
+        for i in range(self.table.dims[q]):
+            red.insert({i: 1})
+        return red
+
+    monkeypatch.setattr(linfty.HomologyCoalgebra, "primitive_subspace",
+                        everything_in_degree_2)
+    report = hopf_product_on_homology(PermutationModel(three_points(), 3))
+    assert report.primitive_product_violations
+    assert {(x[0], y[0]) for x, y, _ in report.primitive_product_violations} \
+        == {(1, 1)}
+    assert not report.ok
+
+
+def test_hopf_report_catches_a_nonassociative_product(monkeypatch):
+    # a mutant block sum that negates every product whose left word has
+    # two letters or more
+    real = constructions.PermutationModel.block_sum
+
+    def negated(self, left, right):
+        sign, rep = real(self, left, right)
+        return (-sign if len(left) >= 2 else sign), rep
+
+    monkeypatch.setattr(constructions.PermutationModel, "block_sum", negated)
+    report = hopf_product_on_homology(PermutationModel(three_points(), 3))
+    assert report.associative_violations
     assert not report.ok
 
 
