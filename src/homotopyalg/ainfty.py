@@ -39,7 +39,6 @@ __all__ = [
     "from_associative",
     "from_dga",
     "cyclic_words",
-    "rotate_word",
     "cyclic_boundary",
     "rotation_span",
     "cyclic_complex",
@@ -186,11 +185,6 @@ def _rotate(word, degrees, s):
     return -1 if moved * rest % 2 else 1, word[cut:] + word[:cut]
 
 
-def rotate_word(word, space):
-    """Cyclic rotation: last factor to the front, with its Koszul sign."""
-    return _rotate(tuple(word), space.degrees, 1)
-
-
 def cyclic_boundary(alg):
     """The cyclic boundary as a function on words: the coderivation terms plus
     wraparound windows (rotate s tail factors to the front, apply m_k there)."""
@@ -217,7 +211,7 @@ def rotation_span(space, words):
     """Generators of the rotation coinvariance span: (1 - lambda) w."""
     out = []
     for w in words:
-        sign, rw = rotate_word(w, space)
+        sign, rw = _rotate(w, space.degrees, 1)
         el = {w: Fraction(1)}
         add_into(el, rw, Fraction(-sign))
         if el:

@@ -44,18 +44,18 @@ class CapExceeded(Exception):
     """The request needs more than the document's declared caps allow."""
 
 
-def _fail(stream, code, messages):
+def _fail(code, messages):
     for msg in messages:
-        print(f"error: {msg}", file=stream)
+        print(f"error: {msg}", file=sys.stderr)
     return code
 
 
-def _emit(payload, fmt, out):
+def _emit(payload, fmt):
     if fmt == "json":
-        out.write(json.dumps(payload, indent=2, sort_keys=True,
-                             ensure_ascii=False) + "\n")
+        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True,
+                                    ensure_ascii=False) + "\n")
     else:
-        out.write(_render_text(payload))
+        sys.stdout.write(_render_text(payload))
 
 
 def _render_rows(rows, header):
@@ -189,13 +189,16 @@ def _degree_caps(args, doc, needed):
     return None, {"max_degree": max_degree}
 
 
-def _arity_cap(doc, flag_arity):
-    doc_cap = doc.caps.get("max_arity")
+def _arity_cap(args, doc):
+    """The arity cap to certify under and the caps echo, or a CapExceeded:
+    --max-arity if given (within the document's cap), else that cap."""
+    flag_arity, doc_cap = args.max_arity, doc.caps.get("max_arity")
     if flag_arity is not None and doc_cap is not None and flag_arity > doc_cap:
         raise CapExceeded(
             f"--max-arity {flag_arity} exceeds the document cap "
             f"max_arity={doc_cap}")
-    return flag_arity if flag_arity is not None else doc_cap
+    cap = flag_arity if flag_arity is not None else doc_cap
+    return cap, {} if cap is None else {"max_arity": cap}
 
 
 def _load(args):
@@ -225,8 +228,8 @@ def _unit_verdicts(doc, alg):
 
 def _cmd_check(args):
     doc = _load(args)
+    cap, caps = _arity_cap(args, doc)
     alg = document_to_algebra(doc)
-    cap = _arity_cap(doc, args.max_arity)
     if doc.kind == "linfty":
         from .linfty import check_linfty
         report = check_linfty(alg, cap)
@@ -240,7 +243,6 @@ def _cmd_check(args):
     unit = _unit_verdicts(doc, alg)
     verdicts.update(unit)
     ok = report.ok and "unit_witness" not in unit
-    caps = {} if cap is None else {"max_arity": cap}
     return (_payload(args, doc, caps, {}, verdicts),
             EXIT_OK if ok else EXIT_VIOLATION)
 
@@ -252,9 +254,8 @@ def _cmd_lieify(args):
     if doc.kind == "linfty":
         raise DocumentError(
             [("kind", "the document is already of kind linfty")])
+    cap, caps = _arity_cap(args, doc)
     alg = document_to_algebra(doc)
-    cap = _arity_cap(doc, args.max_arity)
-    caps = {} if cap is None else {"max_arity": cap}
     structure = check_stasheff(alg, cap)
     if not structure:
         return _violation(args, doc, caps, structure)
@@ -288,12 +289,8 @@ def _cmd_ce(args):
             "Chevalley-Eilenberg homology takes a kind-linfty document; "
             "derive one from an associative-flavor input with `lieify`")])
     weight, caps = _degree_caps(args, doc, args.max_degree + 1)
-    alg = document_to_algebra(doc)
-    structure = check_linfty(alg)
-    if not structure:
-        return _violation(args, doc, caps, structure)
     h = None
-    if args.coinvariants:
+    if args.coinvariants is not None:
         index_of = {label: i for i, label in enumerate(doc.space.labels)}
         h = []
         for label in args.coinvariants.split(","):
@@ -302,6 +299,10 @@ def _cmd_ce(args):
                 raise DocumentError(
                     [("--coinvariants", f"unknown label {label!r}")])
             h.append(index_of[label])
+    alg = document_to_algebra(doc)
+    structure = check_linfty(alg)
+    if not structure:
+        return _violation(args, doc, caps, structure)
     try:
         table = lie_homology(alg, args.max_degree, max_weight=weight, h=h)
     except SubalgebraError as exc:
@@ -457,7 +458,7 @@ def main(argv=None):
                                       "must be a non-negative integer")])
         payload, code = args.func(args)
     except DocumentError as exc:
-        return _fail(sys.stderr, EXIT_VALIDATION,
+        return _fail(EXIT_VALIDATION,
                      [f"{pos}: {msg}" for pos, msg in exc.diagnostics])
     except ValueError as exc:
         # past validation, a refusal is a fault of the package; linfty is
@@ -466,8 +467,8 @@ def main(argv=None):
         raise InconsistencyError(f"{args.command} failed on a validated or "
                                  f"certified input: {exc}") from exc
     except CapExceeded as exc:
-        return _fail(sys.stderr, EXIT_CAP, [str(exc)])
-    _emit(payload, args.format, sys.stdout)
+        return _fail(EXIT_CAP, [str(exc)])
+    _emit(payload, args.format)
     return code
 
 

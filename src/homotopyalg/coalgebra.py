@@ -363,8 +363,7 @@ def bracket(d1, d2, max_arity=None):
 
 
 class StructureReport:
-    def __init__(self, checked_arity, complete, witness=None):
-        self.checked_arity = checked_arity
+    def __init__(self, complete, witness=None):
         self.complete = complete  # True when the check proves all identities
         self.witness = witness    # (arity, word, defect element) or None
 
@@ -398,4 +397,4 @@ def certify(d1, d2, max_arity=None):
         n = min(comm.comps)
         word = min(comm.comps[n])
         witness = n, word, dict(comm.comps[n][word])
-    return StructureReport(cap, cap >= full, witness)
+    return StructureReport(cap >= full, witness)

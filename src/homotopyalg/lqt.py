@@ -120,11 +120,10 @@ class HopfProductReport:
     checked.
     """
 
-    def __init__(self, n, class_dims, products, unit_ok,
+    def __init__(self, n, products, unit_ok,
                  commutative_violations, associative_violations,
                  primitive_product_violations, checked_triples):
         self.n = n
-        self.class_dims = class_dims
         self.products = products
         self.unit_ok = unit_ok
         self.commutative_violations = commutative_violations
@@ -231,8 +230,7 @@ def hopf_product_on_homology(model):
             primitive_product_violations.append((x, y, cls))
 
     return HopfProductReport(
-        n=n, class_dims={q: table.dims[q] for q in degrees},
-        products=products, unit_ok=unit_ok,
+        n=n, products=products, unit_ok=unit_ok,
         commutative_violations=commutative_violations,
         associative_violations=associative_violations,
         primitive_product_violations=primitive_product_violations,

@@ -17,7 +17,6 @@ from homotopyalg.ainfty import (
     cyclic_words,
     from_associative,
     from_dga,
-    rotate_word,
     rotation_span,
 )
 
@@ -155,14 +154,14 @@ def test_cyclic_words_enumeration():
 
 
 def test_rotation_signs():
-    sp_ungraded = dual_numbers().suspended  # degrees (1, 1)
-    assert rotate_word((0, 1), sp_ungraded) == (-1, (1, 0))      # (-1)^1
-    assert rotate_word((0, 1, 1), sp_ungraded) == (1, (1, 0, 1))  # (-1)^2
-    sp = two_term_dga().suspended  # degrees (1, 2)
-    assert rotate_word((0, 1), sp) == (1, (1, 0))  # even factor moves past odd
-    assert rotate_word((1, 0), sp) == (1, (0, 1))  # odd factor past even
-    sp_odd = ground_field().suspended
-    assert rotate_word((0, 0), sp_odd) == (-1, (0, 0))
+    ungraded = dual_numbers().suspended.degrees  # (1, 1)
+    assert _rotate((0, 1), ungraded, 1) == (-1, (1, 0))      # (-1)^1
+    assert _rotate((0, 1, 1), ungraded, 1) == (1, (1, 0, 1))  # (-1)^2
+    degs = two_term_dga().suspended.degrees  # (1, 2)
+    assert _rotate((0, 1), degs, 1) == (1, (1, 0))  # even factor moves past odd
+    assert _rotate((1, 0), degs, 1) == (1, (0, 1))  # odd factor past even
+    odd = ground_field().suspended.degrees
+    assert _rotate((0, 0), odd, 1) == (-1, (0, 0))
 
 
 def test_rotation_has_full_cyclic_order():
@@ -173,7 +172,7 @@ def test_rotation_has_full_cyclic_order():
         w = tuple(rng.randrange(2) for _ in range(n))
         sign, cur = 1, w
         for _ in range(n):
-            s, cur = rotate_word(cur, sp)
+            s, cur = _rotate(cur, sp.degrees, 1)
             sign *= s
         assert cur == w and sign == 1
 
@@ -201,7 +200,7 @@ def test_rotation_is_the_left_action_of_the_cycle(drawn):
         perm = tuple((i + s) % n for i in range(n))
         assert _rotate(word, space.degrees, s) == act(perm, word, degs)
         assert (sign, cur) == act(perm, word, degs)
-        step, cur = rotate_word(cur, space)
+        step, cur = _rotate(cur, space.degrees, 1)
         sign *= step
 
 

@@ -141,6 +141,9 @@ def test_ce_coinvariants_validation(capsys):
     code, _, err = run(capsys, "ce", fixture("sl2.alg"),
                        "--coinvariants", "ghost")
     assert code == 1 and "ghost" in err
+    # an empty list names the label '', as `--coinvariants ,` names two
+    code, out, err = run(capsys, "ce", fixture("sl2.alg"), "--coinvariants", "")
+    assert (code, out) == (1, "") and "unknown label ''" in err
     code, _, err = run(capsys, "ce", fixture("sl2.alg"),
                        "--coinvariants", "e,f")
     assert code == 1 and "closed" in err
@@ -202,18 +205,23 @@ def test_hc_certifies_its_input_first(capsys):
     assert verdicts["witness"]["inputs"] == ["u", "u", "u"]
 
 
-@pytest.mark.parametrize("coinvariants", [(), ("--coinvariants", "h")])
-def test_ce_certifies_its_input_first(capsys, tmp_path, coinvariants):
-    # [e, f] = e breaks the Jacobi identity at arity 3 on (h, e, f); the
-    # failure is the document's, not that of --coinvariants
+def jacobi_failing_sl2(tmp_path):
+    """sl2 with [e, f] = e, which breaks the Jacobi identity at arity 3 on
+    (h, e, f)."""
     data = json.loads((FIXTURES / "sl2.alg").read_text())
     for op in data["ops"]:
         if op["inputs"] == ["e", "f"]:
             op["output"] = [["1", "e"]]
     path = tmp_path / "bad_sl2.alg"
     path.write_text(json.dumps(data))
-    code, payload, err = run_json(capsys, "ce", str(path), "--max-degree", "3",
-                                  *coinvariants)
+    return str(path)
+
+
+@pytest.mark.parametrize("coinvariants", [(), ("--coinvariants", "h")])
+def test_ce_certifies_its_input_first(capsys, tmp_path, coinvariants):
+    # the failure is the document's, not that of --coinvariants
+    code, payload, err = run_json(capsys, "ce", jacobi_failing_sl2(tmp_path),
+                                  "--max-degree", "3", *coinvariants)
     assert code == 2 and err == ""
     assert sorted(payload) == PAYLOAD_KEYS
     assert payload["tables"] == {}
@@ -221,6 +229,15 @@ def test_ce_certifies_its_input_first(capsys, tmp_path, coinvariants):
     assert verdicts["structure"] == "violation"
     assert verdicts["witness"]["arity"] == 3
     assert verdicts["witness"]["inputs"] == ["h", "e", "f"]
+
+
+def test_ce_checks_its_flags_before_it_certifies(capsys, tmp_path):
+    # a bad flag is refused as such even on a document that would fail
+    # certification
+    code, out, err = run(capsys, "ce", jacobi_failing_sl2(tmp_path),
+                         "--coinvariants", "zz")
+    assert (code, out) == (1, "")
+    assert err == "error: --coinvariants: unknown label 'zz'\n"
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Every name that the package or one of its modules exports resolves, and
-every function or class a module exports, and every public method of a
-class the package defines, is used.
+every function or class a module exports, every public method of a class
+the package defines, and every attribute the package stores on `self`, is
+used.
 
 The stage tracer of the bench harness (`perfbench/traced.py`) reads each
 module's `__all__` and looks every name up, so a stale entry breaks it as
@@ -26,6 +27,16 @@ MODULES = ["homotopyalg"] + [
 # reason it stays public.
 UNREFERENCED = {}
 
+# Attributes stored on `self` that nothing in the package reads, each with
+# the reason it stays.
+WRITE_ONLY = {}
+
+
+def package_sources():
+    """(path, syntax tree) of each module of the package."""
+    for path in sorted(Path(homotopyalg.__file__).parent.glob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_exported_name_resolves(name):
@@ -42,8 +53,8 @@ def test_every_exported_definition_is_referenced():
     # the package itself; so must each public method or property of a class
     # a module defines
     referenced = set()
-    for path in Path(homotopyalg.__file__).parent.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for _, tree in package_sources():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 referenced.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -67,3 +78,21 @@ def test_every_exported_definition_is_referenced():
                     and (inspect.isfunction(value)
                          or isinstance(value, property)))
     assert unreferenced == set(UNREFERENCED)
+
+
+def test_every_stored_attribute_is_read():
+    # a field that the package writes and never reads is state to delete:
+    # each name assigned as `self.<name>` must be loaded as an attribute
+    # (`<anything>.<name>`) somewhere in the package
+    stored, loaded = {}, set()
+    for path, tree in package_sources():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Attribute):
+                continue
+            if isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            elif isinstance(node.value, ast.Name) and node.value.id == "self":
+                stored.setdefault(node.attr, f"{path.name}:{node.lineno}")
+    write_only = {name: where for name, where in stored.items()
+                  if name not in loaded}
+    assert write_only.keys() == WRITE_ONLY.keys(), write_only
