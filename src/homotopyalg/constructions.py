@@ -256,28 +256,27 @@ class PermutationModel(CEModel):
     def block_sum(self, left, right):
         """(sign, representative) of the block sum of two canonical words:
         `right` moved onto the positions past the largest one `left`
-        touches, the union sorted with its Koszul sign and sent through
-        `canonical`.  Raises ValueError when the two do not fit side by
-        side in n positions."""
+        touches, and the concatenation sent through `canonical`, which
+        signs it against the order it is given in.  Raises ValueError when
+        the two do not fit side by side in n positions."""
         letters, n = self._letters, self.n
         shift = 1 + max((max(letters[x][1:]) for x in left), default=-1)
         moved = tuple(gl_index(n, self.base.space.dim, a, i + shift, j + shift)
                       for a, i, j in (letters[x] for x in right))
-        sign, word = canonical_sym(left + moved, self.algebra.suspended)
-        orbit_sign, rep = self.canonical(word)
-        return sign * orbit_sign, rep
+        return self.canonical(left + moved)
 
     def canonical(self, word):
-        """The class of a canonical word, as (sign, representative): the
-        cycle form of a permutation word, (0, None) on nonzero weight.
+        """The class of a word of distinct letters, given in any order, as
+        (sign, representative): the cycle form of a permutation word,
+        (0, None) on nonzero weight.
 
         The cycles of sigma are read from their smallest position, each
         rotated to its smallest reading, sorted by reading (stably), and
         their positions relabelled 0..t-1 in that order; the sign is the
-        Koszul sign of re-sorting the relabelled letters.  The word is
-        zero when its stabilizer acts by -1, that is when turning a
-        periodic cycle onto itself (`_least_rotation`), or swapping two
-        equal cycles of odd degree, has sign -1.  Memoized."""
+        Koszul sign of sorting the relabelled letters from the order given.
+        The word is zero when its stabilizer acts by -1, that is when
+        turning a periodic cycle onto itself (`_least_rotation`), or
+        swapping two equal cycles of odd degree, has sign -1.  Memoized."""
         canon = self._canon
         if word in canon:
             return canon[word]

@@ -309,20 +309,19 @@ def lie_homology(alg, max_degree, max_weight=None, h=None):
 class HomologyCoalgebra:
     """Homology with its induced coproduct in a fixed representative basis.
 
-    `pair_basis[q]` lists tags (a, b, i, j) for the class of rep i of H_a
-    tensor rep j of H_b, the Kunneth basis of the degree-q homology of
-    (C/S) (x) (C/S); `delta[q]` has one row per representative of H_q giving
-    its reduced coproduct in that tag basis, read through p (x) p from the
-    chain-level projection p of the factor complex.  Every check ran at
-    construction time: the coproduct of every relation of the model
-    vanishes in (C/S) (x) (C/S), the coproducts of the representatives and
-    of the boundaries of the quotient basis words are cycles, and the
-    latter have zero class.
+    A class is named (q, i), representative i of H_q.  `delta[q]` has one
+    row per representative of H_q giving its reduced coproduct on the
+    Kunneth basis of the degree-q homology of (C/S) (x) (C/S), keyed
+    ((a, i), (b, j)) for class (a, i) tensor class (b, j), read through
+    p (x) p from the chain-level projection p of the factor complex.
+    Every check ran at construction time: the coproduct of every relation
+    of the model vanishes in (C/S) (x) (C/S), the coproducts of the
+    representatives and of the boundaries of the quotient basis words are
+    cycles, and the latter have zero class.
     """
 
-    def __init__(self, table, pair_basis, delta):
+    def __init__(self, table, delta):
         self.table = table
-        self.pair_basis = pair_basis
         self.delta = delta
         self._primitives = {}
 
@@ -330,12 +329,13 @@ class HomologyCoalgebra:
         """Primitive classes of H_q, as a RowReducer spanning them in its
         representative coordinates: the classes with vanishing reduced
         coproduct, and none in degree 0, where the counit splits them off.
-        It is computed once per degree and shared, so callers only read
-        it."""
+        Its rows are the reduced echelon basis, whatever the order of the
+        Kunneth columns.  It is computed once per degree and shared, so
+        callers only read it."""
         if q not in self._primitives:
-            tags = {t: i for i, t in enumerate(self.pair_basis.get(q, []))}
-            columns = [{tags[t]: c for t, c in row.items()}
-                       for row in self.delta.get(q, [])]
+            rows = self.delta.get(q, [])
+            tags = {t: i for i, t in enumerate(sorted(set().union(*rows)))}
+            columns = [{tags[t]: c for t, c in row.items()} for row in rows]
             self._primitives[q] = (kernel(columns, len(tags)) if q
                                    else RowReducer())
         return self._primitives[q]
@@ -438,7 +438,7 @@ def coalgebra_on_homology(model):
             right = project(y)
             for i, ci in project(x).items():
                 for j, cj in right.items():
-                    add_into(out, (a, q - a, i, j), c * ci * cj)
+                    add_into(out, ((a, i), (q - a, j)), c * ci * cj)
         return out
 
     for q, relation in model.relations():
@@ -446,11 +446,7 @@ def coalgebra_on_homology(model):
             raise InconsistencyError(
                 f"coproduct does not descend to the quotient in degree {q}")
 
-    pair_basis = {}
     for q in range(2, max_degree + 1):
-        pair_basis[q] = [(a, q - a, i, j) for a in range(1, q)
-                         for i in range(len(reps.get(a, [])))
-                         for j in range(len(reps.get(q - a, [])))]
         words = cx.basis.get(q + 1, ())
         for p in cx.image_basis(q + 1):
             img = reduced_coproduct(boundary(words[p]))
@@ -463,5 +459,5 @@ def coalgebra_on_homology(model):
         delta[q] = [pair_class(q, reduced_coproduct(rep), "a representative")
                     if q >= 2 else {} for rep in reps.get(q, [])]
 
-    return HomologyCoalgebra(table=table, pair_basis=pair_basis, delta=delta)
+    return HomologyCoalgebra(table=table, delta=delta)
 

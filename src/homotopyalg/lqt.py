@@ -113,11 +113,11 @@ class HopfProductReport:
     """Exact verification record for the block-sum product on the
     gl_n(K)-coinvariant homology of gl_n(A), for n > max_degree.
 
-    `products` maps ((qa, ia), (qb, ib)) - basis classes of the two
-    factors - to the product class in the representative coordinates of
-    the same model, and `checked_pairs` counts them.  All checks are
-    exact; empty violation lists mean the property held on everything
-    checked.
+    `products` maps ((qa, ia), (qb, ib)) - the two factor classes, named
+    as in `HomologyCoalgebra.delta` - to the product class in the
+    representative coordinates of the same model, and `checked_pairs`
+    counts them.  All checks are exact; empty violation lists mean the
+    property held on everything checked.
     """
 
     def __init__(self, n, products, unit_ok,
@@ -294,9 +294,10 @@ def verify_lqt(base, sizes, max_degree):
     N = max_degree + 1, stable through max_degree by the degree bound of
     the module docstring.  The bound needs every letter to have suspended
     degree >= 1, which holds because documents and `GradedSpace` refuse
-    negative unsuspended degrees.  The stable table, the primitives and -
-    when the historical budget allows - the block-sum product are read
-    from that one model, and each requested size from its subcomplex
+    negative unsuspended degrees.  The stable dimensions, representatives
+    and primitives are read from the one table of its homology coalgebra,
+    the block-sum product - when the historical budget allows - from the
+    same model, and each requested size from its subcomplex
     `gl_coinvariant_model`: a size n must agree with the stable model in
     every degree q with n >= q + 1, or `InconsistencyError` is raised;
     below that its table is reported as it is.  For sizes <= 2 the table
@@ -321,8 +322,14 @@ def verify_lqt(base, sizes, max_degree):
             f"a model of gl_n failed on a certified base: {exc}") from exc
 
     degrees = range(max_degree + 1)
-    table = stable.homology()
-    stable_dims = {q: table.dims.get(q, 0) for q in degrees}
+    coalg = stable.coproduct()
+    reps = coalg.table.representatives
+    stable_dims = {q: coalg.table.dims.get(q, 0) for q in degrees}
+    if {q: len(reps.get(q, [])) for q in degrees} != stable_dims:
+        raise InconsistencyError("representative homology disagrees with the "
+                                 "dimension computation of the stable model")
+    primitive_dims = {q: coalg.primitive_subspace(q).dim
+                      for q in sorted(reps)}
     left = {}
     for n in sizes:
         table = gl_coinvariant_model(stable, n).homology()
@@ -344,14 +351,6 @@ def verify_lqt(base, sizes, max_degree):
 
     hc = cyclic_homology(base, max_degree - 1 if max_degree else 0)
     right = expand_exterior(hc, max_degree)
-
-    coalg = stable.coproduct()
-    reps = coalg.table.representatives
-    if {q: len(reps.get(q, [])) for q in degrees} != stable_dims:
-        raise InconsistencyError("representative homology disagrees with the "
-                                 "dimension computation of the stable model")
-    primitive_dims = {q: coalg.primitive_subspace(q).dim
-                      for q in sorted(reps)}
 
     n_h = min(3, max(sizes))
     ambient = base.space.dim * (2 * n_h) ** 2

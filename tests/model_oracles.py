@@ -524,10 +524,10 @@ def _class_in(cx, q, element, reps):
 
 
 def pair_complex_coproduct(space, cx, max_degree, canonical=None):
-    """(pair_basis, delta) of the homology coproduct, read in the complex
+    """The rows `delta` of the homology coproduct, read in the complex
     (C/S) (x) (C/S) on pairs of quotient basis words, with differential
     res(dx) (x) y + (-1)^|x| x (x) res(dy), against the tensor products of
-    the representatives of `cx`."""
+    the representatives of `cx`, keyed as `HomologyCoalgebra.delta`."""
     reps = cx.homology(range(0, max_degree + 1),
                        representatives=True).representatives
 
@@ -577,26 +577,24 @@ def pair_complex_coproduct(space, cx, max_degree, canonical=None):
         return out
 
     pair_cx = ChainComplex(pair_blocks, pair_diff)
-    pair_basis, delta = {}, {}
+    delta = {}
     for q in range(0, max_degree + 1):
         tags, pair_reps = [], []
         for a in range(1, q):
             for i, ra in enumerate(reps.get(a, [])):
                 for j, rb in enumerate(reps.get(q - a, [])):
-                    tags.append((a, q - a, i, j))
+                    tags.append(((a, i), (q - a, j)))
                     el = {}
                     for w1, c1 in ra.items():
                         for w2, c2 in rb.items():
                             add_into(el, (w1, w2), c1 * c2)
                     pair_reps.append(el)
-        if q >= 2:
-            pair_basis[q] = tags
         delta[q] = []
         for rep in reps.get(q, []):
             combo = _class_in(pair_cx, q, reduced_coproduct(rep), pair_reps) \
                 if q >= 2 else {}
             delta[q].append({tags[p]: c for p, c in combo.items()})
-    return pair_basis, delta
+    return delta
 
 
 def _interleave_word(word, n, base_dim, side):

@@ -352,7 +352,7 @@ def test_exterior_square_is_not_primitive():
     assert H.primitive_subspace(3).dim == 1
     assert H.primitive_subspace(4).dim == 0
     row = H.delta[4][0]
-    assert row and all(a + b == 4 for (a, b, _, _) in row)
+    assert row and all(a + b == 4 for ((a, _), (b, _)) in row)
 
 
 def test_coproduct_survives_coinvariant_reduction():

@@ -1,6 +1,7 @@
 """The stable model of gl_n(A) on permutation words, against the E_12
 presentation of `model_oracles.e12_model` as oracle."""
 
+import itertools
 from functools import lru_cache
 from pathlib import Path
 
@@ -8,14 +9,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from homotopyalg import linfty
-from homotopyalg.ainfty import from_associative, from_dga
+from homotopyalg.ainfty import cyclic_homology, from_associative, from_dga
 from homotopyalg.constructions import PermutationModel, _necklaces, gl, gl_index
 from homotopyalg.documents import document_to_algebra, parse_document
-from homotopyalg.graded import add_into, canonical_sym
+from homotopyalg.graded import add_into, canonical_sym, sign_of_arrangement
 from homotopyalg.linfty import InconsistencyError, ce_words
-from homotopyalg.lqt import hopf_product_on_homology
+from homotopyalg.lqt import hopf_product_on_homology, verify_lqt
 
 from model_oracles import e12_model, primitive_dims
+from oracles import connes_cyclic_dims
 from word_oracles import necklaces_by_walk
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -157,6 +159,20 @@ def test_canonical_refuses_what_is_not_a_permutation_word():
         model.canonical((0, nn))
 
 
+@pytest.mark.parametrize("name,max_degree", [("K", 4), ("dual_numbers", 3)])
+def test_canonical_signs_a_reordered_word_against_its_sorted_form(
+        name, max_degree):
+    # `block_sum` hands `canonical` the two words side by side, unsorted
+    model = permutation_model(name, max_degree)
+    degrees = model.algebra.suspended.degrees
+    for word in itertools.chain(*model.blocks.values()):
+        form = model.canonical(word)
+        for order in itertools.permutations(range(len(word))):
+            reordered = tuple(word[t] for t in order)
+            koszul = sign_of_arrangement([degrees[x] for x in word], order)
+            assert model.canonical(reordered) == (koszul * form[0], form[1])
+
+
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_necklaces_match_the_walk_on_fixture_degrees(name):
     degrees = fixture_algebra(name).suspended.degrees
@@ -257,11 +273,11 @@ def coassociativity_defects(coalg):
     for q, rows in sorted(delta.items()):
         for x, row in enumerate(rows):
             left, right = {}, {}
-            for (a, b, i, j), c in row.items():
-                for (a1, a2, k, l), c2 in delta[a][i].items():
-                    add_into(left, ((a1, k), (a2, l), (b, j)), c * c2)
-                for (b1, b2, k, l), c2 in delta[b][j].items():
-                    add_into(right, ((a, i), (b1, k), (b2, l)), c * c2)
+            for (u, v), c in row.items():
+                for (u1, u2), c2 in delta[u[0]][u[1]].items():
+                    add_into(left, (u1, u2, v), c * c2)
+                for (v1, v2), c2 in delta[v[0]][v[1]].items():
+                    add_into(right, (u, v1, v2), c * c2)
             if left != right:
                 defects.append((q, x))
             elif left:
@@ -279,9 +295,7 @@ def test_homology_coproduct_is_coassociative(name, max_degree):
     assert defects == [] and nonzero
 
 
-def test_coassociativity_catches_a_weighted_coproduct(monkeypatch):
-    # weighting each split by the length of its front passes every check
-    # of `coalgebra_on_homology` on K, yet it is not coassociative
+def weight_splits_by_front_length(monkeypatch):
     real = linfty.coproduct_sym
 
     def weighted(word, space):
@@ -289,6 +303,124 @@ def test_coassociativity_catches_a_weighted_coproduct(monkeypatch):
                 for split, c in real(word, space).items()}
 
     monkeypatch.setattr(linfty, "coproduct_sym", weighted)
+
+
+def test_coassociativity_catches_a_weighted_coproduct(monkeypatch):
+    # weighting each split by the length of its front passes every check
+    # of `coalgebra_on_homology` on K, yet it is not coassociative
+    weight_splits_by_front_length(monkeypatch)
     coalg = PermutationModel(fixture_algebra("K"), 9).coproduct()
     defects, _ = coassociativity_defects(coalg)
     assert defects
+
+
+def hopf_defects(model):
+    """The two Hopf identities on the homology of a stable model, as
+    (compatibility defects, cocommutativity defects, checked pairs).
+
+    Compatibility: D(xy) = D(x)D(y) for classes x, y of positive degree with
+    |x| + |y| <= max_degree, D = x (x) 1 + 1 (x) x + the reduced coproduct
+    `coalg.delta`, 1 the class (0, 0) of the empty word, and (a (x) b)(c (x)
+    d) = (-1)^{|b||c|} ac (x) bd with each product read from the block-sum
+    table; the terms with a factor of degree 0 cancel on the two sides.
+    Cocommutativity: each row of the reduced coproduct is fixed by the
+    graded twist x (x) y -> (-1)^{|x||y|} y (x) x."""
+    coalg = model.coproduct()
+    assert coalg.table.representatives[0] == [{(): 1}]
+    delta, unit = coalg.delta, (0, 0)
+    products = hopf_product_on_homology(model).products
+
+    def full(x):
+        out = dict(delta[x[0]][x[1]])
+        out[(x, unit)] = out[(unit, x)] = 1
+        return out
+
+    def times(x, y):
+        return {(x[0] + y[0], k): c for k, c in products[(x, y)].items()}
+
+    classes = [(q, i) for q, rows in sorted(delta.items())
+               for i in range(len(rows))]
+    compatibility, checked = [], 0
+    for x, y in itertools.product(classes, repeat=2):
+        if not x[0] or not y[0] or x[0] + y[0] > model.max_degree:
+            continue
+        checked += 1
+        left, right = {}, {}
+        for k, c in products[(x, y)].items():
+            for pair, c2 in delta[x[0] + y[0]][k].items():
+                add_into(left, pair, c * c2)
+        for (x1, x2), c1 in full(x).items():
+            for (y1, y2), c2 in full(y).items():
+                sign = -1 if x2[0] * y1[0] % 2 else 1
+                for u, cu in times(x1, y1).items():
+                    for v, cv in times(x2, y2).items():
+                        if u[0] and v[0]:
+                            add_into(right, (u, v), sign * c1 * c2 * cu * cv)
+        if left != right:
+            compatibility.append((x, y))
+    cocommutativity = [
+        x for x in classes
+        if delta[x[0]][x[1]] != {(v, u): (-1 if u[0] * v[0] % 2 else 1) * c
+                                 for (u, v), c in delta[x[0]][x[1]].items()}]
+    return compatibility, cocommutativity, checked
+
+
+@pytest.mark.parametrize("name,checked", [
+    ("K", 3), ("dual_numbers", 17), ("ut2", 17), ("dga2", 0),
+    ("m3unital", 17)])
+def test_homology_is_a_cocommutative_hopf_algebra(name, checked):
+    # with the block-sum product, the coproduct makes the stable homology a
+    # graded-commutative, cocommutative Hopf algebra (Milnor-Moore's setting)
+    assert hopf_defects(permutation_model(name, 4)) == ([], [], checked)
+
+
+@pytest.mark.parametrize("name,max_degree,defects", [
+    ("K", 4, (2, 1)), ("dual_numbers", 4, (8, 4)), ("m3unital", 4, (8, 4)),
+    ("ut2", 4, None), ("dga2", 5, None)])
+def test_hopf_identities_catch_a_weighted_coproduct(monkeypatch, name,
+                                                    max_degree, defects):
+    # the mutant of the test above, on every unital fixture: it is refused
+    # either by the checks of `coalgebra_on_homology` or by both identities
+    # (dga2 has no class of positive degree below 5)
+    weight_splits_by_front_length(monkeypatch)
+    model = PermutationModel(fixture_algebra(name), max_degree)
+    if defects is None:
+        with pytest.raises(InconsistencyError):
+            model.coproduct()
+    else:
+        compatibility, cocommutativity, _ = hopf_defects(model)
+        assert (len(compatibility), len(cocommutativity)) == defects
+
+
+def truncated_polynomials(k):
+    """K[x]/(x^k) on the basis 1, x, ..., x^(k-1)."""
+    mult = {(i, j): {i + j: 1} if i + j < k else {}
+            for i in range(k) for j in range(k)}
+    return from_associative([f"x{i}" for i in range(k)], mult, unit=0,
+                            name=f"K[x]/x^{k}")
+
+
+def cyclic_group_algebra(k):
+    """K[C_k] on the basis of the group elements g^0, ..., g^(k-1)."""
+    mult = {(i, j): {(i + j) % k: 1} for i in range(k) for j in range(k)}
+    return from_associative([f"g{i}" for i in range(k)], mult, unit=0,
+                            name=f"K[C{k}]")
+
+
+@pytest.mark.parametrize("build,k", [
+    (truncated_polynomials, 3), (truncated_polynomials, 4),
+    (cyclic_group_algebra, 2), (cyclic_group_algebra, 3)])
+def test_lqt_on_drawn_bases(build, k):
+    # both are commutative of dimension k, and over Q their cyclic homology
+    # is k in every even degree and 0 in every odd one
+    base = build(k)
+    assert verify_lqt(base, [1, 2, 4], 3).all_match
+    mult = {w: dict(v) for w, v in base.ops[2].items()}
+    oracle = connes_cyclic_dims(mult, k, 4)
+    table = cyclic_homology(base, 4)
+    assert [table.dims[q] for q in range(5)] == \
+        [oracle[q] for q in range(5)] == [k, 0, k, 0, k]
+    model = PermutationModel(base, 3)
+    assert hopf_product_on_homology(model).ok
+    compatibility, cocommutativity, checked = hopf_defects(model)
+    assert compatibility == cocommutativity == [] and checked
