@@ -150,20 +150,20 @@ def matrix_algebra(base, n):
         raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
     if n == 1:
         return base
-    nn = n * n
+    dim = base.space.dim
     sep = "" if n <= 9 else "_"
     labels = tuple(f"{a}*E{i + 1}{sep}{j + 1}" for a in base.space.labels
                    for i in range(n) for j in range(n))
-    degrees = tuple(d for d in base.space.degrees for _ in range(nn))
+    degrees = tuple(d for d in base.space.degrees for _ in range(n * n))
     ops = {}
     for k, table in base.ops.items():
         entries = ops[k] = {}
         for word, val in table.items():
             for chain in itertools.product(range(n), repeat=k + 1):
-                corner = chain[0] * n + chain[-1]
-                entries[tuple(a * nn + chain[t] * n + chain[t + 1]
+                entries[tuple(gl_index(n, dim, a, chain[t], chain[t + 1])
                               for t, a in enumerate(word))] = \
-                    {out * nn + corner: c for out, c in val.items()}
+                    {gl_index(n, dim, out, chain[0], chain[-1]): c
+                     for out, c in val.items()}
     result = AInftyAlgebra(GradedSpace(labels, degrees), ops,
                            name=f"M{n}({base.name or 'A'})")
     check_stasheff(result).require("matrix construction failed certification")
@@ -221,15 +221,15 @@ class PermutationModel(CEModel):
     cycle form, with sign 1.
 
     `_letters` is the (base index, row, column) table of the flat indices
-    of M_n(A), and `_canon` the memo of `canonical`.
+    of M_n(A), and `_canon` the memo of `canonical`.  A canonical word of k
+    letters touches exactly the positions 0..k-1.
     """
 
     def __init__(self, base, max_degree):
         require_strict_unit(base)
         self.n = n = max_degree + 1
-        self.base = base
+        dim = base.space.dim
         necklaces = _necklaces(base.suspended.degrees, n)
-        nn = n * n
         # the multisets are the canonical symmetric words over the
         # necklaces: two equal cycles of odd degree swap with sign -1
         degrees = [d for _, d in necklaces]
@@ -241,29 +241,37 @@ class PermutationModel(CEModel):
                 for p in picks:
                     reading = necklaces[p][0]
                     size = len(reading)
-                    word.extend(a * nn + (offset + s) * n
-                                + offset + (s + 1) % size
+                    word.extend(gl_index(n, dim, a, offset + s,
+                                         offset + (s + 1) % size)
                                 for s, a in enumerate(reading))
                     offset += size
                 reps.append(tuple(sorted(word)))
             if reps:
                 blocks[q] = sorted(reps)
         super().__init__(gl(base, n), max_degree, blocks, {})
-        self._letters = tuple((a, i, j) for a in range(base.space.dim)
+        self._letters = tuple((a, i, j) for a in range(dim)
                               for i in range(n) for j in range(n))
         self._canon = {}
 
+    def relabel(self, entries, rows, cols=None):
+        """The flat indices of the letters `entries`, given as (base index,
+        row, column) triples, with row i moved to rows[i] and column j to
+        cols[j] (to rows[j] when `cols` is None), in the order given."""
+        n, cols = self.n, rows if cols is None else cols
+        return tuple((a * n + rows[i]) * n + cols[j] for a, i, j in entries)
+
     def block_sum(self, left, right):
         """(sign, representative) of the block sum of two canonical words:
-        `right` moved onto the positions past the largest one `left`
+        `right` moved past the positions 0..len(left)-1 that `left`
         touches, and the concatenation sent through `canonical`, which
         signs it against the order it is given in.  Raises ValueError when
         the two do not fit side by side in n positions."""
-        letters, n = self._letters, self.n
-        shift = 1 + max((max(letters[x][1:]) for x in left), default=-1)
-        moved = tuple(gl_index(n, self.base.space.dim, a, i + shift, j + shift)
-                      for a, i, j in (letters[x] for x in right))
-        return self.canonical(left + moved)
+        shift = len(left)
+        if shift + len(right) > self.n:
+            raise ValueError(f"block sum of {shift} and {len(right)} "
+                             f"positions out of range for n = {self.n}")
+        return self.canonical(left + self.relabel(
+            [self._letters[x] for x in right], range(shift, self.n)))
 
     def canonical(self, word):
         """The class of a word of distinct letters, given in any order, as
@@ -280,9 +288,9 @@ class PermutationModel(CEModel):
         canon = self._canon
         if word in canon:
             return canon[word]
-        letters, n = self._letters, self.n
-        rows = [letters[x][1] for x in word]
-        cols = [letters[x][2] for x in word]
+        entries = [self._letters[x] for x in word]
+        rows = [i for _, i, _ in entries]
+        cols = [j for _, _, j in entries]
         if sorted(rows) != sorted(cols):
             canon[word] = 0, None
             return canon[word]
@@ -303,7 +311,7 @@ class PermutationModel(CEModel):
                 i = cols[slot[i]]
             odd = sum(degrees[word[t]] % 2 for t in path)
             key, s, flips = _least_rotation(
-                [letters[word[t]][0] for t in path], odd)
+                [entries[t][0] for t in path], odd)
             vanishes = vanishes or flips
             cycles.append((key, odd, path[s:] + path[:s]))
         cycles.sort(key=lambda c: c[0])
@@ -313,11 +321,8 @@ class PermutationModel(CEModel):
         for _, _, path in cycles:
             for t in path:
                 place[rows[t]] = len(place)
-        nn = n * n
-        sign, rep = canonical_sym(
-            tuple(letters[x][0] * nn + place[i] * n + place[j]
-                  for x, i, j in zip(word, rows, cols)),
-            self.algebra.suspended)
+        sign, rep = canonical_sym(self.relabel(entries, place),
+                                  self.algebra.suspended)
         canon[word] = (0 if vanishes else sign), rep
         return canon[word]
 
@@ -329,16 +334,14 @@ class PermutationModel(CEModel):
         These are the identifications the presentation makes at its
         representatives only, a generating set of the relabellings there;
         the check is not complete over all words."""
-        letters, n = self._letters, self.n
-        nn, susp = n * n, self.algebra.suspended
+        letters, susp = self._letters, self.algebra.suspended
         for q in range(self.max_degree + 1):
             for rep in self.blocks.get(q, ()):
-                top = 1 + max((max(letters[x][1:]) for x in rep), default=-1)
-                for k in range(top - 1):
-                    move = {k: k + 1, k + 1: k}
-                    _, w = canonical_sym(
-                        tuple(a * nn + move.get(i, i) * n + move.get(j, j)
-                              for a, i, j in (letters[x] for x in rep)), susp)
+                entries = [letters[x] for x in rep]
+                for k in range(len(rep) - 1):
+                    move = list(range(len(rep)))
+                    move[k], move[k + 1] = k + 1, k
+                    _, w = canonical_sym(self.relabel(entries, move), susp)
                     sign, target = self.canonical(w)
                     relation = {w: 1}
                     if sign:
@@ -370,16 +373,14 @@ def _necklaces(degrees, top):
     becomes t + 1 otherwise, and the prefix is itself a smallest rotation
     exactly when p divides t.  Depth first in increasing letters, the
     prefixes come in sorted order.  A word of period p repeats r = t / p
-    times, and its rotation by p permutes each residue class of its odd
-    letters in an r-cycle, as in `_least_rotation`."""
+    times, and whether turning it onto itself acts by -1 is read from
+    `_least_rotation`."""
     out, reading = [], []
 
     def extend(degree, odd, p):
         t = len(reading)
-        if not t % p:
-            r = t // p
-            if not (r - 1) * (odd // r) % 2:
-                out.append((tuple(reading), degree))
+        if not t % p and not _least_rotation(reading, odd)[2]:
+            out.append((tuple(reading), degree))
         low = reading[t - p]
         for b in range(low, len(degrees)):
             d = degrees[b]
@@ -472,18 +473,15 @@ def _corner_classes(stable, n, q):
     with a repeated odd letter is zero, and one whose
     `_first_appearance_form` was seen lies in the S_n-orbit of an earlier
     one."""
-    letters, N = stable._letters, stable.n
-    nn, susp = N * N, stable.algebra.suspended
+    letters, susp = stable._letters, stable.algebra.suspended
     seen = set()
     for rho in stable.blocks.get(q, ()):
         entries = [letters[x] for x in rho]
         for part in _set_partitions(len(rho), min(len(rho), n)):
-            sign, word = canonical_sym(
-                tuple(a * nn + part[i] * N + part[j] for a, i, j in entries),
-                susp)
+            sign, word = canonical_sym(stable.relabel(entries, part), susp)
             if not sign:
                 continue
-            key = _first_appearance_form(word, letters, N)
+            key = _first_appearance_form(word, stable)
             if key not in seen:
                 seen.add(key)
                 yield word, {rep: sign * c for rep, c in
@@ -498,7 +496,7 @@ def _split(stable, entries, part):
     with its columns moved by tau, each term sent through `canonical`.  The
     rows of rho are distinct, so moving columns keeps its letters sorted and
     no Koszul sign arises."""
-    N = stable.n
+    rows = tuple(range(stable.n))
     blocks = [[p for p, c in enumerate(part) if c == b]
               for b in set(part)]
     chain = {}
@@ -506,8 +504,7 @@ def _split(stable, entries, part):
         tau = {}
         for block, image in zip(blocks, images):
             tau.update(zip(block, image))
-        sign, rep = stable.canonical(
-            tuple((a * N + i) * N + tau[j] for a, i, j in entries))
+        sign, rep = stable.canonical(stable.relabel(entries, rows, tau))
         add_into(chain, rep, sign)
     return chain
 
@@ -526,21 +523,19 @@ def _set_partitions(k, n, part=()):
             yield from _set_partitions(k, n, part + (b,))
 
 
-def _first_appearance_form(word, letters, N):
-    """The word with its positions renumbered by first appearance along its
-    letters and re-sorted, until nothing changes: a relabelling, so words
-    of two S_N-orbits never share it.  A pass that moves a letter fixes the
-    letters before the first one it moves and lowers that one, so the
-    sorted word decreases and the passes end."""
-    nn = N * N
+def _first_appearance_form(word, stable):
+    """The word of `stable` with its positions renumbered by first
+    appearance along its letters and re-sorted, until nothing changes: a
+    relabelling, so words of two S_N-orbits never share it.  A pass that
+    moves a letter fixes the letters before the first one it moves and
+    lowers that one, so the sorted word decreases and the passes end."""
     while True:
+        entries = [stable._letters[x] for x in word]
         place = {}
-        for x in word:
-            _, i, j = letters[x]
+        for _, i, j in entries:
             place.setdefault(i, len(place))
             place.setdefault(j, len(place))
-        moved = tuple(sorted(a * nn + place[i] * N + place[j]
-                             for a, i, j in (letters[x] for x in word)))
+        moved = tuple(sorted(stable.relabel(entries, place)))
         if moved == word:
             return word
         word = moved

@@ -264,21 +264,20 @@ class CEModel:
                 quotient_spans=self.spans)
         return self._cx
 
-    def homology(self):
-        """Homology in degrees 0..max_degree.  Exact unless the weight cap
-        truncates a contributing block: degree q needs complete words
-        through weight q+1."""
-        table = self.complex().homology(range(0, self.max_degree + 1))
+    def homology(self, representatives=False):
+        """Homology in degrees 0..max_degree, with its representatives
+        when asked.  Exact unless the weight cap truncates a contributing
+        block: degree q needs complete words through weight q+1."""
+        table = self.complex().homology(range(0, self.max_degree + 1),
+                                        representatives=representatives)
         for q in table.dims:
             table.exact[q] = self.max_weight is None or self.max_weight >= q + 1
         return table
 
     def coproduct(self):
-        """The induced coalgebra on homology, with the exactness flags of
-        `homology`."""
+        """The induced coalgebra on homology (`coalgebra_on_homology`)."""
         if self._coalg is None:
             self._coalg = coalgebra_on_homology(self)
-            self._coalg.table.exact = self.homology().exact
         return self._coalg
 
 
@@ -369,7 +368,7 @@ def coalgebra_on_homology(model):
     """
     space, max_degree = model.algebra.suspended, model.max_degree
     cx = model.complex()
-    table = cx.homology(range(0, max_degree + 1), representatives=True)
+    table = model.homology(representatives=True)
     reps = table.representatives
 
     residuals = {}

@@ -282,13 +282,13 @@ def test_first_appearance_form_is_a_relabelling(drawn):
     space = stable.algebra.suspended
     koszul, word = canonical_sym(letters, space)
     assume(koszul)
-    key = _first_appearance_form(word, stable._letters, n)
+    key = _first_appearance_form(word, stable)
     orbit = {canonical_sym(tuple(gl_index(n, 2, a, p[i], p[j])
                                  for a, i, j in (stable._letters[x]
                                                  for x in word)), space)[1]
              for p in itertools.permutations(range(n))}
     assert key in orbit
-    assert _first_appearance_form(key, stable._letters, n) == key
+    assert _first_appearance_form(key, stable) == key
 
 
 # ---------------------------------------------------------------------------
