@@ -23,7 +23,8 @@ entry each permutation reaches, so only the arities carried by the
 associative structure occur; every result is re-certified rather than
 trusted.
 
-gl_n(A) carries the adjoint action of the matrix units of gl_n(K).  At
+gl_n(A) carries the adjoint action of the matrix units of gl_n(K), and so
+does gl_n(I) for the ideal I of an augmented base (`augmentation_ideal`).  At
 N = max_degree + 1, `PermutationModel(base, max_degree)` presents the
 coinvariants of its Chevalley-Eilenberg complex on the orbits of
 permutation words: a word of degree q has at most q letters, and for
@@ -49,7 +50,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from .ainfty import AInftyAlgebra, check_stasheff, require_strict_unit
+from .ainfty import AInftyAlgebra, check_stasheff
 from .chain import BettiTable
 from .graded import GradedSpace, add_into, canonical_sym, sign_of_arrangement
 from .linfty import (
@@ -63,6 +64,7 @@ from .rational_linalg import RowReducer
 
 __all__ = [
     "GLCoinvariantModel",
+    "augmentation_ideal",
     "lie_ify",
     "matrix_algebra",
     "gl",
@@ -181,6 +183,39 @@ def gl(base, n):
     return result
 
 
+def augmentation_ideal(base):
+    """The ideal spanned by the basis elements of a strictly unital base
+    other than its unit, as an algebra of its own, or None when they span
+    no ideal.
+
+    They span one exactly when no entry of an operation whose inputs are
+    all non-unit letters has a unit component, which one pass over
+    `base.ops` decides: an entry with a unit input is 1 a = a = a 1 or
+    zero, by the strict unit.  The base is then augmented, A = K + I, and
+    I keeps the restricted operations, on the non-unit letters in their
+    order, certified with `check_stasheff`.
+    """
+    unit, space = base.unit, base.space
+    letters = [a for a in range(space.dim) if a != unit]
+    index = {a: t for t, a in enumerate(letters)}
+    ops = {}
+    for k, table in base.ops.items():
+        entries = ops[k] = {}
+        for word, val in table.items():
+            if unit in word:
+                continue
+            if unit in val:
+                return None
+            entries[tuple(index[a] for a in word)] = \
+                {index[b]: c for b, c in val.items()}
+    result = AInftyAlgebra(
+        GradedSpace([space.labels[a] for a in letters],
+                    [space.degrees[a] for a in letters]),
+        ops, name=f"I({base.name or 'A'})")
+    check_stasheff(result).require("augmentation ideal failed certification")
+    return result
+
+
 def gl_index(n, base_dim, a, i, j):
     """Flat basis index of a (x) E_{i+1,j+1} in M_n(A)."""
     if not (0 <= a < base_dim and 0 <= i < n and 0 <= j < n):
@@ -212,11 +247,17 @@ class PermutationModel(CEModel):
     along a chain of sigma.  A zero-weight word that is not a permutation
     word reaching `canonical` is a fault of the package.
 
-    The base must carry a strict unit, so that its matrix units act on
-    the complex as gl_n(K); gl_n(A) is built and certified by `gl`.  The
-    orbits are enumerated directly: a block of degree q lists, for every
-    multiset of cyclic words of total degree q whose stabilizer does not act
-    by -1, the word that puts the cycles in sorted order on consecutive
+    The matrix units act on gl_n(A) through the factor M_n(K), whether or
+    not the base has a unit, and the model is that of the coinvariants of
+    this gl_n(K)-action; gl_n(A) is built and certified by `gl`.  Only with
+    a strict unit is gl_n(K) inside gl_n(A), acting by inner derivations,
+    so that the coinvariants have the homology of gl_n(A) itself: a caller
+    that reads the model so checks the unit first with
+    `require_strict_unit`, as `lqt.verify_lqt` does.  A base without a unit
+    is, for instance, the ideal of `augmentation_ideal`.  The orbits are
+    enumerated directly: a block of degree q lists, for every multiset of
+    cyclic words of total degree q whose stabilizer does not act by -1,
+    the word that puts the cycles in sorted order on consecutive
     positions, each read from its first position.  That word is its own
     cycle form, with sign 1.
 
@@ -226,7 +267,6 @@ class PermutationModel(CEModel):
     """
 
     def __init__(self, base, max_degree):
-        require_strict_unit(base)
         self.n = n = max_degree + 1
         dim = base.space.dim
         necklaces = _necklaces(base.suspended.degrees, n)

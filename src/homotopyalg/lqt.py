@@ -24,21 +24,40 @@ theorems for GL_n), and neither these orbits nor the brackets of matrix
 units see n.  Degree q of the homology reads the blocks through q + 1, so
 through degree q the complex is the same for every n >= q + 1, and one
 model at N = max_degree + 1, `PermutationModel(A, max_degree)`, carries
-every verdict.
+every verdict (on an augmented base, the model of its ideal; see below).
 
 A requested size n is not built again: the corner inclusion embeds its
 coinvariant complex in the stable one (see `constructions`), and its table
 is the homology of that subcomplex.
 
+On an augmented base, A = K + I with I the ideal of `augmentation_ideal`,
+the left side splits.  gl_n(A) is the semidirect product of gl_n(K) and
+the L-infinity ideal gl_n(I), and gl_n(K) is reductive and acts
+semisimply, so by Hochschild-Serre (Ann. of Math. 57 (1953))
+H(gl_n(A)) = Lambda(x_1, x_3, ..., x_{2n-1}) (x) H(gl_n(I))_{gl_n(K)} at
+every n, with primitives one generator x_{2i-1} in each odd degree beside
+those of the second factor.  The second factor is the same permutation
+model over the letters of I alone: its words are the ones with no unit
+letter, so it is far smaller, and every table of the left side is the
+closed form times a table of that model.  On K, where I = 0, the left side
+is the closed form alone; the evidence there is the Connes complex of the
+right side and, wherever the block-sum product builds the model of gl_N(A)
+itself, the check that its dimensions and primitives equal the closed form
+times those of the ideal.  The closed form is a product of Poincare
+series and the model of the ideal a Chevalley-Eilenberg complex, so the
+two sides still share no differential code.  A base whose non-unit
+letters span no ideal, such as a differential algebra with d(x) = 1,
+keeps the model of gl_N(A).
+
 The block-sum product on coinvariant homology is computed in the stable
-model.  Representatives of degrees q_a + q_b <= max_degree touch at most
-max_degree < N positions together, so the block sum of two words is the
-canonical form of their union after the positions of the second are
-shifted past those of the first.  Brackets between letters on disjoint
-positions vanish, so this is a chain map, and S_N acts trivially on the
-quotient, so the class does not depend on where the blocks sit.  Unit,
-graded commutativity, associativity and the products of primitives are
-checked exactly on one product table.
+model of gl_N(A).  Representatives of degrees q_a + q_b <= max_degree
+touch at most max_degree < N positions together, so the block sum of two
+words is the canonical form of their union after the positions of the
+second are shifted past those of the first.  Brackets between letters on
+disjoint positions vanish, so this is a chain map, and S_N acts trivially
+on the quotient, so the class does not depend on where the blocks sit.
+Unit, graded commutativity, associativity and the products of primitives
+are checked exactly on one product table.
 """
 
 from __future__ import annotations
@@ -48,7 +67,12 @@ from fractions import Fraction
 
 from .ainfty import check_stasheff, cyclic_homology, require_strict_unit
 from .chain import BettiTable
-from .constructions import PermutationModel, gl, gl_coinvariant_model
+from .constructions import (
+    PermutationModel,
+    augmentation_ideal,
+    gl,
+    gl_coinvariant_model,
+)
 from .graded import add_into
 from .linfty import InconsistencyError, lie_homology
 
@@ -67,7 +91,9 @@ MISMATCH = "MISMATCH"
 # is at most this, n the largest requested size.  The check runs on the
 # stable model, so this no longer tracks its cost; the condition and the skip
 # string are kept because lifting them changes the `lqt` payloads, the
-# `lqt-dual` benchmark workload's among them.
+# `lqt-dual` benchmark workload's among them.  On an augmented base it also
+# decides whether the model of gl_N(A) is built at all: the product reads it,
+# and nothing else does.
 HOPF_BUDGET = 40
 
 
@@ -287,23 +313,64 @@ class LQTReport:
             all(v == MATCH for v in self.primitive_verdicts.values())
 
 
+def _ground_generators(n, max_degree):
+    """The degrees of the generators x_1, x_3, ..., x_{2n-1} of
+    H(gl_n(K)) = Lambda(x_1, x_3, ..., x_{2n-1}) through max_degree."""
+    return range(1, min(2 * n, max_degree + 1), 2)
+
+
+def _times_exterior(generators, dims, max_degree):
+    """The table `dims` times the Poincare series prod_d (1 + t^d) of an
+    exterior algebra on odd generators of the degrees `generators`,
+    through max_degree."""
+    series = [dims.get(q, 0) for q in range(max_degree + 1)]
+    for d in generators:
+        for q in range(max_degree, d - 1, -1):
+            series[q] += series[q - d]
+    return dict(enumerate(series))
+
+
+def _stable_tables(model, generators):
+    """(dimensions, primitive dimensions) of the stable homology of `model`
+    times the exterior algebra on `generators`, whose primitives are its
+    generators: both read from the one table of the model's coalgebra."""
+    degrees = range(model.max_degree + 1)
+    coalg = model.coproduct()
+    table = coalg.table
+    dims = {q: table.dims.get(q, 0) for q in degrees}
+    if {q: len(table.representatives.get(q, [])) for q in degrees} != dims:
+        raise InconsistencyError("representative homology disagrees with the "
+                                 "dimension computation of the stable model")
+    return (_times_exterior(generators, dims, model.max_degree),
+            {q: coalg.primitive_subspace(q).dim + (q in generators)
+             for q in degrees})
+
+
 def verify_lqt(base, sizes, max_degree):
     """Run the full comparison for a unital certified algebra.
 
-    Builds `PermutationModel(base, max_degree)`, the model of gl_N(A) at
+    Every left-side table is the homology of a `PermutationModel` at
     N = max_degree + 1, stable through max_degree by the degree bound of
-    the module docstring.  The bound needs every letter to have suspended
-    degree >= 1, which holds because documents and `GradedSpace` refuse
-    negative unsuspended degrees.  The stable dimensions, representatives
-    and primitives are read from the one table of its homology coalgebra,
-    the block-sum product - when the historical budget allows - from the
-    same model, and each requested size from its subcomplex
-    `gl_coinvariant_model`: a size n must agree with the stable model in
-    every degree q with n >= q + 1, or `InconsistencyError` is raised;
-    below that its table is reported as it is.  For sizes <= 2 the table
-    is also checked against the full (unreduced) homology of gl_n(A),
-    built on its own, which reductivity makes equal.  The report derives
-    its verdicts from these tables.
+    the module docstring, times a closed form.  The bound needs every
+    letter to have suspended degree >= 1, which holds because documents
+    and `GradedSpace` refuse negative unsuspended degrees.  On an
+    augmented base (`augmentation_ideal`) the model is that of gl_N of the
+    ideal I and the closed form is H(gl_n(K)) = Lambda(x_1, x_3, ...,
+    x_{2n-1}); otherwise the model is that of gl_N(A) and the closed form
+    is 1.  The stable dimensions, representatives and primitives are read
+    from the one table of the model's homology coalgebra, and each
+    requested size from its subcomplex `gl_coinvariant_model`: a size n
+    must agree with the stable table in every degree q with n >= q + 1, or
+    `InconsistencyError` is raised; below that its table is reported as it
+    is.  For sizes <= 2 the table is also checked against the full
+    (unreduced) homology of gl_n(A), built on its own, which reductivity
+    makes equal.
+
+    The model of gl_N(A) itself is built on an augmented base only when
+    the block-sum product runs, as the historical budget allows; its
+    stable dimensions and primitives must then equal the closed form times
+    those of the ideal, or `InconsistencyError` is raised.  The report
+    derives its verdicts from these tables.
     """
     require_strict_unit(base)
     check_stasheff(base).require("the base algebra is not certified")
@@ -311,9 +378,14 @@ def verify_lqt(base, sizes, max_degree):
     if not sizes or sizes[0] < 1:
         raise ValueError("matrix sizes must be integers >= 1")
 
+    n_h = min(3, max(sizes))
+    ambient = base.space.dim * (2 * n_h) ** 2
     try:
-        stable = PermutationModel(base, max_degree)
-        unreduced = {n: stable.algebra if n == stable.n else gl(base, n)
+        ideal = augmentation_ideal(base)
+        full = (PermutationModel(base, max_degree)
+                if ideal is None or ambient <= HOPF_BUDGET else None)
+        stable = full if ideal is None else PermutationModel(ideal, max_degree)
+        unreduced = {n: full.algebra if full and n == full.n else gl(base, n)
                      for n in set(sizes) | {stable.n} if n <= 2}
     except ValueError as exc:
         # the base is certified above, so a refusal or a failed
@@ -321,19 +393,20 @@ def verify_lqt(base, sizes, max_degree):
         raise InconsistencyError(
             f"a model of gl_n failed on a certified base: {exc}") from exc
 
+    def ground(n):
+        return () if ideal is None else _ground_generators(n, max_degree)
+
     degrees = range(max_degree + 1)
-    coalg = stable.coproduct()
-    reps = coalg.table.representatives
-    stable_dims = {q: coalg.table.dims.get(q, 0) for q in degrees}
-    if {q: len(reps.get(q, [])) for q in degrees} != stable_dims:
-        raise InconsistencyError("representative homology disagrees with the "
-                                 "dimension computation of the stable model")
-    primitive_dims = {q: coalg.primitive_subspace(q).dim
-                      for q in sorted(reps)}
+    stable_dims, primitive_dims = _stable_tables(stable, ground(stable.n))
+    if full is not None and full is not stable and \
+            _stable_tables(full, ()) != (stable_dims, primitive_dims):
+        raise InconsistencyError(
+            "the model of gl_N(A) disagrees with Lambda(x_1, x_3, ...) "
+            "times the model of gl_N of its augmentation ideal")
     left = {}
     for n in sizes:
         table = gl_coinvariant_model(stable, n).homology()
-        left[n] = {q: table.dims.get(q, 0) for q in degrees}
+        left[n] = _times_exterior(ground(n), table.dims, max_degree)
         for q in degrees:
             if n > q and left[n][q] != stable_dims[q]:
                 raise InconsistencyError(
@@ -342,20 +415,18 @@ def verify_lqt(base, sizes, max_degree):
                     f"{left[n][q]} != {stable_dims[q]}")
 
     for n, L in sorted(unreduced.items()):
-        dims, full = left.get(n, stable_dims), lie_homology(L, max_degree)
+        dims, plain = left.get(n, stable_dims), lie_homology(L, max_degree)
         for q in degrees:
-            if full.dims.get(q, 0) != dims[q]:
+            if plain.dims.get(q, 0) != dims[q]:
                 raise InconsistencyError(
                     f"coinvariant reduction changed homology at size {n}, "
-                    f"degree {q}: {full.dims.get(q, 0)} != {dims[q]}")
+                    f"degree {q}: {plain.dims.get(q, 0)} != {dims[q]}")
 
     hc = cyclic_homology(base, max_degree - 1 if max_degree else 0)
     right = expand_exterior(hc, max_degree)
 
-    n_h = min(3, max(sizes))
-    ambient = base.space.dim * (2 * n_h) ** 2
     if ambient <= HOPF_BUDGET:
-        hopf = hopf_product_on_homology(stable)
+        hopf = hopf_product_on_homology(full)
     else:
         hopf = (f"skipped: doubled ambient dimension {ambient} exceeds "
                 f"the harness budget {HOPF_BUDGET}")

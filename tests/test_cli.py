@@ -448,8 +448,15 @@ def test_coproduct_fault_is_not_a_violation(monkeypatch, capsys):
     code, _, _ = run(capsys, "lqt", fixture("K.alg"), "--n", "2,3",
                      "--max-degree", "3")
     assert code != 2
+    # K[e] is augmented, and at sizes 2, 3 only the model of its ideal is
+    # built, with no class in degree 2: again nothing fires.  At size 2
+    # alone the block-sum product builds the model of gl_4(K[e]), whose
+    # descent check refuses the wrong term
+    code, _, _ = run(capsys, "lqt", fixture("dual_numbers.alg"), "--n", "2,3",
+                     "--max-degree", "3")
+    assert code != 2
     with pytest.raises(InconsistencyError, match="does not descend"):
-        main(["lqt", fixture("dual_numbers.alg"), "--n", "2,3",
+        main(["lqt", fixture("dual_numbers.alg"), "--n", "2",
               "--max-degree", "3"])
 
 
@@ -471,6 +478,30 @@ def test_coproduct_that_is_no_chain_map_is_not_a_violation(monkeypatch,
     assert capsys.readouterr().out == ""
 
 
+def test_coproduct_that_is_not_cocommutative_is_not_a_violation(
+        monkeypatch, capsys):
+    # the weighted coproduct of the test above passes the descent and
+    # chain-map checks on K, but its coproduct on homology is neither
+    # coassociative nor graded-cocommutative: at max_degree 4 the
+    # block-sum product builds the model of gl_5(K), whose class x_1 x_3
+    # shows it.  At max_degree 3 no class of K has a nonzero reduced
+    # coproduct, and the mutant passes
+    real = linfty.coproduct_sym
+
+    def weighted(word, space):
+        return {split: len(split[0]) * c
+                for split, c in real(word, space).items()}
+
+    monkeypatch.setattr(linfty, "coproduct_sym", weighted)
+    with pytest.raises(InconsistencyError,
+                       match="homology coproduct is not cocommutative"):
+        main(["lqt", fixture("K.alg"), "--n", "3,4", "--max-degree", "4"])
+    assert capsys.readouterr().out == ""
+    code, _, _ = run(capsys, "lqt", fixture("K.alg"), "--n", "3,4",
+                     "--max-degree", "3")
+    assert code == 0
+
+
 def test_projection_that_keeps_boundaries_is_not_a_violation(monkeypatch,
                                                              capsys):
     # a projection that reads the coefficient sum of a chain into the first
@@ -485,9 +516,11 @@ def test_projection_that_keeps_boundaries_is_not_a_violation(monkeypatch,
         return out
 
     monkeypatch.setattr(chain.ChainComplex, "project", leaky)
+    # size 2 alone lets the block-sum product build the model of
+    # gl_4(K[e]); the model of its ideal has no boundaries to check
     with pytest.raises(InconsistencyError,
                        match="depends on the choice of representative"):
-        main(["lqt", fixture("dual_numbers.alg"), "--n", "2,3",
+        main(["lqt", fixture("dual_numbers.alg"), "--n", "2",
               "--max-degree", "3"])
     assert capsys.readouterr().out == ""
 

@@ -26,6 +26,7 @@ from homotopyalg.constructions import (
     lie_ify,
     matrix_algebra,
 )
+from homotopyalg.lqt import verify_lqt
 
 from matrix_oracles import (
     MatrixElement,
@@ -488,8 +489,11 @@ def test_coinvariant_model_needs_unital_base():
     no_unit = AInftyAlgebra(GradedSpace(("1",), (0,)), {2: {(0, 0): {0: 1}}})
     with pytest.raises(ValueError, match="strict unit"):
         e12_model(no_unit, 2, 2)
+    # the stable model takes a base without a unit, as it takes an
+    # augmentation ideal; `verify_lqt`, its caller, refuses one
+    assert PermutationModel(no_unit, 2).n == 3
     with pytest.raises(ValueError, match="strict unit"):
-        PermutationModel(no_unit, 2)
+        verify_lqt(no_unit, [2], 2)
 
 
 def test_coinvariant_model_refuses_non_strict_unit():
@@ -501,7 +505,7 @@ def test_coinvariant_model_refuses_non_strict_unit():
     with pytest.raises(ValueError, match="strict unit.*arity 3"):
         e12_model(lax, 2, 2)
     with pytest.raises(ValueError, match="strict unit.*arity 3"):
-        PermutationModel(lax, 2)
+        verify_lqt(lax, [2], 2)
 
 
 def word_weight(word, n, base_dim):

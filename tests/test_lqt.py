@@ -269,44 +269,49 @@ def test_hopf_product_where_the_cli_skips_it(name):
 
 
 @pytest.mark.parametrize("base,sizes,max_degree,expect", [
-    (ground_field, [3, 4], 4, [3, 4]),
-    (dual_numbers, [3, 4], 3, [3, 4]),
-    (ground_field, [4], 4, [4]),
+    (ground_field, [3, 4], 4, ["I(K)", "K"]),
+    (dual_numbers, [3, 4], 3, ["I(K[e])"]),
+    (ground_field, [4], 4, ["I(K)", "K"]),
 ], ids=["lqt-K", "lqt-dual", "K-default"])
 def test_verify_lqt_builds_one_stable_model(monkeypatch, base, sizes,
                                             max_degree, expect):
-    # one permutation model at n = max_degree + 1, and every requested
-    # size read off it once through the corner inclusion; no gl_2n
+    # one permutation model of the augmentation ideal at n = max_degree + 1,
+    # every requested size read off it once through the corner inclusion,
+    # and the model of gl_n(A) itself only for the block-sum product, which
+    # runs on K and is skipped on K[e]; no gl_2n
     built, stable = [], []
     real, real_stable = lqt.gl_coinvariant_model, lqt.PermutationModel
 
     def counting(stable_model, n):
-        built.append(n)
+        built.append((stable_model.algebra.name, n))
         return real(stable_model, n)
 
     def counting_stable(base, max_degree):
-        stable.append(max_degree + 1)
+        stable.append((base.name, max_degree + 1))
         return real_stable(base, max_degree)
 
     monkeypatch.setattr(lqt, "gl_coinvariant_model", counting)
     monkeypatch.setattr(lqt, "PermutationModel", counting_stable)
     report = verify_lqt(base(), sizes, max_degree)
-    assert sorted(built) == expect
-    assert stable == [max_degree + 1]
+    n = max_degree + 1
+    assert sorted(built) == [(f"gl{n}({expect[0]})", k) for k in sizes]
+    assert sorted(stable) == [(name, n) for name in expect]
     assert report.all_match
     if not isinstance(report.hopf, str):
-        assert report.hopf.ok and report.hopf.n == max_degree + 1
+        assert report.hopf.ok and report.hopf.n == n
 
 
 def test_verify_lqt_builds_each_gl_once(monkeypatch):
-    # gl_n(A) is built for the stable model and, for the unreduced check,
-    # at the requested sizes <= 2; no size is built again for its table,
-    # and no inner derivation is made
+    # gl_n of the augmentation ideal is built for the stable model, and
+    # gl_n(A) only where something reads it: the unreduced check at the
+    # requested sizes <= 2 and the stable model of the block-sum product,
+    # which runs on K and is skipped on K[e].  No gl_n is built twice and
+    # no inner derivation is made
     built, inner = [], []
     real, real_inner = constructions.gl, linfty.make_inner
 
     def counting(base, n):
-        built.append(n)
+        built.append((base.name, n))
         return real(base, n)
 
     def counting_inner(*args):
@@ -320,9 +325,10 @@ def test_verify_lqt_builds_each_gl_once(monkeypatch):
                             raising=False)
     # K at sizes 1 and 2, then the sizes and degrees of lqt-K and lqt-dual
     for base, sizes, max_degree, expect in [
-            (ground_field, [1, 2], 3, [1, 2, 4]),
-            (ground_field, [3, 4], 4, [5]),
-            (dual_numbers, [3, 4], 3, [4])]:
+            (ground_field, [1, 2], 3,
+             [("I(K)", 4), ("K", 1), ("K", 2), ("K", 4)]),
+            (ground_field, [3, 4], 4, [("I(K)", 5), ("K", 5)]),
+            (dual_numbers, [3, 4], 3, [("I(K[e])", 4)])]:
         built.clear()
         report = verify_lqt(base(), sizes, max_degree)
         assert report.all_match
@@ -331,14 +337,15 @@ def test_verify_lqt_builds_each_gl_once(monkeypatch):
 
 
 def test_verify_lqt_computes_each_primitive_subspace_once(monkeypatch):
-    # the verdicts and the block-sum product read the primitives of the
-    # same stable model; each degree's kernel is taken once
+    # the verdicts read the primitives of the ideal's stable model, and the
+    # block-sum product and the cross-check those of the model of gl_5(K);
+    # each degree's kernel is taken once per model
     computed, current = [], []
     real, real_kernel = linfty.HomologyCoalgebra.primitive_subspace, \
         linfty.kernel
 
     def tracking(self, q):
-        current.append(q)
+        current.append((id(self), q))
         try:
             return real(self, q)
         finally:
@@ -353,7 +360,24 @@ def test_verify_lqt_computes_each_primitive_subspace_once(monkeypatch):
     monkeypatch.setattr(linfty, "kernel", counting_kernel)
     report = verify_lqt(ground_field(), [3, 4], 4)
     assert report.all_match and report.hopf.ok
-    assert sorted(computed) == [1, 2, 3, 4]
+    assert len(set(computed)) == len(computed)
+    assert sorted(q for _, q in computed) == [1, 1, 2, 2, 3, 3, 4, 4]
+
+
+def test_verify_lqt_cross_checks_the_closed_form_against_the_full_model(
+        monkeypatch):
+    # on K the left side is the closed form Lambda(x_1, x_3, ...) alone;
+    # where the block-sum product builds the model of gl_5(K), a closed form
+    # missing its top generator x_3 disagrees with it
+    real = lqt._ground_generators
+    monkeypatch.setattr(lqt, "_ground_generators",
+                        lambda n, max_degree: real(n, max_degree)[:-1])
+    with pytest.raises(InconsistencyError, match="disagrees with Lambda"):
+        verify_lqt(ground_field(), [3, 4], 4)
+    # without the product (K[e] at sizes 3, 4) no model of gl_N(A) is
+    # built, and only the comparison with Lambda(HC[1]) sees the fault
+    report = verify_lqt(dual_numbers(), [3, 4], 3)
+    assert isinstance(report.hopf, str) and not report.all_match
 
 
 def test_verify_lqt_cross_checks_the_representative_count(monkeypatch):
@@ -556,8 +580,9 @@ def test_one_refusal_of_a_unit_that_is_not_strict():
     mult = {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
     lax = AInftyAlgebra(GradedSpace(labels, (0, 0)), {2: mult}, unit=1)
     messages = set()
+    # `PermutationModel` takes a base without a unit, as it takes an
+    # augmentation ideal; `verify_lqt`, its caller, refuses
     for refuse in (lambda: from_dga(labels, (0, 0), {}, mult, unit=1),
-                   lambda: PermutationModel(lax, 2),
                    lambda: verify_lqt(lax, [2], 2)):
         with pytest.raises(ValueError) as excinfo:
             refuse()

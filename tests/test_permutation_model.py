@@ -8,9 +8,21 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homotopyalg import linfty
-from homotopyalg.ainfty import cyclic_homology, from_associative, from_dga
-from homotopyalg.constructions import PermutationModel, _necklaces, gl, gl_index
+from homotopyalg import linfty, lqt
+from homotopyalg.ainfty import (
+    AInftyAlgebra,
+    cyclic_homology,
+    from_associative,
+    from_dga,
+)
+from homotopyalg.constructions import (
+    PermutationModel,
+    _necklaces,
+    augmentation_ideal,
+    gl,
+    gl_coinvariant_model,
+    gl_index,
+)
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import add_into, canonical_sym, sign_of_arrangement
 from homotopyalg.linfty import InconsistencyError, ce_words
@@ -328,12 +340,23 @@ def weight_splits_by_front_length(monkeypatch):
     monkeypatch.setattr(linfty, "coproduct_sym", weighted)
 
 
+def without_the_coalgebra_check(monkeypatch):
+    # the coproduct as `coalgebra_on_homology` computes it before its own
+    # coassociativity and cocommutativity check, for the oracles below
+    monkeypatch.setattr(linfty, "_coalgebra_defect", lambda delta: None)
+
+
 def test_coassociativity_catches_a_weighted_coproduct(monkeypatch):
-    # weighting each split by the length of its front passes every check
-    # of `coalgebra_on_homology` on K, yet it is not coassociative
+    # weighting each split by the length of its front passes the descent
+    # and chain-map checks of `coalgebra_on_homology` on K, yet it is not
+    # coassociative: the oracle finds it, and so does the check that
+    # `coalgebra_on_homology` now runs itself
     weight_splits_by_front_length(monkeypatch)
-    coalg = PermutationModel(fixture_algebra("K"), 9).coproduct()
-    defects, _ = coassociativity_defects(coalg)
+    model = PermutationModel(fixture_algebra("K"), 9)
+    with pytest.raises(InconsistencyError, match="homology coproduct is not"):
+        model.coproduct()
+    without_the_coalgebra_check(monkeypatch)
+    defects, _ = coassociativity_defects(model.coproduct())
     assert defects
 
 
@@ -403,14 +426,21 @@ def test_homology_is_a_cocommutative_hopf_algebra(name, checked):
 def test_hopf_identities_catch_a_weighted_coproduct(monkeypatch, name,
                                                     max_degree, defects):
     # the mutant of the test above, on every unital fixture: it is refused
-    # either by the checks of `coalgebra_on_homology` or by both identities
-    # (dga2 has no class of positive degree below 5)
+    # either by the chain-map checks of `coalgebra_on_homology` or by both
+    # identities (dga2 has no class of positive degree below 5); where the
+    # identities find it, so does the cocommutativity check that
+    # `coalgebra_on_homology` runs itself
     weight_splits_by_front_length(monkeypatch)
     model = PermutationModel(fixture_algebra(name), max_degree)
     if defects is None:
-        with pytest.raises(InconsistencyError):
+        with pytest.raises(InconsistencyError,
+                           match="boundary is not a cycle"):
             model.coproduct()
     else:
+        with pytest.raises(InconsistencyError,
+                           match="homology coproduct is not cocommutative"):
+            model.coproduct()
+        without_the_coalgebra_check(monkeypatch)
         compatibility, cocommutativity, _ = hopf_defects(model)
         assert (len(compatibility), len(cocommutativity)) == defects
 
@@ -447,3 +477,124 @@ def test_lqt_on_drawn_bases(build, k):
     assert hopf_product_on_homology(model).ok
     compatibility, cocommutativity, checked = hopf_defects(model)
     assert compatibility == cocommutativity == [] and checked
+
+
+# ---------------------------------------------------------------------------
+# The augmented route: gl_n(K) split off by Hochschild-Serre
+
+
+@pytest.mark.parametrize("name,ideal", [
+    ("K", ()), ("dual_numbers", ("e",)), ("ut2", ("n", "p")),
+    ("m3unital", ("a", "b")), ("dga2", None)])
+def test_augmentation_ideal_of_every_unital_fixture(name, ideal):
+    # dga2 is not augmented: d(x) = 1.  The fixtures not listed have no
+    # strict unit, and `verify_lqt` refuses them before it asks for a route
+    found = augmentation_ideal(fixture_algebra(name))
+    assert (None if found is None else found.space.labels) == ideal
+
+
+@pytest.mark.parametrize("build,k,augmented", [
+    (truncated_polynomials, 2, True), (truncated_polynomials, 3, True),
+    (truncated_polynomials, 4, True), (cyclic_group_algebra, 2, False),
+    (cyclic_group_algebra, 3, False)])
+def test_augmentation_ideal_of_the_drawn_bases(build, k, augmented):
+    # x^i x^j is x^(i + j) or 0, never 1; but g g^(k-1) = 1 in K[C_k]
+    ideal = augmentation_ideal(build(k))
+    assert (ideal is not None) == augmented
+    if augmented:
+        assert ideal.space.labels == tuple(f"x{i}" for i in range(1, k))
+
+
+def with_entry(base, k, word, value):
+    """`base` with the entry of m_k at `word` replaced, uncertified."""
+    ops = {a: dict(table) for a, table in base.ops.items()}
+    ops.setdefault(k, {})[word] = value
+    return AInftyAlgebra(base.space, ops, unit=base.unit)
+
+
+def test_augmentation_ideal_refuses_a_unit_component():
+    # one product of two non-unit letters with a unit component is enough
+    # (the differential of dga2 is the arity-1 case; from arity 3 on, an
+    # output of degree 0 would need inputs of negative degree)
+    dual = fixture_algebra("dual_numbers")
+    assert augmentation_ideal(dual) is not None
+    assert augmentation_ideal(with_entry(dual, 2, (1, 1), {0: 1})) is None
+    ut2 = fixture_algebra("ut2")
+    assert ut2.op_value(2, (1, 2)) == {1: 1}
+    assert augmentation_ideal(with_entry(ut2, 2, (1, 2), {0: 1, 1: 1})) \
+        is None
+    # a unit component on an input with a unit letter is the unit law
+    assert augmentation_ideal(with_entry(dual, 2, (0, 0), {0: 1})) is not None
+
+
+@pytest.mark.parametrize("base,route", [
+    (lambda: fixture_algebra("dga2"), ["D"]),
+    (lambda: cyclic_group_algebra(2), ["K[C2]"]),
+    (lambda: truncated_polynomials(3), ["I(K[x]/x^3)"]),
+    (lambda: fixture_algebra("ut2"), ["I(ut2)"])])
+def test_verify_lqt_takes_the_route_of_its_base(monkeypatch, base, route):
+    # the stable models `verify_lqt` builds, with the block-sum product
+    # skipped (size 3): the ideal's on an augmented base, gl_N(A)'s
+    # otherwise
+    built, real = [], lqt.PermutationModel
+
+    def recording(base, max_degree):
+        built.append(base.name)
+        return real(base, max_degree)
+
+    monkeypatch.setattr(lqt, "PermutationModel", recording)
+    report = verify_lqt(base(), [3], 2)
+    assert isinstance(report.hopf, str) and report.all_match
+    assert built == route
+
+
+def exterior_times(n, dims, max_degree):
+    """`dims` times the Poincare series of H(gl_n(K)) = Lambda(x_1, x_3,
+    ..., x_{2n-1}), through max_degree, by summing over the subsets of
+    generators."""
+    out = dict.fromkeys(range(max_degree + 1), 0)
+    generators = [2 * i + 1 for i in range(n)]
+    for r in range(n + 1):
+        for picks in itertools.combinations(generators, r):
+            for q, d in dims.items():
+                if sum(picks) + q <= max_degree:
+                    out[sum(picks) + q] += d
+    return out
+
+
+def closed_form_times_ideal(full, reduced):
+    """Assert that the model `full` of gl_N(A) has the tables of
+    Lambda(x_1, ..., x_{2n-1}) times the model `reduced` of gl_N of the
+    augmentation ideal: the stable homology, its primitives, one class in
+    each odd degree besides the ideal's, and every size n = 1..N."""
+    m, degrees = full.max_degree, range(full.max_degree + 1)
+
+    def dims(table):
+        return {q: table.dims.get(q, 0) for q in degrees}
+
+    assert dims(full.homology()) == \
+        exterior_times(full.n, dims(reduced.homology()), m)
+    assert primitive_dims(full.coproduct()) == \
+        {q: primitive_dims(reduced.coproduct())[q] + q % 2 for q in degrees}
+    for n in range(1, full.n + 1):
+        assert dims(gl_coinvariant_model(full, n).homology()) == \
+            exterior_times(n, dims(gl_coinvariant_model(reduced, n)
+                                   .homology()), m), n
+
+
+@pytest.mark.parametrize("name,max_degree", [
+    ("K", 4), ("dual_numbers", 4), ("ut2", 4), ("m3unital", 4)])
+def test_closed_form_times_ideal_is_the_full_model(name, max_degree):
+    # Hochschild-Serre: gl_n(A) = gl_n(K) + gl_n(I) with gl_n(K) reductive,
+    # so H(gl_n(A)) = H(gl_n(K)) (x) H(gl_n(I))_{gl_n(K)} at every n
+    base = fixture_algebra(name)
+    closed_form_times_ideal(permutation_model(name, max_degree),
+                            PermutationModel(augmentation_ideal(base),
+                                             max_degree))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_closed_form_times_ideal_on_the_drawn_bases(k):
+    base = truncated_polynomials(k)
+    closed_form_times_ideal(PermutationModel(base, 3),
+                            PermutationModel(augmentation_ideal(base), 3))
