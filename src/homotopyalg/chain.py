@@ -8,9 +8,10 @@ differential must descend).  All arithmetic is exact.
 Each degree's boundary is evaluated once, as the images of the quotient basis
 in the quotient basis below; ranks, cycles and the per-degree solver that
 holds boundaries, representatives and completing unit vectors all read from
-it.  Reading representative coordinates off that solver is a chain map
-p: C -> H that kills boundaries, so p (x) p gives the class of any cycle of
-a tensor product of such complexes (Kunneth, over a field).
+it, and `rank` is the one rank of a boundary.  Reading representative
+coordinates off that solver is a chain map p: C -> H that kills boundaries,
+so p (x) p gives the class of any cycle of a tensor product of such
+complexes (Kunneth, over a field).
 """
 
 from __future__ import annotations
@@ -20,7 +21,12 @@ from fractions import Fraction
 from .graded import exact
 from .rational_linalg import LinearSolver, RowReducer, kernel
 
-__all__ = ["BettiTable", "ChainComplex"]
+__all__ = ["BettiTable", "ChainComplex", "InconsistencyError"]
+
+
+class InconsistencyError(Exception):
+    """Two routes of the package that must agree did not: an internal
+    fault, never a property of the input algebra."""
 
 
 class BettiTable:
@@ -130,8 +136,14 @@ class ChainComplex:
                                     if red.insert(col) is not None]
         return self._image_bases[q]
 
-    def _rank(self, q):
-        return len(self.image_basis(q))
+    def rank(self, q, chains=None):
+        """The rank of d_q on block q, or on the span of `chains` in it."""
+        if chains is None:
+            return len(self.image_basis(q))
+        red = RowReducer()
+        for chain in chains:
+            red.insert(self._image(q, self._vector(q, chain)))
+        return red.dim
 
     def _solver(self, q):
         """(solver, representatives) of degree q: the solver holds the
@@ -156,9 +168,14 @@ class ChainComplex:
         return self._solvers[q]
 
     def homology(self, qs, representatives=False):
+        """The Betti table of the degrees `qs`, with representatives when
+        asked: one per dimension, or `InconsistencyError` is raised."""
         qs = sorted(qs)
-        dims = {q: self.dim(q) - self._rank(q) - self._rank(q + 1) for q in qs}
+        dims = {q: self.dim(q) - self.rank(q) - self.rank(q + 1) for q in qs}
         reps = {q: self._solver(q)[1] for q in qs} if representatives else None
+        if reps and {q: len(reps[q]) for q in qs} != dims:
+            raise InconsistencyError("representative homology disagrees "
+                                     "with the dimension computation")
         return BettiTable(dims=dims, exact={q: True for q in qs},
                           representatives=reps)
 

@@ -29,6 +29,7 @@ from .ainfty import check_stasheff, check_strict_unit, cyclic_homology
 from .documents import (
     DocumentError,
     algebra_to_document,
+    canonical_json,
     document_to_algebra,
     document_to_data,
     parse_document,
@@ -52,8 +53,7 @@ def _fail(code, messages):
 
 def _emit(payload, fmt):
     if fmt == "json":
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True,
-                                    ensure_ascii=False) + "\n")
+        sys.stdout.write(canonical_json(payload))
     else:
         sys.stdout.write(_render_text(payload))
 
@@ -86,8 +86,7 @@ def _render_text(payload):
     if out:
         out += "\n"
     if "document" in payload:
-        out += json.dumps(payload["document"], indent=2, sort_keys=True,
-                          ensure_ascii=False) + "\n"
+        out += canonical_json(payload["document"])
     for name in sorted(payload.get("tables", {})):
         table = payload["tables"][name]
         out += f"\n{name}\n"
@@ -332,6 +331,7 @@ def _hopf_data(hopf):
 
 
 def _cmd_lqt(args):
+    from .constructions import is_matrix_size
     from .lqt import verify_lqt
 
     doc = _load(args)
@@ -345,7 +345,7 @@ def _cmd_lqt(args):
         sizes = sorted({int(part) for part in args.n.split(",") if part})
     except ValueError:
         raise DocumentError([("--n", f"not a comma list of sizes: {args.n!r}")])
-    if not sizes or sizes[0] < 1:
+    if not sizes or not all(map(is_matrix_size, sizes)):
         raise DocumentError([("--n", "matrix sizes must be integers >= 1")])
     # the stable blocks, the Connes complex through HC_{m-1} and the
     # unreduced check read words of at most m + 1 letters; HC_0 reads 2
@@ -461,9 +461,9 @@ def main(argv=None):
         return _fail(EXIT_VALIDATION,
                      [f"{pos}: {msg}" for pos, msg in exc.diagnostics])
     except ValueError as exc:
-        # past validation, a refusal is a fault of the package; linfty is
-        # imported here so that `check` and `hc` do not load it
-        from .linfty import InconsistencyError
+        # past validation, a refusal is a fault of the package; chain is
+        # imported here so that `check` does not load it
+        from .chain import InconsistencyError
         raise InconsistencyError(f"{args.command} failed on a validated or "
                                  f"certified input: {exc}") from exc
     except CapExceeded as exc:

@@ -51,15 +51,9 @@ import itertools
 import math
 
 from .ainfty import AInftyAlgebra, check_stasheff
-from .chain import BettiTable
+from .chain import BettiTable, InconsistencyError
 from .graded import GradedSpace, add_into, canonical_sym, sign_of_arrangement
-from .linfty import (
-    CEModel,
-    InconsistencyError,
-    LInftyAlgebra,
-    ce_words,
-    check_linfty,
-)
+from .linfty import CEModel, LInftyAlgebra, ce_words, check_linfty
 from .rational_linalg import RowReducer
 
 __all__ = [
@@ -72,6 +66,7 @@ __all__ = [
     "gl_coinvariant_model",
     "PermutationModel",
     "InconsistencyError",
+    "is_matrix_size",
 ]
 
 
@@ -132,6 +127,11 @@ def lie_ify(alg, cap=None):
 # Matrix algebras
 
 
+def is_matrix_size(n):
+    """Whether n is a matrix size: an int, not a bool, and at least 1."""
+    return type(n) is int and n >= 1
+
+
 def matrix_algebra(base, n):
     """M_n(A) = A (x) M_n(K), by the matrix-unit rule, for an integer n >= 1.
 
@@ -148,7 +148,7 @@ def matrix_algebra(base, n):
     n > 1, so none is declared; n = 1 returns the base itself.  The result
     is re-certified with `check_stasheff`.
     """
-    if not isinstance(n, int) or n < 1:
+    if not is_matrix_size(n):
         raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
     if n == 1:
         return base
@@ -462,15 +462,9 @@ class GLCoinvariantModel:
         dim H_q = dim U_q - rank d(U_q) - rank d(U_{q+1}), with d the
         memoized boundary of the stable complex; a block as long as the
         stable one is all of it and takes the stable rank."""
-        cx, rank = self.stable.complex(), {}
-        for q, chains in self.blocks.items():
-            if len(chains) == len(self.stable.blocks[q]):
-                rank[q] = cx._rank(q)
-                continue
-            red = RowReducer()
-            for chain in chains:
-                red.insert(cx.differential(q, chain))
-            rank[q] = red.dim
+        cx, full = self.stable.complex(), self.stable.blocks
+        rank = {q: cx.rank(q, None if len(chains) == len(full[q]) else chains)
+                for q, chains in self.blocks.items()}
         degrees = range(self.max_degree + 1)
         return BettiTable(
             dims={q: len(self.blocks.get(q, ())) - rank.get(q, 0)
@@ -485,7 +479,7 @@ def gl_coinvariant_model(stable, n):
     representatives have at most n letters each is all of U_q: each is its
     own class.  For n >= stable.n every word of degree <= stable.n has at
     most n letters, so U is the whole stable complex."""
-    if n < 1:
+    if not is_matrix_size(n):
         raise ValueError(f"matrix size must be an integer >= 1, got {n!r}")
     blocks = {}
     for q in range(stable.max_degree + 2):

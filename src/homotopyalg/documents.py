@@ -33,6 +33,7 @@ __all__ = [
     "AlgebraDocument",
     "DocumentError",
     "algebra_to_document",
+    "canonical_json",
     "document_to_algebra",
     "parse_document",
     "serialize_document",
@@ -316,10 +317,15 @@ def document_to_data(doc):
     return data
 
 
+def canonical_json(data):
+    """JSON text with sorted keys, indent 2, non-ASCII kept, final newline."""
+    return json.dumps(data, indent=2, sort_keys=True,
+                      ensure_ascii=False) + "\n"
+
+
 def serialize_document(doc):
     """Canonical UTF-8 JSON text; parse(serialize(doc)) == doc."""
-    return json.dumps(document_to_data(doc), indent=2, sort_keys=True,
-                      ensure_ascii=False) + "\n"
+    return canonical_json(document_to_data(doc))
 
 
 def document_to_algebra(doc):

@@ -48,7 +48,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .chain import ChainComplex
+from .chain import ChainComplex, InconsistencyError
 from .coalgebra import (
     Coderivation,
     HomotopyAlgebra,
@@ -72,11 +72,6 @@ __all__ = [
     "lie_homology",
     "coalgebra_on_homology",
 ]
-
-
-class InconsistencyError(Exception):
-    """Two routes of the package that must agree did not: an internal
-    fault, never a property of the input algebra."""
 
 
 class SubalgebraError(ValueError):

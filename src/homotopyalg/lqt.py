@@ -66,15 +66,16 @@ import itertools
 from fractions import Fraction
 
 from .ainfty import check_stasheff, cyclic_homology, require_strict_unit
-from .chain import BettiTable
+from .chain import BettiTable, InconsistencyError
 from .constructions import (
     PermutationModel,
     augmentation_ideal,
     gl,
     gl_coinvariant_model,
+    is_matrix_size,
 )
 from .graded import add_into
-from .linfty import InconsistencyError, lie_homology
+from .linfty import lie_homology
 
 __all__ = [
     "HopfProductReport",
@@ -336,18 +337,16 @@ def _stable_tables(model, generators):
     generators: both read from the one table of the model's coalgebra."""
     degrees = range(model.max_degree + 1)
     coalg = model.coproduct()
-    table = coalg.table
-    dims = {q: table.dims.get(q, 0) for q in degrees}
-    if {q: len(table.representatives.get(q, [])) for q in degrees} != dims:
-        raise InconsistencyError("representative homology disagrees with the "
-                                 "dimension computation of the stable model")
+    dims = {q: coalg.table.dims.get(q, 0) for q in degrees}
     return (_times_exterior(generators, dims, model.max_degree),
             {q: coalg.primitive_subspace(q).dim + (q in generators)
              for q in degrees})
 
 
 def verify_lqt(base, sizes, max_degree):
-    """Run the full comparison for a unital certified algebra.
+    """Run the full comparison for a unital certified algebra at `sizes`,
+    each one `is_matrix_size`, through an int max_degree >= 0; other
+    arguments are refused with ValueError before anything is built.
 
     Every left-side table is the homology of a `PermutationModel` at
     N = max_degree + 1, stable through max_degree by the degree bound of
@@ -372,11 +371,15 @@ def verify_lqt(base, sizes, max_degree):
     those of the ideal, or `InconsistencyError` is raised.  The report
     derives its verdicts from these tables.
     """
+    sizes = list(sizes)
+    if not sizes or not all(map(is_matrix_size, sizes)):
+        raise ValueError("matrix sizes must be integers >= 1")
+    if type(max_degree) is not int or max_degree < 0:
+        raise ValueError(
+            f"max_degree must be an integer >= 0, got {max_degree!r}")
     require_strict_unit(base)
     check_stasheff(base).require("the base algebra is not certified")
-    sizes = sorted(set(int(n) for n in sizes))
-    if not sizes or sizes[0] < 1:
-        raise ValueError("matrix sizes must be integers >= 1")
+    sizes = sorted(set(sizes))
 
     n_h = min(3, max(sizes))
     ambient = base.space.dim * (2 * n_h) ** 2

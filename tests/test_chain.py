@@ -3,12 +3,13 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from homotopyalg import chain
 from homotopyalg.ainfty import from_associative
-from homotopyalg.chain import ChainComplex
+from homotopyalg.chain import ChainComplex, InconsistencyError
 from homotopyalg.coalgebra import Coderivation
 from homotopyalg.constructions import PermutationModel
 from homotopyalg.graded import GradedSpace
-from homotopyalg.linfty import LInftyAlgebra
+from homotopyalg.linfty import LInftyAlgebra, ce_model
 from homotopyalg.lqt import hopf_product_on_homology
 
 from model_oracles import inner_action_on_homology
@@ -145,3 +146,22 @@ def test_each_boundary_is_evaluated_once_per_complex(monkeypatch):
     assert len(counters) >= 2
     for seen in counters:
         assert seen and max(seen.values()) == 1, seen.most_common(1)
+
+
+def test_a_missing_representative_is_an_inconsistency(monkeypatch):
+    # the abelian Lie algebra on one even letter: H = Lambda(x), a class in
+    # degrees 0 and 1, each represented by its one word
+    abelian = LInftyAlgebra(GradedSpace(["a"], [0]), {})
+    assert ce_model(abelian, 2).homology(representatives=True).dims == \
+        {0: 1, 1: 1, 2: 0}
+    real = chain.kernel
+
+    def drop_last(*args):
+        null = real(*args)
+        if null.rows:
+            null._unregister(max(null.rows))
+        return null
+
+    monkeypatch.setattr(chain, "kernel", drop_last)
+    with pytest.raises(InconsistencyError, match="representative homology"):
+        ce_model(abelian, 2).homology(representatives=True)

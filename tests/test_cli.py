@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,9 @@ from homotopyalg.chain import BettiTable
 from homotopyalg.cli import main
 from homotopyalg.constructions import InconsistencyError
 
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+GOLDEN = ROOT / "tests" / "golden"
 
 
 PAYLOAD_KEYS = ["caps", "inputs", "tables", "verdicts"]
@@ -393,6 +396,28 @@ def test_lqt_small_run_matches(capsys):
     assert all(v == "MATCH" for _, v in verdicts["primitives"])
     assert table_dims(payload, "exterior_on_cyclic") == [1, 1, 0, 1]
     assert verdicts["hopf"]["ok"] is True
+
+
+@pytest.mark.parametrize("name,argv", [
+    # no augmentation ideal: the model of gl_N(A), and the product runs
+    ("lqt_dga2_n12", ["fixtures/dga2.alg", "--n", "1,2"]),
+    # the ideal's model alone: the product is skipped
+    ("lqt_ut2_n23", ["fixtures/ut2.alg", "--n", "2,3"]),
+    # the ideal's model checked against the full one, and the unreduced
+    # homology of gl_1 and gl_2
+    ("lqt_dual_n12", ["fixtures/dual_numbers.alg", "--n", "1,2"]),
+])
+def test_each_lqt_route_payload_equals_its_golden_file(name, argv):
+    # a fresh process from the repository root, as for the golden files of
+    # the acceptance suite: the payload echoes the relative document path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "homotopyalg", "lqt", *argv,
+         "--max-degree", "3"],
+        capture_output=True, check=True, cwd=ROOT, env=env)
+    assert result.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_lqt_rejects_documents_without_unit(capsys):

@@ -1,7 +1,7 @@
 """Every name that the package or one of its modules exports resolves, and
 every function or class a module exports, every public method of a class
 the package defines, and every attribute the package stores on `self`, is
-used.
+used; and no module reads a private attribute that another module defines.
 
 The stage tracer of the bench harness (`perfbench/traced.py`) reads each
 module's `__all__` and looks every name up, so a stale entry breaks it as
@@ -96,3 +96,28 @@ def test_every_stored_attribute_is_read():
     write_only = {name: where for name, where in stored.items()
                   if name not in loaded}
     assert write_only.keys() == WRITE_ONLY.keys(), write_only
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    # a `_`-prefixed attribute is read only in the module that defines it,
+    # as a function, a method or an assignment on `self`: a rule another
+    # module needs gets a public name instead of a second way in
+    reads = {}
+    for path, tree in package_sources():
+        defined = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+            elif isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Store) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "self":
+                defined.add(node.attr)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load) \
+                    and node.attr.startswith("_") \
+                    and not node.attr.endswith("__") \
+                    and node.attr not in defined:
+                reads.setdefault(path.name, set()).add(node.attr)
+    assert reads == {}

@@ -394,7 +394,7 @@ def test_representative_independence_runs_over_an_image_basis(monkeypatch):
 
     monkeypatch.setattr(ChainComplex, "differential", recording)
     coalgebra_on_homology(model)
-    assert (cx.dim(4), cx._rank(4)) == (312, 15)
+    assert (cx.dim(4), cx.rank(4)) == (312, 15)
     for q in (3, 4):
-        assert len(seen[q]) == cx._rank(q)
+        assert len(seen[q]) == cx.rank(q)
         assert seen[q] == [cx.basis[q][p] for p in cx.image_basis(q)]

@@ -4,9 +4,14 @@ import pytest
 
 from homotopyalg.ainfty import AInftyAlgebra, from_associative
 from homotopyalg.chain import ChainComplex
-from homotopyalg.constructions import PermutationModel, gl_coinvariant_model
+from homotopyalg.constructions import (
+    PermutationModel,
+    gl_coinvariant_model,
+    matrix_algebra,
+)
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import LInftyAlgebra, make_inner
+from homotopyalg.lqt import verify_lqt
 from homotopyalg.rational_linalg import kernel
 
 POINT = GradedSpace(["a"], [0])
@@ -16,9 +21,12 @@ def no_boundary(q, key):
     return {}
 
 
+def ground_field():
+    return from_associative(["1"], {(0, 0): {0: 1}}, unit=0, name="K")
+
+
 def ground_field_model():
-    base = from_associative(["1"], {(0, 0): {0: 1}}, unit=0, name="K")
-    return PermutationModel(base, 2)
+    return PermutationModel(ground_field(), 2)
 
 
 @pytest.mark.parametrize("build,message", [
@@ -40,9 +48,28 @@ def ground_field_model():
      "generator must be homogeneous in suspended degree"),
     (lambda: gl_coinvariant_model(ground_field_model(), 0),
      "matrix size must be an integer >= 1, got 0"),
+    # a size or a degree is an int, not a bool or a float, and is never
+    # cut down to one
+    (lambda: gl_coinvariant_model(ground_field_model(), 2.5),
+     "matrix size must be an integer >= 1, got 2.5"),
+    (lambda: matrix_algebra(ground_field(), True),
+     "matrix size must be an integer >= 1, got True"),
+    (lambda: verify_lqt(ground_field(), [2.7, 3.2], 3),
+     "matrix sizes must be integers >= 1"),
+    (lambda: verify_lqt(ground_field(), [True], 2),
+     "matrix sizes must be integers >= 1"),
+    (lambda: verify_lqt(ground_field(), [2], -1),
+     "max_degree must be an integer >= 0, got -1"),
+    (lambda: verify_lqt(ground_field(), [2], 2.5),
+     "max_degree must be an integer >= 0, got 2.5"),
+    # the arguments are refused before the base is looked at
+    (lambda: verify_lqt(from_associative(["x"], {(0, 0): {}}), [2], -1),
+     "max_degree must be an integer >= 0, got -1"),
 ], ids=["arity-0", "input-count", "unit-index", "space-lengths",
         "kernel-coordinate", "complex-key", "complex-block",
-        "inhomogeneous-generator", "size-0"])
+        "inhomogeneous-generator", "size-0", "corner-float-size",
+        "matrix-bool-size", "lqt-float-sizes", "lqt-bool-size",
+        "lqt-negative-degree", "lqt-float-degree", "lqt-degree-before-base"])
 def test_malformed_argument_is_refused(build, message):
     with pytest.raises(ValueError) as info:
         build()
