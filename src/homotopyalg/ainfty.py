@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coalgebra import HomotopyAlgebra, StructureReport, certify
-from .graded import GradedSpace, add_into
+from .graded import GradedSpace, add_into, require_bound
 
 __all__ = [
     "AInftyAlgebra",
@@ -41,6 +41,7 @@ __all__ = [
     "cyclic_words",
     "cyclic_boundary",
     "rotation_span",
+    "cyclic_letters",
     "cyclic_complex",
     "cyclic_homology",
 ]
@@ -219,11 +220,24 @@ def rotation_span(space, words):
     return out
 
 
+def cyclic_letters(q):
+    """The most letters a word that HC_q reads can have: degree q takes
+    boundaries from the words of total suspended degree q + 2, and every
+    letter has suspended degree >= 1.  A weight cap below this truncates
+    degree q."""
+    return q + 2
+
+
 def cyclic_complex(alg, max_degree, max_weight=None):
     """ChainComplex of cyclic words in degrees 0..max_degree+1, with the
-    rotation quotient applied blockwise."""
+    rotation quotient applied blockwise.  `max_degree` must be a bound
+    (`graded.is_bound`), and `max_weight` None or one; anything else is
+    refused with ValueError before a word is listed."""
     from .chain import ChainComplex
 
+    require_bound("max_degree", max_degree)
+    if max_weight is not None:
+        require_bound("max_weight", max_weight)
     space = alg.suspended
     blocks, spans = {}, {}
     for q in range(0, max_degree + 2):
@@ -241,12 +255,12 @@ def cyclic_complex(alg, max_degree, max_weight=None):
 def cyclic_homology(alg, max_degree, max_weight=None):
     """Cyclic homology in degrees 0..max_degree as a BettiTable.
 
-    Numbers are exact unless a weight cap actually truncates a contributing
-    block, in which case the affected degrees are flagged inexact.
+    Numbers are exact unless the weight cap is below `cyclic_letters(q)`,
+    in which case degree q is flagged inexact.  The bounds are refused as
+    `cyclic_complex` refuses them.
     """
     cx = cyclic_complex(alg, max_degree, max_weight=max_weight)
     table = cx.homology(range(0, max_degree + 1))
     for q in table.dims:
-        complete = max_weight is None or max_weight >= q + 2
-        table.exact[q] = complete
+        table.exact[q] = max_weight is None or max_weight >= cyclic_letters(q)
     return table

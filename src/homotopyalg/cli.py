@@ -25,7 +25,12 @@ import sys
 
 # documents imports ainfty for every command; each handler imports the
 # other modules it runs, so that a command compiles only those
-from .ainfty import check_stasheff, check_strict_unit, cyclic_homology
+from .ainfty import (
+    check_stasheff,
+    check_strict_unit,
+    cyclic_homology,
+    cyclic_letters,
+)
 from .documents import (
     DocumentError,
     algebra_to_document,
@@ -34,6 +39,7 @@ from .documents import (
     document_to_data,
     parse_document,
 )
+from .graded import is_bound
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -270,7 +276,7 @@ def _cmd_hc(args):
         raise DocumentError([("kind",
             "cyclic homology takes an associative-flavor document "
             "(kind associative, dga, or ainfty)")])
-    weight, caps = _degree_caps(args, doc, args.max_degree + 2)
+    weight, caps = _degree_caps(args, doc, cyclic_letters(args.max_degree))
     alg = document_to_algebra(doc)
     structure = check_stasheff(alg)
     if not structure:
@@ -280,14 +286,14 @@ def _cmd_hc(args):
 
 
 def _cmd_ce(args):
-    from .linfty import SubalgebraError, check_linfty, lie_homology
+    from .linfty import SubalgebraError, ce_letters, check_linfty, lie_homology
 
     doc = _load(args)
     if doc.kind != "linfty":
         raise DocumentError([("kind",
             "Chevalley-Eilenberg homology takes a kind-linfty document; "
             "derive one from an associative-flavor input with `lieify`")])
-    weight, caps = _degree_caps(args, doc, args.max_degree + 1)
+    weight, caps = _degree_caps(args, doc, ce_letters(args.max_degree))
     h = None
     if args.coinvariants is not None:
         index_of = {label: i for i, label in enumerate(doc.space.labels)}
@@ -332,7 +338,7 @@ def _hopf_data(hopf):
 
 def _cmd_lqt(args):
     from .constructions import is_matrix_size
-    from .lqt import verify_lqt
+    from .lqt import lqt_letters, verify_lqt
 
     doc = _load(args)
     if doc.kind == "linfty":
@@ -347,9 +353,7 @@ def _cmd_lqt(args):
         raise DocumentError([("--n", f"not a comma list of sizes: {args.n!r}")])
     if not sizes or not all(map(is_matrix_size, sizes)):
         raise DocumentError([("--n", "matrix sizes must be integers >= 1")])
-    # the stable blocks, the Connes complex through HC_{m-1} and the
-    # unreduced check read words of at most m + 1 letters; HC_0 reads 2
-    _, caps = _degree_caps(args, doc, max(args.max_degree + 1, 2))
+    _, caps = _degree_caps(args, doc, lqt_letters(args.max_degree))
     alg = document_to_algebra(doc)
     structure = check_stasheff(alg)
     if not structure:
@@ -453,7 +457,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         for flag in ("max_degree", "max_weight", "max_arity"):
             value = getattr(args, flag, None)
-            if value is not None and value < 0:
+            if value is not None and not is_bound(value):
                 raise DocumentError([(f"--{flag.replace('_', '-')}",
                                       "must be a non-negative integer")])
         payload, code = args.func(args)

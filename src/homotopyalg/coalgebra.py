@@ -58,6 +58,8 @@ from .graded import (
     add_into,
     canonical_sym,
     exact,
+    is_integer,
+    require_bound,
     unshuffle_splits,
 )
 
@@ -207,8 +209,9 @@ class HomotopyAlgebra:
     component has degree -1; an entry on the word a_1 ... a_k enters it
     with the decalage sign (-1)^(sum_t (k - t) |a_t|), unsuspended degrees
     in the exponent.  A symmetric structure takes its entries on sorted
-    words only.  ValueError refuses an arity below 1, an entry whose length
-    is not its arity, and what `Coderivation.set_value` refuses.
+    words only.  ValueError refuses an arity that is not an integer >= 1,
+    an entry whose length is not its arity, and what
+    `Coderivation.set_value` refuses.
     """
 
     symmetric = False
@@ -222,7 +225,7 @@ class HomotopyAlgebra:
         degs = space.degrees
         self.ops = {}
         for k, table in ops.items():
-            if k < 1:
+            if not is_integer(k) or k < 1:
                 raise ValueError("operations must have arity >= 1")
             entries = {}
             for word, val in table.items():
@@ -386,9 +389,12 @@ def certify(d1, d2, max_arity=None):
     The commutator has components only through its reach, max(K1 + K2 - 1,
     0) for top arities K1 and K2, so checking through it is a complete
     proof; `max_arity` lowers the cap to min(max_arity, reach) and yields a
-    partial certificate.  On failure the witness is the first nonzero
+    partial certificate; a `max_arity` other than None or a bound is
+    refused with ValueError.  On failure the witness is the first nonzero
     component in (arity, sorted word) order.
     """
+    if max_arity is not None:
+        require_bound("max_arity", max_arity)
     full = max(d1.max_arity() + d2.max_arity() - 1, 0)
     cap = full if max_arity is None else min(max_arity, full)
     comm = bracket(d1, d2, cap)

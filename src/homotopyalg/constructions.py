@@ -52,8 +52,15 @@ import math
 
 from .ainfty import AInftyAlgebra, check_stasheff
 from .chain import BettiTable, InconsistencyError
-from .graded import GradedSpace, add_into, canonical_sym, sign_of_arrangement
-from .linfty import CEModel, LInftyAlgebra, ce_words, check_linfty
+from .graded import (
+    GradedSpace,
+    add_into,
+    canonical_sym,
+    is_integer,
+    require_bound,
+    sign_of_arrangement,
+)
+from .linfty import CEModel, LInftyAlgebra, ce_letters, ce_words, check_linfty
 from .rational_linalg import RowReducer
 
 __all__ = [
@@ -109,13 +116,16 @@ def lie_ify(alg, cap=None):
     `_antisymmetrize`); its suspension is the corestriction of
     "symmetrize, apply the associative coderivation, keep the weight-one
     part".  The result is certified with `check_linfty` before being
-    returned; `cap` bounds both the arities built and the certification
-    depth.
+    returned; `cap`, None or a bound (`graded.is_bound`), bounds both the
+    arities built and the certification depth, and any other cap is
+    refused with ValueError.
 
     An associative algebra yields the graded commutator and nothing else;
     a commutative one yields the abelian structure; a differential graded
     algebra yields the differential together with the graded commutator.
     """
+    if cap is not None:
+        require_bound("cap", cap)
     result = LInftyAlgebra(alg.space, _antisymmetrize(alg.space, alg.ops, cap),
                            name=f"{alg.name}^Lie" if alg.name else "")
     check_linfty(result, max_arity=cap).require(
@@ -128,8 +138,8 @@ def lie_ify(alg, cap=None):
 
 
 def is_matrix_size(n):
-    """Whether n is a matrix size: an int, not a bool, and at least 1."""
-    return type(n) is int and n >= 1
+    """Whether n is a matrix size: an integer (`graded.is_integer`) >= 1."""
+    return is_integer(n) and n >= 1
 
 
 def matrix_algebra(base, n):
@@ -263,11 +273,15 @@ class PermutationModel(CEModel):
 
     `_letters` is the (base index, row, column) table of the flat indices
     of M_n(A), and `_canon` the memo of `canonical`.  A canonical word of k
-    letters touches exactly the positions 0..k-1.
+    letters touches exactly the positions 0..k-1.  A `max_degree` that is
+    not a bound (`graded.is_bound`) is refused with ValueError before
+    anything is built.
     """
 
     def __init__(self, base, max_degree):
-        self.n = n = max_degree + 1
+        require_bound("max_degree", max_degree)
+        # n is the most letters the homology through max_degree reads
+        self.n = n = ce_letters(max_degree)
         dim = base.space.dim
         necklaces = _necklaces(base.suspended.degrees, n)
         # the multisets are the canonical symmetric words over the

@@ -27,7 +27,7 @@ import json
 from fractions import Fraction
 
 from .ainfty import AInftyAlgebra
-from .graded import GradedSpace
+from .graded import GradedSpace, is_bound, is_integer
 
 __all__ = [
     "AlgebraDocument",
@@ -134,7 +134,7 @@ def document_from_data(data):
         path = f"basis[{i}]"
         if (not isinstance(item, (list, tuple)) or len(item) != 2
                 or not isinstance(item[0], str) or not item[0]
-                or isinstance(item[1], bool) or not isinstance(item[1], int)):
+                or not is_integer(item[1])):
             diags.append((path, "must be a [label, integer degree] pair"))
             continue
         label, degree = item
@@ -143,7 +143,7 @@ def document_from_data(data):
             continue
         index_of[label] = len(degrees)
         degrees.append(degree)
-        if degree < 0:
+        if not is_bound(degree):
             diags.append((path, f"degree {degree} is negative; degrees are "
                                 "unsuspended integers >= 0"))
         elif kind == "associative" and degree != 0:
@@ -174,7 +174,7 @@ def document_from_data(data):
         for key in sorted(set(entry) - {"arity", "inputs", "output"}):
             diags.append((f"{path}.{key}", "unknown field"))
         arity = entry.get("arity")
-        if isinstance(arity, bool) or not isinstance(arity, int) or arity < 1:
+        if not is_integer(arity) or arity < 1:
             diags.append((f"{path}.arity", "must be an integer >= 1"))
             continue
         allowed = ARITY_RULES.get(kind)
@@ -260,8 +260,7 @@ def document_from_data(data):
         for key in sorted(caps):
             if key not in {"max_weight", "max_degree", "max_arity"}:
                 diags.append((f"caps.{key}", "unknown cap"))
-            elif isinstance(caps[key], bool) or not isinstance(caps[key], int) \
-                    or caps[key] < 0:
+            elif not is_bound(caps[key]):
                 diags.append((f"caps.{key}", "must be a non-negative integer"))
 
     if diags:

@@ -26,12 +26,33 @@ from fractions import Fraction
 
 __all__ = [
     "GradedSpace",
+    "is_integer",
+    "is_bound",
+    "require_bound",
     "sign_of_arrangement",
     "unshuffle_splits",
     "canonical_sym",
     "add_into",
     "exact",
 ]
+
+
+def is_integer(x):
+    """Whether x is an integer argument: an int, not a bool."""
+    return type(x) is int
+
+
+def is_bound(x):
+    """Whether x is a bound of a truncated computation (a degree, a weight,
+    an arity or a cap): an integer >= 0."""
+    return is_integer(x) and x >= 0
+
+
+def require_bound(name, value):
+    """Refuse anything but a bound, with ValueError naming the parameter
+    `name` and the value."""
+    if not is_bound(value):
+        raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
 
 
 class GradedSpace:
@@ -49,7 +70,7 @@ class GradedSpace:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate basis labels")
         for d in self.degrees:
-            if not isinstance(d, int) or d < 0:
+            if not is_bound(d):
                 raise ValueError(f"unsuspended degrees must be integers >= 0, got {d!r}")
 
     def __eq__(self, other):

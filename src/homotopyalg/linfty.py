@@ -56,7 +56,7 @@ from .coalgebra import (
     certify,
     coproduct_sym,
 )
-from .graded import add_into
+from .graded import add_into, require_bound
 from .rational_linalg import RowReducer, kernel
 
 __all__ = [
@@ -67,6 +67,7 @@ __all__ = [
     "check_linfty",
     "make_inner",
     "ce_words",
+    "ce_letters",
     "CEModel",
     "ce_model",
     "lie_homology",
@@ -209,6 +210,14 @@ def h_action_spans(alg, h, blocks):
     return spans
 
 
+def ce_letters(q):
+    """The most letters a word that H_q of a Chevalley-Eilenberg complex
+    reads can have: degree q takes boundaries from the words of total
+    suspended degree q + 1, and every letter has suspended degree >= 1.
+    A weight cap below this truncates degree q."""
+    return q + 1
+
+
 class CEModel:
     """A Chevalley-Eilenberg complex with its quotient generators, owned
     once: `blocks[q]` lists the keys of degree q for q through
@@ -266,12 +275,13 @@ class CEModel:
 
     def homology(self, representatives=False):
         """Homology in degrees 0..max_degree, with its representatives
-        when asked.  Exact unless the weight cap truncates a contributing
-        block: degree q needs complete words through weight q+1."""
+        when asked.  Degree q is exact unless the weight cap is below
+        `ce_letters(q)`."""
         table = self.complex().homology(range(0, self.max_degree + 1),
                                         representatives=representatives)
+        weight = self.max_weight
         for q in table.dims:
-            table.exact[q] = self.max_weight is None or self.max_weight >= q + 1
+            table.exact[q] = weight is None or weight >= ce_letters(q)
         return table
 
     def coproduct(self):
@@ -284,7 +294,13 @@ class CEModel:
 def ce_model(alg, max_degree, max_weight=None, h=None):
     """The model of canonical symmetric words in degrees 0..max_degree+1,
     optionally capped in weight, with the h-coinvariant quotient generators
-    through max_degree when a degree-0 subalgebra h is supplied."""
+    through max_degree when a degree-0 subalgebra h is supplied.
+    `max_degree` must be a bound (`graded.is_bound`), and `max_weight` None
+    or one; anything else is refused with ValueError before a word is
+    listed."""
+    require_bound("max_degree", max_degree)
+    if max_weight is not None:
+        require_bound("max_weight", max_weight)
     blocks = {}
     for q in range(0, max_degree + 2):
         words = ce_words(alg.suspended.degrees, q)

@@ -65,7 +65,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .ainfty import check_stasheff, cyclic_homology, require_strict_unit
+from .ainfty import (
+    check_stasheff,
+    cyclic_homology,
+    cyclic_letters,
+    require_strict_unit,
+)
 from .chain import BettiTable, InconsistencyError
 from .constructions import (
     PermutationModel,
@@ -74,14 +79,15 @@ from .constructions import (
     gl_coinvariant_model,
     is_matrix_size,
 )
-from .graded import add_into
-from .linfty import lie_homology
+from .graded import add_into, require_bound
+from .linfty import ce_letters, lie_homology
 
 __all__ = [
     "HopfProductReport",
     "LQTReport",
     "expand_exterior",
     "hopf_product_on_homology",
+    "lqt_letters",
     "verify_lqt",
 ]
 
@@ -111,8 +117,10 @@ def expand_exterior(hc, max_degree):
     series, even-degree generators a truncated polynomial factor
     1 / (1 - t^d).  All coefficients are exact integers.  The input table
     must be exact in degrees 0..max_degree-1 (those are the classes whose
-    shifted generators can reach the truncation).
+    shifted generators can reach the truncation), and max_degree a bound
+    (`graded.is_bound`); anything else is refused with ValueError.
     """
+    require_bound("max_degree", max_degree)
     D = max_degree
     series = [1] + [0] * D
     for k in range(0, D):
@@ -295,7 +303,7 @@ class LQTReport:
 
     @property
     def stable_from(self):
-        return {q: q + 1 for q in range(self.max_degree + 1)}
+        return {q: ce_letters(q) for q in range(self.max_degree + 1)}
 
     @property
     def verdicts(self):
@@ -343,10 +351,26 @@ def _stable_tables(model, generators):
              for q in degrees})
 
 
+def _hc_top(max_degree):
+    """The top degree of the cyclic homology `verify_lqt` computes:
+    Lambda(HC[1]) reads HC_k in degree k + 1, so through max_degree it
+    reads HC_{max_degree - 1}, and HC_0 is computed even at max_degree 0."""
+    return max(max_degree - 1, 0)
+
+
+def lqt_letters(max_degree):
+    """The most letters a word that `verify_lqt` reads through max_degree
+    can have, max(max_degree + 1, 2): the stable blocks and the unreduced
+    check read `ce_letters(max_degree)`, and the Connes complex
+    `cyclic_letters` of the top degree `_hc_top(max_degree)`."""
+    return max(ce_letters(max_degree), cyclic_letters(_hc_top(max_degree)))
+
+
 def verify_lqt(base, sizes, max_degree):
     """Run the full comparison for a unital certified algebra at `sizes`,
-    each one `is_matrix_size`, through an int max_degree >= 0; other
-    arguments are refused with ValueError before anything is built.
+    each one `is_matrix_size`, through a bound max_degree
+    (`graded.is_bound`); other arguments are refused with ValueError
+    before anything is built.
 
     Every left-side table is the homology of a `PermutationModel` at
     N = max_degree + 1, stable through max_degree by the degree bound of
@@ -374,19 +398,18 @@ def verify_lqt(base, sizes, max_degree):
     sizes = list(sizes)
     if not sizes or not all(map(is_matrix_size, sizes)):
         raise ValueError("matrix sizes must be integers >= 1")
-    if type(max_degree) is not int or max_degree < 0:
-        raise ValueError(
-            f"max_degree must be an integer >= 0, got {max_degree!r}")
+    require_bound("max_degree", max_degree)
     require_strict_unit(base)
     check_stasheff(base).require("the base algebra is not certified")
     sizes = sorted(set(sizes))
 
     n_h = min(3, max(sizes))
     ambient = base.space.dim * (2 * n_h) ** 2
+    hopf_runs = ambient <= HOPF_BUDGET
     try:
         ideal = augmentation_ideal(base)
         full = (PermutationModel(base, max_degree)
-                if ideal is None or ambient <= HOPF_BUDGET else None)
+                if ideal is None or hopf_runs else None)
         stable = full if ideal is None else PermutationModel(ideal, max_degree)
         unreduced = {n: full.algebra if full and n == full.n else gl(base, n)
                      for n in set(sizes) | {stable.n} if n <= 2}
@@ -425,10 +448,10 @@ def verify_lqt(base, sizes, max_degree):
                     f"coinvariant reduction changed homology at size {n}, "
                     f"degree {q}: {plain.dims.get(q, 0)} != {dims[q]}")
 
-    hc = cyclic_homology(base, max_degree - 1 if max_degree else 0)
+    hc = cyclic_homology(base, _hc_top(max_degree))
     right = expand_exterior(hc, max_degree)
 
-    if ambient <= HOPF_BUDGET:
+    if hopf_runs:
         hopf = hopf_product_on_homology(full)
     else:
         hopf = (f"skipped: doubled ambient dimension {ambient} exceeds "

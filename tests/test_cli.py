@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 from homotopyalg import chain, cli, constructions, linfty, lqt
+from homotopyalg.ainfty import cyclic_letters
 from homotopyalg.chain import BettiTable
 from homotopyalg.cli import main
 from homotopyalg.constructions import InconsistencyError
+from homotopyalg.linfty import ce_letters
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -682,6 +684,36 @@ def test_lqt_refuses_a_weight_cap_below_its_longest_word(tmp_path, capsys,
     assert err == (f"error: an exact answer at this degree needs words of "
                    f"weight {needed}, but the document caps weight at "
                    f"{needed - 1}\n")
+
+
+@pytest.mark.parametrize("command,name,letters", [
+    *(("hc", name, cyclic_letters) for name in (
+        "K.alg", "dga2.alg", "dual_numbers.alg", "m3only.alg",
+        "m3unital.alg", "ut2.alg")),
+    ("ce", "sl2.alg", ce_letters)])
+@pytest.mark.parametrize("max_degree", range(4))
+def test_cap_threshold_and_exactness_flag_read_one_rule(
+        tmp_path, capsys, command, name, letters, max_degree):
+    # the weight the command line asks of a document cap is the one below
+    # which the library flags the top degree inexact
+    needed = letters(max_degree)
+    argv = ["--max-degree", str(max_degree)]
+    code, plain, _ = run_json(capsys, command, fixture(name), *argv)
+    assert code == 0
+    assert all(row[2] for row in plain["tables"][command]["rows"])
+    path = capped_doc(tmp_path, {"max_weight": needed - 1}, name)
+    code, out, _ = run(capsys, command, path, *argv)
+    assert (code, out) == (3, "")
+    path = capped_doc(tmp_path, {"max_weight": needed}, name)
+    code, payload, _ = run_json(capsys, command, path, *argv)
+    assert code == 0 and payload["tables"] == plain["tables"]
+    code, payload, _ = run_json(capsys, command, fixture(name), *argv,
+                                "--max-weight", str(needed - 1))
+    assert code == 0
+    assert payload["tables"][command]["rows"][max_degree][2] is False
+    code, payload, _ = run_json(capsys, command, fixture(name), *argv,
+                                "--max-weight", str(needed))
+    assert code == 0 and payload["tables"] == plain["tables"]
 
 
 def test_document_degree_cap(tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Every name that the package or one of its modules exports resolves, and
 every function or class a module exports, every public method of a class
 the package defines, and every attribute the package stores on `self`, is
-used; and no module reads a private attribute that another module defines.
+used; no module reads a private attribute that another module defines;
+and no module but `graded` tests whether a value is an integer argument.
 
 The stage tracer of the bench harness (`perfbench/traced.py`) reads each
 module's `__all__` and looks every name up, so a stale entry breaks it as
@@ -121,3 +122,47 @@ def test_no_module_reads_a_private_attribute_of_another():
                     and node.attr not in defined:
                 reads.setdefault(path.name, set()).add(node.attr)
     assert reads == {}
+
+
+def integer_type_tests(tree):
+    """(line, function) of each `type(x) is int`, `type(x) is not int` and
+    `isinstance(x, bool)` in a syntax tree, with the name of the function
+    around it (None at module level)."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Compare) \
+                and isinstance(node.left, ast.Call) \
+                and isinstance(node.left.func, ast.Name) \
+                and node.left.func.id == "type" \
+                and any(isinstance(op, (ast.Is, ast.IsNot))
+                        and isinstance(right, ast.Name) and right.id == "int"
+                        for op, right in zip(node.ops, node.comparators)):
+            found.append((node.lineno, function))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                and node.func.id == "isinstance" and len(node.args) == 2 \
+                and any(isinstance(t, ast.Name) and t.id == "bool"
+                        for t in ast.walk(node.args[1])):
+            found.append((node.lineno, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(tree, None)
+    return found
+
+
+def test_integer_arguments_are_tested_in_graded_alone():
+    # what an integer argument and a bound are is written once, in
+    # `graded.is_integer` and `graded.is_bound`; `documents._parse_rational`
+    # keeps its own `bool` test, since a coefficient is not an integer
+    # argument and may be a Fraction
+    copies = {}
+    for path, tree in package_sources():
+        for line, function in integer_type_tests(tree):
+            if path.name == "graded.py" or (path.name, function) == \
+                    ("documents.py", "_parse_rational"):
+                continue
+            copies.setdefault(path.name, []).append(line)
+    assert copies == {}

@@ -1,18 +1,31 @@
-"""Refusals of malformed arguments by the library's constructors."""
+"""Refusals of malformed arguments by the library's constructors and
+entry points."""
+
+from pathlib import Path
 
 import pytest
 
-from homotopyalg.ainfty import AInftyAlgebra, from_associative
+from homotopyalg.ainfty import (
+    AInftyAlgebra,
+    check_stasheff,
+    cyclic_homology,
+    from_associative,
+)
 from homotopyalg.chain import ChainComplex
 from homotopyalg.constructions import (
     PermutationModel,
+    gl,
     gl_coinvariant_model,
+    lie_ify,
     matrix_algebra,
 )
+from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace
-from homotopyalg.linfty import LInftyAlgebra, make_inner
-from homotopyalg.lqt import verify_lqt
+from homotopyalg.linfty import LInftyAlgebra, lie_homology, make_inner
+from homotopyalg.lqt import expand_exterior, verify_lqt
 from homotopyalg.rational_linalg import kernel
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 POINT = GradedSpace(["a"], [0])
 
@@ -27,6 +40,11 @@ def ground_field():
 
 def ground_field_model():
     return PermutationModel(ground_field(), 2)
+
+
+def ut2():
+    return document_to_algebra(parse_document(
+        (FIXTURES / "ut2.alg").read_text(encoding="utf-8")))
 
 
 @pytest.mark.parametrize("build,message", [
@@ -65,11 +83,43 @@ def ground_field_model():
     # the arguments are refused before the base is looked at
     (lambda: verify_lqt(from_associative(["x"], {(0, 0): {}}), [2], -1),
      "max_degree must be an integer >= 0, got -1"),
+    # every bound is an int >= 0, not a bool or a float, refused before
+    # anything is built
+    (lambda: GradedSpace(["a"], [True]),
+     "unsuspended degrees must be integers >= 0, got True"),
+    (lambda: PermutationModel(ground_field(), True),
+     "max_degree must be an integer >= 0, got True"),
+    (lambda: PermutationModel(ground_field(), -1),
+     "max_degree must be an integer >= 0, got -1"),
+    (lambda: PermutationModel(ground_field(), 2.5),
+     "max_degree must be an integer >= 0, got 2.5"),
+    (lambda: cyclic_homology(ground_field(), -1),
+     "max_degree must be an integer >= 0, got -1"),
+    (lambda: cyclic_homology(ground_field(), 2.5),
+     "max_degree must be an integer >= 0, got 2.5"),
+    (lambda: cyclic_homology(ground_field(), True),
+     "max_degree must be an integer >= 0, got True"),
+    (lambda: cyclic_homology(ground_field(), 3, max_weight=-1),
+     "max_weight must be an integer >= 0, got -1"),
+    (lambda: lie_homology(gl(ground_field(), 1), -1),
+     "max_degree must be an integer >= 0, got -1"),
+    (lambda: lie_homology(gl(ground_field(), 1), 3, max_weight=True),
+     "max_weight must be an integer >= 0, got True"),
+    (lambda: expand_exterior(cyclic_homology(ground_field(), 3), -1),
+     "max_degree must be an integer >= 0, got -1"),
+    (lambda: check_stasheff(ut2(), -1),
+     "max_arity must be an integer >= 0, got -1"),
+    (lambda: lie_ify(ut2(), cap=-1), "cap must be an integer >= 0, got -1"),
 ], ids=["arity-0", "input-count", "unit-index", "space-lengths",
         "kernel-coordinate", "complex-key", "complex-block",
         "inhomogeneous-generator", "size-0", "corner-float-size",
         "matrix-bool-size", "lqt-float-sizes", "lqt-bool-size",
-        "lqt-negative-degree", "lqt-float-degree", "lqt-degree-before-base"])
+        "lqt-negative-degree", "lqt-float-degree", "lqt-degree-before-base",
+        "space-bool-degree", "stable-bool-degree", "stable-negative-degree",
+        "stable-float-degree", "hc-negative-degree", "hc-float-degree",
+        "hc-bool-degree", "hc-negative-weight", "ce-negative-degree",
+        "ce-bool-weight", "exterior-negative-degree",
+        "stasheff-negative-arity", "lieify-negative-cap"])
 def test_malformed_argument_is_refused(build, message):
     with pytest.raises(ValueError) as info:
         build()
