@@ -7,11 +7,9 @@ differential must descend).  All arithmetic is exact.
 
 Each degree's boundary is evaluated once, as the images of the quotient basis
 in the quotient basis below; ranks, cycles and the per-degree solver that
-holds boundaries, representatives and completing unit vectors all read from
-it, and `rank` is the one rank of a boundary.  Reading representative
-coordinates off that solver is a chain map p: C -> H that kills boundaries,
-so p (x) p gives the class of any cycle of a tensor product of such
-complexes (Kunneth, over a field).
+holds boundaries and representatives all read from it, and `rank` is the
+one rank of a boundary.  The class of a cycle is read off that solver in
+the representative basis.
 """
 
 from __future__ import annotations
@@ -97,12 +95,6 @@ class ChainComplex:
         pos = self._position.get(q)
         return {pos[c]: v for c, v in vec.items()}
 
-    def residual(self, q, element):
-        """The canonical representative of a chain modulo the quotient span,
-        over the quotient basis keys."""
-        return {self.basis[q][p]: v
-                for p, v in self._vector(q, element).items()}
-
     def _boundary(self, q):
         """The images of the quotient basis of degree q, in the quotient
         positions of degree q - 1; `diff` runs once per key and degree."""
@@ -147,8 +139,8 @@ class ChainComplex:
 
     def _solver(self, q):
         """(solver, representatives) of degree q: the solver holds the
-        boundaries from degree q + 1, then the representatives, then unit
-        vectors that complete a basis."""
+        boundaries from degree q + 1, then the representatives, so it
+        expresses every cycle."""
         if q not in self._solvers:
             keys = self.basis.get(q, [])
             solver = LinearSolver(len(keys))
@@ -161,9 +153,6 @@ class ChainComplex:
                 if solver.express(vec) is None:
                     solver.add(vec, ("r", len(reps)))
                     reps.append({keys[p]: c for p, c in vec.items()})
-            for p in range(len(keys)):
-                if p not in solver.red.rows:
-                    solver.add({p: Fraction(1)}, ("u", p))
             self._solvers[q] = solver, reps
         return self._solvers[q]
 
@@ -179,16 +168,6 @@ class ChainComplex:
         return BettiTable(dims=dims, exact={q: True for q in qs},
                           representatives=reps)
 
-    def _read(self, q, vec):
-        combo = self._solver(q)[0].express(vec)
-        return {tag[1]: c for tag, c in combo.items() if tag[0] == "r"}
-
-    def project(self, q, element):
-        """The representative coordinates of any chain of degree q:
-        {representative position: Fraction}.  Boundaries and the completing
-        unit vectors read as zero, so this is a chain map onto homology."""
-        return self._read(q, self._vector(q, element))
-
     def class_coefficients(self, q, element):
         """Express a cycle's homology class in the representative basis of
         homology(..., representatives=True); returns {rep position:
@@ -196,4 +175,5 @@ class ChainComplex:
         vec = self._vector(q, element)
         if self._image(q, vec):
             raise ValueError(f"element is not a cycle class in degree {q}")
-        return self._read(q, vec)
+        combo = self._solver(q)[0].express(vec)
+        return {tag[1]: c for tag, c in combo.items() if tag[0] == "r"}

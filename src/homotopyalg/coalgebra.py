@@ -67,7 +67,6 @@ __all__ = [
     "Coderivation",
     "HomotopyAlgebra",
     "StructureReport",
-    "coproduct_sym",
     "bracket",
     "certify",
 ]
@@ -248,18 +247,6 @@ class HomotopyAlgebra:
         return self.ops.get(k, {}).get(tuple(word), {})
 
 
-def coproduct_sym(word, space):
-    """Shuffle coproduct on a canonical word, one term per shuffle, both
-    counit terms included: {(left, right): sign}."""
-    degs = [space.degrees[i] for i in word]
-    n = len(word)
-    out = {}
-    for k in range(n + 1):
-        for sign, front, back in unshuffle_splits(word, degs, k):
-            add_into(out, (front, back), sign)
-    return out
-
-
 def _compose(outer, inner, max_arity, out, scale):
     """Add `scale` times the corestriction of outer . inner, through
     `max_arity` or whole, to out = {arity: {word: {index: coeff}}}.
@@ -339,8 +326,11 @@ def bracket(d1, d2, max_arity=None):
     components are built from partial compositions of the two,
     summed on integers (see the module docstring) and divided once.  When
     d1 is d2 the two compositions agree, so [d, d] = (1 - (-1)^(|d||d|))
-    d . d is composed once, and not at all for an even d.
+    d . d is composed once, and not at all for an even d.  A `max_arity`
+    other than None or a bound is refused with ValueError.
     """
+    if max_arity is not None:
+        require_bound("max_arity", max_arity)
     if d1.symmetric != d2.symmetric:
         raise ValueError("bracket cannot mix tensor and symmetric coderivations")
     sign = -1 if (d1.degree % 2) and (d2.degree % 2) else 1

@@ -51,7 +51,7 @@ import itertools
 import math
 
 from .ainfty import AInftyAlgebra, check_stasheff
-from .chain import BettiTable, InconsistencyError
+from .chain import BettiTable, ChainComplex, InconsistencyError
 from .graded import (
     GradedSpace,
     add_into,
@@ -252,10 +252,18 @@ class PermutationModel(CEModel):
     (1984)), and a word of degree q has at most q letters, so through
     max_degree + 1 every block of the coinvariant complex has a basis of
     the non-vanishing orbit representatives: `spans` is empty.  The
-    differential, the coproduct factors that have zero weight and the block
-    sum all stay on permutation words, since a bracket merges letters only
-    along a chain of sigma.  A zero-weight word that is not a permutation
-    word reaching `canonical` is a fault of the package.
+    differential and the block sum both stay on permutation words, since a
+    bracket merges letters only along a chain of sigma.  A zero-weight word
+    that is not a permutation word reaching `canonical` is a fault of the
+    package.
+
+    For the same reason d keeps the number of cycles or lowers it, and
+    takes a word of one cycle to words of one cycle: the one-cycle words
+    span a subcomplex P, `primitive_blocks`, and the complex is the free
+    graded-commutative algebra Lambda(P) under the block sum, with d a
+    derivation.  Over Q its homology is Lambda(H(P)), with primitives
+    H(P) = HC(A)[1] (Loday-Quillen, Comment. Math. Helv. 59 (1984); Loday,
+    Cyclic Homology, 10.2-10.3).  `primitive_homology` computes H(P).
 
     The matrix units act on gl_n(A) through the factor M_n(K), whether or
     not the base has a unit, and the model is that of the coinvariants of
@@ -269,7 +277,8 @@ class PermutationModel(CEModel):
     cyclic words of total degree q whose stabilizer does not act by -1,
     the word that puts the cycles in sorted order on consecutive
     positions, each read from its first position.  That word is its own
-    cycle form, with sign 1.
+    cycle form, with sign 1, and the multisets of one cyclic word are the
+    blocks of P.
 
     `_letters` is the (base index, row, column) table of the flat indices
     of M_n(A), and `_canon` the memo of `canonical`.  A canonical word of k
@@ -287,9 +296,9 @@ class PermutationModel(CEModel):
         # the multisets are the canonical symmetric words over the
         # necklaces: two equal cycles of odd degree swap with sign -1
         degrees = [d for _, d in necklaces]
-        blocks = {}
+        blocks, self.primitive_blocks = {}, {}
         for q in range(max_degree + 2):
-            reps = []
+            reps, cycles = [], []
             for picks in ce_words(degrees, q):
                 word, offset = [], 0
                 for p in picks:
@@ -300,12 +309,39 @@ class PermutationModel(CEModel):
                                 for s, a in enumerate(reading))
                     offset += size
                 reps.append(tuple(sorted(word)))
+                if len(picks) == 1:
+                    cycles.append(reps[-1])
             if reps:
                 blocks[q] = sorted(reps)
+            if cycles:
+                self.primitive_blocks[q] = sorted(cycles)
         super().__init__(gl(base, n), max_degree, blocks, {})
         self._letters = tuple((a, i, j) for a in range(dim)
                               for i in range(n) for j in range(n))
         self._canon = {}
+        self._primitives = None
+
+    def primitive_homology(self):
+        """H(P) in degrees 0..max_degree, with its representatives, computed
+        once.  P is a subcomplex: its boundary is read through the memoized
+        `differential` of the model's complex, so no word is evaluated
+        twice, and a boundary with a key outside P raises
+        `InconsistencyError`."""
+        if self._primitives is None:
+            cx, words = self.complex(), self.primitive_blocks
+            members = {q: set(ws) for q, ws in words.items()}
+
+            def diff(q, word):
+                image = cx.differential(q, {word: 1})
+                if not image.keys() <= members.get(q - 1, set()):
+                    raise InconsistencyError(
+                        f"the boundary of the one-cycle word {word} leaves "
+                        f"the one-cycle words of degree {q - 1}")
+                return image
+
+            self._primitives = ChainComplex(words, diff).homology(
+                range(self.max_degree + 1), representatives=True)
+        return self._primitives
 
     def relabel(self, entries, rows, cols=None):
         """The flat indices of the letters `entries`, given as (base index,
@@ -379,29 +415,6 @@ class PermutationModel(CEModel):
                                   self.algebra.suspended)
         canon[word] = (0 if vanishes else sign), rep
         return canon[word]
-
-    def relations(self):
-        """For each representative of degree <= max_degree and each adjacent
-        transposition (k, k+1) of its touched positions: the relabelled
-        word w minus its class sign . target, whose coproduct must vanish.
-
-        These are the identifications the presentation makes at its
-        representatives only, a generating set of the relabellings there;
-        the check is not complete over all words."""
-        letters, susp = self._letters, self.algebra.suspended
-        for q in range(self.max_degree + 1):
-            for rep in self.blocks.get(q, ()):
-                entries = [letters[x] for x in rep]
-                for k in range(len(rep) - 1):
-                    move = list(range(len(rep)))
-                    move[k], move[k + 1] = k + 1, k
-                    _, w = canonical_sym(self.relabel(entries, move), susp)
-                    sign, target = self.canonical(w)
-                    relation = {w: 1}
-                    if sign:
-                        add_into(relation, target, -sign)
-                    if relation:
-                        yield q, relation
 
 
 def _least_rotation(reading, odd):

@@ -89,10 +89,6 @@ class GradedSpace:
         """The shifted space: degree d becomes d + 1."""
         return GradedSpace(self.labels, tuple(d + 1 for d in self.degrees))
 
-    def word_degree(self, word):
-        degs = self.degrees
-        return sum(degs[i] for i in word)
-
 
 def sign_of_arrangement(degrees, order):
     """Koszul sign of rearranging factors with the given degrees so that the

@@ -20,27 +20,10 @@ squares to zero, and they act as zero on homology.
 
 Coinvariants by a degree-0 sub-Lie-algebra h quotient each block by the span
 S of the inner-derivation images of h.  One `CEModel` owns the blocks, the
-quotient generators and the one reduced complex built from them; homology,
-the coproduct and the induced action of an inner derivation all read that
-complex, for a generic h as for the gl_n(A) model of `constructions`, which
-only changes the map of words to the keys of the complex.
-
-The homology coproduct is induced by the reduced shuffle coproduct, taken on
-the quotient itself: on (C/S) (x) (C/S), the canonical isomorph of C (x) C
-modulo S (x) C + C (x) S, with no second complex built.  Classes there are
-read through p (x) p, where p is the chain-level projection of the reduced
-complex onto its homology (Kunneth over a field).  Three facts are verified
-at computation time rather than assumed: the coproduct of every relation of
-the model (each generator of S, or for a model with no S the identifications
-its `canonical` makes) vanishes in (C/S) (x) (C/S) (descent), the
-coproducts of the representatives and of the boundaries are cycles of the
-pair differential, and the coproduct of the boundary of every quotient basis
-word has zero class (independence of the representative).  The coproduct on
-homology is then checked coassociative and graded-cocommutative on every
-class.  That does not pin the shuffle formula, but it refuses a coproduct
-weighted by the length of its front, which passes the three checks above
-on the stable model of gl(K) - from max_degree 4, the first degree with a
-class whose reduced coproduct is nonzero.
+quotient generators and the one reduced complex built from them; homology
+and every class read-off use that complex, for a generic h as for the
+gl_n(A) model of `constructions`, which only changes the map of words to
+the keys of the complex.
 """
 
 from __future__ import annotations
@@ -49,21 +32,14 @@ import itertools
 from fractions import Fraction
 
 from .chain import ChainComplex, InconsistencyError
-from .coalgebra import (
-    Coderivation,
-    HomotopyAlgebra,
-    bracket,
-    certify,
-    coproduct_sym,
-)
-from .graded import add_into, require_bound
-from .rational_linalg import RowReducer, kernel
+from .coalgebra import Coderivation, HomotopyAlgebra, bracket, certify
+from .graded import add_into, is_integer, require_bound
+from .rational_linalg import RowReducer
 
 __all__ = [
     "InconsistencyError",
     "SubalgebraError",
     "LInftyAlgebra",
-    "HomologyCoalgebra",
     "check_linfty",
     "make_inner",
     "ce_words",
@@ -71,7 +47,6 @@ __all__ = [
     "CEModel",
     "ce_model",
     "lie_homology",
-    "coalgebra_on_homology",
 ]
 
 
@@ -106,11 +81,20 @@ def check_linfty(alg, max_arity=None):
     return certify(d, d, max_arity)
 
 
-def _element(generator):
-    """A generator given as a basis index or a sparse dict, as an element
-    {index: Fraction} with its zero coefficients dropped."""
-    if isinstance(generator, int):
+def _element(alg, generator):
+    """A generator given as a basis index of `alg` or a sparse dict over
+    such indices, as an element {index: Fraction} with its zero
+    coefficients dropped.  Anything else - a bool, an index out of range,
+    or a dict with such a key - is refused with ValueError."""
+    def is_index(i):
+        return is_integer(i) and 0 <= i < alg.space.dim
+
+    if is_index(generator):
         return {generator: Fraction(1)}
+    if not isinstance(generator, dict) or not all(map(is_index, generator)):
+        raise ValueError(
+            f"a generator must be a basis index in range({alg.space.dim}) "
+            f"or a dict over such indices, got {generator!r}")
     return {i: f for i, c in generator.items() if (f := Fraction(c))}
 
 
@@ -119,7 +103,7 @@ def _as_coderivation(alg, generator):
     either one already, a basis index, or an element dict (arity 0)."""
     if isinstance(generator, Coderivation):
         return generator
-    el = _element(generator)
+    el = _element(alg, generator)
     if not el:
         raise ValueError("zero generator has no well-defined degree")
     degs = {alg.suspended.degrees[i] for i in el}
@@ -171,7 +155,7 @@ def ce_words(degs, total_degree):
 def _h_elements(alg, h):
     """Normalize a subalgebra spec to a list of degree-0 element dicts."""
     out = []
-    for el in filter(None, map(_element, h)):
+    for el in filter(None, (_element(alg, g) for g in h)):
         for i in el:
             if alg.space.degrees[i] != 0:
                 raise SubalgebraError(
@@ -230,10 +214,9 @@ class CEModel:
     and the top block, which only sources boundaries into degree m, is
     never quotiented.  `canonical` sends a word to (sign, key of the
     complex), sign 0 for a word the quotient kills; here it is the
-    identity.  Every consumer - the differential, each tensor factor of the
-    coproduct, and the callers that rewrite chains through `reduce` -
-    passes its words through it.  The reduced complex and the homology
-    coalgebra are each built once and cached.
+    identity.  Every consumer - the differential and the callers that
+    rewrite chains through `reduce` - passes its words through it.  The
+    reduced complex is built once and cached.
     """
 
     def __init__(self, algebra, max_degree, blocks, spans, max_weight=None):
@@ -242,18 +225,10 @@ class CEModel:
         self.blocks = blocks
         self.spans = spans
         self.max_weight = max_weight
-        self._cx = self._coalg = None
+        self._cx = None
 
     def canonical(self, word):
         return 1, word
-
-    def relations(self):
-        """(degree, element) pairs that are zero in the quotient, whose
-        coproducts `coalgebra_on_homology` checks: here every span
-        generator."""
-        for q, gens in sorted(self.spans.items()):
-            for s in gens:
-                yield q, s
 
     def reduce(self, element):
         """An element over canonical words, rewritten on the keys of the
@@ -284,12 +259,6 @@ class CEModel:
             table.exact[q] = weight is None or weight >= ce_letters(q)
         return table
 
-    def coproduct(self):
-        """The induced coalgebra on homology (`coalgebra_on_homology`)."""
-        if self._coalg is None:
-            self._coalg = coalgebra_on_homology(self)
-        return self._coalg
-
 
 def ce_model(alg, max_degree, max_weight=None, h=None):
     """The model of canonical symmetric words in degrees 0..max_degree+1,
@@ -319,191 +288,3 @@ def lie_homology(alg, max_degree, max_weight=None, h=None):
     """Homology of the Chevalley-Eilenberg complex in degrees 0..max_degree,
     optionally after coinvariant reduction by a degree-0 subalgebra h."""
     return ce_model(alg, max_degree, max_weight, h).homology()
-
-
-class HomologyCoalgebra:
-    """Homology with its induced coproduct in a fixed representative basis.
-
-    A class is named (q, i), representative i of H_q.  `delta[q]` has one
-    row per representative of H_q giving its reduced coproduct on the
-    Kunneth basis of the degree-q homology of (C/S) (x) (C/S), keyed
-    ((a, i), (b, j)) for class (a, i) tensor class (b, j), read through
-    p (x) p from the chain-level projection p of the factor complex.
-    Every check ran at construction time: the coproduct of every relation
-    of the model vanishes in (C/S) (x) (C/S), the coproducts of the
-    representatives and of the boundaries of the quotient basis words are
-    cycles, the latter have zero class, and `delta` is coassociative and
-    graded-cocommutative.
-    """
-
-    def __init__(self, table, delta):
-        self.table = table
-        self.delta = delta
-        self._primitives = {}
-
-    def primitive_subspace(self, q):
-        """Primitive classes of H_q, as a RowReducer spanning them in its
-        representative coordinates: the classes with vanishing reduced
-        coproduct, and none in degree 0, where the counit splits them off.
-        Its rows are the reduced echelon basis, whatever the order of the
-        Kunneth columns.  It is computed once per degree and shared, so
-        callers only read it."""
-        if q not in self._primitives:
-            rows = self.delta.get(q, [])
-            tags = {t: i for i, t in enumerate(sorted(set().union(*rows)))}
-            columns = [{tags[t]: c for t, c in row.items()} for row in rows]
-            self._primitives[q] = (kernel(columns, len(tags)) if q
-                                   else RowReducer())
-        return self._primitives[q]
-
-
-def _coalgebra_defect(delta):
-    """The first identity the reduced coproduct `delta` of a
-    `HomologyCoalgebra` fails, as (identity, degree), or None.  Checked on
-    every class x: coassociativity, (D (x) 1) D x = (1 (x) D) D x, where D
-    has degree 0, so neither side carries a Koszul sign; and cocommutativity,
-    D x fixed by the graded twist u (x) v -> (-1)^(|u||v|) v (x) u."""
-    for q, rows in sorted(delta.items()):
-        for row in rows:
-            left, right = {}, {}
-            for (u, v), c in row.items():
-                for (u1, u2), c2 in delta[u[0]][u[1]].items():
-                    add_into(left, (u1, u2, v), c * c2)
-                for (v1, v2), c2 in delta[v[0]][v[1]].items():
-                    add_into(right, (u, v1, v2), c * c2)
-            if left != right:
-                return "coassociative", q
-            if row != {(v, u): -c if u[0] * v[0] % 2 else c
-                       for (u, v), c in row.items()}:
-                return "cocommutative", q
-    return None
-
-
-def coalgebra_on_homology(model):
-    """Homology of a `CEModel` together with its induced coproduct.
-
-    The reduced shuffle coproduct is taken on (C/S) (x) (C/S): each tensor
-    factor is first sent through `model.canonical`, then replaced by its
-    canonical residual in the quotient, and a factor whose key is absent
-    from the complex counts as zero (in a graded presentation the absent
-    words are exactly the ones the quotient map kills).  Classes are read
-    through p (x) p, where p = `cx.project` is a chain map onto homology
-    that kills boundaries and sends each representative to its basis
-    vector; by the Kunneth theorem over a field, p (x) p sends a cycle of
-    (C/S) (x) (C/S) to its class in the basis of representative pairs.
-    Verified before that read-off: the coproduct of every element of
-    `model.relations()` - every span generator, unless the model says
-    otherwise - vanishes in (C/S) (x) (C/S) (descent); the coproducts of each
-    representative and of a basis of each boundary image (`image_basis`)
-    are cycles of the pair differential res(dx) (x) y + (-1)^|x| x (x)
-    res(dy); and the latter have zero class (independence of the
-    representative).  Both checks are linear, so that basis makes them
-    complete.  Last, the coproduct on homology is checked coassociative and
-    cocommutative under the graded twist on every class
-    (`_coalgebra_defect`).
-    These hold whenever the relations are images of inner derivations or
-    of relabellings by permutation matrices, as they are for every model
-    the package builds, because inner derivations and the differential are
-    coderivations and a relabelling is a coalgebra automorphism; a failure
-    is a fault of the package and raises `InconsistencyError`.
-    """
-    space, max_degree = model.algebra.suspended, model.max_degree
-    cx = model.complex()
-    table = model.homology(representatives=True)
-    reps = table.representatives
-
-    residuals = {}
-
-    def residual(word):
-        """The class of a word in C/S, over the quotient basis words."""
-        if word not in residuals:
-            q = space.word_degree(word)
-            sign, key = model.canonical(word)
-            known = sign and key in cx.index.get(q, {})
-            residuals[word] = cx.residual(q, {key: sign}) if known else {}
-        return residuals[word]
-
-    word_coproducts = {}
-
-    def reduced_coproduct(el):
-        """Shuffle coproduct without counit terms, in (C/S) (x) (C/S)."""
-        out = {}
-        for w, c in el.items():
-            if w not in word_coproducts:
-                terms = {}
-                for (front, back), sign in coproduct_sym(w, space).items():
-                    if not front or not back:
-                        continue
-                    right = residual(back)
-                    for x, c1 in residual(front).items():
-                        for y, c2 in right.items():
-                            add_into(terms, (x, y), sign * c1 * c2)
-                word_coproducts[w] = terms
-            for pair, c2 in word_coproducts[w].items():
-                add_into(out, pair, Fraction(c) * c2)
-        return out
-
-    boundaries, projections = {}, {}
-
-    def boundary(word):
-        if word not in boundaries:
-            boundaries[word] = cx.differential(space.word_degree(word),
-                                               {word: 1})
-        return boundaries[word]
-
-    def project(word):
-        if word not in projections:
-            projections[word] = cx.project(space.word_degree(word), {word: 1})
-        return projections[word]
-
-    def pair_class(q, el, what):
-        """The class of a cycle of (C/S) (x) (C/S), through p (x) p."""
-        image = {}
-        for (x, y), c in el.items():
-            a = space.word_degree(x)
-            # terms with a degree-0 factor lie outside the reduced tensor square
-            if a > 1:
-                for w, c2 in boundary(x).items():
-                    add_into(image, (w, y), c * c2)
-            if q - a > 1:
-                sgn = -1 if a % 2 else 1
-                for w, c2 in boundary(y).items():
-                    add_into(image, (x, w), sgn * c * c2)
-        if image:
-            raise InconsistencyError(
-                f"the coproduct of {what} is not a cycle in degree {q}")
-        out = {}
-        for (x, y), c in el.items():
-            a = space.word_degree(x)
-            right = project(y)
-            for i, ci in project(x).items():
-                for j, cj in right.items():
-                    add_into(out, ((a, i), (q - a, j)), c * ci * cj)
-        return out
-
-    for q, relation in model.relations():
-        if reduced_coproduct(relation):
-            raise InconsistencyError(
-                f"coproduct does not descend to the quotient in degree {q}")
-
-    for q in range(2, max_degree + 1):
-        words = cx.basis.get(q + 1, ())
-        for p in cx.image_basis(q + 1):
-            img = reduced_coproduct(boundary(words[p]))
-            if pair_class(q, img, "a boundary"):
-                raise InconsistencyError(
-                    f"coproduct depends on the choice of representative in degree {q}")
-
-    delta = {}
-    for q in range(0, max_degree + 1):
-        delta[q] = [pair_class(q, reduced_coproduct(rep), "a representative")
-                    if q >= 2 else {} for rep in reps.get(q, [])]
-
-    defect = _coalgebra_defect(delta)
-    if defect:
-        identity, q = defect
-        raise InconsistencyError(
-            f"the homology coproduct is not {identity} in degree {q}")
-
-    return HomologyCoalgebra(table=table, delta=delta)
-

@@ -9,7 +9,7 @@ degree by degree:
   requested size as the subcomplex `gl_coinvariant_model` reads off that
   stable model through the corner inclusion;
 * the right side computes the cyclic homology of A by the Connes
-  complex and expands the free graded-commutative coalgebra on its
+  complex and expands the free graded-commutative algebra on its
   shift, Lambda(HC(A)[1]), by exact Poincare-series multiplication.
 
 The two paths share no differential code, so their agreement is evidence
@@ -30,6 +30,11 @@ A requested size n is not built again: the corner inclusion embeds its
 coinvariant complex in the stable one (see `constructions`), and its table
 is the homology of that subcomplex.
 
+The stable model is Lambda(P) on its one-cycle words P, so its homology is
+Lambda(H(P)) and its primitives are H(P) (see `PermutationModel`).  The
+primitives are read from H(P), and every model a run builds must have the
+table of Lambda(H(P)), which is checked.
+
 On an augmented base, A = K + I with I the ideal of `augmentation_ideal`,
 the left side splits.  gl_n(A) is the semidirect product of gl_n(K) and
 the L-infinity ideal gl_n(I), and gl_n(K) is reductive and acts
@@ -45,7 +50,9 @@ right side and, wherever the block-sum product builds the model of gl_N(A)
 itself, the check that its dimensions and primitives equal the closed form
 times those of the ideal.  The closed form is a product of Poincare
 series and the model of the ideal a Chevalley-Eilenberg complex, so the
-two sides still share no differential code.  A base whose non-unit
+two sides still share no differential code.  One routine, `_free_series`,
+gives the Poincare series of every free graded-commutative algebra here:
+Lambda(HC[1]), the closed form and Lambda(H(P)).  A base whose non-unit
 letters span no ideal, such as a differential algebra with d(x) = 1,
 keeps the model of gl_N(A).
 
@@ -57,7 +64,8 @@ second are shifted past those of the first.  Brackets between letters on
 disjoint positions vanish, so this is a chain map, and S_N acts trivially
 on the quotient, so the class does not depend on where the blocks sit.
 Unit, graded commutativity, associativity and the products of primitives
-are checked exactly on one product table.
+are checked exactly on one product table, the primitives being the classes
+of the representatives of H(P).
 """
 
 from __future__ import annotations
@@ -81,6 +89,7 @@ from .constructions import (
 )
 from .graded import add_into, require_bound
 from .linfty import ce_letters, lie_homology
+from .rational_linalg import RowReducer
 
 __all__ = [
     "HopfProductReport",
@@ -105,39 +114,47 @@ HOPF_BUDGET = 40
 
 
 # ---------------------------------------------------------------------------
-# The right side: Lambda(HC[1]) by Poincare series
+# Free graded-commutative algebras by Poincare series
+
+
+def _free_series(generators, max_degree, dims=None):
+    """{q: dimension} through max_degree of the free graded-commutative
+    algebra on generators of the degrees `generators`, each >= 1, times the
+    table `dims` (the ground field when None): a factor (1 + t^d) for each
+    odd generator and 1 / (1 - t^d) for each even one.  All coefficients
+    are exact integers."""
+    dims = {0: 1} if dims is None else dims
+    series = [dims.get(q, 0) for q in range(max_degree + 1)]
+    for d in generators:
+        if d % 2:
+            for q in range(max_degree, d - 1, -1):
+                series[q] += series[q - d]
+        else:
+            for q in range(d, max_degree + 1):
+                series[q] += series[q - d]
+    return dict(enumerate(series))
 
 
 def expand_exterior(hc, max_degree):
     """BettiTable of Lambda(H[1]) truncated at max_degree: the free
-    graded-commutative coalgebra on the shifted homology table.
+    graded-commutative algebra on the shifted homology table.
 
-    A class in H_k becomes a generator in degree k + 1; odd-degree
-    generators contribute an exterior factor (1 + t^d) to the Poincare
-    series, even-degree generators a truncated polynomial factor
-    1 / (1 - t^d).  All coefficients are exact integers.  The input table
-    must be exact in degrees 0..max_degree-1 (those are the classes whose
-    shifted generators can reach the truncation), and max_degree a bound
-    (`graded.is_bound`); anything else is refused with ValueError.
+    A class in H_k becomes a generator in degree k + 1 (`_free_series`).
+    The input table must be exact in degrees 0..max_degree-1 (those are the
+    classes whose shifted generators can reach the truncation), and
+    max_degree a bound (`graded.is_bound`); anything else is refused with
+    ValueError.
     """
     require_bound("max_degree", max_degree)
     D = max_degree
-    series = [1] + [0] * D
     for k in range(0, D):
         if k not in hc.dims or not hc.exact.get(k, False):
             raise ValueError(
                 f"the source table must be exact through degree {D - 1}; "
                 f"degree {k} is missing or truncated")
-        d = k + 1
-        for _ in range(hc.dims[k]):
-            if d % 2:
-                for i in range(D, d - 1, -1):
-                    series[i] += series[i - d]
-            else:
-                for i in range(d, D + 1):
-                    series[i] += series[i - d]
-    return BettiTable(dims={q: series[q] for q in range(D + 1)},
-                      exact=dict.fromkeys(range(D + 1), True))
+    series = _free_series(
+        [k + 1 for k in range(D) for _ in range(hc.dims[k])], D)
+    return BettiTable(dims=series, exact=dict.fromkeys(range(D + 1), True))
 
 
 # ---------------------------------------------------------------------------
@@ -148,9 +165,9 @@ class HopfProductReport:
     """Exact verification record for the block-sum product on the
     gl_n(K)-coinvariant homology of gl_n(A), for n > max_degree.
 
-    `products` maps ((qa, ia), (qb, ib)) - the two factor classes, named
-    as in `HomologyCoalgebra.delta` - to the product class in the
-    representative coordinates of the same model, and `checked_pairs`
+    `products` maps ((qa, ia), (qb, ib)) - the two factor classes, each
+    named (degree, index of its representative) - to the product class in
+    the representative coordinates of the same model, and `checked_pairs`
     counts them.  All checks are exact; empty violation lists mean the
     property held on everything checked.
     """
@@ -187,15 +204,15 @@ def hopf_product_on_homology(model):
     `PermutationModel.block_sum`.  The unit class must multiply as
     the identity, products must be graded-commutative and associative, and
     a nonzero product of two primitive classes of positive degree must not
-    be primitive.
+    be primitive.  The primitives of degree q are spanned by the classes of
+    the representatives of H(P)_q (`PermutationModel.primitive_homology`).
     """
     n, max_degree = model.n, model.max_degree
     if n <= max_degree:
         raise ValueError(
             f"the block-sum product needs a model with n > max_degree = "
             f"{max_degree}, got gl_{n}")
-    coalg = model.coproduct()
-    table = coalg.table
+    table = model.homology(representatives=True)
     cx = model.complex()
     reps = table.representatives
     degrees = sorted(q for q in table.dims if table.dims[q])
@@ -252,7 +269,11 @@ def hopf_product_on_homology(model):
         if left != right:
             associative_violations.append((x, y, z, left, right))
 
-    prim = {q: coalg.primitive_subspace(q) for q in degrees if q >= 1}
+    prim = {}
+    for q, chains in model.primitive_homology().representatives.items():
+        prim[q] = RowReducer()
+        for chain in chains:
+            prim[q].insert(cx.class_coefficients(q, chain))
     primitive_product_violations = []
     for (x, y), cls in sorted(products.items()):
         if x[0] < 1 or y[0] < 1 or not cls:
@@ -328,27 +349,25 @@ def _ground_generators(n, max_degree):
     return range(1, min(2 * n, max_degree + 1), 2)
 
 
-def _times_exterior(generators, dims, max_degree):
-    """The table `dims` times the Poincare series prod_d (1 + t^d) of an
-    exterior algebra on odd generators of the degrees `generators`,
-    through max_degree."""
-    series = [dims.get(q, 0) for q in range(max_degree + 1)]
-    for d in generators:
-        for q in range(max_degree, d - 1, -1):
-            series[q] += series[q - d]
-    return dict(enumerate(series))
-
-
 def _stable_tables(model, generators):
     """(dimensions, primitive dimensions) of the stable homology of `model`
-    times the exterior algebra on `generators`, whose primitives are its
-    generators: both read from the one table of the model's coalgebra."""
-    degrees = range(model.max_degree + 1)
-    coalg = model.coproduct()
-    dims = {q: coalg.table.dims.get(q, 0) for q in degrees}
-    return (_times_exterior(generators, dims, model.max_degree),
-            {q: coalg.primitive_subspace(q).dim + (q in generators)
-             for q in degrees})
+    times the exterior algebra on the odd `generators`, whose primitives
+    are its generators: the dimensions from the model's homology, the
+    primitives from H(P).  The homology must be Lambda(H(P)), or
+    `InconsistencyError` is raised."""
+    m = model.max_degree
+    dims = model.homology().dims
+    primitives = model.primitive_homology().dims
+    free = _free_series([q for q, d in primitives.items()
+                         for _ in range(d)], m)
+    for q in range(m + 1):
+        if dims[q] != free[q]:
+            raise InconsistencyError(
+                f"the stable model of {model.algebra.name} is not "
+                f"Lambda(H(P)) on its one-cycle words P in degree {q}: "
+                f"{dims[q]} != {free[q]}")
+    return (_free_series(generators, m, dims),
+            {q: primitives[q] + (q in generators) for q in range(m + 1)})
 
 
 def _hc_top(max_degree):
@@ -380,14 +399,14 @@ def verify_lqt(base, sizes, max_degree):
     augmented base (`augmentation_ideal`) the model is that of gl_N of the
     ideal I and the closed form is H(gl_n(K)) = Lambda(x_1, x_3, ...,
     x_{2n-1}); otherwise the model is that of gl_N(A) and the closed form
-    is 1.  The stable dimensions, representatives and primitives are read
-    from the one table of the model's homology coalgebra, and each
-    requested size from its subcomplex `gl_coinvariant_model`: a size n
-    must agree with the stable table in every degree q with n >= q + 1, or
-    `InconsistencyError` is raised; below that its table is reported as it
-    is.  For sizes <= 2 the table is also checked against the full
-    (unreduced) homology of gl_n(A), built on its own, which reductivity
-    makes equal.
+    is 1.  The stable dimensions are read from the model's homology, which
+    must be Lambda(H(P)) on its one-cycle words P, and the primitives from
+    H(P); each requested size is read from its subcomplex
+    `gl_coinvariant_model`: a size n must agree with the stable table in
+    every degree q with n >= q + 1, or `InconsistencyError` is raised;
+    below that its table is reported as it is.  For sizes <= 2 the table
+    is also checked against the full (unreduced) homology of gl_n(A),
+    built on its own, which reductivity makes equal.
 
     The model of gl_N(A) itself is built on an augmented base only when
     the block-sum product runs, as the historical budget allows; its
@@ -432,7 +451,7 @@ def verify_lqt(base, sizes, max_degree):
     left = {}
     for n in sizes:
         table = gl_coinvariant_model(stable, n).homology()
-        left[n] = _times_exterior(ground(n), table.dims, max_degree)
+        left[n] = _free_series(ground(n), max_degree, table.dims)
         for q in degrees:
             if n > q and left[n][q] != stable_dims[q]:
                 raise InconsistencyError(

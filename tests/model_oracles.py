@@ -1,6 +1,6 @@
 """Reference models: the E_12 presentation of the coinvariant model, its
-simple-root and every-word variants, and the pair-complex homology
-coproduct.
+simple-root and every-word variants, and the homology coalgebra with its
+pair-complex reference.
 
 `E12Model` and `e12_model` present the coinvariant Chevalley-Eilenberg
 complex of gl_n(A), for any n, on zero-weight words modulo the adjoint
@@ -38,10 +38,17 @@ echelons of the orbit model.  Its zero-weight blocks are built as the
 model builds them, every segment word sent through `canonical`, so the two
 differ only on the E_12 source words.
 
-Before the chain-level projection, the homology coproduct built a second
-complex on pairs of quotient basis words and read classes there against the
-tensor products of representatives; `pair_complex_coproduct` keeps that
-route as the reference for `coalgebra_on_homology`.
+`coalgebra_on_homology` is the homology coalgebra of a model: the reduced
+shuffle coproduct taken on the quotient and read through the chain-level
+projection p (x) p, with its descent, chain-map, representative-independence,
+coassociativity and cocommutativity checks.  The package reads the
+primitives of the stable model from its one-cycle words instead (see
+`PermutationModel`), so this is the oracle those primitives are compared
+with, and the route on which the Hopf identities of the homology are
+checked.  Before the chain-level projection, the homology coproduct built
+a second complex on pairs of quotient basis words and read classes there
+against the tensor products of representatives; `pair_complex_coproduct`
+keeps that route as the reference for `coalgebra_on_homology`.
 
 Before the one-model product, the block-sum product was checked in the
 doubled algebra gl_2n(A): chains of gl_n went into its odd and even slots,
@@ -60,12 +67,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from homotopyalg.ainfty import require_strict_unit
-from homotopyalg.chain import ChainComplex
-from homotopyalg.coalgebra import coproduct_sym
-from homotopyalg.constructions import gl, gl_index
-from homotopyalg.graded import add_into, canonical_sym
+from homotopyalg.chain import BettiTable, ChainComplex, InconsistencyError
+from homotopyalg.constructions import PermutationModel, gl, gl_index
+from homotopyalg.graded import add_into, canonical_sym, unshuffle_splits
 from homotopyalg.linfty import CEModel, ce_model, make_inner
-from homotopyalg.rational_linalg import LinearSolver
+from homotopyalg.rational_linalg import LinearSolver, RowReducer, kernel
 
 from matrix_oracles import corner_embed_word, gl_entry
 
@@ -147,6 +153,23 @@ class E12Model(CEModel):
         sign, word = canonical_sym(left + moved, self.algebra.suspended)
         orbit_sign, rep = self.canonical(word)
         return sign * orbit_sign, rep
+
+    def primitive_homology(self):
+        """The primitive classes of `coalgebra_on_homology`, laid out as
+        `PermutationModel.primitive_homology`: a table whose
+        representatives are chains of the model spanning them."""
+        coalg = coalgebra_on_homology(self)
+        reps, chains = coalg.table.representatives, {}
+        for q in reps:
+            chains[q] = []
+            for row in coalg.primitive_subspace(q).canonical_rows():
+                chain = {}
+                for i, c in row:
+                    for w, c2 in reps[q][i].items():
+                        add_into(chain, w, c * c2)
+                chains[q].append(chain)
+        return BettiTable(dims={q: len(cs) for q, cs in chains.items()},
+                          representatives=chains)
 
     def canonical(self, word):
         """The class of a canonical word in the quotient, as (sign,
@@ -506,6 +529,293 @@ def every_word_model(base, n, max_degree):
     return model
 
 
+# ---------------------------------------------------------------------------
+# The homology coalgebra
+
+
+def word_degree(space, word):
+    """The total degree of a word over `space`."""
+    return sum(space.degrees[i] for i in word)
+
+
+def coproduct_sym(word, space):
+    """Shuffle coproduct on a canonical word, one term per shuffle, both
+    counit terms included: {(left, right): sign}."""
+    degs = [space.degrees[i] for i in word]
+    out = {}
+    for k in range(len(word) + 1):
+        for sign, front, back in unshuffle_splits(word, degs, k):
+            add_into(out, (front, back), sign)
+    return out
+
+
+def residual(cx, q, element):
+    """The canonical representative of a chain of degree q of `cx` modulo
+    its quotient span, over the quotient basis keys."""
+    index, keys = cx.index.get(q, {}), cx.blocks.get(q, [])
+    vec = {index[k]: c for k, c in element.items() if c}
+    if q in cx.reducers:
+        vec = cx.reducers[q].residual(vec)
+    return {keys[c]: v for c, v in vec.items()}
+
+
+def projection(cx):
+    """The chain map p: C -> H of `cx`, as a function that sends a chain of
+    degree q to its representative coordinates {representative position:
+    Fraction}.  They are read off a solver per degree that holds the
+    boundaries from degree q + 1, the representatives of `cx.homology` and
+    unit vectors completing a basis; boundaries and the completing vectors
+    read as zero, so p is a chain map, and p (x) p gives the class of any
+    cycle of a tensor product of such complexes (Kunneth, over a field)."""
+    solvers = {}
+
+    def project(q, element):
+        if q not in solvers:
+            position = {k: p for p, k in enumerate(cx.basis.get(q, ()))}
+
+            def vector(chain):
+                return {position[k]: c for k, c in chain.items()}
+
+            solver = LinearSolver(len(position))
+            for j, key in enumerate(cx.basis.get(q + 1, ())):
+                solver.add(vector(residual(cx, q, cx.diff(q + 1, key))),
+                           ("b", j))
+            reps = cx.homology([q], representatives=True).representatives[q]
+            for i, rep in enumerate(reps):
+                solver.add(vector(rep), ("r", i))
+            for p in range(len(position)):
+                if p not in solver.red.rows:
+                    solver.add({p: Fraction(1)}, ("u", p))
+            solvers[q] = solver, vector
+        solver, vector = solvers[q]
+        combo = solver.express(vector(residual(cx, q, element)))
+        return {tag[1]: c for tag, c in combo.items() if tag[0] == "r"}
+
+    return project
+
+
+def relations(model):
+    """(degree, element) pairs that are zero in the quotient of a model,
+    whose coproducts `coalgebra_on_homology` checks.
+
+    For a `PermutationModel`, for each representative of degree <=
+    max_degree and each adjacent transposition (k, k+1) of its touched
+    positions: the relabelled word w minus its class sign . target.  These
+    are the identifications the presentation makes at its representatives
+    only, a generating set of the relabellings there; the check is not
+    complete over all words.  For any other model: every span generator."""
+    if not isinstance(model, PermutationModel):
+        for q, gens in sorted(model.spans.items()):
+            for s in gens:
+                yield q, s
+        return
+    letters, susp = model._letters, model.algebra.suspended
+    for q in range(model.max_degree + 1):
+        for rep in model.blocks.get(q, ()):
+            entries = [letters[x] for x in rep]
+            for k in range(len(rep) - 1):
+                move = list(range(len(rep)))
+                move[k], move[k + 1] = k + 1, k
+                _, w = canonical_sym(model.relabel(entries, move), susp)
+                sign, target = model.canonical(w)
+                relation = {w: 1}
+                if sign:
+                    add_into(relation, target, -sign)
+                if relation:
+                    yield q, relation
+
+
+class HomologyCoalgebra:
+    """Homology with its induced coproduct in a fixed representative basis.
+
+    A class is named (q, i), representative i of H_q.  `delta[q]` has one
+    row per representative of H_q giving its reduced coproduct on the
+    Kunneth basis of the degree-q homology of (C/S) (x) (C/S), keyed
+    ((a, i), (b, j)) for class (a, i) tensor class (b, j), read through
+    p (x) p from the chain-level projection p of the factor complex.
+    Every check ran at construction time: the coproduct of every relation
+    of the model vanishes in (C/S) (x) (C/S), the coproducts of the
+    representatives and of the boundaries of the quotient basis words are
+    cycles, the latter have zero class, and `delta` is coassociative and
+    graded-cocommutative.
+    """
+
+    def __init__(self, table, delta):
+        self.table = table
+        self.delta = delta
+        self._primitives = {}
+
+    def primitive_subspace(self, q):
+        """Primitive classes of H_q, as a RowReducer spanning them in its
+        representative coordinates: the classes with vanishing reduced
+        coproduct, and none in degree 0, where the counit splits them off.
+        Its rows are the reduced echelon basis, whatever the order of the
+        Kunneth columns.  It is computed once per degree and shared, so
+        callers only read it."""
+        if q not in self._primitives:
+            rows = self.delta.get(q, [])
+            tags = {t: i for i, t in enumerate(sorted(set().union(*rows)))}
+            columns = [{tags[t]: c for t, c in row.items()} for row in rows]
+            self._primitives[q] = (kernel(columns, len(tags)) if q
+                                   else RowReducer())
+        return self._primitives[q]
+
+
+def _coalgebra_defect(delta):
+    """The first identity the reduced coproduct `delta` of a
+    `HomologyCoalgebra` fails, as (identity, degree), or None.  Checked on
+    every class x: coassociativity, (D (x) 1) D x = (1 (x) D) D x, where D
+    has degree 0, so neither side carries a Koszul sign; and cocommutativity,
+    D x fixed by the graded twist u (x) v -> (-1)^(|u||v|) v (x) u."""
+    for q, rows in sorted(delta.items()):
+        for row in rows:
+            left, right = {}, {}
+            for (u, v), c in row.items():
+                for (u1, u2), c2 in delta[u[0]][u[1]].items():
+                    add_into(left, (u1, u2, v), c * c2)
+                for (v1, v2), c2 in delta[v[0]][v[1]].items():
+                    add_into(right, (u, v1, v2), c * c2)
+            if left != right:
+                return "coassociative", q
+            if row != {(v, u): -c if u[0] * v[0] % 2 else c
+                       for (u, v), c in row.items()}:
+                return "cocommutative", q
+    return None
+
+
+def coalgebra_on_homology(model):
+    """Homology of a `CEModel` together with its induced coproduct.
+
+    The reduced shuffle coproduct is taken on (C/S) (x) (C/S): each tensor
+    factor is first sent through `model.canonical`, then replaced by its
+    canonical `residual` in the quotient, and a factor whose key is absent
+    from the complex counts as zero (in a graded presentation the absent
+    words are exactly the ones the quotient map kills).  Classes are read
+    through p (x) p, where p = `projection(cx)` is a chain map onto
+    homology that kills boundaries and sends each representative to its
+    basis vector; by the Kunneth theorem over a field, p (x) p sends a
+    cycle of (C/S) (x) (C/S) to its class in the basis of representative
+    pairs.
+    Verified before that read-off: the coproduct of every element of
+    `relations(model)` vanishes in (C/S) (x) (C/S) (descent); the
+    coproducts of each representative and of a basis of each boundary
+    image (`image_basis`) are cycles of the pair differential
+    res(dx) (x) y + (-1)^|x| x (x) res(dy); and the latter have zero class
+    (independence of the representative).  Both checks are linear, so that
+    basis makes them complete.  Last, the coproduct on homology is checked
+    coassociative and cocommutative under the graded twist on every class
+    (`_coalgebra_defect`).  These hold whenever the relations are images of
+    inner derivations or of relabellings by permutation matrices, because
+    inner derivations and the differential are coderivations and a
+    relabelling is a coalgebra automorphism; a failure raises
+    `InconsistencyError`.  The check does not pin the shuffle formula, but
+    it refuses a coproduct weighted by the length of its front, which
+    passes the three linear checks on the stable model of gl(K) from
+    max_degree 4, the first degree with a class whose reduced coproduct is
+    nonzero.
+    """
+    space, max_degree = model.algebra.suspended, model.max_degree
+    cx = model.complex()
+    table = model.homology(representatives=True)
+    reps = table.representatives
+
+    residuals = {}
+
+    def residual_of(word):
+        """The class of a word in C/S, over the quotient basis words."""
+        if word not in residuals:
+            q = word_degree(space, word)
+            sign, key = model.canonical(word)
+            known = sign and key in cx.index.get(q, {})
+            residuals[word] = residual(cx, q, {key: sign}) if known else {}
+        return residuals[word]
+
+    word_coproducts = {}
+
+    def reduced_coproduct(el):
+        """Shuffle coproduct without counit terms, in (C/S) (x) (C/S)."""
+        out = {}
+        for w, c in el.items():
+            if w not in word_coproducts:
+                terms = {}
+                for (front, back), sign in coproduct_sym(w, space).items():
+                    if not front or not back:
+                        continue
+                    right = residual_of(back)
+                    for x, c1 in residual_of(front).items():
+                        for y, c2 in right.items():
+                            add_into(terms, (x, y), sign * c1 * c2)
+                word_coproducts[w] = terms
+            for pair, c2 in word_coproducts[w].items():
+                add_into(out, pair, Fraction(c) * c2)
+        return out
+
+    boundaries, projections, project = {}, {}, projection(cx)
+
+    def boundary(word):
+        if word not in boundaries:
+            boundaries[word] = cx.differential(word_degree(space, word),
+                                               {word: 1})
+        return boundaries[word]
+
+    def coordinates(word):
+        if word not in projections:
+            projections[word] = project(word_degree(space, word),
+                                        {word: 1})
+        return projections[word]
+
+    def pair_class(q, el, what):
+        """The class of a cycle of (C/S) (x) (C/S), through p (x) p."""
+        image = {}
+        for (x, y), c in el.items():
+            a = word_degree(space, x)
+            # terms with a degree-0 factor lie outside the reduced tensor square
+            if a > 1:
+                for w, c2 in boundary(x).items():
+                    add_into(image, (w, y), c * c2)
+            if q - a > 1:
+                sgn = -1 if a % 2 else 1
+                for w, c2 in boundary(y).items():
+                    add_into(image, (x, w), sgn * c * c2)
+        if image:
+            raise InconsistencyError(
+                f"the coproduct of {what} is not a cycle in degree {q}")
+        out = {}
+        for (x, y), c in el.items():
+            a = word_degree(space, x)
+            right = coordinates(y)
+            for i, ci in coordinates(x).items():
+                for j, cj in right.items():
+                    add_into(out, ((a, i), (q - a, j)), c * ci * cj)
+        return out
+
+    for q, relation in relations(model):
+        if reduced_coproduct(relation):
+            raise InconsistencyError(
+                f"coproduct does not descend to the quotient in degree {q}")
+
+    for q in range(2, max_degree + 1):
+        words = cx.basis.get(q + 1, ())
+        for p in cx.image_basis(q + 1):
+            img = reduced_coproduct(boundary(words[p]))
+            if pair_class(q, img, "a boundary"):
+                raise InconsistencyError(
+                    f"coproduct depends on the choice of representative in degree {q}")
+
+    delta = {}
+    for q in range(0, max_degree + 1):
+        delta[q] = [pair_class(q, reduced_coproduct(rep), "a representative")
+                    if q >= 2 else {} for rep in reps.get(q, [])]
+
+    defect = _coalgebra_defect(delta)
+    if defect:
+        identity, q = defect
+        raise InconsistencyError(
+            f"the homology coproduct is not {identity} in degree {q}")
+
+    return HomologyCoalgebra(table=table, delta=delta)
+
+
 def _class_in(cx, q, element, reps):
     """Coefficients of a cycle's class over external representatives, from
     one solver on the boundaries of degree q + 1 and the representatives of
@@ -531,17 +841,17 @@ def pair_complex_coproduct(space, cx, max_degree, canonical=None):
     reps = cx.homology(range(0, max_degree + 1),
                        representatives=True).representatives
 
-    def residual(word):
-        q = space.word_degree(word)
+    def word_residual(word):
+        q = word_degree(space, word)
         sign, key = (1, word) if canonical is None else canonical(word)
         if not sign or key not in cx.index.get(q, {}):
             return {}
-        return cx.residual(q, {key: sign})
+        return residual(cx, q, {key: sign})
 
     def residual_of(el):
         out = {}
         for w, c in el.items():
-            for w2, c2 in residual(w).items():
+            for w2, c2 in word_residual(w).items():
                 add_into(out, w2, c * c2)
         return out
 
@@ -551,8 +861,8 @@ def pair_complex_coproduct(space, cx, max_degree, canonical=None):
             for (front, back), sign in coproduct_sym(w, space).items():
                 if not front or not back:
                     continue
-                for x, c1 in residual(front).items():
-                    for y, c2 in residual(back).items():
+                for x, c1 in word_residual(front).items():
+                    for y, c2 in word_residual(back).items():
                         add_into(out, (x, y), Fraction(c) * sign * c1 * c2)
         return out
 
@@ -565,7 +875,7 @@ def pair_complex_coproduct(space, cx, max_degree, canonical=None):
 
     def pair_diff(t, pair):
         x, y = pair
-        a = space.word_degree(x)
+        a = word_degree(space, x)
         out = {}
         if a > 1:
             for w, c in residual_of(cx.diff(a, x)).items():
@@ -667,7 +977,7 @@ def doubled_hopf_product(model_n, model_2n):
             f"degree {max_degree}, got gl_{model_2n.n} through degree "
             f"{model_2n.max_degree}")
     base_dim = base.space.dim
-    coalg = model_n.coproduct()
+    coalg = coalgebra_on_homology(model_n)
     table_n = coalg.table
     cx2 = model_2n.complex()
     table_2n = model_2n.homology()

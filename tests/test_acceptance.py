@@ -16,7 +16,6 @@ from fractions import Fraction
 from pathlib import Path
 
 from homotopyalg.cli import main
-from homotopyalg.coalgebra import coproduct_sym
 from homotopyalg.constructions import PermutationModel, gl, gl_index, lie_ify
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import add_into, canonical_sym
@@ -24,7 +23,11 @@ from homotopyalg.ainfty import cyclic_homology
 from homotopyalg.linfty import lie_homology
 from homotopyalg.lqt import hopf_product_on_homology
 
-from model_oracles import inner_action_on_homology
+from model_oracles import (
+    coproduct_sym,
+    inner_action_on_homology,
+    word_degree,
+)
 from oracles import connes_cyclic_dims, gl_bracket, lie_homology_dims, sl2_bracket
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -189,7 +192,7 @@ def _co_leibniz_defect(d, word, space, flavor):
                                           space, flavor).items():
         for w, c in d.eval_word(front).items():
             add_into(rhs, (w, back), sign * c)
-        koszul = -1 if space.word_degree(front) % 2 else 1
+        koszul = -1 if word_degree(space, front) % 2 else 1
         for w, c in d.eval_word(back).items():
             add_into(rhs, (front, w), sign * koszul * c)
     defect = dict(lhs)

@@ -20,6 +20,7 @@ from homotopyalg.ainfty import (
     rotation_span,
 )
 
+from model_oracles import residual
 from oracles import connes_cyclic_dims
 from word_oracles import act
 
@@ -229,7 +230,7 @@ def quotient_violation(cx, q, elements):
         for k, c in el.items():
             for k2, c2 in cx.diff(q, k).items():
                 add_into(image, k2, Fraction(c) * c2)
-        if cx.residual(q - 1, image):
+        if residual(cx, q - 1, image):
             return el
     return None
 

@@ -8,12 +8,20 @@ from pathlib import Path
 
 import pytest
 
-from homotopyalg import chain, cli, constructions, linfty, lqt
+from homotopyalg import cli, constructions, linfty, lqt
 from homotopyalg.ainfty import cyclic_letters
 from homotopyalg.chain import BettiTable
 from homotopyalg.cli import main
-from homotopyalg.constructions import InconsistencyError
+from homotopyalg.constructions import (
+    InconsistencyError,
+    PermutationModel,
+    augmentation_ideal,
+)
+from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.linfty import ce_letters
+
+import model_oracles
+from model_oracles import coalgebra_on_homology
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -458,10 +466,23 @@ def test_internal_inconsistency_is_not_a_violation(monkeypatch):
         main(["lqt", fixture("K.alg"), "--n", "1,2", "--max-degree", "2"])
 
 
-def test_coproduct_fault_is_not_a_violation(monkeypatch, capsys):
-    # the coproduct descends and is independent of the representative for
-    # every input, so a failed check is a fault of the package
-    real = linfty.coproduct_sym
+def fixture_algebra(name):
+    return document_to_algebra(parse_document(
+        (FIXTURES / name).read_text(encoding="utf-8")))
+
+
+def run_unchanged_by(monkeypatch, capsys, mutate, *argv):
+    """Run the command line with and without `mutate` applied: no run reads
+    a homology coproduct, so a fault planted there leaves the exit code and
+    the payload as they were.  Returns the exit code."""
+    code, out, _ = run(capsys, *argv)
+    mutate(monkeypatch)
+    assert run(capsys, *argv)[:2] == (code, out)
+    return code
+
+
+def extra_coproduct_term(monkeypatch):
+    real = model_oracles.coproduct_sym
 
     def wrong(word, space):
         out = real(word, space)
@@ -469,87 +490,117 @@ def test_coproduct_fault_is_not_a_violation(monkeypatch, capsys):
             out[(word[:1], word[1:])] = out.get((word[:1], word[1:]), 0) + 1
         return out
 
-    monkeypatch.setattr(linfty, "coproduct_sym", wrong)
-    # over K the quotient is zero in degree 2, so through degree 3 the
-    # wrong term never reaches a class: no check fires and nothing fails
-    code, _, _ = run(capsys, "lqt", fixture("K.alg"), "--n", "2,3",
-                     "--max-degree", "3")
-    assert code != 2
-    # K[e] is augmented, and at sizes 2, 3 only the model of its ideal is
-    # built, with no class in degree 2: again nothing fires.  At size 2
-    # alone the block-sum product builds the model of gl_4(K[e]), whose
-    # descent check refuses the wrong term
-    code, _, _ = run(capsys, "lqt", fixture("dual_numbers.alg"), "--n", "2,3",
-                     "--max-degree", "3")
-    assert code != 2
+    monkeypatch.setattr(model_oracles, "coproduct_sym", wrong)
+
+
+def weighted_coproduct(monkeypatch):
+    # weighting each split by the length of its front keeps it natural
+    # under relabelling, so it descends, but it no longer commutes with the
+    # differential
+    real = model_oracles.coproduct_sym
+
+    def weighted(word, space):
+        return {split: len(split[0]) * c
+                for split, c in real(word, space).items()}
+
+    monkeypatch.setattr(model_oracles, "coproduct_sym", weighted)
+
+
+def test_coproduct_fault_is_not_a_violation(monkeypatch, capsys):
+    # the coproduct descends for every input, so the oracle that checks it
+    # refuses a wrong term as a fault of the package: on the model of
+    # gl_4(K[e]), which the block-sum product builds at size 2.  Over K the
+    # quotient is zero in degree 2, so through degree 3 the wrong term
+    # never reaches a class and nothing fires
+    assert run_unchanged_by(monkeypatch, capsys, extra_coproduct_term, "lqt",
+                            fixture("dual_numbers.alg"), "--n", "2",
+                            "--max-degree", "3") == 0
     with pytest.raises(InconsistencyError, match="does not descend"):
-        main(["lqt", fixture("dual_numbers.alg"), "--n", "2",
-              "--max-degree", "3"])
+        coalgebra_on_homology(
+            PermutationModel(fixture_algebra("dual_numbers.alg"), 3))
+    coalgebra_on_homology(PermutationModel(fixture_algebra("K.alg"), 3))
 
 
 def test_coproduct_that_is_no_chain_map_is_not_a_violation(monkeypatch,
                                                             capsys):
-    # weighting each split by the length of its front keeps it natural under
-    # relabelling, so it descends, but it no longer commutes with the
-    # differential: the coproduct of a boundary is not a cycle
-    real = linfty.coproduct_sym
-
-    def weighted(word, space):
-        return {split: len(split[0]) * c
-                for split, c in real(word, space).items()}
-
-    monkeypatch.setattr(linfty, "coproduct_sym", weighted)
+    # the weighted coproduct: the coproduct of a boundary is not a cycle
+    # on the model of the ideal of ut2 that `lqt ut2 --n 2` builds
+    assert run_unchanged_by(monkeypatch, capsys, weighted_coproduct, "lqt",
+                            fixture("ut2.alg"), "--n", "2",
+                            "--max-degree", "3") == 0
+    ideal = augmentation_ideal(fixture_algebra("ut2.alg"))
     with pytest.raises(InconsistencyError,
                        match="coproduct of a boundary is not a cycle"):
-        main(["lqt", fixture("ut2.alg"), "--n", "2", "--max-degree", "3"])
-    assert capsys.readouterr().out == ""
+        coalgebra_on_homology(PermutationModel(ideal, 3))
 
 
 def test_coproduct_that_is_not_cocommutative_is_not_a_violation(
         monkeypatch, capsys):
-    # the weighted coproduct of the test above passes the descent and
-    # chain-map checks on K, but its coproduct on homology is neither
-    # coassociative nor graded-cocommutative: at max_degree 4 the
-    # block-sum product builds the model of gl_5(K), whose class x_1 x_3
-    # shows it.  At max_degree 3 no class of K has a nonzero reduced
-    # coproduct, and the mutant passes
-    real = linfty.coproduct_sym
-
-    def weighted(word, space):
-        return {split: len(split[0]) * c
-                for split, c in real(word, space).items()}
-
-    monkeypatch.setattr(linfty, "coproduct_sym", weighted)
+    # the weighted coproduct passes the descent and chain-map checks on K,
+    # but its coproduct on homology is neither coassociative nor
+    # graded-cocommutative: at max_degree 4 the model of gl_5(K), which
+    # the block-sum product builds, shows it on its class x_1 x_3.  At
+    # max_degree 3 no class of K has a nonzero reduced coproduct, and the
+    # mutant passes
+    assert run_unchanged_by(monkeypatch, capsys, weighted_coproduct, "lqt",
+                            fixture("K.alg"), "--n", "3,4",
+                            "--max-degree", "4") == 0
+    base = fixture_algebra("K.alg")
     with pytest.raises(InconsistencyError,
                        match="homology coproduct is not cocommutative"):
-        main(["lqt", fixture("K.alg"), "--n", "3,4", "--max-degree", "4"])
-    assert capsys.readouterr().out == ""
-    code, _, _ = run(capsys, "lqt", fixture("K.alg"), "--n", "3,4",
-                     "--max-degree", "3")
-    assert code == 0
+        coalgebra_on_homology(PermutationModel(base, 4))
+    coalgebra_on_homology(PermutationModel(base, 3))
 
 
 def test_projection_that_keeps_boundaries_is_not_a_violation(monkeypatch,
                                                              capsys):
     # a projection that reads the coefficient sum of a chain into the first
     # class does not kill boundaries, so the class of the coproduct of a
-    # boundary is not zero
-    real = chain.ChainComplex.project
+    # boundary is not zero; the model of the ideal of K[e] has no
+    # boundaries to check, but that of gl_4(K[e]) has
+    real = model_oracles.projection
 
-    def leaky(self, q, element):
-        out = dict(real(self, q, element))
-        if self.dim(q) and element:
-            out[0] = out.get(0, 0) + sum(element.values())
-        return out
+    def leaky(monkeypatch):
+        def projection(cx):
+            p = real(cx)
 
-    monkeypatch.setattr(chain.ChainComplex, "project", leaky)
-    # size 2 alone lets the block-sum product build the model of
-    # gl_4(K[e]); the model of its ideal has no boundaries to check
+            def project(q, element):
+                out = dict(p(q, element))
+                if cx.dim(q) and element:
+                    out[0] = out.get(0, 0) + sum(element.values())
+                return out
+
+            return project
+
+        monkeypatch.setattr(model_oracles, "projection", projection)
+
+    assert run_unchanged_by(monkeypatch, capsys, leaky, "lqt",
+                            fixture("dual_numbers.alg"), "--n", "2",
+                            "--max-degree", "3") == 0
     with pytest.raises(InconsistencyError,
                        match="depends on the choice of representative"):
-        main(["lqt", fixture("dual_numbers.alg"), "--n", "2",
-              "--max-degree", "3"])
-    assert capsys.readouterr().out == ""
+        coalgebra_on_homology(
+            PermutationModel(fixture_algebra("dual_numbers.alg"), 3))
+
+
+def test_primitive_sector_fault_is_not_a_violation(monkeypatch, capsys):
+    # every model the run builds must have the table of Lambda(H(P)) on its
+    # one-cycle words P, so a class too many in H(P) is a fault of the
+    # package, on the ideal's model as on that of gl_5(K)
+    real = PermutationModel.primitive_homology
+
+    def one_class_too_many(self):
+        table = real(self)
+        dims = dict(table.dims)
+        dims[1] += 1
+        return BettiTable(dims=dims, representatives=table.representatives)
+
+    monkeypatch.setattr(PermutationModel, "primitive_homology",
+                        one_class_too_many)
+    for name in ("K.alg", "dual_numbers.alg", "dga2.alg"):
+        with pytest.raises(InconsistencyError, match="is not Lambda"):
+            main(["lqt", fixture(name), "--n", "2,3", "--max-degree", "4"])
+        assert capsys.readouterr().out == ""
 
 
 def test_model_fault_on_a_certified_base_is_not_a_violation(monkeypatch):

@@ -13,12 +13,12 @@ from homotopyalg.coalgebra import (
     Coderivation,
     bracket,
     certify,
-    coproduct_sym,
 )
 from homotopyalg.constructions import gl, matrix_algebra
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace, add_into, canonical_sym
 from homotopyalg.linfty import check_linfty, make_inner
+from model_oracles import coproduct_sym
 from word_oracles import include_i, project_p, read_off
 
 

@@ -125,9 +125,11 @@ def test_no_module_reads_a_private_attribute_of_another():
 
 
 def integer_type_tests(tree):
-    """(line, function) of each `type(x) is int`, `type(x) is not int` and
-    `isinstance(x, bool)` in a syntax tree, with the name of the function
-    around it (None at module level)."""
+    """(line, function) of each `type(x) is int`, `type(x) is not int`,
+    `isinstance(x, int)` and `isinstance(x, bool)` in a syntax tree, with
+    the name of the function around it (None at module level).  The
+    `isinstance` forms count wherever the type appears in the second
+    argument, a tuple of types included."""
     found = []
 
     def visit(node, function):
@@ -143,7 +145,7 @@ def integer_type_tests(tree):
             found.append((node.lineno, function))
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
                 and node.func.id == "isinstance" and len(node.args) == 2 \
-                and any(isinstance(t, ast.Name) and t.id == "bool"
+                and any(isinstance(t, ast.Name) and t.id in ("int", "bool")
                         for t in ast.walk(node.args[1])):
             found.append((node.lineno, function))
         for child in ast.iter_child_nodes(node):
@@ -155,9 +157,10 @@ def integer_type_tests(tree):
 
 def test_integer_arguments_are_tested_in_graded_alone():
     # what an integer argument and a bound are is written once, in
-    # `graded.is_integer` and `graded.is_bound`; `documents._parse_rational`
-    # keeps its own `bool` test, since a coefficient is not an integer
-    # argument and may be a Fraction
+    # `graded.is_integer` and `graded.is_bound`: `isinstance(x, int)` also
+    # accepts a bool.  `documents._parse_rational` keeps its own `bool` and
+    # `int` tests, since a coefficient is not an integer argument and may
+    # be a Fraction
     copies = {}
     for path, tree in package_sources():
         for line, function in integer_type_tests(tree):

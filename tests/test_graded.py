@@ -232,7 +232,6 @@ def test_graded_space_validation():
     gs = GradedSpace(("a", "b"), (0, 2))
     sp = gs.suspend()
     assert sp.degrees == (1, 3)
-    assert sp.word_degree((0, 1, 1)) == 7
 
 
 def test_spaces_normalize_to_tuples_and_hash():

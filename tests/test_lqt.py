@@ -5,6 +5,7 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from homotopyalg.ainfty import (
     AInftyAlgebra,
@@ -17,16 +18,19 @@ from homotopyalg import ainfty, chain, constructions, linfty, lqt
 from homotopyalg.constructions import PermutationModel, gl_index
 from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace
-from homotopyalg.linfty import InconsistencyError
+from homotopyalg.linfty import InconsistencyError, ce_words
 from homotopyalg.lqt import (
     expand_exterior,
     hopf_product_on_homology,
     verify_lqt,
 )
-from homotopyalg.rational_linalg import RowReducer
 
 from matrix_oracles import gl_entry
-from model_oracles import doubled_hopf_product, e12_model
+from model_oracles import (
+    coalgebra_on_homology,
+    doubled_hopf_product,
+    e12_model,
+)
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -90,6 +94,17 @@ def test_expand_exterior_rejects_truncated_input():
         expand_exterior(exact_table({0: 1}), 3)
 
 
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.lists(st.integers(1, 6), max_size=6), st.integers(0, 9))
+def test_free_series_counts_the_canonical_words_of_its_generators(
+        generators, max_degree):
+    # the free graded-commutative algebra on generators of these degrees
+    # has, in degree q, a basis of the canonical symmetric words of total
+    # degree q over them: repeats only of even generators
+    assert lqt._free_series(generators, max_degree) == \
+        {q: len(ce_words(generators, q)) for q in range(max_degree + 1)}
+
+
 def test_expand_exterior_matches_computed_cyclic_homology():
     hc = cyclic_homology(dual_numbers(), 3)
     assert [hc.dims[q] for q in range(4)] == [2, 0, 2, 0]
@@ -125,7 +140,11 @@ def test_hopf_report_catches_a_noncommutative_product(monkeypatch):
     # the lower positive degree: a flip on both orders would cancel out of
     # graded commutativity, and one on the empty word would break the unit
     model = PermutationModel(ground_field(), 4)
-    degree = model.algebra.suspended.word_degree
+    degrees = model.algebra.suspended.degrees
+
+    def degree(word):
+        return sum(degrees[x] for x in word)
+
     real = constructions.PermutationModel.block_sum
 
     def flipped(self, left, right):
@@ -157,7 +176,7 @@ def test_hopf_product_skips_a_factor_that_is_not_primitive():
     report = hopf_product_on_homology(model)
     assert report.ok
     assert model.homology().dims == {0: 1, 1: 3, 2: 3, 3: 4}
-    prim = model.coproduct().primitive_subspace
+    prim = coalgebra_on_homology(model).primitive_subspace
     assert (prim(1).dim, prim(2).dim) == (3, 0)
 
     def primitive(key):
@@ -173,19 +192,18 @@ def test_hopf_product_skips_a_factor_that_is_not_primitive():
 
 
 def test_hopf_report_catches_a_primitive_product(monkeypatch):
-    # a mutant coalgebra whose every degree-2 class is primitive: the
-    # products of two degree-1 primitives become primitive
-    real = linfty.HomologyCoalgebra.primitive_subspace
+    # a mutant primitive sector whose degree-2 classes span all of H_2:
+    # the products of two degree-1 primitives become primitive
+    real = PermutationModel.primitive_homology
 
-    def everything_in_degree_2(self, q):
-        if q != 2:
-            return real(self, q)
-        red = RowReducer()
-        for i in range(self.table.dims[q]):
-            red.insert({i: 1})
-        return red
+    def everything_in_degree_2(self):
+        table = real(self)
+        reps = dict(table.representatives)
+        reps[2] = self.homology(representatives=True).representatives[2]
+        return BettiTable(dims={q: len(r) for q, r in reps.items()},
+                          representatives=reps)
 
-    monkeypatch.setattr(linfty.HomologyCoalgebra, "primitive_subspace",
+    monkeypatch.setattr(PermutationModel, "primitive_homology",
                         everything_in_degree_2)
     report = hopf_product_on_homology(PermutationModel(three_points(), 3))
     assert report.primitive_product_violations
@@ -338,30 +356,21 @@ def test_verify_lqt_builds_each_gl_once(monkeypatch):
 
 def test_verify_lqt_computes_each_primitive_subspace_once(monkeypatch):
     # the verdicts read the primitives of the ideal's stable model, and the
-    # block-sum product and the cross-check those of the model of gl_5(K);
-    # each degree's kernel is taken once per model
-    computed, current = [], []
-    real, real_kernel = linfty.HomologyCoalgebra.primitive_subspace, \
-        linfty.kernel
+    # block-sum product and the cross-check those of the model of gl_5(K):
+    # H(P) is computed once per model, on a complex of its own
+    built = []
 
-    def tracking(self, q):
-        current.append((id(self), q))
-        try:
-            return real(self, q)
-        finally:
-            current.pop()
+    class Recording(constructions.ChainComplex):
+        def __init__(self, blocks, *args, **kwargs):
+            built.append(sum(map(len, blocks.values())))
+            super().__init__(blocks, *args, **kwargs)
 
-    def counting_kernel(*args):
-        computed.append(current[-1])
-        return real_kernel(*args)
-
-    monkeypatch.setattr(linfty.HomologyCoalgebra, "primitive_subspace",
-                        tracking)
-    monkeypatch.setattr(linfty, "kernel", counting_kernel)
+    monkeypatch.setattr(constructions, "ChainComplex", Recording)
     report = verify_lqt(ground_field(), [3, 4], 4)
     assert report.all_match and report.hopf.ok
-    assert len(set(computed)) == len(computed)
-    assert sorted(q for _, q in computed) == [1, 1, 2, 2, 3, 3, 4, 4]
+    # the ideal of K is zero, with no one-cycle word; gl_5(K) has three,
+    # in degrees 1, 3 and 5
+    assert built == [0, 3]
 
 
 def test_verify_lqt_cross_checks_the_closed_form_against_the_full_model(
@@ -398,7 +407,7 @@ def test_hopf_product_unit_class_acts_as_stabilization():
     # on the stable model the stabilization map is the identity
     model = PermutationModel(ground_field(), 3)
     report = hopf_product_on_homology(model)
-    c0 = model.coproduct().table.representatives[0][0][()]
+    c0 = model.homology(representatives=True).representatives[0][0][()]
     for (x, y), cls in report.products.items():
         if x == (0, 0):
             assert cls == {y[1]: c0}

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homotopyalg import linfty, lqt
+from homotopyalg import lqt
 from homotopyalg.ainfty import (
     AInftyAlgebra,
     cyclic_homology,
@@ -28,7 +28,14 @@ from homotopyalg.graded import add_into, canonical_sym, sign_of_arrangement
 from homotopyalg.linfty import InconsistencyError, ce_words
 from homotopyalg.lqt import hopf_product_on_homology, verify_lqt
 
-from model_oracles import e12_model, primitive_dims
+import model_oracles
+from model_oracles import (
+    coalgebra_on_homology,
+    e12_model,
+    primitive_dims,
+    relations,
+    word_degree,
+)
 from oracles import connes_cyclic_dims
 from word_oracles import necklaces_by_walk
 
@@ -72,8 +79,8 @@ def test_permutation_model_matches_the_e12_model(name, max_degree):
     assert model.complex().rank(max_degree + 1) == \
         oracle.complex().rank(max_degree + 1)
     assert model.homology() == oracle.homology()
-    assert primitive_dims(model.coproduct()) == \
-        primitive_dims(oracle.coproduct())
+    assert primitive_dims(coalgebra_on_homology(model)) == \
+        primitive_dims(coalgebra_on_homology(oracle))
     hopf, hopf_oracle = hopf_product_on_homology(model), \
         hopf_product_on_homology(oracle)
     assert hopf.ok and hopf_oracle.ok
@@ -269,9 +276,8 @@ def test_relations_are_the_adjacent_transpositions_of_each_representative(
                     model.algebra.suspended)
                 if word != rep:
                     expected.add((q, word, rep))
-    relations = list(model.relations())
     found = set()
-    for q, relation in relations:
+    for q, relation in relations(model):
         # the relabelled word and its representative, equal in the model
         assert len(relation) == 2 and model.reduce(relation) == {}
         (word,) = [w for w in relation if w not in model.blocks[q]]
@@ -283,7 +289,7 @@ def test_relations_are_the_adjacent_transpositions_of_each_representative(
 
 def test_a_coproduct_fault_fails_the_descent_check(monkeypatch):
     # the planted fault of the lqt command test, on the model directly
-    real = linfty.coproduct_sym
+    real = model_oracles.coproduct_sym
 
     def wrong(word, space):
         out = real(word, space)
@@ -291,10 +297,10 @@ def test_a_coproduct_fault_fails_the_descent_check(monkeypatch):
             out[(word[:1], word[1:])] = out.get((word[:1], word[1:]), 0) + 1
         return out
 
-    monkeypatch.setattr(linfty, "coproduct_sym", wrong)
+    monkeypatch.setattr(model_oracles, "coproduct_sym", wrong)
     base = fixture_algebra("dual_numbers")
     with pytest.raises(InconsistencyError, match="does not descend"):
-        PermutationModel(base, 3).coproduct()
+        coalgebra_on_homology(PermutationModel(base, 3))
 
 
 def coassociativity_defects(coalg):
@@ -325,25 +331,25 @@ def test_homology_coproduct_is_coassociative(name, max_degree):
     # each is the first degree at which some class has three primitive
     # factors, so that D twice is nonzero: x1 x3 x5 over K, and x1 y1 x3,
     # x1 y1 y3 over ut2, whose cyclic homology is that of K x K
-    coalg = permutation_model(name, max_degree).coproduct()
+    coalg = coalgebra_on_homology(permutation_model(name, max_degree))
     defects, nonzero = coassociativity_defects(coalg)
     assert defects == [] and nonzero
 
 
 def weight_splits_by_front_length(monkeypatch):
-    real = linfty.coproduct_sym
+    real = model_oracles.coproduct_sym
 
     def weighted(word, space):
         return {split: len(split[0]) * c
                 for split, c in real(word, space).items()}
 
-    monkeypatch.setattr(linfty, "coproduct_sym", weighted)
+    monkeypatch.setattr(model_oracles, "coproduct_sym", weighted)
 
 
 def without_the_coalgebra_check(monkeypatch):
     # the coproduct as `coalgebra_on_homology` computes it before its own
     # coassociativity and cocommutativity check, for the oracles below
-    monkeypatch.setattr(linfty, "_coalgebra_defect", lambda delta: None)
+    monkeypatch.setattr(model_oracles, "_coalgebra_defect", lambda delta: None)
 
 
 def test_coassociativity_catches_a_weighted_coproduct(monkeypatch):
@@ -354,9 +360,9 @@ def test_coassociativity_catches_a_weighted_coproduct(monkeypatch):
     weight_splits_by_front_length(monkeypatch)
     model = PermutationModel(fixture_algebra("K"), 9)
     with pytest.raises(InconsistencyError, match="homology coproduct is not"):
-        model.coproduct()
+        coalgebra_on_homology(model)
     without_the_coalgebra_check(monkeypatch)
-    defects, _ = coassociativity_defects(model.coproduct())
+    defects, _ = coassociativity_defects(coalgebra_on_homology(model))
     assert defects
 
 
@@ -371,7 +377,7 @@ def hopf_defects(model):
     table; the terms with a factor of degree 0 cancel on the two sides.
     Cocommutativity: each row of the reduced coproduct is fixed by the
     graded twist x (x) y -> (-1)^{|x||y|} y (x) x."""
-    coalg = model.coproduct()
+    coalg = coalgebra_on_homology(model)
     assert coalg.table.representatives[0] == [{(): 1}]
     delta, unit = coalg.delta, (0, 0)
     products = hopf_product_on_homology(model).products
@@ -435,11 +441,11 @@ def test_hopf_identities_catch_a_weighted_coproduct(monkeypatch, name,
     if defects is None:
         with pytest.raises(InconsistencyError,
                            match="boundary is not a cycle"):
-            model.coproduct()
+            coalgebra_on_homology(model)
     else:
         with pytest.raises(InconsistencyError,
                            match="homology coproduct is not cocommutative"):
-            model.coproduct()
+            coalgebra_on_homology(model)
         without_the_coalgebra_check(monkeypatch)
         compatibility, cocommutativity, _ = hopf_defects(model)
         assert (len(compatibility), len(cocommutativity)) == defects
@@ -477,6 +483,181 @@ def test_lqt_on_drawn_bases(build, k):
     assert hopf_product_on_homology(model).ok
     compatibility, cocommutativity, checked = hopf_defects(model)
     assert compatibility == cocommutativity == [] and checked
+    # the one-cycle words: H(P) = HC(A)[1], and the stable table is
+    # Lambda(H(P))
+    primitives = model.primitive_homology().dims
+    assert primitives == {0: 0, 1: k, 2: 0, 3: k}
+    assert model.homology().dims == free_algebra_dims(primitives, 3)
+
+
+# ---------------------------------------------------------------------------
+# The primitive sector: the one-cycle words P, with Lambda(P) the model
+
+ASSOCIATIVE = ["K", "dual_numbers", "ut2", "dga2", "m3unital", "m3only"]
+CHAIN_LEVEL = [(name, 4) for name in ASSOCIATIVE] + [("ut2", 5)]
+
+
+def free_algebra_dims(dims, max_degree):
+    """{q: dimension} of the free graded-commutative algebra on a basis of
+    the table `dims`, counted as the canonical symmetric words over its
+    generators."""
+    generators = [q for q, d in sorted(dims.items()) for _ in range(d)]
+    return {q: len(ce_words(generators, q)) for q in range(max_degree + 1)}
+
+
+def cycles_of(model, word):
+    """The number of cycles of a permutation word."""
+    letters = [model._letters[x] for x in word]
+    nxt = {i: j for _, i, j in letters}
+    seen, count = set(), 0
+    for start in nxt:
+        if start not in seen:
+            count += 1
+            while start not in seen:
+                seen.add(start)
+                start = nxt[start]
+    return count
+
+
+def first_cycle_split(model, word):
+    """(c1, rest): the keys of the cycle through position 0 of a canonical
+    word and of its other cycles moved down onto positions 0, 1, ...; rest
+    is () for a word of one cycle."""
+    letters = [model._letters[x] for x in word]
+    nxt = {i: j for _, i, j in letters}
+    size, i = 1, nxt[0]
+    while i:
+        size, i = size + 1, nxt[i]
+    n = model.n
+    dim = model.algebra.space.dim // (n * n)
+    first = [x for x, (_, i, _) in zip(word, letters) if i < size]
+    rest = [gl_index(n, dim, a, i - size, j - size)
+            for a, i, j in letters if i >= size]
+    keys = []
+    for part in (first, rest):
+        sign, key = model.canonical(tuple(sorted(part)))
+        assert sign == 1
+        keys.append(key)
+    return tuple(keys)
+
+
+def leibniz_defects(model, block_sum):
+    """The multi-cycle basis words w of `model`, through its top block, on
+    which d(c1 . rest) = d(c1) . rest + (-1)^|c1| c1 . d(rest) fails, for
+    w = +-c1 . rest its split at its first cycle and the product the given
+    `block_sum`; and the number of words checked."""
+    cx, space = model.complex(), model.algebra.suspended
+
+    def degree(word):
+        return word_degree(space, word)
+
+    def times(left, right):
+        out = {}
+        for u, a in left.items():
+            for v, b in right.items():
+                sign, key = block_sum(u, v)
+                if sign:
+                    add_into(out, key, sign * a * b)
+        return out
+
+    def d(word):
+        return cx.differential(degree(word), {word: 1}) if word else {}
+
+    defects, checked = [], 0
+    for q, words in sorted(model.blocks.items()):
+        for w in words:
+            if cycles_of(model, w) < 2:
+                continue
+            checked += 1
+            c1, rest = first_cycle_split(model, w)
+            sign, key = model.block_sum(c1, rest)
+            assert key == w and sign in (1, -1)
+            left = {}
+            for u, a in times({c1: 1}, {rest: 1}).items():
+                for v, b in d(u).items():
+                    add_into(left, v, a * b)
+            right = times(d(c1), {rest: 1})
+            twist = -1 if degree(c1) % 2 else 1
+            for v, b in times({c1: 1}, d(rest)).items():
+                add_into(right, v, twist * b)
+            if left != right:
+                defects.append(w)
+    return defects, checked
+
+
+@pytest.mark.parametrize("name,max_degree", CHAIN_LEVEL)
+def test_the_boundary_keeps_one_cycle_words_among_one_cycle_words(
+        name, max_degree):
+    # a bracket merges letters only along one cycle, so P is a subcomplex
+    model = permutation_model(name, max_degree)
+    cx = model.complex()
+    for q, words in model.primitive_blocks.items():
+        assert words == [w for w in model.blocks[q]
+                         if cycles_of(model, w) == 1]
+        for w in words:
+            assert {cycles_of(model, v)
+                    for v in cx.differential(q, {w: 1})} <= {1}
+
+
+@pytest.mark.parametrize("name,max_degree", CHAIN_LEVEL)
+def test_the_boundary_is_a_derivation_of_the_block_sum(name, max_degree):
+    model = permutation_model(name, max_degree)
+    defects, checked = leibniz_defects(model, model.block_sum)
+    assert defects == [] and checked
+
+
+@pytest.mark.parametrize("name", ["dual_numbers", "ut2", "m3unital"])
+def test_leibniz_catches_a_flipped_block_sum_sign(name):
+    # one pair (c1, rest) whose product has a nonzero boundary, with the
+    # sign of its block sum flipped
+    model = permutation_model(name, 4)
+    cx = model.complex()
+    w = next(w for q, words in sorted(model.blocks.items()) for w in words
+             if cycles_of(model, w) > 1 and cx.differential(q, {w: 1}))
+    flipped = first_cycle_split(model, w)
+
+    def block_sum(left, right):
+        sign, key = model.block_sum(left, right)
+        return (-sign if (left, right) == flipped else sign), key
+
+    defects, _ = leibniz_defects(model, block_sum)
+    assert w in defects
+
+
+@pytest.mark.parametrize("name", ASSOCIATIVE)
+def test_the_primitives_are_the_homology_of_the_one_cycle_words(name):
+    # H(P) = HC(A)[1] equals the primitives of the homology coproduct, and
+    # the stable table is Lambda(H(P))
+    max_degree = 5
+    model = permutation_model(name, max_degree)
+    primitives = model.primitive_homology()
+    hc = cyclic_homology(fixture_algebra(name), max_degree - 1)
+    assert all(hc.exact.values())
+    assert primitives.dims == {q: hc.dims.get(q - 1, 0)
+                               for q in range(max_degree + 1)}
+    assert primitives.dims == primitive_dims(coalgebra_on_homology(model))
+    assert model.homology().dims == \
+        free_algebra_dims(primitives.dims, max_degree)
+    assert model.primitive_homology() is primitives
+
+
+def test_a_boundary_leaving_the_one_cycle_words_is_an_inconsistency(
+        monkeypatch):
+    # P is a subcomplex by chain support; a word of two cycles among its
+    # boundaries is a fault of the package
+    model = PermutationModel(fixture_algebra("dual_numbers"), 3)
+    two_cycles = next(w for w in model.blocks[2] if cycles_of(model, w) == 2)
+    real = type(model.complex()).differential
+
+    def leaking(self, q, element):
+        out = dict(real(self, q, element))
+        if q == 3 and out:
+            out[two_cycles] = out.get(two_cycles, 0) + 1
+        return out
+
+    monkeypatch.setattr(type(model.complex()), "differential", leaking)
+    with pytest.raises(InconsistencyError, match="leaves the one-cycle"):
+        model.primitive_homology()
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +755,9 @@ def closed_form_times_ideal(full, reduced):
 
     assert dims(full.homology()) == \
         exterior_times(full.n, dims(reduced.homology()), m)
-    assert primitive_dims(full.coproduct()) == \
-        {q: primitive_dims(reduced.coproduct())[q] + q % 2 for q in degrees}
+    assert primitive_dims(coalgebra_on_homology(full)) == \
+        {q: primitive_dims(coalgebra_on_homology(reduced))[q] + q % 2
+         for q in degrees}
     for n in range(1, full.n + 1):
         assert dims(gl_coinvariant_model(full, n).homology()) == \
             exterior_times(n, dims(gl_coinvariant_model(reduced, n)

@@ -12,6 +12,7 @@ from homotopyalg.ainfty import (
     from_associative,
 )
 from homotopyalg.chain import ChainComplex
+from homotopyalg.coalgebra import bracket
 from homotopyalg.constructions import (
     PermutationModel,
     gl,
@@ -42,9 +43,22 @@ def ground_field_model():
     return PermutationModel(ground_field(), 2)
 
 
-def ut2():
+def fixture_algebra(name):
     return document_to_algebra(parse_document(
-        (FIXTURES / "ut2.alg").read_text(encoding="utf-8")))
+        (FIXTURES / f"{name}.alg").read_text(encoding="utf-8")))
+
+
+def ut2():
+    return fixture_algebra("ut2")
+
+
+def sl2():
+    return fixture_algebra("sl2")
+
+
+def not_a_generator(value):
+    return (f"a generator must be a basis index in range(3) or a dict over "
+            f"such indices, got {value!r}")
 
 
 @pytest.mark.parametrize("build,message", [
@@ -110,6 +124,14 @@ def ut2():
     (lambda: check_stasheff(ut2(), -1),
      "max_arity must be an integer >= 0, got -1"),
     (lambda: lie_ify(ut2(), cap=-1), "cap must be an integer >= 0, got -1"),
+    # a generator is an in-range basis index, not a bool, or a dict of them
+    (lambda: make_inner(sl2(), True), not_a_generator(True)),
+    (lambda: make_inner(sl2(), 7), not_a_generator(7)),
+    (lambda: make_inner(sl2(), "e"), not_a_generator("e")),
+    (lambda: make_inner(sl2(), {0: 1, 3: 1}), not_a_generator({0: 1, 3: 1})),
+    (lambda: lie_homology(sl2(), 3, h=[True]), not_a_generator(True)),
+    (lambda: bracket(sl2().coderivation, sl2().coderivation, max_arity=-1),
+     "max_arity must be an integer >= 0, got -1"),
 ], ids=["arity-0", "input-count", "unit-index", "space-lengths",
         "kernel-coordinate", "complex-key", "complex-block",
         "inhomogeneous-generator", "size-0", "corner-float-size",
@@ -119,7 +141,10 @@ def ut2():
         "stable-float-degree", "hc-negative-degree", "hc-float-degree",
         "hc-bool-degree", "hc-negative-weight", "ce-negative-degree",
         "ce-bool-weight", "exterior-negative-degree",
-        "stasheff-negative-arity", "lieify-negative-cap"])
+        "stasheff-negative-arity", "lieify-negative-cap",
+        "inner-bool-generator", "inner-index-out-of-range",
+        "inner-label-generator", "inner-dict-out-of-range",
+        "coinvariants-bool-generator", "bracket-negative-arity"])
 def test_malformed_argument_is_refused(build, message):
     with pytest.raises(ValueError) as info:
         build()
