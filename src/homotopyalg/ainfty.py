@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .coalgebra import HomotopyAlgebra, StructureReport, certify
-from .graded import GradedSpace, add_into, require_bound
+from .graded import GradedSpace, add_into, is_integer, require_bound
 
 __all__ = [
     "AInftyAlgebra",
@@ -53,8 +53,10 @@ class AInftyAlgebra(HomotopyAlgebra):
 
     def __init__(self, space, ops, unit=None, name=""):
         super().__init__(space, ops, name)
-        if unit is not None and not (0 <= unit < space.dim):
-            raise ValueError(f"unit index {unit} out of range")
+        if unit is not None and not (is_integer(unit)
+                                     and 0 <= unit < space.dim):
+            raise ValueError(f"a unit must be a basis index in "
+                             f"range({space.dim}), got {unit!r}")
         self.unit = unit
 
 

@@ -2,10 +2,9 @@
 
 One command per process: parse a structure-description document, run a
 check or a homology computation, and write a single machine-readable
-JSON payload (or aligned-column text) to standard output.  All
-diagnostics go to standard error.  Outputs carry no timestamps and all
-dictionaries are emitted with sorted keys, so identical invocations
-produce byte-identical payloads.
+JSON payload to standard output.  All diagnostics go to standard error.
+Outputs carry no timestamps and all dictionaries are emitted with sorted
+keys, so identical invocations produce byte-identical payloads.
 
 Exit codes: 0 success; 1 validation failure (unreadable, malformed, or
 unsuitable input, or a usage error), always a `DocumentError`; 2
@@ -20,7 +19,6 @@ the input, and is left to surface as a crash; `main` re-raises a
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 # documents imports ainfty for every command; each handler imports the
@@ -55,64 +53,6 @@ def _fail(code, messages):
     for msg in messages:
         print(f"error: {msg}", file=sys.stderr)
     return code
-
-
-def _emit(payload, fmt):
-    if fmt == "json":
-        sys.stdout.write(canonical_json(payload))
-    else:
-        sys.stdout.write(_render_text(payload))
-
-
-def _render_rows(rows, header):
-    widths = [len(h) for h in header]
-    table = [header] + [[str(c) for c in row] for row in rows]
-    for row in table:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for i, row in enumerate(table):
-        lines.append("  ".join(cell.ljust(w)
-                               for cell, w in zip(row, widths)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * w for w in widths))
-    return "\n".join(lines) + "\n"
-
-
-def _render_text(payload):
-    lines = []
-    inputs = payload.get("inputs", {})
-    if inputs:
-        lines.append(" ".join(f"{k}={inputs[k]}" for k in sorted(inputs)))
-    caps = payload.get("caps", {})
-    if caps:
-        lines.append("caps: " + " ".join(
-            f"{k}={caps[k]}" for k in sorted(caps)))
-    out = "\n".join(lines)
-    if out:
-        out += "\n"
-    if "document" in payload:
-        out += canonical_json(payload["document"])
-    for name in sorted(payload.get("tables", {})):
-        table = payload["tables"][name]
-        out += f"\n{name}\n"
-        if isinstance(table, dict) and "rows" in table:
-            out += _render_rows(table["rows"], table["header"])
-        else:
-            for entry in table:
-                out += f"  n={entry['n']}\n"
-                out += _render_rows(entry["rows"], entry["header"])
-    verdicts = payload.get("verdicts", {})
-    if verdicts:
-        out += "\nverdicts\n"
-        for key in sorted(verdicts):
-            value = verdicts[key]
-            if isinstance(value, list):
-                for item in value:
-                    out += f"  {key}[{item[0]}]: {item[1]}\n"
-            else:
-                out += f"  {key}: {json.dumps(value, sort_keys=True)}\n"
-    return out
 
 
 def _element_terms(labels, value):
@@ -403,52 +343,42 @@ def build_parser():
                     "JSON structure documents.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("document", help="path to a .alg JSON document")
-        p.add_argument("--format", choices=["json", "text"], default="json",
-                       help="payload format on standard output")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("check", help="certify the defining identities")
-    common(p)
+    p = command("check", _cmd_check, "certify the defining identities")
     p.add_argument("--max-arity", type=int, default=None,
                    help="verify the tower only through this arity")
-    p.set_defaults(func=_cmd_check)
 
-    p = sub.add_parser("lieify",
-                       help="emit the L-infinity document of an "
-                            "associative-flavor input")
-    common(p)
+    p = command("lieify", _cmd_lieify,
+                "emit the L-infinity document of an associative-flavor input")
     p.add_argument("--max-arity", type=int, default=None,
                    help="truncate the symmetrized structure at this arity")
-    p.set_defaults(func=_cmd_lieify)
 
-    p = sub.add_parser("hc", help="cyclic homology table")
-    common(p)
+    p = command("hc", _cmd_hc, "cyclic homology table")
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--max-weight", type=int, default=None,
                    help="truncate words at this weight (exactness flags "
                         "report the consequences)")
-    p.set_defaults(func=_cmd_hc)
 
-    p = sub.add_parser("ce", help="Chevalley-Eilenberg homology table")
-    common(p)
+    p = command("ce", _cmd_ce, "Chevalley-Eilenberg homology table")
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--max-weight", type=int, default=None)
     p.add_argument("--coinvariants", default=None, metavar="LABELS",
                    help="comma list of degree-0 basis labels spanning a "
                         "subalgebra; compute on its coinvariants")
-    p.set_defaults(func=_cmd_ce)
 
-    p = sub.add_parser("lqt",
-                       help="compare stable matrix homology with the "
-                            "exterior coalgebra on shifted cyclic homology")
-    common(p)
+    p = command("lqt", _cmd_lqt,
+                "compare stable matrix homology with the exterior coalgebra "
+                "on shifted cyclic homology")
     p.add_argument("--n", default="4",
                    help="comma list of matrix sizes whose tables are read "
                         "off the stable model through the corner inclusion "
                         "and cross-checked against it (default 4)")
     p.add_argument("--max-degree", type=int, default=4)
-    p.set_defaults(func=_cmd_lqt)
     return parser
 
 
@@ -472,7 +402,7 @@ def main(argv=None):
                                  f"certified input: {exc}") from exc
     except CapExceeded as exc:
         return _fail(EXIT_CAP, [str(exc)])
-    _emit(payload, args.format)
+    sys.stdout.write(canonical_json(payload))
     return code
 
 

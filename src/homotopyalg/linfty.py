@@ -67,8 +67,8 @@ class LInftyAlgebra(HomotopyAlgebra):
         for i, a in x.items():
             for j, b in y.items():
                 for idx, c in self.coderivation.apply((i, j)).items():
-                    out[idx] = out.get(idx, Fraction(0)) + Fraction(a) * Fraction(b) * c
-        return {i: v for i, v in out.items() if v}
+                    add_into(out, idx, Fraction(a) * Fraction(b) * c)
+        return out
 
 
 def check_linfty(alg, max_arity=None):

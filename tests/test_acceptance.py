@@ -378,6 +378,7 @@ def test_criterion_9_byte_identical_payloads(capsys):
         "check_m3only": ["check", "fixtures/m3only.alg"],
         "ce_sl2_coinv_h": ["ce", "fixtures/sl2.alg", "--coinvariants", "h",
                            "--max-degree", "4"],
+        "hc_m3unital": ["hc", "fixtures/m3unital.alg", "--max-degree", "4"],
     }
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

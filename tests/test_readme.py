@@ -1,16 +1,22 @@
-"""The README's Library example runs, and prints what its comments say.
+"""The README's Library example runs, and prints what its comments say,
+and its "Flags:" paragraph names the command line's options.
 
-A public name the example uses that is removed or renamed fails here, before
-a reader of the README finds it.
+A public name the example uses that is removed or renamed, or a flag added
+or removed without the README, fails here, before a reader finds it.
 """
 
 import ast
 import contextlib
 import io
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+COMMANDS = ("check", "lieify", "hc", "ce", "lqt")
 
 
 def library_example():
@@ -51,3 +57,27 @@ def test_the_library_example_prints_what_it_says():
     assert len(printed) == len(expected)
     for line, comment in zip(printed, expected):
         assert matches(line, comment), (line, comment)
+
+
+def flags_paragraph():
+    """The README paragraph that starts with "Flags:"."""
+    text = README.read_text(encoding="utf-8")
+    return text.split("\nFlags: ", 1)[1].split("\n\n", 1)[0]
+
+
+def help_flags(command):
+    """The long options, besides --help, that `command --help` prints."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-m", "homotopyalg", command, "--help"],
+        capture_output=True, text=True, check=True, env=env)
+    return set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", result.stdout)) - {
+        "--help"}
+
+
+def test_the_flags_paragraph_names_every_long_option():
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", flags_paragraph()))
+    offered = set().union(*map(help_flags, COMMANDS))
+    assert documented == offered

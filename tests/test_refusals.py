@@ -29,6 +29,7 @@ from homotopyalg.rational_linalg import kernel
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 POINT = GradedSpace(["a"], [0])
+PAIR = GradedSpace(["a", "b"], [0, 0])
 
 
 def no_boundary(q, key):
@@ -66,7 +67,19 @@ def not_a_generator(value):
      "operations must have arity >= 1"),
     (lambda: AInftyAlgebra(POINT, {2: {(0,): {0: 1}}}),
      "arity 2 entry has 1 inputs"),
-    (lambda: AInftyAlgebra(POINT, {}, unit=1), "unit index 1 out of range"),
+    (lambda: AInftyAlgebra(POINT, {}, unit=1),
+     "a unit must be a basis index in range(1), got 1"),
+    # a unit is an int index, not a bool, a float or a label
+    (lambda: AInftyAlgebra(PAIR, {}, unit=False),
+     "a unit must be a basis index in range(2), got False"),
+    (lambda: AInftyAlgebra(PAIR, {}, unit=0.0),
+     "a unit must be a basis index in range(2), got 0.0"),
+    (lambda: AInftyAlgebra(PAIR, {}, unit=True),
+     "a unit must be a basis index in range(2), got True"),
+    (lambda: AInftyAlgebra(PAIR, {}, unit=1.0),
+     "a unit must be a basis index in range(2), got 1.0"),
+    (lambda: AInftyAlgebra(PAIR, {}, unit="1"),
+     "a unit must be a basis index in range(2), got '1'"),
     (lambda: GradedSpace(["a", "b"], [0]),
      "labels and degrees must have equal length"),
     (lambda: kernel([{2: 1}], 2), "coordinate 2 outside ambient dim 2"),
@@ -132,7 +145,8 @@ def not_a_generator(value):
     (lambda: lie_homology(sl2(), 3, h=[True]), not_a_generator(True)),
     (lambda: bracket(sl2().coderivation, sl2().coderivation, max_arity=-1),
      "max_arity must be an integer >= 0, got -1"),
-], ids=["arity-0", "input-count", "unit-index", "space-lengths",
+], ids=["arity-0", "input-count", "unit-index", "unit-false", "unit-float-0",
+        "unit-true", "unit-float-1", "unit-label", "space-lengths",
         "kernel-coordinate", "complex-key", "complex-block",
         "inhomogeneous-generator", "size-0", "corner-float-size",
         "matrix-bool-size", "lqt-float-sizes", "lqt-bool-size",
