@@ -6,10 +6,13 @@ block may additionally be quotiented by the span of supplied generators (the
 differential must descend).  All arithmetic is exact.
 
 Each degree's boundary is evaluated once, as the images of the quotient basis
-in the quotient basis below; ranks, cycles and the per-degree solver that
-holds boundaries and representatives all read from it, and `rank` is the
-one rank of a boundary.  The class of a cycle is read off that solver in
-the representative basis.
+in the quotient basis below, and eliminated once, as one tagged echelon of
+its columns: the rank and image basis of d_q are the columns that gained a
+real pivot, the cycles are the tag parts of the rows left with no real
+entry, and the class solver of degree q is the elimination of d_{q+1}
+extended by the representatives of degree q.  `rank` is the one rank of a
+boundary, and the class of a cycle is read off that solver in the
+representative basis.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .graded import exact
-from .rational_linalg import LinearSolver, RowReducer, kernel
+from .rational_linalg import LinearSolver, RowReducer
 
 __all__ = ["BettiTable", "ChainComplex", "InconsistencyError"]
 
@@ -69,7 +72,7 @@ class ChainComplex:
             cols = [c for c in range(len(ks)) if c not in pivots]
             self.basis[q] = [ks[c] for c in cols]
             self._position[q] = {c: p for p, c in enumerate(cols)}
-        self._boundaries, self._image_bases, self._solvers = {}, {}, {}
+        self._boundaries, self._eliminations = {}, {}
 
     def _coords(self, el, q):
         """Element dict -> {column: int | Fraction} in block q's coordinates."""
@@ -118,15 +121,23 @@ class ChainComplex:
         return {self.basis[q - 1][r]: v
                 for r, v in self._image(q, self._vector(q, element)).items()}
 
+    def _elimination(self, q):
+        """The one elimination of d_q's columns, tagged ("b", position), as
+        [solver, image basis, cycles, representatives of degree q - 1]; the
+        cycles are read off before anything else is added to the solver."""
+        if q not in self._eliminations:
+            ambient = self.dim(q - 1)
+            solver = LinearSolver(ambient)
+            image = [p for p, col in enumerate(self._boundary(q))
+                     if solver.add(col, ("b", p)) < ambient]
+            self._eliminations[q] = [solver, image, solver.relations(), None]
+        return self._eliminations[q]
+
     def image_basis(self, q):
         """The positions in `basis[q]` whose boundary is independent of the
         boundaries before it: their boundaries form a basis of the image of
         d_q, so a linear check on boundaries need only run over them."""
-        if q not in self._image_bases:
-            red = RowReducer()
-            self._image_bases[q] = [p for p, col in enumerate(self._boundary(q))
-                                    if red.insert(col) is not None]
-        return self._image_bases[q]
+        return self._elimination(q)[1]
 
     def rank(self, q, chains=None):
         """The rank of d_q on block q, or on the span of `chains` in it."""
@@ -138,23 +149,19 @@ class ChainComplex:
         return red.dim
 
     def _solver(self, q):
-        """(solver, representatives) of degree q: the solver holds the
-        boundaries from degree q + 1, then the representatives, so it
-        expresses every cycle."""
-        if q not in self._solvers:
-            keys = self.basis.get(q, [])
-            solver = LinearSolver(len(keys))
-            for j, col in enumerate(self._boundary(q + 1)):
-                solver.add(col, ("b", j))
-            reps = []
-            for row in kernel(self._boundary(q),
-                              self.dim(q - 1)).canonical_rows():
-                vec = dict(row)
+        """(solver, representatives) of degree q: the elimination of
+        d_{q + 1}, extended once by each cycle of degree q that it does not
+        yet reach, tagged ("r", index), so it expresses every cycle."""
+        memo = self._elimination(q + 1)
+        solver, reps = memo[0], memo[3]
+        if reps is None:
+            keys, reps = self.basis.get(q, []), []
+            for vec in self._elimination(q)[2]:
                 if solver.express(vec) is None:
                     solver.add(vec, ("r", len(reps)))
                     reps.append({keys[p]: c for p, c in vec.items()})
-            self._solvers[q] = solver, reps
-        return self._solvers[q]
+            memo[3] = reps
+        return solver, reps
 
     def homology(self, qs, representatives=False):
         """The Betti table of the degrees `qs`, with representatives when

@@ -2,13 +2,15 @@
 
 Everything downstream (homology ranks, quotient dimensions, canonical subspace
 representatives, null spaces) reduces to the incremental echelon maintained
-here; a null space is the tag part of an echelon of tagged columns.  Rows are
-kept as primitive integer vectors (gcd 1, pivot entry positive) and eliminated
-by integer cross-multiplication, so no rounding can ever occur and coefficient
-growth is controlled by content reduction instead of pivot heuristics.  A
-subspace is a `RowReducer` holding its span; `canonical_rows` divides each row
-by its pivot, giving the unique reduced echelon basis, so two equal subspaces
-always give equal rows.
+here.  One `LinearSolver` elimination of tagged columns gives their rank,
+their relations (the null space) and the coefficients of any vector of
+their span, so a caller that needs all three eliminates a column once.
+Rows are kept as primitive integer vectors (gcd 1, pivot entry positive)
+and eliminated by integer cross-multiplication, so no rounding can ever
+occur and coefficient growth is controlled by content reduction instead
+of pivot heuristics.  A subspace is a `RowReducer` holding its span;
+`canonical_rows` divides each row by its pivot, giving the unique reduced
+echelon basis, so two equal subspaces always give equal rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from math import gcd, lcm
 __all__ = [
     "RowReducer",
     "LinearSolver",
-    "kernel",
 ]
 
 
@@ -138,14 +139,12 @@ class RowReducer:
     def contains(self, vec):
         return not self.residual(vec)
 
-    def canonical_rows(self):
-        """Leading-1 rational rows, sorted by pivot column."""
-        out = []
-        for p in sorted(self.rows):
-            row = self.rows[p]
-            lead = row[p]
-            out.append(tuple((c, Fraction(v, lead)) for c, v in sorted(row.items())))
-        return tuple(out)
+    def canonical_rows(self, start=0):
+        """Leading-1 rational rows, sorted by pivot column, of the rows whose
+        pivot is `start` or above."""
+        return tuple(tuple((c, Fraction(v, row[p]))
+                           for c, v in sorted(row.items()))
+                     for p, row in sorted(self.rows.items()) if p >= start)
 
 
 class LinearSolver:
@@ -153,8 +152,9 @@ class LinearSolver:
 
     Vectors are inserted with a tag; `express(target)` returns {tag: coeff}
     with target = sum coeff * vector, or None if target is outside the span.
-    Implemented by echelonizing augmented rows [vec | e_tag] where tag
-    coordinates sit above every real coordinate.
+    Implemented by echelonizing augmented rows [vec | e_slot], where the
+    slot of the k-th vector added is the coordinate ambient + k, above every
+    real coordinate.
     """
 
     def __init__(self, ambient_dim):
@@ -163,13 +163,27 @@ class LinearSolver:
         self.tags = []
 
     def add(self, vec, tag=None):
+        """Add a vector of Q^ambient; returns the new pivot, which is a real
+        coordinate exactly when the vector is independent of those before."""
+        for c in vec:
+            if not 0 <= c < self.ambient:
+                raise ValueError(
+                    f"coordinate {c} outside ambient dim {self.ambient}")
         if tag is None:
             tag = len(self.tags)
         slot = self.ambient + len(self.tags)
         self.tags.append(tag)
         aug = dict(vec)
         aug[slot] = Fraction(1)
-        self.red.insert(aug)
+        return self.red.insert(aug)
+
+    def relations(self):
+        """The null space of the map sending the k-th unit vector to the
+        k-th vector added, as its reduced echelon rows {k: Fraction}: the
+        slot parts of the rows with no real entry, already inter-reduced."""
+        a = self.ambient
+        return [{c - a: v for c, v in row}
+                for row in self.red.canonical_rows(a)]
 
     def express(self, target):
         res = self.red.residual(target)
@@ -180,26 +194,3 @@ class LinearSolver:
             tag = self.tags[c - self.ambient]
             coeffs[tag] = coeffs.get(tag, 0) - v
         return {t: v for t, v in coeffs.items() if v}
-
-
-def kernel(columns, ambient_dim):
-    """The null space of the map sending the j-th unit vector to columns[j],
-    a vector of Q^ambient_dim, as a RowReducer on Q^len(columns).
-
-    The columns are echelonized with tags, as [column_j | e_j]; the rows
-    left with no real entry span the kernel.  They are inter-reduced with
-    their pivots leading, so their tag parts are registered as they are.
-    """
-    solver = LinearSolver(ambient_dim)
-    for col in columns:
-        for c in col:
-            if not 0 <= c < ambient_dim:
-                raise ValueError(
-                    f"coordinate {c} outside ambient dim {ambient_dim}")
-        solver.add(col)
-    null = RowReducer()
-    for pivot, row in solver.red.rows.items():
-        if pivot >= ambient_dim:
-            null._register(pivot - ambient_dim,
-                           {c - ambient_dim: v for c, v in row.items()})
-    return null

@@ -71,7 +71,7 @@ from homotopyalg.chain import BettiTable, ChainComplex, InconsistencyError
 from homotopyalg.constructions import PermutationModel, gl, gl_index
 from homotopyalg.graded import add_into, canonical_sym, unshuffle_splits
 from homotopyalg.linfty import CEModel, ce_model, make_inner
-from homotopyalg.rational_linalg import LinearSolver, RowReducer, kernel
+from homotopyalg.rational_linalg import LinearSolver, RowReducer
 
 from matrix_oracles import corner_embed_word, gl_entry
 
@@ -653,11 +653,15 @@ class HomologyCoalgebra:
         Kunneth columns.  It is computed once per degree and shared, so
         callers only read it."""
         if q not in self._primitives:
-            rows = self.delta.get(q, [])
+            rows = self.delta.get(q, []) if q else []
             tags = {t: i for i, t in enumerate(sorted(set().union(*rows)))}
-            columns = [{tags[t]: c for t, c in row.items()} for row in rows]
-            self._primitives[q] = (kernel(columns, len(tags)) if q
-                                   else RowReducer())
+            solver = LinearSolver(len(tags))
+            for row in rows:
+                solver.add({tags[t]: c for t, c in row.items()})
+            null = RowReducer()
+            for vec in solver.relations():
+                null.insert(vec)
+            self._primitives[q] = null
         return self._primitives[q]
 
 

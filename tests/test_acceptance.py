@@ -379,6 +379,11 @@ def test_criterion_9_byte_identical_payloads(capsys):
         "ce_sl2_coinv_h": ["ce", "fixtures/sl2.alg", "--coinvariants", "h",
                            "--max-degree", "4"],
         "hc_m3unital": ["hc", "fixtures/m3unital.alg", "--max-degree", "4"],
+        # truncated runs: rows with `exact: false`
+        "hc_ut2_w3": ["hc", "fixtures/ut2.alg", "--max-degree", "4",
+                      "--max-weight", "3"],
+        "ce_sl2_coinv_h_w2": ["ce", "fixtures/sl2.alg", "--coinvariants", "h",
+                              "--max-degree", "3", "--max-weight", "2"],
     }
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

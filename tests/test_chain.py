@@ -3,7 +3,6 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from homotopyalg import chain
 from homotopyalg.ainfty import from_associative
 from homotopyalg.chain import ChainComplex, InconsistencyError
 from homotopyalg.coalgebra import Coderivation
@@ -11,6 +10,7 @@ from homotopyalg.constructions import PermutationModel
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import LInftyAlgebra, ce_model
 from homotopyalg.lqt import hopf_product_on_homology
+from homotopyalg.rational_linalg import LinearSolver, RowReducer
 
 from model_oracles import inner_action_on_homology, projection
 
@@ -149,20 +149,62 @@ def test_each_boundary_is_evaluated_once_per_complex(monkeypatch):
         assert seen and max(seen.values()) == 1, seen.most_common(1)
 
 
+def eliminated_columns(monkeypatch):
+    """Record the boundary columns of every complex built from now on; returns
+    the recorded (complex, degree, position) of each column, and a Counter of
+    the eliminations, a `RowReducer.insert` or a `LinearSolver.add`, that
+    each of them entered."""
+    columns, entered = {}, Counter()
+    boundary = ChainComplex._boundary
+
+    def recording(self, q):
+        cols = boundary(self, q)
+        for p, col in enumerate(cols):
+            columns[id(col)] = self, q, p
+        return cols
+
+    def counting(eliminate):
+        def counted(self, vec, *args):
+            if id(vec) in columns:
+                entered[columns[id(vec)]] += 1
+            return eliminate(self, vec, *args)
+        return counted
+
+    monkeypatch.setattr(ChainComplex, "_boundary", recording)
+    monkeypatch.setattr(RowReducer, "insert", counting(RowReducer.insert))
+    monkeypatch.setattr(LinearSolver, "add", counting(LinearSolver.add))
+    return columns, entered
+
+
+def test_each_boundary_is_eliminated_once_per_complex(monkeypatch):
+    # ranks, cycles, representatives and class read-offs all come from one
+    # elimination of each boundary: a column enters it once, and no other
+    columns, entered = eliminated_columns(monkeypatch)
+    sl2 = LInftyAlgebra(
+        GradedSpace(("h", "e", "f"), (0, 0, 0)),
+        {2: {(0, 1): {1: 2}, (0, 2): {2: -2}, (1, 2): {0: 1}}})
+    c = Coderivation(sl2.suspended, -1, symmetric=True)
+    c.set_value((0, 1), {0: 1, 2: 1})
+    c.set_value((1, 2), {1: 1})
+    assert inner_action_on_homology(sl2, c, 4)[3] == [{}]
+    K = from_associative(["1"], {(0, 0): {0: 1}}, unit=0, name="K")
+    assert hopf_product_on_homology(PermutationModel(K, 4)).ok
+
+    eliminated = {(cx, q) for cx, q, _ in entered}
+    assert len({cx for cx, _ in eliminated}) >= 2
+    for cx, q, p in columns.values():
+        if (cx, q) in eliminated:
+            assert entered[cx, q, p] == 1, (q, p, entered[cx, q, p])
+
+
 def test_a_missing_representative_is_an_inconsistency(monkeypatch):
     # the abelian Lie algebra on one even letter: H = Lambda(x), a class in
     # degrees 0 and 1, each represented by its one word
     abelian = LInftyAlgebra(GradedSpace(["a"], [0]), {})
     assert ce_model(abelian, 2).homology(representatives=True).dims == \
         {0: 1, 1: 1, 2: 0}
-    real = chain.kernel
-
-    def drop_last(*args):
-        null = real(*args)
-        if null.rows:
-            null._unregister(max(null.rows))
-        return null
-
-    monkeypatch.setattr(chain, "kernel", drop_last)
+    real = LinearSolver.relations
+    monkeypatch.setattr(LinearSolver, "relations",
+                        lambda solver: real(solver)[:-1])
     with pytest.raises(InconsistencyError, match="representative homology"):
         ce_model(abelian, 2).homology(representatives=True)

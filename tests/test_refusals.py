@@ -24,7 +24,7 @@ from homotopyalg.documents import document_to_algebra, parse_document
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import LInftyAlgebra, lie_homology, make_inner
 from homotopyalg.lqt import expand_exterior, verify_lqt
-from homotopyalg.rational_linalg import kernel
+from homotopyalg.rational_linalg import LinearSolver
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -82,7 +82,8 @@ def not_a_generator(value):
      "a unit must be a basis index in range(2), got '1'"),
     (lambda: GradedSpace(["a", "b"], [0]),
      "labels and degrees must have equal length"),
-    (lambda: kernel([{2: 1}], 2), "coordinate 2 outside ambient dim 2"),
+    (lambda: LinearSolver(2).add({2: 1}),
+     "coordinate 2 outside ambient dim 2"),
     (lambda: ChainComplex({0: ["x"]}, no_boundary, {0: [{"y": 1}]}),
      "key 'y' not in block 0"),
     # a span for a block the complex does not have is refused, not dropped
@@ -147,7 +148,7 @@ def not_a_generator(value):
      "max_arity must be an integer >= 0, got -1"),
 ], ids=["arity-0", "input-count", "unit-index", "unit-false", "unit-float-0",
         "unit-true", "unit-float-1", "unit-label", "space-lengths",
-        "kernel-coordinate", "complex-key", "complex-block",
+        "solver-coordinate", "complex-key", "complex-block",
         "inhomogeneous-generator", "size-0", "corner-float-size",
         "matrix-bool-size", "lqt-float-sizes", "lqt-bool-size",
         "lqt-negative-degree", "lqt-float-degree", "lqt-degree-before-base",
