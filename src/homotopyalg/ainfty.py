@@ -24,8 +24,6 @@ classical cyclic boundary and (-1)^n rotation.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .coalgebra import HomotopyAlgebra, StructureReport, certify
 from .graded import GradedSpace, add_into, is_integer, require_bound
 
@@ -133,9 +131,9 @@ def check_strict_unit(alg):
     failures = []
     dim = alg.space.dim
     for a in range(dim):
-        if alg.op_value(2, (e, a)) != {a: Fraction(1)}:
+        if alg.op_value(2, (e, a)) != {a: 1}:
             failures.append(("left unit law fails", 2, (e, a)))
-        if alg.op_value(2, (a, e)) != {a: Fraction(1)}:
+        if alg.op_value(2, (a, e)) != {a: 1}:
             failures.append(("right unit law fails", 2, (a, e)))
     for k, table in alg.ops.items():
         if k == 2:
@@ -215,8 +213,8 @@ def rotation_span(space, words):
     out = []
     for w in words:
         sign, rw = _rotate(w, space.degrees, 1)
-        el = {w: Fraction(1)}
-        add_into(el, rw, Fraction(-sign))
+        el = {w: 1}
+        add_into(el, rw, -sign)
         if el:
             out.append(el)
     return out

@@ -8,16 +8,15 @@ differential must descend).  All arithmetic is exact.
 Each degree's boundary is evaluated once, as the images of the quotient basis
 in the quotient basis below, and eliminated once, as one tagged echelon of
 its columns: the rank and image basis of d_q are the columns that gained a
-real pivot, the cycles are the tag parts of the rows left with no real
-entry, and the class solver of degree q is the elimination of d_{q+1}
-extended by the representatives of degree q.  `rank` is the one rank of a
-boundary, and the class of a cycle is read off that solver in the
-representative basis.
+real pivot.  The class solver of degree q is the elimination of d_{q+1}
+extended by the representatives of degree q, and it alone reads the cycles,
+the tag parts of d_q's rows left with no real entry, so a table without
+representatives never reads them.  `rank` is the one rank of a boundary,
+and the class of a cycle is read off that solver in the representative
+basis.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .graded import exact
 from .rational_linalg import LinearSolver, RowReducer
@@ -72,7 +71,7 @@ class ChainComplex:
             cols = [c for c in range(len(ks)) if c not in pivots]
             self.basis[q] = [ks[c] for c in cols]
             self._position[q] = {c: p for p, c in enumerate(cols)}
-        self._boundaries, self._eliminations = {}, {}
+        self._boundaries, self._eliminations, self._reps = {}, {}, {}
 
     def _coords(self, el, q):
         """Element dict -> {column: int | Fraction} in block q's coordinates."""
@@ -123,14 +122,13 @@ class ChainComplex:
 
     def _elimination(self, q):
         """The one elimination of d_q's columns, tagged ("b", position), as
-        [solver, image basis, cycles, representatives of degree q - 1]; the
-        cycles are read off before anything else is added to the solver."""
+        (solver, image basis)."""
         if q not in self._eliminations:
             ambient = self.dim(q - 1)
             solver = LinearSolver(ambient)
             image = [p for p, col in enumerate(self._boundary(q))
                      if solver.add(col, ("b", p)) < ambient]
-            self._eliminations[q] = [solver, image, solver.relations(), None]
+            self._eliminations[q] = solver, image
         return self._eliminations[q]
 
     def image_basis(self, q):
@@ -151,17 +149,19 @@ class ChainComplex:
     def _solver(self, q):
         """(solver, representatives) of degree q: the elimination of
         d_{q + 1}, extended once by each cycle of degree q that it does not
-        yet reach, tagged ("r", index), so it expresses every cycle."""
-        memo = self._elimination(q + 1)
-        solver, reps = memo[0], memo[3]
-        if reps is None:
+        yet reach, tagged ("r", index), so it expresses every cycle.  The
+        cycles, d_q's relations, are read only here: the representatives
+        `_solver(q - 1)` adds to d_q's elimination gain real pivots and
+        leave its relations as they were."""
+        solver = self._elimination(q + 1)[0]
+        if q not in self._reps:
             keys, reps = self.basis.get(q, []), []
-            for vec in self._elimination(q)[2]:
+            for vec in self._elimination(q)[0].relations():
                 if solver.express(vec) is None:
                     solver.add(vec, ("r", len(reps)))
                     reps.append({keys[p]: c for p, c in vec.items()})
-            memo[3] = reps
-        return solver, reps
+            self._reps[q] = reps
+        return solver, self._reps[q]
 
     def homology(self, qs, representatives=False):
         """The Betti table of the degrees `qs`, with representatives when

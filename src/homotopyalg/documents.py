@@ -272,19 +272,32 @@ def document_from_data(data):
         caps=dict(caps))
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key given twice, whose earlier
+    values plain `json.loads` would drop."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise DocumentError([("$", f"duplicate key {key!r}")])
+        data[key] = value
+    return data
+
+
 def parse_document(text):
     """Parse JSON text into a validated AlgebraDocument.
 
-    Raises DocumentError with line/column diagnostics for malformed
-    JSON, a diagnostic at `$` for JSON the interpreter cannot read (an
-    overlong integer literal, nesting deeper than its recursion limit) and
-    JSON-path diagnostics for semantic violations.
+    Raises DocumentError with line/column diagnostics for malformed JSON,
+    a diagnostic at `$` for JSON the interpreter cannot read (an overlong
+    integer literal, nesting deeper than its recursion limit) or that gives
+    an object key twice, and JSON-path diagnostics for semantic violations.
     """
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise DocumentError(
             [(f"line {exc.lineno}, column {exc.colno}", exc.msg)]) from None
+    except DocumentError:
+        raise
     except ValueError as exc:
         # an integer literal too long for the interpreter to convert
         raise DocumentError([("$", str(exc))]) from None

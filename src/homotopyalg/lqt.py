@@ -278,9 +278,9 @@ def hopf_product_on_homology(model):
     for (x, y), cls in sorted(products.items()):
         if x[0] < 1 or y[0] < 1 or not cls:
             continue
-        if not prim[x[0]].contains({x[1]: Fraction(1)}):
+        if not prim[x[0]].contains({x[1]: 1}):
             continue
-        if not prim[y[0]].contains({y[1]: Fraction(1)}):
+        if not prim[y[0]].contains({y[1]: 1}):
             continue
         if prim[x[0] + y[0]].contains(cls):
             primitive_product_violations.append((x, y, cls))

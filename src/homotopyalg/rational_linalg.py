@@ -8,9 +8,13 @@ their span, so a caller that needs all three eliminates a column once.
 Rows are kept as primitive integer vectors (gcd 1, pivot entry positive)
 and eliminated by integer cross-multiplication, so no rounding can ever
 occur and coefficient growth is controlled by content reduction instead
-of pivot heuristics.  A subspace is a `RowReducer` holding its span;
-`canonical_rows` divides each row by its pivot, giving the unique reduced
-echelon basis, so two equal subspaces always give equal rows.
+of pivot heuristics.  There is one elimination loop, `RowReducer._reduce`:
+a vector is scaled to integers and reduced at the pivot columns; `insert`
+adds the result, and `residual` (and with it membership, quotient
+representatives and coefficient recovery) divides it once by its scale.
+A subspace is a `RowReducer` holding its span; `canonical_rows` divides
+each row by its pivot, giving the unique reduced echelon basis, so two
+equal subspaces always give equal rows.
 """
 
 from __future__ import annotations
@@ -18,10 +22,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-__all__ = [
-    "RowReducer",
-    "LinearSolver",
-]
+from .graded import exact
+
+__all__ = ["RowReducer", "LinearSolver"]
 
 
 def _primitive(ints):
@@ -39,8 +42,8 @@ class RowReducer:
     Rows are fully inter-reduced: no row contains another row's pivot column,
     and each row's pivot is its leading column.  This makes the row set the
     canonical (up to scale) echelon basis of the span at every moment, and
-    lets both `insert` and `residual` run in a single pass over a vector's
-    pivot columns.
+    lets `_reduce`, the one reduction behind `insert` and `residual`, run in
+    a single pass over a vector's pivot columns.
     """
 
     def __init__(self):
@@ -59,23 +62,20 @@ class RowReducer:
     def _unregister(self, pivot):
         row = self.rows.pop(pivot)
         for c in row:
-            s = self._touch.get(c)
-            if s is not None:
-                s.discard(pivot)
-                if not s:
-                    del self._touch[c]
+            s = self._touch[c]
+            s.discard(pivot)
+            if not s:
+                del self._touch[c]
         return row
 
     @staticmethod
     def _eliminate_int(vec, col, row):
-        """vec := a*vec - b*row with a,b chosen so vec[col] becomes 0 (ints).
-        row[col] is the pivot of a primitive row, hence positive, and so is
-        the multiplier of vec."""
-        a = vec[col]
-        b = row[col]
+        """vec := m*vec - n*row with m,n chosen so vec[col] becomes 0 (ints);
+        returns m, which is positive: row[col] is the pivot of a primitive
+        row, hence positive, and m is row[col] / gcd(vec[col], row[col])."""
+        a, b = vec[col], row[col]
         g = gcd(a, b)
-        mul_vec = b // g
-        mul_row = a // g
+        mul_vec, mul_row = b // g, a // g
         for c, rv in row.items():
             nv = mul_vec * vec.get(c, 0) - mul_row * rv
             if nv:
@@ -86,20 +86,28 @@ class RowReducer:
             for c in list(vec):
                 if c not in row:
                     vec[c] = mul_vec * vec[c]
-        return vec
+        return mul_vec
+
+    def _reduce(self, vec):
+        """The one reduction of a vector against the span: (ints, scale),
+        ints = scale * vec less a combination of the rows, with no entry in a
+        pivot column, and scale a positive int.  Entries pass through
+        `graded.exact`, so an integral one never becomes a Fraction."""
+        clean = {c: e for c, v in vec.items() if (e := exact(v))}
+        scale = lcm(*(e.denominator for e in clean.values()))
+        iv = clean if scale == 1 else {
+            c: e.numerator * (scale // e.denominator)
+            for c, e in clean.items()}
+        rows = self.rows
+        for c in sorted(iv):
+            if c in rows and iv.get(c):
+                scale *= self._eliminate_int(iv, c, rows[c])
+        return iv, scale
 
     def insert(self, vec):
         """Add a vector to the span.  Returns the new pivot column, or None
         if the vector was already in the span."""
-        clean = {c: f for c, v in vec.items() if (f := Fraction(v))}
-        if not clean:
-            return None
-        denom = lcm(*(f.denominator for f in clean.values()))
-        iv = _primitive({c: int(f * denom) for c, f in clean.items()})
-        rows = self.rows
-        for c in sorted(iv):
-            if c in rows and iv.get(c):
-                self._eliminate_int(iv, c, rows[c])
+        iv = self._reduce(vec)[0]
         if not iv:
             return None
         iv = _primitive(iv)
@@ -108,36 +116,20 @@ class RowReducer:
         # keeps its pivot, which lies left of p
         for q in list(self._touch.get(p, ())):
             row = self._unregister(q)
-            self._register(q, _primitive(self._eliminate_int(row, p, iv)))
+            self._eliminate_int(row, p, iv)
+            self._register(q, _primitive(row))
         self._register(p, iv)
         return p
 
     def residual(self, vec):
-        """Reduce a {col: Fraction|int} vector against the span (no insert).
-
-        The result is the unique representative of vec's class modulo the span
-        supported away from the pivot columns, with Fraction entries.
-        """
-        rv = {}
-        for c, v in vec.items():
-            f = Fraction(v)
-            if f:
-                rv[c] = f
-        rows = self.rows
-        for c in sorted(rv):
-            if c in rows and rv.get(c):
-                row = rows[c]
-                f = rv[c] / row[c]
-                for cc, e in row.items():
-                    nv = rv.get(cc, 0) - f * e
-                    if nv:
-                        rv[cc] = nv
-                    else:
-                        rv.pop(cc, None)
-        return rv
+        """The unique representative, with Fraction entries, of vec's class
+        modulo the span supported away from the pivot columns: `_reduce`
+        divided once by its scale, with nothing inserted."""
+        iv, scale = self._reduce(vec)
+        return {c: Fraction(v, scale) for c, v in iv.items()}
 
     def contains(self, vec):
-        return not self.residual(vec)
+        return not self._reduce(vec)[0]
 
     def canonical_rows(self, start=0):
         """Leading-1 rational rows, sorted by pivot column, of the rows whose
@@ -169,13 +161,9 @@ class LinearSolver:
             if not 0 <= c < self.ambient:
                 raise ValueError(
                     f"coordinate {c} outside ambient dim {self.ambient}")
-        if tag is None:
-            tag = len(self.tags)
         slot = self.ambient + len(self.tags)
-        self.tags.append(tag)
-        aug = dict(vec)
-        aug[slot] = Fraction(1)
-        return self.red.insert(aug)
+        self.tags.append(len(self.tags) if tag is None else tag)
+        return self.red.insert({**vec, slot: 1})
 
     def relations(self):
         """The null space of the map sending the k-th unit vector to the

@@ -1,18 +1,23 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from homotopyalg.ainfty import from_associative
 from homotopyalg.chain import ChainComplex, InconsistencyError
+from homotopyalg.cli import main
 from homotopyalg.coalgebra import Coderivation
-from homotopyalg.constructions import PermutationModel
+from homotopyalg.constructions import PermutationModel, gl_coinvariant_model
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import LInftyAlgebra, ce_model
 from homotopyalg.lqt import hopf_product_on_homology
 from homotopyalg.rational_linalg import LinearSolver, RowReducer
 
 from model_oracles import inner_action_on_homology, projection
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def unimodular(draw, m):
@@ -203,8 +208,59 @@ def test_a_missing_representative_is_an_inconsistency(monkeypatch):
     abelian = LInftyAlgebra(GradedSpace(["a"], [0]), {})
     assert ce_model(abelian, 2).homology(representatives=True).dims == \
         {0: 1, 1: 1, 2: 0}
+    # the class solver alone reads each degree's cycles, through
+    # `relations`: one cycle dropped there leaves a class unrepresented
     real = LinearSolver.relations
     monkeypatch.setattr(LinearSolver, "relations",
                         lambda solver: real(solver)[:-1])
     with pytest.raises(InconsistencyError, match="representative homology"):
         ce_model(abelian, 2).homology(representatives=True)
+
+
+def test_a_table_without_representatives_reads_no_cycles(monkeypatch, capsys):
+    # a Betti table takes ranks alone from each elimination: the cycles,
+    # the relations of a boundary's elimination, are read only by the
+    # class solver, once per degree
+    reads = Counter()
+    real = LinearSolver.relations
+
+    def counted(solver):
+        reads[id(solver)] += 1
+        return real(solver)
+
+    monkeypatch.setattr(LinearSolver, "relations", counted)
+    assert main(["hc", str(FIXTURES / "ut2.alg"), "--max-degree", "4"]) == 0
+    rows = json.loads(capsys.readouterr().out)["tables"]["hc"]["rows"]
+    assert [dim for _, dim, _ in rows] == [2, 0, 2, 0, 2]
+    K = from_associative(["1"], {(0, 0): {0: 1}}, unit=0, name="K")
+    model = PermutationModel(K, 4)
+    assert model.homology().dims == {0: 1, 1: 1, 2: 0, 3: 1, 4: 1}
+    assert gl_coinvariant_model(model, 2).homology().dims[1] == 1
+    assert not reads
+    model.homology(representatives=True)
+    assert len(reads) == 5 and set(reads.values()) == {1}
+
+
+def test_classes_do_not_depend_on_the_order_the_solvers_are_built():
+    # _solver(q - 1) extends the elimination of d_q, whose relations are
+    # the cycles _solver(q) reads: built upward or downward, every degree
+    # gets the same representatives and reads a class the same way
+    K = from_associative(["1"], {(0, 0): {0: 1}}, unit=0, name="K")
+    dual = from_associative(["1", "e"], {(0, 0): {0: 1}, (0, 1): {1: 1},
+                                         (1, 0): {1: 1}}, unit=0, name="K[e]")
+    for algebra, top in ((K, 4), (dual, 3)):
+        up = PermutationModel(algebra, top).complex()
+        down = PermutationModel(algebra, top).complex()
+        degrees = range(top + 1)
+        reps = {q: up._solver(q)[1] for q in degrees}
+        assert {q: down._solver(q)[1] for q in reversed(degrees)} == reps
+        assert any(reps[q - 1] and reps[q] for q in degrees if q)
+        for q in degrees:
+            for key in up.basis.get(q + 1, ()):
+                cycle = up.differential(q + 1, {key: 1})
+                for i, rep in enumerate(reps[q]):
+                    for k, c in rep.items():
+                        cycle[k] = cycle.get(k, 0) + (i + 1) * c
+                expected = {i: i + 1 for i in range(len(reps[q]))}
+                assert up.class_coefficients(q, cycle) == expected
+                assert down.class_coefficients(q, cycle) == expected

@@ -391,6 +391,9 @@ def test_verify_lqt_cross_checks_the_closed_form_against_the_full_model(
 
 
 def test_verify_lqt_cross_checks_the_representative_count(monkeypatch):
+    # the class solver alone reads each degree's cycles, through
+    # `relations`: with one cycle dropped there, the representatives of
+    # H(P) that every run reads fall short of its Betti table
     real = LinearSolver.relations
     monkeypatch.setattr(LinearSolver, "relations",
                         lambda solver: real(solver)[:-1])

@@ -2,10 +2,14 @@ import math
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from homotopyalg import graded, rational_linalg
 from homotopyalg.rational_linalg import (
     LinearSolver,
     RowReducer,
 )
+from oracles import DictRREF
 
 
 def M(rows):
@@ -230,3 +234,50 @@ def test_column_space_dim_equals_rank():
         columns = span([{r: row[c] for r, row in enumerate(rows) if row[c]}
                         for c in range(5)])
         assert columns.dim == rank(M(rows))
+
+
+# an exact coefficient of every type `insert` and `residual` read: an int,
+# a Fraction, or a float that is a binary fraction
+coefficients = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.sampled_from([0.5, -1.5, 2.0, 0.0]))
+sparse_vectors = st.dictionaries(st.integers(0, 7), coefficients, max_size=6)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(st.lists(sparse_vectors, max_size=6),
+       st.lists(sparse_vectors, max_size=4))
+def test_one_reduction_agrees_with_a_rational_echelon(span_vectors, targets):
+    # insert and residual share one integer reduction; against an echelon
+    # kept in Fractions, insert reports the same pivot and leaves the same
+    # reduced rows, and residual gives the same representative
+    red, oracle = RowReducer(), DictRREF()
+    for vec in span_vectors:
+        expected = oracle.residual(vec)
+        assert red.insert(vec) == (min(expected) if expected else None)
+        oracle.insert(vec)
+        assert red.canonical_rows() == tuple(
+            tuple(sorted(row.items())) for _, row in sorted(oracle.rows.items()))
+    for vec in span_vectors + targets:
+        assert red.residual(vec) == oracle.residual(vec)
+        assert red.contains(vec) == (not oracle.residual(vec))
+
+
+def test_insert_builds_no_fraction_for_an_integer_vector(monkeypatch):
+    rng = random.Random(41)
+    vectors = [{c: rng.randint(-5, 5) for c in rng.sample(range(8), 5)}
+               for _ in range(12)]
+    expected = span(vectors)
+
+    def forbidden(*args):
+        raise AssertionError(f"Fraction{args} built")
+
+    monkeypatch.setattr(graded, "Fraction", forbidden)
+    monkeypatch.setattr(rational_linalg, "Fraction", forbidden)
+    red = RowReducer()
+    for vec in vectors:
+        red.insert(vec)
+        assert red.contains(vec)
+    monkeypatch.undo()
+    assert red.rows == expected.rows

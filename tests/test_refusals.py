@@ -12,6 +12,7 @@ from homotopyalg.ainfty import (
     from_associative,
 )
 from homotopyalg.chain import ChainComplex
+from homotopyalg.cli import main
 from homotopyalg.coalgebra import bracket
 from homotopyalg.constructions import (
     PermutationModel,
@@ -20,7 +21,11 @@ from homotopyalg.constructions import (
     lie_ify,
     matrix_algebra,
 )
-from homotopyalg.documents import document_to_algebra, parse_document
+from homotopyalg.documents import (
+    DocumentError,
+    document_to_algebra,
+    parse_document,
+)
 from homotopyalg.graded import GradedSpace
 from homotopyalg.linfty import LInftyAlgebra, lie_homology, make_inner
 from homotopyalg.lqt import expand_exterior, verify_lqt
@@ -164,3 +169,17 @@ def test_malformed_argument_is_refused(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_a_document_that_repeats_a_key_is_refused(tmp_path, capsys):
+    # plain JSON parsing keeps the last of two values; a document giving a
+    # key twice is ambiguous, and refused before it is read
+    text = (FIXTURES / "K.alg").read_text(encoding="utf-8").replace(
+        '"kind": "associative"', '"kind": "linfty", "kind": "associative"')
+    with pytest.raises(DocumentError) as info:
+        parse_document(text)
+    assert info.value.diagnostics == [("$", "duplicate key 'kind'")]
+    path = tmp_path / "K.alg"
+    path.write_text(text, encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: $: duplicate key 'kind'\n")
